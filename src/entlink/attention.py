@@ -142,7 +142,15 @@ def support_scores(cand_vecs: np.ndarray, ctx_vecs: np.ndarray,
     """Per-word support u(w) = max over candidates of x_e^T diag(a) x_w."""
     if cand_vecs.shape[0] == 0 or ctx_vecs.shape[0] == 0:
         raise ValidationError("nothing to score: empty candidate set or context")
-    return ((cand_vecs * a) @ ctx_vecs.T).max(axis=0)
+    return _support(cand_vecs, ctx_vecs, a)[0]
+
+
+def _support(cand_vecs: np.ndarray, ctx_vecs: np.ndarray,
+             a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Support per word and the first candidate row attaining it."""
+    scores = (cand_vecs * a) @ ctx_vecs.T
+    rows = scores.argmax(axis=0)
+    return scores[rows, np.arange(scores.shape[1])], rows
 
 
 def top_r_mask(u: np.ndarray, r: int) -> np.ndarray:
@@ -179,25 +187,26 @@ def combine_f(fnet: FNet, context_scores: np.ndarray,
     return fnet.forward(x)
 
 
-def mention_unary(params: LocalParams, cand_vecs: np.ndarray,
-                  ctx_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Context scores and attention weights for one mention (inference path).
+def mention_unary(a: np.ndarray, b: np.ndarray, r: int, cand_vecs: np.ndarray,
+                  ctx_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Context scores, attention weights and support rows for one mention.
 
+    The support rows (the first candidate attaining each word's support)
+    and the weights are what the backward pass of `record_unary` needs.
     An empty context yields zero scores and no attention: the mention then
     carries no context evidence and the prior decides.
     """
-    s = cand_vecs.shape[0]
     if ctx_vecs.shape[0] == 0:
-        return np.zeros(s), np.zeros(0)
-    u = support_scores(cand_vecs, ctx_vecs, params.a)
-    beta = attention_weights(u, params.r)
-    return context_score(cand_vecs, ctx_vecs, beta, params.b), beta
+        return np.zeros(cand_vecs.shape[0]), np.zeros(0), np.zeros(0, dtype=int)
+    u, rows = _support(cand_vecs, ctx_vecs, a)
+    beta = attention_weights(u, r)
+    return context_score(cand_vecs, ctx_vecs, beta, b), beta, rows
 
 
 def local_scores(params: LocalParams, cand_vecs: np.ndarray,
                  ctx_vecs: np.ndarray, priors: np.ndarray) -> np.ndarray:
     """Final combined local score per candidate."""
-    psi, _ = mention_unary(params, cand_vecs, ctx_vecs)
+    psi, _, _ = mention_unary(params.a, params.b, params.r, cand_vecs, ctx_vecs)
     logp = np.array([floored_log_prior(p) for p in priors])
     return combine_f(params.fnet, psi, logp)
 
@@ -239,16 +248,28 @@ def make_param_vars(tape: ad.Tape, params: dict[str, np.ndarray]) -> dict[str, a
     return {name: tape.var(arr) for name, arr in params.items()}
 
 
-def mention_unary_tape(tape: ad.Tape, vars_: dict[str, ad.Var],
-                       cand_vecs: np.ndarray, ctx_vecs: np.ndarray,
-                       r: int) -> ad.Var:
-    """Differentiable context scores for one mention, gradient into A and B."""
-    cands = tape.const(cand_vecs)
-    ctx = tape.const(ctx_vecs)
-    support = ad.max_over_rows(ad.bilinear_diag(cands, vars_["A"], ctx))
-    keep = top_r_mask(support.value, r)
-    beta = ad.softmax(ad.masked_fill(support, keep))
-    return ad.matvec(ad.bilinear_diag(cands, vars_["B"], ctx), beta)
+def record_unary(tape: ad.Tape, vars_: dict[str, ad.Var],
+                 inst: MentionInstance, r: int) -> ad.Var:
+    """`mention_unary` as one tape record, with adjoints into A and B.
+
+    Top-R selection is piecewise constant and carries no gradient; the
+    support max routes its adjoint to the first maximal candidate row.
+    An empty context gives a constant.
+    """
+    cands, ctx = inst.cand_vecs, inst.ctx_vecs
+    if ctx.shape[0] == 0:
+        return tape.const(np.zeros(cands.shape[0]))
+    a, b = vars_["A"], vars_["B"]
+    psi, beta, rows = mention_unary(a.value, b.value, r, cands, ctx)
+
+    def backward(g):
+        cand_g = cands.T @ g
+        b._accum(cand_g * (ctx.T @ beta))
+        g_beta = ctx @ (b.value * cand_g)
+        g_u = beta * (g_beta - g_beta @ beta)
+        a._accum((cands[rows] * ctx).T @ g_u)
+
+    return ad.record(tape, [psi], (a, b), backward)[0]
 
 
 def combine_scores_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
@@ -319,10 +340,7 @@ def local_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
     for inst in instances:
         if inst.gold_index is None:
             continue
-        if inst.ctx_vecs.shape[0] == 0:
-            psi = tape.const(np.zeros(inst.cand_vecs.shape[0]))
-        else:
-            psi = mention_unary_tape(tape, vars_, inst.cand_vecs, inst.ctx_vecs, r)
+        psi = record_unary(tape, vars_, inst, r)
         scores = combine_scores_tape(tape, vars_, fnet, psi, inst.log_priors)
         loss = hinge_rank_loss_tape(tape, scores, inst.gold_index, gamma)
         total = loss if total is None else ad.add(total, loss)

@@ -1,16 +1,17 @@
 """Reverse-mode automatic differentiation over scalars and small dense arrays.
 
-Define-by-run: every primitive appends one record to a Tape as it computes
+Define-by-run: every operation appends one record to a Tape as it computes
 its primal, and `Tape.backward` replays the records in exact reverse order,
 summing adjoints into each operand.  A fresh tape is built per training
 example; there is no graph caching.
 
-Conventions (fixed for reproducibility):
-
-* argmax-style subgradients route the full adjoint to the first maximal
-  index;
-* relu gradient at exactly 0 is 0;
-* softmax and logsumexp subtract the running maximum before exponentiation.
+The tape offers the elementwise and affine primitives the ranking loss and
+the combination network use.  The two model-specific computations, the
+attention scorer (`attention.record_unary`) and the unrolled message
+passing (`crf.beliefs_tape`), are each one numpy forward registered through
+`record` with a hand-derived backward.  Both route the adjoint of a max to
+the first maximal index; relu's gradient at exactly 0 is 0.  Every primal
+and every adjoint is checked to be finite.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from .errors import ValidationError
 
 
 class Tape:
-    """Append-only record of primitive operations, replayed backwards."""
+    """Append-only record of operations, replayed backwards."""
 
     def __init__(self):
-        self._records: list[tuple[Var, Callable[[np.ndarray], None]]] = []
+        self._records: list[tuple[tuple[Var, ...], Callable[..., None]]] = []
 
     def var(self, value, needs_grad: bool = True) -> "Var":
         arr = np.asarray(value, dtype=np.float64)
@@ -38,24 +39,22 @@ class Tape:
     def const(self, value) -> "Var":
         return self.var(value, needs_grad=False)
 
-    def _record(self, out: "Var", backward: Callable[[np.ndarray], None]) -> None:
-        self._records.append((out, backward))
-
     def __len__(self) -> int:
         return len(self._records)
 
-    def backward(self, root: "Var", check_finite: bool = True) -> None:
+    def backward(self, root: "Var") -> None:
         """Accumulate d(root)/d(node) into every node's .grad."""
         if root.value.shape != ():
             raise ValidationError("backward root must be a scalar")
         root.grad = np.ones((), dtype=np.float64)
-        for out, fn in reversed(self._records):
-            g = out.grad
-            if g is None:
+        for outs, fn in reversed(self._records):
+            grads = [out.grad for out in outs]
+            live = [g for g in grads if g is not None]
+            if not live:
                 continue
-            if check_finite and not np.all(np.isfinite(g)):
+            if not all(np.all(np.isfinite(g)) for g in live):
                 raise ValidationError("non-finite adjoint during backward pass")
-            fn(g)
+            fn(*grads)
 
 
 class Var:
@@ -79,14 +78,26 @@ class Var:
         return self.value.shape
 
 
+def record(tape: Tape, values: list[np.ndarray], inputs: tuple[Var, ...],
+           backward: Callable[..., None]) -> list[Var]:
+    """One tape record with one output Var per value.
+
+    `backward` receives one adjoint per output, None for an output that
+    no later record used, and accumulates into the inputs itself.
+    """
+    for value in values:
+        if not np.all(np.isfinite(value)):
+            raise ValidationError("non-finite primal value")
+    needs_grad = any(v.needs_grad for v in inputs)
+    outs = tuple(Var(value, tape, needs_grad) for value in values)
+    if needs_grad:
+        tape._records.append((outs, backward))
+    return list(outs)
+
+
 def _out(tape: Tape, value: np.ndarray, inputs: tuple[Var, ...],
-         backward: Callable[[np.ndarray, Var], None] | None = None) -> Var:
-    if not np.all(np.isfinite(value)):
-        raise ValidationError("non-finite primal value")
-    out = Var(value, tape, needs_grad=any(v.needs_grad for v in inputs))
-    if out.needs_grad and backward is not None:
-        tape._record(out, backward)
-    return out
+         backward: Callable[[np.ndarray], None]) -> Var:
+    return record(tape, [value], inputs, backward)[0]
 
 
 def _binary_grad(x: Var, g: np.ndarray) -> None:
@@ -124,35 +135,6 @@ def sub(a: Var, b: Var) -> Var:
     return _out(a.tape, a.value - b.value, (a, b), backward)
 
 
-def mul(a: Var, b: Var) -> Var:
-    _check_broadcast(a, b)
-
-    def backward(g):
-        _binary_grad(a, g * b.value)
-        _binary_grad(b, g * a.value)
-
-    return _out(a.tape, a.value * b.value, (a, b), backward)
-
-
-def scale_by_diagonal(diag: Var, x: Var) -> Var:
-    """Apply a diagonal matrix, stored as its diagonal vector: diag * x."""
-    return mul(diag, x)
-
-
-def neg(a: Var) -> Var:
-    def backward(g):
-        a._accum(-g)
-
-    return _out(a.tape, -a.value, (a,), backward)
-
-
-def scale(a: Var, c: float) -> Var:
-    def backward(g):
-        a._accum(g * c)
-
-    return _out(a.tape, a.value * c, (a,), backward)
-
-
 def shift(a: Var, c: float) -> Var:
     def backward(g):
         a._accum(g)
@@ -180,32 +162,6 @@ def relu(a: Var) -> Var:
     return _out(a.tape, np.where(mask, a.value, 0.0), (a,), backward)
 
 
-def exp(a: Var) -> Var:
-    value = np.exp(a.value)
-
-    def backward(g):
-        a._accum(g * value)
-
-    return _out(a.tape, value, (a,), backward)
-
-
-def log(a: Var) -> Var:
-    if np.any(a.value <= 0.0):
-        raise ValidationError("log of non-positive value")
-
-    def backward(g):
-        a._accum(g / a.value)
-
-    return _out(a.tape, np.log(a.value), (a,), backward)
-
-
-def sum_(a: Var) -> Var:
-    def backward(g):
-        a._accum(np.full_like(a.value, g))
-
-    return _out(a.tape, np.sum(a.value), (a,), backward)
-
-
 def index(a: Var, i: int) -> Var:
     if a.value.ndim != 1 or not 0 <= i < a.value.shape[0]:
         raise ValidationError(f"index {i} invalid for shape {a.value.shape}")
@@ -216,82 +172,6 @@ def index(a: Var, i: int) -> Var:
         a.grad[i] += g
 
     return _out(a.tape, a.value[i], (a,), backward)
-
-
-def max_over(a: Var) -> Var:
-    """Max of a vector; adjoint routed to the first maximal index."""
-    if a.value.ndim != 1 or a.value.shape[0] == 0:
-        raise ValidationError("max_over expects a nonempty vector")
-    arg = int(np.argmax(a.value))
-
-    def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[arg] += g
-
-    return _out(a.tape, a.value[arg], (a,), backward)
-
-
-def softmax(a: Var) -> Var:
-    """Stable softmax over a vector; -inf inputs get exactly zero mass."""
-    if a.value.ndim != 1 or a.value.shape[0] == 0:
-        raise ValidationError("softmax expects a nonempty vector")
-    m = np.max(a.value)
-    if m == -np.inf:
-        raise ValidationError("empty reduced context")
-    ex = np.exp(a.value - m)
-    y = ex / np.sum(ex)
-
-    def backward(g):
-        a._accum(y * (g - np.dot(g, y)))
-
-    return _out(a.tape, y, (a,), backward)
-
-
-def logsumexp(a: Var) -> Var:
-    if a.value.ndim != 1 or a.value.shape[0] == 0:
-        raise ValidationError("logsumexp expects a nonempty vector")
-    m = np.max(a.value)
-    if m == -np.inf:
-        raise ValidationError("empty reduced context")
-    ex = np.exp(a.value - m)
-    s = np.sum(ex)
-    y = ex / s
-
-    def backward(g):
-        a._accum(g * y)
-
-    return _out(a.tape, m + np.log(s), (a,), backward)
-
-
-def masked_fill(a: Var, keep: np.ndarray) -> Var:
-    """Set entries where `keep` is False to -inf; they carry zero gradient."""
-    keep = np.asarray(keep, dtype=bool)
-    if keep.shape != a.value.shape:
-        raise ValidationError(f"mask shape {keep.shape} != value shape {a.value.shape}")
-    value = np.where(keep, a.value, -np.inf)
-
-    def backward(g):
-        a._accum(np.where(keep, g, 0.0))
-
-    # -inf primal is intentional here, so bypass the finite check.
-    out = Var(value, a.tape, needs_grad=a.needs_grad)
-    if out.needs_grad:
-        a.tape._record(out, backward)
-    return out
-
-
-def matvec(m: Var, v: Var) -> Var:
-    if m.value.ndim != 2 or v.value.ndim != 1 or m.value.shape[1] != v.value.shape[0]:
-        raise ValidationError(f"matvec shapes {m.value.shape} @ {v.value.shape}")
-
-    def backward(g):
-        if m.needs_grad:
-            m._accum(np.outer(g, v.value))
-        if v.needs_grad:
-            v._accum(m.value.T @ g)
-
-    return _out(m.tape, m.value @ v.value, (m, v), backward)
 
 
 def linear(x: Var, w: Var, b: Var) -> Var:
@@ -308,68 +188,6 @@ def linear(x: Var, w: Var, b: Var) -> Var:
             b._accum(np.sum(g, axis=0))
 
     return _out(x.tape, x.value @ w.value.T + b.value, (x, w, b), backward)
-
-
-def bilinear_diag(left: Var, diag: Var, right: Var) -> Var:
-    """Pairwise scores left[i]^T diag(d) right[j], returned as a matrix."""
-    if left.value.ndim != 2 or right.value.ndim != 2 or diag.value.ndim != 1:
-        raise ValidationError("bilinear_diag expects (p,d), (d,), (q,d)")
-    if left.value.shape[1] != diag.value.shape[0] or right.value.shape[1] != diag.value.shape[0]:
-        raise ValidationError("bilinear_diag dimension mismatch")
-    value = (left.value * diag.value) @ right.value.T
-
-    def backward(g):
-        if diag.needs_grad:
-            diag._accum(((left.value.T @ g) * right.value.T).sum(axis=1))
-        if left.needs_grad:
-            left._accum(g @ (right.value * diag.value))
-        if right.needs_grad:
-            right._accum(g.T @ (left.value * diag.value))
-
-    return _out(left.tape, value, (left, diag, right), backward)
-
-
-def max_over_rows(m: Var) -> Var:
-    """Column-wise max of a matrix; adjoint goes to the first argmax row."""
-    if m.value.ndim != 2 or m.value.shape[0] == 0:
-        raise ValidationError("max_over_rows expects a nonempty matrix")
-    args = np.argmax(m.value, axis=0)
-    cols = np.arange(m.value.shape[1])
-
-    def backward(g):
-        if m.grad is None:
-            m.grad = np.zeros_like(m.value)
-        np.add.at(m.grad, (args, cols), g)
-
-    return _out(m.tape, m.value[args, cols], (m,), backward)
-
-
-def maxplus(m: Var, v: Var) -> Var:
-    """Row-wise max-plus product: out[i] = max_j (m[i,j] + v[j])."""
-    if m.value.ndim != 2 or v.value.ndim != 1 or m.value.shape[1] != v.value.shape[0]:
-        raise ValidationError(f"maxplus shapes {m.value.shape}, {v.value.shape}")
-    scores = m.value + v.value[None, :]
-    args = np.argmax(scores, axis=1)
-    rows = np.arange(m.value.shape[0])
-
-    def backward(g):
-        if m.needs_grad:
-            if m.grad is None:
-                m.grad = np.zeros_like(m.value)
-            np.add.at(m.grad, (rows, args), g)
-        if v.needs_grad:
-            if v.grad is None:
-                v.grad = np.zeros_like(v.value)
-            np.add.at(v.grad, args, g)
-
-    return _out(m.tape, scores[rows, args], (m, v), backward)
-
-
-def transpose(m: Var) -> Var:
-    def backward(g):
-        m._accum(g.T)
-
-    return _out(m.tape, m.value.T.copy(), (m,), backward)
 
 
 def stack_cols(a: Var, b: Var) -> Var:
@@ -393,137 +211,6 @@ def flatten(m: Var) -> Var:
         m._accum(g.reshape(shape))
 
     return _out(m.tape, m.value.reshape(-1), (m,), backward)
-
-
-# -- batched message-passing primitives ---------------------------------
-#
-# These operate on the padded pairwise tensors of the unrolled inference
-# network: mbar has shape (n, n, S) with entry [i, j, :] the message from
-# mention i to mention j over j's padded candidate slots.  Invalid slots
-# (padding and the diagonal) carry neutral values (0 in log space, 1 in
-# probability space) so that sums over senders ignore them without any
-# -inf arithmetic; consumers mask them explicitly.
-
-
-def pad_stack(vecs: list[Var], width: int) -> Var:
-    """Stack variable-length vectors into a zero-padded (n, width) matrix."""
-    if not vecs:
-        raise ValidationError("pad_stack needs at least one vector")
-    tape = vecs[0].tape
-    sizes = [v.value.shape[0] for v in vecs]
-    if max(sizes) > width:
-        raise ValidationError("pad_stack width smaller than a row")
-    value = np.zeros((len(vecs), width))
-    for i, v in enumerate(vecs):
-        value[i, :sizes[i]] = v.value
-
-    def backward(g):
-        for i, v in enumerate(vecs):
-            if v.needs_grad:
-                v._accum(g[i, :sizes[i]])
-
-    return _out(tape, value, tuple(vecs), backward)
-
-
-def bilinear_pairs(vecs: np.ndarray, diag: Var) -> Var:
-    """All pairwise bilinear scores of padded candidate vectors.
-
-    `vecs` is a constant (n, S, d) tensor; the output (n, n, S, S) holds
-    out[i, j, p, q] = vecs[j, p] . diag * vecs[i, q], the coherence between
-    candidate p of mention j and candidate q of mention i.
-    """
-    value = np.einsum("jpd,d,iqd->ijpq", vecs, diag.value, vecs)
-
-    def backward(g):
-        diag._accum(np.einsum("ijpq,jpd,iqd->d", g, vecs, vecs))
-
-    return _out(diag.tape, value, (diag,), backward)
-
-
-def sum_over_senders(m: Var) -> Var:
-    """Total incoming message per mention: (n, n, S) -> (n, S) over axis 0."""
-
-    def backward(g):
-        m._accum(np.broadcast_to(g, m.value.shape))
-
-    return _out(m.tape, m.value.sum(axis=0), (m,), backward)
-
-
-def pair_differences(pre: Var, mbar: Var) -> Var:
-    """v[i, j, :] = pre[i, :] - mbar[j, i, :] (sender's slots, minus backflow)."""
-
-    def backward(g):
-        if pre.needs_grad:
-            pre._accum(g.sum(axis=1))
-        if mbar.needs_grad:
-            mbar._accum(-g.transpose(1, 0, 2))
-
-    value = pre.value[:, None, :] - mbar.value.transpose(1, 0, 2)
-    return _out(pre.tape, value, (pre, mbar), backward)
-
-
-def maxplus_pairs(phi: Var, v: Var, sender_valid: np.ndarray) -> Var:
-    """out[i, j, p] = max over valid q of phi[i, j, p, q] + v[i, j, q].
-
-    The max runs over the sender's valid candidate slots; the adjoint is
-    routed to the first maximal q of each (i, j, p) cell.
-    """
-    scores = phi.value + v.value[:, :, None, :]
-    masked = np.where(sender_valid[:, None, None, :], scores, -np.inf)
-    args = masked.argmax(axis=3)
-    value = np.take_along_axis(masked, args[..., None], axis=3)[..., 0]
-    ii, jj, pp = np.indices(args.shape, sparse=False)
-
-    def backward(g):
-        if phi.needs_grad:
-            if phi.grad is None:
-                phi.grad = np.zeros_like(phi.value)
-            np.add.at(phi.grad, (ii, jj, pp, args), g)
-        if v.needs_grad:
-            if v.grad is None:
-                v.grad = np.zeros_like(v.value)
-            np.add.at(v.grad, (ii, jj, args), g)
-
-    out = Var(value, phi.tape, needs_grad=phi.needs_grad or v.needs_grad)
-    if out.needs_grad:
-        phi.tape._record(out, backward)
-    return out
-
-
-def masked_softmax_rows(m: Var, keep: np.ndarray) -> Var:
-    """Softmax over the last axis restricted to `keep`; dead slots become 1.
-
-    Rows with no kept slot (the diagonal) also come out as all ones, so a
-    later elementwise log turns every dead slot into a neutral 0.
-    """
-    if keep.shape != m.value.shape:
-        raise ValidationError("mask shape mismatch")
-    shifted = np.where(keep, m.value, -np.inf)
-    mx = shifted.max(axis=-1, keepdims=True)
-    ex = np.where(keep, np.exp(shifted - np.where(np.isfinite(mx), mx, 0.0)), 0.0)
-    total = ex.sum(axis=-1, keepdims=True)
-    safe_total = np.where(total > 0.0, total, 1.0)
-    y = ex / safe_total
-    value = np.where(keep, y, 1.0)
-
-    def backward(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        m._accum(np.where(keep, y * (g - inner), 0.0))
-
-    return _out(m.tape, value, (m,), backward)
-
-
-def row_slice(mat: Var, i: int, size: int) -> Var:
-    """One mention's valid slots out of a padded matrix row."""
-    if not 0 <= i < mat.value.shape[0] or size > mat.value.shape[1]:
-        raise ValidationError("row_slice out of bounds")
-
-    def backward(g):
-        if mat.grad is None:
-            mat.grad = np.zeros_like(mat.value)
-        mat.grad[i, :size] += g
-
-    return _out(mat.tape, mat.value[i, :size].copy(), (mat,), backward)
 
 
 # -- finite-difference checking ----------------------------------------

@@ -8,10 +8,15 @@ combined with the log prior by the same network f as the local model.
 Training backpropagates a margin ranking loss on the combined beliefs
 through all T layers.
 
-Two implementations of the same recurrence live here: a vectorised numpy
-path for inference, and a tape path whose gradients reach A, B, C and the
-f network.  Messages are stored dense over a padded candidate axis; padded
-slots (and the unused diagonal) carry -inf and never receive gradient.
+One kernel, `run_lbp`, runs the recurrence for inference and training
+alike.  Entry [i, j, :] of its padded (n, n, S) message tensor is the
+message from mention i to mention j over j's candidate slots, kept in
+probability space.  Padding and the diagonal are neutral slots holding 1
+(log 0), so sums over senders need no mask.  The max over the sender's
+candidates routes to the first maximal slot.  Every layer checks that each
+message sums to 1 and keeps its argmax and softmax values; `beliefs_tape`
+records the whole unroll as one tape op whose hand-derived backward
+(Domke, TPAMI 2013) gives the adjoints of the unaries and of C.
 """
 
 from __future__ import annotations
@@ -26,13 +31,14 @@ from .attention import (
     LocalParams,
     MentionInstance,
     argmax_entity,
+    combine_f,
     combine_scores_tape,
     context_matrix,
     floored_log_prior,
     hinge_rank_loss_tape,
     make_param_vars,
     mention_unary,
-    mention_unary_tape,
+    record_unary,
 )
 from .errors import ValidationError
 from .vectors import EmbeddingStore
@@ -143,123 +149,101 @@ def crf_score(assignment: list[int], instance: CrfInstance) -> float:
     return total
 
 
-@dataclass
-class MessageState:
-    """Normalized log-messages m[i, j, :] from i to j over j's candidates.
-
-    Padded slots and the diagonal are -inf; exp of every valid message
-    vector sums to 1.
-    """
-
-    messages: np.ndarray
-    layer: int
-
-
-def init_messages(instance: CrfInstance) -> MessageState:
-    """Layer-0 state: uniform normalized messages (zero unnormalised form)."""
-    n = instance.n
-    sizes = [psi.shape[0] for psi in instance.unaries]
-    s = max(sizes)
-    messages = np.full((n, n, s), -np.inf)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                messages[i, j, :sizes[j]] = -np.log(sizes[j])
-    return MessageState(messages=messages, layer=0)
-
-
 def _phi_tensor(instance: CrfInstance) -> np.ndarray:
     vecs, _, _ = instance.padded()
     return instance.pair_scale * np.einsum("jpd,d,iqd->ijpq", vecs, instance.c, vecs)
 
 
-def _step(messages: np.ndarray, psi0: np.ndarray, valid: np.ndarray,
-          phi: np.ndarray, delta: float) -> np.ndarray:
-    """One synchronous damped max-product layer on padded arrays."""
-    finite = np.isfinite(messages)
-    m0 = np.where(finite, messages, 0.0)
-    # pre[i, e'] = psi_i(e') + sum_k mbar[k -> i](e')
-    pre = psi0 + m0.sum(axis=0)
-    # v[i, j, e'] = pre[i, e'] - mbar[j -> i](e')
-    v = pre[:, None, :] - m0.transpose(1, 0, 2)
-    scores = phi + v[:, :, None, :]
-    scores = np.where(valid[:, None, None, :], scores, -np.inf)
-    new = scores.max(axis=3)  # (n, n, S_j): unnormalised messages i -> j
-    # normalise over j's valid candidates
-    keep = valid[None, :, :]
-    mx = np.where(keep, new, -np.inf).max(axis=2, keepdims=True)
-    ex = np.where(keep, np.exp(new - mx), 0.0)
-    y = ex / ex.sum(axis=2, keepdims=True)
-    prev_mix = np.where(finite, np.exp(messages), 0.0)
-    mix = delta * y + (1.0 - delta) * prev_mix
-    with np.errstate(divide="ignore"):
-        out = np.where(finite, np.log(mix), -np.inf)
-    return out
+@dataclass
+class Unroll:
+    """T message-passing layers on padded arrays, with what backprop needs.
+
+    mix[l] holds the (n, n, S) messages after layer l, mix[0] being the
+    uniform start.  soft[l] holds layer l+1's normalised max-product values
+    and args[l] the sender slot each of its maxima came from.
+    """
+
+    psi: np.ndarray              # (n, S) unaries, zero-padded
+    keep: np.ndarray             # (n, n, S) live message slots
+    delta: float
+    mix: list[np.ndarray]
+    soft: list[np.ndarray]
+    args: list[np.ndarray]
+
+    def logits(self) -> np.ndarray:
+        """Belief logits mu[i, q] = psi[i, q] + sum_k log m[k -> i](q)."""
+        return self.psi + np.log(self.mix[-1]).sum(axis=0)
+
+    def backward(self, g_mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Adjoints of the padded unaries and of phi, given that of the logits."""
+        n, s = self.psi.shape
+        slots = np.arange(s)
+        g_psi = g_mu.copy()
+        g_phi = np.zeros((n, n, s, s))
+        g_mix = np.broadcast_to(g_mu, (n, n, s)) / self.mix[-1]
+        for layer in reversed(range(len(self.soft))):
+            soft = self.soft[layer]
+            g_soft = self.delta * g_mix
+            inner = np.where(self.keep, g_soft * soft, 0.0).sum(axis=2, keepdims=True)
+            g_u = np.where(self.keep, soft * (g_soft - inner), 0.0)
+            routed = np.where(self.args[layer][..., None] == slots, g_u[..., None], 0.0)
+            g_phi += routed
+            g_v = routed.sum(axis=2)
+            g_pre = g_v.sum(axis=1)
+            g_psi += g_pre
+            g_log = g_pre[None, :, :] - g_v.transpose(1, 0, 2)
+            g_mix = (1.0 - self.delta) * g_mix + g_log / self.mix[layer]
+        return g_psi, g_phi
 
 
-def lbp_step(state: MessageState, instance: CrfInstance, delta: float,
-             validate: bool = True) -> MessageState:
-    """Advance the message state by one layer (synchronous update)."""
-    _, psi0, valid = instance.padded()
-    phi = _phi_tensor(instance)
-    messages = _step(state.messages, psi0, valid, phi, delta)
-    out = MessageState(messages=messages, layer=state.layer + 1)
-    if validate:
-        validate_messages(out, instance)
-    return out
-
-
-def validate_messages(state: MessageState, instance: CrfInstance) -> None:
-    n = instance.n
-    finite = np.isfinite(state.messages)
-    totals = np.where(finite, np.exp(np.where(finite, state.messages, 0.0)),
-                      0.0).sum(axis=2)
-    offdiag = ~np.eye(n, dtype=bool)
-    bad = offdiag & (np.abs(totals - 1.0) > MESSAGE_NORM_TOL)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValidationError(
-            f"message {i}->{j} at layer {state.layer} sums to {totals[i, j]!r}")
-
-
-def run_lbp(instance: CrfInstance, t: int, delta: float,
-            validate: bool = True) -> MessageState:
-    """T damped max-product layers from the zero (uniform) state."""
+def run_lbp(instance: CrfInstance, t: int, delta: float) -> Unroll:
+    """T synchronous damped max-product layers from uniform messages."""
     if t < 1:
         raise ValidationError(f"layer count must be >= 1, got {t}")
-    state = init_messages(instance)
-    if instance.n == 1:
-        return state  # no pairs: message passing is a no-op
-    _, psi0, valid = instance.padded()
+    _, psi, valid = instance.padded()
     phi = _phi_tensor(instance)
-    messages = state.messages
-    for layer in range(t):
-        messages = _step(messages, psi0, valid, phi, delta)
-        if validate:
-            validate_messages(MessageState(messages, layer + 1), instance)
-    return MessageState(messages=messages, layer=t)
+    n = instance.n
+    offdiag = ~np.eye(n, dtype=bool)
+    keep = offdiag[:, :, None] & valid[None, :, :]
+    sizes = valid.sum(axis=1)
+    mix = np.where(keep, 1.0 / sizes[None, :, None], 1.0)
+    state = Unroll(psi=psi, keep=keep, delta=delta, mix=[mix], soft=[], args=[])
+    # the max over the sender's candidates never picks a padded slot
+    phi = np.where(valid[:, None, None, :], phi, -np.inf)
+    for layer in range(1, t + 1):
+        log_m = np.log(mix)
+        # pre[i, q] = psi_i(q) + sum_k log m[k -> i](q); v removes j's backflow
+        pre = psi + log_m.sum(axis=0)
+        v = pre[:, None, :] - log_m.transpose(1, 0, 2)
+        scores = phi + v[:, :, None, :]
+        args = scores.argmax(axis=3)
+        unnorm = np.take_along_axis(scores, args[..., None], axis=3)[..., 0]
+        # normalise over the receiver's valid candidates
+        z = np.where(valid[None, :, :], unnorm, -np.inf)
+        ex = np.exp(z - z.max(axis=2, keepdims=True))
+        soft = np.where(keep, ex / ex.sum(axis=2, keepdims=True), 1.0)
+        mix = mix + delta * (soft - mix)
+        totals = np.where(valid[None, :, :], mix, 0.0).sum(axis=2)
+        bad = offdiag & ~(np.abs(totals - 1.0) <= MESSAGE_NORM_TOL)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValidationError(
+                f"message {i}->{j} at layer {layer} sums to {totals[i, j]!r}")
+        state.mix.append(mix)
+        state.soft.append(soft)
+        state.args.append(args)
+    return state
 
 
-def beliefs(state: MessageState, instance: CrfInstance) -> list[np.ndarray]:
+def beliefs(state: Unroll, instance: CrfInstance) -> list[np.ndarray]:
     """Per-mention normalized beliefs after message passing."""
+    mu = state.logits()
     out = []
-    finite = np.isfinite(state.messages)
-    m0 = np.where(finite, state.messages, 0.0)
-    incoming = m0.sum(axis=0)
-    for i in range(instance.n):
-        si = instance.unaries[i].shape[0]
-        mu = instance.unaries[i] + incoming[i, :si]
-        ex = np.exp(mu - mu.max())
+    for i, psi in enumerate(instance.unaries):
+        row = mu[i, :psi.shape[0]]
+        ex = np.exp(row - row.max())
         out.append(ex / ex.sum())
     return out
-
-
-def combine_rho(fnet: FNet, belief: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
-    """Final marginal score: f applied to (normalized belief, log prior)."""
-    x = np.column_stack([belief, log_priors])
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("non-finite input to the combination network")
-    return fnet.forward(x)
 
 
 def build_crf_instance(doc, params: GlobalParams,
@@ -272,12 +256,13 @@ def build_crf_instance(doc, params: GlobalParams,
     idxs = [k for k, m in enumerate(doc.mentions) if m.candidates]
     if not idxs:
         return None, []
+    local = params.local
     unaries, cand_vecs, entities, log_priors = [], [], [], []
     for k in idxs:
         mention = doc.mentions[k]
         vecs = np.stack([store.entity_vec(c.entity) for c in mention.candidates])
         ctx = context_matrix(mention, store)
-        psi, _ = mention_unary(params.local, vecs, ctx)
+        psi, _, _ = mention_unary(local.a, local.b, local.r, vecs, ctx)
         unaries.append(psi)
         cand_vecs.append(vecs)
         entities.append([c.entity for c in mention.candidates])
@@ -288,27 +273,20 @@ def build_crf_instance(doc, params: GlobalParams,
     return instance, idxs
 
 
-def instance_marginals(instance: CrfInstance, params: GlobalParams,
-                       validate: bool = True) -> list[np.ndarray]:
+def instance_marginals(instance: CrfInstance, params: GlobalParams) -> list[np.ndarray]:
     """Combined marginal scores rho per mention (inference path)."""
-    if instance.n == 1:
-        mu = [np.exp(instance.unaries[0] - instance.unaries[0].max())]
-        mu[0] = mu[0] / mu[0].sum()
-    else:
-        state = run_lbp(instance, params.t, params.delta, validate=validate)
-        mu = beliefs(state, instance)
-    return [combine_rho(params.local.fnet, mu[i], instance.log_priors[i])
+    mu = beliefs(run_lbp(instance, params.t, params.delta), instance)
+    return [combine_f(params.local.fnet, mu[i], instance.log_priors[i])
             for i in range(instance.n)]
 
 
-def predict_global(doc, params: GlobalParams, store: EmbeddingStore,
-                   validate: bool = True) -> list[int | None]:
+def predict_global(doc, params: GlobalParams, store: EmbeddingStore) -> list[int | None]:
     """Joint marginals per document, then independent per-mention argmax."""
     instance, idxs = build_crf_instance(doc, params, store)
     out: list[int | None] = [None] * len(doc.mentions)
     if instance is None:
         return out
-    rho = instance_marginals(instance, params, validate=validate)
+    rho = instance_marginals(instance, params)
     for pos, k in enumerate(idxs):
         out[k] = argmax_entity(rho[pos], instance.entities[pos])
     return out
@@ -317,62 +295,30 @@ def predict_global(doc, params: GlobalParams, store: EmbeddingStore,
 # -- tape (training) path ----------------------------------------------
 
 
-def global_mubars_tape(tape: ad.Tape, vars_: dict[str, ad.Var],
-                       instances: list[MentionInstance], r: int, delta: float,
-                       t: int) -> list[ad.Var]:
-    """Differentiable per-mention beliefs after T unrolled layers.
+def beliefs_tape(tape: ad.Tape, psi: list[ad.Var], instances: list[MentionInstance],
+                 c: ad.Var, delta: float, t: int) -> list[ad.Var]:
+    """`beliefs(run_lbp(...))` as one tape record, with adjoints into psi and C."""
+    crf = CrfInstance(unaries=[p.value for p in psi],
+                      cand_vecs=[inst.cand_vecs for inst in instances],
+                      entities=[inst.entities for inst in instances],
+                      log_priors=[inst.log_priors for inst in instances], c=c.value)
+    state = run_lbp(crf, t, delta)
+    mu = beliefs(state, crf)
 
-    Messages for all ordered mention pairs live in one padded (n, n, S)
-    tensor per layer.  Dead slots (padding and the diagonal) carry log 1 =
-    0, so sums over senders need no masking; the max over the sender's
-    candidates and the per-pair softmax mask explicitly.
-    """
-    n = len(instances)
-    psi_vars = []
-    for inst in instances:
-        if inst.ctx_vecs.shape[0] == 0:
-            psi_vars.append(tape.const(np.zeros(inst.cand_vecs.shape[0])))
-        else:
-            psi_vars.append(mention_unary_tape(tape, vars_, inst.cand_vecs,
-                                               inst.ctx_vecs, r))
-    if n == 1:
-        return [ad.softmax(psi_vars[0])]
+    def backward(*grads):
+        g_mu = np.zeros_like(state.psi)
+        for i, (g, b) in enumerate(zip(grads, mu)):
+            if g is not None:
+                g_mu[i, :b.shape[0]] = b * (g - g @ b)
+        g_psi, g_phi = state.backward(g_mu)
+        for i, p in enumerate(psi):
+            if p.needs_grad:
+                p._accum(g_psi[i, :mu[i].shape[0]])
+        if crf.n > 1:  # a lone mention has no pairs, so C gets no adjoint
+            vecs, _, _ = crf.padded()
+            c._accum(crf.pair_scale * np.einsum("ijpq,jpd,iqd->d", g_phi, vecs, vecs))
 
-    sizes = [inst.cand_vecs.shape[0] for inst in instances]
-    s = max(sizes)
-    d = instances[0].cand_vecs.shape[1]
-    vecs = np.zeros((n, s, d))
-    valid = np.zeros((n, s), dtype=bool)
-    for i, inst in enumerate(instances):
-        vecs[i, :sizes[i]] = inst.cand_vecs
-        valid[i, :sizes[i]] = True
-    offdiag = ~np.eye(n, dtype=bool)
-    receiver_keep = offdiag[:, :, None] & valid[None, :, :]
-
-    psi_pad = ad.pad_stack(psi_vars, s)
-    phi = ad.scale(ad.bilinear_pairs(vecs, vars_["C"]), 2.0 / (n - 1))
-
-    mbar0 = np.zeros((n, n, s))
-    mix0 = np.ones((n, n, s))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                mbar0[i, j, :sizes[j]] = -np.log(sizes[j])
-                mix0[i, j, :sizes[j]] = 1.0 / sizes[j]
-    mbar = tape.const(mbar0)
-    mix_prev = tape.const(mix0)
-
-    for _ in range(t):
-        pre = ad.add(psi_pad, ad.sum_over_senders(mbar))
-        v = ad.pair_differences(pre, mbar)
-        unnorm = ad.maxplus_pairs(phi, v, valid)
-        y = ad.masked_softmax_rows(unnorm, receiver_keep)
-        mix = ad.add(ad.scale(y, delta), ad.scale(mix_prev, 1.0 - delta))
-        mbar = ad.log(mix)
-        mix_prev = mix
-
-    mu = ad.add(psi_pad, ad.sum_over_senders(mbar))
-    return [ad.softmax(ad.row_slice(mu, i, sizes[i])) for i in range(n)]
+    return ad.record(tape, mu, (*psi, c), backward)
 
 
 def global_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
@@ -386,7 +332,8 @@ def global_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
     zero = tape.const(np.zeros(()))
     if not instances:
         return zero
-    mubars = global_mubars_tape(tape, vars_, instances, r, delta, t)
+    psi = [record_unary(tape, vars_, inst, r) for inst in instances]
+    mubars = beliefs_tape(tape, psi, instances, vars_["C"], delta, t)
     total = None
     for i, inst in enumerate(instances):
         if inst.gold_index is None:

@@ -27,11 +27,15 @@ def _write_array(fh, arr: np.ndarray) -> None:
     fh.write(arr.astype("<f8").tobytes())
 
 
-def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape))
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
+def _read_exact(fh, size: int) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
         raise ValidationError("truncated model file")
+    return raw
+
+
+def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
+    raw = _read_exact(fh, 8 * int(np.prod(shape)))
     return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
@@ -80,10 +84,10 @@ def load_model(path: str) -> LocalParams | GlobalParams:
             raise ValidationError(f"{path}: unsupported model version {version}")
         if kind not in (_KIND_LOCAL, _KIND_GLOBAL):
             raise ValidationError(f"{path}: unknown model kind {kind}")
-        dim, hidden, k, r = struct.unpack("<IIII", fh.read(16))
+        dim, hidden, k, r = struct.unpack("<IIII", _read_exact(fh, 16))
         delta, t = 0.5, 10
         if kind == _KIND_GLOBAL:
-            delta, t = struct.unpack("<dI", fh.read(12))
+            delta, t = struct.unpack("<dI", _read_exact(fh, 12))
         a = _read_array(fh, (dim,))
         b = _read_array(fh, (dim,))
         c = _read_array(fh, (dim,)) if kind == _KIND_GLOBAL else None
@@ -95,6 +99,8 @@ def load_model(path: str) -> LocalParams | GlobalParams:
             w3=_read_array(fh, (1, hidden)),
             b3=_read_array(fh, (1,)),
         )
+        if fh.read(1):
+            raise ValidationError(f"{path}: trailing bytes after the model")
     local = LocalParams(a=a, b=b, fnet=fnet, k=k, r=r)
     if kind == _KIND_LOCAL:
         return local

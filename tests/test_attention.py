@@ -17,8 +17,8 @@ from entlink.attention import (
     local_scores,
     make_param_vars,
     mention_unary,
-    mention_unary_tape,
     predict_local,
+    record_unary,
     support_scores,
     top_r_mask,
 )
@@ -222,8 +222,23 @@ class TestRankLoss:
         assert report.ok(1e-4), report.max_rel_err
 
 
+def straight_line_unary(a, b, r, cand_vecs, ctx_vecs):
+    """Loop-by-loop context scores: support max, top-R by position, softmax."""
+    n_cands, n_words = cand_vecs.shape[0], ctx_vecs.shape[0]
+    u = [max(float(np.sum(cand_vecs[e] * a * ctx_vecs[w])) for e in range(n_cands))
+         for w in range(n_words)]
+    kept = sorted(range(n_words), key=lambda w: -u[w])[:r]
+    top = max(u[w] for w in kept)
+    weight = {w: np.exp(u[w] - top) for w in kept}
+    total = sum(weight.values())
+    return np.array([sum(weight[w] / total * float(np.sum(cand_vecs[e] * b * ctx_vecs[w]))
+                         for w in kept) for e in range(n_cands)])
+
+
 class TestMentionUnaryConsistency:
     def test_numpy_and_tape_paths_agree(self):
+        # the scorer and its tape record equal a straight-line scorer, and
+        # the record's adjoints of A and B match central differences of it
         store = toy_store(seed=9)
         params = LocalParams.init(store.dim, hidden=8, r=2)
         rng = np.random.default_rng(3)
@@ -231,11 +246,30 @@ class TestMentionUnaryConsistency:
         params.b += 0.2 * rng.normal(size=store.dim)
         cand_vecs = store.entity_matrix()[:4]
         ctx_vecs = store.word_matrix()[:6]
-        psi_np, _ = mention_unary(params, cand_vecs, ctx_vecs)
+        want = straight_line_unary(params.a, params.b, params.r, cand_vecs, ctx_vecs)
+        psi_np, _, _ = mention_unary(params.a, params.b, params.r, cand_vecs, ctx_vecs)
         tape = ad.Tape()
         vars_ = make_param_vars(tape, params.param_dict())
-        psi_tape = mention_unary_tape(tape, vars_, cand_vecs, ctx_vecs, params.r)
-        np.testing.assert_allclose(psi_np, psi_tape.value, atol=1e-12)
+        inst = MentionInstance(cand_vecs=cand_vecs, ctx_vecs=ctx_vecs,
+                               log_priors=np.zeros(4), gold_index=0)
+        psi_tape = record_unary(tape, vars_, inst, params.r)
+        np.testing.assert_allclose(psi_np, want, atol=1e-12)
+        np.testing.assert_allclose(psi_tape.value, want, atol=1e-12)
+
+        w = rng.normal(size=4)
+        tape.backward(ad.dot(psi_tape, tape.const(w)))
+        eps = 1e-6
+        for name, base in (("A", params.a), ("B", params.b)):
+            for d in range(store.dim):
+                step = np.zeros(store.dim)
+                step[d] = eps
+                moved = [base + step, base - step]
+                values = [w @ (straight_line_unary(m, params.b, params.r, cand_vecs, ctx_vecs)
+                               if name == "A" else
+                               straight_line_unary(params.a, m, params.r, cand_vecs, ctx_vecs))
+                          for m in moved]
+                numeric = (values[0] - values[1]) / (2 * eps)
+                assert vars_[name].grad[d] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
 
 
 class TestAttentionProperties:

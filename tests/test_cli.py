@@ -1,8 +1,16 @@
 """CLI: subcommand round trips, exit codes, file plumbing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import entlink
+from entlink.attention import LocalParams
 from entlink.cli import main
+from entlink.model_io import save_model
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +158,20 @@ class TestExitCodes:
         bad.write_text("not a vector file\n")
         assert main(["eval-relatedness", "--entities", str(bad),
                      "--queries", str(bad)]) == 1
+
+    def test_truncated_model_is_validation_error(self, tmp_path):
+        # a model cut inside its header: exit 1 with a message, no traceback
+        model = tmp_path / "m.model"
+        save_model(str(model), LocalParams.init(4, hidden=4))
+        model.write_bytes(model.read_bytes()[:10])
+        env = dict(os.environ, PYTHONPATH=str(Path(entlink.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "entlink", "predict", "--model", str(model),
+             "--entities", str(tmp_path / "e.txt"), "--out", str(tmp_path / "p.tsv")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "truncated model file" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_grad_check_subcommand(self, capsys):
         assert main(["grad-check", "--instances", "1", "--seed", "3"]) == 0

@@ -9,23 +9,22 @@ from entlink import autodiff as ad
 from entlink.attention import (
     FNet,
     MentionInstance,
+    combine_f,
     floored_log_prior,
     make_param_vars,
 )
 from entlink.crf import (
+    MESSAGE_NORM_TOL,
     CrfInstance,
     GlobalParams,
     beliefs,
+    beliefs_tape,
     build_crf_instance,
-    combine_rho,
     crf_score,
     global_doc_loss_tape,
     global_loss_closure,
-    init_messages,
-    lbp_step,
     predict_global,
     run_lbp,
-    validate_messages,
 )
 from entlink.docs import Corpus, Document, Mention, build_context_windows
 from entlink.errors import ValidationError
@@ -170,7 +169,7 @@ class TestLbpStep:
     def test_delta_one_is_log_softmax(self):
         rng = np.random.default_rng(3)
         inst = random_instance(rng, n=2, sizes=[3, 2])
-        state = lbp_step(init_messages(inst), inst, delta=1.0)
+        state = run_lbp(inst, t=1, delta=1.0)
         # recompute the unnormalised message by hand and log-softmax it
         phi = inst.phi(0, 1)
         raw = np.array([
@@ -180,7 +179,7 @@ class TestLbpStep:
         # message from j itself is excluded, so raw = max(psi + phi)
         raw = np.array([(inst.unaries[0] + phi[e]).max() for e in range(2)])
         want = raw - np.log(np.exp(raw - raw.max()).sum()) - raw.max()
-        got = state.messages[0, 1, :2]
+        got = np.log(state.mix[-1][0, 1, :2])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_first_layer_two_mentions_formula(self):
@@ -188,12 +187,12 @@ class TestLbpStep:
         # exactly max over e' of psi(e') + phi(e, e'), normalised
         rng = np.random.default_rng(4)
         inst = random_instance(rng, n=2, sizes=[4, 3])
-        state = lbp_step(init_messages(inst), inst, delta=1.0)
+        state = run_lbp(inst, t=1, delta=1.0)
         phi = inst.phi(0, 1)
         for e in range(3):
             raw = np.array([(inst.unaries[0] + phi[f]).max() for f in range(3)])
             want = raw[e] - np.log(np.exp(raw - raw.max()).sum()) - raw.max()
-            assert state.messages[0, 1, e] == pytest.approx(want, abs=1e-12)
+            assert np.log(state.mix[-1][0, 1, e]) == pytest.approx(want, abs=1e-12)
 
     def test_matches_straight_line_trace(self):
         # 3-mention, 2-candidate instance traced layer by layer
@@ -203,7 +202,7 @@ class TestLbpStep:
             mbar_want, mu_want = straight_line_trace(inst, t_layers, delta=0.5)
             state = run_lbp(inst, t=t_layers, delta=0.5)
             for (i, j), want in mbar_want.items():
-                got = state.messages[i, j, :want.shape[0]]
+                got = np.log(state.mix[-1][i, j, :want.shape[0]])
                 np.testing.assert_allclose(got, want, atol=1e-10)
             got_mu = beliefs(state, inst)
             for want, got in zip(mu_want, got_mu):
@@ -218,7 +217,7 @@ class TestLbpStep:
             mbar_want, mu_want = straight_line_trace(inst, t_layers, delta)
             state = run_lbp(inst, t=t_layers, delta=delta)
             for (i, j), want in mbar_want.items():
-                np.testing.assert_allclose(state.messages[i, j, :want.shape[0]],
+                np.testing.assert_allclose(np.log(state.mix[-1][i, j, :want.shape[0]]),
                                            want, atol=1e-9)
             for want, got in zip(mu_want, beliefs(state, inst)):
                 np.testing.assert_allclose(got, want, atol=1e-9)
@@ -230,7 +229,7 @@ class TestBeliefs:
                            cand_vecs=[np.ones((3, 2))],
                            entities=[[0, 1, 2]],
                            log_priors=[np.zeros(3)], c=np.ones(2))
-        state = init_messages(inst)
+        state = run_lbp(inst, t=1, delta=0.5)
         mu = beliefs(state, inst)
         ex = np.exp(np.array([1.0, 3.0, 2.0]) - 3.0)
         np.testing.assert_allclose(mu[0], ex / ex.sum(), atol=1e-12)
@@ -257,14 +256,24 @@ class TestBeliefs:
                 assert int(np.argmax(mu[i])) == int(np.argmax(exact[i]))
 
     def test_message_normalization_all_layers(self):
+        # every layer's messages sum to 1 over the receiver's candidates and
+        # equal the straight-line trace truncated at that layer
         rng = np.random.default_rng(9)
         for _ in range(10):
             inst = random_instance(rng)
-            state = init_messages(inst)
-            validate_messages(state, inst)
-            for _ in range(5):
-                state = lbp_step(state, inst, delta=0.6)
-                validate_messages(state, inst)
+            state = run_lbp(inst, t=5, delta=0.6)
+            assert len(state.mix) == 6
+            for layer, mix in enumerate(state.mix):
+                mbar_want, _ = straight_line_trace(inst, layer, delta=0.6)
+                for (i, j), want in mbar_want.items():
+                    got = mix[i, j, :want.shape[0]]
+                    assert abs(got.sum() - 1.0) <= MESSAGE_NORM_TOL
+                    np.testing.assert_allclose(got, np.exp(want), atol=1e-9)
+        # a message that stops summing to 1 is rejected at its layer
+        inst.unaries[0][0] = np.nan
+        with pytest.raises(ValidationError, match="at layer 1 sums to"), \
+                np.errstate(invalid="ignore"):
+            run_lbp(inst, t=3, delta=0.6)
 
     def test_permutation_invariance(self):
         # permuting mention order and permuting back yields identical beliefs
@@ -288,7 +297,7 @@ class TestCombineRho:
     def test_zero_weight_network_ties_break_by_entity_id(self):
         from entlink.attention import argmax_entity
         net = FNet.zeros(hidden=4)
-        rho = combine_rho(net, np.array([0.2, 0.5, 0.3]), np.zeros(3))
+        rho = combine_f(net, np.array([0.2, 0.5, 0.3]), np.zeros(3))
         assert argmax_entity(rho, [7, 3, 9]) == 3
 
     def test_additive_network_orders_by_belief_plus_log_prior(self):
@@ -297,17 +306,19 @@ class TestCombineRho:
         for _ in range(20):
             mu = rng.dirichlet(np.ones(4))
             logp = np.log(rng.dirichlet(np.ones(4)))
-            rho = combine_rho(net, mu, logp)
+            rho = combine_f(net, mu, logp)
             np.testing.assert_array_equal(np.argsort(rho), np.argsort(mu + logp))
 
 
 class TestGlobalLoss:
-    def _make_instances(self, rng, n=3, s=3, dim=5):
+    def _make_instances(self, rng, n=3, s=3, dim=5, sizes=None, ctx_lens=None):
+        sizes = sizes if sizes is not None else [s] * n
+        ctx_lens = ctx_lens if ctx_lens is not None else [4] * len(sizes)
         out = []
-        for _ in range(n):
+        for s, k in zip(sizes, ctx_lens):
             vecs = rng.normal(size=(s, dim))
             vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-            ctx = rng.normal(size=(4, dim))
+            ctx = rng.normal(size=(k, dim))
             p = rng.dirichlet(np.ones(s))
             out.append(MentionInstance(
                 cand_vecs=vecs, ctx_vecs=ctx,
@@ -350,28 +361,32 @@ class TestGlobalLoss:
         assert values[1] >= values[0]
 
     def test_gradient_matches_finite_differences(self):
+        # uniform sizes; mixed sizes with a 1-candidate mention and an
+        # empty context; a lone mention (n=1)
         rng = np.random.default_rng(14)
-        fnet = FNet.random(hidden=10, rng=rng)
-        instances = self._make_instances(rng, n=3, s=3)
-        params = {"A": 1.0 + 0.1 * rng.normal(size=5),
-                  "B": 1.0 + 0.1 * rng.normal(size=5),
-                  "C": 1.0 + 0.1 * rng.normal(size=5),
-                  **fnet.param_dict()}
-        f = global_loss_closure(instances, fnet, gamma=0.05, r=3, delta=0.5, t=3)
-        report = ad.grad_check(f, params, coords_per_param=15,
-                               rng=np.random.default_rng(1))
-        assert report.checked > 0
-        assert report.ok(1e-4), report.max_rel_err
+        cases = [dict(n=3, s=3),
+                 dict(sizes=[1, 4, 2, 3], ctx_lens=[4, 0, 5, 3]),
+                 dict(sizes=[3], ctx_lens=[5])]
+        for case in cases:
+            fnet = FNet.random(hidden=10, rng=rng)
+            instances = self._make_instances(rng, **case)
+            params = {"A": 1.0 + 0.1 * rng.normal(size=5),
+                      "B": 1.0 + 0.1 * rng.normal(size=5),
+                      "C": 1.0 + 0.1 * rng.normal(size=5),
+                      **fnet.param_dict()}
+            f = global_loss_closure(instances, fnet, gamma=0.05, r=3, delta=0.5, t=3)
+            report = ad.grad_check(f, params, coords_per_param=15,
+                                   rng=np.random.default_rng(1))
+            assert report.checked > 0
+            assert report.ok(1e-4), (case, report.max_rel_err)
 
     def test_vectorized_tape_beliefs_match_fast_path(self):
-        from entlink.crf import global_mubars_tape
-
+        # the recorded op's beliefs equal the straight-line recurrence
         rng = np.random.default_rng(21)
         for _ in range(8):
             inst = random_instance(rng)
             t_layers = int(rng.integers(1, 6))
             delta = float(rng.uniform(0.3, 1.0))
-            mu_fast = beliefs(run_lbp(inst, t_layers, delta), inst)
             dim = inst.cand_vecs[0].shape[1]
             instances = [MentionInstance(cand_vecs=inst.cand_vecs[i],
                                          ctx_vecs=np.zeros((0, dim)),
@@ -380,85 +395,65 @@ class TestGlobalLoss:
                                          entities=inst.entities[i])
                          for i in range(inst.n)]
             tape = ad.Tape()
-            vars_ = make_param_vars(tape, {"A": np.ones(dim), "B": np.ones(dim),
-                                           "C": inst.c.copy()})
-            mubars = global_mubars_tape(tape, vars_, instances, r=2,
-                                        delta=delta, t=t_layers)
-            # zero-context unaries are all zero; rebuild fast path to match
-            zero_inst = CrfInstance(
-                unaries=[np.zeros(u.shape[0]) for u in inst.unaries],
-                cand_vecs=inst.cand_vecs, entities=inst.entities,
-                log_priors=inst.log_priors, c=inst.c)
-            mu_zero = beliefs(run_lbp(zero_inst, t_layers, delta), zero_inst)
-            for got, want in zip(mubars, mu_zero):
+            c = tape.var(inst.c)
+            psi = [tape.const(u) for u in inst.unaries]
+            mubars = beliefs_tape(tape, psi, instances, c, delta, t_layers)
+            _, mu_want = straight_line_trace(inst, t_layers, delta)
+            for got, want in zip(mubars, mu_want):
                 np.testing.assert_allclose(got.value, want, atol=1e-10)
 
     def test_tape_beliefs_match_fast_path(self):
-        # the differentiable unroll and the vectorised inference implement
-        # the same recurrence
+        # the recorded op runs the same recurrence as the straight-line
+        # trace, and its hand-derived adjoints of the unaries and of C match
+        # central differences of that trace
         rng = np.random.default_rng(15)
         inst = random_instance(rng, n=3, sizes=[3, 2, 4])
         t_layers, delta = 4, 0.5
-        state = run_lbp(inst, t=t_layers, delta=delta)
-        mu_fast = beliefs(state, inst)
-
-        tape = ad.Tape()
-        fnet = FNet.additive(hidden=8)
         dim = inst.cand_vecs[0].shape[1]
-        vars_ = make_param_vars(tape, {"A": np.ones(dim), "B": np.ones(dim),
-                                       "C": inst.c.copy(), **fnet.param_dict()})
         instances = [MentionInstance(cand_vecs=inst.cand_vecs[i],
                                      ctx_vecs=np.zeros((0, dim)),
                                      log_priors=inst.log_priors[i],
                                      gold_index=0,
                                      entities=inst.entities[i])
                      for i in range(3)]
-        # rebuild the unroll manually with the known unaries
-        psi_vars = [tape.const(inst.unaries[i]) for i in range(3)]
-        n = 3
-        scale = 2.0 / (n - 1)
-        cand_consts = [tape.const(instances[i].cand_vecs) for i in range(n)]
-        phi = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                m = ad.scale(ad.bilinear_diag(cand_consts[j], vars_["C"],
-                                              cand_consts[i]), scale)
-                phi[(i, j)] = m
-                phi[(j, i)] = ad.transpose(m)
-        sizes = [3, 2, 4]
-        mbar = {}
-        mix_prev = {}
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    mbar[(i, j)] = tape.const(np.full(sizes[j], -np.log(sizes[j])))
-                    mix_prev[(i, j)] = tape.const(np.full(sizes[j], 1.0 / sizes[j]))
-        for _ in range(t_layers):
-            pre = []
-            for i in range(n):
-                acc = psi_vars[i]
-                for k in range(n):
-                    if k != i:
-                        acc = ad.add(acc, mbar[(k, i)])
-                pre.append(acc)
-            new_mbar, new_mix = {}, {}
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    v = ad.sub(pre[i], mbar[(j, i)])
-                    y = ad.softmax(ad.maxplus(phi[(i, j)], v))
-                    mix = ad.add(ad.scale(y, delta),
-                                 ad.scale(mix_prev[(i, j)], 1.0 - delta))
-                    new_mbar[(i, j)] = ad.log(mix)
-                    new_mix[(i, j)] = mix
-            mbar, mix_prev = new_mbar, new_mix
-        for i in range(n):
-            mu = psi_vars[i]
-            for k in range(n):
-                if k != i:
-                    mu = ad.add(mu, mbar[(k, i)])
-            np.testing.assert_allclose(ad.softmax(mu).value, mu_fast[i], atol=1e-10)
+        weights = [rng.normal(size=u.shape[0]) for u in inst.unaries]
+
+        def probe(unaries, c):
+            moved = CrfInstance(unaries=unaries, cand_vecs=inst.cand_vecs,
+                                entities=inst.entities, log_priors=inst.log_priors, c=c)
+            _, mu = straight_line_trace(moved, t_layers, delta)
+            return mu, sum(float(w @ m) for w, m in zip(weights, mu))
+
+        tape = ad.Tape()
+        c = tape.var(inst.c)
+        psi = [tape.var(u) for u in inst.unaries]
+        mubars = beliefs_tape(tape, psi, instances, c, delta, t_layers)
+        mu_want, _ = probe(inst.unaries, inst.c)
+        mu_fast = beliefs(run_lbp(inst, t=t_layers, delta=delta), inst)
+        for got, want, fast in zip(mubars, mu_want, mu_fast):
+            np.testing.assert_allclose(got.value, want, atol=1e-10)
+            np.testing.assert_allclose(fast, want, atol=1e-10)
+
+        total = None
+        for m, w in zip(mubars, weights):
+            term = ad.dot(m, tape.const(w))
+            total = term if total is None else ad.add(total, term)
+        tape.backward(total)
+        eps = 1e-6
+        for i, u in enumerate(inst.unaries):
+            for e in range(u.shape[0]):
+                up = [v.copy() for v in inst.unaries]
+                down = [v.copy() for v in inst.unaries]
+                up[i][e] += eps
+                down[i][e] -= eps
+                numeric = (probe(up, inst.c)[1] - probe(down, inst.c)[1]) / (2 * eps)
+                assert psi[i].grad[e] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
+        for d in range(dim):
+            step = np.zeros(dim)
+            step[d] = eps
+            numeric = (probe(inst.unaries, inst.c + step)[1]
+                       - probe(inst.unaries, inst.c - step)[1]) / (2 * eps)
+            assert c.grad[d] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
 
 
 class TestPredictGlobal:
@@ -486,7 +481,7 @@ class TestPredictGlobal:
         inst, _ = build_crf_instance(doc, params, store)
         mu = np.exp(inst.unaries[0] - inst.unaries[0].max())
         mu /= mu.sum()
-        rho = combine_rho(params.local.fnet, mu, inst.log_priors[0])
+        rho = combine_f(params.local.fnet, mu, inst.log_priors[0])
         assert got == [inst.entities[0][int(np.argmax(rho))]]
 
     def test_coherence_flips_ambiguous_unaries(self):

@@ -127,8 +127,7 @@ class TestRunExperiment:
         _, cfg, _ = experiment
         from pathlib import Path
 
-        from entlink.attention import floored_log_prior
-        from entlink.crf import combine_rho
+        from entlink.attention import combine_f, floored_log_prior
         from entlink.model_io import load_model
 
         params = load_model(str(Path(cfg.out_dir) / "global.model"))
@@ -146,7 +145,7 @@ class TestRunExperiment:
             priors[confident] = rng.uniform(0.03, 0.12)
             priors[rest] = rng.dirichlet(np.ones(s - 1) * 0.5) * (1.0 - priors[confident])
             logp = np.array([floored_log_prior(p) for p in priors])
-            rho = combine_rho(params.local.fnet, mu, logp)
+            rho = combine_f(params.local.fnet, mu, logp)
             cases += 1
             followed += int(int(np.argmax(rho)) == confident)
         rate = followed / cases

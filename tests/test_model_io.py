@@ -44,16 +44,24 @@ def test_global_round_trip(tmp_path):
 
 def test_corrupt_file_rejected(tmp_path):
     path = tmp_path / "bad.model"
-    path.write_bytes(b"NOTAMODEL")
-    with pytest.raises(ValidationError, match="not a model file"):
-        load_model(str(path))
+    good = tmp_path / "good.model"
+    save_model(str(good), LocalParams.init(6, hidden=8))
+    cases = [(b"NOTAMODEL", "not a model file"),
+             (good.read_bytes() + b"\0", "trailing bytes")]
+    for raw, message in cases:
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError, match=message):
+            load_model(str(path))
 
 
 def test_truncated_file_rejected(tmp_path):
-    params = LocalParams.init(6, hidden=8)
+    # cuts inside the fixed header, inside the joint model's damping and
+    # layer-count fields, and inside the arrays
     path = str(tmp_path / "m.model")
-    save_model(path, params)
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[: len(raw) // 2])
-    with pytest.raises(ValidationError, match="truncated"):
-        load_model(path)
+    for params in (LocalParams.init(6, hidden=8), GlobalParams.init(6, hidden=8)):
+        save_model(path, params)
+        raw = open(path, "rb").read()
+        for cut in (10, 20, 25, len(raw) // 2, len(raw) - 1):
+            open(path, "wb").write(raw[:cut])
+            with pytest.raises(ValidationError, match="truncated"):
+                load_model(path)
