@@ -7,6 +7,10 @@ before the softmax), and the candidate's context score is the
 attention-weighted sum of a second bilinear form.  A small two-hidden-layer
 network f combines the context score with the log prior into the final
 local score; training minimises a margin ranking loss over candidates.
+
+Training records the scorer once per mention (`record_unary`) and f with
+the ranking loss once per document (`record_rank_loss`), each with a
+hand-derived backward over the same numpy forward that inference runs.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ def floored_log_prior(p: float) -> float:
 @dataclass
 class FNet:
     """Combination network: 2 inputs -> hidden -> hidden -> 1, relu inside."""
+
+    NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
     w1: np.ndarray
     b1: np.ndarray
@@ -78,23 +84,20 @@ class FNet:
         )
 
     def copy(self) -> "FNet":
-        return FNet(*(getattr(self, n).copy() for n in
-                      ("w1", "b1", "w2", "b2", "w3", "b3")))
+        return FNet(*(getattr(self, n).copy() for n in self.NAMES))
+
+    def layers(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Both relu layers' activations and the (n,) scores of (n, 2) inputs."""
+        h1 = np.maximum(0.0, x @ self.w1.T + self.b1)
+        h2 = np.maximum(0.0, h1 @ self.w2.T + self.b2)
+        return h1, h2, (h2 @ self.w3.T + self.b3)[:, 0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Score row-stacked (n, 2) inputs; returns (n,)."""
-        h = np.maximum(0.0, x @ self.w1.T + self.b1)
-        h = np.maximum(0.0, h @ self.w2.T + self.b2)
-        return (h @ self.w3.T + self.b3)[:, 0]
-
-    def forward_tape(self, x: ad.Var, vars_: dict[str, ad.Var]) -> ad.Var:
-        h = ad.relu(ad.linear(x, vars_["f.w1"], vars_["f.b1"]))
-        h = ad.relu(ad.linear(h, vars_["f.w2"], vars_["f.b2"]))
-        return ad.flatten(ad.linear(h, vars_["f.w3"], vars_["f.b3"]))
+        return self.layers(x)[2]
 
     def param_dict(self) -> dict[str, np.ndarray]:
-        return {f"f.{n}": getattr(self, n) for n in
-                ("w1", "b1", "w2", "b2", "w3", "b3")}
+        return {f"f.{n}": getattr(self, n) for n in self.NAMES}
 
     def project(self, radius: float = 1.0) -> None:
         """Rescale each weight matrix onto a Frobenius ball (biases untouched)."""
@@ -133,7 +136,7 @@ class LocalParams:
     def load_param_dict(self, params: dict[str, np.ndarray]) -> None:
         self.a = params["A"]
         self.b = params["B"]
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+        for name in FNet.NAMES:
             setattr(self.fnet, name, params[f"f.{name}"])
 
 
@@ -179,12 +182,17 @@ def context_score(cand_vecs: np.ndarray, ctx_vecs: np.ndarray, beta: np.ndarray,
     return (cand_vecs * b) @ (ctx_vecs.T @ beta)
 
 
-def combine_f(fnet: FNet, context_scores: np.ndarray,
-              log_priors: np.ndarray) -> np.ndarray:
+def f_inputs(context_scores: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
+    """The (n, 2) input rows of the combination network."""
     x = np.column_stack([context_scores, log_priors])
     if not np.all(np.isfinite(x)):
         raise ValidationError("non-finite input to the combination network")
-    return fnet.forward(x)
+    return x
+
+
+def combine_f(fnet: FNet, context_scores: np.ndarray,
+              log_priors: np.ndarray) -> np.ndarray:
+    return fnet.forward(f_inputs(context_scores, log_priors))
 
 
 def mention_unary(a: np.ndarray, b: np.ndarray, r: int, cand_vecs: np.ndarray,
@@ -272,25 +280,6 @@ def record_unary(tape: ad.Tape, vars_: dict[str, ad.Var],
     return ad.record(tape, [psi], (a, b), backward)[0]
 
 
-def combine_scores_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
-                        context: ad.Var, log_priors: np.ndarray) -> ad.Var:
-    return fnet.forward_tape(ad.stack_cols(context, tape.const(log_priors)), vars_)
-
-
-def hinge_rank_loss_tape(tape: ad.Tape, scores: ad.Var, gold_index: int,
-                         gamma: float) -> ad.Var:
-    """Sum over non-gold candidates of [gamma - s(gold) + s(e)]_+.
-
-    The e = gold term would contribute the constant gamma with zero
-    gradient, so it is masked out: the loss is exactly 0 iff every margin
-    holds.
-    """
-    margins = ad.relu(ad.shift(ad.sub(scores, ad.index(scores, gold_index)), gamma))
-    mask = np.ones(scores.value.shape[0])
-    mask[gold_index] = 0.0
-    return ad.dot(margins, tape.const(mask))
-
-
 @dataclass
 class MentionInstance:
     """One mention ready for scoring; gold_index is None when untrainable."""
@@ -332,21 +321,62 @@ def doc_instances(doc, store: EmbeddingStore,
     return out
 
 
+def record_rank_loss(tape: ad.Tape, vars_: dict[str, ad.Var], scores: list[ad.Var],
+                     instances: list[MentionInstance], gamma: float) -> ad.Var:
+    """f and the ranking loss of a document's trainable mentions as one record.
+
+    Each mention whose gold index is known adds, over its non-gold
+    candidates e, [gamma - rho(gold) + rho(e)]_+ with rho = f(score, log
+    prior); the e = gold term would add the constant gamma with zero
+    gradient, so it is masked out and the loss is exactly 0 iff every
+    margin holds.  Mentions are summed in document order.  The backward
+    gives adjoints into f.* and into each mention's score; relu passes
+    none at exactly 0, nor does a margin of exactly 0.
+    """
+    fvars = [vars_[f"f.{n}"] for n in FNet.NAMES]
+    fnet = FNet(*(v.value for v in fvars))
+    saved = []
+    total = None
+    for score, inst in zip(scores, instances):
+        gold = inst.gold_index
+        if gold is None:
+            continue
+        x = f_inputs(score.value, inst.log_priors)
+        h1, h2, rho = fnet.layers(x)
+        margins = rho - rho[gold] + gamma
+        mask = np.ones(rho.shape[0])
+        mask[gold] = 0.0
+        loss = np.dot(np.where(margins > 0.0, margins, 0.0), mask)
+        total = loss if total is None else total + loss
+        saved.append((score, x, h1, h2, mask * (margins > 0.0), gold))
+    if total is None:
+        return tape.const(np.zeros(()))
+
+    def backward(g):
+        # mentions in reverse, as separate records would have been replayed
+        for score, x, h1, h2, live, gold in reversed(saved):
+            g_rho = g * live
+            g_rho[gold] -= g_rho.sum()
+            g3 = g_rho.reshape(-1, 1)
+            g2 = (g3 @ fnet.w3) * (h2 > 0.0)
+            g1 = (g2 @ fnet.w2) * (h1 > 0.0)
+            grads = (g1.T @ x, g1.sum(axis=0), g2.T @ h1, g2.sum(axis=0),
+                     g3.T @ h2, g3.sum(axis=0))
+            for var, grad in zip(fvars, grads):
+                var._accum(grad)
+            if score.needs_grad:
+                score._accum((g1 @ fnet.w1)[:, 0])
+
+    return ad.record(tape, [total], (*fvars, *scores), backward)[0]
+
+
 def local_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
                         instances: list[MentionInstance], gamma: float,
                         r: int) -> ad.Var:
     """Ranking loss of one document (sum over its trainable mentions)."""
-    total = None
-    for inst in instances:
-        if inst.gold_index is None:
-            continue
-        psi = record_unary(tape, vars_, inst, r)
-        scores = combine_scores_tape(tape, vars_, fnet, psi, inst.log_priors)
-        loss = hinge_rank_loss_tape(tape, scores, inst.gold_index, gamma)
-        total = loss if total is None else ad.add(total, loss)
-    if total is None:
-        return tape.const(np.zeros(()))
-    return total
+    trainable = [inst for inst in instances if inst.gold_index is not None]
+    psi = [record_unary(tape, vars_, inst, r) for inst in trainable]
+    return record_rank_loss(tape, vars_, psi, trainable, gamma)
 
 
 def local_loss_closure(instances: list[MentionInstance], fnet_shape: FNet,

@@ -1,17 +1,16 @@
-"""Reverse-mode automatic differentiation over scalars and small dense arrays.
+"""Reverse-mode automatic differentiation over small dense arrays.
 
 Define-by-run: every operation appends one record to a Tape as it computes
 its primal, and `Tape.backward` replays the records in exact reverse order,
 summing adjoints into each operand.  A fresh tape is built per training
 example; there is no graph caching.
 
-The tape offers the elementwise and affine primitives the ranking loss and
-the combination network use.  The two model-specific computations, the
-attention scorer (`attention.record_unary`) and the unrolled message
-passing (`crf.beliefs_tape`), are each one numpy forward registered through
-`record` with a hand-derived backward.  Both route the adjoint of a max to
-the first maximal index; relu's gradient at exactly 0 is 0.  Every primal
-and every adjoint is checked to be finite.
+The tape has a single primitive, `record`: a numpy forward registered with
+a hand-derived backward.  The models use three such records, the attention
+scorer (`attention.record_unary`), the unrolled message passing
+(`crf.beliefs_tape`) and the combination network with the ranking loss
+(`attention.record_rank_loss`).  Every recorded primal and every adjoint
+reaching a record is checked to be finite.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ class Tape:
         arr = np.asarray(value, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValidationError("non-finite primal value")
-        return Var(arr, self, needs_grad)
+        return Var(arr, needs_grad)
 
     def const(self, value) -> "Var":
         return self.var(value, needs_grad=False)
@@ -58,14 +57,17 @@ class Tape:
 
 
 class Var:
-    """A value on a tape: primal array plus (after backward) its adjoint."""
+    """A value on a tape: primal array plus (after backward) its adjoint.
 
-    __slots__ = ("value", "grad", "tape", "needs_grad")
+    A Var keeps no reference to its tape, so a tape and its values form no
+    reference cycle and are freed as soon as the caller drops them.
+    """
 
-    def __init__(self, value: np.ndarray, tape: Tape, needs_grad: bool):
+    __slots__ = ("value", "grad", "needs_grad")
+
+    def __init__(self, value: np.ndarray, needs_grad: bool):
         self.value = value
         self.grad: np.ndarray | None = None
-        self.tape = tape
         self.needs_grad = needs_grad
 
     def _accum(self, g: np.ndarray) -> None:
@@ -89,128 +91,10 @@ def record(tape: Tape, values: list[np.ndarray], inputs: tuple[Var, ...],
         if not np.all(np.isfinite(value)):
             raise ValidationError("non-finite primal value")
     needs_grad = any(v.needs_grad for v in inputs)
-    outs = tuple(Var(value, tape, needs_grad) for value in values)
+    outs = tuple(Var(value, needs_grad) for value in values)
     if needs_grad:
         tape._records.append((outs, backward))
     return list(outs)
-
-
-def _out(tape: Tape, value: np.ndarray, inputs: tuple[Var, ...],
-         backward: Callable[[np.ndarray], None]) -> Var:
-    return record(tape, [value], inputs, backward)[0]
-
-
-def _binary_grad(x: Var, g: np.ndarray) -> None:
-    # Handles the scalar-vs-array broadcast used by the elementwise ops.
-    if x.value.shape == g.shape:
-        x._accum(g)
-    elif x.value.shape == ():
-        x._accum(np.sum(g))
-    else:
-        raise ValidationError(f"cannot reduce adjoint {g.shape} onto {x.value.shape}")
-
-
-def _check_broadcast(a: Var, b: Var) -> None:
-    if a.value.shape != b.value.shape and a.value.shape != () and b.value.shape != ():
-        raise ValidationError(f"shape mismatch: {a.value.shape} vs {b.value.shape}")
-
-
-def add(a: Var, b: Var) -> Var:
-    _check_broadcast(a, b)
-
-    def backward(g):
-        _binary_grad(a, g)
-        _binary_grad(b, g)
-
-    return _out(a.tape, a.value + b.value, (a, b), backward)
-
-
-def sub(a: Var, b: Var) -> Var:
-    _check_broadcast(a, b)
-
-    def backward(g):
-        _binary_grad(a, g)
-        _binary_grad(b, -g)
-
-    return _out(a.tape, a.value - b.value, (a, b), backward)
-
-
-def shift(a: Var, c: float) -> Var:
-    def backward(g):
-        a._accum(g)
-
-    return _out(a.tape, a.value + c, (a,), backward)
-
-
-def dot(a: Var, b: Var) -> Var:
-    if a.value.shape != b.value.shape or a.value.ndim != 1:
-        raise ValidationError(f"dot expects equal vectors, got {a.value.shape} vs {b.value.shape}")
-
-    def backward(g):
-        a._accum(g * b.value)
-        b._accum(g * a.value)
-
-    return _out(a.tape, np.dot(a.value, b.value), (a, b), backward)
-
-
-def relu(a: Var) -> Var:
-    mask = a.value > 0.0  # gradient at exactly 0 is 0
-
-    def backward(g):
-        a._accum(g * mask)
-
-    return _out(a.tape, np.where(mask, a.value, 0.0), (a,), backward)
-
-
-def index(a: Var, i: int) -> Var:
-    if a.value.ndim != 1 or not 0 <= i < a.value.shape[0]:
-        raise ValidationError(f"index {i} invalid for shape {a.value.shape}")
-
-    def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[i] += g
-
-    return _out(a.tape, a.value[i], (a,), backward)
-
-
-def linear(x: Var, w: Var, b: Var) -> Var:
-    """Affine layer on row-stacked inputs: x @ w.T + b."""
-    if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[1]:
-        raise ValidationError(f"linear shapes {x.value.shape}, {w.value.shape}")
-
-    def backward(g):
-        if x.needs_grad:
-            x._accum(g @ w.value)
-        if w.needs_grad:
-            w._accum(g.T @ x.value)
-        if b.needs_grad:
-            b._accum(np.sum(g, axis=0))
-
-    return _out(x.tape, x.value @ w.value.T + b.value, (x, w, b), backward)
-
-
-def stack_cols(a: Var, b: Var) -> Var:
-    """Two equal-length vectors as the columns of an (n, 2) matrix."""
-    if a.value.shape != b.value.shape or a.value.ndim != 1:
-        raise ValidationError("stack_cols expects two equal-length vectors")
-
-    def backward(g):
-        if a.needs_grad:
-            a._accum(g[:, 0])
-        if b.needs_grad:
-            b._accum(g[:, 1])
-
-    return _out(a.tape, np.column_stack([a.value, b.value]), (a, b), backward)
-
-
-def flatten(m: Var) -> Var:
-    shape = m.value.shape
-
-    def backward(g):
-        m._accum(g.reshape(shape))
-
-    return _out(m.tape, m.value.reshape(-1), (m,), backward)
 
 
 # -- finite-difference checking ----------------------------------------

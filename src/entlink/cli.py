@@ -188,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=20)
     p.add_argument("--eval-every", type=int, default=50)
     p.add_argument("--patience", type=int, default=3)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train_embeddings)
 
@@ -336,7 +335,6 @@ def cmd_train_embeddings(args) -> int:
         window=args.window, seed=args.seed, eval_every=args.eval_every,
         patience=args.patience)
     skipped = train_all_entities(counts, cfg, store, validation=queries,
-                                 threads=args.threads,
                                  log=lambda m: print(m, file=sys.stderr))
     names = [store.entity_vocab.token(i) for i in range(store.n_entities)]
     writer = save_vectors_text if args.out_format == "text" else save_vectors_binary
@@ -358,8 +356,7 @@ def _entity_store_from_file(path: str, fmt: str) -> EmbeddingStore:
     names, rows = (_parse_text_vectors(path) if fmt == "text"
                    else _parse_binary_vectors(path))
     store = EmbeddingStore(rows.shape[1])
-    for name, vec in zip(names, rows):
-        store.add_entity(name, vec)
+    store.add_entities(names, rows)
     return store
 
 
@@ -455,6 +452,10 @@ def cmd_train_global(args) -> int:
 def cmd_predict(args) -> int:
     params = load_model(args.model)
     store = _load_store(args)
+    dim = (params.local if isinstance(params, GlobalParams) else params).a.shape[0]
+    if dim != store.dim:
+        raise ValidationError(f"{args.model}: model dimension {dim} does not match "
+                              f"the word vectors' {store.dim}")
     corpus = _prepare_corpus(args, store,
                              _data_path(args, "corpus", args.corpus), "input")
     is_global = isinstance(params, GlobalParams)
@@ -598,8 +599,8 @@ def cmd_inspect_neighbors(args) -> int:
     combined._words = words.word_matrix()
     if store.dim != words.dim:
         raise ValidationError("entity and word dimensions differ")
-    for i in range(store.n_entities):
-        combined.add_entity(store.entity_vocab.token(i), store.entity_vec(i))
+    combined.add_entities([store.entity_vocab.token(i) for i in range(store.n_entities)],
+                          store.entity_matrix())
     if args.freq:
         load_word_frequencies(args.freq, combined.word_vocab)
     idx = combined.entity_vocab.id(args.entity)

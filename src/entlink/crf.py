@@ -32,12 +32,11 @@ from .attention import (
     MentionInstance,
     argmax_entity,
     combine_f,
-    combine_scores_tape,
     context_matrix,
     floored_log_prior,
-    hinge_rank_loss_tape,
     make_param_vars,
     mention_unary,
+    record_rank_loss,
     record_unary,
 )
 from .errors import ValidationError
@@ -329,19 +328,11 @@ def global_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
     All candidate-bearing mentions shape the messages; only mentions whose
     gold entity sits in their candidate set contribute hinge terms.
     """
-    zero = tape.const(np.zeros(()))
     if not instances:
-        return zero
+        return tape.const(np.zeros(()))
     psi = [record_unary(tape, vars_, inst, r) for inst in instances]
     mubars = beliefs_tape(tape, psi, instances, vars_["C"], delta, t)
-    total = None
-    for i, inst in enumerate(instances):
-        if inst.gold_index is None:
-            continue
-        scores = combine_scores_tape(tape, vars_, fnet, mubars[i], inst.log_priors)
-        loss = hinge_rank_loss_tape(tape, scores, inst.gold_index, gamma)
-        total = loss if total is None else ad.add(total, loss)
-    return total if total is not None else zero
+    return record_rank_loss(tape, vars_, mubars, instances, gamma)
 
 
 def global_loss_closure(instances: list[MentionInstance], fnet_shape: FNet,

@@ -214,11 +214,11 @@ class _AdagradSphere:
         self.z /= np.linalg.norm(self.z)
 
 
-def _run_phase(z: np.ndarray, words: np.ndarray, pos_alias: AliasSampler,
+def _run_phase(opt: _AdagradSphere, words: np.ndarray, pos_alias: AliasSampler,
                neg_words: np.ndarray, neg_alias: AliasSampler,
                word_mat: np.ndarray, cfg: EmbedTrainConfig,
                rng: np.random.Generator, iters: int) -> np.ndarray:
-    opt = _AdagradSphere(z, cfg.learning_rate)
+    """`iters` hinge steps of `opt` on sampled (positive, negative) pairs."""
     k = cfg.negatives_per_positive
     for _ in range(iters):
         pos = words[pos_alias.draw(rng, cfg.positives_per_iter)]
@@ -227,8 +227,7 @@ def _run_phase(z: np.ndarray, words: np.ndarray, pos_alias: AliasSampler,
         margins = diffs @ opt.z
         violating = margins < cfg.gamma
         if np.any(violating):
-            grad = -diffs[violating].sum(axis=0)
-            opt.step(grad)
+            opt.step(-diffs[violating].sum(axis=0))
     return opt.z
 
 
@@ -254,8 +253,8 @@ def train_entity(entity: int, counts: CooccurrenceCounts, cfg: EmbedTrainConfig,
     if counts.counts_for(entity, source):
         words, pos_alias = counts.positive_sampler(entity, source)
         neg_words, neg_alias = counts.negative_sampler()
-        z = _run_phase(z, words, pos_alias, neg_words, neg_alias,
-                       store.word_matrix(), cfg, rng, iters)
+        z = _run_phase(_AdagradSphere(z, cfg.learning_rate), words, pos_alias,
+                       neg_words, neg_alias, store.word_matrix(), cfg, rng, iters)
     store.set_entity_vec(entity, z)
     return z
 
@@ -265,7 +264,6 @@ def train_all_entities(
     cfg: EmbedTrainConfig,
     store: EmbeddingStore,
     validation: list["RelatednessQuery"] | None = None,
-    threads: int = 1,
     log=None,
 ) -> list[int]:
     """Train every trainable entity; returns the skipped (untrainable) ids.
@@ -283,24 +281,8 @@ def train_all_entities(
         for e in skipped:
             log(f"warning: entity {store.entity_vocab.token(e)} untrainable, skipped")
 
-    def phase1(e: int) -> None:
-        rng = entity_rng(cfg.seed, e)
-        z = init_entity_vector(rng, store.dim)
-        if counts.counts_for(e, "description"):
-            words, pos_alias = counts.positive_sampler(e, "description")
-            neg_words, neg_alias = counts.negative_sampler()
-            z = _run_phase(z, words, pos_alias, neg_words, neg_alias,
-                           store.word_matrix(), cfg, rng, cfg.description_iters)
-        store.set_entity_vec(e, z)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(phase1, trainable))
-    else:
-        for e in trainable:
-            phase1(e)
+    for e in trainable:
+        train_entity(e, counts, cfg, store)
 
     # Hyperlink phase, synchronised rounds across entities.
     with_links = [e for e in trainable if counts.counts_for(e, "hyperlink")]
@@ -319,19 +301,11 @@ def train_all_entities(
     best_vecs = None
     bad_rounds = 0
     word_mat = store.word_matrix()
-    k = cfg.negatives_per_positive
     for _ in range(rounds):
         for e in with_links:
             words, pos_alias, opt, rng = states[e]
-            for _ in range(cfg.eval_every):
-                pos = words[pos_alias.draw(rng, cfg.positives_per_iter)]
-                neg = neg_words[neg_alias.draw(rng, cfg.positives_per_iter * k)]
-                diffs = word_mat[np.repeat(pos, k)] - word_mat[neg]
-                margins = diffs @ opt.z
-                violating = margins < cfg.gamma
-                if np.any(violating):
-                    opt.step(-diffs[violating].sum(axis=0))
-            store.set_entity_vec(e, opt.z)
+            store.set_entity_vec(e, _run_phase(opt, words, pos_alias, neg_words, neg_alias,
+                                               word_mat, cfg, rng, cfg.eval_every))
         if validation:
             score = eval_relatedness(validation, store).validation_score
             if score > best_score:

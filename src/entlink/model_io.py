@@ -9,6 +9,7 @@ coherence diagonal plus damping and layer count.  A JSON sidecar at
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -55,7 +56,7 @@ def save_model(path: str, params: LocalParams | GlobalParams,
         _write_array(fh, local.b)
         if is_global:
             _write_array(fh, params.c)
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+        for name in FNet.NAMES:
             _write_array(fh, getattr(fnet, name))
     sidecar = {
         "kind": "global" if is_global else "local",
@@ -88,6 +89,17 @@ def load_model(path: str) -> LocalParams | GlobalParams:
         delta, t = 0.5, 10
         if kind == _KIND_GLOBAL:
             delta, t = struct.unpack("<dI", _read_exact(fh, 12))
+        if dim < 1 or hidden < 1:
+            raise ValidationError(f"{path}: dim and hidden must be at least 1, "
+                                  f"got {dim} and {hidden}")
+        # A, B (and C), then w1 b1 w2 b2 w3 b3, 8 bytes per value
+        values = (3 if kind == _KIND_GLOBAL else 2) * dim + hidden * (hidden + 5) + 1
+        want, size = fh.tell() + 8 * values, os.fstat(fh.fileno()).st_size
+        if size < want:
+            raise ValidationError(f"{path}: truncated model file: its header "
+                                  f"implies {want} bytes, it has {size}")
+        if size > want:
+            raise ValidationError(f"{path}: trailing bytes after the model")
         a = _read_array(fh, (dim,))
         b = _read_array(fh, (dim,))
         c = _read_array(fh, (dim,)) if kind == _KIND_GLOBAL else None
@@ -99,8 +111,9 @@ def load_model(path: str) -> LocalParams | GlobalParams:
             w3=_read_array(fh, (1, hidden)),
             b3=_read_array(fh, (1,)),
         )
-        if fh.read(1):
-            raise ValidationError(f"{path}: trailing bytes after the model")
+    arrays = [a, b, *fnet.param_dict().values()] + ([c] if c is not None else [])
+    if not all(np.all(np.isfinite(arr)) for arr in arrays):
+        raise ValidationError(f"{path}: non-finite parameter")
     local = LocalParams(a=a, b=b, fnet=fnet, k=k, r=r)
     if kind == _KIND_LOCAL:
         return local

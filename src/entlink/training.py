@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import (
+    FNet,
     LocalParams,
     doc_instances,
     local_doc_loss_tape,
@@ -151,7 +152,7 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
                 continue
             tape.backward(loss)
             optimizer.step(pd, {name: var.grad for name, var in vars_.items()})
-            _project_fnet(pd, cfg.weight_radius)
+            FNet(*(pd[f"f.{n}"] for n in FNet.NAMES)).project(cfg.weight_radius)
         history.epochs_run = epoch
         if val is not None and epoch % cfg.eval_every == 0:
             last_val = validate()
@@ -173,14 +174,6 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
     final = best_pd if val is not None and history.best_epoch > 0 else pd
     params_obj.load_param_dict({k: v.copy() for k, v in final.items()})
     return history
-
-
-def _project_fnet(pd: dict[str, np.ndarray], radius: float) -> None:
-    for name in ("f.w1", "f.w2", "f.w3"):
-        w = pd[name]
-        norm = float(np.linalg.norm(w))
-        if norm > radius:
-            w *= radius / norm
 
 
 def train_local(params: LocalParams, train: Corpus, val: Corpus | None,

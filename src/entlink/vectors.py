@@ -59,14 +59,14 @@ class EmbeddingStore:
         return self._words
 
     def add_word(self, token: str, vec: np.ndarray) -> int:
+        self.add_words([token], [vec])
+        return self.n_words - 1
+
+    def add_words(self, tokens: list[str], rows) -> None:
+        """Append one word per row, copying the table once."""
         if self.words_frozen:
             raise ValidationError("word table is frozen")
-        vec = self._check_vec(vec, what=f"word {token!r}")
-        idx = self.word_vocab.add(token)
-        if idx != self._words.shape[0]:
-            raise ValidationError(f"duplicate word: {token!r}")
-        self._words = np.vstack([self._words, vec])
-        return idx
+        self._words = self._appended(self.word_vocab, self._words, tokens, rows, "word")
 
     def freeze_words(self) -> None:
         self.words_frozen = True
@@ -88,15 +88,16 @@ class EmbeddingStore:
         return self._entities
 
     def add_entity(self, name: str, vec: np.ndarray) -> int:
-        vec = self._check_vec(vec, what=f"entity {name!r}", unit=True)
-        idx = self.entity_vocab.add(name)
-        if idx != self._entities.shape[0]:
-            raise ValidationError(f"duplicate entity: {name!r}")
-        self._entities = np.vstack([self._entities, vec])
-        return idx
+        self.add_entities([name], [vec])
+        return self.n_entities - 1
+
+    def add_entities(self, names: list[str], rows) -> None:
+        """Append one unit-norm entity per row, copying the table once."""
+        self._entities = self._appended(self.entity_vocab, self._entities, names, rows,
+                                        "entity", unit=True)
 
     def set_entity_vec(self, idx: int, vec: np.ndarray) -> None:
-        """Rewrite one entity row.  Concurrent writers must target distinct rows."""
+        """Rewrite one entity row."""
         if not 0 <= idx < self._entities.shape[0]:
             raise ValidationError(
                 f"entity id {idx} out of range [0, {self._entities.shape[0]})")
@@ -109,13 +110,12 @@ class EmbeddingStore:
         priors) before any vector exists for them; placeholder rows keep
         ids and rows aligned until training fills them in.
         """
-        added = 0
-        while self._entities.shape[0] < len(self.entity_vocab):
-            vec = np.zeros(self.dim)
-            vec[self._entities.shape[0] % self.dim] = 1.0
-            self._entities = np.vstack([self._entities, vec])
-            added += 1
-        return added
+        ids = np.arange(self._entities.shape[0], len(self.entity_vocab))
+        rows = np.zeros((ids.size, self.dim))
+        rows[np.arange(ids.size), ids % self.dim] = 1.0
+        if ids.size:
+            self._entities = np.vstack([self._entities, rows])
+        return int(ids.size)
 
     def check_entity_norms(self) -> None:
         if self._entities.shape[0] == 0:
@@ -125,6 +125,26 @@ class EmbeddingStore:
         if bad.size:
             raise ValidationError(
                 f"entity {int(bad[0])} has norm {norms[bad[0]]:.9f}, expected 1")
+
+    def _appended(self, vocab: Vocab, table: np.ndarray, names: list[str], rows,
+                  what: str, unit: bool = False) -> np.ndarray:
+        """`table` with the checked rows appended, their names added to `vocab`.
+
+        Every row and name is checked before anything changes: row i must
+        take id len(table) + i, so a name already present is a duplicate.
+        """
+        checked = [self._check_vec(vec, what=f"{what} {name!r}", unit=unit)
+                   for name, vec in zip(names, rows)]
+        fresh: dict[str, int] = {}
+        for i, name in enumerate(names):
+            idx = vocab.id(name)
+            if idx is None:
+                idx = fresh.setdefault(name, len(vocab) + len(fresh))
+            if idx != table.shape[0] + i:
+                raise ValidationError(f"duplicate {what}: {name!r}")
+        for name in names:
+            vocab.add(name)
+        return np.vstack([table, *checked])
 
     def _check_vec(self, vec: np.ndarray, what: str, unit: bool = False) -> np.ndarray:
         vec = np.asarray(vec, dtype=np.float64)
@@ -249,7 +269,11 @@ def _parse_binary_vectors(path: str) -> tuple[list[str], np.ndarray]:
             if len(raw_len) != 2:
                 raise ValidationError(f"{path}: truncated at row {row + 1}")
             (token_len,) = struct.unpack("<H", raw_len)
-            token = fh.read(token_len).decode("utf-8")
+            try:
+                token = fh.read(token_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValidationError(
+                    f"{path}: token at row {row + 1} is not UTF-8") from exc
             payload = fh.read(4 * dim)
             if len(payload) != 4 * dim:
                 raise ValidationError(f"{path}: truncated at row {row + 1}")
@@ -274,8 +298,7 @@ def load_word_vectors(path: str, fmt: str = "text",
     else:
         raise ValidationError(f"unknown vector format {fmt!r}")
     store = EmbeddingStore(rows.shape[1], word_vocab=Vocab(stop_words=stop_words))
-    for token, vec in zip(tokens, rows):
-        store.add_word(token, vec)
+    store.add_words(tokens, rows)
     store.freeze_words()
     return store
 
@@ -293,8 +316,7 @@ def load_entity_vectors(path: str, store: EmbeddingStore, fmt: str = "text") -> 
             f"{path}: dimension {rows.shape[1]} does not match store dimension {store.dim}")
     # No renormalisation here: float32 storage keeps norms within the unit
     # tolerance, and rescaling would break bit-exact binary round-trips.
-    for name, vec in zip(names, rows):
-        store.add_entity(name, vec)
+    store.add_entities(names, rows)
     return len(names)
 
 

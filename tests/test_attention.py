@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from tapeops import weighted_sum
 
 from entlink import autodiff as ad
 from entlink.attention import (
@@ -257,7 +258,7 @@ class TestMentionUnaryConsistency:
         np.testing.assert_allclose(psi_tape.value, want, atol=1e-12)
 
         w = rng.normal(size=4)
-        tape.backward(ad.dot(psi_tape, tape.const(w)))
+        tape.backward(weighted_sum(tape, [psi_tape], [w]))
         eps = 1e-6
         for name, base in (("A", params.a), ("B", params.b)):
             for d in range(store.dim):

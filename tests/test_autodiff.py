@@ -1,12 +1,39 @@
-"""Tape engine: primitive gradients, the fused model ops and the finite-difference checker."""
+"""Tape engine: record mechanics, the model records and the finite-difference checker."""
 
 import numpy as np
 import pytest
+from tapeops import weighted_sum
 
 from entlink import autodiff as ad
-from entlink.attention import MentionInstance, mention_unary, record_unary
+from entlink.attention import (FNet, MentionInstance, make_param_vars, mention_unary,
+                               record_rank_loss, record_unary)
 from entlink.crf import beliefs_tape
 from entlink.errors import ValidationError
+
+
+# -- test ops built on `record` -------------------------------------------
+
+
+def add(t, a, b):
+    def backward(g):
+        a._accum(g)
+        b._accum(g)
+
+    return ad.record(t, [a.value + b.value], (a, b), backward)[0]
+
+
+def inner(t, a, b):
+    def backward(g):
+        a._accum(g * b.value)
+        b._accum(g * a.value)
+
+    return ad.record(t, [np.dot(a.value, b.value)], (a, b), backward)[0]
+
+
+def relu(t, a):
+    live = a.value > 0.0
+    return ad.record(t, [np.where(live, a.value, 0.0)], (a,),
+                     lambda g: a._accum(g * live))[0]
 
 
 def mention(cand_vecs, ctx_vecs):
@@ -20,7 +47,7 @@ def unary_grads(cand_vecs, ctx_vecs, a, b, r, weights):
     t = ad.Tape()
     vars_ = {"A": t.var(a), "B": t.var(b)}
     psi = record_unary(t, vars_, mention(cand_vecs, ctx_vecs), r)
-    t.backward(ad.dot(psi, t.const(weights)))
+    t.backward(weighted_sum(t, [psi], [weights]))
     return psi, vars_["A"].grad, vars_["B"].grad
 
 
@@ -31,18 +58,85 @@ def test_softmax_symmetry():
     psi, c = t.var(np.array([0.0, 0.0])), t.var(np.ones(2))
     [y] = beliefs_tape(t, [psi], [mention(np.eye(2), np.zeros((0, 2)))], c, delta=0.5, t=1)
     np.testing.assert_allclose(y.value, [0.5, 0.5])
-    t.backward(ad.dot(y, t.const(np.array([1.0, 0.0]))))
+    t.backward(weighted_sum(t, [y], [np.array([1.0, 0.0])]))
     np.testing.assert_allclose(psi.grad, [0.25, -0.25])
     assert c.grad is None
 
 
-def test_relu_forward_and_grad():
+# -- the combination network and ranking loss record ------------------------
+
+
+def identity_f() -> FNet:
+    """One hidden unit: rho = relu(relu(score)), the log prior ignored."""
+    return FNet(w1=np.array([[1.0, 0.0]]), b1=np.zeros(1), w2=np.ones((1, 1)),
+                b2=np.zeros(1), w3=np.ones((1, 1)), b3=np.zeros(1))
+
+
+def rank_loss(fnet, scores, golds, gamma):
+    """Loss record over mentions with the given scores; returns loss, score Vars, f Vars."""
     t = ad.Tape()
-    x = t.var(np.array([-3.0, 2.0, 0.0]))
-    y = ad.dot(ad.relu(x), t.const(np.ones(3)))
-    assert y.value == pytest.approx(2.0)
-    t.backward(y)
-    np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
+    vars_ = make_param_vars(t, fnet.param_dict())
+    score_vars = [t.var(s) for s in scores]
+    instances = [MentionInstance(cand_vecs=np.zeros((len(s), 1)), ctx_vecs=np.zeros((0, 1)),
+                                 log_priors=np.zeros(len(s)), gold_index=g)
+                 for s, g in zip(scores, golds)]
+    loss = record_rank_loss(t, vars_, score_vars, instances, gamma)
+    t.backward(loss)
+    return loss, score_vars, vars_
+
+
+def test_relu_forward_and_grad():
+    # rho = [1, 0, 0]; both rivals violate the margin by 1.  The rival at a
+    # relu input of exactly 0 and the one below it pass no adjoint back.
+    loss, [s], vars_ = rank_loss(identity_f(), [[1.0, 0.0, -3.0]], [0], 2.0)
+    assert float(loss.value) == 2.0
+    np.testing.assert_array_equal(s.grad, [-2.0, 0.0, 0.0])
+    np.testing.assert_array_equal(vars_["f.b1"].grad, [-2.0])
+    np.testing.assert_array_equal(vars_["f.w1"].grad, [[-2.0, 0.0]])
+
+
+def test_rank_loss_zero_margin_passes_no_adjoint():
+    # mention 0 sits exactly on the margin (0.5 - 1 + 0.5 = 0): no loss and
+    # no adjoint; mention 1 violates it by 0.25
+    loss, [s0, s1], _ = rank_loss(identity_f(), [[1.0, 0.5], [1.0, 0.75]], [0, 0], 0.5)
+    assert float(loss.value) == 0.25
+    np.testing.assert_array_equal(s0.grad, [0.0, 0.0])
+    np.testing.assert_array_equal(s1.grad, [-1.0, 1.0])
+
+
+def test_rank_loss_gold_term_masked():
+    # three tied candidates: two rival terms of gamma, none for the gold
+    loss, [s], _ = rank_loss(identity_f(), [[1.0, 1.0, 1.0]], [1], 0.25)
+    assert float(loss.value) == 0.5
+    np.testing.assert_array_equal(s.grad, [1.0, -2.0, 1.0])
+
+
+def test_linear_layer_grads_match_fd():
+    # adjoints of f's layers and of every trainable mention's score;
+    # an untrainable mention between them adds nothing and gets no adjoint
+    rng = np.random.default_rng(5)
+    fnet = FNet.random(hidden=6, scale=0.8, rng=rng)
+    sizes, golds = [4, 3, 2], [2, None, 0]
+    instances = [MentionInstance(cand_vecs=np.zeros((s, 1)), ctx_vecs=np.zeros((0, 1)),
+                                 log_priors=np.log(rng.dirichlet(np.ones(s))), gold_index=g)
+                 for s, g in zip(sizes, golds)]
+    params = {**fnet.param_dict(), **{f"s{i}": rng.normal(size=s) for i, s in enumerate(sizes)}}
+
+    def f(params, need_grad):
+        t = ad.Tape()
+        vars_ = make_param_vars(t, params)
+        scores = [vars_[f"s{i}"] for i in range(len(sizes))]
+        loss = record_rank_loss(t, vars_, scores, instances, 0.5)
+        if not need_grad:
+            return float(loss.value), None
+        t.backward(loss)
+        assert vars_["s1"].grad is None
+        return float(loss.value), {k: v.grad if v.grad is not None else np.zeros_like(v.value)
+                                   for k, v in vars_.items()}
+
+    report = ad.grad_check(f, params)
+    assert report.checked > 30
+    assert report.ok(1e-6), report.max_rel_err
 
 
 def test_max_subgradient():
@@ -102,23 +196,17 @@ def test_gradient_linearity_on_random_programs():
     for _ in range(20):
         x0 = rng.normal(size=5)
         a, b = rng.normal(size=2)
+        consts = rng.normal(size=5)
 
         def build(xv):
             t = ad.Tape()
             x = t.var(xv)
-            f = ad.dot(x, x)
-            g = ad.dot(ad.relu(ad.shift(x, 0.3)), t.const(rng_consts))
+            f = inner(t, x, x)
+            g = weighted_sum(t, [relu(t, add(t, x, t.const(np.full(5, 0.3))))], [consts])
             return t, x, f, g
 
-        def combine(t, f, g):
-            pair = ad.stack_cols(ad.flatten(f), ad.flatten(g))
-            out = ad.linear(pair, t.const(np.array([[a, b]])), t.const(np.zeros(1)))
-            return ad.index(ad.flatten(out), 0)
-
-        rng_consts = rng.normal(size=5)
-
         t1, x1, f1, g1 = build(x0)
-        t1.backward(combine(t1, f1, g1))
+        t1.backward(weighted_sum(t1, [f1, g1], [a, b]))
         t2, x2, f2, _ = build(x0)
         t2.backward(f2)
         t3, x3, _, g3 = build(x0)
@@ -129,7 +217,7 @@ def test_gradient_linearity_on_random_programs():
 def test_adjoints_accumulate_on_reuse():
     t = ad.Tape()
     x = t.var(np.array([3.0]))
-    y = ad.dot(x, x)  # d/dx = 2x, reached through two paths
+    y = inner(t, x, x)  # d/dx = 2x, reached through two paths
     t.backward(y)
     assert x.grad[0] == pytest.approx(6.0)
 
@@ -161,7 +249,7 @@ def test_maxplus_forward_and_routing():
                  mention([[1.0, 1.0], [0.0, 1.0]], np.zeros((0, 2)))]
     _, b1 = beliefs_tape(t, [psi0, psi1], instances, t.var(np.ones(2)), delta=1.0, t=1)
     np.testing.assert_allclose(b1.value, [0.5, 0.5])
-    t.backward(ad.dot(b1, t.const(np.array([1.0, 0.0]))))
+    t.backward(weighted_sum(t, [b1], [np.array([1.0, 0.0])]))
     np.testing.assert_allclose(psi1.grad, [0.25, -0.25], atol=1e-15)
     np.testing.assert_allclose(psi0.grad, [0.25, -0.25], atol=1e-15)
 
@@ -184,32 +272,11 @@ def test_max_over_rows_routing():
     np.testing.assert_allclose(grad_a, want, atol=1e-12)
 
 
-def test_linear_layer_grads_match_fd():
-    rng = np.random.default_rng(5)
-    x0 = rng.normal(size=(4, 3))
-    w0 = rng.normal(size=(2, 3))
-    b0 = rng.normal(size=2)
-
-    def f(params, need_grad):
-        t = ad.Tape()
-        w = t.var(params["w"])
-        b = t.var(params["b"])
-        out = ad.linear(t.const(x0), w, b)
-        loss = ad.dot(ad.flatten(ad.relu(out)), t.const(np.ones(8)))
-        if not need_grad:
-            return float(loss.value), None
-        t.backward(loss)
-        return float(loss.value), {"w": w.grad, "b": b.grad}
-
-    report = ad.grad_check(f, {"w": w0, "b": b0})
-    assert report.ok(1e-6), report.max_rel_err
-
-
 def test_grad_check_quadratic():
     def f(params, need_grad):
         t = ad.Tape()
         x = t.var(params["x"])
-        y = ad.dot(x, x)
+        y = inner(t, x, x)
         if not need_grad:
             return float(y.value), None
         t.backward(y)
@@ -226,7 +293,7 @@ def test_grad_check_skips_kinks():
     def f(params, need_grad):
         t = ad.Tape()
         x = t.var(params["x"])
-        y = ad.dot(ad.relu(x), t.const(np.ones(2)))
+        y = weighted_sum(t, [relu(t, x)], [np.ones(2)])
         if not need_grad:
             return float(y.value), None
         t.backward(y)
@@ -241,20 +308,22 @@ def test_non_finite_primal_rejected():
     t = ad.Tape()
     with pytest.raises(ValidationError, match="non-finite"):
         t.var(np.array([1.0, np.nan]))
-    with pytest.raises(ValidationError), np.errstate(over="ignore"):
-        ad.shift(t.var(np.array([1e308])), 1e308)
+    x = t.var(np.array([1e308]))
+    with pytest.raises(ValidationError, match="non-finite"), np.errstate(over="ignore"):
+        add(t, x, x)
 
 
-def test_stack_cols_and_flatten():
+def test_non_finite_adjoint_rejected():
+    # each readout passes y an adjoint of 1e308; their sum overflows, and
+    # the record that produced y refuses to run its backward on it
     t = ad.Tape()
-    a = t.var(np.array([1.0, 2.0]))
-    b = t.var(np.array([3.0, 4.0]))
-    m = ad.stack_cols(a, b)
-    np.testing.assert_allclose(m.value, [[1.0, 3.0], [2.0, 4.0]])
-    v = ad.flatten(m)
-    t.backward(ad.dot(v, t.const(np.array([1.0, 10.0, 100.0, 1000.0]))))
-    np.testing.assert_allclose(a.grad, [1.0, 100.0])
-    np.testing.assert_allclose(b.grad, [10.0, 1000.0])
+    x = t.var(np.array([1e-300]))
+    y = add(t, x, x)
+    readouts = [weighted_sum(t, [y], [[1e308]]) for _ in range(2)]
+    root = weighted_sum(t, readouts, [1.0, 1.0])
+    with pytest.raises(ValidationError, match="non-finite adjoint"), \
+            np.errstate(over="ignore"):
+        t.backward(root)
 
 
 def test_backward_order_is_reverse_of_recording():
@@ -262,8 +331,8 @@ def test_backward_order_is_reverse_of_recording():
     # from all of them; ordering is checked via a chain.
     t = ad.Tape()
     x = t.var(np.array([2.0]))
-    y = ad.add(ad.add(x, x), x)
-    z = ad.dot(y, y)
+    y = add(t, add(t, x, x), x)
+    z = inner(t, y, y)
     t.backward(z)
     assert z.value == pytest.approx(36.0)
     assert y.grad[0] == pytest.approx(12.0)

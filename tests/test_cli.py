@@ -1,6 +1,7 @@
 """CLI: subcommand round trips, exit codes, file plumbing."""
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -172,6 +173,39 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "truncated model file" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_bad_inputs_exit_one_without_traceback(self, bench, tmp_path):
+        # a model whose header sizes exceed the file, one with a NaN in A,
+        # a model of the wrong dimension, and a binary vector file whose
+        # token is not UTF-8
+        _, data, entities = bench
+        huge, nan, narrow = (tmp_path / f"{n}.model" for n in ("huge", "nan", "narrow"))
+        for path in (huge, nan):
+            save_model(str(path), LocalParams.init(12, hidden=4))
+        raw = bytearray(huge.read_bytes())
+        struct.pack_into("<I", raw, 11, 2 ** 31)
+        huge.write_bytes(bytes(raw))
+        raw = bytearray(nan.read_bytes())
+        struct.pack_into("<d", raw, 23, float("nan"))
+        nan.write_bytes(bytes(raw))
+        save_model(str(narrow), LocalParams.init(8, hidden=4))
+        vectors = tmp_path / "e.bin"
+        vectors.write_bytes(b"EVEC" + struct.pack("<HIIH", 1, 1, 2, 2) + b"\xff\xfe"
+                            + struct.pack("<2f", 1.0, 0.0))
+        predict = ["--data-dir", str(data), "predict", "--entities", str(entities),
+                   "--out", str(tmp_path / "p.tsv"), "--k", "30", "--model"]
+        cases = [(predict + [str(huge)], "truncated model file"),
+                 (predict + [str(nan)], "non-finite parameter"),
+                 (predict + [str(narrow)], "model dimension 8 does not match"),
+                 (["inspect-neighbors", "--entities", str(vectors), "--vector-format",
+                   "binary", "--entity", "E0"], "not UTF-8")]
+        env = dict(os.environ, PYTHONPATH=str(Path(entlink.__file__).parent.parent))
+        for argv, message in cases:
+            proc = subprocess.run([sys.executable, "-m", "entlink", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 1, (argv, proc.stderr)
+            assert message in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_grad_check_subcommand(self, capsys):
         assert main(["grad-check", "--instances", "1", "--seed", "3"]) == 0

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from tapeops import weighted_sum
 
 from entlink import autodiff as ad
 from entlink.attention import (
@@ -434,11 +435,7 @@ class TestGlobalLoss:
             np.testing.assert_allclose(got.value, want, atol=1e-10)
             np.testing.assert_allclose(fast, want, atol=1e-10)
 
-        total = None
-        for m, w in zip(mubars, weights):
-            term = ad.dot(m, tape.const(w))
-            total = term if total is None else ad.add(total, term)
-        tape.backward(total)
+        tape.backward(weighted_sum(tape, mubars, weights))
         eps = 1e-6
         for i, u in enumerate(inst.unaries):
             for e in range(u.shape[0]):

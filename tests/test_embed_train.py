@@ -289,20 +289,6 @@ class TestTrainAll:
         cross = np.dot(mat[0], mat[2])
         assert same > cross
 
-    def test_thread_parallel_matches_sequential(self):
-        # per-entity rng streams make the thread pool a pure speedup
-        def run(threads):
-            store = make_store(n_words=20, dim=8, seed=4)
-            for i in range(6):
-                store.add_entity(f"E{i}", np.eye(8)[i])
-            counts = cluster_counts(store, {e: [3 * e, 3 * e + 1, 3 * e + 2]
-                                            for e in range(6)})
-            cfg = EmbedTrainConfig(description_iters=40, seed=17)
-            train_all_entities(counts, cfg, store, threads=threads)
-            return store.entity_matrix().copy()
-
-        np.testing.assert_array_equal(run(1), run(3))
-
     def test_skips_untrainable(self):
         store = make_store(n_words=6, dim=8)
         store.add_entity("A", np.eye(8)[0])

@@ -1,6 +1,7 @@
 """Model file round trips."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -65,3 +66,36 @@ def test_truncated_file_rejected(tmp_path):
             open(path, "wb").write(raw[:cut])
             with pytest.raises(ValidationError, match="truncated"):
                 load_model(path)
+
+
+def _patched(path, offset, fmt, value):
+    raw = bytearray(open(path, "rb").read())
+    struct.pack_into(fmt, raw, offset, value)
+    open(path, "wb").write(bytes(raw))
+
+
+def test_header_sizes_checked_before_reading(tmp_path):
+    # dim sits at byte 7 and hidden at byte 11; a size the file cannot hold
+    # is refused before any array is read, and zero sizes are refused
+    path = str(tmp_path / "m.model")
+    for offset, value, message in ((11, 2 ** 31, "truncated"), (7, 2 ** 32 - 1, "truncated"),
+                                   (7, 0, "at least 1"), (11, 0, "at least 1")):
+        save_model(path, LocalParams.init(6, hidden=8))
+        _patched(path, offset, "<I", value)
+        with pytest.raises(ValidationError, match=message):
+            load_model(path)
+
+
+def test_non_finite_parameter_rejected(tmp_path):
+    # A starts after the 23-byte local header and the joint model's 35-byte
+    # one; the last 8 bytes are b3
+    path = str(tmp_path / "m.model")
+    for params, offset in ((LocalParams.init(6, hidden=8), 23),
+                           (GlobalParams.init(6, hidden=8), 35)):
+        for where in (offset, -8):
+            save_model(path, params)
+            size = len(open(path, "rb").read())
+            for bad in (np.nan, np.inf):
+                _patched(path, where % size, "<d", bad)
+                with pytest.raises(ValidationError, match="non-finite"):
+                    load_model(path)

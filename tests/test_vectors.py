@@ -60,6 +60,46 @@ class TestLoadWordVectors:
         with pytest.raises(ValidationError, match="non-finite"):
             load_word_vectors(str(path))
 
+    def test_non_utf8_binary_token_named(self, tmp_path):
+        path = tmp_path / "v.bin"
+        save_vectors_binary(str(path), ["ok", "xx"], np.eye(2))
+        raw = path.read_bytes().replace(b"xx", b"\xff\xfe")
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError, match="row 2 is not UTF-8"):
+            load_word_vectors(str(path), fmt="binary")
+
+    def test_bulk_load_matches_row_by_row(self, tmp_path):
+        # the loaders fill each table at once; the result equals adding
+        # the rows one by one, and every row check still applies
+        rng = np.random.default_rng(7)
+        words = rng.normal(size=(6, 4))
+        ents = rng.normal(size=(3, 4))
+        ents /= np.linalg.norm(ents, axis=1, keepdims=True)
+        wpath, epath = tmp_path / "w.bin", tmp_path / "e.bin"
+        save_vectors_binary(str(wpath), [f"w{i}" for i in range(6)], words)
+        save_vectors_binary(str(epath), [f"E{i}" for i in range(3)], ents)
+        store = load_word_vectors(str(wpath), fmt="binary")
+        assert load_entity_vectors(str(epath), store, fmt="binary") == 3
+        one_by_one = EmbeddingStore(4)
+        for i, vec in enumerate(words.astype("<f4").astype(np.float64)):
+            assert one_by_one.add_word(f"w{i}", vec) == i
+        for i, vec in enumerate(ents.astype("<f4").astype(np.float64)):
+            assert one_by_one.add_entity(f"E{i}", vec) == i
+        np.testing.assert_array_equal(store.word_matrix(), one_by_one.word_matrix())
+        np.testing.assert_array_equal(store.entity_matrix(), one_by_one.entity_matrix())
+        assert [store.entity_vocab.token(i) for i in range(3)] == ["E0", "E1", "E2"]
+        with pytest.raises(ValidationError, match="duplicate entity"):
+            store.add_entities(["E9", "E1"], ents[:2])
+        with pytest.raises(ValidationError, match="norm"):
+            store.add_entities(["E9"], 2 * ents[:1])
+        with pytest.raises(ValidationError, match="expected 4 components"):
+            store.add_entities(["E9"], [ents[0, :3]])
+        with pytest.raises(ValidationError, match="non-finite"):
+            one_by_one.add_words(["w9"], [[np.nan, 0.0, 0.0, 0.0]])
+        # a refused batch leaves the store as it was
+        assert store.n_entities == 3 and len(store.entity_vocab) == 3
+        assert store.entity_vocab.id("E9") is None
+
     def test_word_table_frozen_after_load(self, tmp_path):
         path = tmp_path / "v.txt"
         write_text(path, [("a", [1.0, 0.0])])
