@@ -234,7 +234,7 @@ def predict_local(doc, params: LocalParams, store: EmbeddingStore) -> list[int |
         if not cands:
             out.append(None)
             continue
-        cand_vecs = np.stack([store.entity_vec(c.entity) for c in cands])
+        cand_vecs = store.entity_rows([c.entity for c in cands])
         ctx_vecs = context_matrix(mention, store)
         scores = local_scores(params, cand_vecs, ctx_vecs,
                               np.array([c.prior for c in cands]))
@@ -243,10 +243,7 @@ def predict_local(doc, params: LocalParams, store: EmbeddingStore) -> list[int |
 
 
 def context_matrix(mention, store: EmbeddingStore) -> np.ndarray:
-    ctx = mention.context or []
-    if not ctx:
-        return np.zeros((0, store.dim))
-    return np.stack([store.word_vec(w) for w in ctx])
+    return store.word_rows(mention.context or [])
 
 
 # -- tape (training) path ----------------------------------------------
@@ -312,7 +309,7 @@ def doc_instances(doc, store: EmbeddingStore,
         if require_gold and gold_index is None:
             continue
         out.append(MentionInstance(
-            cand_vecs=np.stack([store.entity_vec(e) for e in entities]),
+            cand_vecs=store.entity_rows(entities),
             ctx_vecs=context_matrix(mention, store),
             log_priors=np.array([floored_log_prior(c.prior) for c in cands]),
             gold_index=gold_index,

@@ -17,6 +17,12 @@ candidates routes to the first maximal slot.  Every layer checks that each
 message sums to 1 and keeps its argmax and softmax values; `beliefs_tape`
 records the whole unroll as one tape op whose hand-derived backward
 (Domke, TPAMI 2013) gives the adjoints of the unaries and of C.
+
+The document's candidates are padded once into an (n, S, d) tensor V.
+The (n, n, S, S) pairwise tensor is one GEMM of the flattened (n*S, d)
+rows, V diag(C) V^T, reshaped; C's adjoint is the diagonal of V^T G V for
+the phi adjoint G laid out the same way, again one GEMM.  `CrfInstance.phi`
+keeps the per-pair form as the oracle that `crf_score` enumerates.
 """
 
 from __future__ import annotations
@@ -148,9 +154,16 @@ def crf_score(assignment: list[int], instance: CrfInstance) -> float:
     return total
 
 
-def _phi_tensor(instance: CrfInstance) -> np.ndarray:
-    vecs, _, _ = instance.padded()
-    return instance.pair_scale * np.einsum("jpd,d,iqd->ijpq", vecs, instance.c, vecs)
+def _phi_tensor(vecs: np.ndarray, c: np.ndarray, pair_scale: float) -> np.ndarray:
+    """Padded pairwise scores phi[i, j, p, q] = scale * x_jp^T diag(c) x_iq.
+
+    One GEMM over the flattened (n*S, d) candidates gives every pair at
+    once; padded slots hold zero vectors, so their scores are 0.
+    """
+    n, s, d = vecs.shape
+    flat = vecs.reshape(n * s, d)
+    pairs = ((flat * c) @ flat.T).reshape(n, s, n, s).transpose(2, 0, 1, 3)
+    return pair_scale * pairs
 
 
 @dataclass
@@ -163,6 +176,7 @@ class Unroll:
     """
 
     psi: np.ndarray              # (n, S) unaries, zero-padded
+    vecs: np.ndarray             # (n, S, d) candidate vectors, zero-padded
     keep: np.ndarray             # (n, n, S) live message slots
     delta: float
     mix: list[np.ndarray]
@@ -199,14 +213,14 @@ def run_lbp(instance: CrfInstance, t: int, delta: float) -> Unroll:
     """T synchronous damped max-product layers from uniform messages."""
     if t < 1:
         raise ValidationError(f"layer count must be >= 1, got {t}")
-    _, psi, valid = instance.padded()
-    phi = _phi_tensor(instance)
+    vecs, psi, valid = instance.padded()
+    phi = _phi_tensor(vecs, instance.c, instance.pair_scale)
     n = instance.n
     offdiag = ~np.eye(n, dtype=bool)
     keep = offdiag[:, :, None] & valid[None, :, :]
     sizes = valid.sum(axis=1)
     mix = np.where(keep, 1.0 / sizes[None, :, None], 1.0)
-    state = Unroll(psi=psi, keep=keep, delta=delta, mix=[mix], soft=[], args=[])
+    state = Unroll(psi=psi, vecs=vecs, keep=keep, delta=delta, mix=[mix], soft=[], args=[])
     # the max over the sender's candidates never picks a padded slot
     phi = np.where(valid[:, None, None, :], phi, -np.inf)
     for layer in range(1, t + 1):
@@ -259,12 +273,13 @@ def build_crf_instance(doc, params: GlobalParams,
     unaries, cand_vecs, entities, log_priors = [], [], [], []
     for k in idxs:
         mention = doc.mentions[k]
-        vecs = np.stack([store.entity_vec(c.entity) for c in mention.candidates])
+        ids = [c.entity for c in mention.candidates]
+        vecs = store.entity_rows(ids)
         ctx = context_matrix(mention, store)
         psi, _, _ = mention_unary(local.a, local.b, local.r, vecs, ctx)
         unaries.append(psi)
         cand_vecs.append(vecs)
-        entities.append([c.entity for c in mention.candidates])
+        entities.append(ids)
         log_priors.append(np.array([floored_log_prior(c.prior)
                                     for c in mention.candidates]))
     instance = CrfInstance(unaries=unaries, cand_vecs=cand_vecs,
@@ -314,8 +329,11 @@ def beliefs_tape(tape: ad.Tape, psi: list[ad.Var], instances: list[MentionInstan
             if p.needs_grad:
                 p._accum(g_psi[i, :mu[i].shape[0]])
         if crf.n > 1:  # a lone mention has no pairs, so C gets no adjoint
-            vecs, _, _ = crf.padded()
-            c._accum(crf.pair_scale * np.einsum("ijpq,jpd,iqd->d", g_phi, vecs, vecs))
+            # diag(V^T G V) with G[(j, p), (i, q)] = g_phi[i, j, p, q]
+            n, s, d = state.vecs.shape
+            flat = state.vecs.reshape(n * s, d)
+            g = g_phi.transpose(1, 2, 0, 3).reshape(n * s, n * s)
+            c._accum(crf.pair_scale * ((g @ flat) * flat).sum(axis=0))
 
     return ad.record(tape, mu, (*psi, c), backward)
 

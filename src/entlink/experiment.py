@@ -315,8 +315,7 @@ def attention_dump(corpus: Corpus, params: LocalParams, store) -> list[dict]:
         for idx, (mention, pred) in enumerate(zip(doc.mentions, preds)):
             if not mention.candidates or not mention.context:
                 continue
-            cand_vecs = np.stack([store.entity_vec(c.entity)
-                                  for c in mention.candidates])
+            cand_vecs = store.entity_rows([c.entity for c in mention.candidates])
             ctx_vecs = context_matrix(mention, store)
             u = support_scores(cand_vecs, ctx_vecs, params.a)
             beta = attention_weights(u, params.r)

@@ -92,6 +92,9 @@ def load_model(path: str) -> LocalParams | GlobalParams:
         if dim < 1 or hidden < 1:
             raise ValidationError(f"{path}: dim and hidden must be at least 1, "
                                   f"got {dim} and {hidden}")
+        for name, value in (("k", k), ("r", r)):
+            if value < 1:
+                raise ValidationError(f"{path}: {name} must be at least 1, got {value}")
         # A, B (and C), then w1 b1 w2 b2 w3 b3, 8 bytes per value
         values = (3 if kind == _KIND_GLOBAL else 2) * dim + hidden * (hidden + 5) + 1
         want, size = fh.tell() + 8 * values, os.fstat(fh.fileno()).st_size

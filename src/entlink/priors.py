@@ -148,10 +148,7 @@ def average_context_vector(context_words: list[int],
     """Plain mean of the context word vectors; None when nothing resolves."""
     if not context_words:
         return None
-    vecs = [store.word_vec(w) for w in context_words]
-    if not vecs:
-        return None
-    return np.mean(vecs, axis=0)
+    return store.word_rows(context_words).mean(axis=0)
 
 
 def select_candidates(

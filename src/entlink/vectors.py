@@ -55,6 +55,10 @@ class EmbeddingStore:
             raise ValidationError(f"word id {idx} out of range [0, {self._words.shape[0]})")
         return self._words[idx]
 
+    def word_rows(self, ids) -> np.ndarray:
+        """Rows of the given word ids as one (len(ids), d) copy."""
+        return _checked_rows(self._words, ids, "word")
+
     def word_matrix(self) -> np.ndarray:
         return self._words
 
@@ -83,6 +87,10 @@ class EmbeddingStore:
             raise ValidationError(
                 f"entity id {idx} out of range [0, {self._entities.shape[0]})")
         return self._entities[idx]
+
+    def entity_rows(self, ids) -> np.ndarray:
+        """Rows of the given entity ids as one (len(ids), d) copy."""
+        return _checked_rows(self._entities, ids, "entity")
 
     def entity_matrix(self) -> np.ndarray:
         return self._entities
@@ -158,6 +166,16 @@ class EmbeddingStore:
                 f"{what}: norm {np.linalg.norm(vec):.9f} not within "
                 f"{ENTITY_NORM_TOL} of 1")
         return vec
+
+
+def _checked_rows(table: np.ndarray, ids, what: str) -> np.ndarray:
+    # fancy indexing would wrap a negative id silently, so it is rejected here
+    ids = np.asarray(ids, dtype=np.intp)
+    bad = (ids < 0) | (ids >= table.shape[0])
+    if bad.any():
+        raise ValidationError(
+            f"{what} id {int(ids[bad][0])} out of range [0, {table.shape[0]})")
+    return table[ids]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

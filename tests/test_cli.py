@@ -175,16 +175,18 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     def test_bad_inputs_exit_one_without_traceback(self, bench, tmp_path):
-        # a model whose header sizes exceed the file, one with a NaN in A,
-        # a model of the wrong dimension, and a binary vector file whose
-        # token is not UTF-8
+        # a model whose header sizes exceed the file, one with an attention
+        # budget of 0, one with a NaN in A, a model of the wrong dimension,
+        # and a binary vector file whose token is not UTF-8
         _, data, entities = bench
-        huge, nan, narrow = (tmp_path / f"{n}.model" for n in ("huge", "nan", "narrow"))
-        for path in (huge, nan):
+        huge, r0, nan, narrow = (tmp_path / f"{n}.model"
+                                 for n in ("huge", "r0", "nan", "narrow"))
+        for path in (huge, r0, nan):
             save_model(str(path), LocalParams.init(12, hidden=4))
-        raw = bytearray(huge.read_bytes())
-        struct.pack_into("<I", raw, 11, 2 ** 31)
-        huge.write_bytes(bytes(raw))
+        for path, offset, value in ((huge, 11, 2 ** 31), (r0, 19, 0)):
+            raw = bytearray(path.read_bytes())
+            struct.pack_into("<I", raw, offset, value)
+            path.write_bytes(bytes(raw))
         raw = bytearray(nan.read_bytes())
         struct.pack_into("<d", raw, 23, float("nan"))
         nan.write_bytes(bytes(raw))
@@ -195,6 +197,7 @@ class TestExitCodes:
         predict = ["--data-dir", str(data), "predict", "--entities", str(entities),
                    "--out", str(tmp_path / "p.tsv"), "--k", "30", "--model"]
         cases = [(predict + [str(huge)], "truncated model file"),
+                 (predict + [str(r0)], "r must be at least 1"),
                  (predict + [str(nan)], "non-finite parameter"),
                  (predict + [str(narrow)], "model dimension 8 does not match"),
                  (["inspect-neighbors", "--entities", str(vectors), "--vector-format",

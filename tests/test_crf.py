@@ -25,6 +25,7 @@ from entlink.crf import (
     global_doc_loss_tape,
     global_loss_closure,
     predict_global,
+    _phi_tensor,
     run_lbp,
 )
 from entlink.docs import Corpus, Document, Mention, build_context_windows
@@ -121,6 +122,18 @@ class TestCrfScore:
         for i in range(3):
             for j in range(i + 1, 3):
                 np.testing.assert_array_equal(inst.phi(i, j), inst.phi(j, i).T)
+
+    def test_phi_tensor_matches_per_pair_oracle(self):
+        # the one-GEMM padded tensor against CrfInstance.phi, with candidate
+        # counts below the padded width so padded slots sit among real ones
+        rng = np.random.default_rng(4)
+        for sizes in ([3, 1], [4, 2, 3, 1, 4]):
+            inst = random_instance(rng, n=len(sizes), sizes=sizes, dim=7)
+            vecs, _, _ = inst.padded()
+            phi = _phi_tensor(vecs, inst.c, inst.pair_scale)
+            for i, j in itertools.permutations(range(inst.n), 2):
+                np.testing.assert_allclose(phi[i, j, :sizes[j], :sizes[i]],
+                                           inst.phi(i, j), rtol=0, atol=1e-12)
 
 
 def straight_line_trace(instance, t_layers, delta):
@@ -451,6 +464,36 @@ class TestGlobalLoss:
             numeric = (probe(inst.unaries, inst.c + step)[1]
                        - probe(inst.unaries, inst.c - step)[1]) / (2 * eps)
             assert c.grad[d] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
+
+
+    def test_c_adjoint_matches_einsum_reference(self):
+        # the GEMM form of C's adjoint against the contraction it replaces,
+        # pair_scale * sum_ijpq g_phi[i, j, p, q] x_jp x_iq, from the same
+        # unroll and the same phi adjoint
+        rng = np.random.default_rng(8)
+        inst = random_instance(rng, n=5, sizes=[4, 2, 3, 1, 4], dim=16)
+        t_layers, delta = 5, 0.5
+        instances = [MentionInstance(cand_vecs=inst.cand_vecs[i],
+                                     ctx_vecs=np.zeros((0, 16)),
+                                     log_priors=inst.log_priors[i],
+                                     gold_index=0,
+                                     entities=inst.entities[i])
+                     for i in range(inst.n)]
+        weights = [rng.normal(size=u.shape[0]) for u in inst.unaries]
+        tape = ad.Tape()
+        c = tape.var(inst.c)
+        mubars = beliefs_tape(tape, [tape.const(u) for u in inst.unaries],
+                              instances, c, delta, t_layers)
+        tape.backward(weighted_sum(tape, mubars, weights))
+
+        state = run_lbp(inst, t=t_layers, delta=delta)
+        g_mu = np.zeros_like(state.psi)
+        for i, (w, mu) in enumerate(zip(weights, beliefs(state, inst))):
+            g_mu[i, :mu.shape[0]] = mu * (w - w @ mu)
+        _, g_phi = state.backward(g_mu)
+        vecs, _, _ = inst.padded()
+        want = inst.pair_scale * np.einsum("ijpq,jpd,iqd->d", g_phi, vecs, vecs)
+        np.testing.assert_allclose(c.grad, want, rtol=1e-12, atol=0)
 
 
 class TestPredictGlobal:

@@ -75,11 +75,14 @@ def _patched(path, offset, fmt, value):
 
 
 def test_header_sizes_checked_before_reading(tmp_path):
-    # dim sits at byte 7 and hidden at byte 11; a size the file cannot hold
-    # is refused before any array is read, and zero sizes are refused
+    # dim sits at byte 7, hidden at 11, k at 15 and r at 19; a size the
+    # file cannot hold is refused before any array is read, and zero sizes,
+    # context windows and attention budgets are refused
     path = str(tmp_path / "m.model")
     for offset, value, message in ((11, 2 ** 31, "truncated"), (7, 2 ** 32 - 1, "truncated"),
-                                   (7, 0, "at least 1"), (11, 0, "at least 1")):
+                                   (7, 0, "at least 1"), (11, 0, "at least 1"),
+                                   (15, 0, "k must be at least 1"),
+                                   (19, 0, "r must be at least 1")):
         save_model(path, LocalParams.init(6, hidden=8))
         _patched(path, offset, "<I", value)
         with pytest.raises(ValidationError, match=message):

@@ -191,6 +191,22 @@ class TestEntityInvariants:
         with pytest.raises(ValidationError):
             store.word_vec(0)
 
+    def test_row_gathers_match_single_rows_and_check_ids(self):
+        # numpy fancy indexing wraps -1 to the last row; the gathers refuse it
+        rng = np.random.default_rng(3)
+        store = EmbeddingStore(4)
+        store.add_words([f"w{i}" for i in range(3)], rng.normal(size=(3, 4)))
+        units = rng.normal(size=(2, 4))
+        store.add_entities(["E0", "E1"], units / np.linalg.norm(units, axis=1, keepdims=True))
+        for gather, single, size in ((store.word_rows, store.word_vec, 3),
+                                     (store.entity_rows, store.entity_vec, 2)):
+            ids = [size - 1, 0, size - 1]
+            np.testing.assert_array_equal(gather(ids), np.stack([single(i) for i in ids]))
+            assert gather([]).shape == (0, 4)
+            for bad in (-1, size):
+                with pytest.raises(ValidationError, match="out of range"):
+                    gather([0, bad])
+
 
 def small_store():
     rng = np.random.default_rng(7)
