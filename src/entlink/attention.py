@@ -8,13 +8,16 @@ attention-weighted sum of a second bilinear form.  A small two-hidden-layer
 network f combines the context score with the log prior into the final
 local score; training minimises a margin ranking loss over candidates.
 
-Training records the scorer once per mention (`record_unary`) and f with
-the ranking loss once per document (`record_rank_loss`), each with a
-hand-derived backward over the same numpy forward that inference runs.
+`doc_instances` is the single featurisation path: every scorer reads a
+document's mentions through it.  Training records the scorer once per
+mention (`record_unary`) and f with the ranking loss once per document
+(`record_rank_loss`), each with a hand-derived backward over the same
+numpy forward that inference runs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,6 +123,9 @@ class LocalParams:
 
     @classmethod
     def init(cls, dim: int, hidden: int = 100, k: int = 100, r: int = 50) -> "LocalParams":
+        for name, value in (("dim", dim), ("hidden", hidden), ("k", k), ("r", r)):
+            if value < 1:
+                raise ValidationError(f"{name} must be at least 1, got {value}")
         # identity diagonals: initial scores are plain dot products
         return cls(a=np.ones(dim), b=np.ones(dim),
                    fnet=FNet.additive(hidden), k=k, r=r)
@@ -211,12 +217,50 @@ def mention_unary(a: np.ndarray, b: np.ndarray, r: int, cand_vecs: np.ndarray,
     return context_score(cand_vecs, ctx_vecs, beta, b), beta, rows
 
 
-def local_scores(params: LocalParams, cand_vecs: np.ndarray,
-                 ctx_vecs: np.ndarray, priors: np.ndarray) -> np.ndarray:
-    """Final combined local score per candidate."""
-    psi, _, _ = mention_unary(params.a, params.b, params.r, cand_vecs, ctx_vecs)
-    logp = np.array([floored_log_prior(p) for p in priors])
-    return combine_f(params.fnet, psi, logp)
+@dataclass
+class MentionInstance:
+    """One mention ready for scoring; gold_index is None when untrainable.
+
+    `position` is the mention's index in its document, None when built by hand.
+    """
+
+    cand_vecs: np.ndarray
+    ctx_vecs: np.ndarray
+    log_priors: np.ndarray
+    gold_index: int | None
+    entities: list[int] = field(default_factory=list)
+    position: int | None = None
+
+
+def doc_instances(doc, store: EmbeddingStore,
+                  require_gold: bool = True) -> Iterator[MentionInstance]:
+    """Scoring arrays of a document's candidate-bearing mentions, in order.
+
+    With `require_gold`, only mentions whose gold entity sits in their
+    candidate set are yielded (the contract for loss terms).  Without it,
+    every candidate-bearing mention is included and `gold_index` is None
+    for the untrainable ones, so they can still shape joint inference.
+    Yielding one at a time lets a caller score each mention's context rows
+    while they are still in cache.
+    """
+    for position, mention in enumerate(doc.mentions):
+        cands: list[Candidate] = mention.candidates or []
+        if not cands:
+            continue
+        entities = [c.entity for c in cands]
+        gold_index = (entities.index(mention.gold_id)
+                      if mention.gold_id is not None and mention.gold_id in entities
+                      else None)
+        if require_gold and gold_index is None:
+            continue
+        yield MentionInstance(
+            cand_vecs=store.entity_rows(entities),
+            ctx_vecs=store.word_rows(mention.context or []),
+            log_priors=np.array([floored_log_prior(c.prior) for c in cands]),
+            gold_index=gold_index,
+            entities=entities,
+            position=position,
+        )
 
 
 def argmax_entity(scores: np.ndarray, entities: list[int]) -> int:
@@ -226,24 +270,19 @@ def argmax_entity(scores: np.ndarray, entities: list[int]) -> int:
     return min(tied)
 
 
+def local_decision(params: LocalParams, inst: MentionInstance) -> tuple[int, np.ndarray]:
+    """The local model's entity for one mention and its attention weights."""
+    psi, beta, _ = mention_unary(params.a, params.b, params.r, inst.cand_vecs,
+                                 inst.ctx_vecs)
+    return argmax_entity(combine_f(params.fnet, psi, inst.log_priors), inst.entities), beta
+
+
 def predict_local(doc, params: LocalParams, store: EmbeddingStore) -> list[int | None]:
     """Per-mention argmax of the combined score; empty sets stay unannotated."""
-    out: list[int | None] = []
-    for mention in doc.mentions:
-        cands: list[Candidate] = mention.candidates or []
-        if not cands:
-            out.append(None)
-            continue
-        cand_vecs = store.entity_rows([c.entity for c in cands])
-        ctx_vecs = context_matrix(mention, store)
-        scores = local_scores(params, cand_vecs, ctx_vecs,
-                              np.array([c.prior for c in cands]))
-        out.append(argmax_entity(scores, [c.entity for c in cands]))
+    out: list[int | None] = [None] * len(doc.mentions)
+    for inst in doc_instances(doc, store, require_gold=False):
+        out[inst.position] = local_decision(params, inst)[0]
     return out
-
-
-def context_matrix(mention, store: EmbeddingStore) -> np.ndarray:
-    return store.word_rows(mention.context or [])
 
 
 # -- tape (training) path ----------------------------------------------
@@ -275,47 +314,6 @@ def record_unary(tape: ad.Tape, vars_: dict[str, ad.Var],
         a._accum((cands[rows] * ctx).T @ g_u)
 
     return ad.record(tape, [psi], (a, b), backward)[0]
-
-
-@dataclass
-class MentionInstance:
-    """One mention ready for scoring; gold_index is None when untrainable."""
-
-    cand_vecs: np.ndarray
-    ctx_vecs: np.ndarray
-    log_priors: np.ndarray
-    gold_index: int | None
-    entities: list[int] = field(default_factory=list)
-
-
-def doc_instances(doc, store: EmbeddingStore,
-                  require_gold: bool = True) -> list[MentionInstance]:
-    """Mention instances for one document.
-
-    With `require_gold`, only mentions whose gold entity sits in their
-    candidate set are returned (the contract for loss terms).  Without it,
-    every candidate-bearing mention is included and `gold_index` is None
-    for the untrainable ones, so they can still shape joint inference.
-    """
-    out = []
-    for mention in doc.mentions:
-        cands: list[Candidate] = mention.candidates or []
-        if not cands:
-            continue
-        entities = [c.entity for c in cands]
-        gold_index = (entities.index(mention.gold_id)
-                      if mention.gold_id is not None and mention.gold_id in entities
-                      else None)
-        if require_gold and gold_index is None:
-            continue
-        out.append(MentionInstance(
-            cand_vecs=store.entity_rows(entities),
-            ctx_vecs=context_matrix(mention, store),
-            log_priors=np.array([floored_log_prior(c.prior) for c in cands]),
-            gold_index=gold_index,
-            entities=entities,
-        ))
-    return out
 
 
 def record_rank_loss(tape: ad.Tape, vars_: dict[str, ad.Var], scores: list[ad.Var],

@@ -59,7 +59,7 @@ from .vectors import (
     save_vectors_binary,
     save_vectors_text,
 )
-from .vocab import load_stop_words, load_word_frequencies
+from .vocab import load_stop_words, load_word_frequencies, read_counts
 
 DATA_ENV = "ENTLINK_DATA_DIR"
 
@@ -82,6 +82,14 @@ def _data_path(args, name: str, flag_value: str | None) -> str:
         "queries": "queries.tsv",
     }
     return str(Path(base) / defaults[name])
+
+
+def _parse(kind: type, raw: str, where: str):
+    """`kind(raw)`, or a validation error naming `where` (a flag or file:line)."""
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: expected {kind.__name__}, got {raw!r}") from exc
 
 
 def _load_store(args) -> EmbeddingStore:
@@ -387,7 +395,7 @@ def cmd_build_prior(args) -> int:
     for path in args.uniform_index:
         sources.append(PriorSource("uniform", load_uniform_index(path, entities)))
     if args.weights:
-        weights = [float(w) for w in args.weights.split(",")]
+        weights = [_parse(float, w, "--weights") for w in args.weights.split(",")]
         if len(weights) != len(sources):
             raise ValidationError("one --weights entry per source required")
         for source, w in zip(sources, weights):
@@ -484,7 +492,7 @@ def _read_predictions(path: str) -> dict[tuple[str, int], str]:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValidationError(f"{path}:{lineno}: expected 3 columns")
-            preds[(parts[0], int(parts[1]))] = parts[2]
+            preds[(parts[0], _parse(int, parts[1], f"{path}:{lineno}"))] = parts[2]
     return preds
 
 
@@ -527,14 +535,7 @@ def cmd_breakdown(args) -> int:
 
     entities = Vocab()
     prior = load_prior(_data_path(args, "prior", args.prior), entities)
-    freq: dict[str, int] = {}
-    if args.freq:
-        with open(args.freq, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if line:
-                    name, count = line.split("\t")
-                    freq[name] = int(count)
+    freq = dict(read_counts(args.freq)) if args.freq else {}
     gold_priors, gold_freqs, in_cands = [], [], []
     for (_, _, mention) in rows:
         p = prior.prior(mention.surface, entities.id(mention.gold)) \
@@ -570,8 +571,8 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def cmd_sweep(args) -> int:
     cfg = _experiment_config(args)
-    values = [float(v) for v in args.values.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
+    values = [_parse(float, v, "--values") for v in args.values.split(",")]
+    seeds = [_parse(int, s, "--seeds") for s in args.seeds.split(",")]
     rows = run_sweep(cfg, args.param.replace("-", "_").lower(), values, seeds)
     write_sweep_outputs(rows, args.param, args.out, plot=not args.no_plot)
     for row in rows:

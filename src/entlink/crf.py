@@ -6,7 +6,7 @@ inference is approximated by T synchronous max-product message-passing
 layers with damping delta; per-mention beliefs are softmax-normalised and
 combined with the log prior by the same network f as the local model.
 Training backpropagates a margin ranking loss on the combined beliefs
-through all T layers.
+through all T layers; both read documents via `attention.doc_instances`.
 
 One kernel, `run_lbp`, runs the recurrence for inference and training
 alike.  Entry [i, j, :] of its padded (n, n, S) message tensor is the
@@ -38,8 +38,7 @@ from .attention import (
     MentionInstance,
     argmax_entity,
     combine_f,
-    context_matrix,
-    floored_log_prior,
+    doc_instances,
     make_param_vars,
     mention_unary,
     record_rank_loss,
@@ -102,6 +101,14 @@ class CrfInstance:
         for psi in self.unaries:
             if psi.shape[0] == 0:
                 raise ValidationError("every mention needs a nonempty candidate set")
+
+    @classmethod
+    def of(cls, unaries: list[np.ndarray], instances: list[MentionInstance],
+           c: np.ndarray) -> "CrfInstance":
+        """The instance over `instances` (from `doc_instances`) with these unaries."""
+        return cls(unaries=unaries, cand_vecs=[inst.cand_vecs for inst in instances],
+                   entities=[inst.entities for inst in instances],
+                   log_priors=[inst.log_priors for inst in instances], c=c)
 
     @property
     def n(self) -> int:
@@ -266,25 +273,19 @@ def build_crf_instance(doc, params: GlobalParams,
     Returns the instance and the positions of the included mentions;
     mentions without candidates stay unannotated.
     """
-    idxs = [k for k, m in enumerate(doc.mentions) if m.candidates]
-    if not idxs:
-        return None, []
     local = params.local
-    unaries, cand_vecs, entities, log_priors = [], [], [], []
-    for k in idxs:
-        mention = doc.mentions[k]
-        ids = [c.entity for c in mention.candidates]
-        vecs = store.entity_rows(ids)
-        ctx = context_matrix(mention, store)
-        psi, _, _ = mention_unary(local.a, local.b, local.r, vecs, ctx)
-        unaries.append(psi)
-        cand_vecs.append(vecs)
-        entities.append(ids)
-        log_priors.append(np.array([floored_log_prior(c.prior)
-                                    for c in mention.candidates]))
-    instance = CrfInstance(unaries=unaries, cand_vecs=cand_vecs,
-                           entities=entities, log_priors=log_priors, c=params.c)
-    return instance, idxs
+    unaries, instances = [], []
+    for inst in doc_instances(doc, store, require_gold=False):
+        unaries.append(mention_unary(local.a, local.b, local.r, inst.cand_vecs,
+                                     inst.ctx_vecs)[0])
+        # only the unary reads the context rows; releasing them lets the next
+        # mention's rows reuse this memory while it is still in cache
+        inst.ctx_vecs = None
+        instances.append(inst)
+    if not instances:
+        return None, []
+    return (CrfInstance.of(unaries, instances, params.c),
+            [inst.position for inst in instances])
 
 
 def instance_marginals(instance: CrfInstance, params: GlobalParams) -> list[np.ndarray]:
@@ -312,10 +313,7 @@ def predict_global(doc, params: GlobalParams, store: EmbeddingStore) -> list[int
 def beliefs_tape(tape: ad.Tape, psi: list[ad.Var], instances: list[MentionInstance],
                  c: ad.Var, delta: float, t: int) -> list[ad.Var]:
     """`beliefs(run_lbp(...))` as one tape record, with adjoints into psi and C."""
-    crf = CrfInstance(unaries=[p.value for p in psi],
-                      cand_vecs=[inst.cand_vecs for inst in instances],
-                      entities=[inst.entities for inst in instances],
-                      log_priors=[inst.log_priors for inst in instances], c=c.value)
+    crf = CrfInstance.of([p.value for p in psi], instances, c.value)
     state = run_lbp(crf, t, delta)
     mu = beliefs(state, crf)
 

@@ -5,7 +5,8 @@ load) a corpus, train entity vectors, build the prior, select candidates,
 train the local and global models, evaluate everything and write the
 report artifacts.  With a fixed seed, reruns are byte-identical: every
 random draw comes from a seeded stream, one per entity for the entity
-vectors.
+vectors.  A config is checked when built (`stage_objects`); every model
+reads documents through `attention.doc_instances`, once per split.
 
 Artifacts: ``metrics.tsv`` (machine readable), ``report.txt`` (rendered
 tables), ``attention.tsv`` (per-mention attended words, weight-sorted),
@@ -21,13 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import (
-    LocalParams,
-    attention_weights,
-    context_matrix,
-    predict_local,
-    support_scores,
-)
+from .attention import LocalParams, doc_instances, local_decision, predict_local
 from .crf import GlobalParams, predict_global
 from .docs import Corpus, build_context_windows, load_corpus, resolve_gold
 from .embed_train import (
@@ -42,7 +37,14 @@ from .metrics import breakdown_report, evaluate
 from .model_io import save_model
 from .priors import gold_recall, load_prior, select_candidates
 from .synthetic import SyntheticSpec, generate_synthetic
-from .training import TrainConfig, predict_prior_baseline, train_global, train_local
+from .training import (
+    TrainConfig,
+    accuracy,
+    collect_predictions,
+    predict_prior_baseline,
+    train_global,
+    train_local,
+)
 from .vectors import load_word_vectors
 
 
@@ -91,6 +93,9 @@ class ExperimentConfig:
     t: int = 10
     delta: float = 0.5
 
+    def __post_init__(self):
+        stage_objects(self, self.dim)
+
     @classmethod
     def from_file(cls, path: str, overrides: dict | None = None) -> "ExperimentConfig":
         values = parse_config_file(path)
@@ -100,29 +105,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
-        cfg = cls()
-        casts = {f.name: type(getattr(cfg, f.name)) for f in fields(cls)}
+        casts = {f.name: type(f.default) for f in fields(cls)}
         parsed = {}
         for key, raw in values.items():
             name = key.replace("-", "_")
             if name not in casts:
                 raise ValidationError(f"unknown config key {key!r}")
-            kind = casts[name]
             try:
-                parsed[name] = kind(raw) if kind is not bool else _parse_bool(raw)
+                parsed[name] = casts[name](raw)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"bad value for {key!r}: {raw!r}") from exc
-        return replace(cfg, **parsed)
-
-
-def _parse_bool(raw) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    if str(raw).lower() in ("1", "true", "yes"):
-        return True
-    if str(raw).lower() in ("0", "false", "no"):
-        return False
-    raise ValueError(raw)
+        return cls(**parsed)
 
 
 def parse_config_file(path: str) -> dict:
@@ -179,6 +172,28 @@ def synthetic_spec_from(cfg: ExperimentConfig) -> SyntheticSpec:
         weak_context_rate=cfg.weak_context_rate)
 
 
+def stage_objects(cfg: ExperimentConfig, dim: int) -> dict:
+    """What each stage builds from `cfg`, for vectors of dimension `dim`.
+
+    The constructors hold the range checks, so building these checks `cfg`.
+    """
+    train = dict(gamma=cfg.gamma, eval_every=cfg.eval_every, patience=cfg.patience,
+                 seed=cfg.seed)
+    return {
+        "generate": synthetic_spec_from(cfg),
+        "embeddings": EmbedTrainConfig(
+            gamma=cfg.embed_gamma, learning_rate=cfg.embed_lr,
+            description_iters=cfg.embed_iters, hyperlink_iters=0, seed=cfg.seed),
+        "train-local": (LocalParams.init(dim, hidden=cfg.hidden, k=cfg.k, r=cfg.local_r),
+                        TrainConfig(learning_rate=cfg.local_lr, epochs=cfg.local_epochs,
+                                    **train)),
+        "train-global": (GlobalParams.init(dim, hidden=cfg.hidden, k=cfg.k,
+                                           r=cfg.global_r, delta=cfg.delta, t=cfg.t),
+                         TrainConfig(learning_rate=cfg.global_lr,
+                                     epochs=cfg.global_epochs, **train)),
+    }
+
+
 def _check_disjoint_splits(corpora: dict[str, Corpus]) -> None:
     seen: dict[str, str] = {}
     for split, corpus in corpora.items():
@@ -208,7 +223,7 @@ def _load_or_generate(cfg: ExperimentConfig) -> PreparedData:
         return PreparedData(store=store, prior=prior, corpora=corpora,
                             queries=queries, signatures=None,
                             entity_freq={}, counts=counts)
-    data = generate_synthetic(synthetic_spec_from(cfg))
+    data = generate_synthetic(stage_objects(cfg, cfg.dim)["generate"])
     return PreparedData(store=data.store, prior=data.prior,
                         corpora=data.corpora, queries=data.queries,
                         signatures=data.signatures,
@@ -217,10 +232,8 @@ def _load_or_generate(cfg: ExperimentConfig) -> PreparedData:
 
 @_stage("embeddings")
 def _train_embeddings(cfg: ExperimentConfig, prepared: PreparedData):
-    embed_cfg = EmbedTrainConfig(
-        gamma=cfg.embed_gamma, learning_rate=cfg.embed_lr,
-        description_iters=cfg.embed_iters, hyperlink_iters=0, seed=cfg.seed)
-    train_all_entities(prepared.counts, embed_cfg, prepared.store)
+    train_all_entities(prepared.counts, stage_objects(cfg, cfg.dim)["embeddings"],
+                       prepared.store)
     prepared.relatedness = eval_relatedness(prepared.queries, prepared.store)
 
 
@@ -240,11 +253,7 @@ def _select_all_candidates(cfg: ExperimentConfig, prepared: PreparedData):
 
 @_stage("train-local")
 def _fit_local(cfg: ExperimentConfig, prepared: PreparedData) -> LocalParams:
-    params = LocalParams.init(prepared.store.dim, hidden=cfg.hidden,
-                              k=cfg.k, r=cfg.local_r)
-    tcfg = TrainConfig(gamma=cfg.gamma, learning_rate=cfg.local_lr,
-                       epochs=cfg.local_epochs, eval_every=cfg.eval_every,
-                       patience=cfg.patience, seed=cfg.seed)
+    params, tcfg = stage_objects(cfg, prepared.store.dim)["train-local"]
     train_local(params, prepared.corpora["train"], prepared.corpora["validation"],
                 prepared.store, tcfg)
     return params
@@ -252,29 +261,16 @@ def _fit_local(cfg: ExperimentConfig, prepared: PreparedData) -> LocalParams:
 
 @_stage("train-global")
 def _fit_global(cfg: ExperimentConfig, prepared: PreparedData) -> GlobalParams:
-    params = GlobalParams.init(prepared.store.dim, hidden=cfg.hidden, k=cfg.k,
-                               r=cfg.global_r, delta=cfg.delta, t=cfg.t)
-    tcfg = TrainConfig(gamma=cfg.gamma, learning_rate=cfg.global_lr,
-                       epochs=cfg.global_epochs, eval_every=cfg.eval_every,
-                       patience=cfg.patience, seed=cfg.seed)
+    params, tcfg = stage_objects(cfg, prepared.store.dim)["train-global"]
     train_global(params, prepared.corpora["train"], prepared.corpora["validation"],
                  prepared.store, tcfg)
     return params
 
 
-def _collect_predictions(corpus: Corpus, predictor):
-    preds, golds = [], []
-    for doc in corpus:
-        doc_preds = predictor(doc)
-        for mention, pred in zip(doc.mentions, doc_preds):
-            preds.append(pred)
-            golds.append(mention.gold_id)
-    return preds, golds
-
-
 @_stage("evaluate")
 def _evaluate_models(cfg: ExperimentConfig, prepared: PreparedData,
-                     local: LocalParams, global_: GlobalParams) -> dict:
+                     local: LocalParams, global_: GlobalParams) -> tuple[dict, tuple]:
+    """Every model's metrics on both held-out splits, and the global test predictions."""
     store = prepared.store
     out: dict[str, dict[str, float]] = {}
     predictors = {
@@ -285,8 +281,10 @@ def _evaluate_models(cfg: ExperimentConfig, prepared: PreparedData,
     for split in ("validation", "test"):
         corpus = prepared.corpora[split]
         for model, predictor in predictors.items():
-            preds, golds = _collect_predictions(corpus, predictor)
-            res = evaluate(preds, golds)
+            predictions = collect_predictions(corpus, predictor)
+            if (model, split) == ("global", "test"):
+                test_global = predictions
+            res = evaluate(*predictions)
             out[f"{model}/{split}"] = {
                 "accuracy": res.in_kb_accuracy,
                 "precision": res.precision,
@@ -300,7 +298,7 @@ def _evaluate_models(cfg: ExperimentConfig, prepared: PreparedData,
             "ndcg1": rel.ndcg1, "ndcg5": rel.ndcg5, "ndcg10": rel.ndcg10,
             "map": rel.map, "validation_score": rel.validation_score,
         }
-    return out
+    return out, test_global
 
 
 def attention_dump(corpus: Corpus, params: LocalParams, store) -> list[dict]:
@@ -311,28 +309,23 @@ def attention_dump(corpus: Corpus, params: LocalParams, store) -> list[dict]:
     """
     rows = []
     for doc in corpus:
-        preds = predict_local(doc, params, store)
-        for idx, (mention, pred) in enumerate(zip(doc.mentions, preds)):
-            if not mention.candidates or not mention.context:
+        for inst in doc_instances(doc, store, require_gold=False):
+            if inst.ctx_vecs.shape[0] == 0:
                 continue
-            cand_vecs = store.entity_rows([c.entity for c in mention.candidates])
-            ctx_vecs = context_matrix(mention, store)
-            u = support_scores(cand_vecs, ctx_vecs, params.a)
-            beta = attention_weights(u, params.r)
+            pred, beta = local_decision(params, inst)
+            mention = doc.mentions[inst.position]
             weights: dict[str, float] = {}
             for w, b in zip(mention.context, beta):
                 if b > 0.0:
                     token = store.word_vocab.token(w)
                     weights[token] = weights.get(token, 0.0) + float(b)
             ranked = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
-            gold_prior = 0.0
-            for c in mention.candidates:
-                if c.entity == mention.gold_id:
-                    gold_prior = c.prior
+            gold_prior = (mention.candidates[inst.gold_index].prior
+                          if inst.gold_index is not None else 0.0)
             rows.append({
-                "doc": doc.doc_id, "mention": idx, "surface": mention.surface,
+                "doc": doc.doc_id, "mention": inst.position, "surface": mention.surface,
                 "gold": mention.gold, "gold_prior": gold_prior,
-                "predicted": store.entity_vocab.token(pred) if pred is not None else "",
+                "predicted": store.entity_vocab.token(pred),
                 "correct": int(pred == mention.gold_id),
                 "words": ranked,
             })
@@ -390,7 +383,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     _select_all_candidates(cfg, prepared)
     local = _fit_local(cfg, prepared)
     global_ = _fit_global(cfg, prepared)
-    metrics = _evaluate_models(cfg, prepared, local, global_)
+    metrics, test_global = _evaluate_models(cfg, prepared, local, global_)
 
     rows = attention_dump(prepared.corpora["test"], local, prepared.store)
     with open(out / "attention.tsv", "w", encoding="utf-8") as fh:
@@ -401,8 +394,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                      f"{row['gold']}\t{_fmt(row['gold_prior'])}\t{row['predicted']}\t"
                      f"{row['correct']}\t{words}\n")
 
-    preds, golds = _collect_predictions(
-        prepared.corpora["test"], lambda d: predict_global(d, global_, prepared.store))
+    preds, golds = test_global
     gold_priors, gold_freqs, in_cands = [], [], []
     for doc in prepared.corpora["test"]:
         for mention in doc.mentions:
@@ -453,28 +445,25 @@ def run_sweep(cfg: ExperimentConfig, param: str, values: list[float],
     """
     if param not in SWEEPABLE:
         raise ValidationError(f"cannot sweep {param!r}; one of {SWEEPABLE}")
+    cast = type(getattr(cfg, param))
+    bad = [v for v in values if cast is int and not float(v).is_integer()]
+    if bad:
+        raise ValidationError(f"{param} takes integers, got {bad[0]:g}")
+    fit, predict = ((_fit_local, predict_local) if param == "local_r"
+                    else (_fit_global, predict_global))
+    # every point's config is built, and so checked, before any training
+    grid = [[replace(cfg, seed=seed, **{param: cast(value)})
+             for seed in seeds] for value in values]
     rows = []
-    for value in values:
+    for value, subs in zip(values, grid):
         accs = []
-        for seed in seeds:
-            sub = replace(cfg, seed=seed)
-            caster = type(getattr(sub, param))
-            sub = replace(sub, **{param: caster(value)})
+        for sub in subs:
             prepared = _load_or_generate(sub)
             _train_embeddings(sub, prepared)
             _select_all_candidates(sub, prepared)
-            if param == "local_r":
-                model = _fit_local(sub, prepared)
-                from .attention import predict_local as plocal
-                preds, golds = _collect_predictions(
-                    prepared.corpora["test"],
-                    lambda d: plocal(d, model, prepared.store))
-            else:
-                model = _fit_global(sub, prepared)
-                preds, golds = _collect_predictions(
-                    prepared.corpora["test"],
-                    lambda d: predict_global(d, model, prepared.store))
-            accs.append(evaluate(preds, golds).in_kb_accuracy)
+            model = fit(sub, prepared)
+            accs.append(accuracy(prepared.corpora["test"],
+                                 lambda d: predict(d, model, prepared.store)))
         rows.append({"value": value, "accuracies": accs,
                      "mean": float(np.mean(accs))})
     return rows

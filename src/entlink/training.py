@@ -87,16 +87,20 @@ class Adam:
             params[name] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def accuracy(corpus: Corpus, predictor) -> float:
-    """Fraction of gold mentions resolved correctly by `predictor(doc)`."""
+def collect_predictions(corpus: Corpus, predictor) -> tuple[list, list]:
+    """`predictor(doc)`'s prediction and the gold id of every mention, in order."""
     preds: list[int | None] = []
     golds: list[int | None] = []
     for doc in corpus:
-        doc_preds = predictor(doc)
-        for mention, pred in zip(doc.mentions, doc_preds):
+        for mention, pred in zip(doc.mentions, predictor(doc)):
             preds.append(pred)
             golds.append(mention.gold_id)
-    return evaluate(preds, golds).in_kb_accuracy
+    return preds, golds
+
+
+def accuracy(corpus: Corpus, predictor) -> float:
+    """Fraction of gold mentions resolved correctly by `predictor(doc)`."""
+    return evaluate(*collect_predictions(corpus, predictor)).in_kb_accuracy
 
 
 @dataclass
@@ -114,7 +118,7 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
     pd = {name: arr.copy() for name, arr in params_obj.param_dict().items()}
     fnet = params_obj.local.fnet if model_kind == "global" else params_obj.fnet
     require_gold = model_kind == "local"
-    cached = [doc_instances(doc, store, require_gold=require_gold)
+    cached = [list(doc_instances(doc, store, require_gold=require_gold))
               for doc in train]
     cached = [c for c in cached if any(i.gold_index is not None for i in c)]
     if not cached:

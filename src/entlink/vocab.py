@@ -99,13 +99,9 @@ class Vocab:
         return list(self._tokens)
 
 
-def load_word_frequencies(path: str, vocab: Vocab) -> int:
-    """Read ``word \\t count`` lines into `vocab`; returns rows applied.
-
-    Words absent from the vocabulary are ignored (frequency data often
-    covers a larger corpus than the embedded vocabulary).
-    """
-    applied = 0
+def read_counts(path: str) -> list[tuple[str, int]]:
+    """The ``name \\t count`` rows of a file, in order; blank lines skipped."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -113,16 +109,27 @@ def load_word_frequencies(path: str, vocab: Vocab) -> int:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 'word<TAB>count'")
-            word, raw = parts
+                raise ValidationError(f"{path}:{lineno}: expected 'name<TAB>count'")
+            name, raw = parts
             try:
-                count = int(raw)
+                rows.append((name, int(raw)))
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad count {raw!r}") from exc
-            idx = vocab.id(word)
-            if idx is not None:
-                vocab.set_count(idx, count)
-                applied += 1
+    return rows
+
+
+def load_word_frequencies(path: str, vocab: Vocab) -> int:
+    """Read ``word \\t count`` lines into `vocab`; returns rows applied.
+
+    Words absent from the vocabulary are ignored (frequency data often
+    covers a larger corpus than the embedded vocabulary).
+    """
+    applied = 0
+    for word, count in read_counts(path):
+        idx = vocab.id(word)
+        if idx is not None:
+            vocab.set_count(idx, count)
+            applied += 1
     return applied
 
 

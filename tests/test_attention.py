@@ -15,7 +15,6 @@ from entlink.attention import (
     floored_log_prior,
     local_doc_loss_tape,
     local_loss_closure,
-    local_scores,
     make_param_vars,
     mention_unary,
     predict_local,
@@ -365,6 +364,7 @@ class TestPredictLocal:
                 if var.grad is not None:
                     pd[name] -= 0.2 * var.grad
         params.load_param_dict(pd)
-        scores = local_scores(params, inst.cand_vecs, inst.ctx_vecs,
-                              np.array([0.1, 0.9]))
+        psi, _, _ = mention_unary(params.a, params.b, params.r, inst.cand_vecs,
+                                  inst.ctx_vecs)
+        scores = combine_f(params.fnet, psi, inst.log_priors)
         assert scores[0] > scores[1]

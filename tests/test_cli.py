@@ -177,7 +177,9 @@ class TestExitCodes:
     def test_bad_inputs_exit_one_without_traceback(self, bench, tmp_path):
         # a model whose header sizes exceed the file, one with an attention
         # budget of 0, one with a NaN in A, a model of the wrong dimension,
-        # and a binary vector file whose token is not UTF-8
+        # a binary vector file whose token is not UTF-8, a predictions file
+        # with a non-integer mention index, frequency tables with a
+        # non-integer count or three columns, and unparsable list flags
         _, data, entities = bench
         huge, r0, nan, narrow = (tmp_path / f"{n}.model"
                                  for n in ("huge", "r0", "nan", "narrow"))
@@ -196,12 +198,31 @@ class TestExitCodes:
                             + struct.pack("<2f", 1.0, 0.0))
         predict = ["--data-dir", str(data), "predict", "--entities", str(entities),
                    "--out", str(tmp_path / "p.tsv"), "--k", "30", "--model"]
+        bad_preds, no_preds, bad_count, three_cols, counts = (
+            tmp_path / n for n in ("bad_preds.tsv", "no_preds.tsv", "bad_count.tsv",
+                                   "three_cols.tsv", "counts.tsv"))
+        bad_preds.write_text("doc\tmention\tentity\nd0\tfirst\tE000\n")
+        no_preds.write_text("doc\tmention\tentity\n")
+        bad_count.write_text("E000\t3\nE001\tmany\n")
+        three_cols.write_text("E000\t3\t1\n")
+        counts.write_text("m\tE0\t3\n")
+        breakdown = ["--data-dir", str(data), "breakdown", "--predictions",
+                     str(no_preds), "--freq"]
+        sweep = ["sweep", "--param", "t", "--out", str(tmp_path / "sweep")]
         cases = [(predict + [str(huge)], "truncated model file"),
                  (predict + [str(r0)], "r must be at least 1"),
                  (predict + [str(nan)], "non-finite parameter"),
                  (predict + [str(narrow)], "model dimension 8 does not match"),
                  (["inspect-neighbors", "--entities", str(vectors), "--vector-format",
-                   "binary", "--entity", "E0"], "not UTF-8")]
+                   "binary", "--entity", "E0"], "not UTF-8"),
+                 (["--data-dir", str(data), "evaluate", "--predictions", str(bad_preds)],
+                  f"{bad_preds}:2: expected int, got 'first'"),
+                 (breakdown + [str(bad_count)], f"{bad_count}:2: bad count"),
+                 (breakdown + [str(three_cols)], f"{three_cols}:1: expected"),
+                 (["build-prior", "--count-index", str(counts), "--weights", "x",
+                   "--out", str(tmp_path / "prior.tsv")], "--weights: expected float"),
+                 (sweep + ["--values", "a"], "--values: expected float"),
+                 (sweep + ["--values", "2", "--seeds", "a"], "--seeds: expected int")]
         env = dict(os.environ, PYTHONPATH=str(Path(entlink.__file__).parent.parent))
         for argv, message in cases:
             proc = subprocess.run([sys.executable, "-m", "entlink", *argv],
@@ -230,6 +251,15 @@ class TestRunExperimentCli:
         assert (out / "metrics.tsv").exists()
         text = capsys.readouterr().out
         assert "global/test" in text
+
+    @pytest.mark.parametrize("setting", ["delta=0", "t=0"])
+    def test_bad_experiment_config_fails_before_any_stage(self, tmp_path, capsys,
+                                                          setting):
+        out = tmp_path / "run"
+        assert main(["run-experiment", "--set", setting, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "stage" not in err
+        assert not out.exists()
 
 
 class TestSweepCli:

@@ -569,6 +569,31 @@ class TestPredictGlobal:
         joint = predict_global(doc, gparams, store)
         assert joint == local
 
+    def test_mention_without_candidates_between_two(self):
+        # the instance holds the outer mentions at their own positions, and
+        # both models leave the candidate-less middle one unannotated
+        from entlink.attention import predict_local
+        store = self._store_and_doc(seed=19)
+        params = GlobalParams.init(store.dim, hidden=8, r=2, t=4)
+        doc = Document(doc_id="d", tokens=["w0", "M1", "w1", "M2", "w2", "M3", "w3"],
+                       mentions=[Mention(start=1, end=2, surface="M1"),
+                                 Mention(start=3, end=4, surface="M2"),
+                                 Mention(start=5, end=6, surface="M3")])
+        doc.mentions[0].candidates = [Candidate(0, 0.6, "prior-top"),
+                                      Candidate(1, 0.4, "prior-top")]
+        doc.mentions[1].candidates = []
+        doc.mentions[2].candidates = [Candidate(2, 0.3, "prior-top"),
+                                      Candidate(3, 0.7, "prior-top")]
+        build_context_windows(Corpus([doc]), store.word_vocab, k=4)
+        inst, positions = build_crf_instance(doc, params, store)
+        assert positions == [0, 2]
+        assert inst.entities == [[0, 1], [2, 3]]
+        for preds in (predict_local(doc, params.local, store),
+                      predict_global(doc, params, store)):
+            assert preds[0] in (0, 1)
+            assert preds[1] is None
+            assert preds[2] in (2, 3)
+
     def test_loopy_map_agreement_rate(self):
         # small fully-connected instances: belief argmax equals the exact
         # MAP on a clear majority (the acceptance suite measures >= 90%)

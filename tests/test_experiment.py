@@ -82,6 +82,35 @@ class TestRunExperiment:
             assert all(weights[i] > weights[i + 1]
                        for i in range(len(weights) - 1))
 
+    def test_attention_predictions_match_predict_local(self, experiment):
+        # the predicted column is the local model's prediction on the test
+        # split, rebuilt here from the same seed and the saved local model
+        _, cfg, _ = experiment
+        from pathlib import Path
+
+        from entlink.attention import predict_local
+        from entlink.experiment import (
+            _load_or_generate,
+            _select_all_candidates,
+            _train_embeddings,
+        )
+        from entlink.model_io import load_model
+
+        prepared = _load_or_generate(cfg)
+        _train_embeddings(cfg, prepared)
+        _select_all_candidates(cfg, prepared)
+        local = load_model(str(Path(cfg.out_dir) / "local.model"))
+        store = prepared.store
+        want = {}
+        for doc in prepared.corpora["test"]:
+            for idx, pred in enumerate(predict_local(doc, local, store)):
+                if doc.mentions[idx].candidates and doc.mentions[idx].context:
+                    want[(doc.doc_id, idx)] = store.entity_vocab.token(pred)
+        lines = (Path(cfg.out_dir) / "attention.tsv").read_text().splitlines()[1:]
+        got = {(parts[0], int(parts[1])): parts[5]
+               for parts in (line.split("\t") for line in lines)}
+        assert got == want
+
     def test_monotonicity_probe_recorded(self, experiment):
         # informative only: the combination network's shape is learned,
         # so the rate is reported, not enforced
@@ -200,6 +229,11 @@ class TestSweep:
         assert [row["value"] for row in rows] == [5, 30]
         for row in rows:
             assert 0.0 <= row["mean"] <= 1.0
+
+    def test_non_integral_value_for_integer_param_rejected(self, tmp_path):
+        cfg = fast_config(tmp_path, "sweepint")
+        with pytest.raises(ValidationError, match="t takes integers, got 2.5"):
+            run_sweep(cfg, "t", [3, 2.5], seeds=[11])
 
     def test_unknown_param_rejected(self, tmp_path):
         cfg = fast_config(tmp_path, "sweepbad")
