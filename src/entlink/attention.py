@@ -86,9 +86,6 @@ class FNet:
             w3=scale * rng.normal(size=(1, hidden)), b3=np.zeros(1),
         )
 
-    def copy(self) -> "FNet":
-        return FNet(*(getattr(self, n).copy() for n in self.NAMES))
-
     def layers(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Both relu layers' activations and the (n,) scores of (n, 2) inputs."""
         h1 = np.maximum(0.0, x @ self.w1.T + self.b1)
@@ -129,10 +126,6 @@ class LocalParams:
         # identity diagonals: initial scores are plain dot products
         return cls(a=np.ones(dim), b=np.ones(dim),
                    fnet=FNet.additive(hidden), k=k, r=r)
-
-    def copy(self) -> "LocalParams":
-        return LocalParams(a=self.a.copy(), b=self.b.copy(), fnet=self.fnet.copy(),
-                           k=self.k, r=self.r)
 
     def param_dict(self) -> dict[str, np.ndarray]:
         out = {"A": self.a, "B": self.b}

@@ -9,20 +9,22 @@ Training backpropagates a margin ranking loss on the combined beliefs
 through all T layers; both read documents via `attention.doc_instances`.
 
 One kernel, `run_lbp`, runs the recurrence for inference and training
-alike.  Entry [i, j, :] of its padded (n, n, S) message tensor is the
-message from mention i to mention j over j's candidate slots, kept in
-probability space.  Padding and the diagonal are neutral slots holding 1
-(log 0), so sums over senders need no mask.  The max over the sender's
-candidates routes to the first maximal slot.  Every layer checks that each
-message sums to 1 and keeps its argmax and softmax values; `beliefs_tape`
-records the whole unroll as one tape op whose hand-derived backward
-(Domke, TPAMI 2013) gives the adjoints of the unaries and of C.
+alike.  Its arrays are slot-major, so each max or sum over candidate slots
+runs over the outermost axis: entry [p, i, j] of the (S, n, n) messages is
+the message from mention i to j at j's slot p, in probability space.
+Padding and the diagonal are neutral slots holding 1 (log 0).  A layer
+keeps values only, the max over sender slots q of phi[q, p, i, j] + v[q,
+i, j], where phi holds -inf at padded slots.  Every layer checks that each
+message sums to 1.  `beliefs_tape` records the unroll as one tape op whose
+hand-derived backward (Domke, TPAMI 2013) recomputes from phi and v each
+maximum's sender slot, the first maximal one.  Sums over mentions add in
+mention order, so results do not depend on the layout.
 
-The document's candidates are padded once into an (n, S, d) tensor V.
-The (n, n, S, S) pairwise tensor is one GEMM of the flattened (n*S, d)
-rows, V diag(C) V^T, reshaped; C's adjoint is the diagonal of V^T G V for
-the phi adjoint G laid out the same way, again one GEMM.  `CrfInstance.phi`
-keeps the per-pair form as the oracle that `crf_score` enumerates.
+The (S, S, n, n) tensor phi is one GEMM of the document's padded (n*S, d)
+candidate rows V, V diag(C) V^T; C's adjoint is the diagonal of V^T G V
+for phi's adjoint G laid out like that product, again one GEMM.
+`CrfInstance.phi` keeps the per-pair form as the oracle that `crf_score`
+enumerates.
 """
 
 from __future__ import annotations
@@ -70,10 +72,6 @@ class GlobalParams:
              delta: float = 0.5, t: int = 10) -> "GlobalParams":
         return cls(local=LocalParams.init(dim, hidden=hidden, k=k, r=r),
                    c=np.ones(dim), delta=delta, t=t)
-
-    def copy(self) -> "GlobalParams":
-        return GlobalParams(local=self.local.copy(), c=self.c.copy(),
-                            delta=self.delta, t=self.t)
 
     def param_dict(self) -> dict[str, np.ndarray]:
         out = self.local.param_dict()
@@ -131,18 +129,18 @@ class CrfInstance:
         return self.phi(j, i).T
 
     def padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Candidate tensor (n,S,d), unary matrix (n,S), validity mask (n,S)."""
+        """Candidate tensor (n,S,d), slot-major unaries (S,n) and validity (S,n)."""
         n = self.n
         s = max(psi.shape[0] for psi in self.unaries)
         d = self.cand_vecs[0].shape[1]
         vecs = np.zeros((n, s, d))
-        psi = np.zeros((n, s))
-        valid = np.zeros((n, s), dtype=bool)
+        psi = np.zeros((s, n))
+        valid = np.zeros((s, n), dtype=bool)
         for i in range(n):
             si = self.unaries[i].shape[0]
             vecs[i, :si] = self.cand_vecs[i]
-            psi[i, :si] = self.unaries[i]
-            valid[i, :si] = True
+            psi[:si, i] = self.unaries[i]
+            valid[:si, i] = True
         return vecs, psi, valid
 
 
@@ -161,57 +159,66 @@ def crf_score(assignment: list[int], instance: CrfInstance) -> float:
     return total
 
 
-def _phi_tensor(vecs: np.ndarray, c: np.ndarray, pair_scale: float) -> np.ndarray:
-    """Padded pairwise scores phi[i, j, p, q] = scale * x_jp^T diag(c) x_iq.
-
-    One GEMM over the flattened (n*S, d) candidates gives every pair at
-    once; padded slots hold zero vectors, so their scores are 0.
-    """
+def _phi_tensor(vecs: np.ndarray, valid: np.ndarray, c: np.ndarray,
+                pair_scale: float) -> np.ndarray:
+    """Contiguous phi[q, p, i, j] = scale * x_jp^T diag(c) x_iq, -inf at padded slots."""
     n, s, d = vecs.shape
     flat = vecs.reshape(n * s, d)
-    pairs = ((flat * c) @ flat.T).reshape(n, s, n, s).transpose(2, 0, 1, 3)
-    return pair_scale * pairs
+    pairs = ((flat * c) @ flat.T).reshape(n, s, n, s).transpose(3, 1, 2, 0)
+    phi = np.multiply(pair_scale, pairs, order="C")
+    phi.transpose(0, 2, 1, 3)[~valid] = -np.inf
+    phi.transpose(1, 3, 0, 2)[~valid] = -np.inf
+    return phi
 
 
 @dataclass
 class Unroll:
-    """T message-passing layers on padded arrays, with what backprop needs.
+    """T message-passing layers on slot-major padded arrays, with what backprop needs.
 
-    mix[l] holds the (n, n, S) messages after layer l, mix[0] being the
+    mix[l] holds the (S, n, n) messages after layer l, mix[0] being the
     uniform start.  soft[l] holds layer l+1's normalised max-product values
-    and args[l] the sender slot each of its maxima came from.
+    and v[l] the sender values v[q, i, j] whose sum with phi it maximised.
     """
 
-    psi: np.ndarray              # (n, S) unaries, zero-padded
+    psi: np.ndarray              # (S, n) unaries, zero-padded
     vecs: np.ndarray             # (n, S, d) candidate vectors, zero-padded
-    keep: np.ndarray             # (n, n, S) live message slots
+    phi: np.ndarray              # (S, S, n, n) pairwise scores, -inf at padding
+    keep: np.ndarray             # (S, n, n) live message slots
     delta: float
     mix: list[np.ndarray]
     soft: list[np.ndarray]
-    args: list[np.ndarray]
+    v: list[np.ndarray]
+
+    def message(self, layer: int, i: int, j: int) -> np.ndarray:
+        """The message i -> j after `layer` layers, over j's padded slots."""
+        return self.mix[layer][:, i, j]
+
+    def senders(self, layer: int) -> np.ndarray:
+        """(S, n, n) sender slot of each of soft[layer]'s maxima, the first maximal."""
+        return (self.phi + self.v[layer][:, None]).argmax(axis=0)
 
     def logits(self) -> np.ndarray:
-        """Belief logits mu[i, q] = psi[i, q] + sum_k log m[k -> i](q)."""
-        return self.psi + np.log(self.mix[-1]).sum(axis=0)
+        """Belief logits mu[q, i] = psi[q, i] + sum_k log m[k -> i](q)."""
+        return self.psi + np.log(self.mix[-1]).sum(axis=1)
 
     def backward(self, g_mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Adjoints of the padded unaries and of phi, given that of the logits."""
-        n, s = self.psi.shape
-        slots = np.arange(s)
+        """Adjoints of the (S, n) unaries and of phi, given that of the logits."""
+        slots = np.arange(self.psi.shape[0])[:, None, None, None]
         g_psi = g_mu.copy()
-        g_phi = np.zeros((n, n, s, s))
-        g_mix = np.broadcast_to(g_mu, (n, n, s)) / self.mix[-1]
+        g_phi = np.zeros_like(self.phi)
+        g_mix = g_mu[:, None, :] / self.mix[-1]
         for layer in reversed(range(len(self.soft))):
             soft = self.soft[layer]
             g_soft = self.delta * g_mix
-            inner = np.where(self.keep, g_soft * soft, 0.0).sum(axis=2, keepdims=True)
+            inner = np.where(self.keep, g_soft * soft, 0.0).sum(axis=0)
             g_u = np.where(self.keep, soft * (g_soft - inner), 0.0)
-            routed = np.where(self.args[layer][..., None] == slots, g_u[..., None], 0.0)
+            routed = np.where(self.senders(layer) == slots, g_u, 0.0)
             g_phi += routed
-            g_v = routed.sum(axis=2)
+            # g_v[q, j, i] for sender i: the sum over receivers j adds in order
+            g_v = np.ascontiguousarray(routed.sum(axis=1).transpose(0, 2, 1))
             g_pre = g_v.sum(axis=1)
             g_psi += g_pre
-            g_log = g_pre[None, :, :] - g_v.transpose(1, 0, 2)
+            g_log = g_pre[:, None, :] - g_v
             g_mix = (1.0 - self.delta) * g_mix + g_log / self.mix[layer]
         return g_psi, g_phi
 
@@ -221,29 +228,22 @@ def run_lbp(instance: CrfInstance, t: int, delta: float) -> Unroll:
     if t < 1:
         raise ValidationError(f"layer count must be >= 1, got {t}")
     vecs, psi, valid = instance.padded()
-    phi = _phi_tensor(vecs, instance.c, instance.pair_scale)
-    n = instance.n
-    offdiag = ~np.eye(n, dtype=bool)
-    keep = offdiag[:, :, None] & valid[None, :, :]
-    sizes = valid.sum(axis=1)
-    mix = np.where(keep, 1.0 / sizes[None, :, None], 1.0)
-    state = Unroll(psi=psi, vecs=vecs, keep=keep, delta=delta, mix=[mix], soft=[], args=[])
-    # the max over the sender's candidates never picks a padded slot
-    phi = np.where(valid[:, None, None, :], phi, -np.inf)
+    phi = _phi_tensor(vecs, valid, instance.c, instance.pair_scale)
+    offdiag = ~np.eye(instance.n, dtype=bool)
+    keep = valid[:, None, :] & offdiag
+    mix = np.where(keep, 1.0 / valid.sum(axis=0), 1.0)
+    state = Unroll(psi, vecs, phi, keep, delta, mix=[mix], soft=[], v=[])
     for layer in range(1, t + 1):
         log_m = np.log(mix)
-        # pre[i, q] = psi_i(q) + sum_k log m[k -> i](q); v removes j's backflow
-        pre = psi + log_m.sum(axis=0)
-        v = pre[:, None, :] - log_m.transpose(1, 0, 2)
-        scores = phi + v[:, :, None, :]
-        args = scores.argmax(axis=3)
-        unnorm = np.take_along_axis(scores, args[..., None], axis=3)[..., 0]
-        # normalise over the receiver's valid candidates
-        z = np.where(valid[None, :, :], unnorm, -np.inf)
-        ex = np.exp(z - z.max(axis=2, keepdims=True))
-        soft = np.where(keep, ex / ex.sum(axis=2, keepdims=True), 1.0)
+        # pre[q, i] = psi_i(q) + sum_k log m[k -> i](q); v removes j's backflow
+        pre = psi + log_m.sum(axis=1)
+        v = np.subtract(pre[:, :, None], log_m.transpose(0, 2, 1), order="C")
+        z = (phi + v[:, None]).max(axis=0)
+        # normalise over the receiver's candidates; padded ones hold -inf
+        ex = np.exp(z - z.max(axis=0))
+        soft = np.where(keep, ex / ex.sum(axis=0), 1.0)
         mix = mix + delta * (soft - mix)
-        totals = np.where(valid[None, :, :], mix, 0.0).sum(axis=2)
+        totals = np.where(valid[:, None, :], mix, 0.0).sum(axis=0)
         bad = offdiag & ~(np.abs(totals - 1.0) <= MESSAGE_NORM_TOL)
         if bad.any():
             i, j = np.argwhere(bad)[0]
@@ -251,7 +251,7 @@ def run_lbp(instance: CrfInstance, t: int, delta: float) -> Unroll:
                 f"message {i}->{j} at layer {layer} sums to {totals[i, j]!r}")
         state.mix.append(mix)
         state.soft.append(soft)
-        state.args.append(args)
+        state.v.append(v)
     return state
 
 
@@ -260,7 +260,7 @@ def beliefs(state: Unroll, instance: CrfInstance) -> list[np.ndarray]:
     mu = state.logits()
     out = []
     for i, psi in enumerate(instance.unaries):
-        row = mu[i, :psi.shape[0]]
+        row = mu[:psi.shape[0], i]
         ex = np.exp(row - row.max())
         out.append(ex / ex.sum())
     return out
@@ -321,16 +321,16 @@ def beliefs_tape(tape: ad.Tape, psi: list[ad.Var], instances: list[MentionInstan
         g_mu = np.zeros_like(state.psi)
         for i, (g, b) in enumerate(zip(grads, mu)):
             if g is not None:
-                g_mu[i, :b.shape[0]] = b * (g - g @ b)
+                g_mu[:b.shape[0], i] = b * (g - g @ b)
         g_psi, g_phi = state.backward(g_mu)
         for i, p in enumerate(psi):
             if p.needs_grad:
-                p._accum(g_psi[i, :mu[i].shape[0]])
+                p._accum(g_psi[:mu[i].shape[0], i])
         if crf.n > 1:  # a lone mention has no pairs, so C gets no adjoint
-            # diag(V^T G V) with G[(j, p), (i, q)] = g_phi[i, j, p, q]
+            # diag(V^T G V) with G[(j, p), (i, q)] = g_phi[q, p, i, j]
             n, s, d = state.vecs.shape
             flat = state.vecs.reshape(n * s, d)
-            g = g_phi.transpose(1, 2, 0, 3).reshape(n * s, n * s)
+            g = g_phi.transpose(3, 1, 2, 0).reshape(n * s, n * s)
             c._accum(crf.pair_scale * ((g @ flat) * flat).sum(axis=0))
 
     return ad.record(tape, mu, (*psi, c), backward)

@@ -35,7 +35,7 @@ from .embed_train import (
 from .errors import ValidationError
 from .metrics import breakdown_report, evaluate
 from .model_io import save_model
-from .priors import gold_recall, load_prior, select_candidates
+from .priors import candidate_settings, gold_recall, load_prior, select_candidates
 from .synthetic import SyntheticSpec, generate_synthetic
 from .training import (
     TrainConfig,
@@ -184,6 +184,7 @@ def stage_objects(cfg: ExperimentConfig, dim: int) -> dict:
         "embeddings": EmbedTrainConfig(
             gamma=cfg.embed_gamma, learning_rate=cfg.embed_lr,
             description_iters=cfg.embed_iters, hyperlink_iters=0, seed=cfg.seed),
+        "candidates": candidate_settings(cfg.s, cfg.prior_top, cfg.context_top),
         "train-local": (LocalParams.init(dim, hidden=cfg.hidden, k=cfg.k, r=cfg.local_r),
                         TrainConfig(learning_rate=cfg.local_lr, epochs=cfg.local_epochs,
                                     **train)),
@@ -240,6 +241,7 @@ def _train_embeddings(cfg: ExperimentConfig, prepared: PreparedData):
 @_stage("candidates")
 def _select_all_candidates(cfg: ExperimentConfig, prepared: PreparedData):
     store = prepared.store
+    budget = stage_objects(cfg, store.dim)["candidates"]
     for corpus in prepared.corpora.values():
         resolve_gold(corpus, store.entity_vocab)
         build_context_windows(corpus, store.word_vocab, k=cfg.k)
@@ -247,8 +249,7 @@ def _select_all_candidates(cfg: ExperimentConfig, prepared: PreparedData):
             for mention in doc.mentions:
                 mention.candidates = select_candidates(
                     mention.surface, mention.context or [], prepared.prior,
-                    store, s=cfg.s, prior_top=cfg.prior_top,
-                    context_top=cfg.context_top)
+                    store, **budget)
 
 
 @_stage("train-local")

@@ -151,6 +151,16 @@ def average_context_vector(context_words: list[int],
     return store.word_rows(context_words).mean(axis=0)
 
 
+def candidate_settings(s: int, prior_top: int, context_top: int) -> dict[str, int]:
+    """`select_candidates`' budget keywords, checked: s >= 1, shares >= 0."""
+    if s <= 0:
+        raise ValidationError(f"candidate budget must be positive, got {s}")
+    for name, value in (("prior_top", prior_top), ("context_top", context_top)):
+        if value < 0:
+            raise ValidationError(f"{name} must be non-negative, got {value}")
+    return dict(s=s, prior_top=prior_top, context_top=context_top)
+
+
 def select_candidates(
     surface: str,
     context_words: list[int],
@@ -169,8 +179,7 @@ def select_candidates(
     min(s, available).  A mention absent from the prior yields an empty
     set, which downstream leaves unannotated.
     """
-    if s <= 0:
-        raise ValidationError(f"candidate budget must be positive, got {s}")
+    candidate_settings(s, prior_top, context_top)
     dist = prior.lookup(surface)
     if not dist:
         return []

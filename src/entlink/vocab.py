@@ -64,12 +64,6 @@ class Vocab:
     def id(self, token: str) -> int | None:
         return self._index.get(token)
 
-    def require_id(self, token: str) -> int:
-        idx = self._index.get(token)
-        if idx is None:
-            raise ValidationError(f"unknown token: {token!r}")
-        return idx
-
     def token(self, idx: int) -> str:
         if not 0 <= idx < len(self._tokens):
             raise ValidationError(f"token id {idx} out of range [0, {len(self._tokens)})")

@@ -114,6 +114,16 @@ class TestSelectCandidates:
         reasons = {r.split("\t")[4] for r in rows}
         assert reasons <= {"prior-top", "context-top"}
 
+    @pytest.mark.parametrize("flag", ["--prior-top", "--context-top"])
+    def test_negative_share_exit_1(self, bench, tmp_path, capsys, flag):
+        tmp, data, entities = bench
+        assert main(["--data-dir", str(data), "select-candidates",
+                     "--entities", str(entities), "--corpus",
+                     str(data / "corpus_test.jsonl"), "--out",
+                     str(tmp_path / "cands.tsv"), flag, "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be non-negative" in err
+
 
 class TestInspectNeighbors:
     def test_output_sorted(self, bench, capsys):
@@ -252,7 +262,8 @@ class TestRunExperimentCli:
         text = capsys.readouterr().out
         assert "global/test" in text
 
-    @pytest.mark.parametrize("setting", ["delta=0", "t=0"])
+    @pytest.mark.parametrize("setting", ["delta=0", "t=0", "s=0", "prior_top=-1",
+                                         "context_top=-1"])
     def test_bad_experiment_config_fails_before_any_stage(self, tmp_path, capsys,
                                                           setting):
         out = tmp_path / "run"

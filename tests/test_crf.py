@@ -124,16 +124,20 @@ class TestCrfScore:
                 np.testing.assert_array_equal(inst.phi(i, j), inst.phi(j, i).T)
 
     def test_phi_tensor_matches_per_pair_oracle(self):
-        # the one-GEMM padded tensor against CrfInstance.phi, with candidate
-        # counts below the padded width so padded slots sit among real ones
+        # the one-GEMM slot-major tensor phi[q, p, i, j] against
+        # CrfInstance.phi, with candidate counts below the padded width so
+        # padded slots, which hold -inf, sit among real ones
         rng = np.random.default_rng(4)
         for sizes in ([3, 1], [4, 2, 3, 1, 4]):
             inst = random_instance(rng, n=len(sizes), sizes=sizes, dim=7)
-            vecs, _, _ = inst.padded()
-            phi = _phi_tensor(vecs, inst.c, inst.pair_scale)
+            vecs, _, valid = inst.padded()
+            phi = _phi_tensor(vecs, valid, inst.c, inst.pair_scale)
+            assert phi.flags.c_contiguous
             for i, j in itertools.permutations(range(inst.n), 2):
-                np.testing.assert_allclose(phi[i, j, :sizes[j], :sizes[i]],
+                np.testing.assert_allclose(phi[:sizes[i], :sizes[j], i, j].T,
                                            inst.phi(i, j), rtol=0, atol=1e-12)
+                assert np.isneginf(phi[sizes[i]:, :, i, j]).all()
+                assert np.isneginf(phi[:, sizes[j]:, i, j]).all()
 
 
 def straight_line_trace(instance, t_layers, delta):
@@ -193,7 +197,7 @@ class TestLbpStep:
         # message from j itself is excluded, so raw = max(psi + phi)
         raw = np.array([(inst.unaries[0] + phi[e]).max() for e in range(2)])
         want = raw - np.log(np.exp(raw - raw.max()).sum()) - raw.max()
-        got = np.log(state.mix[-1][0, 1, :2])
+        got = np.log(state.message(-1, 0, 1)[:2])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_first_layer_two_mentions_formula(self):
@@ -206,7 +210,7 @@ class TestLbpStep:
         for e in range(3):
             raw = np.array([(inst.unaries[0] + phi[f]).max() for f in range(3)])
             want = raw[e] - np.log(np.exp(raw - raw.max()).sum()) - raw.max()
-            assert np.log(state.mix[-1][0, 1, e]) == pytest.approx(want, abs=1e-12)
+            assert np.log(state.message(-1, 0, 1)[e]) == pytest.approx(want, abs=1e-12)
 
     def test_matches_straight_line_trace(self):
         # 3-mention, 2-candidate instance traced layer by layer
@@ -216,7 +220,7 @@ class TestLbpStep:
             mbar_want, mu_want = straight_line_trace(inst, t_layers, delta=0.5)
             state = run_lbp(inst, t=t_layers, delta=0.5)
             for (i, j), want in mbar_want.items():
-                got = np.log(state.mix[-1][i, j, :want.shape[0]])
+                got = np.log(state.message(-1, i, j)[:want.shape[0]])
                 np.testing.assert_allclose(got, want, atol=1e-10)
             got_mu = beliefs(state, inst)
             for want, got in zip(mu_want, got_mu):
@@ -231,10 +235,133 @@ class TestLbpStep:
             mbar_want, mu_want = straight_line_trace(inst, t_layers, delta)
             state = run_lbp(inst, t=t_layers, delta=delta)
             for (i, j), want in mbar_want.items():
-                np.testing.assert_allclose(np.log(state.mix[-1][i, j, :want.shape[0]]),
-                                           want, atol=1e-9)
+                got = np.log(state.message(-1, i, j)[:want.shape[0]])
+                np.testing.assert_allclose(got, want, atol=1e-9)
             for want, got in zip(mu_want, beliefs(state, inst)):
                 np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+def tied_instance(n=10, dim=6, seed=23):
+    """Integer-valued unaries, candidates and C, each mention's last
+    candidate a copy of its first: the max over a sender's slots ties
+    exactly at every layer, and sums over senders run past 8 terms."""
+    rng = np.random.default_rng(seed)
+    unaries, cand_vecs, entities = [], [], []
+    for i in range(n):
+        s = int(rng.integers(3, 7))
+        vecs = rng.integers(-1, 2, size=(s, dim)).astype(float)
+        psi = rng.integers(0, 2, size=s).astype(float)
+        vecs[-1], psi[-1] = vecs[0], psi[0]
+        unaries.append(psi)
+        cand_vecs.append(vecs)
+        entities.append(list(range(10 * i, 10 * i + s)))
+    return CrfInstance(unaries=unaries, cand_vecs=cand_vecs, entities=entities,
+                       log_priors=[np.zeros(u.shape[0]) for u in unaries],
+                       c=rng.integers(1, 3, size=dim).astype(float))
+
+
+class TestTiedRouting:
+    def test_backward_routes_to_first_maximal_sender_slot(self):
+        inst = tied_instance()
+        t_layers, delta = 4, 0.5
+        sizes = [u.shape[0] for u in inst.unaries]
+        state = run_lbp(inst, t=t_layers, delta=delta)
+        routes, tied = set(), 0
+        for layer in range(t_layers):
+            # the messages entering this layer, by plain loops
+            mbar, _ = straight_line_trace(inst, layer, delta)
+            got = state.senders(layer)
+            for i, j in itertools.permutations(range(inst.n), 2):
+                phi = inst.phi(i, j)
+                for e in range(sizes[j]):
+                    others = [k for k in range(inst.n) if k not in (i, j)]
+                    vals = [inst.unaries[i][ep] + phi[e, ep]
+                            + sum(mbar[(k, i)][ep] for k in others)
+                            for ep in range(sizes[i])]
+                    best = [ep for ep in range(sizes[i]) if vals[ep] >= max(vals) - 1e-9]
+                    tied += len(best) > 1
+                    assert got[e, i, j] == best[0], (layer, i, j, e, best)
+                    routes.add((best[0], e, i, j))
+        assert tied > 100
+        # the backward sends each maximum's adjoint to that slot only
+        g_mu = np.zeros_like(state.psi)
+        g_mu[:2] = 1.0
+        _, g_phi = state.backward(g_mu)
+        assert {tuple(k) for k in np.argwhere(g_phi != 0)} <= routes
+        assert np.count_nonzero(g_phi) > 0
+
+    def test_sender_sums_add_in_sender_order(self):
+        # the sums over senders (forward) and over receivers (backward) add
+        # term by term in mention order, bit for bit: with n=10 a pairwise
+        # or reordered summation shows in the last bits
+        inst = tied_instance()
+        n, delta = inst.n, 0.5
+        state = run_lbp(inst, t=3, delta=delta)
+        s = state.psi.shape[0]
+        live = [(q, i) for i in range(n) for q in range(inst.unaries[i].shape[0])]
+        for layer in range(3):
+            log_m = np.log(state.mix[layer])
+            for q, i in live:
+                acc = 0.0
+                for k in range(n):
+                    acc += log_m[q, k, i]
+                pre = state.psi[q, i] + acc
+                for j in range(n):
+                    assert state.v[layer][q, i, j] == pre - log_m[q, j, i]
+        one = run_lbp(inst, t=1, delta=delta)
+        g_mu = np.zeros_like(one.psi)
+        rng = np.random.default_rng(3)
+        for q, i in live:
+            g_mu[q, i] = rng.normal()
+        g_psi, _ = one.backward(g_mu)
+        soft, keep, send = one.soft[0], one.keep, one.senders(0)
+        g_soft = delta * (g_mu[:, None, :] / one.mix[1])
+        g_u = np.zeros_like(soft)
+        for i, j in itertools.permutations(range(n), 2):
+            inner = 0.0
+            for p in range(s):
+                inner += g_soft[p, i, j] * soft[p, i, j] if keep[p, i, j] else 0.0
+            for p in range(s):
+                if keep[p, i, j]:
+                    g_u[p, i, j] = soft[p, i, j] * (g_soft[p, i, j] - inner)
+        for q, i in live:
+            acc = 0.0
+            for j in range(n):
+                g_v = 0.0
+                for p in range(s):
+                    g_v += g_u[p, i, j] if send[p, i, j] == q else 0.0
+                acc += g_v
+            assert g_psi[q, i] == g_mu[q, i] + acc
+
+    def test_tape_gradient_matches_finite_differences(self):
+        inst = tied_instance()
+        dim = inst.cand_vecs[0].shape[1]
+        instances = [MentionInstance(cand_vecs=inst.cand_vecs[i],
+                                     ctx_vecs=np.zeros((0, dim)),
+                                     log_priors=inst.log_priors[i], gold_index=0,
+                                     entities=inst.entities[i])
+                     for i in range(inst.n)]
+        weights = [np.random.default_rng(i).normal(size=u.shape[0])
+                   for i, u in enumerate(inst.unaries)]
+
+        def f(params, need_grad):
+            tape = ad.Tape()
+            c = tape.var(params["C"])
+            psi = [tape.var(params[f"u{i}"]) for i in range(inst.n)]
+            mubars = beliefs_tape(tape, psi, instances, c, 0.5, 4)
+            loss = weighted_sum(tape, mubars, weights)
+            if not need_grad:
+                return float(loss.value), None
+            tape.backward(loss)
+            grads = {"C": c.grad, **{f"u{i}": p.grad for i, p in enumerate(psi)}}
+            return float(loss.value), grads
+
+        params = {"C": inst.c.copy(),
+                  **{f"u{i}": u.copy() for i, u in enumerate(inst.unaries)}}
+        # coordinates on a tie are kinks, which grad_check skips
+        report = ad.grad_check(f, params)
+        assert report.checked >= 10
+        assert report.ok(1e-4), report.max_rel_err
 
 
 class TestBeliefs:
@@ -277,10 +404,10 @@ class TestBeliefs:
             inst = random_instance(rng)
             state = run_lbp(inst, t=5, delta=0.6)
             assert len(state.mix) == 6
-            for layer, mix in enumerate(state.mix):
+            for layer in range(len(state.mix)):
                 mbar_want, _ = straight_line_trace(inst, layer, delta=0.6)
                 for (i, j), want in mbar_want.items():
-                    got = mix[i, j, :want.shape[0]]
+                    got = state.message(layer, i, j)[:want.shape[0]]
                     assert abs(got.sum() - 1.0) <= MESSAGE_NORM_TOL
                     np.testing.assert_allclose(got, np.exp(want), atol=1e-9)
         # a message that stops summing to 1 is rejected at its layer
@@ -468,7 +595,7 @@ class TestGlobalLoss:
 
     def test_c_adjoint_matches_einsum_reference(self):
         # the GEMM form of C's adjoint against the contraction it replaces,
-        # pair_scale * sum_ijpq g_phi[i, j, p, q] x_jp x_iq, from the same
+        # pair_scale * sum_qpij g_phi[q, p, i, j] x_jp x_iq, from the same
         # unroll and the same phi adjoint
         rng = np.random.default_rng(8)
         inst = random_instance(rng, n=5, sizes=[4, 2, 3, 1, 4], dim=16)
@@ -489,10 +616,10 @@ class TestGlobalLoss:
         state = run_lbp(inst, t=t_layers, delta=delta)
         g_mu = np.zeros_like(state.psi)
         for i, (w, mu) in enumerate(zip(weights, beliefs(state, inst))):
-            g_mu[i, :mu.shape[0]] = mu * (w - w @ mu)
+            g_mu[:mu.shape[0], i] = mu * (w - w @ mu)
         _, g_phi = state.backward(g_mu)
         vecs, _, _ = inst.padded()
-        want = inst.pair_scale * np.einsum("ijpq,jpd,iqd->d", g_phi, vecs, vecs)
+        want = inst.pair_scale * np.einsum("qpij,jpd,iqd->d", g_phi, vecs, vecs)
         np.testing.assert_allclose(c.grad, want, rtol=1e-12, atol=0)
 
 

@@ -105,6 +105,18 @@ def flat_prior(entries):
 
 
 class TestSelectCandidates:
+    @pytest.mark.parametrize("budget, message", [
+        (dict(s=0), "candidate budget must be positive"),
+        (dict(prior_top=-1), "prior_top must be non-negative"),
+        (dict(context_top=-1), "context_top must be non-negative")])
+    def test_bad_budget_rejected(self, budget, message):
+        # also for a surface the prior does not know
+        store = entity_store()
+        prior = flat_prior([(0, 5.0), (1, 3.0)])
+        for surface in ("m", "unknown"):
+            with pytest.raises(ValidationError, match=message):
+                select_candidates(surface, [], prior, store, **budget)
+
     def test_fewer_than_budget_keeps_all(self):
         store = entity_store()
         prior = flat_prior([(0, 5.0), (1, 3.0), (2, 2.0)])
