@@ -10,6 +10,16 @@ Counts come from two sources: the entity's description page and fixed-size
 token windows around hyperlink anchors.  Training runs the description
 phase first, then the hyperlink phase with early stopping on a relatedness
 validation score.
+
+Training is lockstep: every entity of a phase advances one step per
+iteration, as one `(E, d)` Adagrad-on-sphere update over `(E, P·k, d)`
+gathered sample rows.  Entities run in blocks sized from the fixed byte
+budget `BLOCK_BYTES`, so memory does not grow with the knowledge base.
+Each entity draws only uniforms, from its own stream `entity_rng(seed, e)`
+(`seed + 1` in the hyperlink phase), and turns them into samples through
+flat Walker alias tables.  An entity's vector therefore depends only on
+its own counts and stream, not on the entity order, the block it shares,
+the block size or how the iterations are split into validation rounds.
 """
 
 from __future__ import annotations
@@ -23,35 +33,59 @@ from .errors import ValidationError
 from .vectors import EmbeddingStore
 from .vocab import Vocab
 
+# Working memory of one lockstep block: a chunk of uniforms and one
+# iteration's gathered word rows per entity.
+BLOCK_BYTES = 1 << 21
+# Iterations whose uniforms an entity draws with one call.
+CHUNK_ITERS = 16
+
 
 class AliasSampler:
-    """Walker alias method: O(n) build, O(1) draws from a fixed discrete law."""
+    """Walker alias tables for one or more discrete laws, stored flat.
 
-    def __init__(self, weights: np.ndarray):
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 1 or weights.size == 0:
-            raise ValidationError("alias table needs a nonempty weight vector")
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise ValidationError("alias weights must be nonnegative with positive sum")
-        n = weights.size
-        prob = weights * (n / weights.sum())
-        self.threshold = np.ones(n)
-        self.alias = np.arange(n)
-        small = [i for i in range(n) if prob[i] < 1.0]
-        large = [i for i in range(n) if prob[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            self.threshold[s] = prob[s]
-            self.alias[s] = l
-            prob[l] = prob[l] - (1.0 - prob[s])
-            (small if prob[l] < 1.0 else large).append(l)
-        self.n = n
+    Law i owns the cells `offset[i] : offset[i] + size[i]`, and `alias`
+    holds flat cell ids, so one uniform u in [0, 1) draws a cell: the cell
+    `offset + floor(u·size)`, kept when the fractional part of `u·size` is
+    below its threshold and replaced by its alias otherwise.
+    """
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        cells = rng.integers(0, self.n, size=size)
-        coins = rng.random(size=size)
+    def __init__(self, *laws: np.ndarray):
+        tables = [_walker(np.asarray(weights, dtype=np.float64)) for weights in laws]
+        self.size = np.array([threshold.size for threshold, _ in tables], dtype=np.int64)
+        self.offset = np.cumsum(self.size) - self.size
+        self.threshold = np.concatenate([threshold for threshold, _ in tables])
+        self.alias = np.concatenate([alias + start
+                                     for (_, alias), start in zip(tables, self.offset)])
+
+    def lookup(self, u: np.ndarray, law=0) -> np.ndarray:
+        """Flat cell drawn by each uniform of `u` under `law` (broadcast)."""
+        x = u * self.size[law]
+        cells = x.astype(np.int64)
+        coins = x - cells
+        cells += self.offset[law]
         return np.where(coins < self.threshold[cells], cells, self.alias[cells])
+
+
+def _walker(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thresholds and aliases of one law: O(n) build."""
+    if weights.ndim != 1 or weights.size == 0:
+        raise ValidationError("alias table needs a nonempty weight vector")
+    if np.any(weights < 0) or weights.sum() <= 0:
+        raise ValidationError("alias weights must be nonnegative with positive sum")
+    n = weights.size
+    prob = weights * (n / weights.sum())
+    threshold = np.ones(n)
+    alias = np.arange(n)
+    small = [i for i in range(n) if prob[i] < 1.0]
+    large = [i for i in range(n) if prob[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        threshold[s] = prob[s]
+        alias[s] = l
+        prob[l] = prob[l] - (1.0 - prob[s])
+        (small if prob[l] < 1.0 else large).append(l)
+    return threshold, alias
 
 
 @dataclass
@@ -84,22 +118,27 @@ class CooccurrenceCounts:
         table = {"description": self.description, "hyperlink": self.hyperlink}[source]
         return table.get(entity, Counter())
 
-    def combined(self, entity: int) -> Counter:
-        merged = Counter(self.description.get(entity, Counter()))
-        merged.update(self.hyperlink.get(entity, Counter()))
-        return merged
+    def total(self, entity: int, source: str) -> int:
+        return sum(self.counts_for(entity, source).values())
 
     def trainable(self, entity: int) -> bool:
-        return sum(self.combined(entity).values()) > 0
+        return self.total(entity, "description") + self.total(entity, "hyperlink") > 0
 
-    def positive_sampler(self, entity: int, source: str) -> tuple[np.ndarray, AliasSampler]:
-        """Word ids and an alias table over p(w|e) restricted to the source."""
-        counts = self.counts_for(entity, source)
-        if not counts:
-            raise ValidationError(f"entity {entity} has no counts from source {source!r}")
-        words = np.array(sorted(counts), dtype=np.int64)
-        weights = np.array([counts[w] for w in words], dtype=np.float64)
-        return words, AliasSampler(weights)
+    def positive_sampler(self, entities: list[int],
+                         source: str) -> tuple[np.ndarray, AliasSampler]:
+        """Flat word ids and one alias law per entity over p(w|e) from the source.
+
+        `entities[i]` draws through law i, whose cells index its words.
+        """
+        words, weights = [], []
+        for e in entities:
+            counts = self.counts_for(e, source)
+            if not counts:
+                raise ValidationError(f"entity {e} has no counts from source {source!r}")
+            ids = np.array(sorted(counts), dtype=np.int64)
+            words.append(ids)
+            weights.append(np.array([counts[w] for w in ids], dtype=np.float64))
+        return np.concatenate(words), AliasSampler(*weights)
 
     def negative_sampler(self) -> tuple[np.ndarray, AliasSampler]:
         """Word ids and an alias table over q(w) = p(w)**alpha, full vocabulary."""
@@ -108,63 +147,6 @@ class CooccurrenceCounts:
             raise ValidationError("no word frequencies: cannot build negative sampler")
         weights = self.word_freq[support] ** self.alpha
         return support, AliasSampler(weights)
-
-
-def ingest_counts(
-    descriptions: dict[str, list[str]],
-    hyperlinks: list[tuple[str, list[str], int]],
-    window: int,
-    vocab: Vocab,
-    entities: Vocab,
-    alpha: float = 0.6,
-) -> tuple[CooccurrenceCounts, list[str]]:
-    """Accumulate counts from description pages and hyperlink windows.
-
-    `descriptions` maps entity name -> token stream; `hyperlinks` holds
-    (entity name, token stream, anchor position) triples, of which the
-    `window` tokens to each side of the anchor are counted.  Stop words are
-    dropped and tokens missing from `vocab` are skipped.  Returns the
-    counts and the names of entities left with no resolvable token
-    (flagged untrainable).
-    """
-    if window <= 0:
-        raise ValidationError(f"window must be positive, got {window}")
-    counts = CooccurrenceCounts(n_words=len(vocab), alpha=alpha)
-
-    def usable(token: str) -> int | None:
-        idx = vocab.id(token)
-        if idx is None or vocab.is_stop(idx):
-            return None
-        return idx
-
-    for name, tokens in descriptions.items():
-        e = entities.add(name)
-        for token in tokens:
-            idx = usable(token)
-            if idx is not None:
-                counts.add(counts.description, e, idx)
-    for name, tokens, anchor in hyperlinks:
-        if not 0 <= anchor < len(tokens):
-            raise ValidationError(
-                f"anchor {anchor} outside token stream of length {len(tokens)}")
-        e = entities.add(name)
-        lo = max(0, anchor - window)
-        hi = min(len(tokens), anchor + window + 1)
-        for pos in range(lo, hi):
-            if pos == anchor:
-                continue
-            idx = usable(tokens[pos])
-            if idx is not None:
-                counts.add(counts.hyperlink, e, idx)
-    untrainable = [entities.token(e) for e in range(len(entities))
-                   if not counts.trainable(e)]
-    return counts, untrainable
-
-
-def hinge_embed(z: np.ndarray, x_pos: np.ndarray, x_neg: np.ndarray,
-                gamma: float) -> float:
-    """max(0, gamma - <z, x_pos - x_neg>)."""
-    return float(max(0.0, gamma - float(np.dot(z, x_pos - x_neg))))
 
 
 @dataclass
@@ -199,64 +181,88 @@ def init_entity_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return z / norm
 
 
-class _AdagradSphere:
-    """Adaptive-gradient steps with projection back onto the unit sphere."""
-
-    def __init__(self, z: np.ndarray, lr: float):
-        self.z = z
-        self.lr = lr
-        self.accum = np.zeros_like(z)
-
-    def step(self, grad: np.ndarray) -> None:
-        self.accum += grad * grad
-        denom = np.sqrt(self.accum) + 1e-10
-        self.z -= self.lr * grad / denom
-        self.z /= np.linalg.norm(self.z)
-
-
-def _run_phase(opt: _AdagradSphere, words: np.ndarray, pos_alias: AliasSampler,
-               neg_words: np.ndarray, neg_alias: AliasSampler,
-               word_mat: np.ndarray, cfg: EmbedTrainConfig,
-               rng: np.random.Generator, iters: int) -> np.ndarray:
-    """`iters` hinge steps of `opt` on sampled (positive, negative) pairs."""
-    k = cfg.negatives_per_positive
-    for _ in range(iters):
-        pos = words[pos_alias.draw(rng, cfg.positives_per_iter)]
-        neg = neg_words[neg_alias.draw(rng, cfg.positives_per_iter * k)]
-        diffs = word_mat[np.repeat(pos, k)] - word_mat[neg]
-        margins = diffs @ opt.z
-        violating = margins < cfg.gamma
-        if np.any(violating):
-            opt.step(-diffs[violating].sum(axis=0))
-    return opt.z
-
-
 def entity_rng(seed: int, entity: int) -> np.random.Generator:
-    """Per-entity stream: training order and parallelism cannot change results."""
+    """Per-entity stream: training order and batching cannot change results."""
     return np.random.default_rng([seed, entity])
 
 
-def train_entity(entity: int, counts: CooccurrenceCounts, cfg: EmbedTrainConfig,
-                 store: EmbeddingStore, source: str = "description",
-                 iters: int | None = None,
-                 z: np.ndarray | None = None) -> np.ndarray:
-    """Run one phase of hinge training for a single entity and store the result."""
-    if not counts.trainable(entity):
-        raise ValidationError(f"entity {entity} is untrainable (no counts)")
-    rng = entity_rng(cfg.seed, entity)
-    if z is None:
-        z = init_entity_vector(rng, store.dim)
-    else:
-        z = z / np.linalg.norm(z)
-    if iters is None:
-        iters = cfg.description_iters if source == "description" else cfg.hyperlink_iters
-    if counts.counts_for(entity, source):
-        words, pos_alias = counts.positive_sampler(entity, source)
-        neg_words, neg_alias = counts.negative_sampler()
-        z = _run_phase(_AdagradSphere(z, cfg.learning_rate), words, pos_alias,
-                       neg_words, neg_alias, store.word_matrix(), cfg, rng, iters)
-    store.set_entity_vec(entity, z)
-    return z
+class _Phase:
+    """Lockstep hinge training of `entities` on one count source.
+
+    Keeps what lasts between validation rounds: the sample tables, one
+    Adagrad accumulator row per entity and the number of steps run.
+    """
+
+    def __init__(self, counts: CooccurrenceCounts, cfg: EmbedTrainConfig,
+                 store: EmbeddingStore, entities: list[int], source: str, seed: int):
+        self.cfg, self.store, self.entities, self.seed = cfg, store, entities, seed
+        self.pos_words, self.pos = counts.positive_sampler(entities, source)
+        self.neg_words, self.neg = counts.negative_sampler()
+        self.accum = np.zeros((len(entities), store.dim))
+        self.width = cfg.positives_per_iter * (1 + cfg.negatives_per_positive)
+        self.done = 0
+
+    def run(self, iters: int, init: bool = False) -> None:
+        """`iters` more steps of every entity, block by block, into the store.
+
+        With `init` an entity starts from `init_entity_vector` on its own
+        stream; otherwise from its stored row, with its stream advanced past
+        the uniforms of the steps already run (one 64-bit draw each).
+        """
+        dim = self.store.dim
+        block = max(1, BLOCK_BYTES // (8 * self.width * (CHUNK_ITERS + dim)))
+        for lo in range(0, len(self.entities), block):
+            ids = self.entities[lo:lo + block]
+            rngs = [entity_rng(self.seed, e) for e in ids]
+            if init:
+                z = np.stack([init_entity_vector(rng, dim) for rng in rngs])
+            else:
+                z = self.store.entity_rows(ids)
+                for rng in rngs:
+                    rng.bit_generator.advance(self.done * self.width)
+            self._steps(z, self.accum[lo:lo + len(ids)], rngs,
+                        np.arange(lo, lo + len(ids)), iters)
+            for e, row in zip(ids, z):
+                self.store.set_entity_vec(e, row)
+        self.done += iters
+
+    def _steps(self, z: np.ndarray, accum: np.ndarray, rngs: list,
+               laws: np.ndarray, iters: int) -> None:
+        """`iters` Adagrad-on-sphere steps of the block rows `z`, in place.
+
+        Each iteration gathers every entity's P positive and P·k negative
+        word rows as one `(E, P + P·k, d)` block, scores it against `z`,
+        and steps along the summed difference of the violating pairs.
+        """
+        cfg = self.cfg
+        p, k = cfg.positives_per_iter, cfg.negatives_per_positive
+        word_mat = self.store.word_matrix()
+        n = len(rngs)
+        u = np.empty((n, min(iters, CHUNK_ITERS), self.width))
+        words = np.empty((n, self.width), dtype=np.int64)
+        rows = np.empty((n, self.width, self.store.dim))
+        scores = np.empty((n, self.width, 1))
+        coef = np.empty((n, 1, self.width))
+        grad = np.empty((n, 1, self.store.dim))
+        for start in range(0, iters, CHUNK_ITERS):
+            m = min(CHUNK_ITERS, iters - start)
+            for row, rng in enumerate(rngs):
+                rng.random(out=u[row, :m])
+            for i in range(m):
+                words[:, :p] = self.pos_words[self.pos.lookup(u[:, i, :p], laws[:, None])]
+                words[:, p:] = self.neg_words[self.neg.lookup(u[:, i, p:])]
+                np.take(word_mat, words, axis=0, out=rows, mode="clip")
+                np.matmul(rows, z[:, :, None], out=scores)
+                hit = (scores[:, :p] - scores[:, p:, 0].reshape(n, p, k)) < cfg.gamma
+                # grad = sum over violating pairs of (negative row - positive row)
+                coef[:, 0, :p] = -hit.sum(axis=2)
+                coef[:, 0, p:] = hit.reshape(n, p * k)
+                np.matmul(coef, rows, out=grad)
+                g = grad[:, 0]
+                accum += g * g
+                z -= cfg.learning_rate * g / (np.sqrt(accum) + 1e-10)
+                # rows without a violating pair took no step and stay as they are
+                z /= np.where(hit.any(axis=(1, 2)), np.linalg.norm(z, axis=1), 1.0)[:, None]
 
 
 def train_all_entities(
@@ -270,9 +276,10 @@ def train_all_entities(
 
     Phase 1 fits on description counts for a fixed number of iterations.
     Phase 2 fits on hyperlink counts in rounds of `cfg.eval_every`
-    iterations; when validation queries are given, the relatedness score is
-    evaluated after each round and training stops once it has failed to
-    improve `cfg.patience` times, keeping the best-scoring snapshot.
+    iterations, the last round running only the remainder; when validation
+    queries are given, the relatedness score is evaluated and logged after
+    each round and training stops once it has failed to improve
+    `cfg.patience` times, keeping the best-scoring snapshot.
     """
     n = store.n_entities
     skipped = [e for e in range(n) if not counts.trainable(e)]
@@ -281,59 +288,40 @@ def train_all_entities(
         for e in skipped:
             log(f"warning: entity {store.entity_vocab.token(e)} untrainable, skipped")
 
-    for e in trainable:
-        train_entity(e, counts, cfg, store)
+    described = [e for e in trainable if counts.total(e, "description") > 0]
+    for e in sorted(set(trainable) - set(described)):
+        store.set_entity_vec(e, init_entity_vector(entity_rng(cfg.seed, e), store.dim))
+    if described:
+        _Phase(counts, cfg, store, described, "description", cfg.seed).run(
+            cfg.description_iters, init=True)
 
-    # Hyperlink phase, synchronised rounds across entities.
-    with_links = [e for e in trainable if counts.counts_for(e, "hyperlink")]
+    with_links = [e for e in trainable if counts.total(e, "hyperlink") > 0]
     if not with_links or cfg.hyperlink_iters <= 0:
         return skipped
-    neg_words, neg_alias = counts.negative_sampler()
-    states = {}
-    for e in with_links:
-        words, pos_alias = counts.positive_sampler(e, "hyperlink")
-        # fresh adaptive accumulator for the new phase
-        states[e] = (words, pos_alias, _AdagradSphere(store.entity_vec(e).copy(),
-                                                      cfg.learning_rate),
-                     entity_rng(cfg.seed + 1, e))
-    rounds = max(1, -(-cfg.hyperlink_iters // cfg.eval_every))
+    phase = _Phase(counts, cfg, store, with_links, "hyperlink", cfg.seed + 1)
     best_score = -np.inf
     best_vecs = None
     bad_rounds = 0
-    word_mat = store.word_matrix()
-    for _ in range(rounds):
-        for e in with_links:
-            words, pos_alias, opt, rng = states[e]
-            store.set_entity_vec(e, _run_phase(opt, words, pos_alias, neg_words, neg_alias,
-                                               word_mat, cfg, rng, cfg.eval_every))
-        if validation:
-            score = eval_relatedness(validation, store).validation_score
-            if score > best_score:
-                best_score = score
-                best_vecs = store.entity_matrix().copy()
-                bad_rounds = 0
-            else:
-                bad_rounds += 1
-                if bad_rounds >= cfg.patience:
-                    break
-    if validation and best_vecs is not None:
+    for round_, start in enumerate(range(0, cfg.hyperlink_iters, cfg.eval_every), 1):
+        phase.run(min(cfg.eval_every, cfg.hyperlink_iters - start))
+        if not validation:
+            continue
+        score = eval_relatedness(validation, store).validation_score
+        if score > best_score:
+            best_score = score
+            best_vecs = store.entity_matrix().copy()
+            bad_rounds = 0
+        else:
+            bad_rounds += 1
+        if log:
+            log(f"hyperlink round {round_}: relatedness {score:.4f}, "
+                f"best {best_score:.4f}, bad rounds {bad_rounds}/{cfg.patience}")
+        if bad_rounds >= cfg.patience:
+            break
+    if best_vecs is not None:
         for e in range(n):
             store.set_entity_vec(e, best_vecs[e])
     return skipped
-
-
-def empirical_objective(entity: int, z: np.ndarray, counts: CooccurrenceCounts,
-                        cfg: EmbedTrainConfig, word_mat: np.ndarray,
-                        n_pairs: int = 2000, seed: int = 12345,
-                        source: str = "description") -> float:
-    """Average hinge over a fixed held-out sample of (positive, negative) pairs."""
-    rng = np.random.default_rng([seed, entity])
-    words, pos_alias = counts.positive_sampler(entity, source)
-    neg_words, neg_alias = counts.negative_sampler()
-    pos = words[pos_alias.draw(rng, n_pairs)]
-    neg = neg_words[neg_alias.draw(rng, n_pairs)]
-    margins = (word_mat[pos] - word_mat[neg]) @ z
-    return float(np.maximum(0.0, cfg.gamma - margins).mean())
 
 
 # -- relatedness evaluation --------------------------------------------

@@ -125,15 +125,6 @@ class EmbeddingStore:
             self._entities = np.vstack([self._entities, rows])
         return int(ids.size)
 
-    def check_entity_norms(self) -> None:
-        if self._entities.shape[0] == 0:
-            return
-        norms = np.linalg.norm(self._entities, axis=1)
-        bad = np.nonzero(np.abs(norms - 1.0) > ENTITY_NORM_TOL)[0]
-        if bad.size:
-            raise ValidationError(
-                f"entity {int(bad[0])} has norm {norms[bad[0]]:.9f}, expected 1")
-
     def _appended(self, vocab: Vocab, table: np.ndarray, names: list[str], rows,
                   what: str, unit: bool = False) -> np.ndarray:
         """`table` with the checked rows appended, their names added to `vocab`.

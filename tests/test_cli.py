@@ -46,6 +46,29 @@ class TestGenerateAndEmbed:
         assert "MAP=" in out
         assert "validation_score=" in out
 
+    def test_link_rounds_on_stderr_and_seeded_reruns_identical(self, bench, capsys,
+                                                               tmp_path):
+        _, data, _ = bench
+        runs = []
+        for rerun in ("a", "b"):
+            (tmp_path / rerun).mkdir()
+            out = tmp_path / rerun / "entities.txt"
+            assert main(["train-embeddings", "--word-vectors",
+                         str(data / "word_vectors.txt"), "--counts",
+                         str(data / "counts.tsv"), "--link-counts",
+                         str(data / "counts.tsv"), "--queries",
+                         str(data / "queries.tsv"), "--out", str(out),
+                         "--iterations", "30", "--link-iterations", "25",
+                         "--eval-every", "10", "--patience", "5"]) == 0
+            captured = capsys.readouterr()
+            runs.append((captured.out.replace(str(out), "OUT"), out.read_bytes()))
+            rounds = [l for l in captured.err.splitlines()
+                      if l.startswith("hyperlink round")]
+            assert [l.split(":")[0] for l in rounds] == [
+                "hyperlink round 1", "hyperlink round 2", "hyperlink round 3"]
+            assert all(", best " in l and "bad rounds" in l for l in rounds)
+        assert runs[0] == runs[1]
+
 
 @pytest.fixture(scope="module")
 def model(bench):

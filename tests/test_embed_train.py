@@ -1,25 +1,32 @@
-"""Co-occurrence ingestion, hinge objective, per-entity training, relatedness."""
+"""Alias sampling, hinge objective, lockstep entity training, relatedness."""
+
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from embedoracles import (
+    check_entity_norms,
+    empirical_objective,
+    hinge_embed,
+    restricted,
+    train_entity,
+)
 from scipy import stats
 
+from entlink import embed_train
 from entlink.embed_train import (
     AliasSampler,
     CooccurrenceCounts,
     EmbedTrainConfig,
     RelatednessQuery,
     average_precision,
-    empirical_objective,
     entity_rng,
     eval_relatedness,
-    hinge_embed,
-    ingest_counts,
     load_counts_file,
     load_relatedness_queries,
     ndcg_at_k,
     train_all_entities,
-    train_entity,
 )
 from entlink.errors import ValidationError
 from entlink.vectors import EmbeddingStore
@@ -33,60 +40,6 @@ def make_store(n_words=30, dim=8, seed=0, stop=()):
         v = rng.normal(size=dim)
         store.add_word(f"w{i}", v / np.linalg.norm(v))
     return store
-
-
-class TestIngestCounts:
-    def test_description_counting(self):
-        store = make_store(5)
-        entities = Vocab()
-        counts, untrainable = ingest_counts(
-            {"E": ["w0", "w1", "w0"]}, [], window=2,
-            vocab=store.word_vocab, entities=entities)
-        e = entities.id("E")
-        assert counts.description[e][0] == 2
-        assert counts.description[e][1] == 1
-        assert untrainable == []
-
-    def test_hyperlink_window_enumeration(self):
-        # window=2 around the anchor: exactly two tokens each side
-        store = make_store(10)
-        entities = Vocab()
-        tokens = ["w0", "w1", "w2", "w3", "w4", "w5", "w6"]
-        counts, _ = ingest_counts({}, [("E", tokens, 3)], window=2,
-                                  vocab=store.word_vocab, entities=entities)
-        e = entities.id("E")
-        assert dict(counts.hyperlink[e]) == {1: 1, 2: 1, 4: 1, 5: 1}
-
-    def test_window_truncated_at_bounds(self):
-        store = make_store(10)
-        entities = Vocab()
-        counts, _ = ingest_counts({}, [("E", ["w0", "w1", "w2"], 0)], window=5,
-                                  vocab=store.word_vocab, entities=entities)
-        e = entities.id("E")
-        assert dict(counts.hyperlink[e]) == {1: 1, 2: 1}
-
-    def test_stop_words_excluded(self):
-        store = make_store(5, stop=("w1",))
-        entities = Vocab()
-        counts, _ = ingest_counts({"E": ["w0", "w1", "w2"]}, [], window=2,
-                                  vocab=store.word_vocab, entities=entities)
-        e = entities.id("E")
-        assert 1 not in counts.description[e]
-        assert set(counts.description[e]) == {0, 2}
-
-    def test_unknown_tokens_skipped(self):
-        store = make_store(3)
-        entities = Vocab()
-        counts, _ = ingest_counts({"E": ["w0", "mystery"]}, [], window=2,
-                                  vocab=store.word_vocab, entities=entities)
-        assert set(counts.description[entities.id("E")]) == {0}
-
-    def test_zero_token_entity_flagged(self):
-        store = make_store(3, stop=("w0",))
-        entities = Vocab()
-        _, untrainable = ingest_counts({"E": ["w0", "nope"]}, [], window=2,
-                                       vocab=store.word_vocab, entities=entities)
-        assert untrainable == ["E"]
 
 
 class TestHinge:
@@ -126,7 +79,7 @@ class TestTrainEntity:
         cfg = EmbedTrainConfig(description_iters=25, seed=3)
         z = train_entity(0, counts, cfg, store)
         assert abs(np.linalg.norm(z) - 1.0) < 1e-6
-        store.check_entity_norms()
+        check_entity_norms(store)
 
     def test_zero_iterations_keeps_normalized_init(self):
         store = make_store()
@@ -156,11 +109,12 @@ class TestTrainEntity:
         assert cos_in > cos_out
 
     def test_untrainable_entity_rejected(self):
+        # no counts at all: reported as skipped, its row left as it was
         store = make_store()
         store.add_entity("E", np.eye(8)[0])
         counts = CooccurrenceCounts(n_words=store.n_words)
-        with pytest.raises(ValidationError, match="untrainable"):
-            train_entity(0, counts, EmbedTrainConfig(), store)
+        assert train_all_entities(counts, EmbedTrainConfig(), store) == [0]
+        np.testing.assert_array_equal(store.entity_vec(0), np.eye(8)[0])
 
     def test_order_independence(self):
         # per-entity rng streams: training order cannot change the vectors
@@ -177,18 +131,15 @@ class TestTrainEntity:
         np.testing.assert_array_equal(run([0, 1, 2]), run([2, 0, 1]))
 
     def test_objective_trend_decreasing(self):
+        # the vector after 60·i steps: an entity's stream depends only on
+        # (seed, entity, iteration), so each fit continues the previous one
         store = make_store(n_words=40, seed=6)
         store.add_entity("E", np.eye(8)[0])
         counts = cluster_counts(store, {0: [0, 1, 2, 3]})
-        cfg = EmbedTrainConfig(description_iters=60, seed=4)
-        rng = entity_rng(cfg.seed, 0)
-        from entlink.embed_train import init_entity_vector
-        z = init_entity_vector(rng, store.dim)
-        checkpoints = [empirical_objective(0, z, counts, cfg, store.word_matrix())]
-        for _ in range(6):
-            store.set_entity_vec(0, z)
-            z = train_entity(0, counts, cfg, store, iters=60, z=z)
-            checkpoints.append(empirical_objective(0, z, counts, cfg, store.word_matrix()))
+        cfg = EmbedTrainConfig(seed=4)
+        checkpoints = [empirical_objective(0, train_entity(0, counts, cfg, store, iters=60 * i),
+                                           counts, cfg, store.word_matrix())
+                       for i in range(7)]
         xs = np.arange(len(checkpoints))
         slope = np.polyfit(xs, checkpoints, 1)[0]
         assert slope < 0
@@ -200,7 +151,7 @@ class TestNegativeSampling:
         rng = np.random.default_rng(0)
         weights = np.array([5.0, 1.0, 3.0, 1.0])
         sampler = AliasSampler(weights)
-        draws = sampler.draw(rng, 100_000)
+        draws = sampler.lookup(rng.random(100_000))
         observed = np.bincount(draws, minlength=4)
         expected = weights / weights.sum() * draws.size
         _, p = stats.chisquare(observed, expected)
@@ -213,12 +164,54 @@ class TestNegativeSampling:
         counts.word_freq += freqs
         words, sampler = counts.negative_sampler()
         rng = np.random.default_rng(7)
-        draws = words[sampler.draw(rng, 100_000)]
+        draws = words[sampler.lookup(rng.random(100_000))]
         observed = np.bincount(draws, minlength=6)
         q = freqs ** 0.6
         expected = q / q.sum() * draws.size
         _, p = stats.chisquare(observed, expected)
         assert p > 1e-3
+
+
+class TestAliasLookup:
+    @pytest.mark.parametrize("weights", [[5.0, 1.0, 3.0, 1.0], [0.0, 2.0, 0.0, 1.0, 7.0],
+                                         [4.0], [0.0, 0.0, 3.0], [1e-3, 1.0, 1e3]])
+    def test_frequencies_within_four_sigma(self, weights):
+        # a zero weight is never drawn and a single outcome always is
+        w = np.asarray(weights)
+        n = 200_000
+        draws = AliasSampler(w).lookup(np.random.default_rng(17).random(n))
+        observed = np.bincount(draws, minlength=w.size)
+        assert observed.size == w.size
+        p = w / w.sum()
+        sigma = np.sqrt(n * p * (1 - p))
+        assert np.all(np.abs(observed - n * p) <= 4 * sigma), (observed, n * p)
+
+    def test_flat_laws_stay_in_their_cells(self):
+        laws = [np.array([1.0, 3.0]), np.array([0.0, 0.0, 5.0]), np.array([2.0, 2.0, 1.0, 0.0])]
+        sampler = AliasSampler(*laws)
+        n = 200_000
+        u = np.random.default_rng(5).random((len(laws), n))
+        cells = sampler.lookup(u, np.arange(len(laws))[:, None])
+        for i, w in enumerate(laws):
+            lo = sampler.offset[i]
+            assert np.all((cells[i] >= lo) & (cells[i] < lo + w.size))
+            observed = np.bincount(cells[i] - lo, minlength=w.size)
+            p = w / w.sum()
+            assert np.all(np.abs(observed - n * p) <= 4 * np.sqrt(n * p * (1 - p)))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 1000, 99_991])
+    def test_largest_uniform_maps_to_last_cell(self, size):
+        top = np.nextafter(1.0, 0.0)
+        sampler = AliasSampler(np.ones(size), np.arange(1.0, size + 1))
+        cells = sampler.lookup(np.array([top, top, 0.0]), np.array([0, 1, 1]))
+        assert cells[0] == size - 1                    # uniform law: no alias
+        assert size <= cells[1] < 2 * size
+        assert cells[2] >= size                        # law 1 starts at its offset
+
+    def test_bad_weights_rejected(self):
+        for weights in ([], [0.0, 0.0], [1.0, -1.0]):
+            with pytest.raises(ValidationError):
+                AliasSampler(np.array(weights))
 
 
 class TestRelatedness:
@@ -300,6 +293,88 @@ class TestTrainAll:
         assert skipped == [1]
         assert any("untrainable" in m for m in messages)
 
+    def test_zero_count_source_is_skipped(self):
+        # a counts file may hold zero counts: that source has no law to draw
+        # from, and the entity trains on its other source alone
+        store = make_store(n_words=6, dim=8)
+        store.add_entity("A", np.eye(8)[0])
+        counts = cluster_counts(store, {})
+        counts.add(counts.description, 0, 1, 0)
+        counts.add(counts.hyperlink, 0, 2, 3)
+        cfg = EmbedTrainConfig(description_iters=5, hyperlink_iters=5, seed=1)
+        assert train_all_entities(counts, cfg, store) == []
+        assert not np.array_equal(store.entity_vec(0), np.eye(8)[0])
+        check_entity_norms(store)
+
+
+def linked_counts(store):
+    """Description and hyperlink counts for three entities."""
+    counts = cluster_counts(store, {0: [0, 1, 2], 1: [3, 4, 5], 2: [6, 7, 8]})
+    for e, words in {0: [1, 9], 1: [4, 10, 11], 2: [7, 12]}.items():
+        for w in words:
+            counts.add(counts.hyperlink, e, w, 3)
+    return counts
+
+
+LINKED = EmbedTrainConfig(description_iters=40, hyperlink_iters=30, eval_every=7, seed=11)
+
+
+def fit_groups(groups, cfg=LINKED, validation=None, log=None):
+    """Entity matrix after training each group of entities in turn."""
+    store = make_store(seed=2)
+    for i in range(3):
+        store.add_entity(f"E{i}", np.eye(8)[i])
+    counts = linked_counts(store)
+    for group in groups:
+        train_all_entities(restricted(counts, group), cfg, store,
+                           validation=validation, log=log)
+    return store.entity_matrix().copy()
+
+
+class TestLockstep:
+    def test_batch_membership_and_order(self):
+        together = fit_groups([[0, 1, 2]])
+        assert not np.array_equal(together[:, :3], np.eye(8)[:3, :3])
+        np.testing.assert_array_equal(fit_groups([[0], [1], [2]]), together)
+        np.testing.assert_array_equal(fit_groups([[2], [1], [0]]), together)
+
+    def test_block_size_and_draw_chunks(self, monkeypatch):
+        together = fit_groups([[0, 1, 2]])
+        monkeypatch.setattr(embed_train, "BLOCK_BYTES", 1)      # one entity per block
+        np.testing.assert_array_equal(fit_groups([[0, 1, 2]]), together)
+        monkeypatch.setattr(embed_train, "CHUNK_ITERS", 3)      # uniforms drawn 3 steps at a time
+        np.testing.assert_array_equal(fit_groups([[0, 1, 2]]), together)
+
+    def test_last_round_runs_only_the_remainder(self):
+        # without validation queries the rounds only split the steps
+        def fit(iters, every):
+            return fit_groups([[0, 1, 2]], replace(LINKED, hyperlink_iters=iters,
+                                                   eval_every=every))
+
+        ref = fit(120, 120)
+        for every in (7, 50):
+            np.testing.assert_array_equal(fit(120, every), ref)
+        assert not np.array_equal(fit(150, 50), ref)
+
+    def test_validation_rounds_logged(self):
+        queries = [RelatednessQuery(target=0, candidates=[(1, 1), (2, 0)]),
+                   RelatednessQuery(target=1, candidates=[(2, 1), (0, 0)])]
+        messages = []
+        cfg = replace(LINKED, patience=10)
+        fit_groups([[0, 1, 2]], cfg, validation=queries, log=messages.append)
+        rounds = [m for m in messages if m.startswith("hyperlink round")]
+        assert len(rounds) == 5                            # 7 + 7 + 7 + 7 + 2 steps
+        best, bad = -np.inf, 0
+        for r, line in enumerate(rounds, 1):
+            got = re.fullmatch(r"hyperlink round (\d+): relatedness (\S+), "
+                               r"best (\S+), bad rounds (\d+)/10", line)
+            assert got, line
+            score = float(got[2])
+            bad = 0 if score > best else bad + 1
+            best = max(best, score)
+            assert int(got[1]) == r
+            assert got[3] == f"{best:.4f}"
+            assert int(got[4]) == bad
 
 class TestFileFormats:
     def test_counts_round_trip(self, tmp_path):

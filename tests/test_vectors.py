@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from embedoracles import check_entity_norms
 
 from entlink.errors import ValidationError
 from entlink.vectors import (
@@ -141,7 +142,7 @@ class TestRoundTrips:
         save_vectors_binary(str(p1), [f"E{i}" for i in range(4)], vecs)
         store = EmbeddingStore(6)
         load_entity_vectors(str(p1), store, fmt="binary")
-        store.check_entity_norms()
+        check_entity_norms(store)
         p2 = tmp_path / "e2.bin"
         save_vectors_binary(str(p2), [store.entity_vocab.token(i) for i in range(4)],
                             store.entity_matrix())
@@ -179,7 +180,7 @@ class TestEntityInvariants:
         store = EmbeddingStore(3)
         store.add_entity("E0", np.array([1.0, 0.0, 0.0]))
         store.set_entity_vec(0, np.array([0.0, 1.0, 0.0]))
-        store.check_entity_norms()
+        check_entity_norms(store)
 
     def test_out_of_range_ids(self):
         store = EmbeddingStore(2)
