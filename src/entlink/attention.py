@@ -139,17 +139,10 @@ class LocalParams:
             setattr(self.fnet, name, params[f"f.{name}"])
 
 
-def support_scores(cand_vecs: np.ndarray, ctx_vecs: np.ndarray,
-                   a: np.ndarray) -> np.ndarray:
-    """Per-word support u(w) = max over candidates of x_e^T diag(a) x_w."""
-    if cand_vecs.shape[0] == 0 or ctx_vecs.shape[0] == 0:
-        raise ValidationError("nothing to score: empty candidate set or context")
-    return _support(cand_vecs, ctx_vecs, a)[0]
-
-
 def _support(cand_vecs: np.ndarray, ctx_vecs: np.ndarray,
              a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Support per word and the first candidate row attaining it."""
+    """Support per word, u(w) = max over candidates of x_e^T diag(a) x_w, and
+    the first candidate row attaining it."""
     scores = (cand_vecs * a) @ ctx_vecs.T
     rows = scores.argmax(axis=0)
     return scores[rows, np.arange(scores.shape[1])], rows

@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .attention import LocalParams, predict_local
+from .attention import predict_local
 from .crf import GlobalParams, predict_global
-from .docs import build_context_windows, load_corpus, resolve_gold
+from .docs import Corpus, load_corpus
 from .embed_train import (
     EmbedTrainConfig,
     eval_relatedness,
@@ -30,9 +31,12 @@ from .embed_train import (
 from .errors import ValidationError
 from .experiment import (
     ExperimentConfig,
+    fit,
     parse_config_file,
     run_experiment,
     run_sweep,
+    select_all_candidates,
+    stage_objects,
     write_sweep_outputs,
 )
 from .metrics import breakdown_report, evaluate
@@ -40,17 +44,14 @@ from .model_io import load_model, save_model
 from .priors import (
     PriorSource,
     build_prior,
-    coref_person_merge,
     gold_recall,
     load_count_index,
     load_person_predicate,
     load_prior,
     load_uniform_index,
     save_prior,
-    select_candidates,
 )
-from .synthetic import SyntheticSpec, generate_synthetic, write_synthetic
-from .training import TrainConfig, train_global, train_local
+from .synthetic import DATA_FILES, generate_synthetic, write_synthetic
 from .vectors import (
     EmbeddingStore,
     load_entity_vectors,
@@ -64,24 +65,17 @@ from .vocab import load_stop_words, load_word_frequencies, read_counts
 DATA_ENV = "ENTLINK_DATA_DIR"
 
 
-def _data_path(args, name: str, flag_value: str | None) -> str:
-    if flag_value:
-        return flag_value
+def _data_path(args, flag: str, key: str | None = None) -> str:
+    """The path flag `flag` gives, else the data directory's `key` file
+    (`DATA_FILES`; `key` defaults to `flag`)."""
+    if getattr(args, flag):
+        return getattr(args, flag)
     base = getattr(args, "data_dir", None) or os.environ.get(DATA_ENV)
     if not base:
         raise ValidationError(
-            f"missing --{name.replace('_', '-')} and no data directory "
+            f"missing --{flag.replace('_', '-')} and no data directory "
             f"(--data-dir or ${DATA_ENV})")
-    defaults = {
-        "train": "corpus_train.jsonl",
-        "val": "corpus_validation.jsonl",
-        "corpus": "corpus_test.jsonl",
-        "word_vectors": "word_vectors.txt",
-        "prior": "prior.tsv",
-        "counts": "counts.tsv",
-        "queries": "queries.tsv",
-    }
-    return str(Path(base) / defaults[name])
+    return str(Path(base) / DATA_FILES[key or flag])
 
 
 def _parse(kind: type, raw: str, where: str):
@@ -92,31 +86,34 @@ def _parse(kind: type, raw: str, where: str):
         raise ValidationError(f"{where}: expected {kind.__name__}, got {raw!r}") from exc
 
 
+def _config(args, **fixed) -> ExperimentConfig:
+    """The experiment config a command's flags set: each flag whose
+    destination is a config field sets it, other fields keep their defaults."""
+    names = {f.name for f in fields(ExperimentConfig)} - {"data_dir"}
+    return ExperimentConfig(**{n: getattr(args, n) for n in names if hasattr(args, n)},
+                            **fixed)
+
+
 def _load_store(args) -> EmbeddingStore:
     stop = load_stop_words(args.stopwords) if getattr(args, "stopwords", None) else None
-    store = load_word_vectors(_data_path(args, "word_vectors", args.word_vectors),
+    store = load_word_vectors(_data_path(args, "word_vectors"),
                               fmt=args.vector_format, stop_words=stop)
     if getattr(args, "entities", None):
         load_entity_vectors(args.entities, store, fmt=args.vector_format)
     return store
 
 
-def _prepare_corpus(args, store, path: str, split: str):
-    corpus = load_corpus(path, fmt=args.corpus_format, split=split)
-    resolve_gold(corpus, store.entity_vocab)
-    build_context_windows(corpus, store.word_vocab, k=args.k)
-    prior = load_prior(_data_path(args, "prior", args.prior), store.entity_vocab)
+def _candidate_corpora(args, cfg: ExperimentConfig, store,
+                       paths: dict[str, str]) -> dict[str, Corpus]:
+    """The corpus at each split's path, through the experiment's candidate stage."""
+    prior = load_prior(_data_path(args, "prior"), store.entity_vocab)
+    is_person = (load_person_predicate(args.persons, store.entity_vocab)
+                 if args.persons else None)
     store.sync_entities()
-    for doc in corpus:
-        for mention in doc.mentions:
-            mention.candidates = select_candidates(
-                mention.surface, mention.context or [], prior, store,
-                s=args.s, prior_top=args.prior_top, context_top=args.context_top)
-    if getattr(args, "persons", None):
-        is_person = load_person_predicate(args.persons, store.entity_vocab)
-        for doc in corpus:
-            coref_person_merge(doc, prior, is_person, s=args.s)
-    return corpus
+    corpora = {split: load_corpus(path, fmt=args.corpus_format, split=split)
+               for split, path in paths.items()}
+    select_all_candidates(cfg, corpora.values(), store, prior, is_person)
+    return corpora
 
 
 def _add_vector_flags(p):
@@ -126,27 +123,30 @@ def _add_vector_flags(p):
     p.add_argument("--stopwords", help="stop-word list, one token per line")
 
 
-def _add_candidate_flags(p):
+def _add_candidate_flags(p, context_size: bool = True):
     p.add_argument("--prior", help="prior index file")
     p.add_argument("--s", type=int, default=7, help="candidate budget")
     p.add_argument("--prior-top", type=int, default=4)
     p.add_argument("--context-top", type=int, default=3)
     p.add_argument("--persons", help="entity<TAB>is_person file for coref merging")
-    p.add_argument("--k", type=int, default=100, help="context window size")
+    if context_size:
+        p.add_argument("--k", type=int, default=100, help="context window size")
     p.add_argument("--corpus-format", choices=("json-lines", "column-text"),
                    default="json-lines")
 
 
 def _add_train_flags(p, local: bool):
+    kind = "local" if local else "global"
     p.add_argument("--train", help="training corpus")
     p.add_argument("--val", help="validation corpus")
     p.add_argument("--out", required=True, help="model output path")
-    p.add_argument("--r", type=int, default=50 if local else 25,
+    p.add_argument("--r", dest=f"{kind}_r", type=int, default=50 if local else 25,
                    help="hard-attention budget")
     p.add_argument("--hidden", type=int, default=100)
     p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--lr", type=float, default=1e-3 if local else 1e-4)
-    p.add_argument("--epochs", type=int, default=100)
+    p.add_argument("--lr", dest=f"{kind}_lr", type=float,
+                   default=1e-3 if local else 1e-4)
+    p.add_argument("--epochs", dest=f"{kind}_epochs", type=int, default=100)
     p.add_argument("--eval-every", type=int, default=5)
     p.add_argument("--patience", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb-size", type=int, default=200)
     p.add_argument("--words-per-entity", type=int, default=8)
     p.add_argument("--vocab-size", type=int, default=1400)
-    p.add_argument("--docs", type=int, default=160)
+    p.add_argument("--docs", dest="n_docs", type=int, default=160)
     p.add_argument("--mentions-per-doc", type=int, default=6)
     p.add_argument("--ambiguity", type=int, default=4)
     p.add_argument("--coherence", type=float, default=0.9)
@@ -193,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--link-iterations", type=int, default=200)
     p.add_argument("--positives", type=int, default=20)
     p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--window", type=int, default=20)
     p.add_argument("--eval-every", type=int, default=50)
     p.add_argument("--patience", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -235,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="annotate a corpus with a trained model")
     _add_vector_flags(p)
-    _add_candidate_flags(p)
+    _add_candidate_flags(p, context_size=False)  # K is the model's
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", help="corpus file")
     p.add_argument("--out", required=True, help="predictions output file")
@@ -294,13 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    spec = SyntheticSpec(
-        kb_size=args.kb_size, words_per_entity=args.words_per_entity,
-        vocab_size=args.vocab_size, n_docs=args.docs,
-        mentions_per_doc=args.mentions_per_doc, ambiguity=args.ambiguity,
-        coherence=args.coherence, noise_rate=args.noise_rate, seed=args.seed,
-        n_topics=args.n_topics, dim=args.dim, ctx_per_side=args.ctx_per_side,
-        weak_context_rate=args.weak_context_rate)
+    spec = stage_objects(_config(args), args.dim)["generate"]
     data = generate_synthetic(spec)
     paths = write_synthetic(data, args.out)
     # containment of the gold entity in the top-7 prior mass, before any
@@ -320,10 +313,10 @@ def cmd_generate(args) -> int:
 
 def cmd_train_embeddings(args) -> int:
     store = load_word_vectors(
-        _data_path(args, "word_vectors", args.word_vectors),
+        _data_path(args, "word_vectors"),
         fmt=args.vector_format,
         stop_words=load_stop_words(args.stopwords) if args.stopwords else None)
-    counts = load_counts_file(_data_path(args, "counts", args.counts),
+    counts = load_counts_file(_data_path(args, "counts"),
                               store.word_vocab, store.entity_vocab,
                               alpha=args.alpha)
     if args.link_counts:
@@ -340,7 +333,7 @@ def cmd_train_embeddings(args) -> int:
         gamma=args.gamma, positives_per_iter=args.positives,
         negatives_per_positive=args.negatives, learning_rate=args.lr,
         description_iters=args.iterations, hyperlink_iters=args.link_iterations,
-        window=args.window, seed=args.seed, eval_every=args.eval_every,
+        seed=args.seed, eval_every=args.eval_every,
         patience=args.patience)
     skipped = train_all_entities(counts, cfg, store, validation=queries,
                                  log=lambda m: print(m, file=sys.stderr))
@@ -371,7 +364,7 @@ def _entity_store_from_file(path: str, fmt: str) -> EmbeddingStore:
 def cmd_eval_relatedness(args) -> int:
     store = _entity_store_from_file(args.entities, args.vector_format)
     queries = load_relatedness_queries(
-        _data_path(args, "queries", args.queries), store.entity_vocab)
+        _data_path(args, "queries"), store.entity_vocab)
     store.sync_entities()
     res = eval_relatedness(queries, store)
     print(f"queries={res.n_queries} excluded={res.excluded}")
@@ -407,9 +400,10 @@ def cmd_build_prior(args) -> int:
 
 
 def cmd_select_candidates(args) -> int:
+    cfg = _config(args)
     store = _load_store(args)
-    corpus = _prepare_corpus(args, store,
-                             _data_path(args, "corpus", args.corpus), "input")
+    corpus = _candidate_corpora(args, cfg, store,
+                                {"input": _data_path(args, "corpus", "test")})["input"]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("doc\tmention\tentity\tprior\treason\n")
         for doc in corpus:
@@ -424,49 +418,41 @@ def cmd_select_candidates(args) -> int:
     return 0
 
 
-def _run_training(args, local: bool) -> int:
+def _run_training(args, stage: str) -> int:
+    cfg = _config(args)
     store = _load_store(args)
-    train = _prepare_corpus(args, store, _data_path(args, "train", args.train),
-                            "train")
-    val = _prepare_corpus(args, store, _data_path(args, "val", args.val),
-                          "validation")
-    tcfg = TrainConfig(gamma=args.gamma, learning_rate=args.lr,
-                       epochs=args.epochs, eval_every=args.eval_every,
-                       patience=args.patience, seed=args.seed)
-    if local:
-        params = LocalParams.init(store.dim, hidden=args.hidden, k=args.k,
-                                  r=args.r)
-        history = train_local(params, train, val, store, tcfg)
-    else:
-        params = GlobalParams.init(store.dim, hidden=args.hidden, k=args.k,
-                                   r=args.r, delta=args.delta, t=args.t)
-        history = train_global(params, train, val, store, tcfg)
-    save_model(args.out, params, extra={"gamma": args.gamma, "seed": args.seed,
+    corpora = _candidate_corpora(args, cfg, store, {
+        "train": _data_path(args, "train"),
+        "validation": _data_path(args, "val", "validation")})
+    params, history = fit(cfg, stage, store, corpora)
+    save_model(args.out, params, extra={"gamma": cfg.gamma, "seed": cfg.seed,
                                         "epochs_run": history.epochs_run})
-    print(f"trained {'local' if local else 'global'} model: "
+    print(f"trained {stage.removeprefix('train-')} model: "
           f"epochs={history.epochs_run} "
           f"best_val_accuracy={history.best_val_accuracy:.4f} -> {args.out}")
     return 0
 
 
 def cmd_train_local(args) -> int:
-    return _run_training(args, local=True)
+    return _run_training(args, "train-local")
 
 
 def cmd_train_global(args) -> int:
-    return _run_training(args, local=False)
+    return _run_training(args, "train-global")
 
 
 def cmd_predict(args) -> int:
     params = load_model(args.model)
+    is_global = isinstance(params, GlobalParams)
+    local = params.local if is_global else params
     store = _load_store(args)
-    dim = (params.local if isinstance(params, GlobalParams) else params).a.shape[0]
+    dim = local.a.shape[0]
     if dim != store.dim:
         raise ValidationError(f"{args.model}: model dimension {dim} does not match "
                               f"the word vectors' {store.dim}")
-    corpus = _prepare_corpus(args, store,
-                             _data_path(args, "corpus", args.corpus), "input")
-    is_global = isinstance(params, GlobalParams)
+    # context windows of the model's own K
+    corpus = _candidate_corpora(args, _config(args, k=local.k), store,
+                                {"input": _data_path(args, "corpus", "test")})["input"]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("doc\tmention\tentity\n")
         for doc in corpus:
@@ -497,7 +483,7 @@ def _read_predictions(path: str) -> dict[tuple[str, int], str]:
 
 
 def _aligned_eval_inputs(args, preds_by_key):
-    corpus = load_corpus(_data_path(args, "corpus", args.corpus),
+    corpus = load_corpus(_data_path(args, "corpus", "test"),
                          fmt=args.corpus_format, split="test")
     preds: list[int | None] = []
     golds: list[int | None] = []
@@ -534,7 +520,7 @@ def cmd_breakdown(args) -> int:
     from .vocab import Vocab
 
     entities = Vocab()
-    prior = load_prior(_data_path(args, "prior", args.prior), entities)
+    prior = load_prior(_data_path(args, "prior"), entities)
     freq = dict(read_counts(args.freq)) if args.freq else {}
     gold_priors, gold_freqs, in_cands = [], [], []
     for (_, _, mention) in rows:
@@ -563,8 +549,6 @@ def _experiment_config(args) -> ExperimentConfig:
         values[key.strip()] = value.strip()
     cfg = ExperimentConfig.from_dict(values)
     if getattr(args, "out", None):
-        from dataclasses import replace
-
         cfg = replace(cfg, out_dir=args.out)
     return cfg
 
@@ -593,7 +577,7 @@ def cmd_run_experiment(args) -> int:
 def cmd_inspect_neighbors(args) -> int:
     store = _entity_store_from_file(args.entities, args.vector_format)
     words = load_word_vectors(
-        _data_path(args, "word_vectors", args.word_vectors),
+        _data_path(args, "word_vectors"),
         fmt=args.vector_format)
     # rebuild a combined store: words plus the entity table
     combined = EmbeddingStore(words.dim, word_vocab=words.word_vocab)

@@ -66,20 +66,6 @@ class Corpus:
         return sum(len(d.mentions) for d in self.documents)
 
 
-@dataclass
-class CorpusStats:
-    n_docs: int
-    n_mentions: int
-    mentions_per_doc: float
-
-
-def corpus_stats(corpus: Corpus) -> CorpusStats:
-    n_docs = len(corpus)
-    n_mentions = corpus.n_mentions
-    per_doc = n_mentions / n_docs if n_docs else 0.0
-    return CorpusStats(n_docs=n_docs, n_mentions=n_mentions, mentions_per_doc=per_doc)
-
-
 def load_corpus(path: str, fmt: str = "json-lines", split: str = "train") -> Corpus:
     if fmt == "json-lines":
         docs = _load_jsonl(path)

@@ -157,14 +157,13 @@ class EmbedTrainConfig:
     learning_rate: float = 0.3
     description_iters: int = 400
     hyperlink_iters: int = 200
-    window: int = 20
     seed: int = 0
     eval_every: int = 50       # hyperlink-phase iterations between validations
     patience: int = 3          # non-improving validations before stopping
 
     def __post_init__(self):
         for name in ("gamma", "positives_per_iter", "negatives_per_positive",
-                     "learning_rate", "window", "eval_every", "patience"):
+                     "learning_rate", "eval_every", "patience"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
         if self.description_iters < 0 or self.hyperlink_iters < 0:

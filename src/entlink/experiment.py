@@ -6,7 +6,9 @@ train the local and global models, evaluate everything and write the
 report artifacts.  With a fixed seed, reruns are byte-identical: every
 random draw comes from a seeded stream, one per entity for the entity
 vectors.  A config is checked when built (`stage_objects`); every model
-reads documents through `attention.doc_instances`, once per split.
+reads documents through `attention.doc_instances`, once per split.  The
+CLI's commands build their objects through the same stages
+(`stage_objects`, `select_all_candidates`, `fit`).
 
 Artifacts: ``metrics.tsv`` (machine readable), ``report.txt`` (rendered
 tables), ``attention.tsv`` (per-mention attended words, weight-sorted),
@@ -17,6 +19,7 @@ two trained model files.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -35,8 +38,9 @@ from .embed_train import (
 from .errors import ValidationError
 from .metrics import breakdown_report, evaluate
 from .model_io import save_model
-from .priors import candidate_settings, gold_recall, load_prior, select_candidates
-from .synthetic import SyntheticSpec, generate_synthetic
+from .priors import (candidate_settings, coref_person_merge, gold_recall, load_prior,
+                     select_candidates)
+from .synthetic import DATA_FILES, SyntheticSpec, generate_synthetic
 from .training import (
     TrainConfig,
     accuracy,
@@ -50,7 +54,10 @@ from .vectors import load_word_vectors
 
 @dataclass
 class ExperimentConfig:
-    """Every pipeline knob; mirrors the CLI flags one to one."""
+    """Every pipeline knob.  The CLI's stage commands build one from their
+    flags, which keep their own defaults: a flag sets the field of its name,
+    `--docs` sets `n_docs`, and `--r`/`--lr`/`--epochs` set `local_*` or
+    `global_*` by command."""
 
     seed: int = 0
     out_dir: str = "run"
@@ -95,13 +102,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         stage_objects(self, self.dim)
-
-    @classmethod
-    def from_file(cls, path: str, overrides: dict | None = None) -> "ExperimentConfig":
-        values = parse_config_file(path)
-        if overrides:
-            values.update(overrides)
-        return cls.from_dict(values)
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
@@ -149,27 +149,21 @@ class StageFailure(ValidationError):
     pass
 
 
+@contextmanager
 def _stage(name: str):
-    def wrap(fn):
-        def run(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except StageFailure:
-                raise
-            except Exception as exc:
-                raise StageFailure(f"stage {name} failed: {exc}") from exc
-        return run
-    return wrap
+    """A failure inside becomes a StageFailure naming the stage (also a decorator)."""
+    try:
+        yield
+    except StageFailure:
+        raise
+    except Exception as exc:
+        raise StageFailure(f"stage {name} failed: {exc}") from exc
 
 
 def synthetic_spec_from(cfg: ExperimentConfig) -> SyntheticSpec:
-    return SyntheticSpec(
-        kb_size=cfg.kb_size, words_per_entity=cfg.words_per_entity,
-        vocab_size=cfg.vocab_size, n_docs=cfg.n_docs,
-        mentions_per_doc=cfg.mentions_per_doc, ambiguity=cfg.ambiguity,
-        coherence=cfg.coherence, noise_rate=cfg.noise_rate, seed=cfg.seed,
-        n_topics=cfg.n_topics, dim=cfg.dim, ctx_per_side=cfg.ctx_per_side,
-        weak_context_rate=cfg.weak_context_rate)
+    """The spec of the config fields that share a `SyntheticSpec` field's name."""
+    return SyntheticSpec(**{f.name: getattr(cfg, f.name) for f in fields(SyntheticSpec)
+                            if hasattr(cfg, f.name)})
 
 
 def stage_objects(cfg: ExperimentConfig, dim: int) -> dict:
@@ -209,18 +203,16 @@ def _check_disjoint_splits(corpora: dict[str, Corpus]) -> None:
 @_stage("generate")
 def _load_or_generate(cfg: ExperimentConfig) -> PreparedData:
     if cfg.data_dir:
-        base = Path(cfg.data_dir)
-        store = load_word_vectors(str(base / "word_vectors.txt"))
-        counts = load_counts_file(str(base / "counts.tsv"), store.word_vocab,
+        path = {key: str(Path(cfg.data_dir) / name) for key, name in DATA_FILES.items()}
+        store = load_word_vectors(path["word_vectors"])
+        counts = load_counts_file(path["counts"], store.word_vocab,
                                   store.entity_vocab, alpha=cfg.alpha)
-        prior = load_prior(str(base / "prior.tsv"), store.entity_vocab)
+        prior = load_prior(path["prior"], store.entity_vocab)
         store.sync_entities()
-        corpora = {split: load_corpus(str(base / f"corpus_{split}.jsonl"),
-                                      split=split)
+        corpora = {split: load_corpus(path[split], split=split)
                    for split in ("train", "validation", "test")}
         _check_disjoint_splits(corpora)
-        queries = load_relatedness_queries(str(base / "queries.tsv"),
-                                           store.entity_vocab)
+        queries = load_relatedness_queries(path["queries"], store.entity_vocab)
         return PreparedData(store=store, prior=prior, corpora=corpora,
                             queries=queries, signatures=None,
                             entity_freq={}, counts=counts)
@@ -238,34 +230,38 @@ def _train_embeddings(cfg: ExperimentConfig, prepared: PreparedData):
     prepared.relatedness = eval_relatedness(prepared.queries, prepared.store)
 
 
-@_stage("candidates")
-def _select_all_candidates(cfg: ExperimentConfig, prepared: PreparedData):
-    store = prepared.store
-    budget = stage_objects(cfg, store.dim)["candidates"]
-    for corpus in prepared.corpora.values():
+def select_all_candidates(cfg: ExperimentConfig, corpora, store, prior,
+                          is_person=None) -> None:
+    """The candidate stage, in place: gold ids, `cfg.k`-word context windows,
+    candidate sets, then the person coreference merge if `is_person` is given."""
+    settings = stage_objects(cfg, store.dim)["candidates"]
+    for corpus in corpora:
         resolve_gold(corpus, store.entity_vocab)
         build_context_windows(corpus, store.word_vocab, k=cfg.k)
         for doc in corpus:
             for mention in doc.mentions:
                 mention.candidates = select_candidates(
-                    mention.surface, mention.context or [], prepared.prior,
-                    store, **budget)
+                    mention.surface, mention.context or [], prior, store, **settings)
+            if is_person is not None:
+                coref_person_merge(doc, is_person, s=cfg.s)
 
 
-@_stage("train-local")
-def _fit_local(cfg: ExperimentConfig, prepared: PreparedData) -> LocalParams:
-    params, tcfg = stage_objects(cfg, prepared.store.dim)["train-local"]
-    train_local(params, prepared.corpora["train"], prepared.corpora["validation"],
-                prepared.store, tcfg)
-    return params
+def prepare(cfg: ExperimentConfig) -> PreparedData:
+    """The generate (or load), embeddings and candidates stages of every run."""
+    prepared = _load_or_generate(cfg)
+    _train_embeddings(cfg, prepared)
+    with _stage("candidates"):
+        select_all_candidates(cfg, prepared.corpora.values(), prepared.store,
+                              prepared.prior)
+    return prepared
 
 
-@_stage("train-global")
-def _fit_global(cfg: ExperimentConfig, prepared: PreparedData) -> GlobalParams:
-    params, tcfg = stage_objects(cfg, prepared.store.dim)["train-global"]
-    train_global(params, prepared.corpora["train"], prepared.corpora["validation"],
-                 prepared.store, tcfg)
-    return params
+def fit(cfg: ExperimentConfig, stage: str, store, corpora: dict[str, Corpus]):
+    """The model of `stage` ("train-local" or "train-global") built from `cfg`
+    and trained on `corpora["train"]` and `["validation"]`, and its history."""
+    params, tcfg = stage_objects(cfg, store.dim)[stage]
+    trainer = train_local if stage == "train-local" else train_global
+    return params, trainer(params, corpora["train"], corpora["validation"], store, tcfg)
 
 
 @_stage("evaluate")
@@ -379,11 +375,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    prepared = _load_or_generate(cfg)
-    _train_embeddings(cfg, prepared)
-    _select_all_candidates(cfg, prepared)
-    local = _fit_local(cfg, prepared)
-    global_ = _fit_global(cfg, prepared)
+    prepared = prepare(cfg)
+    with _stage("train-local"):
+        local, _ = fit(cfg, "train-local", prepared.store, prepared.corpora)
+    with _stage("train-global"):
+        global_, _ = fit(cfg, "train-global", prepared.store, prepared.corpora)
     metrics, test_global = _evaluate_models(cfg, prepared, local, global_)
 
     rows = attention_dump(prepared.corpora["test"], local, prepared.store)
@@ -450,8 +446,8 @@ def run_sweep(cfg: ExperimentConfig, param: str, values: list[float],
     bad = [v for v in values if cast is int and not float(v).is_integer()]
     if bad:
         raise ValidationError(f"{param} takes integers, got {bad[0]:g}")
-    fit, predict = ((_fit_local, predict_local) if param == "local_r"
-                    else (_fit_global, predict_global))
+    stage, predict = (("train-local", predict_local) if param == "local_r"
+                      else ("train-global", predict_global))
     # every point's config is built, and so checked, before any training
     grid = [[replace(cfg, seed=seed, **{param: cast(value)})
              for seed in seeds] for value in values]
@@ -459,10 +455,9 @@ def run_sweep(cfg: ExperimentConfig, param: str, values: list[float],
     for value, subs in zip(values, grid):
         accs = []
         for sub in subs:
-            prepared = _load_or_generate(sub)
-            _train_embeddings(sub, prepared)
-            _select_all_candidates(sub, prepared)
-            model = fit(sub, prepared)
+            prepared = prepare(sub)
+            with _stage(stage):
+                model, _ = fit(sub, stage, prepared.store, prepared.corpora)
             accs.append(accuracy(prepared.corpora["test"],
                                  lambda d: predict(d, model, prepared.store)))
         rows.append({"value": value, "accuracies": accs,

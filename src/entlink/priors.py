@@ -225,8 +225,7 @@ def _contains_subsequence(haystack: list[str], needle: list[str]) -> bool:
     return False
 
 
-def coref_person_merge(doc, prior: PriorIndex, is_person,
-                       s: int = DEFAULT_S) -> int:
+def coref_person_merge(doc, is_person, s: int = DEFAULT_S) -> int:
     """Let short person mentions inherit containing person mentions' candidates.
 
     For each mention whose top-prior candidate is a person: if other

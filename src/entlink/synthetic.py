@@ -32,6 +32,21 @@ NOISE_POOL_MIN = 50
 PRIOR_RATIO = 0.55       # prior mass of rank k+1 relative to rank k
 PRIOR_SCALE = 1500       # skew masses are materialised as integer counts
 
+# The data-directory layout: what each file holds -> its name.  The generator
+# writes it, and the CLI and `run_experiment` read corpora and resources from it.
+DATA_FILES = {
+    "word_vectors": "word_vectors.txt",
+    "counts": "counts.tsv",
+    "word_freq": "word_freq.tsv",
+    "prior": "prior.tsv",
+    "queries": "queries.tsv",
+    "signatures": "signatures.tsv",
+    "entity_freq": "entity_freq.tsv",
+    "train": "corpus_train.jsonl",
+    "validation": "corpus_validation.jsonl",
+    "test": "corpus_test.jsonl",
+}
+
 
 @dataclass
 class SyntheticSpec:
@@ -289,18 +304,7 @@ def write_synthetic(data: SyntheticData, out_dir: str) -> dict[str, str]:
     out.mkdir(parents=True, exist_ok=True)
     store = data.store
     words = [store.word_vocab.token(i) for i in range(store.n_words)]
-    paths = {
-        "word_vectors": str(out / "word_vectors.txt"),
-        "counts": str(out / "counts.tsv"),
-        "word_freq": str(out / "word_freq.tsv"),
-        "prior": str(out / "prior.tsv"),
-        "queries": str(out / "queries.tsv"),
-        "signatures": str(out / "signatures.tsv"),
-        "entity_freq": str(out / "entity_freq.tsv"),
-        "train": str(out / "corpus_train.jsonl"),
-        "validation": str(out / "corpus_validation.jsonl"),
-        "test": str(out / "corpus_test.jsonl"),
-    }
+    paths = {key: str(out / name) for key, name in DATA_FILES.items()}
     save_vectors_text(paths["word_vectors"], words, store.word_matrix())
     entities = store.entity_vocab
     with open(paths["counts"], "w", encoding="utf-8") as fh:
@@ -324,6 +328,5 @@ def write_synthetic(data: SyntheticData, out_dir: str) -> dict[str, str]:
             for w in sorted(data.signatures[e]):
                 fh.write(f"{entities.token(e)}\t{words[w]}\n")
     for split in ("train", "validation", "test"):
-        save_corpus(paths[split], data.corpora[split if split != "validation"
-                                               else "validation"])
+        save_corpus(paths[split], data.corpora[split])
     return paths

@@ -30,11 +30,10 @@ from entlink.crf import (
 )
 from entlink.experiment import (
     ExperimentConfig,
-    _fit_global,
-    _fit_local,
     _load_or_generate,
-    _select_all_candidates,
     _train_embeddings,
+    fit,
+    prepare,
     run_experiment,
 )
 from entlink.priors import PriorSource, build_prior, select_candidates
@@ -156,13 +155,6 @@ class TestCriterion2ExactInference:
         assert elapsed < 120.0
 
 
-def prepare(cfg: ExperimentConfig):
-    prepared = _load_or_generate(cfg)
-    _train_embeddings(cfg, prepared)
-    _select_all_candidates(cfg, prepared)
-    return prepared
-
-
 class TestCriterion3Truncation:
     def test_t5_within_one_point_of_t10(self):
         accs = {5: [], 10: []}
@@ -174,7 +166,7 @@ class TestCriterion3Truncation:
             prepared = prepare(cfg)
             for t in (5, 10):
                 sub = replace(cfg, t=t)
-                model = _fit_global(sub, prepared)
+                model, _ = fit(sub, "train-global", prepared.store, prepared.corpora)
                 accs[t].append(accuracy(
                     prepared.corpora["test"],
                     lambda d: predict_global(d, model, prepared.store)))
@@ -199,7 +191,8 @@ class TestCriterion4HardAttention:
             prepared = prepare(cfg)
             best_val, best_model = -1.0, None
             for r in grid:
-                model = _fit_local(replace(cfg, local_r=r), prepared)
+                model, _ = fit(replace(cfg, local_r=r), "train-local",
+                               prepared.store, prepared.corpora)
                 val = accuracy(prepared.corpora["validation"],
                                lambda d: predict_local(d, model, prepared.store))
                 if val > best_val:
@@ -207,7 +200,8 @@ class TestCriterion4HardAttention:
             tuned_accs.append(accuracy(
                 prepared.corpora["test"],
                 lambda d: predict_local(d, best_model, prepared.store)))
-            full_model = _fit_local(replace(cfg, local_r=full_k), prepared)
+            full_model, _ = fit(replace(cfg, local_r=full_k), "train-local",
+                                prepared.store, prepared.corpora)
             full_accs.append(accuracy(
                 prepared.corpora["test"],
                 lambda d: predict_local(d, full_model, prepared.store)))
@@ -228,10 +222,10 @@ class TestCriterion5ModelOrdering:
             cfg = ExperimentConfig(seed=seed, out_dir="unused", coherence=0.9)
             prepared = prepare(cfg)
             prior_acc = accuracy(prepared.corpora["test"], predict_prior_baseline)
-            local = _fit_local(cfg, prepared)
+            local, _ = fit(cfg, "train-local", prepared.store, prepared.corpora)
             local_acc = accuracy(prepared.corpora["test"],
                                  lambda d: predict_local(d, local, prepared.store))
-            global_ = _fit_global(cfg, prepared)
+            global_, _ = fit(cfg, "train-global", prepared.store, prepared.corpora)
             global_acc = accuracy(
                 prepared.corpora["test"],
                 lambda d: predict_global(d, global_, prepared.store))

@@ -9,6 +9,7 @@ from entlink.attention import (
     FNet,
     LocalParams,
     MentionInstance,
+    _support,
     attention_weights,
     combine_f,
     context_score,
@@ -19,7 +20,6 @@ from entlink.attention import (
     mention_unary,
     predict_local,
     record_unary,
-    support_scores,
     top_r_mask,
 )
 from entlink.docs import Corpus, Document, Mention, build_context_windows
@@ -35,27 +35,21 @@ class TestSupportScores:
     def test_identity_unit_vector(self):
         v = np.zeros(4)
         v[0] = 1.0
-        u = support_scores(v[None, :], v[None, :], np.ones(4))
+        u, _ = _support(v[None, :], v[None, :], np.ones(4))
         assert u[0] == pytest.approx(1.0)
 
     def test_max_over_candidates(self):
         # candidate scores 0.2 and 0.7 for the same word -> 0.7
         cands = np.array([[0.2, 0.0], [0.7, 0.0]])
         word = np.array([[1.0, 0.0]])
-        u = support_scores(cands, word, np.ones(2))
+        u, _ = _support(cands, word, np.ones(2))
         assert u[0] == pytest.approx(0.7)
 
     def test_zero_diagonal_annihilates(self):
         rng = np.random.default_rng(0)
-        u = support_scores(rng.normal(size=(3, 5)), rng.normal(size=(4, 5)),
-                           np.zeros(5))
+        u, _ = _support(rng.normal(size=(3, 5)), rng.normal(size=(4, 5)),
+                        np.zeros(5))
         np.testing.assert_allclose(u, 0.0)
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValidationError, match="nothing to score"):
-            support_scores(np.zeros((0, 3)), np.ones((2, 3)), np.ones(3))
-        with pytest.raises(ValidationError, match="nothing to score"):
-            support_scores(np.ones((2, 3)), np.zeros((0, 3)), np.ones(3))
 
 
 class TestAttentionWeights:
@@ -296,7 +290,7 @@ class TestAttentionProperties:
         store.add_entity("E", e)
         cand_vecs = store.entity_matrix()
         ctx_vecs = store.word_matrix()
-        u = support_scores(cand_vecs, ctx_vecs, np.ones(dim))
+        u, _ = _support(cand_vecs, ctx_vecs, np.ones(dim))
         beta = attention_weights(u, r=3)
         np.testing.assert_allclose(beta[3:], 0.0)
         assert beta[:3].sum() == pytest.approx(1.0)

@@ -9,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import entlink
-from entlink.attention import LocalParams
+from entlink.attention import LocalParams, predict_local
 from entlink.cli import main
-from entlink.model_io import save_model
+from entlink.docs import build_context_windows, load_corpus, resolve_gold
+from entlink.model_io import load_model, save_model
+from entlink.priors import load_prior, select_candidates
+from entlink.vectors import load_entity_vectors, load_word_vectors
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +89,7 @@ class TestTrainPredictEvaluate:
         tmp, data, entities = bench
         preds = tmp_path / "preds.tsv"
         assert main(["--data-dir", str(data), "predict", "--model", str(model),
-                     "--entities", str(entities), "--out", str(preds),
-                     "--k", "30"]) == 0
+                     "--entities", str(entities), "--out", str(preds)]) == 0
         assert main(["--data-dir", str(data), "evaluate", "--predictions",
                      str(preds)]) == 0
         out = capsys.readouterr().out
@@ -98,11 +100,43 @@ class TestTrainPredictEvaluate:
         tmp, data, entities = bench
         preds = tmp_path / "preds.tsv"
         main(["--data-dir", str(data), "predict", "--model", str(model),
-              "--entities", str(entities), "--out", str(preds), "--k", "30"])
+              "--entities", str(entities), "--out", str(preds)])
         assert main(["--data-dir", str(data), "breakdown", "--predictions",
                      str(preds), "--freq", str(data / "entity_freq.tsv")]) == 0
         out = capsys.readouterr().out
         assert "prior\t" in out
+
+
+    def test_predict_takes_k_from_the_model(self, bench, model, tmp_path):
+        # the model was trained with --k 30, so predict's output is the local
+        # model's predictions over 30-word context windows
+        _, data, entities = bench
+        preds = tmp_path / "preds.tsv"
+        assert main(["--data-dir", str(data), "predict", "--model", str(model),
+                     "--entities", str(entities), "--out", str(preds)]) == 0
+        params = load_model(str(model))
+        assert params.k == 30
+
+        def predictions(k):
+            store = load_word_vectors(str(data / "word_vectors.txt"))
+            load_entity_vectors(str(entities), store)
+            prior = load_prior(str(data / "prior.tsv"), store.entity_vocab)
+            store.sync_entities()
+            corpus = load_corpus(str(data / "corpus_test.jsonl"))
+            resolve_gold(corpus, store.entity_vocab)
+            build_context_windows(corpus, store.word_vocab, k=k)
+            rows = ["doc\tmention\tentity"]
+            for doc in corpus:
+                for m in doc.mentions:
+                    m.candidates = select_candidates(m.surface, m.context or [],
+                                                     prior, store)
+                for idx, pred in enumerate(predict_local(doc, params, store)):
+                    name = store.entity_vocab.token(pred) if pred is not None else ""
+                    rows.append(f"{doc.doc_id}\t{idx}\t{name}")
+            return rows
+
+        assert preds.read_text().splitlines() == predictions(30)
+        assert predictions(30) != predictions(100)
 
 
 class TestBuildPrior:
@@ -146,6 +180,38 @@ class TestSelectCandidates:
                      str(tmp_path / "cands.tsv"), flag, "-1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be non-negative" in err
+
+
+    def test_persons_short_mention_inherits_containing_mention(self, tmp_path,
+                                                               capsys):
+        # "Peter" and "Peter Such" both name persons first, so with --persons
+        # the one-token mention takes the two-token mention's candidate set
+        (tmp_path / "words.txt").write_text(
+            "3 2\nbowled 1 0\nwhile 0 1\nwatched 0.6 0.8\n")
+        (tmp_path / "prior.tsv").write_text(
+            "Peter Such\tPeter_Such\t0.9\nPeter Such\tSuch_Town\t0.1\n"
+            "Peter\tPeter_Pan\t0.8\nPeter\tPeter_Such\t0.2\n")
+        (tmp_path / "persons.tsv").write_text(
+            "Peter_Such\t1\nPeter_Pan\t1\nSuch_Town\t0\n")
+        (tmp_path / "corpus.jsonl").write_text(
+            '{"id": "d0", "tokens": ["Peter", "Such", "bowled", "while", "Peter",'
+            ' "watched"], "mentions": [{"start": 0, "end": 2, "surface": "Peter Such"},'
+            ' {"start": 4, "end": 5, "surface": "Peter"}]}\n')
+        base = ["select-candidates", "--word-vectors", str(tmp_path / "words.txt"),
+                "--prior", str(tmp_path / "prior.tsv"),
+                "--corpus", str(tmp_path / "corpus.jsonl")]
+        rows = {}
+        for name, extra in (("plain", []),
+                            ("merged", ["--persons", str(tmp_path / "persons.tsv")])):
+            out = tmp_path / f"{name}.tsv"
+            assert main(base + ["--out", str(out)] + extra) == 0
+            rows[name] = [line.split("\t")[:4]
+                          for line in out.read_text().splitlines()[1:]]
+        long_rows = [["d0", "0", "Peter_Such", "0.900000"],
+                     ["d0", "0", "Such_Town", "0.100000"]]
+        assert rows["plain"] == long_rows + [["d0", "1", "Peter_Pan", "0.800000"],
+                                             ["d0", "1", "Peter_Such", "0.200000"]]
+        assert rows["merged"] == long_rows + [["d0", "1", *r[2:]] for r in long_rows]
 
 
 class TestInspectNeighbors:
@@ -230,7 +296,7 @@ class TestExitCodes:
         vectors.write_bytes(b"EVEC" + struct.pack("<HIIH", 1, 1, 2, 2) + b"\xff\xfe"
                             + struct.pack("<2f", 1.0, 0.0))
         predict = ["--data-dir", str(data), "predict", "--entities", str(entities),
-                   "--out", str(tmp_path / "p.tsv"), "--k", "30", "--model"]
+                   "--out", str(tmp_path / "p.tsv"), "--model"]
         bad_preds, no_preds, bad_count, three_cols, counts = (
             tmp_path / n for n in ("bad_preds.tsv", "no_preds.tsv", "bad_count.tsv",
                                    "three_cols.tsv", "counts.tsv"))

@@ -7,7 +7,6 @@ from entlink.docs import (
     Document,
     Mention,
     build_context_windows,
-    corpus_stats,
     load_corpus,
     resolve_gold,
     save_corpus,
@@ -25,11 +24,8 @@ class TestLoadCorpus:
         path = tmp_path / "c.jsonl"
         path.write_text("")
         corpus = load_corpus(str(path))
-        stats = corpus_stats(corpus)
         assert len(corpus) == 0
-        assert stats.n_docs == 0
-        assert stats.n_mentions == 0
-        assert stats.mentions_per_doc == 0.0
+        assert corpus.n_mentions == 0
 
     def test_mentions_per_doc(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -42,10 +38,9 @@ class TestLoadCorpus:
         import json
         write_jsonl(path, [json.dumps(doc1), json.dumps(doc2)])
         corpus = load_corpus(str(path))
-        stats = corpus_stats(corpus)
-        assert stats.n_docs == 2
-        assert stats.n_mentions == 8
-        assert stats.mentions_per_doc == pytest.approx(4.0)
+        assert len(corpus) == 2
+        assert [len(doc.mentions) for doc in corpus] == [5, 3]
+        assert corpus.n_mentions == 8
 
     def test_span_past_end_names_doc(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -89,16 +89,10 @@ class TestRunExperiment:
         from pathlib import Path
 
         from entlink.attention import predict_local
-        from entlink.experiment import (
-            _load_or_generate,
-            _select_all_candidates,
-            _train_embeddings,
-        )
+        from entlink.experiment import prepare
         from entlink.model_io import load_model
 
-        prepared = _load_or_generate(cfg)
-        _train_embeddings(cfg, prepared)
-        _select_all_candidates(cfg, prepared)
+        prepared = prepare(cfg)
         local = load_model(str(Path(cfg.out_dir) / "local.model"))
         store = prepared.store
         want = {}
@@ -186,7 +180,7 @@ class TestConfig:
     def test_parse_and_override(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("# comment\nseed = 7\nkb_size = 100\n\nt= 5\n")
-        cfg = ExperimentConfig.from_file(str(path), overrides={"seed": "9"})
+        cfg = ExperimentConfig.from_dict({**parse_config_file(str(path)), "seed": "9"})
         assert cfg.seed == 9
         assert cfg.kb_size == 100
         assert cfg.t == 5
@@ -195,7 +189,7 @@ class TestConfig:
         path = tmp_path / "cfg.ini"
         path.write_text("mystery = 1\n")
         with pytest.raises(ValidationError, match="unknown config key"):
-            ExperimentConfig.from_file(str(path))
+            ExperimentConfig.from_dict(parse_config_file(str(path)))
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "cfg.ini"

@@ -7,7 +7,6 @@ from entlink.docs import Document, Mention
 from entlink.errors import ValidationError
 from entlink.priors import (
     Candidate,
-    PriorIndex,
     PriorSource,
     build_prior,
     coref_person_merge,
@@ -241,7 +240,7 @@ class TestCorefPersonMerge:
         doc.mentions[0].candidates = [Candidate(0, 0.9, "prior-top"),
                                       Candidate(1, 0.1, "prior-top")]
         doc.mentions[1].candidates = [Candidate(2, 0.8, "prior-top")]
-        merged = coref_person_merge(doc, PriorIndex(), lambda e: e in (0, 2))
+        merged = coref_person_merge(doc, lambda e: e in (0, 2))
         assert merged == 1
         assert [c.entity for c in doc.mentions[1].candidates] == [0, 1]
 
@@ -249,7 +248,7 @@ class TestCorefPersonMerge:
         doc = person_doc()
         doc.mentions[0].candidates = [Candidate(0, 0.9, "prior-top")]
         doc.mentions[1].candidates = [Candidate(2, 0.8, "prior-top")]
-        merged = coref_person_merge(doc, PriorIndex(), lambda e: e == 0)
+        merged = coref_person_merge(doc, lambda e: e == 0)
         assert merged == 0
         assert [c.entity for c in doc.mentions[1].candidates] == [2]
 
@@ -266,7 +265,7 @@ class TestCorefPersonMerge:
         doc.mentions[1].candidates = [Candidate(2, 0.6, "prior-top"),
                                       Candidate(1, 0.4, "prior-top")]
         doc.mentions[2].candidates = [Candidate(3, 0.9, "prior-top")]
-        merged = coref_person_merge(doc, PriorIndex(), lambda e: True, s=3)
+        merged = coref_person_merge(doc, lambda e: True, s=3)
         assert merged == 1
         got = doc.mentions[2].candidates
         assert [c.entity for c in got] == [0, 2, 1]  # dedup, prior order, pruned
@@ -285,7 +284,7 @@ class TestCorefPersonMerge:
         doc.mentions[0].candidates = [Candidate(0, 1.0, "prior-top")]
         doc.mentions[1].candidates = [Candidate(1, 1.0, "prior-top")]
         doc.mentions[2].candidates = [Candidate(2, 1.0, "prior-top")]
-        coref_person_merge(doc, PriorIndex(), lambda e: True)
+        coref_person_merge(doc, lambda e: True)
         assert [c.entity for c in doc.mentions[1].candidates] == [0]
         assert [c.entity for c in doc.mentions[2].candidates] == [0]
 
@@ -296,7 +295,7 @@ class TestCorefPersonMerge:
         doc.mentions[1].candidates = [Candidate(2, 0.8, "prior-top")]
         doc.mentions[1].gold_id = 0  # gold held by the containing mention
         before = gold_recall([doc])
-        coref_person_merge(doc, PriorIndex(), lambda e: True)
+        coref_person_merge(doc, lambda e: True)
         after = gold_recall([doc])
         assert after >= before
         assert after == 100.0
