@@ -57,10 +57,18 @@ from .vectors import (
     load_entity_vectors,
     load_word_vectors,
     nearest_words,
+    read_vectors,
     save_vectors_binary,
     save_vectors_text,
 )
-from .vocab import load_stop_words, load_word_frequencies, read_counts
+from .vocab import (
+    Vocab,
+    load_stop_words,
+    load_word_frequencies,
+    parse_field,
+    read_counts,
+    read_rows,
+)
 
 DATA_ENV = "ENTLINK_DATA_DIR"
 
@@ -76,14 +84,6 @@ def _data_path(args, flag: str, key: str | None = None) -> str:
             f"missing --{flag.replace('_', '-')} and no data directory "
             f"(--data-dir or ${DATA_ENV})")
     return str(Path(base) / DATA_FILES[key or flag])
-
-
-def _parse(kind: type, raw: str, where: str):
-    """`kind(raw)`, or a validation error naming `where` (a flag or file:line)."""
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{where}: expected {kind.__name__}, got {raw!r}") from exc
 
 
 def _config(args, **fixed) -> ExperimentConfig:
@@ -350,19 +350,11 @@ def cmd_train_embeddings(args) -> int:
     return 0
 
 
-def _entity_store_from_file(path: str, fmt: str) -> EmbeddingStore:
-    # peek the dimension, then load entities into a word-less store
-    from .vectors import _parse_binary_vectors, _parse_text_vectors
-
-    names, rows = (_parse_text_vectors(path) if fmt == "text"
-                   else _parse_binary_vectors(path))
+def cmd_eval_relatedness(args) -> int:
+    # entities only, in a word-less store of the file's dimension
+    names, rows = read_vectors(args.entities, args.vector_format)
     store = EmbeddingStore(rows.shape[1])
     store.add_entities(names, rows)
-    return store
-
-
-def cmd_eval_relatedness(args) -> int:
-    store = _entity_store_from_file(args.entities, args.vector_format)
     queries = load_relatedness_queries(
         _data_path(args, "queries"), store.entity_vocab)
     store.sync_entities()
@@ -379,8 +371,6 @@ def cmd_eval_relatedness(args) -> int:
 def cmd_build_prior(args) -> int:
     if not args.count_index and not args.uniform_index:
         raise ValidationError("need at least one --count-index or --uniform-index")
-    from .vocab import Vocab
-
     entities = Vocab()
     sources = []
     for path in args.count_index:
@@ -388,7 +378,7 @@ def cmd_build_prior(args) -> int:
     for path in args.uniform_index:
         sources.append(PriorSource("uniform", load_uniform_index(path, entities)))
     if args.weights:
-        weights = [_parse(float, w, "--weights") for w in args.weights.split(",")]
+        weights = [parse_field(float, w, "--weights") for w in args.weights.split(",")]
         if len(weights) != len(sources):
             raise ValidationError("one --weights entry per source required")
         for source, w in zip(sources, weights):
@@ -466,20 +456,12 @@ def cmd_predict(args) -> int:
 
 
 def _read_predictions(path: str) -> dict[tuple[str, int], str]:
-    preds: dict[tuple[str, int], str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("doc\t"):
+        if not fh.readline().startswith("doc\t"):
             raise ValidationError(f"{path}: missing predictions header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValidationError(f"{path}:{lineno}: expected 3 columns")
-            preds[(parts[0], _parse(int, parts[1], f"{path}:{lineno}"))] = parts[2]
-    return preds
+    return {(doc, parse_field(int, mention, where)): entity
+            for where, (doc, mention, entity) in read_rows(
+                path, "doc<TAB>mention<TAB>entity", start=2)}
 
 
 def _aligned_eval_inputs(args, preds_by_key):
@@ -517,8 +499,6 @@ def cmd_evaluate(args) -> int:
 def cmd_breakdown(args) -> int:
     preds_by_key = _read_predictions(args.predictions)
     _, preds, golds, rows = _aligned_eval_inputs(args, preds_by_key)
-    from .vocab import Vocab
-
     entities = Vocab()
     prior = load_prior(_data_path(args, "prior"), entities)
     freq = dict(read_counts(args.freq)) if args.freq else {}
@@ -555,8 +535,8 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def cmd_sweep(args) -> int:
     cfg = _experiment_config(args)
-    values = [_parse(float, v, "--values") for v in args.values.split(",")]
-    seeds = [_parse(int, s, "--seeds") for s in args.seeds.split(",")]
+    values = [parse_field(float, v, "--values") for v in args.values.split(",")]
+    seeds = [parse_field(int, s, "--seeds") for s in args.seeds.split(",")]
     rows = run_sweep(cfg, args.param.replace("-", "_").lower(), values, seeds)
     write_sweep_outputs(rows, args.param, args.out, plot=not args.no_plot)
     for row in rows:
@@ -575,25 +555,18 @@ def cmd_run_experiment(args) -> int:
 
 
 def cmd_inspect_neighbors(args) -> int:
-    store = _entity_store_from_file(args.entities, args.vector_format)
-    words = load_word_vectors(
-        _data_path(args, "word_vectors"),
-        fmt=args.vector_format)
-    # rebuild a combined store: words plus the entity table
-    combined = EmbeddingStore(words.dim, word_vocab=words.word_vocab)
-    combined._words = words.word_matrix()
-    if store.dim != words.dim:
+    names, rows = read_vectors(args.entities, args.vector_format)
+    store = load_word_vectors(_data_path(args, "word_vectors"), fmt=args.vector_format)
+    if rows.shape[1] != store.dim:
         raise ValidationError("entity and word dimensions differ")
-    combined.add_entities([store.entity_vocab.token(i) for i in range(store.n_entities)],
-                          store.entity_matrix())
+    store.add_entities(names, rows)
     if args.freq:
-        load_word_frequencies(args.freq, combined.word_vocab)
-    idx = combined.entity_vocab.id(args.entity)
+        load_word_frequencies(args.freq, store.word_vocab)
+    idx = store.entity_vocab.id(args.entity)
     if idx is None:
         raise ValidationError(f"unknown entity {args.entity!r}")
-    for word, sim in nearest_words(combined, idx, k=args.k,
-                                   min_freq=args.min_freq):
-        print(f"{combined.word_vocab.token(word)}\t{sim:.4f}")
+    for word, sim in nearest_words(store, idx, k=args.k, min_freq=args.min_freq):
+        print(f"{store.word_vocab.token(word)}\t{sim:.4f}")
     return 0
 
 
@@ -642,7 +615,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

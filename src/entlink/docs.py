@@ -78,6 +78,25 @@ def load_corpus(path: str, fmt: str = "json-lines", split: str = "train") -> Cor
     return Corpus(documents=docs, split=split)
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", int: "an integer", str: "a string"}
+
+
+def _typed(value, kind: type, what: str, where: str):
+    """`value` if it has JSON type `kind` (a JSON true or false is no integer)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValidationError(f"{where}: {what} is not {_JSON_TYPES[kind]}")
+    return value
+
+
+def _json_mention(m, where: str) -> Mention:
+    m = _typed(m, dict, "a mention", where)
+    gold = m.get("gold")
+    return Mention(start=_typed(m["start"], int, "start", where),
+                   end=_typed(m["end"], int, "end", where),
+                   surface=str(m["surface"]),
+                   gold=None if gold is None else _typed(gold, str, "gold", where))
+
+
 def _load_jsonl(path: str) -> list[Document]:
     docs = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -85,21 +104,20 @@ def _load_jsonl(path: str) -> list[Document]:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON") from exc
+                raise ValidationError(f"{where}: invalid JSON") from exc
+            obj = _typed(obj, dict, "the line", where)
             try:
-                mentions = [
-                    Mention(start=int(m["start"]), end=int(m["end"]),
-                            surface=str(m["surface"]), gold=m.get("gold"))
-                    for m in obj.get("mentions", [])
-                ]
-                docs.append(Document(doc_id=str(obj["id"]),
-                                     tokens=[str(t) for t in obj["tokens"]],
+                mentions = [_json_mention(m, where)
+                            for m in _typed(obj.get("mentions", []), list, "mentions", where)]
+                tokens = _typed(obj["tokens"], list, "tokens", where)
+                docs.append(Document(doc_id=str(obj["id"]), tokens=[str(t) for t in tokens],
                                      mentions=mentions))
-            except (KeyError, TypeError) as exc:
-                raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
+            except KeyError as exc:
+                raise ValidationError(f"{where}: missing field {exc}") from exc
     return docs
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .vectors import EmbeddingStore
-from .vocab import Vocab
+from .vocab import Vocab, parse_field, read_rows
 
 # Working memory of one lockstep block: a chunk of uniforms and one
 # iteration's gathered word rows per entity.
@@ -432,21 +432,12 @@ def load_counts_file(path: str, vocab: Vocab, entities: Vocab,
     """Read ``entity \\t word \\t count`` rows; unknown words extend the vocab."""
     counts = CooccurrenceCounts(n_words=len(vocab), alpha=alpha)
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValidationError(f"{path}:{lineno}: expected entity<TAB>word<TAB>count")
-            try:
-                c = int(parts[2])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: bad count {parts[2]!r}") from exc
-            if c < 0:
-                raise ValidationError(f"{path}:{lineno}: negative count")
-            rows.append((parts[0], parts[1], c))
+    for where, (ent, word, raw) in read_rows(path, "entity<TAB>word<TAB>count"):
+        c = parse_field(int, raw, f"{where}: bad count")
+        if c < 0:
+            raise ValidationError(f"{where}: negative count")
+        rows.append((ent, word, c))
+    # every row is checked before the vocabulary grows
     for ent, word, c in rows:
         widx = vocab.id(word)
         if widx is None:
@@ -461,23 +452,14 @@ def load_counts_file(path: str, vocab: Vocab, entities: Vocab,
 
 def load_relatedness_queries(path: str, entities: Vocab) -> list[RelatednessQuery]:
     """Read ``target \\t candidate \\t label`` rows grouped by target."""
+    layout = "target<TAB>candidate<TAB>label(0|1)"
     grouped: dict[str, list[tuple[str, int]]] = {}
-    order: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise ValidationError(
-                    f"{path}:{lineno}: expected target<TAB>candidate<TAB>label(0|1)")
-            if parts[0] not in grouped:
-                grouped[parts[0]] = []
-                order.append(parts[0])
-            grouped[parts[0]].append((parts[1], int(parts[2])))
+    for where, (target, candidate, label) in read_rows(path, layout):
+        if label not in ("0", "1"):
+            raise ValidationError(f"{where}: expected {layout}")
+        grouped.setdefault(target, []).append((candidate, int(label)))
     queries = []
-    for target in order:
+    for target in grouped:
         t = entities.id(target)
         if t is None:
             continue

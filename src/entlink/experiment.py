@@ -431,6 +431,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 SWEEPABLE = ("t", "delta", "local_r", "global_r", "k", "noise_rate", "coherence")
+# read by `fit` alone: one `prepare` per seed serves every value
+FIT_ONLY = ("t", "delta", "local_r", "global_r")
 
 
 def run_sweep(cfg: ExperimentConfig, param: str, values: list[float],
@@ -439,6 +441,8 @@ def run_sweep(cfg: ExperimentConfig, param: str, values: list[float],
 
     Truncated fitting means train and test always share the setting, so
     each point is a full train/evaluate cycle on the shared data seed.
+    Data is prepared once per seed for a `FIT_ONLY` parameter, else once
+    per point; training and prediction leave prepared data unchanged.
     """
     if param not in SWEEPABLE:
         raise ValidationError(f"cannot sweep {param!r}; one of {SWEEPABLE}")
@@ -451,11 +455,14 @@ def run_sweep(cfg: ExperimentConfig, param: str, values: list[float],
     # every point's config is built, and so checked, before any training
     grid = [[replace(cfg, seed=seed, **{param: cast(value)})
              for seed in seeds] for value in values]
+    shared: dict[int, PreparedData] = {}   # by seed, for a FIT_ONLY parameter
     rows = []
     for value, subs in zip(values, grid):
         accs = []
         for sub in subs:
-            prepared = prepare(sub)
+            prepared = shared.get(sub.seed) or prepare(sub)
+            if param in FIT_ONLY:
+                shared[sub.seed] = prepared
             with _stage(stage):
                 model, _ = fit(sub, stage, prepared.store, prepared.corpora)
             accs.append(accuracy(prepared.corpora["test"],

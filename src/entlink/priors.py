@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .vectors import EmbeddingStore
-from .vocab import Vocab
+from .vocab import Vocab, parse_field, read_rows
 
 PRECUT = 30          # prior-ranked pool considered before the final keep
 DEFAULT_S = 7
@@ -77,16 +77,25 @@ class PriorIndex:
         for variant in sorted(variants):
             for entity, p in self._table[variant]:
                 merged[entity] = merged.get(entity, 0.0) + p
-        total = sum(merged.values())
-        dist = [(e, p / total) for e, p in merged.items()]
-        dist.sort(key=lambda t: (-t[1], t[0]))
-        return dist
+        return _normalised(merged.items())
 
     def prior(self, surface: str, entity: int) -> float:
         for e, p in self.lookup(surface):
             if e == entity:
                 return p
         return 0.0
+
+
+def _normalised(weights) -> list[tuple[int, float]]:
+    """(entity, weight) pairs scaled to sum to 1, by descending p then entity
+    id; empty when the weights sum to zero."""
+    weights = list(weights)
+    total = sum(p for _, p in weights)
+    if total <= 0:
+        return []
+    dist = [(e, p / total) for e, p in weights]
+    dist.sort(key=lambda t: (-t[1], t[0]))
+    return dist
 
 
 @dataclass
@@ -133,13 +142,8 @@ def build_prior(sources: list[PriorSource]) -> PriorIndex:
             weights[mention] = weights.get(mention, 0.0) + source.weight
     index = PriorIndex()
     for mention in sorted(accum):
-        bucket = accum[mention]
         w = weights[mention]
-        dist = [(e, p / w) for e, p in bucket.items()]
-        total = sum(p for _, p in dist)
-        dist = [(e, p / total) for e, p in dist]
-        dist.sort(key=lambda t: (-t[1], t[0]))
-        index._insert(mention, dist)
+        index._insert(mention, _normalised((e, p / w) for e, p in accum[mention].items()))
     return index
 
 
@@ -169,11 +173,10 @@ def select_candidates(
     s: int = DEFAULT_S,
     prior_top: int = DEFAULT_PRIOR_TOP,
     context_top: int = DEFAULT_CONTEXT_TOP,
-    precut: int = PRECUT,
 ) -> list[Candidate]:
     """Keep at most `s` candidates: best by prior, then best by context.
 
-    From the `precut` highest-prior entities, the `prior_top` best by prior
+    From the `PRECUT` highest-prior entities, the `prior_top` best by prior
     are kept, then entities ranked by dot product with the averaged context
     vector fill the remaining slots (skipping ones already kept) until
     min(s, available).  A mention absent from the prior yields an empty
@@ -183,7 +186,7 @@ def select_candidates(
     dist = prior.lookup(surface)
     if not dist:
         return []
-    pool = sorted(dist, key=lambda t: (-t[1], t[0]))[:precut]
+    pool = sorted(dist, key=lambda t: (-t[1], t[0]))[:PRECUT]
     limit = min(s, len(pool))
     chosen: list[Candidate] = []
     taken: set[int] = set()
@@ -296,38 +299,19 @@ def gold_recall(docs) -> float:
 def load_count_index(path: str, entities: Vocab) -> dict[str, list[tuple[int, float]]]:
     """Read ``mention \\t entity \\t count`` rows into a raw count table."""
     table: dict[str, list[tuple[int, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValidationError(f"{path}:{lineno}: expected mention<TAB>entity<TAB>count")
-            try:
-                count = float(parts[2])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: bad count {parts[2]!r}") from exc
-            if count < 0:
-                raise ValidationError(f"{path}:{lineno}: negative count")
-            e = entities.add(parts[1])
-            table.setdefault(parts[0], []).append((e, count))
+    for where, (mention, entity, raw) in read_rows(path, "mention<TAB>entity<TAB>count"):
+        count = parse_field(float, raw, f"{where}: bad count")
+        if count < 0:
+            raise ValidationError(f"{where}: negative count")
+        table.setdefault(mention, []).append((entities.add(entity), count))
     return table
 
 
 def load_uniform_index(path: str, entities: Vocab) -> dict[str, list[tuple[int, float]]]:
     """Read ``mention \\t entity`` rows; every candidate gets a uniform prior."""
     table: dict[str, list[tuple[int, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected mention<TAB>entity")
-            e = entities.add(parts[1])
-            table.setdefault(parts[0], []).append((e, 1.0))
+    for _, (mention, entity) in read_rows(path, "mention<TAB>entity"):
+        table.setdefault(mention, []).append((entities.add(entity), 1.0))
     return table
 
 
@@ -340,46 +324,27 @@ def save_prior(path: str, index: PriorIndex, entities: Vocab) -> None:
 
 def load_prior(path: str, entities: Vocab) -> PriorIndex:
     """Read a saved prior (``mention \\t entity \\t probability``)."""
-    index = PriorIndex()
     table: dict[str, list[tuple[int, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected mention<TAB>entity<TAB>probability")
-            try:
-                p = float(parts[2])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: bad probability") from exc
-            if p < 0:
-                raise ValidationError(f"{path}:{lineno}: negative probability")
-            table.setdefault(normalize_mention(parts[0]), []).append(
-                (entities.add(parts[1]), p))
+    for where, (mention, entity, raw) in read_rows(
+            path, "mention<TAB>entity<TAB>probability"):
+        p = parse_field(float, raw, f"{where}: bad probability")
+        if p < 0:
+            raise ValidationError(f"{where}: negative probability")
+        table.setdefault(normalize_mention(mention), []).append((entities.add(entity), p))
+    index = PriorIndex()
     for mention in sorted(table):
-        dist = table[mention]
-        total = sum(p for _, p in dist)
-        if total <= 0:
-            continue
-        dist = [(e, p / total) for e, p in dist]
-        dist.sort(key=lambda t: (-t[1], t[0]))
-        index._insert(mention, dist)
+        dist = _normalised(table[mention])
+        if dist:
+            index._insert(mention, dist)
     return index
 
 
 def load_person_predicate(path: str, entities: Vocab):
     """Read ``entity \\t is_person(0|1)`` rows into a predicate over entity ids."""
+    layout = "entity<TAB>0|1"
     flags: dict[int, bool] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or parts[1] not in ("0", "1"):
-                raise ValidationError(f"{path}:{lineno}: expected entity<TAB>0|1")
-            flags[entities.add(parts[0])] = parts[1] == "1"
+    for where, (entity, flag) in read_rows(path, layout):
+        if flag not in ("0", "1"):
+            raise ValidationError(f"{where}: expected {layout}")
+        flags[entities.add(entity)] = flag == "1"
     return lambda e: flags.get(e, False)

@@ -158,7 +158,8 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
             optimizer.step(pd, {name: var.grad for name, var in vars_.items()})
             FNet(*(pd[f"f.{n}"] for n in FNet.NAMES)).project(cfg.weight_radius)
         history.epochs_run = epoch
-        if val is not None and epoch % cfg.eval_every == 0:
+        # validate every `eval_every` epochs, and after the last one
+        if val is not None and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
             last_val = validate()
             if last_val > history.best_val_accuracy:
                 history.best_val_accuracy = last_val

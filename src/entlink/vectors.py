@@ -297,15 +297,19 @@ def _parse_binary_vectors(path: str) -> tuple[list[str], np.ndarray]:
     return tokens, rows
 
 
+def read_vectors(path: str, fmt: str) -> tuple[list[str], np.ndarray]:
+    """The tokens and `(count, dim)` rows of a vector file in format `fmt`
+    ("text" or "binary")."""
+    parsers = {"text": _parse_text_vectors, "binary": _parse_binary_vectors}
+    if fmt not in parsers:
+        raise ValidationError(f"unknown vector format {fmt!r}")
+    return parsers[fmt](path)
+
+
 def load_word_vectors(path: str, fmt: str = "text",
                       stop_words: frozenset[str] | None = None) -> EmbeddingStore:
     """Load pre-trained word vectors into a store with a frozen word table."""
-    if fmt == "text":
-        tokens, rows = _parse_text_vectors(path)
-    elif fmt == "binary":
-        tokens, rows = _parse_binary_vectors(path)
-    else:
-        raise ValidationError(f"unknown vector format {fmt!r}")
+    tokens, rows = read_vectors(path, fmt)
     store = EmbeddingStore(rows.shape[1], word_vocab=Vocab(stop_words=stop_words))
     store.add_words(tokens, rows)
     store.freeze_words()
@@ -314,12 +318,7 @@ def load_word_vectors(path: str, fmt: str = "text",
 
 def load_entity_vectors(path: str, store: EmbeddingStore, fmt: str = "text") -> int:
     """Load entity vectors (same file formats) into `store`; returns count."""
-    if fmt == "text":
-        names, rows = _parse_text_vectors(path)
-    elif fmt == "binary":
-        names, rows = _parse_binary_vectors(path)
-    else:
-        raise ValidationError(f"unknown vector format {fmt!r}")
+    names, rows = read_vectors(path, fmt)
     if rows.shape[1] != store.dim:
         raise ValidationError(
             f"{path}: dimension {rows.shape[1]} does not match store dimension {store.dim}")

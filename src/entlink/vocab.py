@@ -6,6 +6,8 @@ name collides with a word is never ambiguous.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ValidationError
 
 # Bundled default stop-word list (overridable wherever a Vocab is built).
@@ -65,19 +67,13 @@ class Vocab:
         return self._index.get(token)
 
     def token(self, idx: int) -> str:
-        if not 0 <= idx < len(self._tokens):
-            raise ValidationError(f"token id {idx} out of range [0, {len(self._tokens)})")
-        return self._tokens[idx]
+        return self._tokens[self.require_index(idx)]
 
     def is_stop(self, idx: int) -> bool:
-        if not 0 <= idx < len(self._stop):
-            raise ValidationError(f"token id {idx} out of range [0, {len(self._stop)})")
-        return self._stop[idx]
+        return self._stop[self.require_index(idx)]
 
     def count(self, idx: int) -> int:
-        if not 0 <= idx < len(self._counts):
-            raise ValidationError(f"token id {idx} out of range [0, {len(self._counts)})")
-        return self._counts[idx]
+        return self._counts[self.require_index(idx)]
 
     def set_count(self, idx: int, count: int) -> None:
         if count < 0:
@@ -93,23 +89,41 @@ class Vocab:
         return list(self._tokens)
 
 
-def read_counts(path: str) -> list[tuple[str, int]]:
-    """The ``name \\t count`` rows of a file, in order; blank lines skipped."""
-    rows = []
+def read_rows(path: str, layout: str, start: int = 1):
+    """Yield ``(where, fields)`` for each nonblank line of a tab-separated file.
+
+    `where` is ``path:line``.  Lines before line `start` are skipped.  A
+    line whose field count differs from `layout`'s (fields named and
+    joined by ``<TAB>``) raises a ValidationError naming the line.
+    """
+    width = layout.count("<TAB>") + 1
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line:
+            if lineno < start or not line:
                 continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 'name<TAB>count'")
-            name, raw = parts
-            try:
-                rows.append((name, int(raw)))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: bad count {raw!r}") from exc
-    return rows
+            where = f"{path}:{lineno}"
+            fields = line.split("\t")
+            if len(fields) != width:
+                raise ValidationError(f"{where}: expected {layout}")
+            yield where, fields
+
+
+def parse_field(kind: type, raw: str, where: str):
+    """`kind(raw)`, finite if a float, or a validation error naming `where`."""
+    try:
+        value = kind(raw)
+        if kind is float and not math.isfinite(value):
+            raise ValueError(raw)
+        return value
+    except ValueError as exc:
+        raise ValidationError(f"{where}: expected {kind.__name__}, got {raw!r}") from exc
+
+
+def read_counts(path: str) -> list[tuple[str, int]]:
+    """The ``name \\t count`` rows of a file, in order; blank lines skipped."""
+    return [(name, parse_field(int, raw, f"{where}: bad count"))
+            for where, (name, raw) in read_rows(path, "name<TAB>count")]
 
 
 def load_word_frequencies(path: str, vocab: Vocab) -> int:

@@ -278,7 +278,9 @@ class TestExitCodes:
         # budget of 0, one with a NaN in A, a model of the wrong dimension,
         # a binary vector file whose token is not UTF-8, a predictions file
         # with a non-integer mention index, frequency tables with a
-        # non-integer count or three columns, and unparsable list flags
+        # non-integer count or three columns, a count index with a NaN
+        # count, unparsable list flags, a predictions file and a config
+        # file that are not UTF-8, and a JSON-lines line that is no object
         _, data, entities = bench
         huge, r0, nan, narrow = (tmp_path / f"{n}.model"
                                  for n in ("huge", "r0", "nan", "narrow"))
@@ -297,14 +299,19 @@ class TestExitCodes:
                             + struct.pack("<2f", 1.0, 0.0))
         predict = ["--data-dir", str(data), "predict", "--entities", str(entities),
                    "--out", str(tmp_path / "p.tsv"), "--model"]
-        bad_preds, no_preds, bad_count, three_cols, counts = (
-            tmp_path / n for n in ("bad_preds.tsv", "no_preds.tsv", "bad_count.tsv",
-                                   "three_cols.tsv", "counts.tsv"))
+        (bad_preds, no_preds, bad_count, three_cols, counts, nan_count, latin1, config,
+         array) = (tmp_path / n for n in ("bad_preds.tsv", "no_preds.tsv", "bad_count.tsv",
+                                           "three_cols.tsv", "counts.tsv", "nan_count.tsv",
+                                           "latin1.tsv", "latin1.ini", "array.jsonl"))
         bad_preds.write_text("doc\tmention\tentity\nd0\tfirst\tE000\n")
         no_preds.write_text("doc\tmention\tentity\n")
         bad_count.write_text("E000\t3\nE001\tmany\n")
         three_cols.write_text("E000\t3\t1\n")
         counts.write_text("m\tE0\t3\n")
+        nan_count.write_text("m\tE0\tnan\n")
+        latin1.write_bytes(b"doc\tmention\tentity\nd0\t0\tE\xff\n")
+        config.write_bytes(b"seed = 3\n# caf\xe9\n")
+        array.write_text("[1, 2]\n")
         breakdown = ["--data-dir", str(data), "breakdown", "--predictions",
                      str(no_preds), "--freq"]
         sweep = ["sweep", "--param", "t", "--out", str(tmp_path / "sweep")]
@@ -320,8 +327,16 @@ class TestExitCodes:
                  (breakdown + [str(three_cols)], f"{three_cols}:1: expected"),
                  (["build-prior", "--count-index", str(counts), "--weights", "x",
                    "--out", str(tmp_path / "prior.tsv")], "--weights: expected float"),
+                 (["build-prior", "--count-index", str(nan_count), "--out",
+                   str(tmp_path / "prior.tsv")], f"{nan_count}:1: bad count: expected float"),
                  (sweep + ["--values", "a"], "--values: expected float"),
-                 (sweep + ["--values", "2", "--seeds", "a"], "--seeds: expected int")]
+                 (sweep + ["--values", "2", "--seeds", "a"], "--seeds: expected int"),
+                 (["--data-dir", str(data), "evaluate", "--predictions", str(latin1)],
+                  "can't decode byte 0xff"),
+                 (["run-experiment", "--config", str(config), "--out",
+                   str(tmp_path / "run")], "can't decode byte 0xe9"),
+                 (["--data-dir", str(data), "evaluate", "--predictions", str(no_preds),
+                   "--corpus", str(array)], f"{array}:1: the line is not an object")]
         env = dict(os.environ, PYTHONPATH=str(Path(entlink.__file__).parent.parent))
         for argv, message in cases:
             proc = subprocess.run([sys.executable, "-m", "entlink", *argv],

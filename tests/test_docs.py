@@ -57,6 +57,18 @@ class TestLoadCorpus:
         with pytest.raises(ValidationError, match="overlapping"):
             load_corpus(str(path))
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"id":"d","tokens":["a"],"mentions":[{"start":"x","end":1,"surface":"a"}]}',
+         "start is not an integer"),
+        ("[1,2]", "the line is not an object"),
+        ('{"id":"d","tokens":"ab","mentions":[]}', "tokens is not an array")],
+        ids=["string-start", "array-line", "string-tokens"])
+    def test_mistyped_line_rejected(self, tmp_path, line, message):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, ["", line])
+        with pytest.raises(ValidationError, match=f":2: {message}"):
+            load_corpus(str(path))
+
     def test_round_trip(self, tmp_path):
         doc = Document(doc_id="d", tokens=["a", "b", "c"], mentions=[
             Mention(start=1, end=2, surface="b", gold="E1")])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entlink import experiment as pipeline
 from entlink.errors import ValidationError
 from entlink.experiment import (
     ExperimentConfig,
@@ -217,12 +218,19 @@ class TestConfig:
 
 
 class TestSweep:
-    def test_local_r_sweep_shape(self, tmp_path):
+    def test_local_r_sweep_shape(self, tmp_path, monkeypatch):
         cfg = fast_config(tmp_path, "sweep", local_epochs=6, global_epochs=4)
+        calls = []
+        prepare = pipeline.prepare
+        monkeypatch.setattr(pipeline, "prepare",
+                            lambda sub: calls.append(sub) or prepare(sub))
         rows = run_sweep(cfg, "local_r", [5, 30], seeds=[11])
+        assert len(calls) == 1     # local_r is read by `fit` alone
         assert [row["value"] for row in rows] == [5, 30]
         for row in rows:
             assert 0.0 <= row["mean"] <= 1.0
+            alone = run_sweep(cfg, "local_r", [row["value"]], seeds=[11])
+            assert alone[0]["accuracies"] == row["accuracies"]
 
     def test_non_integral_value_for_integer_param_rejected(self, tmp_path):
         cfg = fast_config(tmp_path, "sweepint")

@@ -85,13 +85,16 @@ class TestTrainLocal:
         assert history.best_val_accuracy >= baseline
 
     def test_best_snapshot_is_kept(self):
+        # with fewer epochs than `eval_every`, the last epoch is validated
         store, train, val = tiny_world(seed=3)
-        params = LocalParams.init(store.dim, hidden=16, k=8, r=4)
-        cfg = TrainConfig(gamma=0.02, learning_rate=0.1, epochs=20,
-                          eval_every=5, patience=30, seed=2)
-        history = train_local(params, train, val, store, cfg)
-        acc = accuracy(val, lambda d: predict_local(d, params, store))
-        assert acc == pytest.approx(history.best_val_accuracy)
+        for epochs, eval_every in ((20, 5), (3, 5)):
+            params = LocalParams.init(store.dim, hidden=16, k=8, r=4)
+            cfg = TrainConfig(gamma=0.02, learning_rate=0.1, epochs=epochs,
+                              eval_every=eval_every, patience=30, seed=2)
+            history = train_local(params, train, val, store, cfg)
+            acc = accuracy(val, lambda d: predict_local(d, params, store))
+            assert history.best_epoch > 0
+            assert acc == pytest.approx(history.best_val_accuracy)
 
     def test_projection_keeps_weights_in_ball(self):
         store, train, val = tiny_world(seed=5)
