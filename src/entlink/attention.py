@@ -9,10 +9,13 @@ network f combines the context score with the log prior into the final
 local score; training minimises a margin ranking loss over candidates.
 
 `doc_instances` is the single featurisation path: every scorer reads a
-document's mentions through it.  Training records the scorer once per
-mention (`record_unary`) and f with the ranking loss once per document
-(`record_rank_loss`), each with a hand-derived backward over the same
-numpy forward that inference runs.
+document's mentions through it.  The scorer works along any leading
+mention axes: inference scores one mention at a time while its context
+rows are in cache, and training scores a document's zero-padded mention
+blocks in one record (`record_unaries`).  f with the ranking loss
+is one more record per document (`record_rank_loss`), one f pass over
+every trainable candidate.  Each record has a hand-derived backward over
+the same numpy forward that inference runs.
 """
 
 from __future__ import annotations
@@ -139,45 +142,49 @@ class LocalParams:
             setattr(self.fnet, name, params[f"f.{name}"])
 
 
-def _support(cand_vecs: np.ndarray, ctx_vecs: np.ndarray,
-             a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _support(cand_vecs: np.ndarray, ctx_vecs: np.ndarray, a: np.ndarray,
+             live: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Support per word, u(w) = max over candidates of x_e^T diag(a) x_w, and
-    the first candidate row attaining it."""
-    scores = (cand_vecs * a) @ ctx_vecs.T
-    rows = scores.argmax(axis=0)
-    return scores[rows, np.arange(scores.shape[1])], rows
+    the (..., S, K) candidate-word scores; pairs off the `live` mask score -inf."""
+    scores = (cand_vecs * a) @ np.swapaxes(ctx_vecs, -1, -2)
+    if live is not None:
+        scores = np.where(live, scores, -np.inf)
+    return scores.max(axis=-2), scores
 
 
 def top_r_mask(u: np.ndarray, r: int) -> np.ndarray:
-    """Boolean keep-mask of the R highest entries (ties kept by position)."""
-    if r >= u.shape[0]:
-        return np.ones(u.shape[0], dtype=bool)
+    """Boolean keep-mask of the R highest entries along the last axis
+    (ties kept by position)."""
+    if r >= u.shape[-1]:
+        return np.ones(u.shape, dtype=bool)
     if r < 1:
         raise ValidationError(f"attention budget must be >= 1, got {r}")
-    order = np.argsort(-u, kind="stable")
-    mask = np.zeros(u.shape[0], dtype=bool)
-    mask[order[:r]] = True
+    top = np.argsort(-u, axis=-1, kind="stable")[..., :r]
+    mask = np.zeros(u.shape, dtype=bool)
+    if u.ndim == 1:  # one mention, as inference scores: plain indexing costs less
+        mask[top] = True
+    else:
+        np.put_along_axis(mask, top, True, axis=-1)
     return mask
 
 
 def attention_weights(u: np.ndarray, r: int) -> np.ndarray:
-    """Softmax over the top-R support scores; pruned words get exactly 0."""
-    keep = top_r_mask(u, r)
-    shifted = np.where(keep, u - u[keep].max(), -np.inf)
-    ex = np.where(keep, np.exp(shifted), 0.0)
-    return ex / ex.sum()
+    """Softmax over the top-R support scores; pruned words get exactly 0.
+    The best-supported word is always kept, so the overall max is the shift."""
+    ex = np.exp(np.where(top_r_mask(u, r), u - u.max(axis=-1, keepdims=True), -np.inf))
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
 def context_score(cand_vecs: np.ndarray, ctx_vecs: np.ndarray, beta: np.ndarray,
                   b: np.ndarray) -> np.ndarray:
     """Attention-weighted bilinear context score for every candidate."""
-    return (cand_vecs * b) @ (ctx_vecs.T @ beta)
+    return ((cand_vecs * b) @ (np.swapaxes(ctx_vecs, -1, -2) @ beta[..., None]))[..., 0]
 
 
 def f_inputs(context_scores: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
     """The (n, 2) input rows of the combination network."""
     x = np.column_stack([context_scores, log_priors])
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValidationError("non-finite input to the combination network")
     return x
 
@@ -188,19 +195,19 @@ def combine_f(fnet: FNet, context_scores: np.ndarray,
 
 
 def mention_unary(a: np.ndarray, b: np.ndarray, r: int, cand_vecs: np.ndarray,
-                  ctx_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Context scores, attention weights and support rows for one mention.
-
-    The support rows (the first candidate attaining each word's support)
-    and the weights are what the backward pass of `record_unary` needs.
-    An empty context yields zero scores and no attention: the mention then
-    carries no context evidence and the prior decides.
+                  ctx_vecs: np.ndarray, live: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Context scores, attention weights and candidate-word support scores
+    of one mention's (S, d) candidates and (K, d) context rows, or of padded
+    blocks of them along a leading axis, `live` masking the padded pairs.
+    An empty context yields zero scores and no attention: no evidence.
     """
-    if ctx_vecs.shape[0] == 0:
-        return np.zeros(cand_vecs.shape[0]), np.zeros(0), np.zeros(0, dtype=int)
-    u, rows = _support(cand_vecs, ctx_vecs, a)
+    if ctx_vecs.shape[-2] == 0:
+        return (np.zeros(cand_vecs.shape[:-1]), np.zeros(0),
+                np.zeros(cand_vecs.shape[:-1] + (0,)))
+    u, scores = _support(cand_vecs, ctx_vecs, a, live)
     beta = attention_weights(u, r)
-    return context_score(cand_vecs, ctx_vecs, beta, b), beta, rows
+    return context_score(cand_vecs, ctx_vecs, beta, b), beta, scores
 
 
 @dataclass
@@ -278,77 +285,86 @@ def make_param_vars(tape: ad.Tape, params: dict[str, np.ndarray]) -> dict[str, a
     return {name: tape.var(arr) for name, arr in params.items()}
 
 
-def record_unary(tape: ad.Tape, vars_: dict[str, ad.Var],
-                 inst: MentionInstance, r: int) -> ad.Var:
-    """`mention_unary` as one tape record, with adjoints into A and B.
+def padded_rows(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """`rows` stacked on a new leading axis and zero-padded to the longest
+    (at least 1), with the (m, W) mask of the rows' own entries."""
+    sizes = np.array([row.shape[0] for row in rows])
+    filled = np.arange(max(1, sizes.max())) < sizes[:, None]
+    out = np.zeros(filled.shape + rows[0].shape[1:])
+    out[filled] = np.concatenate(rows)
+    return out, filled
 
-    Top-R selection is piecewise constant and carries no gradient; the
-    support max routes its adjoint to the first maximal candidate row.
-    An empty context gives a constant.
+
+def record_unaries(tape: ad.Tape, vars_: dict[str, ad.Var],
+                   instances: list[MentionInstance], r: int) -> ad.Var:
+    """`mention_unary` over the zero-padded (m, S, d) candidate and (m, K, d)
+    context blocks as one tape record of the (m, S) scores, with adjoints
+    into A and B.  An empty context keeps one live zero word, which scores
+    every candidate exactly 0 and passes no adjoint.  Top-R selection
+    carries no gradient; the support max routes its adjoint to the first
+    maximal candidate row.
     """
-    cands, ctx = inst.cand_vecs, inst.ctx_vecs
-    if ctx.shape[0] == 0:
-        return tape.const(np.zeros(cands.shape[0]))
     a, b = vars_["A"], vars_["B"]
-    psi, beta, rows = mention_unary(a.value, b.value, r, cands, ctx)
+    cands, valid = padded_rows([inst.cand_vecs for inst in instances])
+    ctx, words = padded_rows([inst.ctx_vecs for inst in instances])
+    live = valid[:, :, None] & (words | (np.arange(words.shape[1]) == 0))[:, None]
+    psi, beta, scores = mention_unary(a.value, b.value, r, cands, ctx, live)
 
     def backward(g):
-        cand_g = cands.T @ g
-        b._accum(cand_g * (ctx.T @ beta))
-        g_beta = ctx @ (b.value * cand_g)
-        g_u = beta * (g_beta - g_beta @ beta)
-        a._accum((cands[rows] * ctx).T @ g_u)
+        cand_g = (g[:, None, :] @ cands)[:, 0]
+        attended = (beta[:, None, :] @ ctx)[:, 0]
+        b._accum((cand_g * attended).sum(axis=0))
+        g_beta = (ctx @ (b.value * cand_g)[..., None])[..., 0]
+        g_u = beta * (g_beta - (g_beta * beta).sum(axis=-1, keepdims=True))
+        routed = cands[np.arange(cands.shape[0])[:, None], scores.argmax(axis=-2)]
+        a._accum(g_u.reshape(-1) @ (routed * ctx).reshape(-1, ctx.shape[-1]))
 
     return ad.record(tape, [psi], (a, b), backward)[0]
 
 
-def record_rank_loss(tape: ad.Tape, vars_: dict[str, ad.Var], scores: list[ad.Var],
+def record_rank_loss(tape: ad.Tape, vars_: dict[str, ad.Var], scores: ad.Var,
                      instances: list[MentionInstance], gamma: float) -> ad.Var:
-    """f and the ranking loss of a document's trainable mentions as one record.
+    """f and the ranking loss of the trainable mentions as one record.
 
     Each mention whose gold index is known adds, over its non-gold
     candidates e, [gamma - rho(gold) + rho(e)]_+ with rho = f(score, log
-    prior); the e = gold term would add the constant gamma with zero
-    gradient, so it is masked out and the loss is exactly 0 iff every
-    margin holds.  Mentions are summed in document order.  The backward
-    gives adjoints into f.* and into each mention's score; relu passes
-    none at exactly 0, nor does a margin of exactly 0.
+    prior) and the (m, S) `scores`; the gold term would add a constant
+    gamma, so it is left out and the loss is exactly 0 iff every margin
+    holds.  One f pass covers every live slot of the trainable
+    mentions.  The backward gives adjoints into f.* and `scores`; relu
+    passes none at exactly 0, nor does a margin of exactly 0.
     """
+    log_priors, valid = padded_rows([inst.log_priors for inst in instances])
+    golds = [-1 if inst.gold_index is None else inst.gold_index for inst in instances]
+    gold = np.arange(valid.shape[1]) == np.array(golds)[:, None]
+    live = valid & gold.any(axis=1, keepdims=True)
+    if not live.any():
+        return tape.const(np.zeros(()))
     fvars = [vars_[f"f.{n}"] for n in FNet.NAMES]
     fnet = FNet(*(v.value for v in fvars))
-    saved = []
-    total = None
-    for score, inst in zip(scores, instances):
-        gold = inst.gold_index
-        if gold is None:
-            continue
-        x = f_inputs(score.value, inst.log_priors)
-        h1, h2, rho = fnet.layers(x)
-        margins = rho - rho[gold] + gamma
-        mask = np.ones(rho.shape[0])
-        mask[gold] = 0.0
-        loss = np.dot(np.where(margins > 0.0, margins, 0.0), mask)
-        total = loss if total is None else total + loss
-        saved.append((score, x, h1, h2, mask * (margins > 0.0), gold))
-    if total is None:
-        return tape.const(np.zeros(()))
+    x = f_inputs(scores.value[live], log_priors[live])
+    h1, h2, out = fnet.layers(x)
+    rho = np.zeros(live.shape)
+    rho[live] = out
+    margins = rho - np.where(gold, rho, 0.0).sum(axis=1, keepdims=True) + gamma
+    hinge = live & ~gold & (margins > 0.0)
 
     def backward(g):
-        # mentions in reverse, as separate records would have been replayed
-        for score, x, h1, h2, live, gold in reversed(saved):
-            g_rho = g * live
-            g_rho[gold] -= g_rho.sum()
-            g3 = g_rho.reshape(-1, 1)
-            g2 = (g3 @ fnet.w3) * (h2 > 0.0)
-            g1 = (g2 @ fnet.w2) * (h1 > 0.0)
-            grads = (g1.T @ x, g1.sum(axis=0), g2.T @ h1, g2.sum(axis=0),
-                     g3.T @ h2, g3.sum(axis=0))
-            for var, grad in zip(fvars, grads):
-                var._accum(grad)
-            if score.needs_grad:
-                score._accum((g1 @ fnet.w1)[:, 0])
+        g_rho = g * hinge
+        g_rho -= gold * g_rho.sum(axis=1, keepdims=True)
+        g3 = g_rho[live][:, None]
+        g2 = (g3 @ fnet.w3) * (h2 > 0.0)
+        g1 = (g2 @ fnet.w2) * (h1 > 0.0)
+        grads = (g1.T @ x, g1.sum(axis=0), g2.T @ h1, g2.sum(axis=0),
+                 g3.T @ h2, g3.sum(axis=0))
+        for var, grad in zip(fvars, grads):
+            var._accum(grad)
+        if scores.needs_grad:
+            g_scores = np.zeros(live.shape)
+            g_scores[live] = (g1 @ fnet.w1)[:, 0]
+            scores._accum(g_scores)
 
-    return ad.record(tape, [total], (*fvars, *scores), backward)[0]
+    return ad.record(tape, [margins[hinge].sum()], (*fvars, scores), backward)[0]
 
 
 def local_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
@@ -356,18 +372,20 @@ def local_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
                         r: int) -> ad.Var:
     """Ranking loss of one document (sum over its trainable mentions)."""
     trainable = [inst for inst in instances if inst.gold_index is not None]
-    psi = [record_unary(tape, vars_, inst, r) for inst in trainable]
-    return record_rank_loss(tape, vars_, psi, trainable, gamma)
+    if not trainable:
+        return tape.const(np.zeros(()))
+    return record_rank_loss(tape, vars_, record_unaries(tape, vars_, trainable, r),
+                            trainable, gamma)
 
 
-def local_loss_closure(instances: list[MentionInstance], fnet_shape: FNet,
-                       gamma: float, r: int):
-    """(params, need_grad) -> (loss, grads) for the gradient checker."""
+def loss_closure(build):
+    """(params, need_grad) -> (loss, grads) of the loss `build(tape, vars_)`
+    records, for the gradient checker."""
 
     def f(params: dict[str, np.ndarray], need_grad: bool):
         tape = ad.Tape()
         vars_ = make_param_vars(tape, params)
-        loss = local_doc_loss_tape(tape, vars_, fnet_shape, instances, gamma, r)
+        loss = build(tape, vars_)
         if not need_grad:
             return float(loss.value), None
         tape.backward(loss)
@@ -376,3 +394,9 @@ def local_loss_closure(instances: list[MentionInstance], fnet_shape: FNet,
         return float(loss.value), grads
 
     return f
+
+
+def local_loss_closure(instances: list[MentionInstance], fnet_shape: FNet,
+                       gamma: float, r: int):
+    return loss_closure(lambda tape, vars_: local_doc_loss_tape(
+        tape, vars_, fnet_shape, instances, gamma, r))

@@ -6,8 +6,9 @@ summing adjoints into each operand.  A fresh tape is built per training
 example; there is no graph caching.
 
 The tape has a single primitive, `record`: a numpy forward registered with
-a hand-derived backward.  The models use three such records, the attention
-scorer (`attention.record_unary`), the unrolled message passing
+a hand-derived backward.  The models use three such records, each once per
+document over its padded mention block: the attention scorer
+(`attention.record_unaries`), the unrolled message passing
 (`crf.beliefs_tape`) and the combination network with the ranking loss
 (`attention.record_rank_loss`).  Every recorded primal and every adjoint
 reaching a record is checked to be finite.
@@ -31,7 +32,7 @@ class Tape:
 
     def var(self, value, needs_grad: bool = True) -> "Var":
         arr = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValidationError("non-finite primal value")
         return Var(arr, needs_grad)
 
@@ -51,7 +52,7 @@ class Tape:
             live = [g for g in grads if g is not None]
             if not live:
                 continue
-            if not all(np.all(np.isfinite(g)) for g in live):
+            if not all(np.isfinite(g).all() for g in live):
                 raise ValidationError("non-finite adjoint during backward pass")
             fn(*grads)
 
@@ -75,10 +76,6 @@ class Var:
             self.grad = np.zeros_like(self.value)
         self.grad += g
 
-    @property
-    def shape(self):
-        return self.value.shape
-
 
 def record(tape: Tape, values: list[np.ndarray], inputs: tuple[Var, ...],
            backward: Callable[..., None]) -> list[Var]:
@@ -88,7 +85,7 @@ def record(tape: Tape, values: list[np.ndarray], inputs: tuple[Var, ...],
     no later record used, and accumulates into the inputs itself.
     """
     for value in values:
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise ValidationError("non-finite primal value")
     needs_grad = any(v.needs_grad for v in inputs)
     outs = tuple(Var(value, needs_grad) for value in values)

@@ -65,6 +65,7 @@ from .vocab import (
     Vocab,
     load_stop_words,
     load_word_frequencies,
+    open_text,
     parse_field,
     read_counts,
     read_rows,
@@ -95,7 +96,7 @@ def _config(args, **fixed) -> ExperimentConfig:
 
 
 def _load_store(args) -> EmbeddingStore:
-    stop = load_stop_words(args.stopwords) if getattr(args, "stopwords", None) else None
+    stop = load_stop_words(args.stopwords) if args.stopwords else None
     store = load_word_vectors(_data_path(args, "word_vectors"),
                               fmt=args.vector_format, stop_words=stop)
     if getattr(args, "entities", None):
@@ -116,9 +117,10 @@ def _candidate_corpora(args, cfg: ExperimentConfig, store,
     return corpora
 
 
-def _add_vector_flags(p):
+def _add_vector_flags(p, entities: bool = True):
     p.add_argument("--word-vectors", help="word vector file")
-    p.add_argument("--entities", help="entity vector file")
+    if entities:
+        p.add_argument("--entities", help="entity vector file")
     p.add_argument("--vector-format", choices=("text", "binary"), default="text")
     p.add_argument("--stopwords", help="stop-word list, one token per line")
 
@@ -180,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train-embeddings", help="train entity vectors from counts")
-    _add_vector_flags(p)
+    _add_vector_flags(p, entities=False)  # it writes entity vectors, reads none
     p.add_argument("--counts", help="entity<TAB>word<TAB>count file")
     p.add_argument("--link-counts", help="hyperlink-window counts file")
     p.add_argument("--queries", help="relatedness queries for early stopping")
@@ -312,10 +314,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train_embeddings(args) -> int:
-    store = load_word_vectors(
-        _data_path(args, "word_vectors"),
-        fmt=args.vector_format,
-        stop_words=load_stop_words(args.stopwords) if args.stopwords else None)
+    store = _load_store(args)
     counts = load_counts_file(_data_path(args, "counts"),
                               store.word_vocab, store.entity_vocab,
                               alpha=args.alpha)
@@ -456,7 +455,7 @@ def cmd_predict(args) -> int:
 
 
 def _read_predictions(path: str) -> dict[tuple[str, int], str]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         if not fh.readline().startswith("doc\t"):
             raise ValidationError(f"{path}: missing predictions header")
     return {(doc, parse_field(int, mention, where)): entity
@@ -576,29 +575,32 @@ def cmd_grad_check(args) -> int:
     from .crf import global_loss_closure
 
     rng = np.random.default_rng(args.seed)
+
+    def make_instances(n, max_s, max_ctx):
+        # mixed candidate counts and context lengths, empty contexts
+        # included, so the padded block paths are checked too
+        out = []
+        for s, k in zip(rng.integers(1, max_s + 1, n), rng.integers(0, max_ctx + 1, n)):
+            vecs = rng.normal(size=(s, 8))
+            p = rng.dirichlet(np.ones(s))
+            out.append(MentionInstance(
+                cand_vecs=vecs / np.linalg.norm(vecs, axis=1, keepdims=True),
+                ctx_vecs=rng.normal(size=(k, 8)), gold_index=int(rng.integers(s)),
+                log_priors=np.array([floored_log_prior(x) for x in p]),
+                entities=list(range(s))))
+        return out
+
     worst = 0.0
     for _ in range(args.instances):
-        def make_instances(n, s, k_ctx):
-            out = []
-            for _ in range(n):
-                vecs = rng.normal(size=(s, 8))
-                vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-                p = rng.dirichlet(np.ones(s))
-                out.append(MentionInstance(
-                    cand_vecs=vecs, ctx_vecs=rng.normal(size=(k_ctx, 8)),
-                    log_priors=np.array([floored_log_prior(x) for x in p]),
-                    gold_index=int(rng.integers(s)), entities=list(range(s))))
-            return out
-
         fnet = FNet.random(hidden=20, rng=rng)
         params = {"A": 1.0 + 0.1 * rng.normal(size=8),
                   "B": 1.0 + 0.1 * rng.normal(size=8),
                   **fnet.param_dict()}
-        f = local_loss_closure(make_instances(2, 3, 10), fnet, gamma=0.05, r=5)
+        f = local_loss_closure(make_instances(3, 4, 10), fnet, gamma=0.05, r=5)
         rep = ad.grad_check(f, params, coords_per_param=10, rng=rng)
         worst = max(worst, rep.overall_max())
         params["C"] = 1.0 + 0.1 * rng.normal(size=8)
-        g = global_loss_closure(make_instances(3, 3, 6), fnet, gamma=0.05,
+        g = global_loss_closure(make_instances(4, 4, 6), fnet, gamma=0.05,
                                 r=3, delta=0.5, t=3)
         rep = ad.grad_check(g, params, coords_per_param=10, rng=rng)
         worst = max(worst, rep.overall_max())
@@ -615,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, UnicodeDecodeError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

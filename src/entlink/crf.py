@@ -15,10 +15,12 @@ the message from mention i to j at j's slot p, in probability space.
 Padding and the diagonal are neutral slots holding 1 (log 0).  A layer
 keeps values only, the max over sender slots q of phi[q, p, i, j] + v[q,
 i, j], where phi holds -inf at padded slots.  Every layer checks that each
-message sums to 1.  `beliefs_tape` records the unroll as one tape op whose
-hand-derived backward (Domke, TPAMI 2013) recomputes from phi and v each
-maximum's sender slot, the first maximal one.  Sums over mentions add in
-mention order, so results do not depend on the layout.
+message sums to 1.  `beliefs_tape` records the unroll as one tape op from
+the document's (n, S) unary block to its (n, S) beliefs; its hand-derived
+backward (Domke, TPAMI 2013) recomputes from phi and v each maximum's
+sender slot, the first maximal one.  Sums over mentions add in mention
+order, so results do not depend on the layout.  A training document's
+loss is three records: unaries, beliefs, ranking loss.
 
 The (S, S, n, n) tensor phi is one GEMM of the document's padded (n*S, d)
 candidate rows V, V diag(C) V^T; C's adjoint is the diagonal of V^T G V
@@ -41,10 +43,11 @@ from .attention import (
     argmax_entity,
     combine_f,
     doc_instances,
-    make_param_vars,
+    loss_closure,
     mention_unary,
+    padded_rows,
     record_rank_loss,
-    record_unary,
+    record_unaries,
 )
 from .errors import ValidationError
 from .vectors import EmbeddingStore
@@ -130,18 +133,8 @@ class CrfInstance:
 
     def padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Candidate tensor (n,S,d), slot-major unaries (S,n) and validity (S,n)."""
-        n = self.n
-        s = max(psi.shape[0] for psi in self.unaries)
-        d = self.cand_vecs[0].shape[1]
-        vecs = np.zeros((n, s, d))
-        psi = np.zeros((s, n))
-        valid = np.zeros((s, n), dtype=bool)
-        for i in range(n):
-            si = self.unaries[i].shape[0]
-            vecs[i, :si] = self.cand_vecs[i]
-            psi[:si, i] = self.unaries[i]
-            valid[:si, i] = True
-        return vecs, psi, valid
+        vecs, valid = padded_rows(self.cand_vecs)
+        return vecs, np.ascontiguousarray(padded_rows(self.unaries)[0].T), valid.T.copy()
 
 
 def crf_score(assignment: list[int], instance: CrfInstance) -> float:
@@ -181,6 +174,7 @@ class Unroll:
     """
 
     psi: np.ndarray              # (S, n) unaries, zero-padded
+    valid: np.ndarray            # (S, n) live candidate slots
     vecs: np.ndarray             # (n, S, d) candidate vectors, zero-padded
     phi: np.ndarray              # (S, S, n, n) pairwise scores, -inf at padding
     keep: np.ndarray             # (S, n, n) live message slots
@@ -232,7 +226,7 @@ def run_lbp(instance: CrfInstance, t: int, delta: float) -> Unroll:
     offdiag = ~np.eye(instance.n, dtype=bool)
     keep = valid[:, None, :] & offdiag
     mix = np.where(keep, 1.0 / valid.sum(axis=0), 1.0)
-    state = Unroll(psi, vecs, phi, keep, delta, mix=[mix], soft=[], v=[])
+    state = Unroll(psi, valid, vecs, phi, keep, delta, mix=[mix], soft=[], v=[])
     for layer in range(1, t + 1):
         log_m = np.log(mix)
         # pre[q, i] = psi_i(q) + sum_k log m[k -> i](q); v removes j's backflow
@@ -255,15 +249,17 @@ def run_lbp(instance: CrfInstance, t: int, delta: float) -> Unroll:
     return state
 
 
+def belief_block(state: Unroll) -> np.ndarray:
+    """(S, n) normalised beliefs after message passing, 0 at padded slots."""
+    mu = np.where(state.valid, state.logits(), -np.inf)
+    ex = np.exp(mu - mu.max(axis=0))
+    return ex / ex.sum(axis=0)
+
+
 def beliefs(state: Unroll, instance: CrfInstance) -> list[np.ndarray]:
     """Per-mention normalized beliefs after message passing."""
-    mu = state.logits()
-    out = []
-    for i, psi in enumerate(instance.unaries):
-        row = mu[:psi.shape[0], i]
-        ex = np.exp(row - row.max())
-        out.append(ex / ex.sum())
-    return out
+    mu = belief_block(state)
+    return [mu[:psi.shape[0], i] for i, psi in enumerate(instance.unaries)]
 
 
 def build_crf_instance(doc, params: GlobalParams,
@@ -310,22 +306,23 @@ def predict_global(doc, params: GlobalParams, store: EmbeddingStore) -> list[int
 # -- tape (training) path ----------------------------------------------
 
 
-def beliefs_tape(tape: ad.Tape, psi: list[ad.Var], instances: list[MentionInstance],
-                 c: ad.Var, delta: float, t: int) -> list[ad.Var]:
-    """`beliefs(run_lbp(...))` as one tape record, with adjoints into psi and C."""
-    crf = CrfInstance.of([p.value for p in psi], instances, c.value)
-    state = run_lbp(crf, t, delta)
-    mu = beliefs(state, crf)
+def beliefs_tape(tape: ad.Tape, psi: ad.Var, instances: list[MentionInstance],
+                 c: ad.Var, delta: float, t: int) -> ad.Var:
+    """`belief_block(run_lbp(...))` as one tape record, with adjoints into psi and C.
 
-    def backward(*grads):
-        g_mu = np.zeros_like(state.psi)
-        for i, (g, b) in enumerate(zip(grads, mu)):
-            if g is not None:
-                g_mu[:b.shape[0], i] = b * (g - g @ b)
+    `psi` holds the (n, S) unaries of `instances`, S their widest candidate
+    set; the record's value is the (n, S) beliefs, 0 at padded slots.
+    """
+    sizes = [inst.cand_vecs.shape[0] for inst in instances]
+    crf = CrfInstance.of([row[:s] for row, s in zip(psi.value, sizes)], instances, c.value)
+    state = run_lbp(crf, t, delta)
+    mu = belief_block(state)
+
+    def backward(g):
+        g_mu = mu * (g.T - (g.T * mu).sum(axis=0))
         g_psi, g_phi = state.backward(g_mu)
-        for i, p in enumerate(psi):
-            if p.needs_grad:
-                p._accum(g_psi[:mu[i].shape[0], i])
+        if psi.needs_grad:
+            psi._accum(g_psi.T)
         if crf.n > 1:  # a lone mention has no pairs, so C gets no adjoint
             # diag(V^T G V) with G[(j, p), (i, q)] = g_phi[q, p, i, j]
             n, s, d = state.vecs.shape
@@ -333,7 +330,7 @@ def beliefs_tape(tape: ad.Tape, psi: list[ad.Var], instances: list[MentionInstan
             g = g_phi.transpose(3, 1, 2, 0).reshape(n * s, n * s)
             c._accum(crf.pair_scale * ((g @ flat) * flat).sum(axis=0))
 
-    return ad.record(tape, mu, (*psi, c), backward)
+    return ad.record(tape, [mu.T], (psi, c), backward)[0]
 
 
 def global_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
@@ -346,25 +343,12 @@ def global_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
     """
     if not instances:
         return tape.const(np.zeros(()))
-    psi = [record_unary(tape, vars_, inst, r) for inst in instances]
-    mubars = beliefs_tape(tape, psi, instances, vars_["C"], delta, t)
-    return record_rank_loss(tape, vars_, mubars, instances, gamma)
+    psi = record_unaries(tape, vars_, instances, r)
+    mu = beliefs_tape(tape, psi, instances, vars_["C"], delta, t)
+    return record_rank_loss(tape, vars_, mu, instances, gamma)
 
 
 def global_loss_closure(instances: list[MentionInstance], fnet_shape: FNet,
                         gamma: float, r: int, delta: float, t: int):
-    """(params, need_grad) -> (loss, grads) for the gradient checker."""
-
-    def f(params: dict[str, np.ndarray], need_grad: bool):
-        tape = ad.Tape()
-        vars_ = make_param_vars(tape, params)
-        loss = global_doc_loss_tape(tape, vars_, fnet_shape, instances,
-                                    gamma, r, delta, t)
-        if not need_grad:
-            return float(loss.value), None
-        tape.backward(loss)
-        grads = {name: (v.grad if v.grad is not None else np.zeros_like(v.value))
-                 for name, v in vars_.items()}
-        return float(loss.value), grads
-
-    return f
+    return loss_closure(lambda tape, vars_: global_doc_loss_tape(
+        tape, vars_, fnet_shape, instances, gamma, r, delta, t))

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .vocab import Vocab
+from .vocab import Vocab, open_text
 
 
 @dataclass
@@ -99,7 +99,7 @@ def _json_mention(m, where: str) -> Mention:
 
 def _load_jsonl(path: str) -> list[Document]:
     docs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -143,7 +143,7 @@ def _load_columns(path: str) -> list[Document]:
             docs.append(Document(doc_id=doc_id, tokens=tokens, mentions=mentions))
         tokens, mentions, doc_id = [], [], None
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

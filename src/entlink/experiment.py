@@ -50,6 +50,7 @@ from .training import (
     train_local,
 )
 from .vectors import load_word_vectors
+from .vocab import open_text
 
 
 @dataclass
@@ -121,7 +122,7 @@ class ExperimentConfig:
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; blank lines and '#' comments ignored."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

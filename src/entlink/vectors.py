@@ -22,7 +22,7 @@ import struct
 import numpy as np
 
 from .errors import ValidationError
-from .vocab import Vocab
+from .vocab import Vocab, open_text
 
 _BINARY_MAGIC = b"EVEC"
 _BINARY_VERSION = 1
@@ -220,7 +220,7 @@ def _parse_text_vectors(path: str) -> tuple[list[str], np.ndarray]:
     tokens: list[str] = []
     rows: list[np.ndarray] = []
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline()
         if not header.strip():
             raise ValidationError(f"{path}: no vectors")

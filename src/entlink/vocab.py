@@ -7,6 +7,7 @@ name collides with a word is never ambiguous.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 from .errors import ValidationError
 
@@ -89,6 +90,27 @@ class Vocab:
         return list(self._tokens)
 
 
+@contextmanager
+def open_text(path: str):
+    """`path` opened for reading as UTF-8.  A byte that is not UTF-8 raises a
+    ValidationError naming the file, the line and the byte's offset."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # the decoder reports offsets within its chunk; find the file's
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise ValidationError(
+                    f"{path}:{line}: not valid UTF-8 "
+                    f"(byte 0x{data[exc.start]:02x} at offset {exc.start})") from None
+            raise
+
+
 def read_rows(path: str, layout: str, start: int = 1):
     """Yield ``(where, fields)`` for each nonblank line of a tab-separated file.
 
@@ -97,7 +119,7 @@ def read_rows(path: str, layout: str, start: int = 1):
     joined by ``<TAB>``) raises a ValidationError naming the line.
     """
     width = layout.count("<TAB>") + 1
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if lineno < start or not line:
@@ -144,7 +166,7 @@ def load_word_frequencies(path: str, vocab: Vocab) -> int:
 def load_stop_words(path: str) -> frozenset[str]:
     """One stop word per line; blank lines and '#' comments ignored."""
     words = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             token = line.strip()
             if token and not token.startswith("#"):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from tapeops import weighted_sum
+from tapeops import split_rows, weighted_sum
 
 from entlink import autodiff as ad
 from entlink.attention import (
@@ -19,7 +19,7 @@ from entlink.attention import (
     make_param_vars,
     mention_unary,
     predict_local,
-    record_unary,
+    record_unaries,
     top_r_mask,
 )
 from entlink.docs import Corpus, Document, Mention, build_context_windows
@@ -246,7 +246,7 @@ class TestMentionUnaryConsistency:
         vars_ = make_param_vars(tape, params.param_dict())
         inst = MentionInstance(cand_vecs=cand_vecs, ctx_vecs=ctx_vecs,
                                log_priors=np.zeros(4), gold_index=0)
-        psi_tape = record_unary(tape, vars_, inst, params.r)
+        [psi_tape] = split_rows(tape, record_unaries(tape, vars_, [inst], params.r), [4])
         np.testing.assert_allclose(psi_np, want, atol=1e-12)
         np.testing.assert_allclose(psi_tape.value, want, atol=1e-12)
 

@@ -2,12 +2,11 @@
 
 import numpy as np
 import pytest
-from tapeops import weighted_sum
+from tapeops import lbp_beliefs, split_rows, stack_rows, weighted_sum
 
 from entlink import autodiff as ad
 from entlink.attention import (FNet, MentionInstance, make_param_vars, mention_unary,
-                               record_rank_loss, record_unary)
-from entlink.crf import beliefs_tape
+                               record_rank_loss, record_unaries)
 from entlink.errors import ValidationError
 
 
@@ -43,12 +42,14 @@ def mention(cand_vecs, ctx_vecs):
 
 
 def unary_grads(cand_vecs, ctx_vecs, a, b, r, weights):
-    """Tape adjoints of A and B for the loss weights . psi."""
+    """Scores and tape adjoints of A and B for the loss weights . psi."""
     t = ad.Tape()
     vars_ = {"A": t.var(a), "B": t.var(b)}
-    psi = record_unary(t, vars_, mention(cand_vecs, ctx_vecs), r)
+    block = record_unaries(t, vars_, [mention(cand_vecs, ctx_vecs)], r)
+    [psi] = split_rows(t, block, [len(weights)])
     t.backward(weighted_sum(t, [psi], [weights]))
-    return psi, vars_["A"].grad, vars_["B"].grad
+    return psi.value, vars_["A"].grad, vars_["B"].grad
+
 
 
 def test_softmax_symmetry():
@@ -56,7 +57,7 @@ def test_softmax_symmetry():
     # pairs, so C receives no adjoint at all
     t = ad.Tape()
     psi, c = t.var(np.array([0.0, 0.0])), t.var(np.ones(2))
-    [y] = beliefs_tape(t, [psi], [mention(np.eye(2), np.zeros((0, 2)))], c, delta=0.5, t=1)
+    [y] = lbp_beliefs(t, [psi], [mention(np.eye(2), np.zeros((0, 2)))], c, 0.5, 1)
     np.testing.assert_allclose(y.value, [0.5, 0.5])
     t.backward(weighted_sum(t, [y], [np.array([1.0, 0.0])]))
     np.testing.assert_allclose(psi.grad, [0.25, -0.25])
@@ -72,15 +73,21 @@ def identity_f() -> FNet:
                 b2=np.zeros(1), w3=np.ones((1, 1)), b3=np.zeros(1))
 
 
+def scored(sizes, golds, log_priors=None):
+    """Mentions with the given candidate counts and gold slots, no context."""
+    log_priors = log_priors or [np.zeros(s) for s in sizes]
+    return [MentionInstance(cand_vecs=np.zeros((s, 1)), ctx_vecs=np.zeros((0, 1)),
+                            log_priors=p, gold_index=g)
+            for s, g, p in zip(sizes, golds, log_priors)]
+
+
 def rank_loss(fnet, scores, golds, gamma):
     """Loss record over mentions with the given scores; returns loss, score Vars, f Vars."""
     t = ad.Tape()
     vars_ = make_param_vars(t, fnet.param_dict())
     score_vars = [t.var(s) for s in scores]
-    instances = [MentionInstance(cand_vecs=np.zeros((len(s), 1)), ctx_vecs=np.zeros((0, 1)),
-                                 log_priors=np.zeros(len(s)), gold_index=g)
-                 for s, g in zip(scores, golds)]
-    loss = record_rank_loss(t, vars_, score_vars, instances, gamma)
+    instances = scored([len(s) for s in scores], golds)
+    loss = record_rank_loss(t, vars_, stack_rows(t, score_vars), instances, gamma)
     t.backward(loss)
     return loss, score_vars, vars_
 
@@ -113,24 +120,22 @@ def test_rank_loss_gold_term_masked():
 
 def test_linear_layer_grads_match_fd():
     # adjoints of f's layers and of every trainable mention's score;
-    # an untrainable mention between them adds nothing and gets no adjoint
+    # an untrainable mention between them adds nothing and gets a zero adjoint
     rng = np.random.default_rng(5)
     fnet = FNet.random(hidden=6, scale=0.8, rng=rng)
     sizes, golds = [4, 3, 2], [2, None, 0]
-    instances = [MentionInstance(cand_vecs=np.zeros((s, 1)), ctx_vecs=np.zeros((0, 1)),
-                                 log_priors=np.log(rng.dirichlet(np.ones(s))), gold_index=g)
-                 for s, g in zip(sizes, golds)]
+    instances = scored(sizes, golds, [np.log(rng.dirichlet(np.ones(s))) for s in sizes])
     params = {**fnet.param_dict(), **{f"s{i}": rng.normal(size=s) for i, s in enumerate(sizes)}}
 
     def f(params, need_grad):
         t = ad.Tape()
         vars_ = make_param_vars(t, params)
-        scores = [vars_[f"s{i}"] for i in range(len(sizes))]
+        scores = stack_rows(t, [vars_[f"s{i}"] for i in range(len(sizes))])
         loss = record_rank_loss(t, vars_, scores, instances, 0.5)
         if not need_grad:
             return float(loss.value), None
         t.backward(loss)
-        assert vars_["s1"].grad is None
+        assert not vars_["s1"].grad.any()
         return float(loss.value), {k: v.grad if v.grad is not None else np.zeros_like(v.value)
                                    for k, v in vars_.items()}
 
@@ -177,7 +182,7 @@ def test_masked_softmax_exact_zero_probability_and_gradient():
     assert beta.sum() == pytest.approx(1.0)
     psi, grad_a, grad_b = unary_grads(cands, ctx, a, b, 2, w)
     psi_kept, grad_a_kept, grad_b_kept = unary_grads(cands, ctx[~pruned], a, b, 2, w)
-    np.testing.assert_allclose(psi.value, psi_kept.value, atol=1e-12)
+    np.testing.assert_allclose(psi, psi_kept, atol=1e-12)
     np.testing.assert_allclose(grad_a, grad_a_kept, atol=1e-12)
     np.testing.assert_allclose(grad_b, grad_b_kept, atol=1e-12)
     assert abs(grad_a[0]) > 0.0
@@ -187,7 +192,7 @@ def test_all_masked_softmax_rejected():
     t = ad.Tape()
     vars_ = {"A": t.var(np.ones(2)), "B": t.var(np.ones(2))}
     with pytest.raises(ValidationError, match="attention budget"):
-        record_unary(t, vars_, mention(np.eye(2), np.eye(2)), 0)
+        record_unaries(t, vars_, [mention(np.eye(2), np.eye(2))], 0)
 
 
 def test_gradient_linearity_on_random_programs():
@@ -233,7 +238,7 @@ def test_bilinear_diag_values_and_grads():
     psi, _, grad_b = unary_grads(left, right, np.ones(4), diag, 2, w)
     _, beta, _ = mention_unary(np.ones(4), diag, 2, left, right)
     want = np.einsum("pd,d,qd,q->p", left, diag, right, beta)
-    np.testing.assert_allclose(psi.value, want, atol=1e-12)
+    np.testing.assert_allclose(psi, want, atol=1e-12)
     want_grad = np.einsum("p,pd,qd,q->d", w, left, right, beta)
     np.testing.assert_allclose(grad_b, want_grad, atol=1e-12)
 
@@ -247,7 +252,7 @@ def test_maxplus_forward_and_routing():
     psi1 = t.var(np.array([0.0, 0.0]))
     instances = [mention(np.eye(2), np.zeros((0, 2))),
                  mention([[1.0, 1.0], [0.0, 1.0]], np.zeros((0, 2)))]
-    _, b1 = beliefs_tape(t, [psi0, psi1], instances, t.var(np.ones(2)), delta=1.0, t=1)
+    _, b1 = lbp_beliefs(t, [psi0, psi1], instances, t.var(np.ones(2)), 1.0, 1)
     np.testing.assert_allclose(b1.value, [0.5, 0.5])
     t.backward(weighted_sum(t, [b1], [np.array([1.0, 0.0])]))
     np.testing.assert_allclose(psi1.grad, [0.25, -0.25], atol=1e-15)

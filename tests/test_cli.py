@@ -279,8 +279,7 @@ class TestExitCodes:
         # a binary vector file whose token is not UTF-8, a predictions file
         # with a non-integer mention index, frequency tables with a
         # non-integer count or three columns, a count index with a NaN
-        # count, unparsable list flags, a predictions file and a config
-        # file that are not UTF-8, and a JSON-lines line that is no object
+        # count, unparsable list flags, and a JSON-lines line that is no object
         _, data, entities = bench
         huge, r0, nan, narrow = (tmp_path / f"{n}.model"
                                  for n in ("huge", "r0", "nan", "narrow"))
@@ -299,18 +298,16 @@ class TestExitCodes:
                             + struct.pack("<2f", 1.0, 0.0))
         predict = ["--data-dir", str(data), "predict", "--entities", str(entities),
                    "--out", str(tmp_path / "p.tsv"), "--model"]
-        (bad_preds, no_preds, bad_count, three_cols, counts, nan_count, latin1, config,
+        (bad_preds, no_preds, bad_count, three_cols, counts, nan_count,
          array) = (tmp_path / n for n in ("bad_preds.tsv", "no_preds.tsv", "bad_count.tsv",
                                            "three_cols.tsv", "counts.tsv", "nan_count.tsv",
-                                           "latin1.tsv", "latin1.ini", "array.jsonl"))
+                                           "array.jsonl"))
         bad_preds.write_text("doc\tmention\tentity\nd0\tfirst\tE000\n")
         no_preds.write_text("doc\tmention\tentity\n")
         bad_count.write_text("E000\t3\nE001\tmany\n")
         three_cols.write_text("E000\t3\t1\n")
         counts.write_text("m\tE0\t3\n")
         nan_count.write_text("m\tE0\tnan\n")
-        latin1.write_bytes(b"doc\tmention\tentity\nd0\t0\tE\xff\n")
-        config.write_bytes(b"seed = 3\n# caf\xe9\n")
         array.write_text("[1, 2]\n")
         breakdown = ["--data-dir", str(data), "breakdown", "--predictions",
                      str(no_preds), "--freq"]
@@ -331,10 +328,6 @@ class TestExitCodes:
                    str(tmp_path / "prior.tsv")], f"{nan_count}:1: bad count: expected float"),
                  (sweep + ["--values", "a"], "--values: expected float"),
                  (sweep + ["--values", "2", "--seeds", "a"], "--seeds: expected int"),
-                 (["--data-dir", str(data), "evaluate", "--predictions", str(latin1)],
-                  "can't decode byte 0xff"),
-                 (["run-experiment", "--config", str(config), "--out",
-                   str(tmp_path / "run")], "can't decode byte 0xe9"),
                  (["--data-dir", str(data), "evaluate", "--predictions", str(no_preds),
                    "--corpus", str(array)], f"{array}:1: the line is not an object")]
         env = dict(os.environ, PYTHONPATH=str(Path(entlink.__file__).parent.parent))
@@ -344,6 +337,50 @@ class TestExitCodes:
             assert proc.returncode == 1, (argv, proc.stderr)
             assert message in proc.stderr
             assert "Traceback" not in proc.stderr
+
+    def test_non_utf8_input_names_its_file(self, bench, tmp_path):
+        # each text reader names the file, the line and the offset of the
+        # first byte that is not UTF-8: a tab-separated table, the config
+        # file, a stop-word list, a text vector file and a JSON-lines corpus
+        _, data, entities = bench
+        preds, config, stop, vectors, corpus = (
+            tmp_path / n for n in ("p.tsv", "c.ini", "stop.txt", "v.txt", "c.jsonl"))
+        preds.write_bytes(b"doc\tmention\tentity\nd0\t0\tE\xff\n")
+        header = tmp_path / "header.tsv"
+        header.write_text("doc\tmention\tentity\n")
+        config.write_bytes(b"seed = 3\n# caf\xe9\n")
+        stop.write_bytes(b"the\n\xfe\n")
+        vectors.write_bytes(b"1 2\n\xc3 1 0\n")
+        corpus.write_bytes(b'{"id": "d", "tokens": ["\xff"], "mentions": []}\n')
+        evaluate = ["--data-dir", str(data), "evaluate", "--predictions"]
+        select = ["--data-dir", str(data), "select-candidates", "--entities", str(entities),
+                  "--out", str(tmp_path / "out.tsv")]
+        cases = [(evaluate + [str(preds)], f"{preds}:2: not valid UTF-8 (byte 0xff at offset 25)"),
+                 (["run-experiment", "--config", str(config)],
+                  f"{config}:2: not valid UTF-8 (byte 0xe9 at offset 14)"),
+                 (select + ["--stopwords", str(stop)],
+                  f"{stop}:2: not valid UTF-8 (byte 0xfe at offset 4)"),
+                 (["inspect-neighbors", "--entities", str(vectors), "--entity", "E0"],
+                  f"{vectors}:2: not valid UTF-8 (byte 0xc3 at offset 4)"),
+                 (evaluate + [str(header), "--corpus", str(corpus)],
+                  f"{corpus}:1: not valid UTF-8 (byte 0xff at offset 24)")]
+        env = dict(os.environ, PYTHONPATH=str(Path(entlink.__file__).parent.parent))
+        for argv, message in cases:
+            proc = subprocess.run([sys.executable, "-m", "entlink", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 1, (argv, proc.stderr)
+            assert message in proc.stderr, proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_train_embeddings_rejects_entities_flag(self, bench, capsys):
+        # it writes entity vectors and reads none, so it offers no --entities
+        _, data, entities = bench
+        with pytest.raises(SystemExit) as exit_:
+            main(["train-embeddings", "--word-vectors", str(data / "word_vectors.txt"),
+                  "--counts", str(data / "counts.tsv"), "--entities", str(entities),
+                  "--out", str(data / "unused.txt")])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --entities" in capsys.readouterr().err
 
     def test_grad_check_subcommand(self, capsys):
         assert main(["grad-check", "--instances", "1", "--seed", "3"]) == 0

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from tapeops import weighted_sum
+from tapeops import lbp_beliefs, weighted_sum
 
 from entlink import autodiff as ad
 from entlink.attention import (
@@ -19,7 +19,6 @@ from entlink.crf import (
     CrfInstance,
     GlobalParams,
     beliefs,
-    beliefs_tape,
     build_crf_instance,
     crf_score,
     global_doc_loss_tape,
@@ -348,7 +347,7 @@ class TestTiedRouting:
             tape = ad.Tape()
             c = tape.var(params["C"])
             psi = [tape.var(params[f"u{i}"]) for i in range(inst.n)]
-            mubars = beliefs_tape(tape, psi, instances, c, 0.5, 4)
+            mubars = lbp_beliefs(tape, psi, instances, c, 0.5, 4)
             loss = weighted_sum(tape, mubars, weights)
             if not need_grad:
                 return float(loss.value), None
@@ -538,7 +537,7 @@ class TestGlobalLoss:
             tape = ad.Tape()
             c = tape.var(inst.c)
             psi = [tape.const(u) for u in inst.unaries]
-            mubars = beliefs_tape(tape, psi, instances, c, delta, t_layers)
+            mubars = lbp_beliefs(tape, psi, instances, c, delta, t_layers)
             _, mu_want = straight_line_trace(inst, t_layers, delta)
             for got, want in zip(mubars, mu_want):
                 np.testing.assert_allclose(got.value, want, atol=1e-10)
@@ -568,7 +567,7 @@ class TestGlobalLoss:
         tape = ad.Tape()
         c = tape.var(inst.c)
         psi = [tape.var(u) for u in inst.unaries]
-        mubars = beliefs_tape(tape, psi, instances, c, delta, t_layers)
+        mubars = lbp_beliefs(tape, psi, instances, c, delta, t_layers)
         mu_want, _ = probe(inst.unaries, inst.c)
         mu_fast = beliefs(run_lbp(inst, t=t_layers, delta=delta), inst)
         for got, want, fast in zip(mubars, mu_want, mu_fast):
@@ -609,8 +608,8 @@ class TestGlobalLoss:
         weights = [rng.normal(size=u.shape[0]) for u in inst.unaries]
         tape = ad.Tape()
         c = tape.var(inst.c)
-        mubars = beliefs_tape(tape, [tape.const(u) for u in inst.unaries],
-                              instances, c, delta, t_layers)
+        mubars = lbp_beliefs(tape, [tape.const(u) for u in inst.unaries],
+                             instances, c, delta, t_layers)
         tape.backward(weighted_sum(tape, mubars, weights))
 
         state = run_lbp(inst, t=t_layers, delta=delta)
