@@ -12,7 +12,8 @@ local score; training minimises a margin ranking loss over candidates.
 document's mentions through it.  The scorer works along any leading
 mention axes: inference scores one mention at a time while its context
 rows are in cache, and training scores a document's zero-padded mention
-blocks in one record (`record_unaries`).  f with the ranking loss
+blocks in one record (`record_unaries`).  Training builds those blocks
+and their masks once per document (`DocBlock`).  f with the ranking loss
 is one more record per document (`record_rank_loss`), one f pass over
 every trainable candidate.  Each record has a hand-derived backward over
 the same numpy forward that inference runs.
@@ -295,20 +296,49 @@ def padded_rows(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return out, filled
 
 
-def record_unaries(tape: ad.Tape, vars_: dict[str, ad.Var],
-                   instances: list[MentionInstance], r: int) -> ad.Var:
-    """`mention_unary` over the zero-padded (m, S, d) candidate and (m, K, d)
-    context blocks as one tape record of the (m, S) scores, with adjoints
-    into A and B.  An empty context keeps one live zero word, which scores
-    every candidate exactly 0 and passes no adjoint.  Top-R selection
-    carries no gradient; the support max routes its adjoint to the first
-    maximal candidate row.
+@dataclass
+class DocBlock:
+    """A document's mentions as the zero-padded blocks the training records
+    read, built once per document (`DocBlock.of`).
+
+    `cands` (m, S, d) and `ctx` (m, K, d) hold the candidate and context
+    rows, `valid` (m, S) the live candidate slots and `live` (m, S, K) the
+    scored candidate-word pairs: an empty context keeps one live zero word.
+    `log_priors` (m, S) is zero-padded; `gold` (m, S) marks each gold slot
+    and `slots` (m, S) the live slots of the mentions with a gold slot.
+    """
+
+    cands: np.ndarray
+    valid: np.ndarray
+    ctx: np.ndarray
+    live: np.ndarray
+    log_priors: np.ndarray
+    gold: np.ndarray
+    slots: np.ndarray
+
+    @classmethod
+    def of(cls, instances: list[MentionInstance]) -> "DocBlock":
+        cands, valid = padded_rows([inst.cand_vecs for inst in instances])
+        ctx, words = padded_rows([inst.ctx_vecs for inst in instances])
+        live = valid[:, :, None] & (words | (np.arange(words.shape[1]) == 0))[:, None]
+        golds = [-1 if inst.gold_index is None else inst.gold_index for inst in instances]
+        gold = np.arange(valid.shape[1]) == np.array(golds)[:, None]
+        return DocBlock(cands=cands, valid=valid, ctx=ctx, live=live,
+                        log_priors=padded_rows([inst.log_priors for inst in instances])[0],
+                        gold=gold, slots=valid & gold.any(axis=1, keepdims=True))
+
+
+def record_unaries(tape: ad.Tape, vars_: dict[str, ad.Var], block: DocBlock,
+                   r: int) -> ad.Var:
+    """`mention_unary` over the block's candidate and context rows as one
+    tape record of the (m, S) scores, with adjoints into A and B.  An empty
+    context's one live zero word scores every candidate exactly 0 and
+    passes no adjoint.  Top-R selection carries no gradient; the support
+    max routes its adjoint to the first maximal candidate row.
     """
     a, b = vars_["A"], vars_["B"]
-    cands, valid = padded_rows([inst.cand_vecs for inst in instances])
-    ctx, words = padded_rows([inst.ctx_vecs for inst in instances])
-    live = valid[:, :, None] & (words | (np.arange(words.shape[1]) == 0))[:, None]
-    psi, beta, scores = mention_unary(a.value, b.value, r, cands, ctx, live)
+    cands, ctx = block.cands, block.ctx
+    psi, beta, scores = mention_unary(a.value, b.value, r, cands, ctx, block.live)
 
     def backward(g):
         cand_g = (g[:, None, :] @ cands)[:, 0]
@@ -323,8 +353,8 @@ def record_unaries(tape: ad.Tape, vars_: dict[str, ad.Var],
 
 
 def record_rank_loss(tape: ad.Tape, vars_: dict[str, ad.Var], scores: ad.Var,
-                     instances: list[MentionInstance], gamma: float) -> ad.Var:
-    """f and the ranking loss of the trainable mentions as one record.
+                     block: DocBlock, gamma: float) -> ad.Var:
+    """f and the ranking loss of the block's trainable mentions as one record.
 
     Each mention whose gold index is known adds, over its non-gold
     candidates e, [gamma - rho(gold) + rho(e)]_+ with rho = f(score, log
@@ -334,15 +364,12 @@ def record_rank_loss(tape: ad.Tape, vars_: dict[str, ad.Var], scores: ad.Var,
     mentions.  The backward gives adjoints into f.* and `scores`; relu
     passes none at exactly 0, nor does a margin of exactly 0.
     """
-    log_priors, valid = padded_rows([inst.log_priors for inst in instances])
-    golds = [-1 if inst.gold_index is None else inst.gold_index for inst in instances]
-    gold = np.arange(valid.shape[1]) == np.array(golds)[:, None]
-    live = valid & gold.any(axis=1, keepdims=True)
+    live, gold = block.slots, block.gold
     if not live.any():
         return tape.const(np.zeros(()))
     fvars = [vars_[f"f.{n}"] for n in FNet.NAMES]
     fnet = FNet(*(v.value for v in fvars))
-    x = f_inputs(scores.value[live], log_priors[live])
+    x = f_inputs(scores.value[live], block.log_priors[live])
     h1, h2, out = fnet.layers(x)
     rho = np.zeros(live.shape)
     rho[live] = out
@@ -368,14 +395,16 @@ def record_rank_loss(tape: ad.Tape, vars_: dict[str, ad.Var], scores: ad.Var,
 
 
 def local_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
-                        instances: list[MentionInstance], gamma: float,
+                        doc: DocBlock | list[MentionInstance], gamma: float,
                         r: int) -> ad.Var:
-    """Ranking loss of one document (sum over its trainable mentions)."""
-    trainable = [inst for inst in instances if inst.gold_index is not None]
-    if not trainable:
-        return tape.const(np.zeros(()))
-    return record_rank_loss(tape, vars_, record_unaries(tape, vars_, trainable, r),
-                            trainable, gamma)
+    """Ranking loss of one document (sum over its trainable mentions), given
+    as its block or as its instances, of which the trainable ones are kept."""
+    if not isinstance(doc, DocBlock):
+        doc = [inst for inst in doc if inst.gold_index is not None]
+        if not doc:
+            return tape.const(np.zeros(()))
+        doc = DocBlock.of(doc)
+    return record_rank_loss(tape, vars_, record_unaries(tape, vars_, doc, r), doc, gamma)
 
 
 def loss_closure(build):

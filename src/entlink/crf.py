@@ -8,19 +8,23 @@ combined with the log prior by the same network f as the local model.
 Training backpropagates a margin ranking loss on the combined beliefs
 through all T layers; both read documents via `attention.doc_instances`.
 
-One kernel, `run_lbp`, runs the recurrence for inference and training
-alike.  Its arrays are slot-major, so each max or sum over candidate slots
-runs over the outermost axis: entry [p, i, j] of the (S, n, n) messages is
-the message from mention i to j at j's slot p, in probability space.
-Padding and the diagonal are neutral slots holding 1 (log 0).  A layer
-keeps values only, the max over sender slots q of phi[q, p, i, j] + v[q,
-i, j], where phi holds -inf at padded slots.  Every layer checks that each
-message sums to 1.  `beliefs_tape` records the unroll as one tape op from
-the document's (n, S) unary block to its (n, S) beliefs; its hand-derived
-backward (Domke, TPAMI 2013) recomputes from phi and v each maximum's
-sender slot, the first maximal one.  Sums over mentions add in mention
-order, so results do not depend on the layout.  A training document's
-loss is three records: unaries, beliefs, ranking loss.
+One kernel, `unroll`, runs the recurrence for inference and training
+alike, over a document's padded unaries and its `Layout`: the padded
+candidate rows and the masks and start messages they fix.  Inference pads
+a `CrfInstance` through the thin wrapper `run_lbp`; training builds each
+document's layout once (`JointBlock`).  The arrays are slot-major, so
+each max or sum over candidate slots runs over the outermost axis: entry
+[p, i, j] of the (S, n, n) messages is the message from mention i to j at
+j's slot p, in probability space.  Padding and the diagonal are neutral
+slots holding 1 (log 0).  A layer keeps values only, the max over sender
+slots q of phi[q, p, i, j] + v[q, i, j], where phi holds -inf at padded
+slots.  Every layer checks that each message sums to 1.  `beliefs_tape`
+records the unroll as one tape op from the document's (n, S) unary block
+to its (n, S) beliefs; its hand-derived backward (Domke, TPAMI 2013)
+recomputes from phi and v each maximum's sender slot, the first maximal
+one.  Sums over mentions add in mention order, so results do not depend
+on the memory layout.  A training document's loss is three records:
+unaries, beliefs, ranking loss.
 
 The (S, S, n, n) tensor phi is one GEMM of the document's padded (n*S, d)
 candidate rows V, V diag(C) V^T; C's adjoint is the diagonal of V^T G V
@@ -37,6 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import (
+    DocBlock,
     FNet,
     LocalParams,
     MentionInstance,
@@ -53,6 +58,12 @@ from .errors import ValidationError
 from .vectors import EmbeddingStore
 
 MESSAGE_NORM_TOL = 1e-6
+
+
+def pair_scale(n: int) -> float:
+    """The coherence factor 2/(n-1) of an n-mention document; no pairs exist
+    for n=1, so the factor is never used then."""
+    return 2.0 / (n - 1) if n > 1 else 0.0
 
 
 @dataclass
@@ -117,8 +128,7 @@ class CrfInstance:
 
     @property
     def pair_scale(self) -> float:
-        # no pairs exist for n=1; the factor is never used then
-        return 2.0 / (self.n - 1) if self.n > 1 else 0.0
+        return pair_scale(self.n)
 
     def phi(self, i: int, j: int) -> np.ndarray:
         """Pairwise scores, rows over the candidates of j, columns over i.
@@ -130,11 +140,6 @@ class CrfInstance:
             return (self.pair_scale
                     * (self.cand_vecs[j] * self.c) @ self.cand_vecs[i].T)
         return self.phi(j, i).T
-
-    def padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Candidate tensor (n,S,d), slot-major unaries (S,n) and validity (S,n)."""
-        vecs, valid = padded_rows(self.cand_vecs)
-        return vecs, np.ascontiguousarray(padded_rows(self.unaries)[0].T), valid.T.copy()
 
 
 def crf_score(assignment: list[int], instance: CrfInstance) -> float:
@@ -217,16 +222,43 @@ class Unroll:
         return g_psi, g_phi
 
 
-def run_lbp(instance: CrfInstance, t: int, delta: float) -> Unroll:
-    """T synchronous damped max-product layers from uniform messages."""
+@dataclass
+class Layout:
+    """What message passing reads of a document besides its unaries and C,
+    all fixed by its padded candidate sets: the (n, S, d) rows, the
+    slot-major (S, n) validity, the (S, n, n) live message slots, the
+    (n, n) off-diagonal pairs and the uniform (S, n, n) start messages."""
+
+    vecs: np.ndarray
+    valid: np.ndarray
+    keep: np.ndarray
+    offdiag: np.ndarray
+    start: np.ndarray
+
+    @classmethod
+    def of(cls, vecs: np.ndarray, valid: np.ndarray) -> "Layout":
+        """The layout of padded rows `vecs` and their (n, S) validity `valid`,
+        as `padded_rows` returns them."""
+        valid = valid.T.copy()
+        offdiag = ~np.eye(vecs.shape[0], dtype=bool)
+        keep = valid[:, None, :] & offdiag
+        return cls(vecs, valid, keep, offdiag, np.where(keep, 1.0 / valid.sum(axis=0), 1.0))
+
+    @property
+    def n(self) -> int:
+        return self.vecs.shape[0]
+
+
+def unroll(layout: Layout, psi: np.ndarray, c: np.ndarray, t: int,
+           delta: float) -> Unroll:
+    """T synchronous damped max-product layers from uniform messages, over
+    the (S, n) slot-major unaries `psi` of the document `layout` describes."""
     if t < 1:
         raise ValidationError(f"layer count must be >= 1, got {t}")
-    vecs, psi, valid = instance.padded()
-    phi = _phi_tensor(vecs, valid, instance.c, instance.pair_scale)
-    offdiag = ~np.eye(instance.n, dtype=bool)
-    keep = valid[:, None, :] & offdiag
-    mix = np.where(keep, 1.0 / valid.sum(axis=0), 1.0)
-    state = Unroll(psi, valid, vecs, phi, keep, delta, mix=[mix], soft=[], v=[])
+    valid, keep, offdiag = layout.valid, layout.keep, layout.offdiag
+    phi = _phi_tensor(layout.vecs, valid, c, pair_scale(layout.n))
+    mix = layout.start
+    state = Unroll(psi, valid, layout.vecs, phi, keep, delta, mix=[mix], soft=[], v=[])
     for layer in range(1, t + 1):
         log_m = np.log(mix)
         # pre[q, i] = psi_i(q) + sum_k log m[k -> i](q); v removes j's backflow
@@ -247,6 +279,12 @@ def run_lbp(instance: CrfInstance, t: int, delta: float) -> Unroll:
         state.soft.append(soft)
         state.v.append(v)
     return state
+
+
+def run_lbp(instance: CrfInstance, t: int, delta: float) -> Unroll:
+    """`unroll` on the instance's padded arrays."""
+    psi = np.ascontiguousarray(padded_rows(instance.unaries)[0].T)
+    return unroll(Layout.of(*padded_rows(instance.cand_vecs)), psi, instance.c, t, delta)
 
 
 def belief_block(state: Unroll) -> np.ndarray:
@@ -306,16 +344,27 @@ def predict_global(doc, params: GlobalParams, store: EmbeddingStore) -> list[int
 # -- tape (training) path ----------------------------------------------
 
 
-def beliefs_tape(tape: ad.Tape, psi: ad.Var, instances: list[MentionInstance],
-                 c: ad.Var, delta: float, t: int) -> ad.Var:
-    """`belief_block(run_lbp(...))` as one tape record, with adjoints into psi and C.
+@dataclass
+class JointBlock(DocBlock):
+    """A training document's `DocBlock` with its message-passing `Layout`,
+    built once (`JointBlock.of`); the layout shares the candidate rows."""
 
-    `psi` holds the (n, S) unaries of `instances`, S their widest candidate
-    set; the record's value is the (n, S) beliefs, 0 at padded slots.
+    layout: Layout
+
+    @classmethod
+    def of(cls, instances: list[MentionInstance]) -> "JointBlock":
+        block = DocBlock.of(instances)
+        return cls(**vars(block), layout=Layout.of(block.cands, block.valid))
+
+
+def beliefs_tape(tape: ad.Tape, psi: ad.Var, layout: Layout, c: ad.Var,
+                 delta: float, t: int) -> ad.Var:
+    """`belief_block(unroll(...))` as one tape record, with adjoints into psi and C.
+
+    `psi` holds the (n, S) unaries of the document `layout` describes; the
+    record's value is the (n, S) beliefs, 0 at padded slots.
     """
-    sizes = [inst.cand_vecs.shape[0] for inst in instances]
-    crf = CrfInstance.of([row[:s] for row, s in zip(psi.value, sizes)], instances, c.value)
-    state = run_lbp(crf, t, delta)
+    state = unroll(layout, np.ascontiguousarray(psi.value.T), c.value, t, delta)
     mu = belief_block(state)
 
     def backward(g):
@@ -323,29 +372,32 @@ def beliefs_tape(tape: ad.Tape, psi: ad.Var, instances: list[MentionInstance],
         g_psi, g_phi = state.backward(g_mu)
         if psi.needs_grad:
             psi._accum(g_psi.T)
-        if crf.n > 1:  # a lone mention has no pairs, so C gets no adjoint
+        if layout.n > 1:  # a lone mention has no pairs, so C gets no adjoint
             # diag(V^T G V) with G[(j, p), (i, q)] = g_phi[q, p, i, j]
-            n, s, d = state.vecs.shape
-            flat = state.vecs.reshape(n * s, d)
+            n, s, d = layout.vecs.shape
+            flat = layout.vecs.reshape(n * s, d)
             g = g_phi.transpose(3, 1, 2, 0).reshape(n * s, n * s)
-            c._accum(crf.pair_scale * ((g @ flat) * flat).sum(axis=0))
+            c._accum(pair_scale(n) * ((g @ flat) * flat).sum(axis=0))
 
     return ad.record(tape, [mu.T], (psi, c), backward)[0]
 
 
 def global_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
-                         instances: list[MentionInstance], gamma: float,
+                         doc: JointBlock | list[MentionInstance], gamma: float,
                          r: int, delta: float, t: int) -> ad.Var:
-    """Ranking loss on combined beliefs, backpropagated through all layers.
+    """Ranking loss on combined beliefs, backpropagated through all layers,
+    of one document given as its block or as its instances.
 
     All candidate-bearing mentions shape the messages; only mentions whose
     gold entity sits in their candidate set contribute hinge terms.
     """
-    if not instances:
-        return tape.const(np.zeros(()))
-    psi = record_unaries(tape, vars_, instances, r)
-    mu = beliefs_tape(tape, psi, instances, vars_["C"], delta, t)
-    return record_rank_loss(tape, vars_, mu, instances, gamma)
+    if not isinstance(doc, JointBlock):
+        if not doc:
+            return tape.const(np.zeros(()))
+        doc = JointBlock.of(doc)
+    psi = record_unaries(tape, vars_, doc, r)
+    mu = beliefs_tape(tape, psi, doc.layout, vars_["C"], delta, t)
+    return record_rank_loss(tape, vars_, mu, doc, gamma)
 
 
 def global_loss_closure(instances: list[MentionInstance], fnet_shape: FNet,

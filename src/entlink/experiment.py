@@ -12,8 +12,9 @@ CLI's commands build their objects through the same stages
 
 Artifacts: ``metrics.tsv`` (machine readable), ``report.txt`` (rendered
 tables), ``attention.tsv`` (per-mention attended words, weight-sorted),
-``breakdown.tsv`` (accuracy by gold frequency and gold prior), plus the
-two trained model files.
+``breakdown.tsv`` (accuracy by gold frequency and gold prior),
+``history.tsv`` (per model and epoch: mean training loss, validation
+accuracy, learning-rate drop), plus the two trained model files.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .priors import (candidate_settings, coref_person_merge, gold_recall, load_p
 from .synthetic import DATA_FILES, SyntheticSpec, generate_synthetic
 from .training import (
     TrainConfig,
+    TrainHistory,
     accuracy,
     collect_predictions,
     predict_prior_baseline,
@@ -361,6 +363,18 @@ def write_metrics_tsv(path: str, metrics: dict) -> None:
                 fh.write(f"{section}\t{metric}\t{_fmt(metrics[section][metric])}\n")
 
 
+def write_history_tsv(path: str, histories: dict[str, TrainHistory]) -> None:
+    """One row per model and epoch: mean training loss, validation accuracy
+    at the last check and whether the learning rate has dropped (0/1)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("model\tepoch\tmean_loss\tval_accuracy\tlr_dropped\n")
+        for model, history in histories.items():
+            dropped = history.lr_dropped_epoch
+            for epoch, loss, val in history.rows:
+                fh.write(f"{model}\t{epoch}\t{_fmt(loss)}\t{_fmt(val)}\t"
+                         f"{int(dropped is not None and epoch >= dropped)}\n")
+
+
 def render_report(metrics: dict, extras: list[str]) -> str:
     lines = ["experiment report", "=" * 17, ""]
     width = max(len(s) for s in metrics) + 2
@@ -378,9 +392,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     started = time.time()
     prepared = prepare(cfg)
     with _stage("train-local"):
-        local, _ = fit(cfg, "train-local", prepared.store, prepared.corpora)
+        local, local_history = fit(cfg, "train-local", prepared.store, prepared.corpora)
     with _stage("train-global"):
-        global_, _ = fit(cfg, "train-global", prepared.store, prepared.corpora)
+        global_, global_history = fit(cfg, "train-global", prepared.store, prepared.corpora)
+    write_history_tsv(str(out / "history.tsv"),
+                      {"local": local_history, "global": global_history})
     metrics, test_global = _evaluate_models(cfg, prepared, local, global_)
 
     rows = attention_dump(prepared.corpora["test"], local, prepared.store)

@@ -6,6 +6,14 @@ learning rate dropping once validation accuracy clears a threshold.  After
 every step the combination network's weight matrices are rescaled onto a
 Frobenius ball.  Validation accuracy is measured every few epochs and the
 best-scoring snapshot is kept.
+
+Everything fixed for the run is built once, before the first epoch.  Each
+training document becomes its padded blocks (`attention.DocBlock`, with
+the message-passing layout for the joint model, `crf.JointBlock`), which
+replace its per-mention rows.  The parameters are named views into one
+flat vector (`autodiff.ParamVector`), so the optimizer step, the best
+snapshot and the finiteness check each act on the whole vector; a
+parameter that got no adjoint on a step keeps its value and its moments.
 """
 
 from __future__ import annotations
@@ -16,14 +24,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import (
+    DocBlock,
     FNet,
     LocalParams,
     doc_instances,
     local_doc_loss_tape,
-    make_param_vars,
     predict_local,
 )
-from .crf import GlobalParams, global_doc_loss_tape, predict_global
+from .crf import GlobalParams, JointBlock, global_doc_loss_tape, predict_global
 from .docs import Corpus
 from .errors import ValidationError
 from .metrics import evaluate
@@ -47,17 +55,18 @@ class TrainConfig:
             raise ValidationError("gamma and learning rate must be positive")
         if self.epochs < 0 or self.eval_every < 1 or self.patience < 1:
             raise ValidationError("bad epoch/eval/patience configuration")
+        if self.weight_radius <= 0 or self.lr_after_drop <= 0:
+            raise ValidationError("weight radius and dropped learning rate must be positive")
 
 
 class Sgd:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, params: dict[str, np.ndarray],
-             grads: dict[str, np.ndarray | None]) -> None:
-        for name, g in grads.items():
-            if g is not None:
-                params[name] -= self.lr * g
+    def step(self, params: np.ndarray, grad: np.ndarray,
+             live: np.ndarray | bool = True) -> None:
+        """Update the entries of the flat `params` that `live` marks."""
+        np.subtract(params, self.lr * grad, out=params, where=live)
 
 
 class Adam:
@@ -67,24 +76,37 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray],
-             grads: dict[str, np.ndarray | None]) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray,
+             live: np.ndarray | bool = True) -> None:
+        """Update the entries of the flat `params` that `live` marks; the
+        others keep their value and their moments."""
         self.t += 1
-        for name, g in grads.items():
-            if g is None:
-                continue
-            if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            mhat = self.m[name] / (1 - self.beta1 ** self.t)
-            vhat = self.v[name] / (1 - self.beta2 ** self.t)
-            params[name] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        if self.m is None:
+            self.m = np.zeros_like(params)
+            self.v = np.zeros_like(params)
+        m, v = self.m, self.v
+        saved = None if live is True else [(a, a[~live]) for a in (params, m, v)]
+        # in place, each entry rounded exactly as m = b1 m + (1 - b1) g,
+        # v = b2 v + (1 - b2) g g, params -= lr mhat / (sqrt(vhat) + eps)
+        m *= self.beta1
+        m += (1 - self.beta1) * grad
+        v *= self.beta2
+        sq = (1 - self.beta2) * grad
+        sq *= grad
+        v += sq
+        update = m / (1 - self.beta1 ** self.t)
+        update *= self.lr
+        scale = v / (1 - self.beta2 ** self.t)
+        np.sqrt(scale, out=scale)
+        scale += self.eps
+        update /= scale
+        params -= update
+        for a, kept in saved or ():
+            a[~live] = kept
 
 
 def collect_predictions(corpus: Corpus, predictor) -> tuple[list, list]:
@@ -115,48 +137,52 @@ class TrainHistory:
 
 def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
            store: EmbeddingStore, cfg: TrainConfig, optimizer) -> TrainHistory:
-    pd = {name: arr.copy() for name, arr in params_obj.param_dict().items()}
+    params = ad.ParamVector(params_obj.param_dict())
+    weights = FNet(*(params.vars[f"f.{n}"].value for n in FNet.NAMES))
     fnet = params_obj.local.fnet if model_kind == "global" else params_obj.fnet
     require_gold = model_kind == "local"
-    cached = [list(doc_instances(doc, store, require_gold=require_gold))
-              for doc in train]
-    cached = [c for c in cached if any(i.gold_index is not None for i in c)]
-    if not cached:
+    make_block = DocBlock.of if model_kind == "local" else JointBlock.of
+    blocks = []
+    for doc in train:
+        instances = list(doc_instances(doc, store, require_gold=require_gold))
+        if any(inst.gold_index is not None for inst in instances):
+            blocks.append(make_block(instances))
+    if not blocks:
         raise ValidationError("no trainable mentions in the training corpus")
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
-    best_pd = {k: v.copy() for k, v in pd.items()}
+    best = params.flat.copy()
     last_val = 0.0
     since_best = 0
     dropped = False
 
-    def build_loss(tape, vars_, instances):
+    def build_loss(tape, block):
         if model_kind == "local":
-            return local_doc_loss_tape(tape, vars_, fnet, instances,
+            return local_doc_loss_tape(tape, params.vars, fnet, block,
                                        cfg.gamma, params_obj.r)
-        return global_doc_loss_tape(tape, vars_, fnet, instances, cfg.gamma,
+        return global_doc_loss_tape(tape, params.vars, fnet, block, cfg.gamma,
                                     params_obj.local.r, params_obj.delta,
                                     params_obj.t)
 
     def validate() -> float:
-        params_obj.load_param_dict({k: v.copy() for k, v in pd.items()})
+        params_obj.load_param_dict(params.views(params.flat.copy()))
         if model_kind == "local":
             return accuracy(val, lambda d: predict_local(d, params_obj, store))
         return accuracy(val, lambda d: predict_global(d, params_obj, store))
 
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(cached))
+        order = rng.permutation(len(blocks))
         losses = []
         for idx in order:
             tape = ad.Tape()
-            vars_ = make_param_vars(tape, pd)
-            loss = build_loss(tape, vars_, cached[idx])
+            loss = build_loss(tape, blocks[idx])
             losses.append(float(loss.value))
             if float(loss.value) == 0.0:
                 continue
             tape.backward(loss)
-            optimizer.step(pd, {name: var.grad for name, var in vars_.items()})
-            FNet(*(pd[f"f.{n}"] for n in FNet.NAMES)).project(cfg.weight_radius)
+            optimizer.step(params.flat, *params.gradient())
+            weights.project(cfg.weight_radius)
+            params.check()
         history.epochs_run = epoch
         # validate every `eval_every` epochs, and after the last one
         if val is not None and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
@@ -164,7 +190,7 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
             if last_val > history.best_val_accuracy:
                 history.best_val_accuracy = last_val
                 history.best_epoch = epoch
-                best_pd = {k: v.copy() for k, v in pd.items()}
+                best = params.flat.copy()
                 since_best = 0
             else:
                 since_best += cfg.eval_every
@@ -176,8 +202,8 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
             if since_best >= cfg.patience:
                 break
         history.rows.append((epoch, float(np.mean(losses)), last_val))
-    final = best_pd if val is not None and history.best_epoch > 0 else pd
-    params_obj.load_param_dict({k: v.copy() for k, v in final.items()})
+    final = best if val is not None and history.best_epoch > 0 else params.flat
+    params_obj.load_param_dict(params.views(final.copy()))
     return history
 
 

@@ -4,7 +4,8 @@ between per-mention vectors and the (n, S) blocks the model records use."""
 import numpy as np
 
 from entlink import autodiff as ad
-from entlink.crf import beliefs_tape
+from entlink.attention import padded_rows
+from entlink.crf import Layout, beliefs_tape
 
 
 def weighted_sum(tape, xs, weights) -> ad.Var:
@@ -50,5 +51,6 @@ def split_rows(tape, block, sizes):
 
 def lbp_beliefs(t, psi, instances, c, delta, layers):
     """`beliefs_tape` over per-mention unaries, returning per-mention beliefs."""
-    mu = beliefs_tape(t, stack_rows(t, psi), instances, c, delta, layers)
+    layout = Layout.of(*padded_rows([inst.cand_vecs for inst in instances]))
+    mu = beliefs_tape(t, stack_rows(t, psi), layout, c, delta, layers)
     return split_rows(t, mu, [inst.cand_vecs.shape[0] for inst in instances])

@@ -6,6 +6,7 @@ from tapeops import split_rows, weighted_sum
 
 from entlink import autodiff as ad
 from entlink.attention import (
+    DocBlock,
     FNet,
     LocalParams,
     MentionInstance,
@@ -246,7 +247,7 @@ class TestMentionUnaryConsistency:
         vars_ = make_param_vars(tape, params.param_dict())
         inst = MentionInstance(cand_vecs=cand_vecs, ctx_vecs=ctx_vecs,
                                log_priors=np.zeros(4), gold_index=0)
-        [psi_tape] = split_rows(tape, record_unaries(tape, vars_, [inst], params.r), [4])
+        [psi_tape] = split_rows(tape, record_unaries(tape, vars_, DocBlock.of([inst]), params.r), [4])
         np.testing.assert_allclose(psi_np, want, atol=1e-12)
         np.testing.assert_allclose(psi_tape.value, want, atol=1e-12)
 

@@ -5,8 +5,8 @@ import pytest
 from tapeops import lbp_beliefs, split_rows, stack_rows, weighted_sum
 
 from entlink import autodiff as ad
-from entlink.attention import (FNet, MentionInstance, make_param_vars, mention_unary,
-                               record_rank_loss, record_unaries)
+from entlink.attention import (DocBlock, FNet, MentionInstance, make_param_vars,
+                               mention_unary, record_rank_loss, record_unaries)
 from entlink.errors import ValidationError
 
 
@@ -45,7 +45,7 @@ def unary_grads(cand_vecs, ctx_vecs, a, b, r, weights):
     """Scores and tape adjoints of A and B for the loss weights . psi."""
     t = ad.Tape()
     vars_ = {"A": t.var(a), "B": t.var(b)}
-    block = record_unaries(t, vars_, [mention(cand_vecs, ctx_vecs)], r)
+    block = record_unaries(t, vars_, DocBlock.of([mention(cand_vecs, ctx_vecs)]), r)
     [psi] = split_rows(t, block, [len(weights)])
     t.backward(weighted_sum(t, [psi], [weights]))
     return psi.value, vars_["A"].grad, vars_["B"].grad
@@ -87,7 +87,7 @@ def rank_loss(fnet, scores, golds, gamma):
     vars_ = make_param_vars(t, fnet.param_dict())
     score_vars = [t.var(s) for s in scores]
     instances = scored([len(s) for s in scores], golds)
-    loss = record_rank_loss(t, vars_, stack_rows(t, score_vars), instances, gamma)
+    loss = record_rank_loss(t, vars_, stack_rows(t, score_vars), DocBlock.of(instances), gamma)
     t.backward(loss)
     return loss, score_vars, vars_
 
@@ -131,7 +131,7 @@ def test_linear_layer_grads_match_fd():
         t = ad.Tape()
         vars_ = make_param_vars(t, params)
         scores = stack_rows(t, [vars_[f"s{i}"] for i in range(len(sizes))])
-        loss = record_rank_loss(t, vars_, scores, instances, 0.5)
+        loss = record_rank_loss(t, vars_, scores, DocBlock.of(instances), 0.5)
         if not need_grad:
             return float(loss.value), None
         t.backward(loss)
@@ -192,7 +192,7 @@ def test_all_masked_softmax_rejected():
     t = ad.Tape()
     vars_ = {"A": t.var(np.ones(2)), "B": t.var(np.ones(2))}
     with pytest.raises(ValidationError, match="attention budget"):
-        record_unaries(t, vars_, [mention(np.eye(2), np.eye(2))], 0)
+        record_unaries(t, vars_, DocBlock.of([mention(np.eye(2), np.eye(2))]), 0)
 
 
 def test_gradient_linearity_on_random_programs():

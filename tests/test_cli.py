@@ -430,3 +430,39 @@ class TestSweepCli:
         lines = (out / "sweep.tsv").read_text().splitlines()
         assert lines[0].startswith("t\t")
         assert len(lines) == 3
+
+
+class TestLauncher:
+    PROBE = ("import os, runpy, sys\n"
+             "import entlink.launch\n"
+             "loaded_early = 'numpy' in sys.modules\n"
+             "sys.argv = ['entlink', '--help']\n"
+             "try:\n"
+             "    runpy.run_module('entlink', run_name='__main__')\n"
+             "except SystemExit:\n"
+             "    pass\n"
+             "print(loaded_early, 'numpy' in sys.modules, *(os.environ.get(name, '-') for name in\n"
+             "      ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))\n")
+
+    def probe(self, **settings):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env.update(settings, PYTHONPATH=str(Path(entlink.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", self.PROBE], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1].split()
+
+    def test_unset_blas_threads_become_one(self):
+        # the launcher loads no numpy, so its settings precede numpy's import
+        assert self.probe() == ["False", "True", "1", "1", "1"]
+
+    def test_user_thread_setting_wins(self):
+        assert self.probe(OPENBLAS_NUM_THREADS="3", MKL_NUM_THREADS="2") == [
+            "False", "True", "3", "1", "2"]
+
+    def test_console_script_uses_launcher(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(entlink.__file__).parents[2] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"entlink": "entlink.launch:main"}

@@ -13,11 +13,13 @@ from entlink.attention import (
     combine_f,
     floored_log_prior,
     make_param_vars,
+    padded_rows,
 )
 from entlink.crf import (
     MESSAGE_NORM_TOL,
     CrfInstance,
     GlobalParams,
+    Layout,
     beliefs,
     build_crf_instance,
     crf_score,
@@ -129,8 +131,8 @@ class TestCrfScore:
         rng = np.random.default_rng(4)
         for sizes in ([3, 1], [4, 2, 3, 1, 4]):
             inst = random_instance(rng, n=len(sizes), sizes=sizes, dim=7)
-            vecs, _, valid = inst.padded()
-            phi = _phi_tensor(vecs, valid, inst.c, inst.pair_scale)
+            layout = Layout.of(*padded_rows(inst.cand_vecs))
+            phi = _phi_tensor(layout.vecs, layout.valid, inst.c, inst.pair_scale)
             assert phi.flags.c_contiguous
             for i, j in itertools.permutations(range(inst.n), 2):
                 np.testing.assert_allclose(phi[:sizes[i], :sizes[j], i, j].T,
@@ -617,8 +619,7 @@ class TestGlobalLoss:
         for i, (w, mu) in enumerate(zip(weights, beliefs(state, inst))):
             g_mu[:mu.shape[0], i] = mu * (w - w @ mu)
         _, g_phi = state.backward(g_mu)
-        vecs, _, _ = inst.padded()
-        want = inst.pair_scale * np.einsum("qpij,jpd,iqd->d", g_phi, vecs, vecs)
+        want = inst.pair_scale * np.einsum("qpij,jpd,iqd->d", g_phi, state.vecs, state.vecs)
         np.testing.assert_allclose(c.grad, want, rtol=1e-12, atol=0)
 
 

@@ -58,6 +58,25 @@ class TestRunExperiment:
                      "local.model.json", "global.model.json"):
             assert (out / name).exists(), name
 
+    def test_history_schema(self, experiment):
+        # one row per model and epoch run, epochs counted from 1
+        _, cfg, _ = experiment
+        from pathlib import Path
+
+        lines = (Path(cfg.out_dir) / "history.tsv").read_text().splitlines()
+        assert lines[0] == "model\tepoch\tmean_loss\tval_accuracy\tlr_dropped"
+        rows = [line.split("\t") for line in lines[1:]]
+        assert all(len(row) == 5 for row in rows)
+        for model, cap in (("local", cfg.local_epochs), ("global", cfg.global_epochs)):
+            mine = [row for row in rows if row[0] == model]
+            assert 1 <= len(mine) <= cap
+            assert [int(row[1]) for row in mine] == list(range(1, len(mine) + 1))
+            for _, _, loss, val, dropped in mine:
+                assert float(loss) >= 0.0 and 0.0 <= float(val) <= 1.0
+            drops = [int(row[4]) for row in mine]
+            assert set(drops) <= {0, 1} and drops == sorted(drops)
+        assert len(rows) == sum(row[0] in ("local", "global") for row in rows)
+
     def test_rerun_is_byte_identical(self, experiment):
         tmp, cfg, _ = experiment
         from dataclasses import replace
@@ -66,7 +85,7 @@ class TestRunExperiment:
         cfg2 = replace(cfg, out_dir=str(tmp / "run2"))
         run_experiment(cfg2)
         for name in ("metrics.tsv", "attention.tsv", "breakdown.tsv",
-                     "report.txt", "local.model", "global.model"):
+                     "report.txt", "local.model", "global.model", "history.tsv"):
             a = (Path(cfg.out_dir) / name).read_bytes()
             b = (Path(cfg2.out_dir) / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"

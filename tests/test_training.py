@@ -1,8 +1,11 @@
 """Training loops: improvement over init, snapshots, early stop, lr drop."""
 
 import numpy as np
+import perstep
 import pytest
 
+from entlink import autodiff as ad
+from entlink import training
 from entlink.attention import LocalParams, predict_local
 from entlink.crf import GlobalParams, predict_global
 from entlink.docs import Corpus, Document, Mention, build_context_windows
@@ -137,20 +140,102 @@ class TestTrainGlobal:
         assert history.epochs_run < 200
 
 
+def lone_mention(doc):
+    """Leave only the document's first mention with candidates."""
+    for mention in doc.mentions[1:]:
+        mention.candidates = []
+
+
+class TestParityWithPerStepLoop:
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_parameters_bitwise_equal(self, kind):
+        # blocks built once, one flat vector and whole-vector optimizer steps
+        # train exactly as the per-step loop does, lone-mention steps
+        # included: with validation (snapshots, the learning-rate drop) and
+        # without (the parameters of the last step)
+        store, train, val = tiny_world(seed=14, n_docs=10)
+        lone_mention(train.documents[0])
+        cfg = TrainConfig(gamma=0.02, learning_rate=0.05, epochs=6, eval_every=2,
+                          patience=30, seed=6, lr_drop_accuracy=0.3, lr_after_drop=1e-3)
+        if kind == "local":
+            make = lambda: LocalParams.init(store.dim, hidden=16, k=8, r=4)  # noqa: E731
+            trainer, predictor = train_local, predict_local
+        else:
+            make = lambda: GlobalParams.init(store.dim, hidden=16, k=8, r=4, t=3)  # noqa: E731
+            trainer, predictor = train_global, predict_global
+        for validation in (val, None):
+            got, want = make(), make()
+            history = trainer(got, train, validation, store, cfg)
+            perstep.train(kind, want, train, validation, store, cfg, predictor)
+            if validation is not None:
+                assert history.best_epoch > 0
+                assert kind == "local" or history.lr_dropped_epoch is not None
+            want_params = want.param_dict()
+            for name, arr in got.param_dict().items():
+                assert arr.tobytes() == want_params[name].tobytes(), name
+
+    def test_lone_mention_step_leaves_c_and_its_moments(self, monkeypatch):
+        # a lone mention has no pairs, so C gets no adjoint: the step that
+        # trains on it must leave C and C's Adam moments as they were
+        store, train, _ = tiny_world(seed=13, n_docs=2)
+        lone_mention(train.documents[0])
+        params = GlobalParams.init(store.dim, hidden=16, k=8, r=4, t=2)
+        c_of = ad.ParamVector(params.param_dict()).views
+        steps = []
+
+        class Recording(training.Adam):
+            def step(self, flat, grad, live=True):
+                moments = (self.m, self.v) if self.m is not None else (flat * 0, flat * 0)
+                before = [c_of(a)["C"].copy() for a in (flat, *moments)]
+                super().step(flat, grad, live)
+                after = [c_of(a)["C"].copy() for a in (flat, self.m, self.v)]
+                steps.append((live is True, before, after))
+
+        monkeypatch.setattr(training, "Adam", Recording)
+        cfg = TrainConfig(gamma=0.02, learning_rate=0.05, epochs=4, seed=3)
+        train_global(params, train, None, store, cfg)
+        lone_steps = [(b, a) for full, b, a in steps if not full]
+        assert lone_steps and len(lone_steps) < len(steps)
+        assert any(b[1].any() for b, _ in lone_steps)  # C's moments were live
+        for before, after in lone_steps:
+            for b, a in zip(before, after):
+                assert b.tobytes() == a.tobytes()
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_nonpositive_weight_radius_rejected(self, radius):
+        # a negative radius would flip the sign of every f weight matrix
+        # whose norm exceeds it, on every step
+        with pytest.raises(ValidationError, match="weight radius"):
+            TrainConfig(weight_radius=radius)
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-5])
+    def test_nonpositive_dropped_learning_rate_rejected(self, lr):
+        # a negative rate after the drop would ascend the loss
+        with pytest.raises(ValidationError, match="dropped learning rate"):
+            TrainConfig(lr_after_drop=lr)
+
+
 class TestOptimizers:
     def test_sgd_step(self):
-        params = {"x": np.array([1.0, 2.0])}
-        Sgd(0.1).step(params, {"x": np.array([1.0, -1.0])})
-        np.testing.assert_allclose(params["x"], [0.9, 2.1])
+        params = np.array([1.0, 2.0])
+        Sgd(0.1).step(params, np.array([1.0, -1.0]))
+        np.testing.assert_allclose(params, [0.9, 2.1])
 
     def test_adam_moves_against_gradient(self):
-        params = {"x": np.array([0.0])}
+        params = np.array([0.0])
         opt = Adam(0.1)
         for _ in range(10):
-            opt.step(params, {"x": np.array([1.0])})
-        assert params["x"][0] < 0.0
+            opt.step(params, np.array([1.0]))
+        assert params[0] < 0.0
 
     def test_adam_ignores_missing_grads(self):
-        params = {"x": np.array([1.0])}
-        Adam(0.1).step(params, {"x": None})
-        np.testing.assert_allclose(params["x"], [1.0])
+        # an entry off the `live` mask keeps its value and its moments
+        params = np.array([1.0, 1.0])
+        opt = Adam(0.1)
+        opt.step(params, np.array([0.5, 0.0]), np.array([True, False]))
+        np.testing.assert_allclose(params[1], 1.0)
+        assert params[0] < 1.0
+        np.testing.assert_array_equal(opt.m[1:], 0.0)
+        np.testing.assert_array_equal(opt.v[1:], 0.0)
