@@ -69,6 +69,7 @@ from .vocab import (
     parse_field,
     read_counts,
     read_rows,
+    write_rows,
 )
 
 DATA_ENV = "ENTLINK_DATA_DIR"
@@ -393,14 +394,12 @@ def cmd_select_candidates(args) -> int:
     store = _load_store(args)
     corpus = _candidate_corpora(args, cfg, store,
                                 {"input": _data_path(args, "corpus", "test")})["input"]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("doc\tmention\tentity\tprior\treason\n")
-        for doc in corpus:
-            for idx, mention in enumerate(doc.mentions):
-                for cand in mention.candidates or []:
-                    fh.write(f"{doc.doc_id}\t{idx}\t"
-                             f"{store.entity_vocab.token(cand.entity)}\t"
-                             f"{cand.prior:.6f}\t{cand.reason}\n")
+    write_rows(args.out, ["doc", "mention", "entity", "prior", "reason"],
+               ((doc.doc_id, idx, store.entity_vocab.token(cand.entity),
+                 f"{cand.prior:.6f}", cand.reason)
+                for doc in corpus
+                for idx, mention in enumerate(doc.mentions)
+                for cand in mention.candidates or []))
     recall = gold_recall(corpus)
     print(f"selected candidates for {corpus.n_mentions} mentions "
           f"(gold recall {recall:.1f}%) -> {args.out}")
@@ -442,14 +441,11 @@ def cmd_predict(args) -> int:
     # context windows of the model's own K
     corpus = _candidate_corpora(args, _config(args, k=local.k), store,
                                 {"input": _data_path(args, "corpus", "test")})["input"]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("doc\tmention\tentity\n")
-        for doc in corpus:
-            preds = (predict_global(doc, params, store) if is_global
-                     else predict_local(doc, params, store))
-            for idx, pred in enumerate(preds):
-                name = store.entity_vocab.token(pred) if pred is not None else ""
-                fh.write(f"{doc.doc_id}\t{idx}\t{name}\n")
+    predict = predict_global if is_global else predict_local
+    write_rows(args.out, ["doc", "mention", "entity"],
+               ((doc.doc_id, idx, store.entity_vocab.token(pred) if pred is not None else "")
+                for doc in corpus
+                for idx, pred in enumerate(predict(doc, params, store))))
     print(f"annotated {corpus.n_mentions} mentions -> {args.out}")
     return 0
 

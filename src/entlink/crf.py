@@ -188,10 +188,6 @@ class Unroll:
     soft: list[np.ndarray]
     v: list[np.ndarray]
 
-    def message(self, layer: int, i: int, j: int) -> np.ndarray:
-        """The message i -> j after `layer` layers, over j's padded slots."""
-        return self.mix[layer][:, i, j]
-
     def senders(self, layer: int) -> np.ndarray:
         """(S, n, n) sender slot of each of soft[layer]'s maxima, the first maximal."""
         return (self.phi + self.v[layer][:, None]).argmax(axis=0)

@@ -52,7 +52,7 @@ from .training import (
     train_local,
 )
 from .vectors import load_word_vectors
-from .vocab import open_text
+from .vocab import open_text, write_rows
 
 
 @dataclass
@@ -356,23 +356,20 @@ def _fmt(x: float) -> str:
 
 
 def write_metrics_tsv(path: str, metrics: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("section\tmetric\tvalue\n")
-        for section in sorted(metrics):
-            for metric in sorted(metrics[section]):
-                fh.write(f"{section}\t{metric}\t{_fmt(metrics[section][metric])}\n")
+    write_rows(path, ["section", "metric", "value"],
+               ((section, metric, _fmt(metrics[section][metric]))
+                for section in sorted(metrics) for metric in sorted(metrics[section])))
 
 
 def write_history_tsv(path: str, histories: dict[str, TrainHistory]) -> None:
     """One row per model and epoch: mean training loss, validation accuracy
     at the last check and whether the learning rate has dropped (0/1)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model\tepoch\tmean_loss\tval_accuracy\tlr_dropped\n")
-        for model, history in histories.items():
-            dropped = history.lr_dropped_epoch
-            for epoch, loss, val in history.rows:
-                fh.write(f"{model}\t{epoch}\t{_fmt(loss)}\t{_fmt(val)}\t"
-                         f"{int(dropped is not None and epoch >= dropped)}\n")
+    write_rows(path, ["model", "epoch", "mean_loss", "val_accuracy", "lr_dropped"],
+               ((model, epoch, _fmt(loss), _fmt(val),
+                 int(history.lr_dropped_epoch is not None
+                     and epoch >= history.lr_dropped_epoch))
+                for model, history in histories.items()
+                for epoch, loss, val in history.rows))
 
 
 def render_report(metrics: dict, extras: list[str]) -> str:
@@ -400,13 +397,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     metrics, test_global = _evaluate_models(cfg, prepared, local, global_)
 
     rows = attention_dump(prepared.corpora["test"], local, prepared.store)
-    with open(out / "attention.tsv", "w", encoding="utf-8") as fh:
-        fh.write("doc\tmention\tsurface\tgold\tgold_prior\tpredicted\tcorrect\twords\n")
-        for row in rows:
-            words = " ".join(f"{t}:{_fmt(w)}" for t, w in row["words"])
-            fh.write(f"{row['doc']}\t{row['mention']}\t{row['surface']}\t"
-                     f"{row['gold']}\t{_fmt(row['gold_prior'])}\t{row['predicted']}\t"
-                     f"{row['correct']}\t{words}\n")
+    write_rows(str(out / "attention.tsv"),
+               ["doc", "mention", "surface", "gold", "gold_prior", "predicted",
+                "correct", "words"],
+               ((row["doc"], row["mention"], row["surface"], row["gold"],
+                 _fmt(row["gold_prior"]), row["predicted"], row["correct"],
+                 " ".join(f"{t}:{_fmt(w)}" for t, w in row["words"]))
+                for row in rows))
 
     preds, golds = test_global
     gold_priors, gold_freqs, in_cands = [], [], []
@@ -423,12 +420,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             in_cands.append(contained)
     freq_buckets, prior_buckets = breakdown_report(preds, golds, gold_priors,
                                                    gold_freqs, in_cands)
-    with open(out / "breakdown.tsv", "w", encoding="utf-8") as fh:
-        fh.write("axis\tbucket\tcount\taccuracy\n")
-        for bucket in freq_buckets:
-            fh.write(f"frequency\t{bucket.label}\t{bucket.count}\t{_fmt(bucket.accuracy)}\n")
-        for bucket in prior_buckets:
-            fh.write(f"prior\t{bucket.label}\t{bucket.count}\t{_fmt(bucket.accuracy)}\n")
+    write_rows(str(out / "breakdown.tsv"), ["axis", "bucket", "count", "accuracy"],
+               ((axis, bucket.label, bucket.count, _fmt(bucket.accuracy))
+                for axis, buckets in (("frequency", freq_buckets), ("prior", prior_buckets))
+                for bucket in buckets))
 
     probe = f_monotonicity_probe(local)
     metrics["fprobe/local"] = {"monotone_fraction": probe}
@@ -493,11 +488,10 @@ def write_sweep_outputs(rows: list[dict], param: str, out_dir: str,
                         plot: bool = True) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.tsv", "w", encoding="utf-8") as fh:
-        fh.write(f"{param}\tmean_accuracy\tper_seed\n")
-        for row in rows:
-            per_seed = ",".join(_fmt(a) for a in row["accuracies"])
-            fh.write(f"{row['value']:g}\t{_fmt(row['mean'])}\t{per_seed}\n")
+    write_rows(str(out / "sweep.tsv"), [param, "mean_accuracy", "per_seed"],
+               ((f"{row['value']:g}", _fmt(row["mean"]),
+                 ",".join(_fmt(a) for a in row["accuracies"]))
+                for row in rows))
     if plot:
         svg = line_plot_svg([row["value"] for row in rows],
                             [row["mean"] for row in rows],

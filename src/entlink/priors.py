@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .vectors import EmbeddingStore
-from .vocab import Vocab, parse_field, read_rows
+from .vocab import Vocab, parse_field, read_rows, write_rows
 
 PRECUT = 30          # prior-ranked pool considered before the final keep
 DEFAULT_S = 7
@@ -316,10 +316,9 @@ def load_uniform_index(path: str, entities: Vocab) -> dict[str, list[tuple[int, 
 
 
 def save_prior(path: str, index: PriorIndex, entities: Vocab) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for mention in index.mentions():
-            for e, p in index.lookup(mention):
-                fh.write(f"{mention}\t{entities.token(e)}\t{p:.12g}\n")
+    write_rows(path, None, ((mention, entities.token(e), f"{p:.12g}")
+                            for mention in index.mentions()
+                            for e, p in index.lookup(mention)))
 
 
 def load_prior(path: str, entities: Vocab) -> PriorIndex:

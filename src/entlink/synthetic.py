@@ -25,7 +25,7 @@ from .embed_train import CooccurrenceCounts, RelatednessQuery
 from .errors import ValidationError
 from .priors import PriorIndex, PriorSource, build_prior, save_prior
 from .vectors import EmbeddingStore, save_vectors_text
-from .vocab import Vocab
+from .vocab import Vocab, write_rows
 
 SIGNATURE_COUNT = 20     # co-occurrence count per signature word
 NOISE_POOL_MIN = 50
@@ -307,26 +307,20 @@ def write_synthetic(data: SyntheticData, out_dir: str) -> dict[str, str]:
     paths = {key: str(out / name) for key, name in DATA_FILES.items()}
     save_vectors_text(paths["word_vectors"], words, store.word_matrix())
     entities = store.entity_vocab
-    with open(paths["counts"], "w", encoding="utf-8") as fh:
-        for e in range(store.n_entities):
-            for w, c in sorted(data.counts.description.get(e, {}).items()):
-                fh.write(f"{entities.token(e)}\t{words[w]}\t{c}\n")
-    with open(paths["word_freq"], "w", encoding="utf-8") as fh:
-        for i, w in enumerate(words):
-            fh.write(f"{w}\t{int(data.counts.word_freq[i])}\n")
-    with open(paths["entity_freq"], "w", encoding="utf-8") as fh:
-        for e in sorted(data.entity_freq):
-            fh.write(f"{entities.token(e)}\t{data.entity_freq[e]}\n")
+    write_rows(paths["counts"], None,
+               ((entities.token(e), words[w], c) for e in range(store.n_entities)
+                for w, c in sorted(data.counts.description.get(e, {}).items())))
+    write_rows(paths["word_freq"], None,
+               ((w, int(data.counts.word_freq[i])) for i, w in enumerate(words)))
+    write_rows(paths["entity_freq"], None,
+               ((entities.token(e), data.entity_freq[e]) for e in sorted(data.entity_freq)))
     save_prior(paths["prior"], data.prior, entities)
-    with open(paths["queries"], "w", encoding="utf-8") as fh:
-        for q in data.queries:
-            for cand, label in q.candidates:
-                fh.write(f"{entities.token(q.target)}\t{entities.token(cand)}"
-                         f"\t{label}\n")
-    with open(paths["signatures"], "w", encoding="utf-8") as fh:
-        for e in sorted(data.signatures):
-            for w in sorted(data.signatures[e]):
-                fh.write(f"{entities.token(e)}\t{words[w]}\n")
+    write_rows(paths["queries"], None,
+               ((entities.token(q.target), entities.token(cand), label)
+                for q in data.queries for cand, label in q.candidates))
+    write_rows(paths["signatures"], None,
+               ((entities.token(e), words[w]) for e in sorted(data.signatures)
+                for w in sorted(data.signatures[e])))
     for split in ("train", "validation", "test"):
         save_corpus(paths[split], data.corpora[split])
     return paths

@@ -38,6 +38,14 @@ from .metrics import evaluate
 from .vectors import EmbeddingStore
 
 
+# radius of the Frobenius ball f's weight matrices are projected onto
+WEIGHT_RADIUS = 1.0
+# the global model's learning rate drops to LR_AFTER_DROP once validation
+# accuracy exceeds LR_DROP_ACCURACY
+LR_DROP_ACCURACY = 0.9
+LR_AFTER_DROP = 1e-5
+
+
 @dataclass
 class TrainConfig:
     gamma: float = 0.01
@@ -46,17 +54,12 @@ class TrainConfig:
     eval_every: int = 5
     patience: int = 500              # epochs without validation improvement
     seed: int = 0
-    weight_radius: float = 1.0
-    lr_drop_accuracy: float = 0.9    # global only
-    lr_after_drop: float = 1e-5
 
     def __post_init__(self):
         if self.gamma <= 0 or self.learning_rate <= 0:
             raise ValidationError("gamma and learning rate must be positive")
         if self.epochs < 0 or self.eval_every < 1 or self.patience < 1:
             raise ValidationError("bad epoch/eval/patience configuration")
-        if self.weight_radius <= 0 or self.lr_after_drop <= 0:
-            raise ValidationError("weight radius and dropped learning rate must be positive")
 
 
 class Sgd:
@@ -139,7 +142,6 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
            store: EmbeddingStore, cfg: TrainConfig, optimizer) -> TrainHistory:
     params = ad.ParamVector(params_obj.param_dict())
     weights = FNet(*(params.vars[f"f.{n}"].value for n in FNet.NAMES))
-    fnet = params_obj.local.fnet if model_kind == "global" else params_obj.fnet
     require_gold = model_kind == "local"
     make_block = DocBlock.of if model_kind == "local" else JointBlock.of
     blocks = []
@@ -158,9 +160,9 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
 
     def build_loss(tape, block):
         if model_kind == "local":
-            return local_doc_loss_tape(tape, params.vars, fnet, block,
+            return local_doc_loss_tape(tape, params.vars, None, block,
                                        cfg.gamma, params_obj.r)
-        return global_doc_loss_tape(tape, params.vars, fnet, block, cfg.gamma,
+        return global_doc_loss_tape(tape, params.vars, None, block, cfg.gamma,
                                     params_obj.local.r, params_obj.delta,
                                     params_obj.t)
 
@@ -181,7 +183,7 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
                 continue
             tape.backward(loss)
             optimizer.step(params.flat, *params.gradient())
-            weights.project(cfg.weight_radius)
+            weights.project(WEIGHT_RADIUS)
             params.check()
         history.epochs_run = epoch
         # validate every `eval_every` epochs, and after the last one
@@ -195,8 +197,8 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
             else:
                 since_best += cfg.eval_every
             if (model_kind == "global" and not dropped
-                    and last_val > cfg.lr_drop_accuracy):
-                optimizer.lr = cfg.lr_after_drop
+                    and last_val > LR_DROP_ACCURACY):
+                optimizer.lr = LR_AFTER_DROP
                 dropped = True
                 history.lr_dropped_epoch = epoch
             if since_best >= cfg.patience:

@@ -8,7 +8,7 @@ training.
 On-disk formats:
 
 * text: first line ``<count> <dim>``, then ``token v1 ... v<dim>`` per row,
-  space separated.
+  space separated, so a token holding a space or a line break is refused.
 * binary: header ``EVEC`` magic, u16 version, u32 count, u32 dim (all
   little-endian), then per row a u16 token byte length, the UTF-8 token,
   and <dim> little-endian float32 values.  Binary round-trips bit-exactly;
@@ -49,11 +49,6 @@ class EmbeddingStore:
     @property
     def n_words(self) -> int:
         return self._words.shape[0]
-
-    def word_vec(self, idx: int) -> np.ndarray:
-        if not 0 <= idx < self._words.shape[0]:
-            raise ValidationError(f"word id {idx} out of range [0, {self._words.shape[0]})")
-        return self._words[idx]
 
     def word_rows(self, ids) -> np.ndarray:
         """Rows of the given word ids as one (len(ids), d) copy."""
@@ -167,19 +162,6 @@ def _checked_rows(table: np.ndarray, ids, what: str) -> np.ndarray:
         raise ValidationError(
             f"{what} id {int(ids[bad][0])} out of range [0, {table.shape[0]})")
     return table[ids]
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity <a,b> / (|a||b|); undefined for zero vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValidationError("cosine undefined for zero vector")
-    return float(np.dot(a, b) / (na * nb))
 
 
 def nearest_words(store: EmbeddingStore, entity: int, k: int,
@@ -329,6 +311,12 @@ def load_entity_vectors(path: str, store: EmbeddingStore, fmt: str = "text") -> 
 
 
 def save_vectors_text(path: str, names: list[str], matrix: np.ndarray) -> None:
+    # the reader splits a row at spaces and lines at line breaks
+    for name in names:
+        if " " in name or "\n" in name or "\r" in name:
+            raise ValidationError(
+                f"{path}: token {name!r} holds a space or a line break, which the "
+                f"text format cannot store (use --out-format binary)")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(names)} {matrix.shape[1]}\n")
         for name, row in zip(names, matrix):

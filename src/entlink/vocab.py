@@ -1,7 +1,11 @@
-"""Token vocabularies with stable integer ids, stop-word flags and counts.
+"""Token vocabularies with stable integer ids, stop-word flags and counts,
+and the one reader and the one writer of tab-separated files.
 
 Words and entities live in separate Vocab instances, so an entity whose
-name collides with a word is never ambiguous.
+name collides with a word is never ambiguous.  `read_rows` reads every
+tab-separated input and `write_rows` writes every tab-separated output; a
+field `write_rows` could not write so that `read_rows` reads it back is
+refused before the file is opened.
 """
 
 from __future__ import annotations
@@ -129,6 +133,29 @@ def read_rows(path: str, layout: str, start: int = 1):
             if len(fields) != width:
                 raise ValidationError(f"{where}: expected {layout}")
             yield where, fields
+
+
+def write_rows(path: str, header: list[str] | None, rows) -> None:
+    """Write `header` (unless None), then each row, as UTF-8 lines of
+    ``str(field)`` joined by tabs: the one writer of tab-separated files.
+
+    A field holding a tab, ``\\n`` or ``\\r`` would not read back through
+    `read_rows` as one field of one row.  Every line is checked before the
+    file is opened, so such a field raises a ValidationError naming the
+    path, the line and the field, and leaves no file.
+    """
+    lines = []
+    for lineno, row in enumerate(rows if header is None else [header, *rows],
+                                 start=1):
+        fields = [str(field) for field in row]
+        for col, value in enumerate(fields):
+            if "\t" in value or "\n" in value or "\r" in value:
+                name = repr(header[col]) if header is not None else col + 1
+                raise ValidationError(f"{path}:{lineno}: field {name} holds a tab "
+                                      f"or a line break: {value!r}")
+        lines.append("\t".join(fields) + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
 
 
 def parse_field(kind: type, raw: str, where: str):

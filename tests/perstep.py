@@ -9,6 +9,7 @@ no adjoint.  Validation, snapshots and the learning-rate drop follow
 import numpy as np
 
 from entlink import autodiff as ad
+from entlink import training
 from entlink.attention import FNet, doc_instances, local_doc_loss_tape, make_param_vars
 from entlink.crf import global_doc_loss_tape
 from entlink.training import accuracy
@@ -71,7 +72,7 @@ def train(model_kind, params_obj, train_corpus, val, store, cfg, predictor):
                 continue
             tape.backward(loss)
             optimizer.step(pd, {name: var.grad for name, var in vars_.items()})
-            FNet(*(pd[f"f.{n}"] for n in FNet.NAMES)).project(cfg.weight_radius)
+            FNet(*(pd[f"f.{n}"] for n in FNet.NAMES)).project(training.WEIGHT_RADIUS)
         if val is not None and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
             params_obj.load_param_dict({k: v.copy() for k, v in pd.items()})
             last_val = accuracy(val, lambda d: predictor(d, params_obj, store))
@@ -80,8 +81,8 @@ def train(model_kind, params_obj, train_corpus, val, store, cfg, predictor):
                 best_pd = {k: v.copy() for k, v in pd.items()}
             else:
                 since_best += cfg.eval_every
-            if model_kind == "global" and not dropped and last_val > cfg.lr_drop_accuracy:
-                optimizer.lr = cfg.lr_after_drop
+            if model_kind == "global" and not dropped and last_val > training.LR_DROP_ACCURACY:
+                optimizer.lr = training.LR_AFTER_DROP
                 dropped = True
             if since_best >= cfg.patience:
                 break

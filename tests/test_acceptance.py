@@ -326,7 +326,7 @@ class TestCriterion7CandidateSelection:
             size_ok &= len({c.entity for c in got}) == len(got)
             ctx_vec = None
             if ctx_words:
-                ctx_vec = np.mean([store.word_vec(w) for w in ctx_words], axis=0)
+                ctx_vec = np.mean(store.word_matrix()[ctx_words], axis=0)
             want = oracle(prior.lookup("m"), ctx_vec, store, 7, 4, 3, 30)
             mismatches += int([c.entity for c in got] != want)
         passed = mismatches == 0 and size_ok

@@ -156,8 +156,7 @@ def toy_store(n_words=12, n_entities=6, dim=5, seed=3):
 
 def make_instance(store, entities, ctx_words, priors, gold, r=3):
     cand_vecs = np.stack([store.entity_vec(e) for e in entities])
-    ctx_vecs = np.stack([store.word_vec(w) for w in ctx_words]) if ctx_words \
-        else np.zeros((0, store.dim))
+    ctx_vecs = store.word_matrix()[ctx_words] if ctx_words else np.zeros((0, store.dim))
     return MentionInstance(
         cand_vecs=cand_vecs, ctx_vecs=ctx_vecs,
         log_priors=np.array([floored_log_prior(p) for p in priors]),

@@ -1,5 +1,6 @@
 """CLI: subcommand round trips, exit codes, file plumbing."""
 
+import json
 import os
 import struct
 import subprocess
@@ -371,6 +372,60 @@ class TestExitCodes:
             assert proc.returncode == 1, (argv, proc.stderr)
             assert message in proc.stderr, proc.stderr
             assert "Traceback" not in proc.stderr
+
+    def test_doc_id_with_a_tab_is_refused_before_predicting_writes(self, bench, model,
+                                                                   tmp_path):
+        # JSON-lines allows a tab in a doc id; a predictions row holding it
+        # would not read back, so predict exits 1 and writes nothing
+        _, data, entities = bench
+        lines = (data / "corpus_test.jsonl").read_text().splitlines()
+        doc = json.loads(lines[0])
+        doc["id"] = "doc\t0"
+        corpus = tmp_path / "tab.jsonl"
+        corpus.write_text("\n".join([json.dumps(doc), *lines[1:]]) + "\n")
+        out = tmp_path / "p.tsv"
+        env = dict(os.environ, PYTHONPATH=str(Path(entlink.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "entlink", "--data-dir", str(data), "predict",
+             "--model", str(model), "--entities", str(entities), "--corpus", str(corpus),
+             "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert f"{out}:2: field 'doc' holds a tab" in proc.stderr
+        assert r"'doc\t0'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_entity_name_with_a_space_needs_binary_vectors(self, bench, tmp_path):
+        # the text vector format splits a row at spaces: an entity named
+        # "New York" is refused there before the file is opened, and the
+        # binary format stores it for eval-relatedness to read back
+        _, data, _ = bench
+        counts, queries = tmp_path / "counts.tsv", tmp_path / "queries.tsv"
+        for src, dst in ((data / "counts.tsv", counts), (data / "queries.tsv", queries)):
+            dst.write_text(src.read_text().replace("E000\t", "New York\t"))
+        assert "New York" in queries.read_text()
+        env = dict(os.environ, PYTHONPATH=str(Path(entlink.__file__).parent.parent))
+        train = [sys.executable, "-m", "entlink", "train-embeddings", "--word-vectors",
+                 str(data / "word_vectors.txt"), "--counts", str(counts),
+                 "--iterations", "20", "--link-iterations", "0"]
+        text = tmp_path / "e.txt"
+        proc = subprocess.run(train + ["--out", str(text)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "token 'New York' holds a space" in proc.stderr
+        assert "--out-format binary" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not text.exists()
+        binary = tmp_path / "e.bin"
+        proc = subprocess.run(train + ["--out", str(binary), "--out-format", "binary"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "entlink", "eval-relatedness", "--entities", str(binary),
+             "--vector-format", "binary", "--queries", str(queries)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "MAP=" in proc.stdout
 
     def test_train_embeddings_rejects_entities_flag(self, bench, capsys):
         # it writes entity vectors and reads none, so it offers no --entities

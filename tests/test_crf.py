@@ -198,7 +198,7 @@ class TestLbpStep:
         # message from j itself is excluded, so raw = max(psi + phi)
         raw = np.array([(inst.unaries[0] + phi[e]).max() for e in range(2)])
         want = raw - np.log(np.exp(raw - raw.max()).sum()) - raw.max()
-        got = np.log(state.message(-1, 0, 1)[:2])
+        got = np.log(state.mix[-1][:2, 0, 1])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_first_layer_two_mentions_formula(self):
@@ -211,7 +211,7 @@ class TestLbpStep:
         for e in range(3):
             raw = np.array([(inst.unaries[0] + phi[f]).max() for f in range(3)])
             want = raw[e] - np.log(np.exp(raw - raw.max()).sum()) - raw.max()
-            assert np.log(state.message(-1, 0, 1)[e]) == pytest.approx(want, abs=1e-12)
+            assert np.log(state.mix[-1][e, 0, 1]) == pytest.approx(want, abs=1e-12)
 
     def test_matches_straight_line_trace(self):
         # 3-mention, 2-candidate instance traced layer by layer
@@ -221,7 +221,7 @@ class TestLbpStep:
             mbar_want, mu_want = straight_line_trace(inst, t_layers, delta=0.5)
             state = run_lbp(inst, t=t_layers, delta=0.5)
             for (i, j), want in mbar_want.items():
-                got = np.log(state.message(-1, i, j)[:want.shape[0]])
+                got = np.log(state.mix[-1][:want.shape[0], i, j])
                 np.testing.assert_allclose(got, want, atol=1e-10)
             got_mu = beliefs(state, inst)
             for want, got in zip(mu_want, got_mu):
@@ -236,7 +236,7 @@ class TestLbpStep:
             mbar_want, mu_want = straight_line_trace(inst, t_layers, delta)
             state = run_lbp(inst, t=t_layers, delta=delta)
             for (i, j), want in mbar_want.items():
-                got = np.log(state.message(-1, i, j)[:want.shape[0]])
+                got = np.log(state.mix[-1][:want.shape[0], i, j])
                 np.testing.assert_allclose(got, want, atol=1e-9)
             for want, got in zip(mu_want, beliefs(state, inst)):
                 np.testing.assert_allclose(got, want, atol=1e-9)
@@ -408,7 +408,7 @@ class TestBeliefs:
             for layer in range(len(state.mix)):
                 mbar_want, _ = straight_line_trace(inst, layer, delta=0.6)
                 for (i, j), want in mbar_want.items():
-                    got = state.message(layer, i, j)[:want.shape[0]]
+                    got = state.mix[layer][:want.shape[0], i, j]
                     assert abs(got.sum() - 1.0) <= MESSAGE_NORM_TOL
                     np.testing.assert_allclose(got, np.exp(want), atol=1e-9)
         # a message that stops summing to 1 is rejected at its layer

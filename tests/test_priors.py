@@ -219,7 +219,7 @@ class TestSelectCandidates:
             norm = dict(prior.lookup("m"))
             ctx_vec = None
             if ctx_words:
-                ctx_vec = np.mean([store.word_vec(w) for w in ctx_words], axis=0)
+                ctx_vec = np.mean(store.word_matrix()[ctx_words], axis=0)
             want = oracle(list(norm.items()), ctx_vec, store, 7, 4, 3)
             assert [c.entity for c in got] == want
 

@@ -103,10 +103,10 @@ class TestTrainLocal:
         store, train, val = tiny_world(seed=5)
         params = LocalParams.init(store.dim, hidden=16, k=8, r=4)
         cfg = TrainConfig(gamma=0.02, learning_rate=0.5, epochs=10,
-                          eval_every=5, patience=30, seed=3, weight_radius=1.0)
+                          eval_every=5, patience=30, seed=3)
         train_local(params, train, val, store, cfg)
         for w in (params.fnet.w1, params.fnet.w2, params.fnet.w3):
-            assert np.linalg.norm(w) <= 1.0 + 1e-9
+            assert np.linalg.norm(w) <= training.WEIGHT_RADIUS + 1e-9
 
     def test_empty_training_corpus_rejected(self):
         store, train, val = tiny_world()
@@ -119,12 +119,13 @@ class TestTrainLocal:
 
 
 class TestTrainGlobal:
-    def test_improves_and_drops_learning_rate(self):
+    def test_improves_and_drops_learning_rate(self, monkeypatch):
         store, train, val = tiny_world(seed=7)
         params = GlobalParams.init(store.dim, hidden=16, k=8, r=4, t=3)
+        monkeypatch.setattr(training, "LR_DROP_ACCURACY", 0.5)
+        monkeypatch.setattr(training, "LR_AFTER_DROP", 1e-4)
         cfg = TrainConfig(gamma=0.02, learning_rate=0.05, epochs=25,
-                          eval_every=5, patience=30, seed=4,
-                          lr_drop_accuracy=0.5, lr_after_drop=1e-4)
+                          eval_every=5, patience=30, seed=4)
         history = train_global(params, train, val, store, cfg)
         acc = accuracy(val, lambda d: predict_global(d, params, store))
         assert acc > accuracy(val, predict_prior_baseline)
@@ -148,15 +149,17 @@ def lone_mention(doc):
 
 class TestParityWithPerStepLoop:
     @pytest.mark.parametrize("kind", ["local", "global"])
-    def test_parameters_bitwise_equal(self, kind):
+    def test_parameters_bitwise_equal(self, kind, monkeypatch):
         # blocks built once, one flat vector and whole-vector optimizer steps
         # train exactly as the per-step loop does, lone-mention steps
         # included: with validation (snapshots, the learning-rate drop) and
         # without (the parameters of the last step)
         store, train, val = tiny_world(seed=14, n_docs=10)
         lone_mention(train.documents[0])
+        monkeypatch.setattr(training, "LR_DROP_ACCURACY", 0.3)
+        monkeypatch.setattr(training, "LR_AFTER_DROP", 1e-3)
         cfg = TrainConfig(gamma=0.02, learning_rate=0.05, epochs=6, eval_every=2,
-                          patience=30, seed=6, lr_drop_accuracy=0.3, lr_after_drop=1e-3)
+                          patience=30, seed=6)
         if kind == "local":
             make = lambda: LocalParams.init(store.dim, hidden=16, k=8, r=4)  # noqa: E731
             trainer, predictor = train_local, predict_local
@@ -200,21 +203,6 @@ class TestParityWithPerStepLoop:
         for before, after in lone_steps:
             for b, a in zip(before, after):
                 assert b.tobytes() == a.tobytes()
-
-
-class TestTrainConfig:
-    @pytest.mark.parametrize("radius", [0.0, -1.0])
-    def test_nonpositive_weight_radius_rejected(self, radius):
-        # a negative radius would flip the sign of every f weight matrix
-        # whose norm exceeds it, on every step
-        with pytest.raises(ValidationError, match="weight radius"):
-            TrainConfig(weight_radius=radius)
-
-    @pytest.mark.parametrize("lr", [0.0, -1e-5])
-    def test_nonpositive_dropped_learning_rate_rejected(self, lr):
-        # a negative rate after the drop would ascend the loss
-        with pytest.raises(ValidationError, match="dropped learning rate"):
-            TrainConfig(lr_after_drop=lr)
 
 
 class TestOptimizers:

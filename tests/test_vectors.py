@@ -1,4 +1,4 @@
-"""Embedding store, vector file formats, cosine, nearest-word ranking."""
+"""Embedding store, vector file formats, nearest-word ranking, tab-separated rows."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,13 @@ from embedoracles import check_entity_norms
 from entlink.errors import ValidationError
 from entlink.vectors import (
     EmbeddingStore,
-    cosine,
     load_entity_vectors,
     load_word_vectors,
     nearest_words,
     save_vectors_binary,
     save_vectors_text,
 )
-from entlink.vocab import Vocab
+from entlink.vocab import Vocab, read_rows, write_rows
 
 
 def write_text(path, rows, dim=None, count=None):
@@ -35,7 +34,7 @@ class TestLoadWordVectors:
         store = load_word_vectors(str(path))
         assert store.dim == 300
         assert len(store.word_vocab) == 3
-        np.testing.assert_allclose(store.word_vec(1), rows[1][1], atol=1e-6)
+        np.testing.assert_allclose(store.word_matrix()[1], rows[1][1], atol=1e-6)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -122,6 +121,14 @@ class TestRoundTrips:
         store = load_word_vectors(str(path))
         np.testing.assert_allclose(store.word_matrix(), mat, atol=1e-6)
 
+    def test_text_refuses_a_token_its_reader_would_split(self, tmp_path):
+        names, mat = self._store_matrix(np.random.default_rng(1))
+        path = tmp_path / "t.txt"
+        for bad in ("New York", "a\nb", "a\rb"):
+            with pytest.raises(ValidationError, match="--out-format binary"):
+                save_vectors_text(str(path), names[:2] + [bad] + names[3:], mat)
+        assert not path.exists()
+
     def test_binary_round_trip_bit_exact(self, tmp_path):
         names, mat = self._store_matrix(np.random.default_rng(2))
         mat32 = mat.astype("<f4").astype(np.float64)
@@ -149,27 +156,6 @@ class TestRoundTrips:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-class TestCosine:
-    def test_identity(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-
-    def test_diagonal(self):
-        # <(1,1),(1,0)> / (sqrt(2) * 1) = 1/sqrt(2)
-        got = cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-        assert got == pytest.approx(0.7071067811865475, abs=1e-6)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValidationError, match="zero vector"):
-            cosine(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            cosine(np.array([1.0]), np.array([1.0, 0.0]))
-
-
 class TestEntityInvariants:
     def test_non_unit_entity_rejected(self):
         store = EmbeddingStore(3)
@@ -190,7 +176,7 @@ class TestEntityInvariants:
         with pytest.raises(ValidationError):
             store.entity_vec(-1)
         with pytest.raises(ValidationError):
-            store.word_vec(0)
+            store.word_rows([0])
 
     def test_row_gathers_match_single_rows_and_check_ids(self):
         # numpy fancy indexing wraps -1 to the last row; the gathers refuse it
@@ -199,10 +185,10 @@ class TestEntityInvariants:
         store.add_words([f"w{i}" for i in range(3)], rng.normal(size=(3, 4)))
         units = rng.normal(size=(2, 4))
         store.add_entities(["E0", "E1"], units / np.linalg.norm(units, axis=1, keepdims=True))
-        for gather, single, size in ((store.word_rows, store.word_vec, 3),
-                                     (store.entity_rows, store.entity_vec, 2)):
+        for gather, matrix, size in ((store.word_rows, store.word_matrix(), 3),
+                                     (store.entity_rows, store.entity_matrix(), 2)):
             ids = [size - 1, 0, size - 1]
-            np.testing.assert_array_equal(gather(ids), np.stack([single(i) for i in ids]))
+            np.testing.assert_array_equal(gather(ids), np.stack([matrix[i] for i in ids]))
             assert gather([]).shape == (0, 4)
             for bad in (-1, size):
                 with pytest.raises(ValidationError, match="out of range"):
@@ -221,12 +207,12 @@ def small_store():
 class TestNearestWords:
     def test_k_zero(self):
         store = small_store()
-        store.add_entity("E", store.word_vec(0) / np.linalg.norm(store.word_vec(0)))
+        store.add_entity("E", store.word_matrix()[0] / np.linalg.norm(store.word_matrix()[0]))
         assert nearest_words(store, 0, k=0) == []
 
     def test_exact_match_ranks_first(self):
         store = small_store()
-        v = store.word_vec(4)
+        v = store.word_matrix()[4]
         store.add_entity("E", v / np.linalg.norm(v))
         top = nearest_words(store, 0, k=3)
         assert top[0][0] == 4
@@ -241,7 +227,7 @@ class TestNearestWords:
         # independent oracle: plain cosine over the full vocabulary
         sims = []
         for i in range(20):
-            w = store.word_vec(i)
+            w = store.word_matrix()[i]
             sims.append((i, float(np.dot(w, z / np.linalg.norm(z)) / np.linalg.norm(w))))
         want = sorted(sims, key=lambda t: (-t[1], t[0]))
         assert [i for i, _ in got] == [i for i, _ in want]
@@ -249,7 +235,7 @@ class TestNearestWords:
 
     def test_min_freq_filters(self):
         store = small_store()
-        v = store.word_vec(4)
+        v = store.word_matrix()[4]
         store.add_entity("E", v / np.linalg.norm(v))
         store.word_vocab.set_count(4, 10)
         top = nearest_words(store, 0, k=1, min_freq=5)
@@ -294,3 +280,30 @@ class TestVocab:
         v.add("x", count=2)
         i = v.add("x", count=3)
         assert v.count(i) == 5
+
+    def test_written_rows_read_back_field_for_field(self, tmp_path):
+        # empty, non-ASCII (a U+2028 separator is no line break to the
+        # reader) and numeric fields, the header first and skipped on read
+        path = tmp_path / "rows.tsv"
+        rows = [("", "Zürich", 3), ("東京", "", -1.5), ("a b\u2028c", " x ", 0)]
+        write_rows(str(path), ["name", "entity", "value"], rows)
+        assert path.read_text(encoding="utf-8").splitlines()[0] == "name\tentity\tvalue"
+        got = [fields for _, fields in read_rows(str(path), "a<TAB>b<TAB>c", start=2)]
+        assert got == [[str(field) for field in row] for row in rows]
+        write_rows(str(path), None, rows)
+        got = [fields for _, fields in read_rows(str(path), "a<TAB>b<TAB>c")]
+        assert got == [[str(field) for field in row] for row in rows]
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
+    @pytest.mark.parametrize("col", [0, 1])
+    def test_tab_or_line_break_refused_before_the_file_opens(self, tmp_path, bad, col):
+        # in a row under a header, in a headerless row and in the header
+        path = tmp_path / "rows.tsv"
+        row = ["ok", 1]
+        row[col] = bad
+        for header, rows, where in ((["d", "m"], [("x", 0), row], f":3: field '{'dm'[col]}'"),
+                                    (None, [row], f":1: field {col + 1} "),
+                                    (row, [], ":1: field ")):
+            with pytest.raises(ValidationError, match=f"rows.tsv{where}"):
+                write_rows(str(path), header, rows)
+        assert not path.exists()
