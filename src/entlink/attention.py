@@ -131,10 +131,13 @@ class LocalParams:
         return cls(a=np.ones(dim), b=np.ones(dim),
                    fnet=FNet.additive(hidden), k=k, r=r)
 
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
+
     def param_dict(self) -> dict[str, np.ndarray]:
-        out = {"A": self.a, "B": self.b}
-        out.update(self.fnet.param_dict())
-        return out
+        """A, B, then f's arrays: the model file's payload order."""
+        return {"A": self.a, "B": self.b, **self.fnet.param_dict()}
 
     def load_param_dict(self, params: dict[str, np.ndarray]) -> None:
         self.a = params["A"]
@@ -162,10 +165,10 @@ def top_r_mask(u: np.ndarray, r: int) -> np.ndarray:
         raise ValidationError(f"attention budget must be >= 1, got {r}")
     top = np.argsort(-u, axis=-1, kind="stable")[..., :r]
     mask = np.zeros(u.shape, dtype=bool)
-    if u.ndim == 1:  # one mention, as inference scores: plain indexing costs less
+    if u.ndim == 1:  # one mention, as inference scores
         mask[top] = True
-    else:
-        np.put_along_axis(mask, top, True, axis=-1)
+    else:  # a training block, one row per mention
+        mask[np.arange(u.shape[0])[:, None], top] = True
     return mask
 
 
@@ -394,11 +397,13 @@ def record_rank_loss(tape: ad.Tape, vars_: dict[str, ad.Var], scores: ad.Var,
     return ad.record(tape, [margins[hinge].sum()], (*fvars, scores), backward)[0]
 
 
-def local_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
+def local_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet | None,
                         doc: DocBlock | list[MentionInstance], gamma: float,
                         r: int) -> ad.Var:
     """Ranking loss of one document (sum over its trainable mentions), given
-    as its block or as its instances, of which the trainable ones are kept."""
+    as its block or as its instances, of which the trainable ones are kept.
+    f's weights come from the `f.*` vars; `fnet` is unused and stays for
+    callers that pass the arguments by position."""
     if not isinstance(doc, DocBlock):
         doc = [inst for inst in doc if inst.gold_index is not None]
         if not doc:
@@ -425,7 +430,6 @@ def loss_closure(build):
     return f
 
 
-def local_loss_closure(instances: list[MentionInstance], fnet_shape: FNet,
-                       gamma: float, r: int):
+def local_loss_closure(instances: list[MentionInstance], gamma: float, r: int):
     return loss_closure(lambda tape, vars_: local_doc_loss_tape(
-        tape, vars_, fnet_shape, instances, gamma, r))
+        tape, vars_, None, instances, gamma, r))

@@ -54,6 +54,7 @@ from .priors import (
 from .synthetic import DATA_FILES, generate_synthetic, write_synthetic
 from .vectors import (
     EmbeddingStore,
+    check_text_tokens,
     load_entity_vectors,
     load_word_vectors,
     nearest_words,
@@ -326,6 +327,9 @@ def cmd_train_embeddings(args) -> int:
         counts.hyperlink = link.hyperlink
         counts.word_freq = counts.word_freq + link.word_freq
     store.sync_entities()
+    names = store.entity_vocab.tokens()
+    if args.out_format == "text":
+        check_text_tokens(args.out, names)  # before training, not after it
     queries = None
     if args.queries:
         queries = load_relatedness_queries(args.queries, store.entity_vocab)
@@ -337,7 +341,6 @@ def cmd_train_embeddings(args) -> int:
         patience=args.patience)
     skipped = train_all_entities(counts, cfg, store, validation=queries,
                                  log=lambda m: print(m, file=sys.stderr))
-    names = [store.entity_vocab.token(i) for i in range(store.n_entities)]
     writer = save_vectors_text if args.out_format == "text" else save_vectors_binary
     writer(args.out, names, store.entity_matrix())
     print(f"trained {store.n_entities - len(skipped)} entities "
@@ -434,9 +437,8 @@ def cmd_predict(args) -> int:
     is_global = isinstance(params, GlobalParams)
     local = params.local if is_global else params
     store = _load_store(args)
-    dim = local.a.shape[0]
-    if dim != store.dim:
-        raise ValidationError(f"{args.model}: model dimension {dim} does not match "
+    if local.dim != store.dim:
+        raise ValidationError(f"{args.model}: model dimension {local.dim} does not match "
                               f"the word vectors' {store.dim}")
     # context windows of the model's own K
     corpus = _candidate_corpora(args, _config(args, k=local.k), store,
@@ -592,12 +594,12 @@ def cmd_grad_check(args) -> int:
         params = {"A": 1.0 + 0.1 * rng.normal(size=8),
                   "B": 1.0 + 0.1 * rng.normal(size=8),
                   **fnet.param_dict()}
-        f = local_loss_closure(make_instances(3, 4, 10), fnet, gamma=0.05, r=5)
+        f = local_loss_closure(make_instances(3, 4, 10), gamma=0.05, r=5)
         rep = ad.grad_check(f, params, coords_per_param=10, rng=rng)
         worst = max(worst, rep.overall_max())
         params["C"] = 1.0 + 0.1 * rng.normal(size=8)
-        g = global_loss_closure(make_instances(4, 4, 6), fnet, gamma=0.05,
-                                r=3, delta=0.5, t=3)
+        g = global_loss_closure(make_instances(4, 4, 6), gamma=0.05, r=3,
+                                delta=0.5, t=3)
         rep = ad.grad_check(g, params, coords_per_param=10, rng=rng)
         worst = max(worst, rep.overall_max())
     print(f"max relative error over {args.instances} instances: {worst:.3e}")

@@ -88,9 +88,9 @@ class GlobalParams:
                    c=np.ones(dim), delta=delta, t=t)
 
     def param_dict(self) -> dict[str, np.ndarray]:
-        out = self.local.param_dict()
-        out["C"] = self.c
-        return out
+        """A, B, C, then f's arrays: the model file's payload order."""
+        return {"A": self.local.a, "B": self.local.b, "C": self.c,
+                **self.local.fnet.param_dict()}
 
     def load_param_dict(self, params: dict[str, np.ndarray]) -> None:
         self.local.load_param_dict(params)
@@ -378,11 +378,12 @@ def beliefs_tape(tape: ad.Tape, psi: ad.Var, layout: Layout, c: ad.Var,
     return ad.record(tape, [mu.T], (psi, c), backward)[0]
 
 
-def global_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
+def global_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet | None,
                          doc: JointBlock | list[MentionInstance], gamma: float,
                          r: int, delta: float, t: int) -> ad.Var:
     """Ranking loss on combined beliefs, backpropagated through all layers,
-    of one document given as its block or as its instances.
+    of one document given as its block or as its instances.  `fnet` is
+    unused, as in `local_doc_loss_tape`.
 
     All candidate-bearing mentions shape the messages; only mentions whose
     gold entity sits in their candidate set contribute hinge terms.
@@ -396,7 +397,7 @@ def global_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet,
     return record_rank_loss(tape, vars_, mu, doc, gamma)
 
 
-def global_loss_closure(instances: list[MentionInstance], fnet_shape: FNet,
-                        gamma: float, r: int, delta: float, t: int):
+def global_loss_closure(instances: list[MentionInstance], gamma: float, r: int,
+                        delta: float, t: int):
     return loss_closure(lambda tape, vars_: global_doc_loss_tape(
-        tape, vars_, fnet_shape, instances, gamma, r, delta, t))
+        tape, vars_, None, instances, gamma, r, delta, t))

@@ -21,8 +21,6 @@ class EvalResult:
     correct: int
     predicted: int
     gold: int
-    gold_in_kb: int
-    correct_in_kb: int
 
     @property
     def precision(self) -> float:
@@ -39,37 +37,31 @@ class EvalResult:
 
     @property
     def in_kb_accuracy(self) -> float:
-        return self.correct_in_kb / self.gold_in_kb if self.gold_in_kb else 0.0
+        """Correct over gold mentions.  A gold outside the KB resolves to
+        None and is skipped, so every counted gold is in the KB and this
+        equals recall."""
+        return self.recall
 
 
-def evaluate(predictions: list[int | None], golds: list[int | None],
-             in_kb: list[bool] | None = None) -> EvalResult:
+def evaluate(predictions: list[int | None], golds: list[int | None]) -> EvalResult:
     """Score aligned prediction/gold lists; None marks unannotated slots.
 
     Mentions with a None gold are outside the evaluation universe and are
-    skipped entirely.  `in_kb` flags which gold mentions count for in-KB
-    accuracy (default: all of them).
+    skipped entirely.
     """
     if len(predictions) != len(golds):
         raise ValidationError("predictions and golds must align one to one")
-    if in_kb is None:
-        in_kb = [True] * len(golds)
-    correct = predicted = gold_total = kb_total = kb_correct = 0
-    for pred, gold, kb in zip(predictions, golds, in_kb):
+    correct = predicted = gold_total = 0
+    for pred, gold in zip(predictions, golds):
         if gold is None:
             continue
         gold_total += 1
-        if kb:
-            kb_total += 1
         if pred is None:
             continue
         predicted += 1
         if pred == gold:
             correct += 1
-            if kb:
-                kb_correct += 1
-    return EvalResult(correct=correct, predicted=predicted, gold=gold_total,
-                      gold_in_kb=kb_total, correct_in_kb=kb_correct)
+    return EvalResult(correct=correct, predicted=predicted, gold=gold_total)
 
 
 @dataclass

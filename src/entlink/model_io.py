@@ -1,8 +1,9 @@
 """Model parameter files.
 
-A versioned little-endian binary blob holds the dimension, the bilinear
-diagonals, the combination-network weights and (for the joint model) the
-coherence diagonal plus damping and layer count.  A JSON sidecar at
+A versioned little-endian binary blob: a header with the model kind, the
+dimension, f's hidden width, the context window K and the attention budget
+R (for the joint model also the damping and layer count), then every
+parameter array as float64 in `param_dict()` order.  A JSON sidecar at
 ``<path>.json`` records the hyperparameters human-readably.
 """
 
@@ -14,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .attention import FNet, LocalParams
+from .attention import LocalParams
 from .crf import GlobalParams
 from .errors import ValidationError
 
@@ -24,10 +25,6 @@ _KIND_LOCAL = 0
 _KIND_GLOBAL = 1
 
 
-def _write_array(fh, arr: np.ndarray) -> None:
-    fh.write(arr.astype("<f8").tobytes())
-
-
 def _read_exact(fh, size: int) -> bytes:
     raw = fh.read(size)
     if len(raw) != size:
@@ -35,32 +32,22 @@ def _read_exact(fh, size: int) -> bytes:
     return raw
 
 
-def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
-    raw = _read_exact(fh, 8 * int(np.prod(shape)))
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
-
 def save_model(path: str, params: LocalParams | GlobalParams,
                extra: dict | None = None) -> None:
     is_global = isinstance(params, GlobalParams)
     local = params.local if is_global else params
-    fnet = local.fnet
-    hidden = fnet.hidden
+    hidden = local.fnet.hidden
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<HB", _VERSION, _KIND_GLOBAL if is_global else _KIND_LOCAL))
-        fh.write(struct.pack("<IIII", local.a.shape[0], hidden, local.k, local.r))
+        fh.write(struct.pack("<IIII", local.dim, hidden, local.k, local.r))
         if is_global:
             fh.write(struct.pack("<dI", params.delta, params.t))
-        _write_array(fh, local.a)
-        _write_array(fh, local.b)
-        if is_global:
-            _write_array(fh, params.c)
-        for name in FNet.NAMES:
-            _write_array(fh, getattr(fnet, name))
+        for arr in params.param_dict().values():
+            fh.write(arr.astype("<f8").tobytes())
     sidecar = {
         "kind": "global" if is_global else "local",
-        "dim": int(local.a.shape[0]),
+        "dim": int(local.dim),
         "hidden": int(hidden),
         "k": int(local.k),
         "r": int(local.r),
@@ -86,16 +73,19 @@ def load_model(path: str) -> LocalParams | GlobalParams:
         if kind not in (_KIND_LOCAL, _KIND_GLOBAL):
             raise ValidationError(f"{path}: unknown model kind {kind}")
         dim, hidden, k, r = struct.unpack("<IIII", _read_exact(fh, 16))
-        delta, t = 0.5, 10
+        joint = {}
         if kind == _KIND_GLOBAL:
             delta, t = struct.unpack("<dI", _read_exact(fh, 12))
+            joint = {"delta": delta, "t": t}
         if dim < 1 or hidden < 1:
             raise ValidationError(f"{path}: dim and hidden must be at least 1, "
                                   f"got {dim} and {hidden}")
         for name, value in (("k", k), ("r", r)):
             if value < 1:
                 raise ValidationError(f"{path}: {name} must be at least 1, got {value}")
-        # A, B (and C), then w1 b1 w2 b2 w3 b3, 8 bytes per value
+        # the payload's size, checked before the model is allocated: the
+        # diagonals (two, or three for the joint model) of dim values each,
+        # and f's hidden * (hidden + 5) + 1
         values = (3 if kind == _KIND_GLOBAL else 2) * dim + hidden * (hidden + 5) + 1
         want, size = fh.tell() + 8 * values, os.fstat(fh.fileno()).st_size
         if size < want:
@@ -103,21 +93,11 @@ def load_model(path: str) -> LocalParams | GlobalParams:
                                   f"implies {want} bytes, it has {size}")
         if size > want:
             raise ValidationError(f"{path}: trailing bytes after the model")
-        a = _read_array(fh, (dim,))
-        b = _read_array(fh, (dim,))
-        c = _read_array(fh, (dim,)) if kind == _KIND_GLOBAL else None
-        fnet = FNet(
-            w1=_read_array(fh, (hidden, 2)),
-            b1=_read_array(fh, (hidden,)),
-            w2=_read_array(fh, (hidden, hidden)),
-            b2=_read_array(fh, (hidden,)),
-            w3=_read_array(fh, (1, hidden)),
-            b3=_read_array(fh, (1,)),
-        )
-    arrays = [a, b, *fnet.param_dict().values()] + ([c] if c is not None else [])
-    if not all(np.all(np.isfinite(arr)) for arr in arrays):
+        model = (GlobalParams if kind == _KIND_GLOBAL else LocalParams).init(
+            dim, hidden=hidden, k=k, r=r, **joint)
+        arrays = list(model.param_dict().values())
+        for arr in arrays:
+            arr[...] = np.frombuffer(_read_exact(fh, arr.nbytes), "<f8").reshape(arr.shape)
+    if not all(np.isfinite(arr).all() for arr in arrays):
         raise ValidationError(f"{path}: non-finite parameter")
-    local = LocalParams(a=a, b=b, fnet=fnet, k=k, r=r)
-    if kind == _KIND_LOCAL:
-        return local
-    return GlobalParams(local=local, c=c, delta=delta, t=t)
+    return model

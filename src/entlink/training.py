@@ -11,9 +11,12 @@ Everything fixed for the run is built once, before the first epoch.  Each
 training document becomes its padded blocks (`attention.DocBlock`, with
 the message-passing layout for the joint model, `crf.JointBlock`), which
 replace its per-mention rows.  The parameters are named views into one
-flat vector (`autodiff.ParamVector`), so the optimizer step, the best
-snapshot and the finiteness check each act on the whole vector; a
-parameter that got no adjoint on a step keeps its value and its moments.
+flat vector (`autodiff.ParamVector`), and the model object is bound to
+those views at the start, so there is one copy of the parameters: the
+optimizer step, the finiteness check and the best snapshot (taken and
+restored as one copy) act on the whole vector, and validation reads it
+as it stands.  A parameter that got no adjoint on a step keeps its value
+and its moments.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 from . import autodiff as ad
 from .attention import (
     DocBlock,
-    FNet,
     LocalParams,
     doc_instances,
     local_doc_loss_tape,
@@ -141,7 +143,8 @@ class TrainHistory:
 def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
            store: EmbeddingStore, cfg: TrainConfig, optimizer) -> TrainHistory:
     params = ad.ParamVector(params_obj.param_dict())
-    weights = FNet(*(params.vars[f"f.{n}"].value for n in FNet.NAMES))
+    params_obj.load_param_dict(params.views(params.flat))  # the one copy
+    local = params_obj if model_kind == "local" else params_obj.local
     require_gold = model_kind == "local"
     make_block = DocBlock.of if model_kind == "local" else JointBlock.of
     blocks = []
@@ -161,13 +164,11 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
     def build_loss(tape, block):
         if model_kind == "local":
             return local_doc_loss_tape(tape, params.vars, None, block,
-                                       cfg.gamma, params_obj.r)
+                                       cfg.gamma, local.r)
         return global_doc_loss_tape(tape, params.vars, None, block, cfg.gamma,
-                                    params_obj.local.r, params_obj.delta,
-                                    params_obj.t)
+                                    local.r, params_obj.delta, params_obj.t)
 
     def validate() -> float:
-        params_obj.load_param_dict(params.views(params.flat.copy()))
         if model_kind == "local":
             return accuracy(val, lambda d: predict_local(d, params_obj, store))
         return accuracy(val, lambda d: predict_global(d, params_obj, store))
@@ -183,7 +184,7 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
                 continue
             tape.backward(loss)
             optimizer.step(params.flat, *params.gradient())
-            weights.project(WEIGHT_RADIUS)
+            local.fnet.project(WEIGHT_RADIUS)
             params.check()
         history.epochs_run = epoch
         # validate every `eval_every` epochs, and after the last one
@@ -204,8 +205,8 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
             if since_best >= cfg.patience:
                 break
         history.rows.append((epoch, float(np.mean(losses)), last_val))
-    final = best if val is not None and history.best_epoch > 0 else params.flat
-    params_obj.load_param_dict(params.views(final.copy()))
+    if val is not None and history.best_epoch > 0:
+        params.flat[:] = best
     return history
 
 

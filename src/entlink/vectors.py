@@ -310,13 +310,18 @@ def load_entity_vectors(path: str, store: EmbeddingStore, fmt: str = "text") -> 
     return len(names)
 
 
-def save_vectors_text(path: str, names: list[str], matrix: np.ndarray) -> None:
-    # the reader splits a row at spaces and lines at line breaks
+def check_text_tokens(path: str, names: list[str]) -> None:
+    """Refuse a token the text reader would split: it splits a row at
+    spaces and lines at line breaks."""
     for name in names:
         if " " in name or "\n" in name or "\r" in name:
             raise ValidationError(
                 f"{path}: token {name!r} holds a space or a line break, which the "
                 f"text format cannot store (use --out-format binary)")
+
+
+def save_vectors_text(path: str, names: list[str], matrix: np.ndarray) -> None:
+    check_text_tokens(path, names)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(names)} {matrix.shape[1]}\n")
         for name, row in zip(names, matrix):

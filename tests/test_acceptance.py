@@ -92,7 +92,7 @@ class TestCriterion1GradientFidelity:
                       **fnet.param_dict()}
             local = local_loss_closure(
                 random_mention_instances(rng, n=2, s=3, ctx_len=10, dim=dim),
-                fnet, gamma=0.05, r=5)
+                gamma=0.05, r=5)
             rep = ad.grad_check(local, params, coords_per_param=12, rng=rng)
             worst_local = max(worst_local, rep.overall_max())
             checked += rep.checked
@@ -100,7 +100,7 @@ class TestCriterion1GradientFidelity:
             params["C"] = 1.0 + 0.1 * rng.normal(size=dim)
             glob = global_loss_closure(
                 random_mention_instances(rng, n=3, s=3, ctx_len=6, dim=dim),
-                fnet, gamma=0.05, r=3, delta=0.5, t=3)
+                gamma=0.05, r=3, delta=0.5, t=3)
             rep = ad.grad_check(glob, params, coords_per_param=12, rng=rng)
             worst_global = max(worst_global, rep.overall_max())
             checked += rep.checked

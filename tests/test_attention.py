@@ -80,6 +80,15 @@ class TestAttentionWeights:
         mask = top_r_mask(np.array([1.0, 0.5, 0.5]), r=2)
         np.testing.assert_array_equal(mask, [True, True, False])
 
+    def test_block_mask_matches_row_masks(self):
+        # a block's mask is each row's one-mention mask, ties included
+        rng = np.random.default_rng(2)
+        u = rng.integers(0, 4, size=(6, 40)).astype(float)
+        for r in (1, 7, 39):
+            block = top_r_mask(u, r)
+            np.testing.assert_array_equal(block, [top_r_mask(row, r) for row in u])
+            assert (block.sum(axis=1) == r).all()
+
 
 class TestContextScore:
     def test_zero_b_annihilates(self):
@@ -209,7 +218,7 @@ class TestRankLoss:
         params = {"A": 1.0 + 0.1 * rng.normal(size=store.dim),
                   "B": 1.0 + 0.1 * rng.normal(size=store.dim),
                   **fnet.param_dict()}
-        f = local_loss_closure(instances, fnet, gamma=0.05, r=3)
+        f = local_loss_closure(instances, gamma=0.05, r=3)
         report = ad.grad_check(f, params, coords_per_param=20,
                                rng=np.random.default_rng(0))
         assert report.checked > 0

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import entlink
+from entlink import cli
 from entlink.attention import LocalParams, predict_local
 from entlink.cli import main
 from entlink.docs import build_context_windows, load_corpus, resolve_gold
@@ -426,6 +427,24 @@ class TestExitCodes:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "MAP=" in proc.stdout
+
+    def test_unstorable_entity_name_refused_before_training(self, bench, tmp_path,
+                                                             monkeypatch, capsys):
+        # the text format's name check runs on the loaded counts, so a name
+        # it cannot store costs no training time
+        _, data, _ = bench
+        counts = tmp_path / "counts.tsv"
+        counts.write_text((data / "counts.tsv").read_text().replace("E000\t", "New York\t"))
+        calls = []
+        monkeypatch.setattr(cli, "train_all_entities", lambda *a, **k: calls.append(a))
+        text = tmp_path / "e.txt"
+        assert main(["train-embeddings", "--word-vectors", str(data / "word_vectors.txt"),
+                     "--counts", str(counts), "--out", str(text)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {text}: token 'New York' holds a space" in err
+        assert "--out-format binary" in err
+        assert calls == []
+        assert not text.exists()
 
     def test_train_embeddings_rejects_entities_flag(self, bench, capsys):
         # it writes entity vectors and reads none, so it offers no --entities

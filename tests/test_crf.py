@@ -516,7 +516,7 @@ class TestGlobalLoss:
                       "B": 1.0 + 0.1 * rng.normal(size=5),
                       "C": 1.0 + 0.1 * rng.normal(size=5),
                       **fnet.param_dict()}
-            f = global_loss_closure(instances, fnet, gamma=0.05, r=3, delta=0.5, t=3)
+            f = global_loss_closure(instances, gamma=0.05, r=3, delta=0.5, t=3)
             report = ad.grad_check(f, params, coords_per_param=15,
                                    rng=np.random.default_rng(1))
             assert report.checked > 0

@@ -37,11 +37,6 @@ class TestEvaluate:
         assert res.gold == 1
         assert res.correct == 1
 
-    def test_in_kb_subset(self):
-        res = evaluate([1, 2], [1, 2], in_kb=[True, False])
-        assert res.in_kb_accuracy == 1.0
-        assert res.gold_in_kb == 1
-
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(ValidationError):
             evaluate([1], [1, 2])

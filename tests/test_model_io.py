@@ -102,3 +102,27 @@ def test_non_finite_parameter_rejected(tmp_path):
                 _patched(path, where % size, "<d", bad)
                 with pytest.raises(ValidationError, match="non-finite"):
                     load_model(path)
+
+
+def test_payload_follows_parameter_order(tmp_path):
+    # every array filled with its own value: after the header the file
+    # holds A, B, [C], then f's w1 b1 w2 b2 w3 b3, each as float64
+    dim, hidden = 6, 8
+    sizes = {"A": dim, "B": dim, "C": dim, "f.w1": 2 * hidden, "f.b1": hidden,
+             "f.w2": hidden * hidden, "f.b2": hidden, "f.w3": hidden, "f.b3": 1}
+    path = str(tmp_path / "m.model")
+    for params, header, order in (
+            (LocalParams.init(dim, hidden=hidden), 23,
+             ["A", "B", "f.w1", "f.b1", "f.w2", "f.b2", "f.w3", "f.b3"]),
+            (GlobalParams.init(dim, hidden=hidden), 35,
+             ["A", "B", "C", "f.w1", "f.b1", "f.w2", "f.b2", "f.w3", "f.b3"])):
+        fills = {name: float(i + 1) for i, name in enumerate(order[::-1])}
+        for name, arr in params.param_dict().items():
+            arr[...] = fills[name]
+        save_model(path, params)
+        payload = np.frombuffer(open(path, "rb").read()[header:], dtype="<f8")
+        expected = np.concatenate([np.full(sizes[name], fills[name]) for name in order])
+        np.testing.assert_array_equal(payload, expected)
+        loaded = load_model(path)
+        for name, arr in loaded.param_dict().items():
+            np.testing.assert_array_equal(arr, fills[name])
