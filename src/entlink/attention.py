@@ -11,12 +11,15 @@ local score; training minimises a margin ranking loss over candidates.
 `doc_instances` is the single featurisation path: every scorer reads a
 document's mentions through it.  The scorer works along any leading
 mention axes: inference scores one mention at a time while its context
-rows are in cache, and training scores a document's zero-padded mention
-blocks in one record (`record_unaries`).  Training builds those blocks
-and their masks once per document (`DocBlock`).  f with the ranking loss
-is one more record per document (`record_rank_loss`), one f pass over
-every trainable candidate.  Each record has a hand-derived backward over
-the same numpy forward that inference runs.
+rows are in cache and keeps only its scores (`scored_instances`), then
+runs f once over the document's concatenated rows (`combine_doc`);
+training scores a document's zero-padded mention blocks in one record
+(`record_unaries`).  Training builds those blocks and their masks once
+per document (`DocBlock`).  f with the ranking loss is one more record
+per document (`record_rank_loss`), one f pass over every trainable
+candidate.  Each record has a hand-derived backward over the same numpy
+forward that inference runs, but for f's output layer: inference sums
+each row alone (`FNet.forward`), so that equal rows stay tied in a batch.
 """
 
 from __future__ import annotations
@@ -90,15 +93,28 @@ class FNet:
             w3=scale * rng.normal(size=(1, hidden)), b3=np.zeros(1),
         )
 
+    def hidden_layers(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both relu layers' activations of (n, 2) inputs."""
+        h1 = x @ self.w1.T
+        h1 += self.b1
+        h2 = np.maximum(0.0, h1, out=h1) @ self.w2.T
+        h2 += self.b2
+        return h1, np.maximum(0.0, h2, out=h2)
+
     def layers(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Both relu layers' activations and the (n,) scores of (n, 2) inputs."""
-        h1 = np.maximum(0.0, x @ self.w1.T + self.b1)
-        h2 = np.maximum(0.0, h1 @ self.w2.T + self.b2)
+        h1, h2 = self.hidden_layers(x)
         return h1, h2, (h2 @ self.w3.T + self.b3)[:, 0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Score row-stacked (n, 2) inputs; returns (n,)."""
-        return self.layers(x)[2]
+        """Score row-stacked (n, 2) inputs; returns (n,).
+
+        Equal rows score equally wherever they sit, so exact ties between
+        candidates survive batching: BLAS's matrix-vector product rounds a
+        row by its position in the batch, so the output layer is an einsum,
+        one sum over each row in the same order.
+        """
+        return np.einsum("ij,j->i", self.hidden_layers(x)[1], self.w3[0]) + self.b3[0]
 
     def param_dict(self) -> dict[str, np.ndarray]:
         return {f"f.{n}": getattr(self, n) for n in self.NAMES}
@@ -110,6 +126,19 @@ class FNet:
             norm = float(np.linalg.norm(w))
             if norm > radius:
                 w *= radius / norm
+
+
+def check_header(dim: int, hidden: int, k: int, r: int, delta: float | None = None,
+                 t: int | None = None) -> None:
+    """The range check of a model's sizes and, for the joint model, its
+    damping and layer count: the fields a model file's header holds."""
+    for name, value in (("dim", dim), ("hidden", hidden), ("k", k), ("r", r)):
+        if value < 1:
+            raise ValidationError(f"{name} must be at least 1, got {value}")
+    if delta is not None and not 0.0 < delta <= 1.0:
+        raise ValidationError(f"damping must be in (0, 1], got {delta}")
+    if t is not None and t < 1:
+        raise ValidationError(f"layer count must be >= 1, got {t}")
 
 
 @dataclass
@@ -124,9 +153,7 @@ class LocalParams:
 
     @classmethod
     def init(cls, dim: int, hidden: int = 100, k: int = 100, r: int = 50) -> "LocalParams":
-        for name, value in (("dim", dim), ("hidden", hidden), ("k", k), ("r", r)):
-            if value < 1:
-                raise ValidationError(f"{name} must be at least 1, got {value}")
+        check_header(dim, hidden, k, r)
         # identity diagonals: initial scores are plain dot products
         return cls(a=np.ones(dim), b=np.ones(dim),
                    fnet=FNet.additive(hidden), k=k, r=r)
@@ -253,7 +280,7 @@ def doc_instances(doc, store: EmbeddingStore,
         yield MentionInstance(
             cand_vecs=store.entity_rows(entities),
             ctx_vecs=store.word_rows(mention.context or []),
-            log_priors=np.array([floored_log_prior(c.prior) for c in cands]),
+            log_priors=np.log(np.maximum([c.prior for c in cands], LOG_PRIOR_FLOOR)),
             gold_index=gold_index,
             entities=entities,
             position=position,
@@ -267,18 +294,51 @@ def argmax_entity(scores: np.ndarray, entities: list[int]) -> int:
     return min(tied)
 
 
-def local_decision(params: LocalParams, inst: MentionInstance) -> tuple[int, np.ndarray]:
-    """The local model's entity for one mention and its attention weights."""
-    psi, beta, _ = mention_unary(params.a, params.b, params.r, inst.cand_vecs,
-                                 inst.ctx_vecs)
-    return argmax_entity(combine_f(params.fnet, psi, inst.log_priors), inst.entities), beta
+def scored_instances(doc, params: LocalParams, store: EmbeddingStore
+                     ) -> Iterator[tuple[MentionInstance, np.ndarray, np.ndarray]]:
+    """Each candidate-bearing mention with its context scores and attention
+    weights, scored while its context rows are in cache.  Only the scores
+    read those rows, so they are released (`ctx_vecs` is None) and the next
+    mention's rows can reuse the memory."""
+    for inst in doc_instances(doc, store, require_gold=False):
+        psi, beta, _ = mention_unary(params.a, params.b, params.r, inst.cand_vecs,
+                                     inst.ctx_vecs)
+        inst.ctx_vecs = None
+        yield inst, psi, beta
+
+
+def combine_doc(fnet: FNet, scores: np.ndarray,
+                log_priors: list[np.ndarray]) -> list[np.ndarray]:
+    """f over a document's mentions in one pass: `scores` holds their
+    concatenated (sum S_i,) context or belief scores, `log_priors` each
+    mention's own; returns each mention's combined scores."""
+    rho = combine_f(fnet, scores, np.concatenate(log_priors))
+    return np.split(rho, np.cumsum([p.shape[0] for p in log_priors[:-1]]))
+
+
+def local_decisions(doc, params: LocalParams, store: EmbeddingStore
+                    ) -> list[tuple[MentionInstance, int, np.ndarray]]:
+    """The local model's entity and attention weights for each of the
+    document's candidate-bearing mentions, f run once over the document."""
+    instances, unaries, betas = [], [], []
+    for inst, psi, beta in scored_instances(doc, params, store):
+        inst.cand_vecs = None  # the decision reads the scores only
+        instances.append(inst)
+        unaries.append(psi)
+        betas.append(beta)
+    if not instances:
+        return []
+    rho = combine_doc(params.fnet, np.concatenate(unaries),
+                      [inst.log_priors for inst in instances])
+    return [(inst, argmax_entity(rho_i, inst.entities), beta)
+            for inst, rho_i, beta in zip(instances, rho, betas)]
 
 
 def predict_local(doc, params: LocalParams, store: EmbeddingStore) -> list[int | None]:
     """Per-mention argmax of the combined score; empty sets stay unannotated."""
     out: list[int | None] = [None] * len(doc.mentions)
-    for inst in doc_instances(doc, store, require_gold=False):
-        out[inst.position] = local_decision(params, inst)[0]
+    for inst, entity, _ in local_decisions(doc, params, store):
+        out[inst.position] = entity
     return out
 
 

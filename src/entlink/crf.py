@@ -8,23 +8,26 @@ combined with the log prior by the same network f as the local model.
 Training backpropagates a margin ranking loss on the combined beliefs
 through all T layers; both read documents via `attention.doc_instances`.
 
-One kernel, `unroll`, runs the recurrence for inference and training
-alike, over a document's padded unaries and its `Layout`: the padded
-candidate rows and the masks and start messages they fix.  Inference pads
-a `CrfInstance` through the thin wrapper `run_lbp`; training builds each
-document's layout once (`JointBlock`).  The arrays are slot-major, so
-each max or sum over candidate slots runs over the outermost axis: entry
+One generator, `layers`, runs the recurrence for inference and training
+alike, over a document's padded unaries, its pairwise scores and its
+`Layout`: the padded candidate rows and the masks and start messages they
+fix.  Training's `unroll` keeps every layer for the backward pass and
+builds each document's layout once (`JointBlock`); `run_lbp` is `unroll`
+on a padded `CrfInstance`.  Inference (`instance_marginals`) keeps only
+the latest messages, then runs f once over the live slots of the
+document's final belief block.  The arrays are slot-major, so each max
+or sum over candidate slots runs over the outermost axis: entry
 [p, i, j] of the (S, n, n) messages is the message from mention i to j at
 j's slot p, in probability space.  Padding and the diagonal are neutral
 slots holding 1 (log 0).  A layer keeps values only, the max over sender
 slots q of phi[q, p, i, j] + v[q, i, j], where phi holds -inf at padded
-slots.  Every layer checks that each message sums to 1.  `beliefs_tape`
-records the unroll as one tape op from the document's (n, S) unary block
-to its (n, S) beliefs; its hand-derived backward (Domke, TPAMI 2013)
-recomputes from phi and v each maximum's sender slot, the first maximal
-one.  Sums over mentions add in mention order, so results do not depend
-on the memory layout.  A training document's loss is three records:
-unaries, beliefs, ranking loss.
+slots; one scratch block holds phi + v in every layer.  Every layer
+checks that each message sums to 1.  `beliefs_tape` records the unroll as
+one tape op from the document's (n, S) unary block to its (n, S) beliefs;
+its hand-derived backward (Domke, TPAMI 2013) recomputes from phi and v
+each maximum's sender slot, the first maximal one.  Sums over mentions
+add in mention order, so results do not depend on the memory layout.  A
+training document's loss is three records: unaries, beliefs, ranking loss.
 
 The (S, S, n, n) tensor phi is one GEMM of the document's padded (n*S, d)
 candidate rows V, V diag(C) V^T; C's adjoint is the diagonal of V^T G V
@@ -35,6 +38,7 @@ enumerates.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +50,13 @@ from .attention import (
     LocalParams,
     MentionInstance,
     argmax_entity,
-    combine_f,
-    doc_instances,
+    check_header,
+    combine_doc,
     loss_closure,
-    mention_unary,
     padded_rows,
     record_rank_loss,
     record_unaries,
+    scored_instances,
 )
 from .errors import ValidationError
 from .vectors import EmbeddingStore
@@ -76,10 +80,8 @@ class GlobalParams:
     t: int = 10
 
     def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValidationError(f"damping must be in (0, 1], got {self.delta}")
-        if self.t < 1:
-            raise ValidationError(f"layer count must be >= 1, got {self.t}")
+        local = self.local
+        check_header(local.dim, local.fnet.hidden, local.k, local.r, self.delta, self.t)
 
     @classmethod
     def init(cls, dim: int, hidden: int = 100, k: int = 100, r: int = 25,
@@ -157,18 +159,6 @@ def crf_score(assignment: list[int], instance: CrfInstance) -> float:
     return total
 
 
-def _phi_tensor(vecs: np.ndarray, valid: np.ndarray, c: np.ndarray,
-                pair_scale: float) -> np.ndarray:
-    """Contiguous phi[q, p, i, j] = scale * x_jp^T diag(c) x_iq, -inf at padded slots."""
-    n, s, d = vecs.shape
-    flat = vecs.reshape(n * s, d)
-    pairs = ((flat * c) @ flat.T).reshape(n, s, n, s).transpose(3, 1, 2, 0)
-    phi = np.multiply(pair_scale, pairs, order="C")
-    phi.transpose(0, 2, 1, 3)[~valid] = -np.inf
-    phi.transpose(1, 3, 0, 2)[~valid] = -np.inf
-    return phi
-
-
 @dataclass
 class Unroll:
     """T message-passing layers on slot-major padded arrays, with what backprop needs.
@@ -191,10 +181,6 @@ class Unroll:
     def senders(self, layer: int) -> np.ndarray:
         """(S, n, n) sender slot of each of soft[layer]'s maxima, the first maximal."""
         return (self.phi + self.v[layer][:, None]).argmax(axis=0)
-
-    def logits(self) -> np.ndarray:
-        """Belief logits mu[q, i] = psi[q, i] + sum_k log m[k -> i](q)."""
-        return self.psi + np.log(self.mix[-1]).sum(axis=1)
 
     def backward(self, g_mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Adjoints of the (S, n) unaries and of phi, given that of the logits."""
@@ -244,23 +230,39 @@ class Layout:
     def n(self) -> int:
         return self.vecs.shape[0]
 
+    def phi(self, c: np.ndarray) -> np.ndarray:
+        """Contiguous (S, S, n, n) phi[q, p, i, j] = 2/(n-1) x_jp^T diag(c) x_iq,
+        -inf at padded slots."""
+        n, s, d = self.vecs.shape
+        flat = self.vecs.reshape(n * s, d)
+        pairs = ((flat * c) @ flat.T).reshape(n, s, n, s).transpose(3, 1, 2, 0)
+        phi = np.multiply(pair_scale(n), pairs, order="C")
+        phi.transpose(0, 2, 1, 3)[~self.valid] = -np.inf
+        phi.transpose(1, 3, 0, 2)[~self.valid] = -np.inf
+        return phi
 
-def unroll(layout: Layout, psi: np.ndarray, c: np.ndarray, t: int,
-           delta: float) -> Unroll:
-    """T synchronous damped max-product layers from uniform messages, over
-    the (S, n) slot-major unaries `psi` of the document `layout` describes."""
+
+def layers(layout: Layout, psi: np.ndarray, phi: np.ndarray, t: int,
+           delta: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """T synchronous damped max-product layers from the layout's uniform
+    start messages, over the (S, n) slot-major unaries `psi` of the document
+    `layout` describes and its pairwise scores `phi`.
+
+    Yields each layer's messages, normalised max-product values and sender
+    values (mix, soft, v), every one a new array; only the (S, S, n, n)
+    scratch block holding phi + v is reused from layer to layer.
+    """
     if t < 1:
         raise ValidationError(f"layer count must be >= 1, got {t}")
     valid, keep, offdiag = layout.valid, layout.keep, layout.offdiag
-    phi = _phi_tensor(layout.vecs, valid, c, pair_scale(layout.n))
     mix = layout.start
-    state = Unroll(psi, valid, layout.vecs, phi, keep, delta, mix=[mix], soft=[], v=[])
+    scratch = np.empty_like(phi)
     for layer in range(1, t + 1):
         log_m = np.log(mix)
         # pre[q, i] = psi_i(q) + sum_k log m[k -> i](q); v removes j's backflow
         pre = psi + log_m.sum(axis=1)
         v = np.subtract(pre[:, :, None], log_m.transpose(0, 2, 1), order="C")
-        z = (phi + v[:, None]).max(axis=0)
+        z = np.add(phi, v[:, None], out=scratch).max(axis=0)
         # normalise over the receiver's candidates; padded ones hold -inf
         ex = np.exp(z - z.max(axis=0))
         soft = np.where(keep, ex / ex.sum(axis=0), 1.0)
@@ -271,23 +273,47 @@ def unroll(layout: Layout, psi: np.ndarray, c: np.ndarray, t: int,
             i, j = np.argwhere(bad)[0]
             raise ValidationError(
                 f"message {i}->{j} at layer {layer} sums to {totals[i, j]!r}")
+        yield mix, soft, v
+
+
+def unroll(layout: Layout, psi: np.ndarray, c: np.ndarray, t: int,
+           delta: float) -> Unroll:
+    """Every one of the T `layers` over `psi` and the document `layout`
+    describes, kept for the backward pass."""
+    phi = layout.phi(c)
+    state = Unroll(psi, layout.valid, layout.vecs, phi, layout.keep, delta,
+                   mix=[layout.start], soft=[], v=[])
+    for mix, soft, v in layers(layout, psi, phi, t, delta):
         state.mix.append(mix)
         state.soft.append(soft)
         state.v.append(v)
     return state
 
 
+def padded(instance: CrfInstance) -> tuple[Layout, np.ndarray]:
+    """The instance's `Layout` and its (S, n) slot-major padded unaries."""
+    psi = np.ascontiguousarray(padded_rows(instance.unaries)[0].T)
+    return Layout.of(*padded_rows(instance.cand_vecs)), psi
+
+
 def run_lbp(instance: CrfInstance, t: int, delta: float) -> Unroll:
     """`unroll` on the instance's padded arrays."""
-    psi = np.ascontiguousarray(padded_rows(instance.unaries)[0].T)
-    return unroll(Layout.of(*padded_rows(instance.cand_vecs)), psi, instance.c, t, delta)
+    layout, psi = padded(instance)
+    return unroll(layout, psi, instance.c, t, delta)
+
+
+def final_beliefs(psi: np.ndarray, mix: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """(S, n) normalised beliefs from the unaries and the last layer's
+    messages, softmax over mu[q, i] = psi[q, i] + sum_k log m[k -> i](q);
+    0 at padded slots."""
+    mu = np.where(valid, psi + np.log(mix).sum(axis=1), -np.inf)
+    ex = np.exp(mu - mu.max(axis=0))
+    return ex / ex.sum(axis=0)
 
 
 def belief_block(state: Unroll) -> np.ndarray:
     """(S, n) normalised beliefs after message passing, 0 at padded slots."""
-    mu = np.where(state.valid, state.logits(), -np.inf)
-    ex = np.exp(mu - mu.max(axis=0))
-    return ex / ex.sum(axis=0)
+    return final_beliefs(state.psi, state.mix[-1], state.valid)
 
 
 def beliefs(state: Unroll, instance: CrfInstance) -> list[np.ndarray]:
@@ -303,26 +329,23 @@ def build_crf_instance(doc, params: GlobalParams,
     Returns the instance and the positions of the included mentions;
     mentions without candidates stay unannotated.
     """
-    local = params.local
-    unaries, instances = [], []
-    for inst in doc_instances(doc, store, require_gold=False):
-        unaries.append(mention_unary(local.a, local.b, local.r, inst.cand_vecs,
-                                     inst.ctx_vecs)[0])
-        # only the unary reads the context rows; releasing them lets the next
-        # mention's rows reuse this memory while it is still in cache
-        inst.ctx_vecs = None
-        instances.append(inst)
-    if not instances:
+    scored = list(scored_instances(doc, params.local, store))
+    if not scored:
         return None, []
+    instances, unaries, _ = map(list, zip(*scored))
     return (CrfInstance.of(unaries, instances, params.c),
             [inst.position for inst in instances])
 
 
 def instance_marginals(instance: CrfInstance, params: GlobalParams) -> list[np.ndarray]:
-    """Combined marginal scores rho per mention (inference path)."""
-    mu = beliefs(run_lbp(instance, params.t, params.delta), instance)
-    return [combine_f(params.local.fnet, mu[i], instance.log_priors[i])
-            for i in range(instance.n)]
+    """Combined marginal scores rho per mention (inference path): the T
+    `layers` keep only the latest messages, and f runs once over the live
+    slots of the final belief block."""
+    layout, psi = padded(instance)
+    for mix, _, _ in layers(layout, psi, layout.phi(instance.c), params.t, params.delta):
+        pass
+    mu = final_beliefs(psi, mix, layout.valid)
+    return combine_doc(params.local.fnet, mu.T[layout.valid.T], instance.log_priors)
 
 
 def predict_global(doc, params: GlobalParams, store: EmbeddingStore) -> list[int | None]:

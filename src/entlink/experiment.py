@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import LocalParams, doc_instances, local_decision, predict_local
+from .attention import LocalParams, local_decisions, predict_local
 from .crf import GlobalParams, predict_global
 from .docs import Corpus, build_context_windows, load_corpus, resolve_gold
 from .embed_train import (
@@ -309,10 +309,9 @@ def attention_dump(corpus: Corpus, params: LocalParams, store) -> list[dict]:
     """
     rows = []
     for doc in corpus:
-        for inst in doc_instances(doc, store, require_gold=False):
-            if inst.ctx_vecs.shape[0] == 0:
+        for inst, pred, beta in local_decisions(doc, params, store):
+            if beta.shape[0] == 0:  # an empty context attends to nothing
                 continue
-            pred, beta = local_decision(params, inst)
             mention = doc.mentions[inst.position]
             weights: dict[str, float] = {}
             for w, b in zip(mention.context, beta):

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .attention import LocalParams
+from .attention import LocalParams, check_header
 from .crf import GlobalParams
 from .errors import ValidationError
 
@@ -77,12 +77,10 @@ def load_model(path: str) -> LocalParams | GlobalParams:
         if kind == _KIND_GLOBAL:
             delta, t = struct.unpack("<dI", _read_exact(fh, 12))
             joint = {"delta": delta, "t": t}
-        if dim < 1 or hidden < 1:
-            raise ValidationError(f"{path}: dim and hidden must be at least 1, "
-                                  f"got {dim} and {hidden}")
-        for name, value in (("k", k), ("r", r)):
-            if value < 1:
-                raise ValidationError(f"{path}: {name} must be at least 1, got {value}")
+        try:
+            check_header(dim, hidden, k, r, **joint)
+        except ValidationError as err:
+            raise ValidationError(f"{path}: {err}") from None
         # the payload's size, checked before the model is allocated: the
         # diagonals (two, or three for the joint model) of dim values each,
         # and f's hidden * (hidden + 5) + 1

@@ -1,16 +1,36 @@
-"""Per-mention formulation of the training losses, kept as a parity oracle.
+"""Per-mention formulations of the training losses and of inference, kept
+as parity oracles.
 
-One scorer record per mention and one f pass per mention in the ranking
-loss, each with its own backward: the formulation the batched records
-(`record_unaries`, `record_rank_loss`) replaced.  The joint loss runs
-`beliefs_tape` on per-mention values through `tapeops.lbp_beliefs`.
+Training: one scorer record per mention and one f pass per mention in the
+ranking loss, each with its own backward: the formulation the batched
+records (`record_unaries`, `record_rank_loss`) replaced.  The joint loss
+runs `beliefs_tape` on per-mention values through `tapeops.lbp_beliefs`.
+
+Inference: one f pass per mention, over its context scores
+(`local_decision`) or over its beliefs from the full `run_lbp` unroll
+(`instance_marginals`): the formulation the per-document f pass replaced.
 """
 
 import numpy as np
 from tapeops import lbp_beliefs
 
 from entlink import autodiff as ad
-from entlink.attention import FNet, f_inputs, mention_unary
+from entlink.attention import FNet, argmax_entity, combine_f, f_inputs, mention_unary
+from entlink.crf import beliefs, run_lbp
+
+
+def local_decision(params, inst):
+    """The local model's entity for one mention and its attention weights."""
+    psi, beta, _ = mention_unary(params.a, params.b, params.r, inst.cand_vecs,
+                                 inst.ctx_vecs)
+    return argmax_entity(combine_f(params.fnet, psi, inst.log_priors), inst.entities), beta
+
+
+def instance_marginals(instance, params):
+    """Combined marginal scores rho per mention, f run mention by mention."""
+    mu = beliefs(run_lbp(instance, params.t, params.delta), instance)
+    return [combine_f(params.local.fnet, mu[i], instance.log_priors[i])
+            for i in range(instance.n)]
 
 
 def record_unary(tape, vars_, inst, r):

@@ -145,6 +145,16 @@ class TestCombineF:
         net.project(1.0)
         assert np.linalg.norm(net.w1) == pytest.approx(1.0)
 
+    def test_equal_rows_score_equally_wherever_they_sit(self):
+        # a document's rows go through f in one batch; equal rows must stay
+        # exactly tied, so that the entity-id tie-break decides them
+        rng = np.random.default_rng(9)
+        net = FNet.random(hidden=100, scale=0.3, rng=rng)
+        net.b1 = 0.1 * rng.normal(size=100)
+        for n in range(2, 64):
+            out = net.forward(np.repeat(rng.normal(size=(1, 2)), n, axis=0))
+            assert (out == out[0]).all(), n
+
     def test_non_finite_input_rejected(self):
         net = FNet.zeros(hidden=4)
         with pytest.raises(ValidationError):

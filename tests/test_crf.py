@@ -26,7 +26,6 @@ from entlink.crf import (
     global_doc_loss_tape,
     global_loss_closure,
     predict_global,
-    _phi_tensor,
     run_lbp,
 )
 from entlink.docs import Corpus, Document, Mention, build_context_windows
@@ -132,7 +131,7 @@ class TestCrfScore:
         for sizes in ([3, 1], [4, 2, 3, 1, 4]):
             inst = random_instance(rng, n=len(sizes), sizes=sizes, dim=7)
             layout = Layout.of(*padded_rows(inst.cand_vecs))
-            phi = _phi_tensor(layout.vecs, layout.valid, inst.c, inst.pair_scale)
+            phi = layout.phi(inst.c)
             assert phi.flags.c_contiguous
             for i, j in itertools.permutations(range(inst.n), 2):
                 np.testing.assert_allclose(phi[:sizes[i], :sizes[j], i, j].T,

@@ -1,6 +1,7 @@
 """Model file round trips."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -86,6 +87,23 @@ def test_header_sizes_checked_before_reading(tmp_path):
         save_model(path, LocalParams.init(6, hidden=8))
         _patched(path, offset, "<I", value)
         with pytest.raises(ValidationError, match=message):
+            load_model(path)
+
+
+def test_joint_header_range_checked_with_path(tmp_path):
+    # the joint model's damping sits at byte 23 and its layer count at 31;
+    # out of range, either is refused with the file's path, before the
+    # payload's size is checked: the file is cut after its header
+    path = str(tmp_path / "m.model")
+    for offset, fmt, value, message in (
+            (23, "<d", np.nan, "damping must be in (0, 1], got nan"),
+            (23, "<d", 0.0, "damping must be in (0, 1], got 0.0"),
+            (23, "<d", 1.5, "damping must be in (0, 1], got 1.5"),
+            (31, "<I", 0, "layer count must be >= 1, got 0")):
+        save_model(path, GlobalParams.init(6, hidden=8))
+        _patched(path, offset, fmt, value)
+        open(path, "r+b").truncate(35)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
             load_model(path)
 
 
