@@ -14,12 +14,13 @@ mention axes: inference scores one mention at a time while its context
 rows are in cache and keeps only its scores (`scored_instances`), then
 runs f once over the document's concatenated rows (`combine_doc`);
 training scores a document's zero-padded mention blocks in one record
-(`record_unaries`).  Training builds those blocks and their masks once
-per document (`DocBlock`).  f with the ranking loss is one more record
-per document (`record_rank_loss`), one f pass over every trainable
-candidate.  Each record has a hand-derived backward over the same numpy
-forward that inference runs, but for f's output layer: inference sums
-each row alone (`FNet.forward`), so that equal rows stay tied in a batch.
+(`record_unaries`).  Training builds those blocks once per document
+(`DocBlock`), for the local and the joint model alike; the records derive
+their masks from the blocks' own-entry masks.  f with the ranking loss is
+one more record per document (`record_rank_loss`), one f pass over every
+trainable candidate.  Each record has a hand-derived backward over the
+same numpy forward that inference runs.  f sums each row of its output
+layer alone (`FNet.layers`), so that equal rows stay tied in a batch.
 """
 
 from __future__ import annotations
@@ -102,19 +103,19 @@ class FNet:
         return h1, np.maximum(0.0, h2, out=h2)
 
     def layers(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Both relu layers' activations and the (n,) scores of (n, 2) inputs."""
-        h1, h2 = self.hidden_layers(x)
-        return h1, h2, (h2 @ self.w3.T + self.b3)[:, 0]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Score row-stacked (n, 2) inputs; returns (n,).
+        """Both relu layers' activations and the (n,) scores of (n, 2) inputs.
 
         Equal rows score equally wherever they sit, so exact ties between
         candidates survive batching: BLAS's matrix-vector product rounds a
         row by its position in the batch, so the output layer is an einsum,
         one sum over each row in the same order.
         """
-        return np.einsum("ij,j->i", self.hidden_layers(x)[1], self.w3[0]) + self.b3[0]
+        h1, h2 = self.hidden_layers(x)
+        return h1, h2, np.einsum("ij,j->i", h2, self.w3[0]) + self.b3[0]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Score row-stacked (n, 2) inputs; returns (n,)."""
+        return self.layers(x)[2]
 
     def param_dict(self) -> dict[str, np.ndarray]:
         return {f"f.{n}": getattr(self, n) for n in self.NAMES}
@@ -362,46 +363,45 @@ def padded_rows(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class DocBlock:
     """A document's mentions as the zero-padded blocks the training records
-    read, built once per document (`DocBlock.of`).
+    of both models read, built once per document (`DocBlock.of`).
 
     `cands` (m, S, d) and `ctx` (m, K, d) hold the candidate and context
-    rows, `valid` (m, S) the live candidate slots and `live` (m, S, K) the
-    scored candidate-word pairs: an empty context keeps one live zero word.
-    `log_priors` (m, S) is zero-padded; `gold` (m, S) marks each gold slot
-    and `slots` (m, S) the live slots of the mentions with a gold slot.
+    rows, `valid` (m, S) and `words` (m, K) mark their own entries.
+    `log_priors` (m, S) is zero-padded, and `gold` (m, S) marks each gold
+    slot: a mention whose gold index is unknown has none.
     """
 
     cands: np.ndarray
     valid: np.ndarray
     ctx: np.ndarray
-    live: np.ndarray
+    words: np.ndarray
     log_priors: np.ndarray
     gold: np.ndarray
-    slots: np.ndarray
 
     @classmethod
     def of(cls, instances: list[MentionInstance]) -> "DocBlock":
         cands, valid = padded_rows([inst.cand_vecs for inst in instances])
         ctx, words = padded_rows([inst.ctx_vecs for inst in instances])
-        live = valid[:, :, None] & (words | (np.arange(words.shape[1]) == 0))[:, None]
         golds = [-1 if inst.gold_index is None else inst.gold_index for inst in instances]
-        gold = np.arange(valid.shape[1]) == np.array(golds)[:, None]
-        return DocBlock(cands=cands, valid=valid, ctx=ctx, live=live,
-                        log_priors=padded_rows([inst.log_priors for inst in instances])[0],
-                        gold=gold, slots=valid & gold.any(axis=1, keepdims=True))
+        return cls(cands=cands, valid=valid, ctx=ctx, words=words,
+                   log_priors=padded_rows([inst.log_priors for inst in instances])[0],
+                   gold=np.arange(valid.shape[1]) == np.array(golds)[:, None])
 
 
 def record_unaries(tape: ad.Tape, vars_: dict[str, ad.Var], block: DocBlock,
                    r: int) -> ad.Var:
     """`mention_unary` over the block's candidate and context rows as one
-    tape record of the (m, S) scores, with adjoints into A and B.  An empty
-    context's one live zero word scores every candidate exactly 0 and
-    passes no adjoint.  Top-R selection carries no gradient; the support
-    max routes its adjoint to the first maximal candidate row.
+    tape record of the (m, S) scores, with adjoints into A and B.  The
+    scored candidate-word pairs are the live candidates and words; an
+    empty context keeps one live zero word, which scores every candidate
+    exactly 0 and passes no adjoint.  Top-R selection carries no gradient;
+    the support max routes its adjoint to the first maximal candidate row.
     """
     a, b = vars_["A"], vars_["B"]
     cands, ctx = block.cands, block.ctx
-    psi, beta, scores = mention_unary(a.value, b.value, r, cands, ctx, block.live)
+    words = block.words | (np.arange(ctx.shape[1]) == 0)
+    live = block.valid[:, :, None] & words[:, None]
+    psi, beta, scores = mention_unary(a.value, b.value, r, cands, ctx, live)
 
     def backward(g):
         cand_g = (g[:, None, :] @ cands)[:, 0]
@@ -427,7 +427,8 @@ def record_rank_loss(tape: ad.Tape, vars_: dict[str, ad.Var], scores: ad.Var,
     mentions.  The backward gives adjoints into f.* and `scores`; relu
     passes none at exactly 0, nor does a margin of exactly 0.
     """
-    live, gold = block.slots, block.gold
+    gold = block.gold
+    live = block.valid & gold.any(axis=1, keepdims=True)
     if not live.any():
         return tape.const(np.zeros(()))
     fvars = [vars_[f"f.{n}"] for n in FNet.NAMES]

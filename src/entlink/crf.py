@@ -9,31 +9,32 @@ Training backpropagates a margin ranking loss on the combined beliefs
 through all T layers; both read documents via `attention.doc_instances`.
 
 One generator, `layers`, runs the recurrence for inference and training
-alike, over a document's padded unaries, its pairwise scores and its
-`Layout`: the padded candidate rows and the masks and start messages they
-fix.  Training's `unroll` keeps every layer for the backward pass and
-builds each document's layout once (`JointBlock`); `run_lbp` is `unroll`
-on a padded `CrfInstance`.  Inference (`instance_marginals`) keeps only
-the latest messages, then runs f once over the live slots of the
-document's final belief block.  The arrays are slot-major, so each max
-or sum over candidate slots runs over the outermost axis: entry
-[p, i, j] of the (S, n, n) messages is the message from mention i to j at
-j's slot p, in probability space.  Padding and the diagonal are neutral
-slots holding 1 (log 0).  A layer keeps values only, the max over sender
-slots q of phi[q, p, i, j] + v[q, i, j], where phi holds -inf at padded
-slots; one scratch block holds phi + v in every layer.  Every layer
-checks that each message sums to 1.  `beliefs_tape` records the unroll as
-one tape op from the document's (n, S) unary block to its (n, S) beliefs;
-its hand-derived backward (Domke, TPAMI 2013) recomputes from phi and v
-each maximum's sender slot, the first maximal one.  Sums over mentions
-add in mention order, so results do not depend on the memory layout.  A
-training document's loss is three records: unaries, beliefs, ranking loss.
+alike, over a document's padded unaries, its pairwise scores and its slot
+validity, from which it derives the live message slots and the uniform
+start messages (`message_masks`).  Training's `unroll` keeps every layer
+for the backward pass and reads the document's `attention.DocBlock`, the
+same block the local model trains on; `run_lbp` is `unroll` on a padded
+`CrfInstance`.  Inference (`instance_marginals`) keeps only the latest
+messages, then runs f once over the live slots of the document's final
+belief block.  The arrays are slot-major, so each max or sum over
+candidate slots runs over the outermost axis: entry [p, i, j] of the
+(S, n, n) messages is the message from mention i to j at j's slot p, in
+probability space.  Padding and the diagonal are neutral slots holding 1
+(log 0).  A layer keeps values only, the max over sender slots q of
+phi[q, p, i, j] + v[q, i, j], where phi holds -inf at padded slots; one
+scratch block holds phi + v in every layer.  Every layer checks that each
+message sums to 1.  `beliefs_tape` records the unroll as one tape op
+from the document's (n, S) unary block to its (n, S) beliefs; its
+hand-derived backward (Domke, TPAMI 2013) recomputes from phi and v each
+maximum's sender slot, the first maximal one.  Sums over mentions add in
+mention order, so results do not depend on the memory layout.  A training
+document's loss is three records: unaries, beliefs, ranking loss.
 
-The (S, S, n, n) tensor phi is one GEMM of the document's padded (n*S, d)
-candidate rows V, V diag(C) V^T; C's adjoint is the diagonal of V^T G V
-for phi's adjoint G laid out like that product, again one GEMM.
-`CrfInstance.phi` keeps the per-pair form as the oracle that `crf_score`
-enumerates.
+The (S, S, n, n) tensor phi (`phi_tensor`) is one GEMM of the document's
+padded (n*S, d) candidate rows V, V diag(C) V^T; C's adjoint is the
+diagonal of V^T G V for phi's adjoint G laid out like that product, again
+one GEMM.  `CrfInstance.phi` keeps the per-pair form as the oracle that
+`crf_score` enumerates.
 """
 
 from __future__ import annotations
@@ -170,7 +171,6 @@ class Unroll:
 
     psi: np.ndarray              # (S, n) unaries, zero-padded
     valid: np.ndarray            # (S, n) live candidate slots
-    vecs: np.ndarray             # (n, S, d) candidate vectors, zero-padded
     phi: np.ndarray              # (S, S, n, n) pairwise scores, -inf at padding
     keep: np.ndarray             # (S, n, n) live message slots
     delta: float
@@ -204,49 +204,32 @@ class Unroll:
         return g_psi, g_phi
 
 
-@dataclass
-class Layout:
-    """What message passing reads of a document besides its unaries and C,
-    all fixed by its padded candidate sets: the (n, S, d) rows, the
-    slot-major (S, n) validity, the (S, n, n) live message slots, the
-    (n, n) off-diagonal pairs and the uniform (S, n, n) start messages."""
-
-    vecs: np.ndarray
-    valid: np.ndarray
-    keep: np.ndarray
-    offdiag: np.ndarray
-    start: np.ndarray
-
-    @classmethod
-    def of(cls, vecs: np.ndarray, valid: np.ndarray) -> "Layout":
-        """The layout of padded rows `vecs` and their (n, S) validity `valid`,
-        as `padded_rows` returns them."""
-        valid = valid.T.copy()
-        offdiag = ~np.eye(vecs.shape[0], dtype=bool)
-        keep = valid[:, None, :] & offdiag
-        return cls(vecs, valid, keep, offdiag, np.where(keep, 1.0 / valid.sum(axis=0), 1.0))
-
-    @property
-    def n(self) -> int:
-        return self.vecs.shape[0]
-
-    def phi(self, c: np.ndarray) -> np.ndarray:
-        """Contiguous (S, S, n, n) phi[q, p, i, j] = 2/(n-1) x_jp^T diag(c) x_iq,
-        -inf at padded slots."""
-        n, s, d = self.vecs.shape
-        flat = self.vecs.reshape(n * s, d)
-        pairs = ((flat * c) @ flat.T).reshape(n, s, n, s).transpose(3, 1, 2, 0)
-        phi = np.multiply(pair_scale(n), pairs, order="C")
-        phi.transpose(0, 2, 1, 3)[~self.valid] = -np.inf
-        phi.transpose(1, 3, 0, 2)[~self.valid] = -np.inf
-        return phi
+def phi_tensor(vecs: np.ndarray, mask: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Contiguous (S, S, n, n) phi[q, p, i, j] = 2/(n-1) x_jp^T diag(c) x_iq
+    of padded (n, S, d) candidate rows `vecs` and their (n, S) `mask`, as
+    `padded_rows` returns them; -inf at padded slots."""
+    n, s, d = vecs.shape
+    flat = vecs.reshape(n * s, d)
+    pairs = ((flat * c) @ flat.T).reshape(n, s, n, s).transpose(3, 1, 2, 0)
+    phi = np.multiply(pair_scale(n), pairs, order="C")
+    phi.transpose(2, 0, 1, 3)[~mask] = -np.inf
+    phi.transpose(3, 1, 0, 2)[~mask] = -np.inf
+    return phi
 
 
-def layers(layout: Layout, psi: np.ndarray, phi: np.ndarray, t: int,
+def message_masks(valid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (S, n, n) live message slots, the (n, n) off-diagonal pairs and
+    the uniform (S, n, n) start messages of the (S, n) slot validity `valid`."""
+    offdiag = ~np.eye(valid.shape[1], dtype=bool)
+    keep = valid[:, None, :] & offdiag
+    return keep, offdiag, np.where(keep, 1.0 / valid.sum(axis=0), 1.0)
+
+
+def layers(psi: np.ndarray, phi: np.ndarray, valid: np.ndarray, t: int,
            delta: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """T synchronous damped max-product layers from the layout's uniform
-    start messages, over the (S, n) slot-major unaries `psi` of the document
-    `layout` describes and its pairwise scores `phi`.
+    """T synchronous damped max-product layers from uniform start messages,
+    over a document's (S, n) slot-major unaries `psi`, its pairwise scores
+    `phi` and its contiguous (S, n) slot validity `valid`.
 
     Yields each layer's messages, normalised max-product values and sender
     values (mix, soft, v), every one a new array; only the (S, S, n, n)
@@ -254,8 +237,7 @@ def layers(layout: Layout, psi: np.ndarray, phi: np.ndarray, t: int,
     """
     if t < 1:
         raise ValidationError(f"layer count must be >= 1, got {t}")
-    valid, keep, offdiag = layout.valid, layout.keep, layout.offdiag
-    mix = layout.start
+    keep, offdiag, mix = message_masks(valid)
     scratch = np.empty_like(phi)
     for layer in range(1, t + 1):
         log_m = np.log(mix)
@@ -276,30 +258,31 @@ def layers(layout: Layout, psi: np.ndarray, phi: np.ndarray, t: int,
         yield mix, soft, v
 
 
-def unroll(layout: Layout, psi: np.ndarray, c: np.ndarray, t: int,
+def unroll(psi: np.ndarray, phi: np.ndarray, valid: np.ndarray, t: int,
            delta: float) -> Unroll:
-    """Every one of the T `layers` over `psi` and the document `layout`
-    describes, kept for the backward pass."""
-    phi = layout.phi(c)
-    state = Unroll(psi, layout.valid, layout.vecs, phi, layout.keep, delta,
-                   mix=[layout.start], soft=[], v=[])
-    for mix, soft, v in layers(layout, psi, phi, t, delta):
+    """Every one of the T `layers` over these arguments, kept for the
+    backward pass."""
+    keep, _, start = message_masks(valid)
+    state = Unroll(psi, valid, phi, keep, delta, mix=[start], soft=[], v=[])
+    for mix, soft, v in layers(psi, phi, valid, t, delta):
         state.mix.append(mix)
         state.soft.append(soft)
         state.v.append(v)
     return state
 
 
-def padded(instance: CrfInstance) -> tuple[Layout, np.ndarray]:
-    """The instance's `Layout` and its (S, n) slot-major padded unaries."""
+def padded(instance: CrfInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The instance's (n, S, d) padded candidate rows, their (n, S) mask and
+    its (S, n) slot-major padded unaries."""
     psi = np.ascontiguousarray(padded_rows(instance.unaries)[0].T)
-    return Layout.of(*padded_rows(instance.cand_vecs)), psi
+    return (*padded_rows(instance.cand_vecs), psi)
 
 
 def run_lbp(instance: CrfInstance, t: int, delta: float) -> Unroll:
     """`unroll` on the instance's padded arrays."""
-    layout, psi = padded(instance)
-    return unroll(layout, psi, instance.c, t, delta)
+    vecs, mask, psi = padded(instance)
+    return unroll(psi, phi_tensor(vecs, mask, instance.c), np.ascontiguousarray(mask.T),
+                  t, delta)
 
 
 def final_beliefs(psi: np.ndarray, mix: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -341,11 +324,13 @@ def instance_marginals(instance: CrfInstance, params: GlobalParams) -> list[np.n
     """Combined marginal scores rho per mention (inference path): the T
     `layers` keep only the latest messages, and f runs once over the live
     slots of the final belief block."""
-    layout, psi = padded(instance)
-    for mix, _, _ in layers(layout, psi, layout.phi(instance.c), params.t, params.delta):
+    vecs, mask, psi = padded(instance)
+    valid = np.ascontiguousarray(mask.T)
+    for mix, _, _ in layers(psi, phi_tensor(vecs, mask, instance.c), valid, params.t,
+                            params.delta):
         pass
-    mu = final_beliefs(psi, mix, layout.valid)
-    return combine_doc(params.local.fnet, mu.T[layout.valid.T], instance.log_priors)
+    mu = final_beliefs(psi, mix, valid)
+    return combine_doc(params.local.fnet, mu.T[mask], instance.log_priors)
 
 
 def predict_global(doc, params: GlobalParams, store: EmbeddingStore) -> list[int | None]:
@@ -363,27 +348,16 @@ def predict_global(doc, params: GlobalParams, store: EmbeddingStore) -> list[int
 # -- tape (training) path ----------------------------------------------
 
 
-@dataclass
-class JointBlock(DocBlock):
-    """A training document's `DocBlock` with its message-passing `Layout`,
-    built once (`JointBlock.of`); the layout shares the candidate rows."""
-
-    layout: Layout
-
-    @classmethod
-    def of(cls, instances: list[MentionInstance]) -> "JointBlock":
-        block = DocBlock.of(instances)
-        return cls(**vars(block), layout=Layout.of(block.cands, block.valid))
-
-
-def beliefs_tape(tape: ad.Tape, psi: ad.Var, layout: Layout, c: ad.Var,
-                 delta: float, t: int) -> ad.Var:
+def beliefs_tape(tape: ad.Tape, psi: ad.Var, cands: np.ndarray, mask: np.ndarray,
+                 c: ad.Var, delta: float, t: int) -> ad.Var:
     """`belief_block(unroll(...))` as one tape record, with adjoints into psi and C.
 
-    `psi` holds the (n, S) unaries of the document `layout` describes; the
-    record's value is the (n, S) beliefs, 0 at padded slots.
+    `psi` holds the (n, S) unaries of the document whose padded candidate
+    rows and their (n, S) mask are `cands` and `mask` (a `DocBlock`'s);
+    the record's value is the (n, S) beliefs, 0 at padded slots.
     """
-    state = unroll(layout, np.ascontiguousarray(psi.value.T), c.value, t, delta)
+    state = unroll(np.ascontiguousarray(psi.value.T), phi_tensor(cands, mask, c.value),
+                   np.ascontiguousarray(mask.T), t, delta)
     mu = belief_block(state)
 
     def backward(g):
@@ -391,10 +365,10 @@ def beliefs_tape(tape: ad.Tape, psi: ad.Var, layout: Layout, c: ad.Var,
         g_psi, g_phi = state.backward(g_mu)
         if psi.needs_grad:
             psi._accum(g_psi.T)
-        if layout.n > 1:  # a lone mention has no pairs, so C gets no adjoint
+        n, s, d = cands.shape
+        if n > 1:  # a lone mention has no pairs, so C gets no adjoint
             # diag(V^T G V) with G[(j, p), (i, q)] = g_phi[q, p, i, j]
-            n, s, d = layout.vecs.shape
-            flat = layout.vecs.reshape(n * s, d)
+            flat = cands.reshape(n * s, d)
             g = g_phi.transpose(3, 1, 2, 0).reshape(n * s, n * s)
             c._accum(pair_scale(n) * ((g @ flat) * flat).sum(axis=0))
 
@@ -402,7 +376,7 @@ def beliefs_tape(tape: ad.Tape, psi: ad.Var, layout: Layout, c: ad.Var,
 
 
 def global_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet | None,
-                         doc: JointBlock | list[MentionInstance], gamma: float,
+                         doc: DocBlock | list[MentionInstance], gamma: float,
                          r: int, delta: float, t: int) -> ad.Var:
     """Ranking loss on combined beliefs, backpropagated through all layers,
     of one document given as its block or as its instances.  `fnet` is
@@ -411,12 +385,12 @@ def global_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet | N
     All candidate-bearing mentions shape the messages; only mentions whose
     gold entity sits in their candidate set contribute hinge terms.
     """
-    if not isinstance(doc, JointBlock):
+    if not isinstance(doc, DocBlock):
         if not doc:
             return tape.const(np.zeros(()))
-        doc = JointBlock.of(doc)
+        doc = DocBlock.of(doc)
     psi = record_unaries(tape, vars_, doc, r)
-    mu = beliefs_tape(tape, psi, doc.layout, vars_["C"], delta, t)
+    mu = beliefs_tape(tape, psi, doc.cands, doc.valid, vars_["C"], delta, t)
     return record_rank_loss(tape, vars_, mu, doc, gamma)
 
 

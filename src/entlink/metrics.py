@@ -100,8 +100,12 @@ def breakdown_report(
 ) -> tuple[list[Bucket], list[Bucket]]:
     """Accuracy split by gold-entity frequency and by gold-entity prior.
 
-    Only mentions whose candidate set contains the gold entity are counted,
-    so the buckets cross-check against the candidate-bearing total.
+    Only mentions with a gold entity and a true `gold_in_candidates` flag
+    are counted.  `run-experiment` flags the mentions whose selected
+    candidate set holds the gold (`breakdown.tsv`), so its buckets
+    cross-check against the candidate-bearing total; `entlink breakdown`
+    selects no candidates and flags the mentions whose gold has a prior
+    above 0 for their surface.
     """
     lengths = {len(predictions), len(golds), len(gold_priors),
                len(gold_freqs), len(gold_in_candidates)}

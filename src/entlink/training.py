@@ -8,15 +8,14 @@ Frobenius ball.  Validation accuracy is measured every few epochs and the
 best-scoring snapshot is kept.
 
 Everything fixed for the run is built once, before the first epoch.  Each
-training document becomes its padded blocks (`attention.DocBlock`, with
-the message-passing layout for the joint model, `crf.JointBlock`), which
-replace its per-mention rows.  The parameters are named views into one
-flat vector (`autodiff.ParamVector`), and the model object is bound to
-those views at the start, so there is one copy of the parameters: the
-optimizer step, the finiteness check and the best snapshot (taken and
-restored as one copy) act on the whole vector, and validation reads it
-as it stands.  A parameter that got no adjoint on a step keeps its value
-and its moments.
+training document becomes its padded blocks (`attention.DocBlock`, the
+same for both models), which replace its per-mention rows.  The
+parameters are named views into one flat vector (`autodiff.ParamVector`),
+and the model object is bound to those views at the start, so there is
+one copy of the parameters: the optimizer step, the finiteness check and
+the best snapshot (taken and restored as one copy) act on the whole
+vector, and validation reads it as it stands.  A parameter that got no
+adjoint on a step keeps its value and its moments.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .attention import (
     local_doc_loss_tape,
     predict_local,
 )
-from .crf import GlobalParams, JointBlock, global_doc_loss_tape, predict_global
+from .crf import GlobalParams, global_doc_loss_tape, predict_global
 from .docs import Corpus
 from .errors import ValidationError
 from .metrics import evaluate
@@ -137,7 +136,8 @@ class TrainHistory:
     best_epoch: int = 0
     lr_dropped_epoch: int | None = None
     rows: list[tuple[int, float, float]] = field(default_factory=list)
-    # rows: (epoch, mean train loss, validation accuracy at last check)
+    # rows: (epoch, mean train loss, validation accuracy at last check), one
+    # per epoch run, the one at which early stopping fires included
 
 
 def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
@@ -146,12 +146,11 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
     params_obj.load_param_dict(params.views(params.flat))  # the one copy
     local = params_obj if model_kind == "local" else params_obj.local
     require_gold = model_kind == "local"
-    make_block = DocBlock.of if model_kind == "local" else JointBlock.of
     blocks = []
     for doc in train:
         instances = list(doc_instances(doc, store, require_gold=require_gold))
         if any(inst.gold_index is not None for inst in instances):
-            blocks.append(make_block(instances))
+            blocks.append(DocBlock.of(instances))
     if not blocks:
         raise ValidationError("no trainable mentions in the training corpus")
     rng = np.random.default_rng(cfg.seed)
@@ -202,9 +201,9 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
                 optimizer.lr = LR_AFTER_DROP
                 dropped = True
                 history.lr_dropped_epoch = epoch
-            if since_best >= cfg.patience:
-                break
         history.rows.append((epoch, float(np.mean(losses)), last_val))
+        if since_best >= cfg.patience:
+            break
     if val is not None and history.best_epoch > 0:
         params.flat[:] = best
     return history

@@ -5,7 +5,7 @@ import numpy as np
 
 from entlink import autodiff as ad
 from entlink.attention import padded_rows
-from entlink.crf import Layout, beliefs_tape
+from entlink.crf import beliefs_tape
 
 
 def weighted_sum(tape, xs, weights) -> ad.Var:
@@ -51,6 +51,6 @@ def split_rows(tape, block, sizes):
 
 def lbp_beliefs(t, psi, instances, c, delta, layers):
     """`beliefs_tape` over per-mention unaries, returning per-mention beliefs."""
-    layout = Layout.of(*padded_rows([inst.cand_vecs for inst in instances]))
-    mu = beliefs_tape(t, stack_rows(t, psi), layout, c, delta, layers)
+    cands, mask = padded_rows([inst.cand_vecs for inst in instances])
+    mu = beliefs_tape(t, stack_rows(t, psi), cands, mask, c, delta, layers)
     return split_rows(t, mu, [inst.cand_vecs.shape[0] for inst in instances])

@@ -152,8 +152,10 @@ class TestCombineF:
         net = FNet.random(hidden=100, scale=0.3, rng=rng)
         net.b1 = 0.1 * rng.normal(size=100)
         for n in range(2, 64):
-            out = net.forward(np.repeat(rng.normal(size=(1, 2)), n, axis=0))
-            assert (out == out[0]).all(), n
+            x = np.repeat(rng.normal(size=(1, 2)), n, axis=0)
+            # inference's f, and training's, which keeps the hidden layers
+            for out in (net.forward(x), net.layers(x)[2]):
+                assert (out == out[0]).all(), n
 
     def test_non_finite_input_rejected(self):
         net = FNet.zeros(hidden=4)

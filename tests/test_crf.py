@@ -19,12 +19,12 @@ from entlink.crf import (
     MESSAGE_NORM_TOL,
     CrfInstance,
     GlobalParams,
-    Layout,
     beliefs,
     build_crf_instance,
     crf_score,
     global_doc_loss_tape,
     global_loss_closure,
+    phi_tensor,
     predict_global,
     run_lbp,
 )
@@ -130,8 +130,7 @@ class TestCrfScore:
         rng = np.random.default_rng(4)
         for sizes in ([3, 1], [4, 2, 3, 1, 4]):
             inst = random_instance(rng, n=len(sizes), sizes=sizes, dim=7)
-            layout = Layout.of(*padded_rows(inst.cand_vecs))
-            phi = layout.phi(inst.c)
+            phi = phi_tensor(*padded_rows(inst.cand_vecs), inst.c)
             assert phi.flags.c_contiguous
             for i, j in itertools.permutations(range(inst.n), 2):
                 np.testing.assert_allclose(phi[:sizes[i], :sizes[j], i, j].T,
@@ -618,7 +617,8 @@ class TestGlobalLoss:
         for i, (w, mu) in enumerate(zip(weights, beliefs(state, inst))):
             g_mu[:mu.shape[0], i] = mu * (w - w @ mu)
         _, g_phi = state.backward(g_mu)
-        want = inst.pair_scale * np.einsum("qpij,jpd,iqd->d", g_phi, state.vecs, state.vecs)
+        vecs = padded_rows(inst.cand_vecs)[0]
+        want = inst.pair_scale * np.einsum("qpij,jpd,iqd->d", g_phi, vecs, vecs)
         np.testing.assert_allclose(c.grad, want, rtol=1e-12, atol=0)
 
 

@@ -19,7 +19,7 @@ from entlink.attention import (FNet, LocalParams, argmax_entity, combine_doc, co
                                scored_instances)
 from entlink.crf import (CrfInstance, GlobalParams, belief_block, build_crf_instance,
                          final_beliefs, instance_marginals, layers, padded,
-                         predict_global, run_lbp)
+                         phi_tensor, predict_global, run_lbp)
 from entlink.docs import Document, Mention
 from entlink.errors import ValidationError
 from entlink.priors import Candidate
@@ -151,14 +151,15 @@ def test_layer_generator_final_beliefs_equal_full_unroll(cases):
     store, docs = cases
     for doc, params in docs:
         instance, _ = build_crf_instance(doc, params, store)
-        layout, psi = padded(instance)
+        vecs, mask, psi = padded(instance)
+        valid = np.ascontiguousarray(mask.T)
         count = 0
-        for mix, _, _ in layers(layout, psi, layout.phi(instance.c), params.t,
+        for mix, _, _ in layers(psi, phi_tensor(vecs, mask, instance.c), valid, params.t,
                                 params.delta):
             count += 1
         assert count == params.t
         np.testing.assert_array_equal(
-            final_beliefs(psi, mix, layout.valid),
+            final_beliefs(psi, mix, valid),
             belief_block(run_lbp(instance, params.t, params.delta)))
 
 

@@ -139,6 +139,8 @@ class TestTrainGlobal:
                           eval_every=1, patience=3, seed=5)
         history = train_global(params, train, val, store, cfg)
         assert history.epochs_run < 200
+        # one history row per epoch run, the stopping epoch included
+        assert [row[0] for row in history.rows] == list(range(1, history.epochs_run + 1))
 
 
 def lone_mention(doc):
