@@ -11,16 +11,19 @@ local score; training minimises a margin ranking loss over candidates.
 `doc_instances` is the single featurisation path: every scorer reads a
 document's mentions through it.  The scorer works along any leading
 mention axes: inference scores one mention at a time while its context
-rows are in cache and keeps only its scores (`scored_instances`), then
-runs f once over the document's concatenated rows (`combine_doc`);
-training scores a document's zero-padded mention blocks in one record
-(`record_unaries`).  Training builds those blocks once per document
-(`DocBlock`), for the local and the joint model alike; the records derive
-their masks from the blocks' own-entry masks.  f with the ranking loss is
-one more record per document (`record_rank_loss`), one f pass over every
-trainable candidate.  Each record has a hand-derived backward over the
-same numpy forward that inference runs.  f sums each row of its output
-layer alone (`FNet.layers`), so that equal rows stay tied in a batch.
+rows are in cache and keeps only its scores (`scored_instances`); training
+scores a document's zero-padded mention blocks in one record
+(`record_unaries`).  Both models decide a document from padded (n, S)
+blocks of per-candidate scores, log priors and entity ids: f runs once
+over the live slots (`combine_block`), and one vectorised argmax picks
+each mention's entity (`best_entities`).  Training builds its blocks once
+per document (`DocBlock`), for the local and the joint model alike; the
+records derive their masks from the blocks' own-entry masks.  f with the
+ranking loss is one more record per document (`record_rank_loss`), one f
+pass over every trainable candidate.  Each record has a hand-derived
+backward over the same numpy forward that inference runs.  f sums each row
+of its output layer alone (`FNet.layers`), so that equal rows stay tied in
+a batch.
 """
 
 from __future__ import annotations
@@ -38,8 +41,10 @@ from .vectors import EmbeddingStore
 LOG_PRIOR_FLOOR = 1e-12
 
 
-def floored_log_prior(p: float) -> float:
-    return float(np.log(max(p, LOG_PRIOR_FLOOR)))
+def floored_log_prior(p):
+    """log max(p, LOG_PRIOR_FLOOR): a float for a scalar, an array for an array."""
+    out = np.log(np.maximum(p, LOG_PRIOR_FLOOR))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -191,12 +196,8 @@ def top_r_mask(u: np.ndarray, r: int) -> np.ndarray:
         return np.ones(u.shape, dtype=bool)
     if r < 1:
         raise ValidationError(f"attention budget must be >= 1, got {r}")
-    top = np.argsort(-u, axis=-1, kind="stable")[..., :r]
     mask = np.zeros(u.shape, dtype=bool)
-    if u.ndim == 1:  # one mention, as inference scores
-        mask[top] = True
-    else:  # a training block, one row per mention
-        mask[np.arange(u.shape[0])[:, None], top] = True
+    np.put_along_axis(mask, np.argsort(-u, axis=-1, kind="stable")[..., :r], True, axis=-1)
     return mask
 
 
@@ -281,18 +282,11 @@ def doc_instances(doc, store: EmbeddingStore,
         yield MentionInstance(
             cand_vecs=store.entity_rows(entities),
             ctx_vecs=store.word_rows(mention.context or []),
-            log_priors=np.log(np.maximum([c.prior for c in cands], LOG_PRIOR_FLOOR)),
+            log_priors=floored_log_prior([c.prior for c in cands]),
             gold_index=gold_index,
             entities=entities,
             position=position,
         )
-
-
-def argmax_entity(scores: np.ndarray, entities: list[int]) -> int:
-    """Best-scoring entity; exact score ties resolved by smallest entity id."""
-    best = scores.max()
-    tied = [entities[i] for i in range(len(entities)) if scores[i] == best]
-    return min(tied)
 
 
 def scored_instances(doc, params: LocalParams, store: EmbeddingStore
@@ -308,19 +302,46 @@ def scored_instances(doc, params: LocalParams, store: EmbeddingStore
         yield inst, psi, beta
 
 
-def combine_doc(fnet: FNet, scores: np.ndarray,
-                log_priors: list[np.ndarray]) -> list[np.ndarray]:
-    """f over a document's mentions in one pass: `scores` holds their
-    concatenated (sum S_i,) context or belief scores, `log_priors` each
-    mention's own; returns each mention's combined scores."""
-    rho = combine_f(fnet, scores, np.concatenate(log_priors))
-    return np.split(rho, np.cumsum([p.shape[0] for p in log_priors[:-1]]))
+def padded_rows(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """`rows` stacked on a new leading axis and zero-padded to the longest
+    (at least 1), with the (m, W) mask of the rows' own entries."""
+    sizes = np.array([row.shape[0] for row in rows])
+    filled = np.arange(max(1, sizes.max())) < sizes[:, None]
+    out = np.zeros(filled.shape + rows[0].shape[1:])
+    out[filled] = np.concatenate(rows)
+    return out, filled
+
+
+def padded_ids(entities: list[list[int]], valid: np.ndarray) -> np.ndarray:
+    """The (n, S) entity ids of per-mention id lists, -1 at the padded
+    slots of the (n, S) validity `valid`."""
+    ids = np.full(valid.shape, -1)
+    ids[valid] = [e for row in entities for e in row]
+    return ids
+
+
+def combine_block(fnet: FNet, scores: np.ndarray, log_priors: np.ndarray,
+                  valid: np.ndarray) -> np.ndarray:
+    """f over the live slots of a document's (n, S) score and log-prior
+    blocks in one pass; -inf at padding."""
+    rho = np.full(valid.shape, -np.inf)
+    rho[valid] = combine_f(fnet, scores[valid], log_priors[valid])
+    return rho
+
+
+def best_entities(rho: np.ndarray, entities: np.ndarray) -> np.ndarray:
+    """Each mention's best-scoring entity of an (n, S) combined block, -inf
+    at padding, given its (n, S) entity ids; exact ties go to the smallest
+    id."""
+    tied = rho == rho.max(axis=1, keepdims=True)
+    return np.where(tied, entities, np.iinfo(entities.dtype).max).min(axis=1)
 
 
 def local_decisions(doc, params: LocalParams, store: EmbeddingStore
                     ) -> list[tuple[MentionInstance, int, np.ndarray]]:
     """The local model's entity and attention weights for each of the
-    document's candidate-bearing mentions, f run once over the document."""
+    document's candidate-bearing mentions, decided from the document's
+    padded score, log-prior and id blocks."""
     instances, unaries, betas = [], [], []
     for inst, psi, beta in scored_instances(doc, params, store):
         inst.cand_vecs = None  # the decision reads the scores only
@@ -329,10 +350,11 @@ def local_decisions(doc, params: LocalParams, store: EmbeddingStore
         betas.append(beta)
     if not instances:
         return []
-    rho = combine_doc(params.fnet, np.concatenate(unaries),
-                      [inst.log_priors for inst in instances])
-    return [(inst, argmax_entity(rho_i, inst.entities), beta)
-            for inst, rho_i, beta in zip(instances, rho, betas)]
+    scores, valid = padded_rows(unaries)
+    rho = combine_block(params.fnet, scores,
+                        padded_rows([inst.log_priors for inst in instances])[0], valid)
+    entities = best_entities(rho, padded_ids([inst.entities for inst in instances], valid))
+    return list(zip(instances, entities.tolist(), betas))
 
 
 def predict_local(doc, params: LocalParams, store: EmbeddingStore) -> list[int | None]:
@@ -348,16 +370,6 @@ def predict_local(doc, params: LocalParams, store: EmbeddingStore) -> list[int |
 
 def make_param_vars(tape: ad.Tape, params: dict[str, np.ndarray]) -> dict[str, ad.Var]:
     return {name: tape.var(arr) for name, arr in params.items()}
-
-
-def padded_rows(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """`rows` stacked on a new leading axis and zero-padded to the longest
-    (at least 1), with the (m, W) mask of the rows' own entries."""
-    sizes = np.array([row.shape[0] for row in rows])
-    filled = np.arange(max(1, sizes.max())) < sizes[:, None]
-    out = np.zeros(filled.shape + rows[0].shape[1:])
-    out[filled] = np.concatenate(rows)
-    return out, filled
 
 
 @dataclass

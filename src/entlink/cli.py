@@ -584,7 +584,7 @@ def cmd_grad_check(args) -> int:
             out.append(MentionInstance(
                 cand_vecs=vecs / np.linalg.norm(vecs, axis=1, keepdims=True),
                 ctx_vecs=rng.normal(size=(k, 8)), gold_index=int(rng.integers(s)),
-                log_priors=np.array([floored_log_prior(x) for x in p]),
+                log_priors=floored_log_prior(p),
                 entities=list(range(s))))
         return out
 

@@ -13,28 +13,29 @@ alike, over a document's padded unaries, its pairwise scores and its slot
 validity, from which it derives the live message slots and the uniform
 start messages (`message_masks`).  Training's `unroll` keeps every layer
 for the backward pass and reads the document's `attention.DocBlock`, the
-same block the local model trains on; `run_lbp` is `unroll` on a padded
-`CrfInstance`.  Inference (`instance_marginals`) keeps only the latest
-messages, then runs f once over the live slots of the document's final
-belief block.  The arrays are slot-major, so each max or sum over
-candidate slots runs over the outermost axis: entry [p, i, j] of the
-(S, n, n) messages is the message from mention i to j at j's slot p, in
-probability space.  Padding and the diagonal are neutral slots holding 1
-(log 0).  A layer keeps values only, the max over sender slots q of
-phi[q, p, i, j] + v[q, i, j], where phi holds -inf at padded slots; one
-scratch block holds phi + v in every layer.  Every layer checks that each
-message sums to 1.  `beliefs_tape` records the unroll as one tape op
-from the document's (n, S) unary block to its (n, S) beliefs; its
-hand-derived backward (Domke, TPAMI 2013) recomputes from phi and v each
-maximum's sender slot, the first maximal one.  Sums over mentions add in
-mention order, so results do not depend on the memory layout.  A training
-document's loss is three records: unaries, beliefs, ranking loss.
+same block the local model trains on.  Inference reads the document as one
+padded `CrfInstance`; `instance_marginals` keeps only the latest messages,
+then runs f once over the live slots of the final belief block
+(`attention.combine_block`), and `predict_global` takes each mention's
+argmax from that (n, S) block (`attention.best_entities`).  The arrays are
+slot-major, so each max or sum over candidate slots runs over the
+outermost axis: entry [p, i, j] of the (S, n, n) messages is the message
+from mention i to j at j's slot p, in probability space.  Padding and the
+diagonal are neutral slots holding 1 (log 0).  A layer keeps values only,
+the max over sender slots q of phi[q, p, i, j] + v[q, i, j], where phi
+holds -inf at padded slots; one scratch block holds phi + v in every
+layer.  Every layer checks that each message sums to 1.  `beliefs_tape`
+records the unroll as one tape op from the document's (n, S) unary block
+to its (n, S) beliefs; its hand-derived backward (Domke, TPAMI 2013)
+recomputes from phi and v each maximum's sender slot, the first maximal
+one.  Sums over mentions add in mention order, so results do not depend on
+the memory layout.  A training document's loss is three records: unaries,
+beliefs, ranking loss.
 
 The (S, S, n, n) tensor phi (`phi_tensor`) is one GEMM of the document's
 padded (n*S, d) candidate rows V, V diag(C) V^T; C's adjoint is the
 diagonal of V^T G V for phi's adjoint G laid out like that product, again
-one GEMM.  `CrfInstance.phi` keeps the per-pair form as the oracle that
-`crf_score` enumerates.
+one GEMM.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ from .attention import (
     FNet,
     LocalParams,
     MentionInstance,
-    argmax_entity,
+    best_entities,
     check_header,
-    combine_doc,
+    combine_block,
     loss_closure,
+    padded_ids,
     padded_rows,
     record_rank_loss,
     record_unaries,
@@ -100,64 +102,27 @@ class GlobalParams:
         self.c = params["C"]
 
 
-@dataclass
 class CrfInstance:
-    """One document's inference problem: unaries, candidates, coherence diagonal."""
+    """One document's inference problem as one padded block, built from
+    per-mention arrays: (n, S) unaries, log priors and slot validity
+    `valid`, (n, S, d) candidate rows, (n, S) entity ids holding -1 at
+    padding, and the coherence diagonal `c`."""
 
-    unaries: list[np.ndarray]        # per mention, length S_i
-    cand_vecs: list[np.ndarray]      # per mention, (S_i, d)
-    entities: list[list[int]]        # per mention candidate entity ids
-    log_priors: list[np.ndarray]     # per mention, length S_i
-    c: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, unaries: list[np.ndarray], cand_vecs: list[np.ndarray],
+                 entities: list[list[int]], log_priors: list[np.ndarray], c: np.ndarray):
+        if not unaries:
             raise ValidationError("a CRF instance needs at least one mention")
-        for psi in self.unaries:
-            if psi.shape[0] == 0:
-                raise ValidationError("every mention needs a nonempty candidate set")
-
-    @classmethod
-    def of(cls, unaries: list[np.ndarray], instances: list[MentionInstance],
-           c: np.ndarray) -> "CrfInstance":
-        """The instance over `instances` (from `doc_instances`) with these unaries."""
-        return cls(unaries=unaries, cand_vecs=[inst.cand_vecs for inst in instances],
-                   entities=[inst.entities for inst in instances],
-                   log_priors=[inst.log_priors for inst in instances], c=c)
+        if any(psi.shape[0] == 0 for psi in unaries):
+            raise ValidationError("every mention needs a nonempty candidate set")
+        self.unaries, self.valid = padded_rows(unaries)
+        self.cand_vecs = padded_rows(cand_vecs)[0]
+        self.log_priors = padded_rows(log_priors)[0]
+        self.entities = padded_ids(entities, self.valid)
+        self.c = c
 
     @property
     def n(self) -> int:
-        return len(self.unaries)
-
-    @property
-    def pair_scale(self) -> float:
-        return pair_scale(self.n)
-
-    def phi(self, i: int, j: int) -> np.ndarray:
-        """Pairwise scores, rows over the candidates of j, columns over i.
-
-        Computed once per unordered pair and transposed for the reverse
-        direction, so phi(i, j) == phi(j, i).T holds bit-exactly.
-        """
-        if i < j:
-            return (self.pair_scale
-                    * (self.cand_vecs[j] * self.c) @ self.cand_vecs[i].T)
-        return self.phi(j, i).T
-
-
-def crf_score(assignment: list[int], instance: CrfInstance) -> float:
-    """Joint log-score of one full assignment (candidate indices per mention)."""
-    if len(assignment) != instance.n:
-        raise ValidationError("assignment length does not match mention count")
-    for i, a in enumerate(assignment):
-        if not 0 <= a < instance.unaries[i].shape[0]:
-            raise ValidationError(
-                f"assignment entity index {a} not in candidate set of mention {i}")
-    total = sum(float(instance.unaries[i][assignment[i]]) for i in range(instance.n))
-    for i in range(instance.n):
-        for j in range(i + 1, instance.n):
-            total += float(instance.phi(i, j)[assignment[j], assignment[i]])
-    return total
+        return self.valid.shape[0]
 
 
 @dataclass
@@ -271,20 +236,6 @@ def unroll(psi: np.ndarray, phi: np.ndarray, valid: np.ndarray, t: int,
     return state
 
 
-def padded(instance: CrfInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The instance's (n, S, d) padded candidate rows, their (n, S) mask and
-    its (S, n) slot-major padded unaries."""
-    psi = np.ascontiguousarray(padded_rows(instance.unaries)[0].T)
-    return (*padded_rows(instance.cand_vecs), psi)
-
-
-def run_lbp(instance: CrfInstance, t: int, delta: float) -> Unroll:
-    """`unroll` on the instance's padded arrays."""
-    vecs, mask, psi = padded(instance)
-    return unroll(psi, phi_tensor(vecs, mask, instance.c), np.ascontiguousarray(mask.T),
-                  t, delta)
-
-
 def final_beliefs(psi: np.ndarray, mix: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """(S, n) normalised beliefs from the unaries and the last layer's
     messages, softmax over mu[q, i] = psi[q, i] + sum_k log m[k -> i](q);
@@ -292,17 +243,6 @@ def final_beliefs(psi: np.ndarray, mix: np.ndarray, valid: np.ndarray) -> np.nda
     mu = np.where(valid, psi + np.log(mix).sum(axis=1), -np.inf)
     ex = np.exp(mu - mu.max(axis=0))
     return ex / ex.sum(axis=0)
-
-
-def belief_block(state: Unroll) -> np.ndarray:
-    """(S, n) normalised beliefs after message passing, 0 at padded slots."""
-    return final_beliefs(state.psi, state.mix[-1], state.valid)
-
-
-def beliefs(state: Unroll, instance: CrfInstance) -> list[np.ndarray]:
-    """Per-mention normalized beliefs after message passing."""
-    mu = belief_block(state)
-    return [mu[:psi.shape[0], i] for i, psi in enumerate(instance.unaries)]
 
 
 def build_crf_instance(doc, params: GlobalParams,
@@ -316,21 +256,23 @@ def build_crf_instance(doc, params: GlobalParams,
     if not scored:
         return None, []
     instances, unaries, _ = map(list, zip(*scored))
-    return (CrfInstance.of(unaries, instances, params.c),
-            [inst.position for inst in instances])
+    instance = CrfInstance(unaries=unaries, cand_vecs=[inst.cand_vecs for inst in instances],
+                           entities=[inst.entities for inst in instances],
+                           log_priors=[inst.log_priors for inst in instances], c=params.c)
+    return instance, [inst.position for inst in instances]
 
 
-def instance_marginals(instance: CrfInstance, params: GlobalParams) -> list[np.ndarray]:
-    """Combined marginal scores rho per mention (inference path): the T
-    `layers` keep only the latest messages, and f runs once over the live
-    slots of the final belief block."""
-    vecs, mask, psi = padded(instance)
-    valid = np.ascontiguousarray(mask.T)
-    for mix, _, _ in layers(psi, phi_tensor(vecs, mask, instance.c), valid, params.t,
-                            params.delta):
+def instance_marginals(instance: CrfInstance, params: GlobalParams) -> np.ndarray:
+    """The (n, S) combined marginal scores rho, -inf at padding (inference
+    path): the T `layers` keep only the latest messages, and f runs once
+    over the live slots of the final belief block."""
+    psi = np.ascontiguousarray(instance.unaries.T)
+    valid = np.ascontiguousarray(instance.valid.T)
+    phi = phi_tensor(instance.cand_vecs, instance.valid, instance.c)
+    for mix, _, _ in layers(psi, phi, valid, params.t, params.delta):
         pass
     mu = final_beliefs(psi, mix, valid)
-    return combine_doc(params.local.fnet, mu.T[mask], instance.log_priors)
+    return combine_block(params.local.fnet, mu.T, instance.log_priors, instance.valid)
 
 
 def predict_global(doc, params: GlobalParams, store: EmbeddingStore) -> list[int | None]:
@@ -339,9 +281,9 @@ def predict_global(doc, params: GlobalParams, store: EmbeddingStore) -> list[int
     out: list[int | None] = [None] * len(doc.mentions)
     if instance is None:
         return out
-    rho = instance_marginals(instance, params)
-    for pos, k in enumerate(idxs):
-        out[k] = argmax_entity(rho[pos], instance.entities[pos])
+    entities = best_entities(instance_marginals(instance, params), instance.entities)
+    for k, entity in zip(idxs, entities.tolist()):
+        out[k] = entity
     return out
 
 
@@ -350,7 +292,8 @@ def predict_global(doc, params: GlobalParams, store: EmbeddingStore) -> list[int
 
 def beliefs_tape(tape: ad.Tape, psi: ad.Var, cands: np.ndarray, mask: np.ndarray,
                  c: ad.Var, delta: float, t: int) -> ad.Var:
-    """`belief_block(unroll(...))` as one tape record, with adjoints into psi and C.
+    """`final_beliefs` after `unroll(...)` as one tape record, with adjoints
+    into psi and C.
 
     `psi` holds the (n, S) unaries of the document whose padded candidate
     rows and their (n, S) mask are `cands` and `mask` (a `DocBlock`'s);
@@ -358,7 +301,7 @@ def beliefs_tape(tape: ad.Tape, psi: ad.Var, cands: np.ndarray, mask: np.ndarray
     """
     state = unroll(np.ascontiguousarray(psi.value.T), phi_tensor(cands, mask, c.value),
                    np.ascontiguousarray(mask.T), t, delta)
-    mu = belief_block(state)
+    mu = final_beliefs(state.psi, state.mix[-1], state.valid)
 
     def backward(g):
         g_mu = mu * (g.T - (g.T * mu).sum(axis=0))

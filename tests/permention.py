@@ -6,17 +6,92 @@ ranking loss, each with its own backward: the formulation the batched
 records (`record_unaries`, `record_rank_loss`) replaced.  The joint loss
 runs `beliefs_tape` on per-mention values through `tapeops.lbp_beliefs`.
 
-Inference: one f pass per mention, over its context scores
-(`local_decision`) or over its beliefs from the full `run_lbp` unroll
-(`instance_marginals`): the formulation the per-document f pass replaced.
+Inference: one f pass and one argmax loop per mention, over its context
+scores (`local_decision`) or over its beliefs from the full `run_lbp`
+unroll (`instance_marginals`): the formulation the per-document f pass and
+the vectorised argmax replaced.  `argmax_entity` is the tie-break oracle.
+
+The CRF oracles read a padded `crf.CrfInstance` mention by mention:
+`crf_score` enumerates the joint score of one assignment from per-pair dot
+products (`phi`), independent of `crf.phi_tensor` and `crf.layers`;
+`run_lbp` keeps every layer of the recurrence and `beliefs` cuts its final
+beliefs per mention.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from tapeops import lbp_beliefs
 
 from entlink import autodiff as ad
-from entlink.attention import FNet, argmax_entity, combine_f, f_inputs, mention_unary
-from entlink.crf import beliefs, run_lbp
+from entlink.attention import FNet, combine_f, f_inputs, mention_unary
+from entlink.crf import final_beliefs, phi_tensor, unroll
+from entlink.errors import ValidationError
+
+
+def mention_rows(block, valid):
+    """Each mention's live slots of an (n, S, ...) block, given its (n, S)
+    validity."""
+    return [row[live] for row, live in zip(block, valid)]
+
+
+def per_mention(instance):
+    """The instance's per-mention unaries, candidate rows, entity id lists
+    and log priors, cut from its padded blocks."""
+    valid = instance.valid
+    return SimpleNamespace(
+        unaries=mention_rows(instance.unaries, valid),
+        cand_vecs=mention_rows(instance.cand_vecs, valid),
+        entities=[row.tolist() for row in mention_rows(instance.entities, valid)],
+        log_priors=mention_rows(instance.log_priors, valid))
+
+
+def argmax_entity(scores, entities):
+    """Best-scoring entity; exact score ties resolved by smallest entity id."""
+    best = scores.max()
+    return min(entities[i] for i in range(len(entities)) if scores[i] == best)
+
+
+def phi(instance, i, j):
+    """Pairwise scores 2/(n-1) x_e^T diag(c) x_e', rows over the candidates
+    of j, columns over those of i.
+
+    Computed once per unordered pair and transposed for the reverse
+    direction, so phi(i, j) == phi(j, i).T holds bit-exactly.
+    """
+    if i > j:
+        return phi(instance, j, i).T
+    x_i, x_j = mention_rows(instance.cand_vecs[[i, j]], instance.valid[[i, j]])
+    return 2.0 / (instance.n - 1) * (x_j * instance.c) @ x_i.T
+
+
+def crf_score(assignment, instance):
+    """Joint log-score of one full assignment (candidate indices per mention)."""
+    if len(assignment) != instance.n:
+        raise ValidationError("assignment length does not match mention count")
+    sizes = instance.valid.sum(axis=1)
+    for i, a in enumerate(assignment):
+        if not 0 <= a < sizes[i]:
+            raise ValidationError(
+                f"assignment entity index {a} not in candidate set of mention {i}")
+    total = sum(float(instance.unaries[i, a]) for i, a in enumerate(assignment))
+    for i in range(instance.n):
+        for j in range(i + 1, instance.n):
+            total += float(phi(instance, i, j)[assignment[j], assignment[i]])
+    return total
+
+
+def run_lbp(instance, t, delta):
+    """`crf.unroll` on the instance's padded arrays, every layer kept."""
+    return unroll(np.ascontiguousarray(instance.unaries.T),
+                  phi_tensor(instance.cand_vecs, instance.valid, instance.c),
+                  np.ascontiguousarray(instance.valid.T), t, delta)
+
+
+def beliefs(state, instance):
+    """Per-mention normalised beliefs after message passing."""
+    return mention_rows(final_beliefs(state.psi, state.mix[-1], state.valid).T,
+                        instance.valid)
 
 
 def local_decision(params, inst):
@@ -29,8 +104,8 @@ def local_decision(params, inst):
 def instance_marginals(instance, params):
     """Combined marginal scores rho per mention, f run mention by mention."""
     mu = beliefs(run_lbp(instance, params.t, params.delta), instance)
-    return [combine_f(params.local.fnet, mu[i], instance.log_priors[i])
-            for i in range(instance.n)]
+    return [combine_f(params.local.fnet, m, p)
+            for m, p in zip(mu, mention_rows(instance.log_priors, instance.valid))]
 
 
 def record_unary(tape, vars_, inst, r):

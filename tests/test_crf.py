@@ -4,29 +4,28 @@ import itertools
 
 import numpy as np
 import pytest
+from permention import argmax_entity, beliefs, crf_score, per_mention, phi, run_lbp
 from tapeops import lbp_beliefs, weighted_sum
 
 from entlink import autodiff as ad
 from entlink.attention import (
     FNet,
     MentionInstance,
+    best_entities,
     combine_f,
     floored_log_prior,
     make_param_vars,
-    padded_rows,
 )
 from entlink.crf import (
     MESSAGE_NORM_TOL,
     CrfInstance,
     GlobalParams,
-    beliefs,
     build_crf_instance,
-    crf_score,
     global_doc_loss_tape,
     global_loss_closure,
+    pair_scale,
     phi_tensor,
     predict_global,
-    run_lbp,
 )
 from entlink.docs import Corpus, Document, Mention, build_context_windows
 from entlink.errors import ValidationError
@@ -60,7 +59,7 @@ def random_instance(rng, n=None, sizes=None, dim=6, coupling=1.0, uniform_prior=
 def brute_force_map(instance):
     """Exhaustive argmax of the joint score over the full assignment space."""
     best, best_score = None, -np.inf
-    ranges = [range(psi.shape[0]) for psi in instance.unaries]
+    ranges = [range(s) for s in instance.valid.sum(axis=1)]
     for assignment in itertools.product(*ranges):
         score = crf_score(list(assignment), instance)
         if score > best_score:
@@ -70,8 +69,9 @@ def brute_force_map(instance):
 
 def brute_force_max_marginals(instance):
     """max_marg[i][e] = max over assignments with e_i = e of the joint score."""
-    out = [np.full(psi.shape[0], -np.inf) for psi in instance.unaries]
-    ranges = [range(psi.shape[0]) for psi in instance.unaries]
+    sizes = instance.valid.sum(axis=1)
+    out = [np.full(s, -np.inf) for s in sizes]
+    ranges = [range(s) for s in sizes]
     for assignment in itertools.product(*ranges):
         score = crf_score(list(assignment), instance)
         for i, a in enumerate(assignment):
@@ -99,14 +99,14 @@ class TestCrfScore:
             log_priors=[np.zeros(1), np.zeros(1)],
             c=np.array([0.5]),
         )
-        assert inst.phi(0, 1)[0, 0] == pytest.approx(0.5)
+        assert phi(inst, 0, 1)[0, 0] == pytest.approx(0.5)
         assert crf_score([0, 0], inst) == pytest.approx(3.5)
 
     def test_zero_coupling_sums_unaries(self):
         rng = np.random.default_rng(0)
         inst = random_instance(rng, n=3, coupling=0.0)
         inst.c = np.zeros_like(inst.c)
-        for assignment in itertools.product(*[range(u.shape[0]) for u in inst.unaries]):
+        for assignment in itertools.product(*[range(s) for s in inst.valid.sum(axis=1)]):
             want = sum(inst.unaries[i][a] for i, a in enumerate(assignment))
             assert crf_score(list(assignment), inst) == pytest.approx(want)
 
@@ -116,27 +116,35 @@ class TestCrfScore:
         with pytest.raises(ValidationError, match="not in candidate set"):
             crf_score([0, 5], inst)
 
+    def test_instance_needs_mentions_with_candidates(self):
+        with pytest.raises(ValidationError, match="at least one mention"):
+            CrfInstance(unaries=[], cand_vecs=[], entities=[], log_priors=[], c=np.ones(3))
+        with pytest.raises(ValidationError, match="nonempty candidate set"):
+            CrfInstance(unaries=[np.zeros(2), np.zeros(0)],
+                        cand_vecs=[np.ones((2, 3)), np.ones((0, 3))], entities=[[0, 1], []],
+                        log_priors=[np.zeros(2), np.zeros(0)], c=np.ones(3))
+
     def test_pairwise_symmetry_exact(self):
         rng = np.random.default_rng(2)
         inst = random_instance(rng, n=3)
         for i in range(3):
             for j in range(i + 1, 3):
-                np.testing.assert_array_equal(inst.phi(i, j), inst.phi(j, i).T)
+                np.testing.assert_array_equal(phi(inst, i, j), phi(inst, j, i).T)
 
     def test_phi_tensor_matches_per_pair_oracle(self):
-        # the one-GEMM slot-major tensor phi[q, p, i, j] against
-        # CrfInstance.phi, with candidate counts below the padded width so
+        # the one-GEMM slot-major tensor phi[q, p, i, j] against the
+        # per-pair oracle, with candidate counts below the padded width so
         # padded slots, which hold -inf, sit among real ones
         rng = np.random.default_rng(4)
         for sizes in ([3, 1], [4, 2, 3, 1, 4]):
             inst = random_instance(rng, n=len(sizes), sizes=sizes, dim=7)
-            phi = phi_tensor(*padded_rows(inst.cand_vecs), inst.c)
-            assert phi.flags.c_contiguous
+            block = phi_tensor(inst.cand_vecs, inst.valid, inst.c)
+            assert block.flags.c_contiguous
             for i, j in itertools.permutations(range(inst.n), 2):
-                np.testing.assert_allclose(phi[:sizes[i], :sizes[j], i, j].T,
-                                           inst.phi(i, j), rtol=0, atol=1e-12)
-                assert np.isneginf(phi[sizes[i]:, :, i, j]).all()
-                assert np.isneginf(phi[:, sizes[j]:, i, j]).all()
+                np.testing.assert_allclose(block[:sizes[i], :sizes[j], i, j].T,
+                                           phi(inst, i, j), rtol=0, atol=1e-12)
+                assert np.isneginf(block[sizes[i]:, :, i, j]).all()
+                assert np.isneginf(block[:, sizes[j]:, i, j]).all()
 
 
 def straight_line_trace(instance, t_layers, delta):
@@ -146,8 +154,9 @@ def straight_line_trace(instance, t_layers, delta):
     oracle for the production message-passing code.
     """
     n = instance.n
-    sizes = [u.shape[0] for u in instance.unaries]
-    phi = {(i, j): instance.phi(i, j) for i in range(n) for j in range(n) if i != j}
+    unaries = per_mention(instance).unaries
+    sizes = [u.shape[0] for u in unaries]
+    pairs = {(i, j): phi(instance, i, j) for i in range(n) for j in range(n) if i != j}
     mbar = {(i, j): np.full(sizes[j], -np.log(sizes[j]))
             for i in range(n) for j in range(n) if i != j}
     for _ in range(t_layers):
@@ -160,7 +169,7 @@ def straight_line_trace(instance, t_layers, delta):
                 for e in range(sizes[j]):
                     best = -np.inf
                     for ep in range(sizes[i]):
-                        val = instance.unaries[i][ep] + phi[(i, j)][e, ep]
+                        val = unaries[i][ep] + pairs[(i, j)][e, ep]
                         for k in range(n):
                             if k != j and k != i:
                                 val += mbar[(k, i)][ep]
@@ -173,7 +182,7 @@ def straight_line_trace(instance, t_layers, delta):
         mbar = new
     mu = []
     for i in range(n):
-        vec = instance.unaries[i].copy()
+        vec = unaries[i].copy()
         for k in range(n):
             if k != i:
                 vec += mbar[(k, i)]
@@ -188,13 +197,14 @@ class TestLbpStep:
         inst = random_instance(rng, n=2, sizes=[3, 2])
         state = run_lbp(inst, t=1, delta=1.0)
         # recompute the unnormalised message by hand and log-softmax it
-        phi = inst.phi(0, 1)
+        pair = phi(inst, 0, 1)
+        psi = per_mention(inst).unaries[0]
         raw = np.array([
-            (inst.unaries[0] + phi[e] - np.log(3)).max() for e in range(2)
+            (psi + pair[e] - np.log(3)).max() for e in range(2)
         ])
         # the neighbour sum for n=2 is empty except the layer-0 uniform
         # message from j itself is excluded, so raw = max(psi + phi)
-        raw = np.array([(inst.unaries[0] + phi[e]).max() for e in range(2)])
+        raw = np.array([(psi + pair[e]).max() for e in range(2)])
         want = raw - np.log(np.exp(raw - raw.max()).sum()) - raw.max()
         got = np.log(state.mix[-1][:2, 0, 1])
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -205,9 +215,10 @@ class TestLbpStep:
         rng = np.random.default_rng(4)
         inst = random_instance(rng, n=2, sizes=[4, 3])
         state = run_lbp(inst, t=1, delta=1.0)
-        phi = inst.phi(0, 1)
+        pair = phi(inst, 0, 1)
+        psi = per_mention(inst).unaries[0]
         for e in range(3):
-            raw = np.array([(inst.unaries[0] + phi[f]).max() for f in range(3)])
+            raw = np.array([(psi + pair[f]).max() for f in range(3)])
             want = raw[e] - np.log(np.exp(raw - raw.max()).sum()) - raw.max()
             assert np.log(state.mix[-1][e, 0, 1]) == pytest.approx(want, abs=1e-12)
 
@@ -263,7 +274,8 @@ class TestTiedRouting:
     def test_backward_routes_to_first_maximal_sender_slot(self):
         inst = tied_instance()
         t_layers, delta = 4, 0.5
-        sizes = [u.shape[0] for u in inst.unaries]
+        unaries = per_mention(inst).unaries
+        sizes = [u.shape[0] for u in unaries]
         state = run_lbp(inst, t=t_layers, delta=delta)
         routes, tied = set(), 0
         for layer in range(t_layers):
@@ -271,10 +283,10 @@ class TestTiedRouting:
             mbar, _ = straight_line_trace(inst, layer, delta)
             got = state.senders(layer)
             for i, j in itertools.permutations(range(inst.n), 2):
-                phi = inst.phi(i, j)
+                pair = phi(inst, i, j)
                 for e in range(sizes[j]):
                     others = [k for k in range(inst.n) if k not in (i, j)]
-                    vals = [inst.unaries[i][ep] + phi[e, ep]
+                    vals = [unaries[i][ep] + pair[e, ep]
                             + sum(mbar[(k, i)][ep] for k in others)
                             for ep in range(sizes[i])]
                     best = [ep for ep in range(sizes[i]) if vals[ep] >= max(vals) - 1e-9]
@@ -297,7 +309,8 @@ class TestTiedRouting:
         n, delta = inst.n, 0.5
         state = run_lbp(inst, t=3, delta=delta)
         s = state.psi.shape[0]
-        live = [(q, i) for i in range(n) for q in range(inst.unaries[i].shape[0])]
+        sizes = inst.valid.sum(axis=1)
+        live = [(q, i) for i in range(n) for q in range(sizes[i])]
         for layer in range(3):
             log_m = np.log(state.mix[layer])
             for q, i in live:
@@ -334,14 +347,15 @@ class TestTiedRouting:
 
     def test_tape_gradient_matches_finite_differences(self):
         inst = tied_instance()
-        dim = inst.cand_vecs[0].shape[1]
-        instances = [MentionInstance(cand_vecs=inst.cand_vecs[i],
+        m = per_mention(inst)
+        dim = m.cand_vecs[0].shape[1]
+        instances = [MentionInstance(cand_vecs=m.cand_vecs[i],
                                      ctx_vecs=np.zeros((0, dim)),
-                                     log_priors=inst.log_priors[i], gold_index=0,
-                                     entities=inst.entities[i])
+                                     log_priors=m.log_priors[i], gold_index=0,
+                                     entities=m.entities[i])
                      for i in range(inst.n)]
         weights = [np.random.default_rng(i).normal(size=u.shape[0])
-                   for i, u in enumerate(inst.unaries)]
+                   for i, u in enumerate(m.unaries)]
 
         def f(params, need_grad):
             tape = ad.Tape()
@@ -356,7 +370,7 @@ class TestTiedRouting:
             return float(loss.value), grads
 
         params = {"C": inst.c.copy(),
-                  **{f"u{i}": u.copy() for i, u in enumerate(inst.unaries)}}
+                  **{f"u{i}": u.copy() for i, u in enumerate(m.unaries)}}
         # coordinates on a tie are kinks, which grad_check skips
         report = ad.grad_check(f, params)
         assert report.checked >= 10
@@ -377,12 +391,13 @@ class TestBeliefs:
     def test_zero_coupling_gives_unary_softmax_any_t(self):
         rng = np.random.default_rng(7)
         inst = random_instance(rng, n=3)
+        m = per_mention(inst)
         inst.c = np.zeros_like(inst.c)
         for t_layers in (1, 3, 10):
             state = run_lbp(inst, t=t_layers, delta=0.5)
             mu = beliefs(state, inst)
             for i in range(3):
-                ex = np.exp(inst.unaries[i] - inst.unaries[i].max())
+                ex = np.exp(m.unaries[i] - m.unaries[i].max())
                 np.testing.assert_allclose(mu[i], ex / ex.sum(), atol=1e-9)
 
     def test_two_mention_tree_exact_max_marginals(self):
@@ -419,12 +434,13 @@ class TestBeliefs:
         # permuting mention order and permuting back yields identical beliefs
         rng = np.random.default_rng(10)
         inst = random_instance(rng, n=4, sizes=[3, 2, 4, 2])
+        m = per_mention(inst)
         perm = [2, 0, 3, 1]
         permuted = CrfInstance(
-            unaries=[inst.unaries[p] for p in perm],
-            cand_vecs=[inst.cand_vecs[p] for p in perm],
-            entities=[inst.entities[p] for p in perm],
-            log_priors=[inst.log_priors[p] for p in perm],
+            unaries=[m.unaries[p] for p in perm],
+            cand_vecs=[m.cand_vecs[p] for p in perm],
+            entities=[m.entities[p] for p in perm],
+            log_priors=[m.log_priors[p] for p in perm],
             c=inst.c,
         )
         mu = beliefs(run_lbp(inst, 5, 0.5), inst)
@@ -435,10 +451,10 @@ class TestBeliefs:
 
 class TestCombineRho:
     def test_zero_weight_network_ties_break_by_entity_id(self):
-        from entlink.attention import argmax_entity
         net = FNet.zeros(hidden=4)
         rho = combine_f(net, np.array([0.2, 0.5, 0.3]), np.zeros(3))
         assert argmax_entity(rho, [7, 3, 9]) == 3
+        assert best_entities(rho[None], np.array([[7, 3, 9]])).tolist() == [3]
 
     def test_additive_network_orders_by_belief_plus_log_prior(self):
         net = FNet.additive(hidden=8)
@@ -502,11 +518,13 @@ class TestGlobalLoss:
 
     def test_gradient_matches_finite_differences(self):
         # uniform sizes; mixed sizes with a 1-candidate mention and an
-        # empty context; a lone mention (n=1)
+        # empty context; a lone mention (n=1); the smallest document with a
+        # pair (n=2)
         rng = np.random.default_rng(14)
         cases = [dict(n=3, s=3),
                  dict(sizes=[1, 4, 2, 3], ctx_lens=[4, 0, 5, 3]),
-                 dict(sizes=[3], ctx_lens=[5])]
+                 dict(sizes=[3], ctx_lens=[5]),
+                 dict(sizes=[3, 2], ctx_lens=[4, 3])]
         for case in cases:
             fnet = FNet.random(hidden=10, rng=rng)
             instances = self._make_instances(rng, **case)
@@ -525,18 +543,19 @@ class TestGlobalLoss:
         rng = np.random.default_rng(21)
         for _ in range(8):
             inst = random_instance(rng)
+            m = per_mention(inst)
             t_layers = int(rng.integers(1, 6))
             delta = float(rng.uniform(0.3, 1.0))
-            dim = inst.cand_vecs[0].shape[1]
-            instances = [MentionInstance(cand_vecs=inst.cand_vecs[i],
+            dim = m.cand_vecs[0].shape[1]
+            instances = [MentionInstance(cand_vecs=m.cand_vecs[i],
                                          ctx_vecs=np.zeros((0, dim)),
-                                         log_priors=inst.log_priors[i],
+                                         log_priors=m.log_priors[i],
                                          gold_index=0,
-                                         entities=inst.entities[i])
+                                         entities=m.entities[i])
                          for i in range(inst.n)]
             tape = ad.Tape()
             c = tape.var(inst.c)
-            psi = [tape.const(u) for u in inst.unaries]
+            psi = [tape.const(u) for u in m.unaries]
             mubars = lbp_beliefs(tape, psi, instances, c, delta, t_layers)
             _, mu_want = straight_line_trace(inst, t_layers, delta)
             for got, want in zip(mubars, mu_want):
@@ -548,27 +567,28 @@ class TestGlobalLoss:
         # central differences of that trace
         rng = np.random.default_rng(15)
         inst = random_instance(rng, n=3, sizes=[3, 2, 4])
+        m = per_mention(inst)
         t_layers, delta = 4, 0.5
-        dim = inst.cand_vecs[0].shape[1]
-        instances = [MentionInstance(cand_vecs=inst.cand_vecs[i],
+        dim = m.cand_vecs[0].shape[1]
+        instances = [MentionInstance(cand_vecs=m.cand_vecs[i],
                                      ctx_vecs=np.zeros((0, dim)),
-                                     log_priors=inst.log_priors[i],
+                                     log_priors=m.log_priors[i],
                                      gold_index=0,
-                                     entities=inst.entities[i])
+                                     entities=m.entities[i])
                      for i in range(3)]
-        weights = [rng.normal(size=u.shape[0]) for u in inst.unaries]
+        weights = [rng.normal(size=u.shape[0]) for u in m.unaries]
 
         def probe(unaries, c):
-            moved = CrfInstance(unaries=unaries, cand_vecs=inst.cand_vecs,
-                                entities=inst.entities, log_priors=inst.log_priors, c=c)
+            moved = CrfInstance(unaries=unaries, cand_vecs=m.cand_vecs,
+                                entities=m.entities, log_priors=m.log_priors, c=c)
             _, mu = straight_line_trace(moved, t_layers, delta)
             return mu, sum(float(w @ m) for w, m in zip(weights, mu))
 
         tape = ad.Tape()
         c = tape.var(inst.c)
-        psi = [tape.var(u) for u in inst.unaries]
+        psi = [tape.var(u) for u in m.unaries]
         mubars = lbp_beliefs(tape, psi, instances, c, delta, t_layers)
-        mu_want, _ = probe(inst.unaries, inst.c)
+        mu_want, _ = probe(m.unaries, inst.c)
         mu_fast = beliefs(run_lbp(inst, t=t_layers, delta=delta), inst)
         for got, want, fast in zip(mubars, mu_want, mu_fast):
             np.testing.assert_allclose(got.value, want, atol=1e-10)
@@ -576,10 +596,10 @@ class TestGlobalLoss:
 
         tape.backward(weighted_sum(tape, mubars, weights))
         eps = 1e-6
-        for i, u in enumerate(inst.unaries):
+        for i, u in enumerate(m.unaries):
             for e in range(u.shape[0]):
-                up = [v.copy() for v in inst.unaries]
-                down = [v.copy() for v in inst.unaries]
+                up = [v.copy() for v in m.unaries]
+                down = [v.copy() for v in m.unaries]
                 up[i][e] += eps
                 down[i][e] -= eps
                 numeric = (probe(up, inst.c)[1] - probe(down, inst.c)[1]) / (2 * eps)
@@ -587,8 +607,8 @@ class TestGlobalLoss:
         for d in range(dim):
             step = np.zeros(dim)
             step[d] = eps
-            numeric = (probe(inst.unaries, inst.c + step)[1]
-                       - probe(inst.unaries, inst.c - step)[1]) / (2 * eps)
+            numeric = (probe(m.unaries, inst.c + step)[1]
+                       - probe(m.unaries, inst.c - step)[1]) / (2 * eps)
             assert c.grad[d] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
 
 
@@ -598,17 +618,18 @@ class TestGlobalLoss:
         # unroll and the same phi adjoint
         rng = np.random.default_rng(8)
         inst = random_instance(rng, n=5, sizes=[4, 2, 3, 1, 4], dim=16)
+        m = per_mention(inst)
         t_layers, delta = 5, 0.5
-        instances = [MentionInstance(cand_vecs=inst.cand_vecs[i],
+        instances = [MentionInstance(cand_vecs=m.cand_vecs[i],
                                      ctx_vecs=np.zeros((0, 16)),
-                                     log_priors=inst.log_priors[i],
+                                     log_priors=m.log_priors[i],
                                      gold_index=0,
-                                     entities=inst.entities[i])
+                                     entities=m.entities[i])
                      for i in range(inst.n)]
-        weights = [rng.normal(size=u.shape[0]) for u in inst.unaries]
+        weights = [rng.normal(size=u.shape[0]) for u in m.unaries]
         tape = ad.Tape()
         c = tape.var(inst.c)
-        mubars = lbp_beliefs(tape, [tape.const(u) for u in inst.unaries],
+        mubars = lbp_beliefs(tape, [tape.const(u) for u in m.unaries],
                              instances, c, delta, t_layers)
         tape.backward(weighted_sum(tape, mubars, weights))
 
@@ -617,8 +638,8 @@ class TestGlobalLoss:
         for i, (w, mu) in enumerate(zip(weights, beliefs(state, inst))):
             g_mu[:mu.shape[0], i] = mu * (w - w @ mu)
         _, g_phi = state.backward(g_mu)
-        vecs = padded_rows(inst.cand_vecs)[0]
-        want = inst.pair_scale * np.einsum("qpij,jpd,iqd->d", g_phi, vecs, vecs)
+        vecs = inst.cand_vecs
+        want = pair_scale(inst.n) * np.einsum("qpij,jpd,iqd->d", g_phi, vecs, vecs)
         np.testing.assert_allclose(c.grad, want, rtol=1e-12, atol=0)
 
 
@@ -645,10 +666,11 @@ class TestPredictGlobal:
         build_context_windows(corpus, store.word_vocab, k=4)
         got = predict_global(doc, params, store)
         inst, _ = build_crf_instance(doc, params, store)
-        mu = np.exp(inst.unaries[0] - inst.unaries[0].max())
+        m = per_mention(inst)
+        mu = np.exp(m.unaries[0] - m.unaries[0].max())
         mu /= mu.sum()
-        rho = combine_f(params.local.fnet, mu, inst.log_priors[0])
-        assert got == [inst.entities[0][int(np.argmax(rho))]]
+        rho = combine_f(params.local.fnet, mu, m.log_priors[0])
+        assert got == [m.entities[0][int(np.argmax(rho))]]
 
     def test_coherence_flips_ambiguous_unaries(self):
         # two mentions with flat unaries; the gold pair has a strong
@@ -666,7 +688,7 @@ class TestPredictGlobal:
         # brute force confirms the coherent pair (0, 0) wins jointly
         map_assignment, _ = brute_force_map(inst)
         assert map_assignment == [0, 0]
-        unary_argmax = [int(np.argmax(u)) for u in inst.unaries]
+        unary_argmax = [int(np.argmax(u)) for u in per_mention(inst).unaries]
         assert unary_argmax != map_assignment
         state = run_lbp(inst, t=10, delta=0.5)
         mu = beliefs(state, inst)
@@ -713,7 +735,7 @@ class TestPredictGlobal:
         build_context_windows(Corpus([doc]), store.word_vocab, k=4)
         inst, positions = build_crf_instance(doc, params, store)
         assert positions == [0, 2]
-        assert inst.entities == [[0, 1], [2, 3]]
+        assert inst.entities.tolist() == [[0, 1], [2, 3]]
         for preds in (predict_local(doc, params.local, store),
                       predict_global(doc, params, store)):
             assert preds[0] in (0, 1)

@@ -1,5 +1,8 @@
 """Experiment orchestration: determinism, artifacts, attention dump, config."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,13 @@ from entlink.experiment import (
     run_experiment,
     run_sweep,
 )
+
+
+# the artifacts a seeded run must reproduce byte for byte, in digest order
+BYTE_IDENTICAL = ("metrics.tsv", "attention.tsv", "breakdown.tsv", "report.txt",
+                  "local.model", "global.model", "history.tsv")
+# SHA-256 of those artifacts of the seed-11 `fast_config` run, concatenated
+GOLDEN_DIGEST = "85bd22165a1c3ab46212a3dfe077d18ed3fd90348c47e2c6d3a04e646e4ad3b0"
 
 
 def fast_config(tmp_path, name, **kwargs):
@@ -50,8 +60,6 @@ class TestRunExperiment:
 
     def test_artifacts_written(self, experiment):
         _, cfg, _ = experiment
-        from pathlib import Path
-
         out = Path(cfg.out_dir)
         for name in ("metrics.tsv", "report.txt", "attention.tsv",
                      "breakdown.tsv", "local.model", "global.model",
@@ -61,8 +69,6 @@ class TestRunExperiment:
     def test_history_schema(self, experiment):
         # one row per model and epoch run, epochs counted from 1
         _, cfg, _ = experiment
-        from pathlib import Path
-
         lines = (Path(cfg.out_dir) / "history.tsv").read_text().splitlines()
         assert lines[0] == "model\tepoch\tmean_loss\tval_accuracy\tlr_dropped"
         rows = [line.split("\t") for line in lines[1:]]
@@ -80,20 +86,27 @@ class TestRunExperiment:
     def test_rerun_is_byte_identical(self, experiment):
         tmp, cfg, _ = experiment
         from dataclasses import replace
-        from pathlib import Path
 
         cfg2 = replace(cfg, out_dir=str(tmp / "run2"))
         run_experiment(cfg2)
-        for name in ("metrics.tsv", "attention.tsv", "breakdown.tsv",
-                     "report.txt", "local.model", "global.model", "history.tsv"):
+        for name in BYTE_IDENTICAL:
             a = (Path(cfg.out_dir) / name).read_bytes()
             b = (Path(cfg2.out_dir) / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
+    def test_golden_digest(self, experiment):
+        """The seeded run's artifacts hash to the committed digest, so a
+        change that moves any byte of them shows here, not only against a
+        second run of the same tree.  A change that moves the digest on
+        purpose must say why in CHANGES.md, and commit the new digest."""
+        _, cfg, _ = experiment
+        digest = hashlib.sha256()
+        for name in BYTE_IDENTICAL:
+            digest.update((Path(cfg.out_dir) / name).read_bytes())
+        assert digest.hexdigest() == GOLDEN_DIGEST
+
     def test_attention_rows_strictly_descending(self, experiment):
         _, cfg, _ = experiment
-        from pathlib import Path
-
         lines = (Path(cfg.out_dir) / "attention.tsv").read_text().splitlines()[1:]
         assert lines
         for line in lines:
@@ -106,8 +119,6 @@ class TestRunExperiment:
         # the predicted column is the local model's prediction on the test
         # split, rebuilt here from the same seed and the saved local model
         _, cfg, _ = experiment
-        from pathlib import Path
-
         from entlink.attention import predict_local
         from entlink.experiment import prepare
         from entlink.model_io import load_model
@@ -137,8 +148,6 @@ class TestRunExperiment:
         # correctly solved low-prior mentions should attend to at least one
         # signature word of the gold entity in nearly every case
         _, cfg, _ = experiment
-        from pathlib import Path
-
         from entlink.experiment import _load_or_generate
 
         data = _load_or_generate(cfg)
@@ -168,8 +177,6 @@ class TestRunExperiment:
         # candidate holds a > 0.9 belief but a low prior, the trained
         # network should rank it first in the majority of cases
         _, cfg, _ = experiment
-        from pathlib import Path
-
         from entlink.attention import combine_f, floored_log_prior
         from entlink.model_io import load_model
 
@@ -273,6 +280,31 @@ class TestPlot:
     def test_empty_series_rejected(self):
         with pytest.raises(ValidationError):
             line_plot_svg([], [], "x", "y")
+
+
+def test_attention_dump_skips_empty_context():
+    # a mention without context words attends to nothing and gets no row
+    from entlink.attention import LocalParams
+    from entlink.docs import Corpus, Document, Mention
+    from entlink.experiment import attention_dump
+    from entlink.priors import Candidate
+    from entlink.vectors import EmbeddingStore
+    from entlink.vocab import Vocab
+
+    rng = np.random.default_rng(3)
+    store = EmbeddingStore(4, word_vocab=Vocab())
+    store.add_words(["w0", "w1"], rng.normal(size=(2, 4)))
+    vecs = rng.normal(size=(2, 4))
+    store.add_entities(["E0", "E1"], vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
+    mentions = [Mention(start=k, end=k + 1, surface=f"M{k}", gold="E0", gold_id=0,
+                        candidates=[Candidate(0, 0.6, "prior-top"),
+                                    Candidate(1, 0.4, "prior-top")],
+                        context=context)
+                for k, context in enumerate(([0, 1], [], [1]))]
+    doc = Document(doc_id="d", tokens=["M0", "M1", "M2"], mentions=mentions)
+    rows = attention_dump(Corpus([doc]), LocalParams.init(4, hidden=8, k=4, r=2), store)
+    assert [row["mention"] for row in rows] == [0, 2]
+    assert all(row["words"] for row in rows)
 
 
 def test_probe_on_additive_network_is_monotone():

@@ -7,8 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from permention import mention_rows
 
-from entlink.attention import combine_doc, predict_local, scored_instances
+from entlink.attention import combine_block, padded_rows, predict_local, scored_instances
 from entlink.crf import build_crf_instance, instance_marginals, predict_global
 from entlink.docs import Mention
 from entlink.experiment import ExperimentConfig, fit, prepare
@@ -35,15 +36,16 @@ def trained(tmp_path_factory):
 def _local_scores(doc, params, store):
     """Positions and combined scores of the local model's scored mentions."""
     scored = list(scored_instances(doc, params, store))
-    rho = combine_doc(params.fnet, np.concatenate([psi for _, psi, _ in scored]),
-                      [inst.log_priors for inst, _, _ in scored])
-    return [inst.position for inst, _, _ in scored], rho
+    scores, valid = padded_rows([psi for _, psi, _ in scored])
+    rho = combine_block(params.fnet, scores,
+                        padded_rows([inst.log_priors for inst, _, _ in scored])[0], valid)
+    return [inst.position for inst, _, _ in scored], mention_rows(rho, valid)
 
 
 def _global_scores(doc, params, store):
     """Positions and combined marginal scores of the joint model's mentions."""
     instance, positions = build_crf_instance(doc, params, store)
-    return positions, instance_marginals(instance, params)
+    return positions, mention_rows(instance_marginals(instance, params), instance.valid)
 
 
 @pytest.mark.parametrize("model", ["local", "global"])

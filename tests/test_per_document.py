@@ -1,25 +1,26 @@
 """Per-document inference against the per-mention oracles in `permention`.
 
-`predict_local` and `predict_global` run f once over a document's
-concatenated rows, and `instance_marginals` consumes `crf.layers` keeping
-only the latest messages.  On seeded random documents (d 16 and 300, one
-to eleven candidates, lone mentions, empty contexts, duplicated candidate
-rows) the combined scores match the oracles' within 1e-12 of the
-document's largest score, the predictions are equal, and the final beliefs
-equal those of the full unroll bit for bit.
+`predict_local` and `predict_global` run f once over the live slots of a
+document's padded (n, S) blocks and take one vectorised argmax, and
+`instance_marginals` consumes `crf.layers` keeping only the latest
+messages.  On seeded random documents (d 16 and 300, one to eleven
+candidates, lone mentions, empty contexts, duplicated candidate rows) the
+combined scores match the oracles' within 1e-12 of the document's largest
+score, the predictions are equal, and the final beliefs equal those of the
+full unroll bit for bit.
 """
 
 import numpy as np
 import pytest
+from permention import argmax_entity, mention_rows, per_mention, run_lbp
 from permention import instance_marginals as oracle_marginals
 from permention import local_decision as oracle_decision
 
-from entlink.attention import (FNet, LocalParams, argmax_entity, combine_doc, combine_f,
-                               doc_instances, local_decisions, predict_local,
+from entlink.attention import (FNet, LocalParams, combine_block, combine_f, doc_instances,
+                               local_decisions, padded_rows, predict_local,
                                scored_instances)
-from entlink.crf import (CrfInstance, GlobalParams, belief_block, build_crf_instance,
-                         final_beliefs, instance_marginals, layers, padded,
-                         phi_tensor, predict_global, run_lbp)
+from entlink.crf import (CrfInstance, GlobalParams, build_crf_instance, final_beliefs,
+                         instance_marginals, layers, phi_tensor, predict_global)
 from entlink.docs import Document, Mention
 from entlink.errors import ValidationError
 from entlink.priors import Candidate
@@ -129,10 +130,12 @@ def test_local_path_matches_per_mention_oracle(cases):
             next((e for i, e, _ in want if i.position == k), None)
             for k in range(len(doc.mentions))]
         scored = list(scored_instances(doc, local, store))
-        rho = combine_doc(local.fnet, np.concatenate([psi for _, psi, _ in scored]),
-                          [inst.log_priors for inst, _, _ in scored])
-        _close(rho, [combine_f(local.fnet, psi, inst.log_priors)
-                     for inst, psi, _ in scored])
+        scores, valid = padded_rows([psi for _, psi, _ in scored])
+        rho = combine_block(local.fnet, scores,
+                            padded_rows([inst.log_priors for inst, _, _ in scored])[0], valid)
+        assert np.isneginf(rho[~valid]).all()
+        _close(mention_rows(rho, valid), [combine_f(local.fnet, psi, inst.log_priors)
+                                          for inst, psi, _ in scored])
 
 
 def test_global_path_matches_per_mention_oracle(cases):
@@ -140,10 +143,13 @@ def test_global_path_matches_per_mention_oracle(cases):
     for doc, params in docs:
         instance, idxs = build_crf_instance(doc, params, store)
         want = oracle_marginals(instance, params)
-        _close(instance_marginals(instance, params), want)
+        rho = instance_marginals(instance, params)
+        assert np.isneginf(rho[~instance.valid]).all()
+        _close(mention_rows(rho, instance.valid), want)
+        entities = per_mention(instance).entities
         expected = [None] * len(doc.mentions)
         for pos, k in enumerate(idxs):
-            expected[k] = argmax_entity(want[pos], instance.entities[pos])
+            expected[k] = argmax_entity(want[pos], entities[pos])
         assert predict_global(doc, params, store) == expected
 
 
@@ -151,16 +157,16 @@ def test_layer_generator_final_beliefs_equal_full_unroll(cases):
     store, docs = cases
     for doc, params in docs:
         instance, _ = build_crf_instance(doc, params, store)
-        vecs, mask, psi = padded(instance)
-        valid = np.ascontiguousarray(mask.T)
+        psi = np.ascontiguousarray(instance.unaries.T)
+        valid = np.ascontiguousarray(instance.valid.T)
+        phi = phi_tensor(instance.cand_vecs, instance.valid, instance.c)
         count = 0
-        for mix, _, _ in layers(psi, phi_tensor(vecs, mask, instance.c), valid, params.t,
-                                params.delta):
+        for mix, _, _ in layers(psi, phi, valid, params.t, params.delta):
             count += 1
         assert count == params.t
-        np.testing.assert_array_equal(
-            final_beliefs(psi, mix, valid),
-            belief_block(run_lbp(instance, params.t, params.delta)))
+        full = run_lbp(instance, params.t, params.delta)
+        np.testing.assert_array_equal(final_beliefs(psi, mix, valid),
+                                      final_beliefs(full.psi, full.mix[-1], full.valid))
 
 
 def test_message_sum_failure_raises_same_message_from_both_consumers():

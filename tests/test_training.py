@@ -132,13 +132,28 @@ class TestTrainGlobal:
         # the drop threshold is set low enough that a working run crosses it
         assert history.lr_dropped_epoch is not None
 
+    def test_learning_rate_drops_at_first_validation_past_threshold(self):
+        # the seeded run validates at 0.833 after epoch 2 and first passes
+        # LR_DROP_ACCURACY (0.9) after epoch 6, where the rate drops
+        store, train, val = tiny_world(seed=7)
+        params = GlobalParams.init(store.dim, hidden=16, k=8, r=4, t=3)
+        cfg = TrainConfig(gamma=0.02, learning_rate=0.05, epochs=8, eval_every=2,
+                          patience=30, seed=4)
+        history = train_global(params, train, val, store, cfg)
+        checks = [(epoch, acc) for epoch, _, acc in history.rows if epoch % 2 == 0]
+        assert checks[0][1] <= training.LR_DROP_ACCURACY
+        assert history.lr_dropped_epoch == 6 == next(
+            epoch for epoch, acc in checks if acc > training.LR_DROP_ACCURACY)
+
     def test_early_stopping_halts(self):
+        # validated every epoch, the run stops at the epoch that brings the
+        # epochs without improvement up to the patience: here 1 + 3
         store, train, val = tiny_world(seed=9)
         params = GlobalParams.init(store.dim, hidden=16, k=8, r=4, t=2)
         cfg = TrainConfig(gamma=0.02, learning_rate=0.0001, epochs=200,
                           eval_every=1, patience=3, seed=5)
         history = train_global(params, train, val, store, cfg)
-        assert history.epochs_run < 200
+        assert history.epochs_run == history.best_epoch + cfg.patience == 4
         # one history row per epoch run, the stopping epoch included
         assert [row[0] for row in history.rows] == list(range(1, history.epochs_run + 1))
 
@@ -149,15 +164,25 @@ def lone_mention(doc):
         mention.candidates = []
 
 
+def gold_outside_candidates(mention):
+    """Point the mention's gold at an entity outside its candidate set."""
+    held = {c.entity for c in mention.candidates}
+    mention.gold_id = next(e for e in range(len(held) + 1) if e not in held)
+    mention.gold = f"E{mention.gold_id}"
+
+
 class TestParityWithPerStepLoop:
     @pytest.mark.parametrize("kind", ["local", "global"])
     def test_parameters_bitwise_equal(self, kind, monkeypatch):
         # blocks built once, one flat vector and whole-vector optimizer steps
         # train exactly as the per-step loop does, lone-mention steps
         # included: with validation (snapshots, the learning-rate drop) and
-        # without (the parameters of the last step)
+        # without (the parameters of the last step).  One mention's gold
+        # lies outside its candidates: it adds no loss term, and only the
+        # joint model passes messages through it
         store, train, val = tiny_world(seed=14, n_docs=10)
         lone_mention(train.documents[0])
+        gold_outside_candidates(train.documents[1].mentions[1])
         monkeypatch.setattr(training, "LR_DROP_ACCURACY", 0.3)
         monkeypatch.setattr(training, "LR_AFTER_DROP", 1e-3)
         cfg = TrainConfig(gamma=0.02, learning_rate=0.05, epochs=6, eval_every=2,
