@@ -99,10 +99,9 @@ def _config(args, **fixed) -> ExperimentConfig:
 
 def _load_store(args) -> EmbeddingStore:
     stop = load_stop_words(args.stopwords) if args.stopwords else None
-    store = load_word_vectors(_data_path(args, "word_vectors"),
-                              fmt=args.vector_format, stop_words=stop)
+    store = load_word_vectors(_data_path(args, "word_vectors"), stop_words=stop)
     if getattr(args, "entities", None):
-        load_entity_vectors(args.entities, store, fmt=args.vector_format)
+        load_entity_vectors(args.entities, store)
     return store
 
 
@@ -123,7 +122,6 @@ def _add_vector_flags(p, entities: bool = True):
     p.add_argument("--word-vectors", help="word vector file")
     if entities:
         p.add_argument("--entities", help="entity vector file")
-    p.add_argument("--vector-format", choices=("text", "binary"), default="text")
     p.add_argument("--stopwords", help="stop-word list, one token per line")
 
 
@@ -205,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-relatedness", help="NDCG/MAP of entity vectors")
     p.add_argument("--queries")
     p.add_argument("--entities", required=True, help="entity vector file")
-    p.add_argument("--vector-format", choices=("text", "binary"), default="text")
     p.set_defaults(func=cmd_eval_relatedness)
 
     p = sub.add_parser("build-prior", help="merge raw indexes into a prior")
@@ -279,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect-neighbors", help="closest words to an entity")
     p.add_argument("--entities", required=True, help="entity vector file")
     p.add_argument("--word-vectors")
-    p.add_argument("--vector-format", choices=("text", "binary"), default="text")
     p.add_argument("--entity", required=True, help="entity name")
     p.add_argument("--freq", help="word<TAB>count frequency table")
     p.add_argument("--k", type=int, default=20)
@@ -355,7 +351,7 @@ def cmd_train_embeddings(args) -> int:
 
 def cmd_eval_relatedness(args) -> int:
     # entities only, in a word-less store of the file's dimension
-    names, rows = read_vectors(args.entities, args.vector_format)
+    names, rows = read_vectors(args.entities)
     store = EmbeddingStore(rows.shape[1])
     store.add_entities(names, rows)
     queries = load_relatedness_queries(
@@ -377,9 +373,9 @@ def cmd_build_prior(args) -> int:
     entities = Vocab()
     sources = []
     for path in args.count_index:
-        sources.append(PriorSource("count", load_count_index(path, entities)))
+        sources.append(PriorSource(load_count_index(path, entities)))
     for path in args.uniform_index:
-        sources.append(PriorSource("uniform", load_uniform_index(path, entities)))
+        sources.append(PriorSource(load_uniform_index(path, entities)))
     if args.weights:
         weights = [parse_field(float, w, "--weights") for w in args.weights.split(",")]
         if len(weights) != len(sources):
@@ -518,7 +514,10 @@ def cmd_breakdown(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    values = parse_config_file(args.config) if args.config else {}
+    base = args.data_dir or os.environ.get(DATA_ENV)
+    values = {"data_dir": base} if base else {}  # the config file and --set win
+    if args.config:
+        values.update(parse_config_file(args.config))
     for item in args.set:
         if "=" not in item:
             raise ValidationError(f"--set expects KEY=VALUE, got {item!r}")
@@ -552,8 +551,8 @@ def cmd_run_experiment(args) -> int:
 
 
 def cmd_inspect_neighbors(args) -> int:
-    names, rows = read_vectors(args.entities, args.vector_format)
-    store = load_word_vectors(_data_path(args, "word_vectors"), fmt=args.vector_format)
+    names, rows = read_vectors(args.entities)
+    store = load_word_vectors(_data_path(args, "word_vectors"))
     if rows.shape[1] != store.dim:
         raise ValidationError("entity and word dimensions differ")
     store.add_entities(names, rows)

@@ -1,7 +1,8 @@
 """End-to-end experiment orchestration and reporting.
 
-A single flat key = value config file drives the pipeline: generate (or
-load) a corpus, train entity vectors, build the prior, select candidates,
+A single flat key = value config file drives the pipeline: generate a
+corpus or read `data_dir` (laid out as `synthetic.DATA_FILES`, vectors in
+either format), train entity vectors, build the prior, select candidates,
 train the local and global models, evaluate everything and write the
 report artifacts.  With a fixed seed, reruns are byte-identical: every
 random draw comes from a seeded stream, one per entity for the entity
@@ -52,7 +53,7 @@ from .training import (
     train_local,
 )
 from .vectors import load_word_vectors
-from .vocab import open_text, write_rows
+from .vocab import open_text, read_counts, write_rows
 
 
 @dataclass
@@ -142,7 +143,6 @@ class PreparedData:
     prior: object
     corpora: dict[str, Corpus]
     queries: list
-    signatures: dict[int, set[int]] | None
     entity_freq: dict[int, int]
     counts: object = None
     relatedness: object | None = None
@@ -154,13 +154,13 @@ class StageFailure(ValidationError):
 
 @contextmanager
 def _stage(name: str):
-    """A failure inside becomes a StageFailure naming the stage (also a decorator)."""
+    """A failure inside, re-raised naming the stage: an OSError as one, any
+    other as a StageFailure (also a decorator)."""
     try:
         yield
-    except StageFailure:
-        raise
     except Exception as exc:
-        raise StageFailure(f"stage {name} failed: {exc}") from exc
+        kind = OSError if isinstance(exc, OSError) else StageFailure
+        raise kind(f"stage {name} failed: {exc}") from exc
 
 
 def synthetic_spec_from(cfg: ExperimentConfig) -> SyntheticSpec:
@@ -216,13 +216,13 @@ def _load_or_generate(cfg: ExperimentConfig) -> PreparedData:
                    for split in ("train", "validation", "test")}
         _check_disjoint_splits(corpora)
         queries = load_relatedness_queries(path["queries"], store.entity_vocab)
-        return PreparedData(store=store, prior=prior, corpora=corpora,
-                            queries=queries, signatures=None,
-                            entity_freq={}, counts=counts)
+        entity_freq = {store.entity_vocab.id(name): n for name, n in
+                       read_counts(path["entity_freq"]) if name in store.entity_vocab}
+        return PreparedData(store=store, prior=prior, corpora=corpora, queries=queries,
+                            entity_freq=entity_freq, counts=counts)
     data = generate_synthetic(stage_objects(cfg, cfg.dim)["generate"])
     return PreparedData(store=data.store, prior=data.prior,
                         corpora=data.corpora, queries=data.queries,
-                        signatures=data.signatures,
                         entity_freq=dict(data.entity_freq), counts=data.counts)
 
 

@@ -100,15 +100,12 @@ def _normalised(weights) -> list[tuple[int, float]]:
 
 @dataclass
 class PriorSource:
-    """One raw index: kind 'count' carries counts, 'uniform' only lists candidates."""
+    """One raw index: (entity, count) rows per mention; a uniform one counts 1 each."""
 
-    kind: str
     table: dict[str, list[tuple[int, float]]]
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("count", "uniform"):
-            raise ValidationError(f"unknown prior source kind {self.kind!r}")
         if self.weight <= 0:
             raise ValidationError("source weight must be positive")
 
@@ -116,7 +113,7 @@ class PriorSource:
 def build_prior(sources: list[PriorSource]) -> PriorIndex:
     """Average per-source conditional distributions into one prior index.
 
-    A count source abstains for mentions whose total count is zero.  The
+    A source abstains for mentions whose total count is zero.  The
     final distribution is the weight-normalised mean over the sources that
     know the mention, renormalised to sum to exactly 1.
     """
@@ -127,15 +124,10 @@ def build_prior(sources: list[PriorSource]) -> PriorIndex:
     for source in sources:
         for raw_mention, entries in source.table.items():
             mention = normalize_mention(raw_mention)
-            if source.kind == "count":
-                total = sum(c for _, c in entries)
-                if total <= 0:
-                    continue  # abstain
-                dist = [(e, c / total) for e, c in entries if c > 0]
-            else:
-                if not entries:
-                    continue
-                dist = [(e, 1.0 / len(entries)) for e, _ in entries]
+            total = sum(c for _, c in entries)
+            if total <= 0:
+                continue  # abstain
+            dist = [(e, c / total) for e, c in entries if c > 0]
             bucket = accum.setdefault(mention, {})
             for e, p in dist:
                 bucket[e] = bucket.get(e, 0.0) + source.weight * p
@@ -308,7 +300,7 @@ def load_count_index(path: str, entities: Vocab) -> dict[str, list[tuple[int, fl
 
 
 def load_uniform_index(path: str, entities: Vocab) -> dict[str, list[tuple[int, float]]]:
-    """Read ``mention \\t entity`` rows; every candidate gets a uniform prior."""
+    """Read ``mention \\t entity`` rows, each with count 1: a uniform prior."""
     table: dict[str, list[tuple[int, float]]] = {}
     for _, (mention, entity) in read_rows(path, "mention<TAB>entity"):
         table.setdefault(mention, []).append((entities.add(entity), 1.0))

@@ -211,7 +211,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
         count_table[_surface_name(s)] = row
         for e, c in row:
             entity_freq[e] = entity_freq.get(e, 0) + int(c)
-    prior = build_prior([PriorSource(kind="count", table=count_table)])
+    prior = build_prior([PriorSource(count_table)])
 
     # documents
     noise_list = sorted(noise_words)

@@ -9,10 +9,11 @@ On-disk formats:
 
 * text: first line ``<count> <dim>``, then ``token v1 ... v<dim>`` per row,
   space separated, so a token holding a space or a line break is refused.
-* binary: header ``EVEC`` magic, u16 version, u32 count, u32 dim (all
-  little-endian), then per row a u16 token byte length, the UTF-8 token,
-  and <dim> little-endian float32 values.  Binary round-trips bit-exactly;
-  text round-trips to within 1e-6 per component.
+* binary: header ``EVEC`` magic (which no text header starts with, so the
+  readers tell the formats apart by it), u16 version, u32 count, u32 dim
+  (all little-endian), then per row a u16 token byte length, the UTF-8
+  token, and <dim> little-endian float32 values.  Binary round-trips
+  bit-exactly; text round-trips to within 1e-6 per component.
 """
 
 from __future__ import annotations
@@ -245,8 +246,8 @@ def _parse_text_vectors(path: str) -> tuple[list[str], np.ndarray]:
 def _parse_binary_vectors(path: str) -> tuple[list[str], np.ndarray]:
     with open(path, "rb") as fh:
         head = fh.read(len(_BINARY_MAGIC) + 2 + 4 + 4)
-        if len(head) < len(_BINARY_MAGIC) + 10 or head[:4] != _BINARY_MAGIC:
-            raise ValidationError(f"{path}: not a vector file (bad magic)")
+        if len(head) < len(_BINARY_MAGIC) + 10:
+            raise ValidationError(f"{path}: truncated binary header")
         version, count, dim = struct.unpack_from("<HII", head, 4)
         if version != _BINARY_VERSION:
             raise ValidationError(f"{path}: unsupported version {version}")
@@ -279,28 +280,33 @@ def _parse_binary_vectors(path: str) -> tuple[list[str], np.ndarray]:
     return tokens, rows
 
 
-def read_vectors(path: str, fmt: str) -> tuple[list[str], np.ndarray]:
-    """The tokens and `(count, dim)` rows of a vector file in format `fmt`
-    ("text" or "binary")."""
-    parsers = {"text": _parse_text_vectors, "binary": _parse_binary_vectors}
-    if fmt not in parsers:
-        raise ValidationError(f"unknown vector format {fmt!r}")
-    return parsers[fmt](path)
+def read_vectors(path: str) -> tuple[list[str], np.ndarray]:
+    """The tokens and `(count, dim)` rows of a vector file of either format."""
+    return _read_as(path, None)
 
 
-def load_word_vectors(path: str, fmt: str = "text",
+def _read_as(path: str, fmt: str | None) -> tuple[list[str], np.ndarray]:
+    """`read_vectors`, refusing a file that is not in format `fmt` if given."""
+    with open(path, "rb") as fh:
+        found = "binary" if fh.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC else "text"
+    if fmt not in (None, found):
+        raise ValidationError(f"{path}: expected {fmt} vectors, found {found}")
+    return (_parse_binary_vectors if found == "binary" else _parse_text_vectors)(path)
+
+
+def load_word_vectors(path: str, fmt: str | None = None,
                       stop_words: frozenset[str] | None = None) -> EmbeddingStore:
-    """Load pre-trained word vectors into a store with a frozen word table."""
-    tokens, rows = read_vectors(path, fmt)
+    """Load word vectors (of format `fmt` if given) into a store with a frozen word table."""
+    tokens, rows = _read_as(path, fmt)
     store = EmbeddingStore(rows.shape[1], word_vocab=Vocab(stop_words=stop_words))
     store.add_words(tokens, rows)
     store.freeze_words()
     return store
 
 
-def load_entity_vectors(path: str, store: EmbeddingStore, fmt: str = "text") -> int:
-    """Load entity vectors (same file formats) into `store`; returns count."""
-    names, rows = read_vectors(path, fmt)
+def load_entity_vectors(path: str, store: EmbeddingStore, fmt: str | None = None) -> int:
+    """Load entity vectors (`fmt` as for words) into `store`; returns count."""
+    names, rows = _read_as(path, fmt)
     if rows.shape[1] != store.dim:
         raise ValidationError(
             f"{path}: dimension {rows.shape[1]} does not match store dimension {store.dim}")

@@ -316,7 +316,7 @@ class TestCriterion7CandidateSelection:
             entities = rng.choice(80, size=n_cand, replace=False)
             table = {"m": [(int(e), float(rng.integers(1, 100)))
                            for e in entities]}
-            prior = build_prior([PriorSource("count", table)])
+            prior = build_prior([PriorSource(table)])
             ctx_words = [int(w) for w in
                          rng.choice(12, size=int(rng.integers(0, 5)),
                                     replace=False)]

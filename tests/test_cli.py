@@ -13,6 +13,7 @@ import entlink
 from entlink import cli
 from entlink.attention import LocalParams, predict_local
 from entlink.cli import main
+from entlink.crf import GlobalParams
 from entlink.docs import build_context_windows, load_corpus, resolve_gold
 from entlink.model_io import load_model, save_model
 from entlink.priors import load_prior, select_candidates
@@ -157,6 +158,38 @@ class TestBuildPrior:
         assert rows["E0"] == pytest.approx(0.375)
         assert rows["E1"] == pytest.approx(0.375)
         assert rows["E2"] == pytest.approx(0.25)
+
+
+class TestBinaryEntityVectors:
+    def test_binary_entities_beside_text_word_vectors(self, bench, tmp_path, capsys):
+        # each reader takes the format from the file, so the entity vectors
+        # train-embeddings writes in binary load beside the directory's text
+        # word vectors: candidates, both trainers, joint predictions, scores
+        _, data, _ = bench
+        entities, local, joint, preds = (tmp_path / n for n in (
+            "entities.bin", "local.model", "global.model", "preds.tsv"))
+        assert main(["train-embeddings", "--word-vectors", str(data / "word_vectors.txt"),
+                     "--counts", str(data / "counts.tsv"), "--out", str(entities),
+                     "--out-format", "binary", "--iterations", "60",
+                     "--link-iterations", "0"]) == 0
+        assert entities.read_bytes()[:4] == b"EVEC"
+        common = ["--entities", str(entities), "--k", "30", "--epochs", "3",
+                  "--eval-every", "1"]
+        for argv in (["select-candidates", "--entities", str(entities),
+                      "--out", str(tmp_path / "cands.tsv")],
+                     ["train-local", *common, "--out", str(local)],
+                     ["train-global", *common, "--t", "3", "--out", str(joint)],
+                     ["predict", "--model", str(joint), "--entities", str(entities),
+                      "--out", str(preds)],
+                     ["evaluate", "--predictions", str(preds)]):
+            assert main(["--data-dir", str(data), *argv]) == 0, argv
+        out = capsys.readouterr().out
+        assert "trained global model: epochs=3" in out
+        assert isinstance(load_model(str(joint)), GlobalParams)
+        n_mentions = sum(len(json.loads(line)["mentions"]) for line in
+                         (data / "corpus_test.jsonl").read_text().splitlines())
+        assert f"annotated {n_mentions} mentions" in out
+        assert f"gold_mentions={n_mentions} predicted={n_mentions}" in out
 
 
 class TestSelectCandidates:
@@ -318,8 +351,8 @@ class TestExitCodes:
                  (predict + [str(r0)], "r must be at least 1"),
                  (predict + [str(nan)], "non-finite parameter"),
                  (predict + [str(narrow)], "model dimension 8 does not match"),
-                 (["inspect-neighbors", "--entities", str(vectors), "--vector-format",
-                   "binary", "--entity", "E0"], "not UTF-8"),
+                 (["inspect-neighbors", "--entities", str(vectors), "--entity", "E0"],
+                  "not UTF-8"),
                  (["--data-dir", str(data), "evaluate", "--predictions", str(bad_preds)],
                   f"{bad_preds}:2: expected int, got 'first'"),
                  (breakdown + [str(bad_count)], f"{bad_count}:2: bad count"),
@@ -423,7 +456,7 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         proc = subprocess.run(
             [sys.executable, "-m", "entlink", "eval-relatedness", "--entities", str(binary),
-             "--vector-format", "binary", "--queries", str(queries)],
+             "--queries", str(queries)],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "MAP=" in proc.stdout
@@ -476,6 +509,48 @@ class TestRunExperimentCli:
         assert (out / "metrics.tsv").exists()
         text = capsys.readouterr().out
         assert "global/test" in text
+
+    def test_data_directory_fills_an_unset_data_dir(self, tmp_path, monkeypatch):
+        # --data-dir, else $ENTLINK_DATA_DIR, unless the config file or --set
+        # names a data_dir
+        config = tmp_path / "exp.ini"
+        config.write_text("data_dir = from-file\n")
+
+        def data_dir(*argv):
+            return cli._experiment_config(cli.build_parser().parse_args(argv)).data_dir
+
+        monkeypatch.delenv("ENTLINK_DATA_DIR", raising=False)
+        assert data_dir("run-experiment") == ""
+        assert data_dir("--data-dir", "flag", "sweep", "--param", "t", "--values", "2",
+                        "--out", "o") == "flag"
+        monkeypatch.setenv("ENTLINK_DATA_DIR", "env")
+        assert data_dir("run-experiment") == "env"
+        assert data_dir("--data-dir", "flag", "run-experiment") == "flag"
+        assert data_dir("--data-dir", "flag", "run-experiment", "--config",
+                        str(config)) == "from-file"
+        assert data_dir("--data-dir", "flag", "run-experiment", "--config", str(config),
+                        "--set", "data_dir=set") == "set"
+
+    def test_missing_data_directory_is_io_error_naming_the_stage(self, tmp_path):
+        # however the directory is named, run-experiment and sweep exit 2
+        missing = tmp_path / "missing"
+        env = dict(os.environ, PYTHONPATH=str(Path(entlink.__file__).parent.parent))
+        env.pop("ENTLINK_DATA_DIR", None)
+        sweep = ["sweep", "--param", "t", "--values", "2", "--out", str(tmp_path / "sweep")]
+        run = ["run-experiment", "--out", str(tmp_path / "run")]
+        cases = [(run + ["--set", f"data_dir={missing}"], {}),
+                 (["--data-dir", str(missing), *run], {}),
+                 (sweep + ["--set", f"data_dir={missing}"], {}),
+                 (sweep, {"ENTLINK_DATA_DIR": str(missing)})]
+        for argv, extra in cases:
+            proc = subprocess.run([sys.executable, "-m", "entlink", *argv],
+                                  capture_output=True, text=True, env={**env, **extra},
+                                  timeout=120)
+            assert proc.returncode == 2, (argv, proc.stderr)
+            assert proc.stderr.startswith("i/o error: stage generate failed: ")
+            assert str(missing) in proc.stderr
+            assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize("setting", ["delta=0", "t=0", "s=0", "prior_top=-1",
                                          "context_top=-1"])

@@ -742,6 +742,20 @@ class TestPredictGlobal:
             assert preds[1] is None
             assert preds[2] in (2, 3)
 
+    def test_no_mention_with_candidates(self):
+        # no instance to build: both models leave every mention unannotated
+        from entlink.attention import predict_local
+        store = self._store_and_doc(seed=20)
+        params = GlobalParams.init(store.dim, hidden=8, r=2, t=4)
+        doc = Document(doc_id="d", tokens=["w0", "M1", "w1", "M2"],
+                       mentions=[Mention(start=1, end=2, surface="M1"),
+                                 Mention(start=3, end=4, surface="M2")])
+        doc.mentions[0].candidates = []  # the second was never selected (None)
+        build_context_windows(Corpus([doc]), store.word_vocab, k=4)
+        assert build_crf_instance(doc, params, store) == (None, [])
+        assert predict_global(doc, params, store) == [None, None]
+        assert predict_local(doc, params.local, store) == [None, None]
+
     def test_loopy_map_agreement_rate(self):
         # small fully-connected instances: belief argmax equals the exact
         # MAP on a clear majority (the acceptance suite measures >= 90%)

@@ -1,6 +1,7 @@
 """Experiment orchestration: determinism, artifacts, attention dump, config."""
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,10 @@ from entlink.experiment import (
     parse_config_file,
     run_experiment,
     run_sweep,
+    synthetic_spec_from,
 )
+from entlink.synthetic import generate_synthetic, write_synthetic
+from entlink.vectors import read_vectors, save_vectors_binary
 
 
 # the artifacts a seeded run must reproduce byte for byte, in digest order
@@ -148,9 +152,7 @@ class TestRunExperiment:
         # correctly solved low-prior mentions should attend to at least one
         # signature word of the gold entity in nearly every case
         _, cfg, _ = experiment
-        from entlink.experiment import _load_or_generate
-
-        data = _load_or_generate(cfg)
+        data = generate_synthetic(synthetic_spec_from(cfg))
         store = data.store
         sig_tokens = {
             store.entity_vocab.token(e): {store.word_vocab.token(w)
@@ -230,6 +232,38 @@ class TestConfig:
             run_experiment(cfg)
         if isinstance(err.value, StageFailure):
             assert "stage generate" in str(err.value)
+
+    def test_data_directory_run_buckets_as_the_in_memory_run(self, tmp_path):
+        # the directory's entity_freq.tsv gives the frequency axis, so a run
+        # on a written benchmark counts its test mentions per bucket as the
+        # in-memory run of the same spec does
+        cfg = fast_config(tmp_path, "memory", seed=3, n_docs=40, kb_size=80,
+                          local_epochs=2, global_epochs=2)
+        data = tmp_path / "data"
+        write_synthetic(generate_synthetic(synthetic_spec_from(cfg)), str(data))
+        run_experiment(cfg)
+        run_experiment(replace(cfg, data_dir=str(data), out_dir=str(tmp_path / "directory")))
+
+        def frequency_counts(run):
+            rows = (tmp_path / run / "breakdown.tsv").read_text().splitlines()[1:]
+            return [(bucket, int(count)) for axis, bucket, count, _ in
+                    (row.split("\t") for row in rows) if axis == "frequency"]
+
+        assert frequency_counts("directory") == frequency_counts("memory")
+        assert sum(count for _, count in frequency_counts("memory")) > 0
+
+    def test_data_directory_word_vectors_in_either_format(self, tmp_path):
+        cfg = fast_config(tmp_path, "run", seed=3, n_docs=20, kb_size=40,
+                          data_dir=str(tmp_path / "data"))
+        write_synthetic(generate_synthetic(synthetic_spec_from(cfg)), cfg.data_dir)
+        path = Path(cfg.data_dir) / "word_vectors.txt"
+        text = pipeline._load_or_generate(cfg).store
+        names, rows = read_vectors(str(path))
+        save_vectors_binary(str(path), names, rows)  # same name, binary content
+        binary = pipeline._load_or_generate(cfg).store
+        assert binary.word_vocab.tokens() == text.word_vocab.tokens() == names
+        np.testing.assert_allclose(binary.word_matrix(), text.word_matrix(), atol=1e-6)
+        assert binary.entity_vocab.tokens() == text.entity_vocab.tokens()
 
     def test_overlapping_split_ids_rejected(self, tmp_path):
         from entlink.experiment import _check_disjoint_splits

@@ -35,32 +35,33 @@ def entity_store(n_entities=40, dim=6, seed=0, n_words=10):
 
 class TestBuildPrior:
     def test_single_count_source(self):
-        src = PriorSource(kind="count", table={"m": [(0, 3.0), (1, 1.0)]})
+        src = PriorSource(table={"m": [(0, 3.0), (1, 1.0)]})
         prior = build_prior([src])
         assert prior.lookup("m") == [(0, 0.75), (1, 0.25)]
 
     def test_two_sources_averaged(self):
-        a = PriorSource(kind="count", table={"m": [(0, 1.0)]})
-        b = PriorSource(kind="count", table={"m": [(0, 1.0), (1, 1.0)]})
+        a = PriorSource(table={"m": [(0, 1.0)]})
+        b = PriorSource(table={"m": [(0, 1.0), (1, 1.0)]})
         prior = build_prior([a, b])
         got = dict(prior.lookup("m"))
         assert got[0] == pytest.approx(0.75)
         assert got[1] == pytest.approx(0.25)
 
     def test_uniform_source(self):
-        src = PriorSource(kind="uniform", table={"m": [(i, 1.0) for i in range(4)]})
+        # a uniform index counts each candidate once
+        src = PriorSource(table={"m": [(i, 1.0) for i in range(4)]})
         prior = build_prior([src])
         assert all(p == pytest.approx(0.25) for _, p in prior.lookup("m"))
 
     def test_zero_count_source_abstains(self):
-        a = PriorSource(kind="count", table={"m": [(0, 0.0)]})
-        b = PriorSource(kind="count", table={"m": [(1, 2.0)]})
+        a = PriorSource(table={"m": [(0, 0.0)]})
+        b = PriorSource(table={"m": [(1, 2.0)]})
         prior = build_prior([a, b])
         assert prior.lookup("m") == [(1, 1.0)]
 
     def test_source_weights(self):
-        a = PriorSource(kind="count", table={"m": [(0, 1.0)]}, weight=3.0)
-        b = PriorSource(kind="count", table={"m": [(1, 1.0)]}, weight=1.0)
+        a = PriorSource(table={"m": [(0, 1.0)]}, weight=3.0)
+        b = PriorSource(table={"m": [(1, 1.0)]}, weight=1.0)
         prior = build_prior([a, b])
         got = dict(prior.lookup("m"))
         assert got[0] == pytest.approx(0.75)
@@ -71,24 +72,24 @@ class TestBuildPrior:
         for _ in range(25):
             sources = []
             for _ in range(rng.integers(1, 4)):
-                kind = "count" if rng.random() < 0.7 else "uniform"
+                uniform = rng.random() >= 0.7
                 entities = rng.choice(20, size=rng.integers(1, 6), replace=False)
-                table = {"m": [(int(e), float(rng.integers(1, 50))) for e in entities]}
-                sources.append(PriorSource(kind=kind, table=table))
+                table = {"m": [(int(e), 1.0 if uniform else float(rng.integers(1, 50)))
+                               for e in entities]}
+                sources.append(PriorSource(table=table))
             prior = build_prior(sources)
             total = sum(p for _, p in prior.lookup("m"))
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_lookup_normalizes_whitespace_and_case(self):
-        src = PriorSource(kind="count", table={"New York": [(0, 1.0)]})
+        src = PriorSource(table={"New York": [(0, 1.0)]})
         prior = build_prior([src])
         assert prior.lookup("  New   York ") == [(0, 1.0)]
         assert prior.lookup("new york") == [(0, 1.0)]
         assert prior.lookup("boston") == []
 
     def test_case_sensitive_match_wins_over_fallback(self):
-        src = PriorSource(kind="count",
-                          table={"Apple": [(0, 1.0)], "apple": [(1, 1.0)]})
+        src = PriorSource(table={"Apple": [(0, 1.0)], "apple": [(1, 1.0)]})
         prior = build_prior([src])
         assert prior.lookup("Apple") == [(0, 1.0)]
         assert prior.lookup("apple") == [(1, 1.0)]
@@ -99,7 +100,7 @@ class TestBuildPrior:
 
 
 def flat_prior(entries):
-    src = PriorSource(kind="count", table={"m": entries})
+    src = PriorSource(table={"m": entries})
     return build_prior([src])
 
 
@@ -334,8 +335,7 @@ class TestPriorFiles:
         entities = Vocab()
         counts = load_count_index(str(cpath), entities)
         uniform = load_uniform_index(str(upath), entities)
-        prior = build_prior([PriorSource("count", counts),
-                             PriorSource("uniform", uniform)])
+        prior = build_prior([PriorSource(counts), PriorSource(uniform)])
         got = dict(prior.lookup("m1"))
         # count source: {E0: .75, E1: .25}; uniform: {E1: .5, E2: .5}
         assert got[entities.id("E0")] == pytest.approx(0.375)

@@ -1,5 +1,7 @@
 """Embedding store, vector file formats, nearest-word ranking, tab-separated rows."""
 
+import re
+
 import numpy as np
 import pytest
 from embedoracles import check_entity_norms
@@ -10,6 +12,7 @@ from entlink.vectors import (
     load_entity_vectors,
     load_word_vectors,
     nearest_words,
+    read_vectors,
     save_vectors_binary,
     save_vectors_text,
 )
@@ -154,6 +157,52 @@ class TestRoundTrips:
         save_vectors_binary(str(p2), [store.entity_vocab.token(i) for i in range(4)],
                             store.entity_matrix())
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestFormatFromContent:
+    """A reader takes a file's format from its first bytes, not its name."""
+
+    def test_misnamed_files_read_as_their_correctly_named_copies(self, tmp_path):
+        names, mat = [f"t{i}" for i in range(4)], np.random.default_rng(4).normal(size=(4, 3))
+        for save, right, wrong in ((save_vectors_binary, "b.bin", "b.txt"),
+                                   (save_vectors_text, "t.txt", "t.bin")):
+            save(str(tmp_path / right), names, mat)
+            (tmp_path / wrong).write_bytes((tmp_path / right).read_bytes())
+            want_names, want = read_vectors(str(tmp_path / right))
+            got_names, got = read_vectors(str(tmp_path / wrong))
+            assert got_names == want_names == names
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(load_word_vectors(str(tmp_path / wrong)).word_matrix(),
+                                          want)
+        # the binary copy holds the float32 rows, the text one 10 digits
+        np.testing.assert_array_equal(read_vectors(str(tmp_path / "b.txt"))[1],
+                                      mat.astype("<f4").astype(np.float64))
+        np.testing.assert_allclose(read_vectors(str(tmp_path / "t.bin"))[1], mat, atol=1e-6)
+
+    def test_a_given_format_is_checked_against_the_file(self, tmp_path):
+        binary, text = tmp_path / "v.bin", tmp_path / "v.txt"
+        save_vectors_binary(str(binary), ["E0"], np.eye(2)[:1])
+        save_vectors_text(str(text), ["E0"], np.eye(2)[:1])
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{binary}: expected text vectors, found binary")):
+            load_word_vectors(str(binary), fmt="text")
+        store = EmbeddingStore(2)
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{text}: expected binary vectors, found text")):
+            load_entity_vectors(str(text), store, fmt="binary")
+        assert load_entity_vectors(str(binary), store, fmt="binary") == 1
+
+    def test_damaged_or_truncated_binary_file_named(self, tmp_path):
+        # a damaged magic sends the file to the text reader, which refuses it
+        path = tmp_path / "v.bin"
+        save_vectors_binary(str(path), ["a", "b"], np.eye(2))
+        good = path.read_bytes()
+        path.write_bytes(b"EVEX" + good[4:])
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:1")):
+            read_vectors(str(path))
+        path.write_bytes(good[:7])
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: truncated binary header")):
+            read_vectors(str(path))
 
 
 class TestEntityInvariants:
