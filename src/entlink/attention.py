@@ -196,9 +196,11 @@ def top_r_mask(u: np.ndarray, r: int) -> np.ndarray:
         return np.ones(u.shape, dtype=bool)
     if r < 1:
         raise ValidationError(f"attention budget must be >= 1, got {r}")
-    mask = np.zeros(u.shape, dtype=bool)
-    np.put_along_axis(mask, np.argsort(-u, axis=-1, kind="stable")[..., :r], True, axis=-1)
-    return mask
+    top = np.argsort(-u, axis=-1, kind="stable")[..., :r]
+    mask = np.zeros(u.size, dtype=bool)
+    # each row's kept positions, offset to the row's start in the flat mask
+    mask[top + np.arange(0, u.size, u.shape[-1]).reshape(*u.shape[:-1], 1)] = True
+    return mask.reshape(u.shape)
 
 
 def attention_weights(u: np.ndarray, r: int) -> np.ndarray:

@@ -5,7 +5,9 @@ vector training and evaluation, prior construction, candidate selection,
 model training, prediction, scoring, breakdowns, hyperparameter sweeps and
 embedding inspection.  Exit codes: 0 success, 1 validation failure, 2 I/O
 error.  ENTLINK_DATA_DIR provides the default data directory for commands
-that read a generated benchmark.
+that read a generated benchmark.  Every command that builds from
+`ExperimentConfig` reads it from `--config` and `--set` alone; its other
+flags name files.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -76,25 +78,21 @@ from .vocab import (
 DATA_ENV = "ENTLINK_DATA_DIR"
 
 
+def _data_dir(args) -> str | None:
+    return args.data_dir or os.environ.get(DATA_ENV)
+
+
 def _data_path(args, flag: str, key: str | None = None) -> str:
     """The path flag `flag` gives, else the data directory's `key` file
     (`DATA_FILES`; `key` defaults to `flag`)."""
     if getattr(args, flag):
         return getattr(args, flag)
-    base = getattr(args, "data_dir", None) or os.environ.get(DATA_ENV)
+    base = _data_dir(args)
     if not base:
         raise ValidationError(
             f"missing --{flag.replace('_', '-')} and no data directory "
             f"(--data-dir or ${DATA_ENV})")
     return str(Path(base) / DATA_FILES[key or flag])
-
-
-def _config(args, **fixed) -> ExperimentConfig:
-    """The experiment config a command's flags set: each flag whose
-    destination is a config field sets it, other fields keep their defaults."""
-    names = {f.name for f in fields(ExperimentConfig)} - {"data_dir"}
-    return ExperimentConfig(**{n: getattr(args, n) for n in names if hasattr(args, n)},
-                            **fixed)
 
 
 def _load_store(args) -> EmbeddingStore:
@@ -125,36 +123,26 @@ def _add_vector_flags(p, entities: bool = True):
     p.add_argument("--stopwords", help="stop-word list, one token per line")
 
 
-def _add_candidate_flags(p, context_size: bool = True):
+def _add_config_flags(p):
+    p.add_argument("--config", help="flat key = value experiment config file")
+    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                   help="set one config key, over the file (repeatable)")
+
+
+def _add_candidate_flags(p):
+    _add_vector_flags(p)
+    _add_config_flags(p)
     p.add_argument("--prior", help="prior index file")
-    p.add_argument("--s", type=int, default=7, help="candidate budget")
-    p.add_argument("--prior-top", type=int, default=4)
-    p.add_argument("--context-top", type=int, default=3)
     p.add_argument("--persons", help="entity<TAB>is_person file for coref merging")
-    if context_size:
-        p.add_argument("--k", type=int, default=100, help="context window size")
     p.add_argument("--corpus-format", choices=("json-lines", "column-text"),
                    default="json-lines")
 
 
-def _add_train_flags(p, local: bool):
-    kind = "local" if local else "global"
+def _add_train_flags(p):
+    _add_candidate_flags(p)
     p.add_argument("--train", help="training corpus")
     p.add_argument("--val", help="validation corpus")
     p.add_argument("--out", required=True, help="model output path")
-    p.add_argument("--r", dest=f"{kind}_r", type=int, default=50 if local else 25,
-                   help="hard-attention budget")
-    p.add_argument("--hidden", type=int, default=100)
-    p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--lr", dest=f"{kind}_lr", type=float,
-                   default=1e-3 if local else 1e-4)
-    p.add_argument("--epochs", dest=f"{kind}_epochs", type=int, default=100)
-    p.add_argument("--eval-every", type=int, default=5)
-    p.add_argument("--patience", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    if not local:
-        p.add_argument("--t", type=int, default=10, help="message-passing layers")
-        p.add_argument("--delta", type=float, default=0.5, help="damping factor")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,20 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate-synthetic", help="write a synthetic benchmark")
+    _add_config_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--kb-size", type=int, default=200)
-    p.add_argument("--words-per-entity", type=int, default=8)
-    p.add_argument("--vocab-size", type=int, default=1400)
-    p.add_argument("--docs", dest="n_docs", type=int, default=160)
-    p.add_argument("--mentions-per-doc", type=int, default=6)
-    p.add_argument("--ambiguity", type=int, default=4)
-    p.add_argument("--coherence", type=float, default=0.9)
-    p.add_argument("--noise-rate", type=float, default=0.5)
-    p.add_argument("--n-topics", type=int, default=4)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--ctx-per-side", type=int, default=8)
-    p.add_argument("--weak-context-rate", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train-embeddings", help="train entity vectors from counts")
@@ -215,27 +191,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_prior)
 
     p = sub.add_parser("select-candidates", help="emit candidate sets for a corpus")
-    _add_vector_flags(p)
     _add_candidate_flags(p)
     p.add_argument("--corpus", help="corpus file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_select_candidates)
 
     p = sub.add_parser("train-local", help="train the local attention model")
-    _add_vector_flags(p)
-    _add_candidate_flags(p)
-    _add_train_flags(p, local=True)
+    _add_train_flags(p)
     p.set_defaults(func=cmd_train_local)
 
     p = sub.add_parser("train-global", help="train the joint message-passing model")
-    _add_vector_flags(p)
-    _add_candidate_flags(p)
-    _add_train_flags(p, local=False)
+    _add_train_flags(p)
     p.set_defaults(func=cmd_train_global)
 
     p = sub.add_parser("predict", help="annotate a corpus with a trained model")
-    _add_vector_flags(p)
-    _add_candidate_flags(p, context_size=False)  # K is the model's
+    _add_candidate_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", help="corpus file")
     p.add_argument("--out", required=True, help="predictions output file")
@@ -261,15 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
-    p.add_argument("--config", help="experiment config file")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    _add_config_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--no-plot", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("run-experiment", help="run the full pipeline from a config")
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    _add_config_flags(p)
     p.add_argument("--out", help="output directory (overrides config)")
     p.set_defaults(func=cmd_run_experiment)
 
@@ -293,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    spec = stage_objects(_config(args), args.dim)["generate"]
+    cfg = _experiment_config(args)
+    spec = stage_objects(cfg, cfg.dim)["generate"]
     data = generate_synthetic(spec)
     paths = write_synthetic(data, args.out)
     # containment of the gold entity in the top-7 prior mass, before any
@@ -312,14 +281,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train_embeddings(args) -> int:
+    cfg = EmbedTrainConfig(
+        alpha=args.alpha, gamma=args.gamma, positives_per_iter=args.positives,
+        negatives_per_positive=args.negatives, learning_rate=args.lr,
+        description_iters=args.iterations, hyperlink_iters=args.link_iterations,
+        seed=args.seed, eval_every=args.eval_every,
+        patience=args.patience)
     store = _load_store(args)
     counts = load_counts_file(_data_path(args, "counts"),
-                              store.word_vocab, store.entity_vocab,
-                              alpha=args.alpha)
+                              store.word_vocab, store.entity_vocab)
     if args.link_counts:
         link = load_counts_file(args.link_counts, store.word_vocab,
-                                store.entity_vocab, alpha=args.alpha,
-                                source="hyperlink")
+                                store.entity_vocab, source="hyperlink")
         counts.hyperlink = link.hyperlink
         counts.word_freq = counts.word_freq + link.word_freq
     store.sync_entities()
@@ -329,12 +302,6 @@ def cmd_train_embeddings(args) -> int:
     queries = None
     if args.queries:
         queries = load_relatedness_queries(args.queries, store.entity_vocab)
-    cfg = EmbedTrainConfig(
-        gamma=args.gamma, positives_per_iter=args.positives,
-        negatives_per_positive=args.negatives, learning_rate=args.lr,
-        description_iters=args.iterations, hyperlink_iters=args.link_iterations,
-        seed=args.seed, eval_every=args.eval_every,
-        patience=args.patience)
     skipped = train_all_entities(counts, cfg, store, validation=queries,
                                  log=lambda m: print(m, file=sys.stderr))
     writer = save_vectors_text if args.out_format == "text" else save_vectors_binary
@@ -389,7 +356,7 @@ def cmd_build_prior(args) -> int:
 
 
 def cmd_select_candidates(args) -> int:
-    cfg = _config(args)
+    cfg = _experiment_config(args)
     store = _load_store(args)
     corpus = _candidate_corpora(args, cfg, store,
                                 {"input": _data_path(args, "corpus", "test")})["input"]
@@ -406,7 +373,7 @@ def cmd_select_candidates(args) -> int:
 
 
 def _run_training(args, stage: str) -> int:
-    cfg = _config(args)
+    cfg = _experiment_config(args)
     store = _load_store(args)
     corpora = _candidate_corpora(args, cfg, store, {
         "train": _data_path(args, "train"),
@@ -429,6 +396,7 @@ def cmd_train_global(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    cfg = _experiment_config(args)
     params = load_model(args.model)
     is_global = isinstance(params, GlobalParams)
     local = params.local if is_global else params
@@ -437,7 +405,7 @@ def cmd_predict(args) -> int:
         raise ValidationError(f"{args.model}: model dimension {local.dim} does not match "
                               f"the word vectors' {store.dim}")
     # context windows of the model's own K
-    corpus = _candidate_corpora(args, _config(args, k=local.k), store,
+    corpus = _candidate_corpora(args, replace(cfg, k=local.k), store,
                                 {"input": _data_path(args, "corpus", "test")})["input"]
     predict = predict_global if is_global else predict_local
     write_rows(args.out, ["doc", "mention", "entity"],
@@ -494,7 +462,8 @@ def cmd_breakdown(args) -> int:
     _, preds, golds, rows = _aligned_eval_inputs(args, preds_by_key)
     entities = Vocab()
     prior = load_prior(_data_path(args, "prior"), entities)
-    freq = dict(read_counts(args.freq)) if args.freq else {}
+    freq = (dict(read_counts(_data_path(args, "freq", "entity_freq")))
+            if args.freq or _data_dir(args) else {})
     gold_priors, gold_freqs, in_cands = [], [], []
     for (_, _, mention) in rows:
         p = prior.prior(mention.surface, entities.id(mention.gold)) \
@@ -514,7 +483,8 @@ def cmd_breakdown(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    base = args.data_dir or os.environ.get(DATA_ENV)
+    """The config `--config` and then `--set` give, over the defaults."""
+    base = _data_dir(args)
     values = {"data_dir": base} if base else {}  # the config file and --set win
     if args.config:
         values.update(parse_config_file(args.config))
@@ -523,10 +493,7 @@ def _experiment_config(args) -> ExperimentConfig:
             raise ValidationError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         values[key.strip()] = value.strip()
-    cfg = ExperimentConfig.from_dict(values)
-    if getattr(args, "out", None):
-        cfg = replace(cfg, out_dir=args.out)
-    return cfg
+    return ExperimentConfig.from_dict(values)
 
 
 def cmd_sweep(args) -> int:
@@ -542,6 +509,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_run_experiment(args) -> int:
     cfg = _experiment_config(args)
+    if args.out:
+        cfg = replace(cfg, out_dir=args.out)
     metrics = run_experiment(cfg)
     for section in sorted(k for k in metrics if not k.startswith("_")):
         parts = " ".join(f"{m}={v:.4f}" for m, v in sorted(metrics[section].items()))

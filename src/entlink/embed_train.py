@@ -92,19 +92,16 @@ def _walker(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class CooccurrenceCounts:
     """Word-entity counts split by source, plus the global word frequencies.
 
-    `description[e]` and `hyperlink[e]` map word id -> count.  The smoothed
-    unigram q(w) proportional to p(w)**alpha drives negative sampling.
+    `description[e]` and `hyperlink[e]` map word id -> count; the word
+    frequencies p(w) give the negative law (`negative_sampler`).
     """
 
     n_words: int
-    alpha: float = 0.6
     description: dict[int, Counter] = field(default_factory=dict)
     hyperlink: dict[int, Counter] = field(default_factory=dict)
     word_freq: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"smoothing exponent must be in (0,1), got {self.alpha}")
         if self.word_freq is None:
             self.word_freq = np.zeros(self.n_words, dtype=np.float64)
 
@@ -140,17 +137,19 @@ class CooccurrenceCounts:
             weights.append(np.array([counts[w] for w in ids], dtype=np.float64))
         return np.concatenate(words), AliasSampler(*weights)
 
-    def negative_sampler(self) -> tuple[np.ndarray, AliasSampler]:
-        """Word ids and an alias table over q(w) = p(w)**alpha, full vocabulary."""
+    def negative_sampler(self, alpha: float) -> tuple[np.ndarray, AliasSampler]:
+        """Word ids and an alias table over the smoothed unigram
+        q(w) proportional to p(w)**alpha, full vocabulary."""
         support = np.nonzero(self.word_freq > 0)[0]
         if support.size == 0:
             raise ValidationError("no word frequencies: cannot build negative sampler")
-        weights = self.word_freq[support] ** self.alpha
+        weights = self.word_freq[support] ** alpha
         return support, AliasSampler(weights)
 
 
 @dataclass
 class EmbedTrainConfig:
+    alpha: float = 0.6         # smoothing exponent of the negative law
     gamma: float = 0.1
     positives_per_iter: int = 20
     negatives_per_positive: int = 5
@@ -162,6 +161,8 @@ class EmbedTrainConfig:
     patience: int = 3          # non-improving validations before stopping
 
     def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ValidationError(f"smoothing exponent must be in (0,1), got {self.alpha}")
         for name in ("gamma", "positives_per_iter", "negatives_per_positive",
                      "learning_rate", "eval_every", "patience"):
             if getattr(self, name) <= 0:
@@ -196,7 +197,7 @@ class _Phase:
                  store: EmbeddingStore, entities: list[int], source: str, seed: int):
         self.cfg, self.store, self.entities, self.seed = cfg, store, entities, seed
         self.pos_words, self.pos = counts.positive_sampler(entities, source)
-        self.neg_words, self.neg = counts.negative_sampler()
+        self.neg_words, self.neg = counts.negative_sampler(cfg.alpha)
         self.accum = np.zeros((len(entities), store.dim))
         self.width = cfg.positives_per_iter * (1 + cfg.negatives_per_positive)
         self.done = 0
@@ -427,10 +428,10 @@ def eval_relatedness(queries: list[RelatednessQuery],
 
 
 def load_counts_file(path: str, vocab: Vocab, entities: Vocab,
-                     alpha: float = 0.6,
                      source: str = "description") -> CooccurrenceCounts:
-    """Read ``entity \\t word \\t count`` rows; unknown words extend the vocab."""
-    counts = CooccurrenceCounts(n_words=len(vocab), alpha=alpha)
+    """Read ``entity \\t word \\t count`` rows into the `source` table; rows
+    of words outside `vocab` are skipped, unknown entities join `entities`."""
+    counts = CooccurrenceCounts(n_words=len(vocab))
     rows = []
     for where, (ent, word, raw) in read_rows(path, "entity<TAB>word<TAB>count"):
         c = parse_field(int, raw, f"{where}: bad count")

@@ -58,10 +58,10 @@ from .vocab import open_text, read_counts, write_rows
 
 @dataclass
 class ExperimentConfig:
-    """Every pipeline knob.  The CLI's stage commands build one from their
-    flags, which keep their own defaults: a flag sets the field of its name,
-    `--docs` sets `n_docs`, and `--r`/`--lr`/`--epochs` set `local_*` or
-    `global_*` by command."""
+    """Every pipeline knob.  `run-experiment`, `sweep` and the stage commands
+    (`generate-synthetic`, `select-candidates`, `train-*`, `predict`) build
+    one from `--config` and `--set` over these defaults; `train-embeddings`
+    keeps its own flags."""
 
     seed: int = 0
     out_dir: str = "run"
@@ -179,7 +179,7 @@ def stage_objects(cfg: ExperimentConfig, dim: int) -> dict:
     return {
         "generate": synthetic_spec_from(cfg),
         "embeddings": EmbedTrainConfig(
-            gamma=cfg.embed_gamma, learning_rate=cfg.embed_lr,
+            alpha=cfg.alpha, gamma=cfg.embed_gamma, learning_rate=cfg.embed_lr,
             description_iters=cfg.embed_iters, hyperlink_iters=0, seed=cfg.seed),
         "candidates": candidate_settings(cfg.s, cfg.prior_top, cfg.context_top),
         "train-local": (LocalParams.init(dim, hidden=cfg.hidden, k=cfg.k, r=cfg.local_r),
@@ -208,8 +208,7 @@ def _load_or_generate(cfg: ExperimentConfig) -> PreparedData:
     if cfg.data_dir:
         path = {key: str(Path(cfg.data_dir) / name) for key, name in DATA_FILES.items()}
         store = load_word_vectors(path["word_vectors"])
-        counts = load_counts_file(path["counts"], store.word_vocab,
-                                  store.entity_vocab, alpha=cfg.alpha)
+        counts = load_counts_file(path["counts"], store.word_vocab, store.entity_vocab)
         prior = load_prior(path["prior"], store.entity_vocab)
         store.sync_entities()
         corpora = {split: load_corpus(path[split], split=split)

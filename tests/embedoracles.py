@@ -24,7 +24,7 @@ def empirical_objective(entity, z, counts, cfg, word_mat, n_pairs=2000, seed=123
     """Average hinge over a fixed held-out sample of (positive, negative) pairs."""
     rng = np.random.default_rng([seed, entity])
     words, pos_alias = counts.positive_sampler([entity], source)
-    neg_words, neg_alias = counts.negative_sampler()
+    neg_words, neg_alias = counts.negative_sampler(cfg.alpha)
     pos = words[pos_alias.lookup(rng.random(n_pairs))]
     neg = neg_words[neg_alias.lookup(rng.random(n_pairs))]
     margins = (word_mat[pos] - word_mat[neg]) @ z
@@ -48,7 +48,7 @@ def restricted(counts, entities) -> CooccurrenceCounts:
     def keep(table):
         return {e: table[e] for e in entities if e in table}
 
-    return CooccurrenceCounts(n_words=counts.n_words, alpha=counts.alpha,
+    return CooccurrenceCounts(n_words=counts.n_words,
                               description=keep(counts.description),
                               hyperlink=keep(counts.hyperlink),
                               word_freq=counts.word_freq)

@@ -293,6 +293,38 @@ def test_grad_check_quadratic():
     assert report.ok(1e-6)
 
 
+def test_grad_check_flags_a_wrong_gradient():
+    # sum(x**2) + sum(y**2) with y's adjoint doubled at one coordinate: the
+    # report names y and that coordinate, and x stays exact
+    wrong = (1, 2)
+
+    def f(params, need_grad):
+        x, y = params["x"], params["y"]
+        grad_y = 2.0 * y
+        grad_y[wrong] *= 2.0
+        return float((x * x).sum() + (y * y).sum()), {"x": 2.0 * x, "y": grad_y}
+
+    rng = np.random.default_rng(5)
+    report = ad.grad_check(f, {"x": rng.normal(size=4), "y": rng.normal(size=(2, 3))})
+    assert not report.ok(1e-4)
+    assert report.max_rel_err["x"] < 1e-6
+    assert report.max_rel_err["y"] == pytest.approx(0.5, abs=1e-6)
+    assert report.worst_coord["y"] == wrong
+    assert report.checked == 10 and not report.skipped
+
+
+@pytest.mark.parametrize("slope, flagged", [(1e-9, False), (1e-6, True)])
+def test_grad_check_noise_floor(slope, flagged):
+    # a doubled adjoint is flagged above the 1e-7 resolution floor and
+    # passes below it, where both derivatives count as zero
+    def f(params, need_grad):
+        x = params["x"]
+        return float(slope * x.sum()), {"x": np.full(x.shape, 2.0 * slope)}
+
+    report = ad.grad_check(f, {"x": np.array([0.3, -1.2])})
+    assert report.max_rel_err["x"] == (pytest.approx(0.5, abs=1e-6) if flagged else 0.0)
+
+
 def test_grad_check_skips_kinks():
     # |x| has a kink at 0; the checker must skip, not fail
     def f(params, need_grad):

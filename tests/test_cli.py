@@ -1,10 +1,12 @@
 """CLI: subcommand round trips, exit codes, file plumbing."""
 
+import argparse
 import json
 import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from entlink.attention import LocalParams, predict_local
 from entlink.cli import main
 from entlink.crf import GlobalParams
 from entlink.docs import build_context_windows, load_corpus, resolve_gold
+from entlink.experiment import ExperimentConfig, fit, select_all_candidates
 from entlink.model_io import load_model, save_model
 from entlink.priors import load_prior, select_candidates
 from entlink.vectors import load_entity_vectors, load_word_vectors
@@ -25,9 +28,9 @@ def bench(tmp_path_factory):
     """A small generated benchmark plus trained entity vectors."""
     tmp = tmp_path_factory.mktemp("cli")
     data = tmp / "data"
-    assert main(["generate-synthetic", "--out", str(data), "--kb-size", "40",
-                 "--vocab-size", "600", "--docs", "40", "--mentions-per-doc",
-                 "4", "--dim", "12", "--seed", "5"]) == 0
+    assert main(["generate-synthetic", "--out", str(data), "--set", "kb_size=40",
+                 "--set", "vocab_size=600", "--set", "n_docs=40", "--set",
+                 "mentions_per_doc=4", "--set", "dim=12", "--set", "seed=5"]) == 0
     entities = tmp / "entities.txt"
     assert main(["train-embeddings", "--word-vectors",
                  str(data / "word_vectors.txt"), "--counts",
@@ -81,9 +84,9 @@ def model(bench):
     tmp, data, entities = bench
     path = tmp / "local.model"
     assert main(["--data-dir", str(data), "train-local", "--entities",
-                 str(entities), "--out", str(path), "--k", "30", "--r",
-                 "8", "--lr", "0.05", "--epochs", "8", "--patience",
-                 "10"]) == 0
+                 str(entities), "--out", str(path), "--set", "k=30", "--set",
+                 "local_r=8", "--set", "local_lr=0.05", "--set", "local_epochs=8",
+                 "--set", "patience=10"]) == 0
     return path
 
 
@@ -109,9 +112,35 @@ class TestTrainPredictEvaluate:
         out = capsys.readouterr().out
         assert "prior\t" in out
 
+    def test_breakdown_reads_the_data_directory_frequencies(self, bench, model, capsys,
+                                                           tmp_path, monkeypatch):
+        # without --freq the data directory's entity_freq.tsv gives the
+        # frequency axis; with neither, every mention counts as frequency 0
+        tmp, data, entities = bench
+        monkeypatch.delenv("ENTLINK_DATA_DIR", raising=False)
+        preds = tmp_path / "preds.tsv"
+        assert main(["--data-dir", str(data), "predict", "--model", str(model),
+                     "--entities", str(entities), "--out", str(preds)]) == 0
+        breakdown = ["breakdown", "--predictions", str(preds)]
+        explicit = ["--corpus", str(data / "corpus_test.jsonl"),
+                    "--prior", str(data / "prior.tsv")]
+
+        def frequency_counts(argv):
+            capsys.readouterr()
+            assert main(argv) == 0
+            rows = (line.split("\t") for line in capsys.readouterr().out.splitlines())
+            return {bucket: int(count) for axis, bucket, count, _ in rows
+                    if axis == "frequency"}
+
+        with_freq = frequency_counts(["--data-dir", str(data), *breakdown, "--freq",
+                                      str(data / "entity_freq.tsv")])
+        assert frequency_counts(["--data-dir", str(data), *breakdown]) == with_freq
+        assert with_freq["0"] < sum(with_freq.values())
+        without = frequency_counts([*breakdown, *explicit])
+        assert without["0"] == sum(without.values()) == sum(with_freq.values())
 
     def test_predict_takes_k_from_the_model(self, bench, model, tmp_path):
-        # the model was trained with --k 30, so predict's output is the local
+        # the model was trained with k=30, so predict's output is the local
         # model's predictions over 30-word context windows
         _, data, entities = bench
         preds = tmp_path / "preds.tsv"
@@ -140,6 +169,98 @@ class TestTrainPredictEvaluate:
 
         assert preds.read_text().splitlines() == predictions(30)
         assert predictions(30) != predictions(100)
+
+
+STAGE_COMMANDS = {
+    "generate-synthetic": [],
+    "select-candidates": [],
+    "train-local": [],
+    "train-global": [],
+    "predict": ["--model", "unused.model"],
+}
+
+
+class TestStageConfig:
+    """The stage commands read the experiment config and nothing else."""
+
+    def test_no_stage_flag_sets_a_config_field(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        config_fields = {f.name for f in fields(ExperimentConfig)}
+        for name in STAGE_COMMANDS:
+            dests = {a.dest for a in commands[name]._actions}
+            assert {"config", "set"} <= dests, name
+            assert not dests & config_fields, (name, dests & config_fields)
+
+    @pytest.mark.parametrize("command", list(STAGE_COMMANDS))
+    def test_bad_setting_exits_1(self, command, tmp_path, capsys):
+        # checked before any file is read, so no input is needed
+        argv = [command, *STAGE_COMMANDS[command], "--out", str(tmp_path / "out")]
+        for setting, message in (("nope=1", "unknown config key 'nope'"),
+                                 ("k=many", "bad value for 'k': 'many'")):
+            assert main([*argv, "--set", setting]) == 1, setting
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_default_training_is_the_experiment_fit(self, bench, tmp_path):
+        # with no --set, train-local and train-global write the models that
+        # experiment.fit trains from ExperimentConfig() on the same inputs
+        _, data, entities = bench
+        for split, n_docs in (("train", 4), ("validation", 2)):
+            lines = (data / f"corpus_{split}.jsonl").read_text().splitlines()[:n_docs]
+            (tmp_path / f"{split}.jsonl").write_text("\n".join(lines) + "\n")
+        cfg = ExperimentConfig()
+        for stage in ("train-local", "train-global"):
+            out = tmp_path / f"{stage}.model"
+            assert main(["--data-dir", str(data), stage, "--entities", str(entities),
+                         "--train", str(tmp_path / "train.jsonl"),
+                         "--val", str(tmp_path / "validation.jsonl"),
+                         "--out", str(out)]) == 0
+            store = load_word_vectors(str(data / "word_vectors.txt"))
+            load_entity_vectors(str(entities), store)
+            prior = load_prior(str(data / "prior.tsv"), store.entity_vocab)
+            store.sync_entities()
+            corpora = {split: load_corpus(str(tmp_path / f"{split}.jsonl"), split=split)
+                       for split in ("train", "validation")}
+            select_all_candidates(cfg, corpora.values(), store, prior)
+            params, history = fit(cfg, stage, store, corpora)
+            expected = tmp_path / f"{stage}.expected"
+            save_model(str(expected), params, extra={"gamma": cfg.gamma, "seed": cfg.seed,
+                                                     "epochs_run": history.epochs_run})
+            assert out.read_bytes() == expected.read_bytes(), stage
+
+    def test_config_file_and_set_lines_agree(self, bench, tmp_path):
+        # a key set in the file or by --set gives the same bytes, and --set
+        # wins over the file
+        _, data, entities = bench
+        settings = {"kb_size": "32", "vocab_size": "300", "n_docs": "12",
+                    "mentions_per_doc": "3", "dim": "8", "seed": "4"}
+        config, other = tmp_path / "exp.ini", tmp_path / "other.ini"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        other.write_text(config.read_text().replace("seed = 4", "seed = 9"))
+        set_lines = [arg for k, v in settings.items() for arg in ("--set", f"{k}={v}")]
+        for name, argv in (("file", ["--config", str(config)]),
+                           ("set", set_lines),
+                           ("both", ["--config", str(other), "--set", "seed=4"])):
+            assert main(["generate-synthetic", "--out", str(tmp_path / name), *argv]) == 0
+        files = sorted(p.name for p in (tmp_path / "file").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "set").iterdir())
+        for name in files:
+            assert ((tmp_path / "file" / name).read_bytes()
+                    == (tmp_path / "set" / name).read_bytes()
+                    == (tmp_path / "both" / name).read_bytes()), name
+        train = {"k": "30", "local_epochs": "2", "local_r": "6", "eval_every": "1"}
+        config.write_text("".join(f"{k} = {v}\n" for k, v in train.items()))
+        models = []
+        for name, argv in (("file", ["--config", str(config)]),
+                           ("set", [arg for k, v in train.items()
+                                    for arg in ("--set", f"{k}={v}")])):
+            models.append(tmp_path / f"{name}.model")
+            assert main(["--data-dir", str(data), "train-local", "--entities",
+                         str(entities), "--out", str(models[-1]), *argv]) == 0
+        assert models[0].read_bytes() == models[1].read_bytes()
+        assert load_model(str(models[0])).k == 30
 
 
 class TestBuildPrior:
@@ -173,12 +294,12 @@ class TestBinaryEntityVectors:
                      "--out-format", "binary", "--iterations", "60",
                      "--link-iterations", "0"]) == 0
         assert entities.read_bytes()[:4] == b"EVEC"
-        common = ["--entities", str(entities), "--k", "30", "--epochs", "3",
-                  "--eval-every", "1"]
+        common = ["--entities", str(entities), "--set", "k=30", "--set", "local_epochs=3",
+                  "--set", "global_epochs=3", "--set", "eval_every=1"]
         for argv in (["select-candidates", "--entities", str(entities),
                       "--out", str(tmp_path / "cands.tsv")],
                      ["train-local", *common, "--out", str(local)],
-                     ["train-global", *common, "--t", "3", "--out", str(joint)],
+                     ["train-global", *common, "--set", "t=3", "--out", str(joint)],
                      ["predict", "--model", str(joint), "--entities", str(entities),
                       "--out", str(preds)],
                      ["evaluate", "--predictions", str(preds)]):
@@ -199,20 +320,20 @@ class TestSelectCandidates:
         assert main(["--data-dir", str(data), "select-candidates",
                      "--entities", str(entities), "--corpus",
                      str(data / "corpus_test.jsonl"), "--out", str(out),
-                     "--k", "30"]) == 0
+                     "--set", "k=30"]) == 0
         header, *rows = out.read_text().splitlines()
         assert header == "doc\tmention\tentity\tprior\treason"
         assert rows
         reasons = {r.split("\t")[4] for r in rows}
         assert reasons <= {"prior-top", "context-top"}
 
-    @pytest.mark.parametrize("flag", ["--prior-top", "--context-top"])
-    def test_negative_share_exit_1(self, bench, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("key", ["prior_top", "context_top"])
+    def test_negative_share_exit_1(self, bench, tmp_path, capsys, key):
         tmp, data, entities = bench
         assert main(["--data-dir", str(data), "select-candidates",
                      "--entities", str(entities), "--corpus",
                      str(data / "corpus_test.jsonl"), "--out",
-                     str(tmp_path / "cands.tsv"), flag, "-1"]) == 1
+                     str(tmp_path / "cands.tsv"), "--set", f"{key}=-1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be non-negative" in err
 

@@ -60,8 +60,8 @@ class TestHinge:
         assert hinge_embed(z, pos, neg, 0.1) == pytest.approx(0.3)
 
 
-def cluster_counts(store, entity_words, alpha=0.6):
-    counts = CooccurrenceCounts(n_words=store.n_words, alpha=alpha)
+def cluster_counts(store, entity_words):
+    counts = CooccurrenceCounts(n_words=store.n_words)
     # broad background frequency: negatives must cover the whole vocabulary
     # rather than concentrating on each entity's own positives
     counts.word_freq += 20.0
@@ -159,10 +159,10 @@ class TestNegativeSampling:
 
     def test_negative_distribution_is_smoothed_unigram(self):
         # q(w) proportional to p(w)**0.6, checked over 1e5 draws
-        counts = CooccurrenceCounts(n_words=6, alpha=0.6)
+        counts = CooccurrenceCounts(n_words=6)
         freqs = np.array([100.0, 50.0, 20.0, 10.0, 5.0, 1.0])
         counts.word_freq += freqs
-        words, sampler = counts.negative_sampler()
+        words, sampler = counts.negative_sampler(0.6)
         rng = np.random.default_rng(7)
         draws = words[sampler.lookup(rng.random(100_000))]
         observed = np.bincount(draws, minlength=6)

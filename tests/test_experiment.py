@@ -265,6 +265,22 @@ class TestConfig:
         np.testing.assert_allclose(binary.word_matrix(), text.word_matrix(), atol=1e-6)
         assert binary.entity_vocab.tokens() == text.entity_vocab.tokens()
 
+    def test_alpha_reaches_the_synthetic_embeddings(self, tmp_path):
+        # the negative law's smoothing exponent is the config's on the
+        # generated path too, and an exponent outside (0, 1) is refused
+        def entity_matrix(alpha):
+            cfg = fast_config(tmp_path, "run", kb_size=40, vocab_size=400, n_docs=20,
+                              embed_iters=50, alpha=alpha)
+            prepared = pipeline._load_or_generate(cfg)
+            pipeline._train_embeddings(cfg, prepared)
+            return prepared.store.entity_matrix()
+
+        low, mid, high = (entity_matrix(a) for a in (0.3, 0.6, 0.9))
+        assert not np.array_equal(low, mid)
+        assert not np.array_equal(mid, high)
+        with pytest.raises(ValidationError, match="smoothing exponent"):
+            ExperimentConfig(alpha=1.0)
+
     def test_overlapping_split_ids_rejected(self, tmp_path):
         from entlink.experiment import _check_disjoint_splits
         from entlink.docs import Corpus, Document

@@ -3,12 +3,17 @@ entlink by name.  This loads its modules by path, without running them,
 and checks that every name the tracer patches still exists, so a rename
 in entlink shows here and not first in a benchmark run."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from entlink.experiment import ExperimentConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -38,3 +43,83 @@ def test_traced_targets_exist(perfbench):
     for module, cls, name, _ in tracing.TRACED_METHODS:
         owner = getattr(importlib.import_module(f"entlink.{module}"), cls)
         assert name in owner.__dict__, f"entlink.{module}.{cls}.{name}"
+
+
+def _entlink_bindings(tree) -> dict:
+    """The objects that `from entlink[.module] import name [as alias]` binds."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "entlink":
+            owner = importlib.import_module(node.module)
+            for alias in node.names:
+                obj = getattr(owner, alias.name, None)
+                if obj is None:  # a submodule: `from entlink import attention`
+                    obj = importlib.import_module(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = obj
+    return bound
+
+
+def _resolve(node, bound):
+    """The entlink object an expression `a.b.c` names, its dotted text, or None
+    when its root is not an entlink binding; a missing attribute fails."""
+    if isinstance(node, ast.Name):
+        return (bound[node.id], node.id) if node.id in bound else None
+    if isinstance(node, ast.Attribute):
+        base = _resolve(node.value, bound)
+        if base is not None:
+            obj, text = base
+            text = f"{text}.{node.attr}"
+            assert hasattr(obj, node.attr), f"{text} does not exist"
+            return getattr(obj, node.attr), text
+    return None
+
+
+def _is_cfg(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "cfg") or \
+        (isinstance(node, ast.Attribute) and node.attr == "cfg")
+
+
+@pytest.mark.parametrize("module", ["paperdata", "probes", "workloads"])
+def test_called_entlink_names_and_keywords_exist(module):
+    # every entlink attribute the harness reaches through an imported name,
+    # and every keyword it passes to an entlink callable, still exist
+    tree = ast.parse((PERFBENCH / f"{module}.py").read_text(encoding="utf-8"))
+    bound = _entlink_bindings(tree)
+    assert bound
+    calls = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            _resolve(node, bound)
+        if not isinstance(node, ast.Call):
+            continue
+        target = _resolve(node.func, bound)
+        if target is None:
+            continue
+        calls += 1
+        params = inspect.signature(target[0]).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        for kw in node.keywords:
+            assert kw.arg is None or kw.arg in params, f"{target[1]}({kw.arg}=...)"
+    assert calls
+
+
+@pytest.mark.parametrize("module", ["probes", "workloads"])
+def test_experiment_config_fields_used_exist(module):
+    # the keywords given to ExperimentConfig(...) and replace(cfg, ...), and
+    # the fields read as cfg.<name>, are ExperimentConfig fields
+    names = {f.name for f in fields(ExperimentConfig)}
+    tree = ast.parse((PERFBENCH / f"{module}.py").read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "ExperimentConfig") or \
+                    (isinstance(func, ast.Name) and func.id == "replace"
+                     and node.args and _is_cfg(node.args[0])):
+                used |= {kw.arg for kw in node.keywords}
+        elif isinstance(node, ast.Attribute) and _is_cfg(node.value):
+            used.add(node.attr)
+    assert used
+    assert used <= names, sorted(used - names)
