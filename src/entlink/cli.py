@@ -4,10 +4,10 @@ Subcommands cover the whole pipeline: synthetic data generation, entity
 vector training and evaluation, prior construction, candidate selection,
 model training, prediction, scoring, breakdowns, hyperparameter sweeps and
 embedding inspection.  Exit codes: 0 success, 1 validation failure, 2 I/O
-error.  ENTLINK_DATA_DIR provides the default data directory for commands
-that read a generated benchmark.  Every command that builds from
-`ExperimentConfig` reads it from `--config` and `--set` alone; its other
-flags name files.
+error.  A command that builds from `ExperimentConfig` reads it from
+`--config` and `--set` alone, its other flags name files (or the hyperlink
+phase of `train-embeddings`), and an input no flag names comes from its
+`data_dir`; other commands read `--data-dir`, else ENTLINK_DATA_DIR.
 """
 
 from __future__ import annotations
@@ -82,36 +82,37 @@ def _data_dir(args) -> str | None:
     return args.data_dir or os.environ.get(DATA_ENV)
 
 
-def _data_path(args, flag: str, key: str | None = None) -> str:
-    """The path flag `flag` gives, else the data directory's `key` file
-    (`DATA_FILES`; `key` defaults to `flag`)."""
+def _data_path(args, flag: str, key: str | None = None, base: str | None = None) -> str:
+    """The path flag `flag` gives, else the data directory `base`'s `key` file
+    (`DATA_FILES`; `key` defaults to `flag`, `base` to `_data_dir`)."""
     if getattr(args, flag):
         return getattr(args, flag)
-    base = _data_dir(args)
+    base = _data_dir(args) if base is None else base
     if not base:
         raise ValidationError(
             f"missing --{flag.replace('_', '-')} and no data directory "
-            f"(--data-dir or ${DATA_ENV})")
+            f"(a config's data_dir, --data-dir or ${DATA_ENV})")
     return str(Path(base) / DATA_FILES[key or flag])
 
 
-def _load_store(args) -> EmbeddingStore:
+def _load_store(args, base: str | None = None) -> EmbeddingStore:
     stop = load_stop_words(args.stopwords) if args.stopwords else None
-    store = load_word_vectors(_data_path(args, "word_vectors"), stop_words=stop)
+    store = load_word_vectors(_data_path(args, "word_vectors", base=base), stop_words=stop)
     if getattr(args, "entities", None):
         load_entity_vectors(args.entities, store)
     return store
 
 
 def _candidate_corpora(args, cfg: ExperimentConfig, store,
-                       paths: dict[str, str]) -> dict[str, Corpus]:
-    """The corpus at each split's path, through the experiment's candidate stage."""
-    prior = load_prior(_data_path(args, "prior"), store.entity_vocab)
+                       files: dict[str, tuple[str, str]]) -> dict[str, Corpus]:
+    """The corpus of each split, whose path `_data_path` resolves from the
+    split's (flag, key), through the experiment's candidate stage."""
+    prior = load_prior(_data_path(args, "prior", base=cfg.data_dir), store.entity_vocab)
     is_person = (load_person_predicate(args.persons, store.entity_vocab)
                  if args.persons else None)
     store.sync_entities()
-    corpora = {split: load_corpus(path, fmt=args.corpus_format, split=split)
-               for split, path in paths.items()}
+    corpora = {split: load_corpus(_data_path(args, flag, key, cfg.data_dir), split=split)
+               for split, (flag, key) in files.items()}
     select_all_candidates(cfg, corpora.values(), store, prior, is_person)
     return corpora
 
@@ -134,8 +135,6 @@ def _add_candidate_flags(p):
     _add_config_flags(p)
     p.add_argument("--prior", help="prior index file")
     p.add_argument("--persons", help="entity<TAB>is_person file for coref merging")
-    p.add_argument("--corpus-format", choices=("json-lines", "column-text"),
-                   default="json-lines")
 
 
 def _add_train_flags(p):
@@ -159,21 +158,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-embeddings", help="train entity vectors from counts")
     _add_vector_flags(p, entities=False)  # it writes entity vectors, reads none
+    _add_config_flags(p)
     p.add_argument("--counts", help="entity<TAB>word<TAB>count file")
     p.add_argument("--link-counts", help="hyperlink-window counts file")
     p.add_argument("--queries", help="relatedness queries for early stopping")
     p.add_argument("--out", required=True, help="entity vector output file")
     p.add_argument("--out-format", choices=("text", "binary"), default="text")
-    p.add_argument("--alpha", type=float, default=0.6)
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--lr", type=float, default=0.3)
-    p.add_argument("--iterations", type=int, default=400)
-    p.add_argument("--link-iterations", type=int, default=200)
-    p.add_argument("--positives", type=int, default=20)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--eval-every", type=int, default=50)
-    p.add_argument("--patience", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    # the hyperlink phase, which only --link-counts runs and no config key sets
+    p.add_argument("--link-iterations", type=int, default=EmbedTrainConfig.hyperlink_iters)
+    p.add_argument("--eval-every", type=int, default=EmbedTrainConfig.eval_every,
+                   dest="link_eval_every")
+    p.add_argument("--patience", type=int, default=EmbedTrainConfig.patience,
+                   dest="link_patience")
     p.set_defaults(func=cmd_train_embeddings)
 
     p = sub.add_parser("eval-relatedness", help="NDCG/MAP of entity vectors")
@@ -214,15 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score predictions against gold")
     p.add_argument("--predictions", required=True)
     p.add_argument("--corpus", help="corpus file")
-    p.add_argument("--corpus-format", choices=("json-lines", "column-text"),
-                   default="json-lines")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("breakdown", help="accuracy by gold frequency and prior")
     p.add_argument("--predictions", required=True)
     p.add_argument("--corpus", help="corpus file")
-    p.add_argument("--corpus-format", choices=("json-lines", "column-text"),
-                   default="json-lines")
     p.add_argument("--prior", help="prior index file")
     p.add_argument("--freq", help="entity<TAB>count frequency table")
     p.set_defaults(func=cmd_breakdown)
@@ -233,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
     _add_config_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--no-plot", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("run-experiment", help="run the full pipeline from a config")
@@ -281,14 +272,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train_embeddings(args) -> int:
-    cfg = EmbedTrainConfig(
-        alpha=args.alpha, gamma=args.gamma, positives_per_iter=args.positives,
-        negatives_per_positive=args.negatives, learning_rate=args.lr,
-        description_iters=args.iterations, hyperlink_iters=args.link_iterations,
-        seed=args.seed, eval_every=args.eval_every,
-        patience=args.patience)
-    store = _load_store(args)
-    counts = load_counts_file(_data_path(args, "counts"),
+    cfg = _experiment_config(args)
+    store = _load_store(args, cfg.data_dir)
+    embed = replace(stage_objects(cfg, store.dim)["embeddings"],
+                    hyperlink_iters=args.link_iterations,
+                    eval_every=args.link_eval_every, patience=args.link_patience)
+    counts = load_counts_file(_data_path(args, "counts", base=cfg.data_dir),
                               store.word_vocab, store.entity_vocab)
     if args.link_counts:
         link = load_counts_file(args.link_counts, store.word_vocab,
@@ -302,7 +291,7 @@ def cmd_train_embeddings(args) -> int:
     queries = None
     if args.queries:
         queries = load_relatedness_queries(args.queries, store.entity_vocab)
-    skipped = train_all_entities(counts, cfg, store, validation=queries,
+    skipped = train_all_entities(counts, embed, store, validation=queries,
                                  log=lambda m: print(m, file=sys.stderr))
     writer = save_vectors_text if args.out_format == "text" else save_vectors_binary
     writer(args.out, names, store.entity_matrix())
@@ -357,9 +346,8 @@ def cmd_build_prior(args) -> int:
 
 def cmd_select_candidates(args) -> int:
     cfg = _experiment_config(args)
-    store = _load_store(args)
-    corpus = _candidate_corpora(args, cfg, store,
-                                {"input": _data_path(args, "corpus", "test")})["input"]
+    store = _load_store(args, cfg.data_dir)
+    corpus = _candidate_corpora(args, cfg, store, {"input": ("corpus", "test")})["input"]
     write_rows(args.out, ["doc", "mention", "entity", "prior", "reason"],
                ((doc.doc_id, idx, store.entity_vocab.token(cand.entity),
                  f"{cand.prior:.6f}", cand.reason)
@@ -374,10 +362,9 @@ def cmd_select_candidates(args) -> int:
 
 def _run_training(args, stage: str) -> int:
     cfg = _experiment_config(args)
-    store = _load_store(args)
-    corpora = _candidate_corpora(args, cfg, store, {
-        "train": _data_path(args, "train"),
-        "validation": _data_path(args, "val", "validation")})
+    store = _load_store(args, cfg.data_dir)
+    corpora = _candidate_corpora(args, cfg, store, {"train": ("train", "train"),
+                                                    "validation": ("val", "validation")})
     params, history = fit(cfg, stage, store, corpora)
     save_model(args.out, params, extra={"gamma": cfg.gamma, "seed": cfg.seed,
                                         "epochs_run": history.epochs_run})
@@ -400,13 +387,13 @@ def cmd_predict(args) -> int:
     params = load_model(args.model)
     is_global = isinstance(params, GlobalParams)
     local = params.local if is_global else params
-    store = _load_store(args)
+    store = _load_store(args, cfg.data_dir)
     if local.dim != store.dim:
         raise ValidationError(f"{args.model}: model dimension {local.dim} does not match "
                               f"the word vectors' {store.dim}")
     # context windows of the model's own K
     corpus = _candidate_corpora(args, replace(cfg, k=local.k), store,
-                                {"input": _data_path(args, "corpus", "test")})["input"]
+                                {"input": ("corpus", "test")})["input"]
     predict = predict_global if is_global else predict_local
     write_rows(args.out, ["doc", "mention", "entity"],
                ((doc.doc_id, idx, store.entity_vocab.token(pred) if pred is not None else "")
@@ -426,8 +413,7 @@ def _read_predictions(path: str) -> dict[tuple[str, int], str]:
 
 
 def _aligned_eval_inputs(args, preds_by_key):
-    corpus = load_corpus(_data_path(args, "corpus", "test"),
-                         fmt=args.corpus_format, split="test")
+    corpus = load_corpus(_data_path(args, "corpus", "test"), split="test")
     preds: list[int | None] = []
     golds: list[int | None] = []
     names: list[tuple] = []
@@ -483,7 +469,8 @@ def cmd_breakdown(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    """The config `--config` and then `--set` give, over the defaults."""
+    """The config `--config` and then `--set` give, over the defaults; its
+    `data_dir` is `--data-dir`, else $ENTLINK_DATA_DIR, unless they name one."""
     base = _data_dir(args)
     values = {"data_dir": base} if base else {}  # the config file and --set win
     if args.config:
@@ -501,7 +488,7 @@ def cmd_sweep(args) -> int:
     values = [parse_field(float, v, "--values") for v in args.values.split(",")]
     seeds = [parse_field(int, s, "--seeds") for s in args.seeds.split(",")]
     rows = run_sweep(cfg, args.param.replace("-", "_").lower(), values, seeds)
-    write_sweep_outputs(rows, args.param, args.out, plot=not args.no_plot)
+    write_sweep_outputs(rows, args.param, args.out)
     for row in rows:
         print(f"{args.param}={row['value']:g} mean_accuracy={row['mean']:.4f}")
     return 0

@@ -3,9 +3,11 @@
 The native format is JSON lines: one object per line with fields `id`,
 `tokens` (array of strings) and `mentions` (array of objects with `start`,
 `end`, `surface` and optional `gold`), spans being [start, end) over the
-token list.  A column-text importer covers CoNLL-style data: token lines
-with optional ``<TAB>B<TAB>gold`` / ``<TAB>I`` annotations, documents
-separated by ``-DOCSTART-`` or ``#doc <id>`` lines.
+token list.  A column-text importer covers CoNLL-style data: documents
+opened by ``-DOCSTART-`` or ``#doc <id>`` lines, then token lines with
+optional ``<TAB>B<TAB>gold`` / ``<TAB>I`` / ``<TAB>O`` tags.  A file whose
+first nonblank line opens a document is column text, any other JSON lines:
+a damaged first line then fails to parse instead of reading as the other.
 """
 
 from __future__ import annotations
@@ -66,13 +68,13 @@ class Corpus:
         return sum(len(d.mentions) for d in self.documents)
 
 
-def load_corpus(path: str, fmt: str = "json-lines", split: str = "train") -> Corpus:
-    if fmt == "json-lines":
-        docs = _load_jsonl(path)
-    elif fmt == "column-text":
-        docs = _load_columns(path)
-    else:
-        raise ValidationError(f"unknown corpus format {fmt!r}")
+_DOC_LINES = ("-DOCSTART-", "#doc")
+
+
+def load_corpus(path: str, split: str = "train") -> Corpus:
+    with open_text(path) as fh:
+        first = next((line for line in fh if line.strip()), "")
+    docs = (_load_columns if first.startswith(_DOC_LINES) else _load_jsonl)(path)
     for doc in docs:
         doc.validate()
     return Corpus(documents=docs, split=split)
@@ -109,6 +111,8 @@ def _load_jsonl(path: str) -> list[Document]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{where}: invalid JSON") from exc
+            except RecursionError:
+                raise ValidationError(f"{where}: JSON nested too deeply") from None
             obj = _typed(obj, dict, "the line", where)
             try:
                 mentions = [_json_mention(m, where)
@@ -149,18 +153,19 @@ def _load_columns(path: str) -> list[Document]:
             if not line.strip():
                 close_mention()
                 continue
-            if line.startswith("-DOCSTART-") or line.startswith("#doc"):
+            if line.startswith(_DOC_LINES):
                 close_doc()
                 remainder = line.split(None, 1)
                 doc_id = remainder[1].strip("() ") if len(remainder) > 1 else str(len(docs))
                 continue
-            if doc_id is None:
-                doc_id = str(len(docs))
             parts = line.split("\t")
+            tag = parts[1] if len(parts) > 1 else "O"
+            if len(parts) > 3 or tag not in ("B", "I", "O"):
+                raise ValidationError(
+                    f"{path}:{lineno}: expected token[<TAB>B|I|O[<TAB>gold]]")
             token = parts[0]
             pos = len(tokens)
             tokens.append(token)
-            tag = parts[1] if len(parts) > 1 else "O"
             if tag == "B":
                 close_mention()
                 gold = parts[2] if len(parts) > 2 and parts[2] else None

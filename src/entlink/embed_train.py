@@ -12,9 +12,10 @@ phase first, then the hyperlink phase with early stopping on a relatedness
 validation score.
 
 Training is lockstep: every entity of a phase advances one step per
-iteration, as one `(E, d)` Adagrad-on-sphere update over `(E, P·k, d)`
-gathered sample rows.  Entities run in blocks sized from the fixed byte
-budget `BLOCK_BYTES`, so memory does not grow with the knowledge base.
+iteration, as one `(E, d)` Adagrad-on-sphere update over `(E, P + P·k, d)`
+gathered sample rows (P = `POSITIVES`, k = `NEGATIVES_PER_POSITIVE`).
+Entities run in blocks sized from the fixed byte budget `BLOCK_BYTES`, so
+memory does not grow with the knowledge base.
 Each entity draws only uniforms, from its own stream `entity_rng(seed, e)`
 (`seed + 1` in the hyperlink phase), and turns them into samples through
 flat Walker alias tables.  An entity's vector therefore depends only on
@@ -38,6 +39,10 @@ from .vocab import Vocab, parse_field, read_rows
 BLOCK_BYTES = 1 << 21
 # Iterations whose uniforms an entity draws with one call.
 CHUNK_ITERS = 16
+# Words an entity draws per iteration: POSITIVES from its counts, each with
+# NEGATIVES_PER_POSITIVE from the smoothed unigram law.
+POSITIVES = 20
+NEGATIVES_PER_POSITIVE = 5
 
 
 class AliasSampler:
@@ -149,10 +154,11 @@ class CooccurrenceCounts:
 
 @dataclass
 class EmbedTrainConfig:
+    """Built by `experiment.stage_objects`; only `train-embeddings` sets
+    `hyperlink_iters`, `eval_every` and `patience`, from its flags."""
+
     alpha: float = 0.6         # smoothing exponent of the negative law
     gamma: float = 0.1
-    positives_per_iter: int = 20
-    negatives_per_positive: int = 5
     learning_rate: float = 0.3
     description_iters: int = 400
     hyperlink_iters: int = 200
@@ -163,8 +169,7 @@ class EmbedTrainConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"smoothing exponent must be in (0,1), got {self.alpha}")
-        for name in ("gamma", "positives_per_iter", "negatives_per_positive",
-                     "learning_rate", "eval_every", "patience"):
+        for name in ("gamma", "learning_rate", "eval_every", "patience"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
         if self.description_iters < 0 or self.hyperlink_iters < 0:
@@ -199,7 +204,7 @@ class _Phase:
         self.pos_words, self.pos = counts.positive_sampler(entities, source)
         self.neg_words, self.neg = counts.negative_sampler(cfg.alpha)
         self.accum = np.zeros((len(entities), store.dim))
-        self.width = cfg.positives_per_iter * (1 + cfg.negatives_per_positive)
+        self.width = POSITIVES * (1 + NEGATIVES_PER_POSITIVE)
         self.done = 0
 
     def run(self, iters: int, init: bool = False) -> None:
@@ -235,7 +240,7 @@ class _Phase:
         and steps along the summed difference of the violating pairs.
         """
         cfg = self.cfg
-        p, k = cfg.positives_per_iter, cfg.negatives_per_positive
+        p, k = POSITIVES, NEGATIVES_PER_POSITIVE
         word_mat = self.store.word_matrix()
         n = len(rngs)
         u = np.empty((n, min(iters, CHUNK_ITERS), self.width))
@@ -443,8 +448,6 @@ def load_counts_file(path: str, vocab: Vocab, entities: Vocab,
         widx = vocab.id(word)
         if widx is None:
             continue  # words outside the embedded vocabulary cannot be scored
-        if widx >= counts.n_words:
-            continue
         eidx = entities.add(ent)
         table = counts.description if source == "description" else counts.hyperlink
         counts.add(table, eidx, widx, c)

@@ -1,12 +1,12 @@
 """End-to-end experiment orchestration and reporting.
 
 A single flat key = value config file drives the pipeline: generate a
-corpus or read `data_dir` (laid out as `synthetic.DATA_FILES`, vectors in
-either format), train entity vectors, build the prior, select candidates,
-train the local and global models, evaluate everything and write the
-report artifacts.  With a fixed seed, reruns are byte-identical: every
-random draw comes from a seeded stream, one per entity for the entity
-vectors.  A config is checked when built (`stage_objects`); every model
+corpus or read `data_dir` (laid out as `synthetic.DATA_FILES`, vectors and
+corpora in either format), train entity vectors, build the prior, select
+candidates, train the local and global models, evaluate everything and
+write the report artifacts.  With a fixed seed, reruns are byte-identical:
+every random draw comes from a seeded stream, one per entity for the
+entity vectors.  A config is checked when built (`stage_objects`); every model
 reads documents through `attention.doc_instances`, once per split.  The
 CLI's commands build their objects through the same stages
 (`stage_objects`, `select_all_candidates`, `fit`).
@@ -59,9 +59,10 @@ from .vocab import open_text, read_counts, write_rows
 @dataclass
 class ExperimentConfig:
     """Every pipeline knob.  `run-experiment`, `sweep` and the stage commands
-    (`generate-synthetic`, `select-candidates`, `train-*`, `predict`) build
-    one from `--config` and `--set` over these defaults; `train-embeddings`
-    keeps its own flags."""
+    (`generate-synthetic`, `train-embeddings`, `select-candidates`,
+    `train-*`, `predict`) build one from `--config` and `--set` over these
+    defaults, and read their inputs from its `data_dir` unless a path flag
+    names a file."""
 
     seed: int = 0
     out_dir: str = "run"
@@ -180,7 +181,7 @@ def stage_objects(cfg: ExperimentConfig, dim: int) -> dict:
         "generate": synthetic_spec_from(cfg),
         "embeddings": EmbedTrainConfig(
             alpha=cfg.alpha, gamma=cfg.embed_gamma, learning_rate=cfg.embed_lr,
-            description_iters=cfg.embed_iters, hyperlink_iters=0, seed=cfg.seed),
+            description_iters=cfg.embed_iters, seed=cfg.seed),
         "candidates": candidate_settings(cfg.s, cfg.prior_top, cfg.context_top),
         "train-local": (LocalParams.init(dim, hidden=cfg.hidden, k=cfg.k, r=cfg.local_r),
                         TrainConfig(learning_rate=cfg.local_lr, epochs=cfg.local_epochs,
@@ -482,19 +483,16 @@ def run_sweep(cfg: ExperimentConfig, param: str, values: list[float],
     return rows
 
 
-def write_sweep_outputs(rows: list[dict], param: str, out_dir: str,
-                        plot: bool = True) -> None:
+def write_sweep_outputs(rows: list[dict], param: str, out_dir: str) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_rows(str(out / "sweep.tsv"), [param, "mean_accuracy", "per_seed"],
                ((f"{row['value']:g}", _fmt(row["mean"]),
                  ",".join(_fmt(a) for a in row["accuracies"]))
                 for row in rows))
-    if plot:
-        svg = line_plot_svg([row["value"] for row in rows],
-                            [row["mean"] for row in rows],
-                            x_label=param, y_label="accuracy")
-        (out / "sweep.svg").write_text(svg, encoding="utf-8")
+    svg = line_plot_svg([row["value"] for row in rows], [row["mean"] for row in rows],
+                        x_label=param, y_label="accuracy")
+    (out / "sweep.svg").write_text(svg, encoding="utf-8")
 
 
 def line_plot_svg(xs: list[float], ys: list[float], x_label: str,

@@ -18,6 +18,7 @@ On-disk formats:
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -253,6 +254,11 @@ def _parse_binary_vectors(path: str) -> tuple[list[str], np.ndarray]:
             raise ValidationError(f"{path}: unsupported version {version}")
         if count == 0 or dim == 0:
             raise ValidationError(f"{path}: no vectors")
+        # a row holds at least its token length and values: checked before allocating
+        want, size = len(head) + count * (2 + 4 * dim), os.fstat(fh.fileno()).st_size
+        if size < want:
+            raise ValidationError(f"{path}: truncated binary file: {count} rows of {dim} "
+                                  f"values need at least {want} bytes, it has {size}")
         tokens: list[str] = []
         rows = np.empty((count, dim), dtype=np.float64)
         seen: set[str] = set()

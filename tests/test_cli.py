@@ -35,7 +35,7 @@ def bench(tmp_path_factory):
     assert main(["train-embeddings", "--word-vectors",
                  str(data / "word_vectors.txt"), "--counts",
                  str(data / "counts.tsv"), "--out", str(entities),
-                 "--iterations", "150", "--link-iterations", "0"]) == 0
+                 "--set", "embed_iters=150", "--link-iterations", "0"]) == 0
     return tmp, data, entities
 
 
@@ -67,7 +67,7 @@ class TestGenerateAndEmbed:
                          str(data / "counts.tsv"), "--link-counts",
                          str(data / "counts.tsv"), "--queries",
                          str(data / "queries.tsv"), "--out", str(out),
-                         "--iterations", "30", "--link-iterations", "25",
+                         "--set", "embed_iters=30", "--link-iterations", "25",
                          "--eval-every", "10", "--patience", "5"]) == 0
             captured = capsys.readouterr()
             runs.append((captured.out.replace(str(out), "OUT"), out.read_bytes()))
@@ -173,6 +173,7 @@ class TestTrainPredictEvaluate:
 
 STAGE_COMMANDS = {
     "generate-synthetic": [],
+    "train-embeddings": [],
     "select-candidates": [],
     "train-local": [],
     "train-global": [],
@@ -192,6 +193,63 @@ class TestStageConfig:
             dests = {a.dest for a in commands[name]._actions}
             assert {"config", "set"} <= dests, name
             assert not dests & config_fields, (name, dests & config_fields)
+        # a corpus file's content gives its format, and the embedding
+        # stage's sample counts are constants
+        removed = {"--corpus-format", "--positives", "--negatives"}
+        for name, command in commands.items():
+            flags = {flag for a in command._actions for flag in a.option_strings}
+            assert not flags & removed, (name, flags & removed)
+
+    def test_inputs_come_from_the_config_data_dir(self, bench, tmp_path, monkeypatch,
+                                                  capsys):
+        # a stage command reads the data directory of its config: --set, then
+        # the config file, then --data-dir, then $ENTLINK_DATA_DIR; a path
+        # flag still names its own file
+        _, data, entities = bench
+        missing = str(tmp_path / "missing")
+        good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
+        good.write_text(f"data_dir = {data}\n")
+        bad.write_text(f"data_dir = {missing}\n")
+        monkeypatch.delenv("ENTLINK_DATA_DIR", raising=False)
+
+        def select(global_args, command_args, env=None):
+            if env:
+                monkeypatch.setenv("ENTLINK_DATA_DIR", env)
+            out = tmp_path / "cands.tsv"
+            out.unlink(missing_ok=True)
+            code = main([*global_args, "select-candidates", "--entities", str(entities),
+                         "--out", str(out), *command_args])
+            monkeypatch.delenv("ENTLINK_DATA_DIR", raising=False)
+            err = capsys.readouterr().err
+            return code, out.read_bytes() if code == 0 else err
+
+        code, expected = select([], ["--word-vectors", str(data / "word_vectors.txt"),
+                                     "--prior", str(data / "prior.tsv"),
+                                     "--corpus", str(data / "corpus_test.jsonl")])
+        assert code == 0
+        for global_args, command_args, env in (
+                ([], ["--config", str(good)], None),
+                ([], ["--set", f"data_dir={data}"], None),
+                ([], ["--config", str(bad), "--set", f"data_dir={data}"], missing),
+                (["--data-dir", missing], ["--config", str(good)], None),
+                (["--data-dir", str(data)], [], missing),
+                ([], [], str(data))):
+            assert select(global_args, command_args, env) == (0, expected), \
+                (global_args, command_args, env)
+        code, err = select(["--data-dir", str(data)],
+                           ["--config", str(good), "--set", f"data_dir={missing}"])
+        assert code == 2 and missing in err
+        code, err = select([], [])
+        assert code == 1 and "missing --word-vectors and no data directory" in err
+        # train-embeddings reads its word vectors and counts the same way
+        trained = []
+        for config, argv in ((good, []),
+                             (bad, ["--word-vectors", str(data / "word_vectors.txt"),
+                                    "--counts", str(data / "counts.tsv")])):
+            trained.append(tmp_path / f"{config.stem}.txt")
+            assert main(["train-embeddings", "--config", str(config), "--set",
+                         "embed_iters=20", "--out", str(trained[-1]), *argv]) == 0
+        assert trained[0].read_bytes() == trained[1].read_bytes()
 
     @pytest.mark.parametrize("command", list(STAGE_COMMANDS))
     def test_bad_setting_exits_1(self, command, tmp_path, capsys):
@@ -291,7 +349,7 @@ class TestBinaryEntityVectors:
             "entities.bin", "local.model", "global.model", "preds.tsv"))
         assert main(["train-embeddings", "--word-vectors", str(data / "word_vectors.txt"),
                      "--counts", str(data / "counts.tsv"), "--out", str(entities),
-                     "--out-format", "binary", "--iterations", "60",
+                     "--out-format", "binary", "--set", "embed_iters=60",
                      "--link-iterations", "0"]) == 0
         assert entities.read_bytes()[:4] == b"EVEC"
         common = ["--entities", str(entities), "--set", "k=30", "--set", "local_epochs=3",
@@ -562,7 +620,7 @@ class TestExitCodes:
         env = dict(os.environ, PYTHONPATH=str(Path(entlink.__file__).parent.parent))
         train = [sys.executable, "-m", "entlink", "train-embeddings", "--word-vectors",
                  str(data / "word_vectors.txt"), "--counts", str(counts),
-                 "--iterations", "20", "--link-iterations", "0"]
+                 "--set", "embed_iters=20", "--link-iterations", "0"]
         text = tmp_path / "e.txt"
         proc = subprocess.run(train + ["--out", str(text)],
                               capture_output=True, text=True, env=env, timeout=120)

@@ -1,6 +1,7 @@
 """Corpus loading, span validation, context windows."""
 
 import pytest
+from columntext import write_column_text
 
 from entlink.docs import (
     Corpus,
@@ -94,7 +95,7 @@ class TestColumnImporter:
             "#doc doc2\n"
             "Paris\tB\tE_Paris\n"
         )
-        corpus = load_corpus(str(path), fmt="column-text")
+        corpus = load_corpus(str(path))
         assert len(corpus) == 2
         d1 = corpus.documents[0]
         assert d1.doc_id == "doc1"
@@ -109,7 +110,46 @@ class TestColumnImporter:
         path = tmp_path / "c.col"
         path.write_text("#doc d\nfoo\tI\n")
         with pytest.raises(ValidationError, match="I tag"):
-            load_corpus(str(path), fmt="column-text")
+            load_corpus(str(path))
+
+
+class TestFormatFromContent:
+    CORPUS = Corpus([
+        Document(doc_id="d0", tokens=["The", "United", "States", "play", "Paris"],
+                 mentions=[Mention(start=1, end=3, surface="United States", gold="E_USA"),
+                           Mention(start=4, end=5, surface="Paris")]),
+        Document(doc_id="d1", tokens=["Paris", "Texas"],
+                 mentions=[Mention(start=0, end=1, surface="Paris", gold="E_Paris"),
+                           Mention(start=1, end=2, surface="Texas", gold="E_Texas")]),
+        Document(doc_id="d2", tokens=["nothing", "here"])])
+
+    def test_either_format_under_any_name_loads_the_same_documents(self, tmp_path):
+        (tmp_path / "json").mkdir()
+        (tmp_path / "columns").mkdir()
+        for name in ("c.jsonl", "c.col", "c"):
+            save_corpus(str(tmp_path / "json" / name), self.CORPUS)
+            write_column_text(tmp_path / "columns" / name, self.CORPUS)
+            for kind in ("json", "columns"):
+                loaded = load_corpus(str(tmp_path / kind / name), split="test")
+                assert loaded.documents == self.CORPUS.documents, (kind, name)
+                assert loaded.split == "test"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("#doc d\nfoo\tX\n", 2, "expected token[<TAB>B|I|O[<TAB>gold]]"),
+        ("\n-DOCSTART-\nfoo\tB\tE\textra\n", 3, "expected token[<TAB>B|I|O[<TAB>gold]]"),
+        ("foo\tB\tE\n", 1, "invalid JSON"),
+        ('\ufeff{"id":"d","tokens":[]}\n', 1, "invalid JSON"),
+        ("\n{\"id\": \"d\"\n", 2, "invalid JSON"),
+        ('{"id":"d","tokens":[]}\n' + "[" * 200000 + "\n", 2, "JSON nested too deeply"),
+        ("[" * 200000 + "\n", 1, "JSON nested too deeply")],
+        ids=["unknown-tag", "four-fields", "columns-without-doc-line", "byte-order-mark",
+             "broken-object", "deep-second-line", "deep-first-line"])
+    def test_a_file_of_neither_format_names_its_line(self, tmp_path, text, line, message):
+        path = tmp_path / "c.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            load_corpus(str(path))
+        assert str(err.value).startswith(f"{path}:{line}: {message}")
 
 
 class TestResolveGold:

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from columntext import write_column_text
 
 from entlink import experiment as pipeline
+from entlink.docs import load_corpus
 from entlink.errors import ValidationError
 from entlink.experiment import (
     ExperimentConfig,
@@ -19,7 +21,7 @@ from entlink.experiment import (
     run_sweep,
     synthetic_spec_from,
 )
-from entlink.synthetic import generate_synthetic, write_synthetic
+from entlink.synthetic import DATA_FILES, generate_synthetic, write_synthetic
 from entlink.vectors import read_vectors, save_vectors_binary
 
 
@@ -264,6 +266,23 @@ class TestConfig:
         assert binary.word_vocab.tokens() == text.word_vocab.tokens() == names
         np.testing.assert_allclose(binary.word_matrix(), text.word_matrix(), atol=1e-6)
         assert binary.entity_vocab.tokens() == text.entity_vocab.tokens()
+
+    def test_data_directory_corpora_in_either_format(self, tmp_path):
+        # each corpus file's content gives its format, so the directory's
+        # three corpora rewritten as column text under their own names give
+        # the same artifacts
+        cfg = fast_config(tmp_path, "json", seed=3, n_docs=20, kb_size=40,
+                          local_epochs=2, global_epochs=2, data_dir=str(tmp_path / "data"))
+        write_synthetic(generate_synthetic(synthetic_spec_from(cfg)), cfg.data_dir)
+        run_experiment(cfg)
+        for split in ("train", "validation", "test"):
+            path = Path(cfg.data_dir) / DATA_FILES[split]
+            write_column_text(path, load_corpus(str(path)))
+            assert not path.read_text().startswith("{")
+        run_experiment(replace(cfg, out_dir=str(tmp_path / "columns")))
+        for name in BYTE_IDENTICAL:
+            assert ((tmp_path / "json" / name).read_bytes()
+                    == (tmp_path / "columns" / name).read_bytes()), name
 
     def test_alpha_reaches_the_synthetic_embeddings(self, tmp_path):
         # the negative law's smoothing exponent is the config's on the

@@ -1,0 +1,206 @@
+"""Mutated input files through the commands that read them.
+
+Each format of the README's data-format table starts as a small valid file
+and is truncated, bit-flipped and spliced in a seeded loop, then read by
+the command that reads it, in process.  Whatever the mutation, `cli.main`
+returns 0, 1 or 2 and raises nothing.  Many mutations leave a valid file
+(a flipped digit in a count, say), so exit 0 is allowed.  Three classes
+must exit 1: a truncated binary vector file, a row of the wrong width and
+a non-finite number.
+"""
+
+import random
+import struct
+
+import numpy as np
+import pytest
+
+from entlink.cli import main
+from entlink.vectors import save_vectors_binary, save_vectors_text
+
+ROUNDS = 40   # mutations of each kind per format
+
+WORDS = ["united", "states", "play", "paris", "texas", "river"]
+ENTITIES = ["E_USA", "E_Paris", "E_Texas", "E_River"]
+
+TEXT_FILES = {
+    "counts.tsv": "E_USA\tunited\t3\nE_USA\tstates\t2\nE_Paris\tparis\t4\n"
+                  "E_Texas\ttexas\t2\nE_River\triver\t1\nE_River\tparis\t1\n",
+    "queries.tsv": "E_USA\tE_Texas\t1\nE_USA\tE_Paris\t0\nE_USA\tE_River\t0\n"
+                   "E_Paris\tE_River\t1\nE_Paris\tE_Texas\t0\n",
+    "count_index.tsv": "Paris\tE_Paris\t8\nParis\tE_Texas\t2\nTexas\tE_Texas\t5\n",
+    "uniform_index.tsv": "Paris\tE_Paris\nParis\tE_River\nStates\tE_USA\n",
+    "prior.tsv": "United States\tE_USA\t1\nParis\tE_Paris\t0.75\nParis\tE_Texas\t0.25\n"
+                 "Texas\tE_Texas\t0.9\nTexas\tE_River\t0.1\n",
+    "persons.tsv": "E_USA\t0\nE_Paris\t1\nE_Texas\t1\nE_River\t0\n",
+    "corpus.jsonl":
+        '{"id":"d0","tokens":["the","united","states","play","paris"],"mentions":'
+        '[{"start":1,"end":3,"surface":"United States","gold":"E_USA"},'
+        '{"start":4,"end":5,"surface":"Paris","gold":"E_Paris"}]}\n'
+        '{"id":"d1","tokens":["paris","texas","river"],"mentions":'
+        '[{"start":0,"end":1,"surface":"Paris","gold":"E_Texas"},'
+        '{"start":1,"end":2,"surface":"Texas"}]}\n',
+    "corpus.col": "-DOCSTART- (d0)\nthe\nunited\tB\tE_USA\nstates\tI\nplay\n"
+                  "paris\tB\tE_Paris\n\n#doc d1\nparis\tB\tE_Texas\ntexas\tB\nriver\n",
+    "predictions.tsv": "doc\tmention\tentity\nd0\t0\tE_USA\nd0\t1\tE_Texas\nd1\t0\t\n"
+                       "d1\t1\tE_Texas\n",
+    "freq.tsv": "E_USA\t12\nE_Paris\t7\nE_Texas\t3\n",
+}
+
+
+def _argv(d, name):
+    """The command reading `name` from directory `d`, its other inputs valid."""
+    p = {n: str(d / n) for n in (*TEXT_FILES, "words.txt", "entities.txt", "entities.bin")}
+    select = ["select-candidates", "--word-vectors", p["words.txt"], "--entities",
+              p["entities.txt"], "--prior", p["prior.tsv"], "--persons",
+              p["persons.tsv"], "--corpus", p["corpus.jsonl"], "--out", str(d / "out.tsv")]
+    commands = {
+        "entities.txt": ["eval-relatedness", "--entities", p["entities.txt"],
+                         "--queries", p["queries.tsv"]],
+        "words.txt": select,
+        "counts.tsv": ["train-embeddings", "--word-vectors", p["words.txt"], "--counts",
+                       p["counts.tsv"], "--set", "embed_iters=2", "--out",
+                       str(d / "trained.txt")],
+        "count_index.tsv": ["build-prior", "--count-index", p["count_index.tsv"],
+                            "--out", str(d / "built.tsv")],
+        "uniform_index.tsv": ["build-prior", "--uniform-index", p["uniform_index.tsv"],
+                              "--out", str(d / "built.tsv")],
+        "predictions.tsv": ["evaluate", "--predictions", p["predictions.tsv"],
+                            "--corpus", p["corpus.jsonl"]],
+        "freq.tsv": ["breakdown", "--predictions", p["predictions.tsv"], "--corpus",
+                     p["corpus.jsonl"], "--prior", p["prior.tsv"], "--freq",
+                     p["freq.tsv"]],
+    }
+    commands["entities.bin"] = [a if a != p["entities.txt"] else p["entities.bin"]
+                                for a in commands["entities.txt"]]
+    commands["queries.tsv"] = commands["entities.txt"]
+    commands.update(dict.fromkeys(("prior.tsv", "persons.tsv", "corpus.jsonl"), select))
+    commands["corpus.col"] = [a if a != p["corpus.jsonl"] else p["corpus.col"]
+                              for a in select]
+    return commands[name]
+
+
+FORMATS = ["words.txt", "entities.txt", "entities.bin", "counts.tsv", "queries.tsv",
+           "count_index.tsv", "uniform_index.tsv", "prior.tsv", "persons.tsv",
+           "corpus.jsonl", "corpus.col", "predictions.tsv", "freq.tsv"]
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """A directory of valid files, one of each format, and their bytes."""
+    rng = np.random.default_rng(0)
+    save_vectors_text(str(tmp_path / "words.txt"), WORDS, rng.normal(size=(len(WORDS), 3)))
+    units = rng.normal(size=(len(ENTITIES), 3))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    save_vectors_text(str(tmp_path / "entities.txt"), ENTITIES, units)
+    save_vectors_binary(str(tmp_path / "entities.bin"), ENTITIES, units)
+    for name, text in TEXT_FILES.items():
+        (tmp_path / name).write_text(text)
+    return tmp_path, {name: (tmp_path / name).read_bytes() for name in FORMATS}
+
+
+def _run(d, name, data, what, capsys):
+    """The exit code of `name`'s command with `data` as its file; fails the
+    test, naming the mutation, when an exception escapes or the code is
+    outside the contract."""
+    original = (d / name).read_bytes()
+    (d / name).write_bytes(data)
+    try:
+        code = main(_argv(d, name))
+    except Exception as exc:  # noqa: BLE001 - any escape breaks the contract
+        pytest.fail(f"{name}, {what}: {type(exc).__name__}: {exc}")
+    finally:
+        (d / name).write_bytes(original)
+        capsys.readouterr()
+    assert code in (0, 1, 2), (name, what, code)
+    return code
+
+
+def _mutations(rng, data, others):
+    """(description, bytes) pairs: ROUNDS truncations, bit flips and splices."""
+    for _ in range(ROUNDS):
+        cut = rng.randrange(len(data))
+        yield f"truncated at {cut}", data[:cut]
+        flipped = bytearray(data)
+        bits = [rng.randrange(8 * len(data)) for _ in range(rng.randint(1, 3))]
+        for bit in bits:
+            flipped[bit // 8] ^= 1 << bit % 8
+        yield f"bits {bits} flipped", bytes(flipped)
+        other = rng.choice(others)
+        at, tail = rng.randrange(len(data) + 1), rng.randrange(len(other) + 1)
+        yield f"spliced at {at} with a tail from {tail}", data[:at] + other[tail:]
+
+
+def test_valid_inputs_exit_0(inputs, capsys):
+    d, files = inputs
+    for name in FORMATS:
+        assert _run(d, name, files[name], "unchanged", capsys) == 0, name
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_mutated_file_keeps_the_exit_code_contract(inputs, capsys, name):
+    d, files = inputs
+    rng = random.Random(f"{name}-fuzz")
+    others = list(files.values())
+    for what, data in _mutations(rng, files[name], others):
+        _run(d, name, data, what, capsys)
+
+
+def test_truncated_binary_vectors_exit_1(inputs, capsys):
+    d, files = inputs
+    data = files["entities.bin"]
+    for cut in range(len(data)):
+        assert _run(d, "entities.bin", data[:cut], f"truncated at {cut}", capsys) == 1, cut
+
+
+def _last_line_widened(data: bytes, sep: bytes) -> bytes:
+    """`data` with three more fields on its last line (a column-text token
+    line then has four or more, past its widest)."""
+    lines = data.rstrip(b"\n").split(b"\n")
+    return b"\n".join([*lines[:-1], sep.join([lines[-1], b"B", b"E", b"1"])]) + b"\n"
+
+
+@pytest.mark.parametrize("name", [n for n in FORMATS if n not in ("entities.bin",
+                                                                   "corpus.jsonl")])
+def test_wrong_row_width_exits_1(inputs, capsys, name):
+    d, files = inputs
+    sep = b" " if name.endswith(".txt") else b"\t"
+    widened = _last_line_widened(files[name], sep)
+    assert _run(d, name, widened, "last row widened", capsys) == 1
+
+
+def _binary_value_offset(data: bytes) -> int:
+    """Offset of the first row's first value in a binary vector file."""
+    (token_len,) = struct.unpack_from("<H", data, 14)
+    return 14 + 2 + token_len
+
+
+NUMBER_COLUMNS = {"counts.tsv": 2, "count_index.tsv": 2, "prior.tsv": 2,
+                  "queries.tsv": 2, "persons.tsv": 1, "freq.tsv": 1,
+                  "predictions.tsv": 1}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_number_exits_1(inputs, capsys, value):
+    d, files = inputs
+    cases = {}
+    for name in ("words.txt", "entities.txt"):
+        lines = files[name].split(b"\n")
+        fields = lines[1].split(b" ")
+        lines[1] = b" ".join([fields[0], value.encode(), *fields[2:]])
+        cases[name] = b"\n".join(lines)
+    raw = bytearray(files["entities.bin"])
+    struct.pack_into("<f", raw, _binary_value_offset(raw), float(value))
+    cases["entities.bin"] = bytes(raw)
+    for name, column in NUMBER_COLUMNS.items():
+        lines = files[name].split(b"\n")
+        row = 1 if name == "predictions.tsv" else 0
+        fields = lines[row].split(b"\t")
+        fields[column] = value.encode()
+        lines[row] = b"\t".join(fields)
+        cases[name] = b"\n".join(lines)
+    corpus = files["corpus.jsonl"].replace(b'"start":4', b'"start":' + value.encode(), 1)
+    cases["corpus.jsonl"] = corpus.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
+    for name, data in cases.items():
+        assert data != files[name], name
+        assert _run(d, name, data, f"a {value}", capsys) == 1, name

@@ -1,6 +1,7 @@
 """Embedding store, vector file formats, nearest-word ranking, tab-separated rows."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -202,6 +203,18 @@ class TestFormatFromContent:
             read_vectors(str(path))
         path.write_bytes(good[:7])
         with pytest.raises(ValidationError, match=re.escape(f"{path}: truncated binary header")):
+            read_vectors(str(path))
+
+    def test_header_sizes_checked_against_the_file_before_allocating(self, tmp_path):
+        # two rows of 300 values under a header patched to 0xFFFFFFF0 rows,
+        # which would ask for 9.4 TiB of rows before the first one is read
+        path = tmp_path / "v.bin"
+        save_vectors_binary(str(path), ["a", "b"], np.eye(300)[:2])
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 6, 0xFFFFFFF0)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: truncated binary file: 4294967280 rows of 300 values need")):
             read_vectors(str(path))
 
 
