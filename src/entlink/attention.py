@@ -2,28 +2,36 @@
 
 Every context word gets a support score, the max over candidate entities
 of a diagonal bilinear form between entity and word vectors.  Only the R
-best-supported words keep attention mass (the rest are clamped to -inf
-before the softmax), and the candidate's context score is the
-attention-weighted sum of a second bilinear form.  A small two-hidden-layer
-network f combines the context score with the log prior into the final
-local score; training minimises a margin ranking loss over candidates.
+best-supported words keep attention mass (the rest get exactly 0), and
+the candidate's context score is the attention-weighted sum of a second
+bilinear form.  A small two-hidden-layer network f combines the context
+score with the log prior into the final local score; training minimises a
+margin ranking loss over candidates.
 
-`doc_instances` is the single featurisation path: every scorer reads a
-document's mentions through it.  The scorer works along any leading
-mention axes: inference scores one mention at a time while its context
-rows are in cache and keeps only its scores (`scored_instances`); training
-scores a document's zero-padded mention blocks in one record
-(`record_unaries`).  Both models decide a document from padded (n, S)
-blocks of per-candidate scores, log priors and entity ids: f runs once
-over the live slots (`combine_block`), and one vectorised argmax picks
-each mention's entity (`best_entities`).  Training builds its blocks once
-per document (`DocBlock`), for the local and the joint model alike; the
-records derive their masks from the blocks' own-entry masks.  f with the
-ranking loss is one more record per document (`record_rank_loss`), one f
-pass over every trainable candidate.  Each record has a hand-derived
-backward over the same numpy forward that inference runs.  f sums each row
-of its output layer alone (`FNet.layers`), so that equal rows stay tied in
-a batch.
+`DocMentions.of` is the single featurisation: which mentions count, their
+candidate ids, floored log priors, gold slots and context ids, as one
+document's padded arrays.  Every scorer reads documents through it;
+training gathers its rows mention by mention (`doc_instances`).
+
+The scorer is two steps, and inference and training both run both.  Step
+(a) (`context_blocks`) is the one pass over the context rows: it fills both
+bilinear score blocks, (cands*a) @ ctx^T and (cands*b) @ ctx^T.  Step (b)
+(`attend`) works from those blocks alone, along any leading axes: support,
+top-R, softmax and the weighted sum of the b-block.  Its sums run over the
+kept words in support order, so a padded mention scores bit for bit as
+the mention alone does.  Inference (`score_document`) checks a document's
+ids once, gathers its candidate rows once, runs step (a) one mention at a
+time while that mention's context rows are in cache, then step (b) once
+over the document's (n, S, K) blocks.  Both models decide a document from
+its padded (n, S) blocks: f runs once over the live slots
+(`combine_block`), and one vectorised argmax picks each mention's entity
+(`best_entities`).  Training builds its blocks once per document
+(`DocBlock`), for the local and the joint model alike, and scores them in
+one record (`record_unaries`); f with the ranking loss is one more record
+per document (`record_rank_loss`), one f pass over every trainable
+candidate.  Each record has a hand-derived backward over the same numpy
+forward that inference runs.  f sums each row of its output layer alone
+(`FNet.layers`), so that equal rows stay tied in a batch.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ValidationError
 from .priors import Candidate
-from .vectors import EmbeddingStore
+from .vectors import EmbeddingStore, checked_ids
 
 LOG_PRIOR_FLOOR = 1e-12
 
@@ -179,41 +187,66 @@ class LocalParams:
             setattr(self.fnet, name, params[f"f.{name}"])
 
 
-def _support(cand_vecs: np.ndarray, ctx_vecs: np.ndarray, a: np.ndarray,
-             live: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Support per word, u(w) = max over candidates of x_e^T diag(a) x_w, and
-    the (..., S, K) candidate-word scores; pairs off the `live` mask score -inf."""
-    scores = (cand_vecs * a) @ np.swapaxes(ctx_vecs, -1, -2)
-    if live is not None:
-        scores = np.where(live, scores, -np.inf)
-    return scores.max(axis=-2), scores
+def context_blocks(cand_a: np.ndarray, cand_b: np.ndarray,
+                   ctx_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step (a), the one pass over the context rows: the (..., S, K)
+    bilinear score blocks (cands*a) @ ctx^T and (cands*b) @ ctx^T of the
+    candidate rows scaled by a and by b, (..., S, d) each, and the
+    (..., K, d) context rows."""
+    ctx_t = np.swapaxes(ctx_vecs, -1, -2)
+    return cand_a @ ctx_t, cand_b @ ctx_t
 
 
-def top_r_mask(u: np.ndarray, r: int) -> np.ndarray:
-    """Boolean keep-mask of the R highest entries along the last axis
-    (ties kept by position)."""
-    if r >= u.shape[-1]:
-        return np.ones(u.shape, dtype=bool)
+def top_r(u: np.ndarray, r: int) -> np.ndarray:
+    """Positions of the R highest entries along the last axis (all of them
+    if there are fewer), highest first, ties in position order."""
     if r < 1:
         raise ValidationError(f"attention budget must be >= 1, got {r}")
-    top = np.argsort(-u, axis=-1, kind="stable")[..., :r]
-    mask = np.zeros(u.size, dtype=bool)
-    # each row's kept positions, offset to the row's start in the flat mask
-    mask[top + np.arange(0, u.size, u.shape[-1]).reshape(*u.shape[:-1], 1)] = True
-    return mask.reshape(u.shape)
+    return np.argsort(-u, axis=-1, kind="stable")[..., :r]
 
 
-def attention_weights(u: np.ndarray, r: int) -> np.ndarray:
-    """Softmax over the top-R support scores; pruned words get exactly 0.
-    The best-supported word is always kept, so the overall max is the shift."""
-    ex = np.exp(np.where(top_r_mask(u, r), u - u.max(axis=-1, keepdims=True), -np.inf))
-    return ex / ex.sum(axis=-1, keepdims=True)
+def ordered_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in index order: zeros appended to a row
+    leave its sum bit for bit as it is, so a padded row sums as the row
+    alone does."""
+    return np.cumsum(x, axis=-1)[..., -1]
 
 
-def context_score(cand_vecs: np.ndarray, ctx_vecs: np.ndarray, beta: np.ndarray,
-                  b: np.ndarray) -> np.ndarray:
-    """Attention-weighted bilinear context score for every candidate."""
-    return ((cand_vecs * b) @ (np.swapaxes(ctx_vecs, -1, -2) @ beta[..., None]))[..., 0]
+def attend(a_block: np.ndarray, b_block: np.ndarray, r: int,
+           live: np.ndarray | None = None
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step (b), from the two score blocks alone, along any leading axes:
+    the (..., S) context scores, the (..., K) attention weights and the
+    a-block with the pairs off the `live` mask at -inf.
+
+    A word's support u is the max over live candidates of its a-block
+    column; only the R best-supported words keep attention mass, the
+    softmax of their support, and a candidate's context score is the
+    weighted sum of its b-block row over those words.  Both sums run over
+    the kept words in support order, so padding words (weight 0, last in
+    that order) change no bit of a mention's scores.
+    """
+    if live is not None:
+        a_block = np.where(live, a_block, -np.inf)
+    u = a_block.max(axis=-2)
+    top = top_r(u, r)
+    kept = np.take_along_axis(u, top, axis=-1)
+    weights = np.exp(kept - kept[..., :1])
+    weights /= ordered_sum(weights)[..., None]
+    kept_b = np.take_along_axis(b_block, top[..., None, :], axis=-1)
+    psi = ordered_sum(kept_b * weights[..., None, :])
+    beta = np.zeros(u.shape)
+    np.put_along_axis(beta, top, weights, axis=-1)
+    return psi, beta, a_block
+
+
+def scored_pairs(valid: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The (n, S, K) candidate-word pairs step (b) reads, of the (n, S)
+    candidate and (n, K) word masks of zero-padded blocks: the live ones,
+    and word 0 of an empty context, a zero row that scores every candidate
+    exactly 0 and so gives no evidence."""
+    words = words | (np.arange(words.shape[1]) == 0)
+    return valid[:, :, None] & words[:, None]
 
 
 def f_inputs(context_scores: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
@@ -229,20 +262,68 @@ def combine_f(fnet: FNet, context_scores: np.ndarray,
     return fnet.forward(f_inputs(context_scores, log_priors))
 
 
-def mention_unary(a: np.ndarray, b: np.ndarray, r: int, cand_vecs: np.ndarray,
-                  ctx_vecs: np.ndarray, live: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Context scores, attention weights and candidate-word support scores
-    of one mention's (S, d) candidates and (K, d) context rows, or of padded
-    blocks of them along a leading axis, `live` masking the padded pairs.
-    An empty context yields zero scores and no attention: no evidence.
+def filled(sizes: list[int]) -> np.ndarray:
+    """The (m, W) mask of rows holding `sizes` entries each, W the longest
+    (at least 1)."""
+    sizes = np.array(sizes, dtype=np.intp)
+    return np.arange(max(1, sizes.max(initial=0))) < sizes[:, None]
+
+
+@dataclass
+class DocMentions:
+    """A document's candidate-bearing mentions as padded arrays: the one
+    featurisation every scorer reads (`DocMentions.of`).
+
+    Row i is the mention at `positions[i]` of the document.  `entities`
+    (n, S) holds its candidate ids, -1 at padding, `valid` marks them, and
+    `log_priors` holds their floored log priors, 0 at padding.  `gold` (n,)
+    is the slot of the gold candidate, -1 where it is unknown or not a
+    candidate.  `contexts` (n, K) holds the context word ids, 0 at
+    padding, and `words` marks them.
     """
-    if ctx_vecs.shape[-2] == 0:
-        return (np.zeros(cand_vecs.shape[:-1]), np.zeros(0),
-                np.zeros(cand_vecs.shape[:-1] + (0,)))
-    u, scores = _support(cand_vecs, ctx_vecs, a, live)
-    beta = attention_weights(u, r)
-    return context_score(cand_vecs, ctx_vecs, beta, b), beta, scores
+
+    positions: list[int]
+    entities: np.ndarray
+    valid: np.ndarray
+    log_priors: np.ndarray
+    gold: np.ndarray
+    contexts: np.ndarray
+    words: np.ndarray
+
+    @classmethod
+    def of(cls, doc, require_gold: bool = True) -> "DocMentions":
+        """With `require_gold`, only mentions whose gold entity sits in
+        their candidate set are kept (the contract for loss terms).
+        Without it, every candidate-bearing mention is kept, so that the
+        untrainable ones still shape joint inference."""
+        positions, golds, sizes, lengths = [], [], [], []
+        entities, priors, contexts = [], [], []   # flat, in mention order
+        for position, mention in enumerate(doc.mentions):
+            cands: list[Candidate] = mention.candidates or []
+            if not cands:
+                continue
+            ids = [c.entity for c in cands]
+            gold = ids.index(mention.gold_id) if mention.gold_id in ids else -1
+            if require_gold and gold < 0:
+                continue
+            context = mention.context or []
+            positions.append(position)
+            golds.append(gold)
+            sizes.append(len(ids))
+            lengths.append(len(context))
+            entities.extend(ids)
+            priors.extend([c.prior for c in cands])
+            contexts.extend(context)
+        valid, words = filled(sizes), filled(lengths)
+        entity_ids = np.full(valid.shape, -1)
+        entity_ids[valid] = np.array(entities, dtype=int)
+        log_priors = np.zeros(valid.shape)
+        log_priors[valid] = floored_log_prior(np.array(priors, dtype=float))
+        context_ids = np.zeros(words.shape, dtype=np.intp)
+        context_ids[words] = np.array(contexts, dtype=np.intp)
+        return cls(positions=positions, entities=entity_ids, valid=valid,
+                   log_priors=log_priors, gold=np.array(golds, dtype=np.intp),
+                   contexts=context_ids, words=words)
 
 
 @dataclass
@@ -262,56 +343,66 @@ class MentionInstance:
 
 def doc_instances(doc, store: EmbeddingStore,
                   require_gold: bool = True) -> Iterator[MentionInstance]:
-    """Scoring arrays of a document's candidate-bearing mentions, in order.
-
-    With `require_gold`, only mentions whose gold entity sits in their
-    candidate set are yielded (the contract for loss terms).  Without it,
-    every candidate-bearing mention is included and `gold_index` is None
-    for the untrainable ones, so they can still shape joint inference.
-    Yielding one at a time lets a caller score each mention's context rows
-    while they are still in cache.
-    """
-    for position, mention in enumerate(doc.mentions):
-        cands: list[Candidate] = mention.candidates or []
-        if not cands:
-            continue
-        entities = [c.entity for c in cands]
-        gold_index = (entities.index(mention.gold_id)
-                      if mention.gold_id is not None and mention.gold_id in entities
-                      else None)
-        if require_gold and gold_index is None:
-            continue
+    """The rows of the document's `DocMentions` one mention at a time, in
+    order, with their candidate and context rows gathered: the form the
+    training blocks are built from (`DocBlock.of`)."""
+    mentions = DocMentions.of(doc, require_gold)
+    sizes = mentions.valid.sum(axis=1).tolist()
+    lengths = mentions.words.sum(axis=1).tolist()
+    for i, position in enumerate(mentions.positions):
+        entities = mentions.entities[i, :sizes[i]]
+        gold = int(mentions.gold[i])
         yield MentionInstance(
             cand_vecs=store.entity_rows(entities),
-            ctx_vecs=store.word_rows(mention.context or []),
-            log_priors=floored_log_prior([c.prior for c in cands]),
-            gold_index=gold_index,
-            entities=entities,
+            ctx_vecs=store.word_rows(mentions.contexts[i, :lengths[i]]),
+            log_priors=mentions.log_priors[i, :sizes[i]],
+            gold_index=None if gold < 0 else gold,
+            entities=entities.tolist(),
             position=position,
         )
 
 
-def scored_instances(doc, params: LocalParams, store: EmbeddingStore
-                     ) -> Iterator[tuple[MentionInstance, np.ndarray, np.ndarray]]:
-    """Each candidate-bearing mention with its context scores and attention
-    weights, scored while its context rows are in cache.  Only the scores
-    read those rows, so they are released (`ctx_vecs` is None) and the next
-    mention's rows can reuse the memory."""
-    for inst in doc_instances(doc, store, require_gold=False):
-        psi, beta, _ = mention_unary(params.a, params.b, params.r, inst.cand_vecs,
-                                     inst.ctx_vecs)
-        inst.ctx_vecs = None
-        yield inst, psi, beta
+def score_document(doc, params: LocalParams, store: EmbeddingStore
+                   ) -> tuple[DocMentions, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The document's candidate-bearing mentions with their zero-padded
+    (n, S, d) candidate rows, (n, S) context scores and (n, K) attention
+    weights; None when no mention has candidates.
+
+    The ids are checked once per document and the candidate rows gathered
+    in one go.  Step (a) then runs mention by mention, each mention's
+    context rows gathered just before and released just after its two
+    score blocks are filled, so they are read while in cache; step (b)
+    runs once over the document's blocks.
+    """
+    mentions = DocMentions.of(doc, require_gold=False)
+    if not mentions.positions:
+        return None
+    valid, words = mentions.valid, mentions.words
+    checked_ids(mentions.entities[valid], store.n_entities, "entity")
+    checked_ids(mentions.contexts[words], store.n_words, "word")
+    cands = store.entity_matrix()[np.where(valid, mentions.entities, 0)]
+    cands[~valid] = 0.0
+    cand_a, cand_b = cands * params.a, cands * params.b
+    a_block = np.zeros(valid.shape + words.shape[1:])
+    b_block = np.zeros_like(a_block)
+    table = store.word_matrix()
+    sizes, lengths = valid.sum(axis=1).tolist(), words.sum(axis=1).tolist()
+    for m, (s, k) in enumerate(zip(sizes, lengths)):
+        if k:
+            a_block[m, :s, :k], b_block[m, :s, :k] = context_blocks(
+                cand_a[m, :s], cand_b[m, :s], table[mentions.contexts[m, :k]])
+    psi, beta, _ = attend(a_block, b_block, params.r, scored_pairs(valid, words))
+    beta[~words] = 0.0  # an empty context's zero word takes no attention
+    return mentions, cands, psi, beta
 
 
 def padded_rows(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """`rows` stacked on a new leading axis and zero-padded to the longest
     (at least 1), with the (m, W) mask of the rows' own entries."""
-    sizes = np.array([row.shape[0] for row in rows])
-    filled = np.arange(max(1, sizes.max())) < sizes[:, None]
-    out = np.zeros(filled.shape + rows[0].shape[1:])
-    out[filled] = np.concatenate(rows)
-    return out, filled
+    mask = filled([row.shape[0] for row in rows])
+    out = np.zeros(mask.shape + rows[0].shape[1:])
+    out[mask] = np.concatenate(rows)
+    return out, mask
 
 
 def padded_ids(entities: list[list[int]], valid: np.ndarray) -> np.ndarray:
@@ -340,30 +431,26 @@ def best_entities(rho: np.ndarray, entities: np.ndarray) -> np.ndarray:
 
 
 def local_decisions(doc, params: LocalParams, store: EmbeddingStore
-                    ) -> list[tuple[MentionInstance, int, np.ndarray]]:
-    """The local model's entity and attention weights for each of the
-    document's candidate-bearing mentions, decided from the document's
-    padded score, log-prior and id blocks."""
-    instances, unaries, betas = [], [], []
-    for inst, psi, beta in scored_instances(doc, params, store):
-        inst.cand_vecs = None  # the decision reads the scores only
-        instances.append(inst)
-        unaries.append(psi)
-        betas.append(beta)
-    if not instances:
+                    ) -> list[tuple[int, int, np.ndarray]]:
+    """The local model's decision for each of the document's
+    candidate-bearing mentions: its position, its entity, decided from the
+    document's (n, S) blocks, and its attention weights over its context."""
+    scored = score_document(doc, params, store)
+    if scored is None:
         return []
-    scores, valid = padded_rows(unaries)
-    rho = combine_block(params.fnet, scores,
-                        padded_rows([inst.log_priors for inst in instances])[0], valid)
-    entities = best_entities(rho, padded_ids([inst.entities for inst in instances], valid))
-    return list(zip(instances, entities.tolist(), betas))
+    mentions, _, psi, beta = scored
+    rho = combine_block(params.fnet, psi, mentions.log_priors, mentions.valid)
+    entities = best_entities(rho, mentions.entities).tolist()
+    lengths = mentions.words.sum(axis=1).tolist()
+    return [(position, entity, beta[m, :k]) for m, (position, entity, k)
+            in enumerate(zip(mentions.positions, entities, lengths))]
 
 
 def predict_local(doc, params: LocalParams, store: EmbeddingStore) -> list[int | None]:
     """Per-mention argmax of the combined score; empty sets stay unannotated."""
     out: list[int | None] = [None] * len(doc.mentions)
-    for inst, entity, _ in local_decisions(doc, params, store):
-        out[inst.position] = entity
+    for position, entity, _ in local_decisions(doc, params, store):
+        out[position] = entity
     return out
 
 
@@ -404,26 +491,24 @@ class DocBlock:
 
 def record_unaries(tape: ad.Tape, vars_: dict[str, ad.Var], block: DocBlock,
                    r: int) -> ad.Var:
-    """`mention_unary` over the block's candidate and context rows as one
+    """Both scorer steps over the block's candidate and context rows as one
     tape record of the (m, S) scores, with adjoints into A and B.  The
-    scored candidate-word pairs are the live candidates and words; an
-    empty context keeps one live zero word, which scores every candidate
-    exactly 0 and passes no adjoint.  Top-R selection carries no gradient;
-    the support max routes its adjoint to the first maximal candidate row.
+    scored pairs are `scored_pairs` of the block's masks, so an empty
+    context passes no adjoint.  Top-R selection carries no gradient; the
+    support max routes its adjoint to the first maximal candidate row.
     """
     a, b = vars_["A"], vars_["B"]
     cands, ctx = block.cands, block.ctx
-    words = block.words | (np.arange(ctx.shape[1]) == 0)
-    live = block.valid[:, :, None] & words[:, None]
-    psi, beta, scores = mention_unary(a.value, b.value, r, cands, ctx, live)
+    a_block, b_block = context_blocks(cands * a.value, cands * b.value, ctx)
+    psi, beta, a_block = attend(a_block, b_block, r, scored_pairs(block.valid, block.words))
 
     def backward(g):
         cand_g = (g[:, None, :] @ cands)[:, 0]
         attended = (beta[:, None, :] @ ctx)[:, 0]
         b._accum((cand_g * attended).sum(axis=0))
-        g_beta = (ctx @ (b.value * cand_g)[..., None])[..., 0]
+        g_beta = (g[:, None, :] @ b_block)[:, 0]
         g_u = beta * (g_beta - (g_beta * beta).sum(axis=-1, keepdims=True))
-        routed = cands[np.arange(cands.shape[0])[:, None], scores.argmax(axis=-2)]
+        routed = cands[np.arange(cands.shape[0])[:, None], a_block.argmax(axis=-2)]
         a._accum(g_u.reshape(-1) @ (routed * ctx).reshape(-1, ctx.shape[-1]))
 
     return ad.record(tape, [psi], (a, b), backward)[0]

@@ -6,7 +6,7 @@ inference is approximated by T synchronous max-product message-passing
 layers with damping delta; per-mention beliefs are softmax-normalised and
 combined with the log prior by the same network f as the local model.
 Training backpropagates a margin ranking loss on the combined beliefs
-through all T layers; both read documents via `attention.doc_instances`.
+through all T layers; both read documents via `attention.DocMentions`.
 
 One generator, `layers`, runs the recurrence for inference and training
 alike, over a document's padded unaries, its pairwise scores and its slot
@@ -14,23 +14,28 @@ validity, from which it derives the live message slots and the uniform
 start messages (`message_masks`).  Training's `unroll` keeps every layer
 for the backward pass and reads the document's `attention.DocBlock`, the
 same block the local model trains on.  Inference reads the document as one
-padded `CrfInstance`; `instance_marginals` keeps only the latest messages,
-then runs f once over the live slots of the final belief block
-(`attention.combine_block`), and `predict_global` takes each mention's
-argmax from that (n, S) block (`attention.best_entities`).  The arrays are
-slot-major, so each max or sum over candidate slots runs over the
-outermost axis: entry [p, i, j] of the (S, n, n) messages is the message
-from mention i to j at j's slot p, in probability space.  Padding and the
-diagonal are neutral slots holding 1 (log 0).  A layer keeps values only,
-the max over sender slots q of phi[q, p, i, j] + v[q, i, j], where phi
-holds -inf at padded slots; one scratch block holds phi + v in every
-layer.  Every layer checks that each message sums to 1.  `beliefs_tape`
-records the unroll as one tape op from the document's (n, S) unary block
-to its (n, S) beliefs; its hand-derived backward (Domke, TPAMI 2013)
-recomputes from phi and v each maximum's sender slot, the first maximal
-one.  Sums over mentions add in mention order, so results do not depend on
-the memory layout.  A training document's loss is three records: unaries,
-beliefs, ranking loss.
+padded `CrfInstance`, made of the blocks the local scorer returns
+(`attention.score_document`) with no second padding; `instance_marginals`
+keeps only the latest messages, then runs f once over the live slots of
+the final belief block (`attention.combine_block`), and `predict_global`
+takes each mention's argmax from that (n, S) block
+(`attention.best_entities`).  The arrays are slot-major, so each max or
+sum over candidate slots runs over the outermost axis: entry [p, i, j] of
+the (S, n, n) messages is the message from mention i to j at j's slot p,
+in probability space.  Padding and the diagonal are neutral slots holding
+1 (log 0).  A layer keeps values only, the max over sender slots q of
+phi[q, p, i, j] + v[q, i, j], where phi holds -inf at padded slots; the
+max runs one sender slot at a time into an (S, n, n) running max, which
+is normalised in place.  Normalisation is checked once per unroll
+(`check_messages`): a NaN message stays NaN in every later layer, so the
+last layer's messages catch every failure, and only then are the layers
+searched for the first failing one, which training keeps and inference
+reruns.  `beliefs_tape` records the unroll as one tape op from the
+document's (n, S) unary block to its (n, S) beliefs; its hand-derived
+backward (Domke, TPAMI 2013) recomputes from phi and v each maximum's
+sender slot, the first maximal one.  Sums over mentions add in mention
+order, so results do not depend on the memory layout.  A training
+document's loss is three records: unaries, beliefs, ranking loss.
 
 The (S, S, n, n) tensor phi (`phi_tensor`) is one GEMM of the document's
 padded (n*S, d) candidate rows V, V diag(C) V^T; C's adjoint is the
@@ -59,7 +64,7 @@ from .attention import (
     padded_rows,
     record_rank_loss,
     record_unaries,
-    scored_instances,
+    score_document,
 )
 from .errors import ValidationError
 from .vectors import EmbeddingStore
@@ -103,10 +108,11 @@ class GlobalParams:
 
 
 class CrfInstance:
-    """One document's inference problem as one padded block, built from
-    per-mention arrays: (n, S) unaries, log priors and slot validity
-    `valid`, (n, S, d) candidate rows, (n, S) entity ids holding -1 at
-    padding, and the coherence diagonal `c`."""
+    """One document's inference problem as one padded block: (n, S)
+    unaries, log priors and slot validity `valid`, (n, S, d) candidate
+    rows, (n, S) entity ids holding -1 at padding, and the coherence
+    diagonal `c`.  The constructor pads per-mention arrays;
+    `CrfInstance.of_blocks` takes blocks padded already."""
 
     def __init__(self, unaries: list[np.ndarray], cand_vecs: list[np.ndarray],
                  entities: list[list[int]], log_priors: list[np.ndarray], c: np.ndarray):
@@ -119,6 +125,15 @@ class CrfInstance:
         self.log_priors = padded_rows(log_priors)[0]
         self.entities = padded_ids(entities, self.valid)
         self.c = c
+
+    @classmethod
+    def of_blocks(cls, unaries: np.ndarray, valid: np.ndarray, cand_vecs: np.ndarray,
+                  entities: np.ndarray, log_priors: np.ndarray, c: np.ndarray
+                  ) -> "CrfInstance":
+        instance = cls.__new__(cls)
+        instance.unaries, instance.valid, instance.cand_vecs = unaries, valid, cand_vecs
+        instance.entities, instance.log_priors, instance.c = entities, log_priors, c
+        return instance
 
     @property
     def n(self) -> int:
@@ -182,12 +197,35 @@ def phi_tensor(vecs: np.ndarray, mask: np.ndarray, c: np.ndarray) -> np.ndarray:
     return phi
 
 
-def message_masks(valid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (S, n, n) live message slots, the (n, n) off-diagonal pairs and
-    the uniform (S, n, n) start messages of the (S, n) slot validity `valid`."""
-    offdiag = ~np.eye(valid.shape[1], dtype=bool)
-    keep = valid[:, None, :] & offdiag
-    return keep, offdiag, np.where(keep, 1.0 / valid.sum(axis=0), 1.0)
+def message_masks(valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, n, n) live message slots and the uniform (S, n, n) start
+    messages of the (S, n) slot validity `valid`."""
+    keep = valid[:, None, :] & ~np.eye(valid.shape[1], dtype=bool)
+    return keep, np.where(keep, 1.0 / valid.sum(axis=0), 1.0)
+
+
+def message_sum_error(mix: np.ndarray, valid: np.ndarray) -> tuple[int, int, float] | None:
+    """(i, j, sum) of the first message i -> j of the (S, n, n) messages
+    `mix` that does not sum to 1 over j's live slots, or None."""
+    totals = np.where(valid[:, None, :], mix, 0.0).sum(axis=0)
+    bad = ~np.eye(totals.shape[0], dtype=bool) & ~(np.abs(totals - 1.0) <= MESSAGE_NORM_TOL)
+    if not bad.any():
+        return None
+    i, j = np.argwhere(bad)[0]
+    return int(i), int(j), totals[i, j]
+
+
+def check_messages(mixes: list[np.ndarray], valid: np.ndarray) -> None:
+    """Raise for the first of layers 1..T, given their messages `mixes`,
+    with a message that does not sum to 1.  A NaN message stays NaN in
+    every later layer, so only the last layer is checked unless it fails."""
+    if message_sum_error(mixes[-1], valid) is None:
+        return
+    for layer, mix in enumerate(mixes, start=1):
+        error = message_sum_error(mix, valid)
+        if error is not None:
+            i, j, total = error
+            raise ValidationError(f"message {i}->{j} at layer {layer} sums to {total!r}")
 
 
 def layers(psi: np.ndarray, phi: np.ndarray, valid: np.ndarray, t: int,
@@ -197,42 +235,43 @@ def layers(psi: np.ndarray, phi: np.ndarray, valid: np.ndarray, t: int,
     `phi` and its contiguous (S, n) slot validity `valid`.
 
     Yields each layer's messages, normalised max-product values and sender
-    values (mix, soft, v), every one a new array; only the (S, S, n, n)
-    scratch block holding phi + v is reused from layer to layer.
+    values (mix, soft, v), every one a new array.  The max over sender
+    slots runs one slot at a time into an (S, n, n) running max, which is
+    then normalised in place.  The messages are not checked here: a
+    consumer checks them once per unroll (`check_messages`).
     """
     if t < 1:
         raise ValidationError(f"layer count must be >= 1, got {t}")
-    keep, offdiag, mix = message_masks(valid)
-    scratch = np.empty_like(phi)
-    for layer in range(1, t + 1):
+    keep, mix = message_masks(valid)
+    sender = np.empty(phi.shape[1:])
+    for _ in range(t):
         log_m = np.log(mix)
         # pre[q, i] = psi_i(q) + sum_k log m[k -> i](q); v removes j's backflow
         pre = psi + log_m.sum(axis=1)
         v = np.subtract(pre[:, :, None], log_m.transpose(0, 2, 1), order="C")
-        z = np.add(phi, v[:, None], out=scratch).max(axis=0)
+        z = phi[0] + v[0]
+        for q in range(1, phi.shape[0]):
+            np.maximum(z, np.add(phi[q], v[q], out=sender), out=z)
         # normalise over the receiver's candidates; padded ones hold -inf
-        ex = np.exp(z - z.max(axis=0))
-        soft = np.where(keep, ex / ex.sum(axis=0), 1.0)
+        z -= z.max(axis=0)
+        np.exp(z, out=z)
+        z /= z.sum(axis=0)
+        soft = np.where(keep, z, 1.0)
         mix = mix + delta * (soft - mix)
-        totals = np.where(valid[:, None, :], mix, 0.0).sum(axis=0)
-        bad = offdiag & ~(np.abs(totals - 1.0) <= MESSAGE_NORM_TOL)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ValidationError(
-                f"message {i}->{j} at layer {layer} sums to {totals[i, j]!r}")
         yield mix, soft, v
 
 
 def unroll(psi: np.ndarray, phi: np.ndarray, valid: np.ndarray, t: int,
            delta: float) -> Unroll:
     """Every one of the T `layers` over these arguments, kept for the
-    backward pass."""
-    keep, _, start = message_masks(valid)
+    backward pass, their messages checked."""
+    keep, start = message_masks(valid)
     state = Unroll(psi, valid, phi, keep, delta, mix=[start], soft=[], v=[])
     for mix, soft, v in layers(psi, phi, valid, t, delta):
         state.mix.append(mix)
         state.soft.append(soft)
         state.v.append(v)
+    check_messages(state.mix[1:], valid)
     return state
 
 
@@ -247,30 +286,34 @@ def final_beliefs(psi: np.ndarray, mix: np.ndarray, valid: np.ndarray) -> np.nda
 
 def build_crf_instance(doc, params: GlobalParams,
                        store: EmbeddingStore) -> tuple[CrfInstance | None, list[int]]:
-    """Inference instance over the document's candidate-bearing mentions.
+    """Inference instance over the document's candidate-bearing mentions,
+    made of the blocks the local scorer returns (`score_document`).
 
     Returns the instance and the positions of the included mentions;
     mentions without candidates stay unannotated.
     """
-    scored = list(scored_instances(doc, params.local, store))
-    if not scored:
+    scored = score_document(doc, params.local, store)
+    if scored is None:
         return None, []
-    instances, unaries, _ = map(list, zip(*scored))
-    instance = CrfInstance(unaries=unaries, cand_vecs=[inst.cand_vecs for inst in instances],
-                           entities=[inst.entities for inst in instances],
-                           log_priors=[inst.log_priors for inst in instances], c=params.c)
-    return instance, [inst.position for inst in instances]
+    mentions, cands, psi, _ = scored
+    instance = CrfInstance.of_blocks(psi, mentions.valid, cands, mentions.entities,
+                                     mentions.log_priors, params.c)
+    return instance, mentions.positions
 
 
 def instance_marginals(instance: CrfInstance, params: GlobalParams) -> np.ndarray:
     """The (n, S) combined marginal scores rho, -inf at padding (inference
     path): the T `layers` keep only the latest messages, and f runs once
-    over the live slots of the final belief block."""
+    over the live slots of the final belief block.  When the last messages
+    fail their check, the unroll reruns keeping every layer to name the
+    first failing one."""
     psi = np.ascontiguousarray(instance.unaries.T)
     valid = np.ascontiguousarray(instance.valid.T)
     phi = phi_tensor(instance.cand_vecs, instance.valid, instance.c)
     for mix, _, _ in layers(psi, phi, valid, params.t, params.delta):
         pass
+    if message_sum_error(mix, valid) is not None:
+        unroll(psi, phi, valid, params.t, params.delta)
     mu = final_beliefs(psi, mix, valid)
     return combine_block(params.local.fnet, mu.T, instance.log_priors, instance.valid)
 

@@ -432,6 +432,10 @@ def eval_relatedness(queries: list[RelatednessQuery],
 # -- file formats -------------------------------------------------------
 
 
+# word frequencies add counts up as float64, exact for integers up to here
+MAX_COUNT = 2 ** 53
+
+
 def load_counts_file(path: str, vocab: Vocab, entities: Vocab,
                      source: str = "description") -> CooccurrenceCounts:
     """Read ``entity \\t word \\t count`` rows into the `source` table; rows
@@ -442,6 +446,8 @@ def load_counts_file(path: str, vocab: Vocab, entities: Vocab,
         c = parse_field(int, raw, f"{where}: bad count")
         if c < 0:
             raise ValidationError(f"{where}: negative count")
+        if c > MAX_COUNT:
+            raise ValidationError(f"{where}: count above 2**53")
         rows.append((ent, word, c))
     # every row is checked before the vocabulary grows
     for ent, word, c in rows:

@@ -7,7 +7,7 @@ candidates, train the local and global models, evaluate everything and
 write the report artifacts.  With a fixed seed, reruns are byte-identical:
 every random draw comes from a seeded stream, one per entity for the
 entity vectors.  A config is checked when built (`stage_objects`); every model
-reads documents through `attention.doc_instances`, once per split.  The
+reads documents through `attention.DocMentions`.  The
 CLI's commands build their objects through the same stages
 (`stage_objects`, `select_all_candidates`, `fit`).
 
@@ -309,20 +309,20 @@ def attention_dump(corpus: Corpus, params: LocalParams, store) -> list[dict]:
     """
     rows = []
     for doc in corpus:
-        for inst, pred, beta in local_decisions(doc, params, store):
+        for position, pred, beta in local_decisions(doc, params, store):
             if beta.shape[0] == 0:  # an empty context attends to nothing
                 continue
-            mention = doc.mentions[inst.position]
+            mention = doc.mentions[position]
             weights: dict[str, float] = {}
             for w, b in zip(mention.context, beta):
                 if b > 0.0:
                     token = store.word_vocab.token(w)
                     weights[token] = weights.get(token, 0.0) + float(b)
             ranked = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
-            gold_prior = (mention.candidates[inst.gold_index].prior
-                          if inst.gold_index is not None else 0.0)
+            gold_prior = next((c.prior for c in mention.candidates
+                               if c.entity == mention.gold_id), 0.0)
             rows.append({
-                "doc": doc.doc_id, "mention": inst.position, "surface": mention.surface,
+                "doc": doc.doc_id, "mention": position, "surface": mention.surface,
                 "gold": mention.gold, "gold_prior": gold_prior,
                 "predicted": store.entity_vocab.token(pred),
                 "correct": int(pred == mention.gold_id),

@@ -54,7 +54,7 @@ class EmbeddingStore:
 
     def word_rows(self, ids) -> np.ndarray:
         """Rows of the given word ids as one (len(ids), d) copy."""
-        return _checked_rows(self._words, ids, "word")
+        return self._words[checked_ids(ids, self.n_words, "word")]
 
     def word_matrix(self) -> np.ndarray:
         return self._words
@@ -87,7 +87,7 @@ class EmbeddingStore:
 
     def entity_rows(self, ids) -> np.ndarray:
         """Rows of the given entity ids as one (len(ids), d) copy."""
-        return _checked_rows(self._entities, ids, "entity")
+        return self._entities[checked_ids(ids, self.n_entities, "entity")]
 
     def entity_matrix(self) -> np.ndarray:
         return self._entities
@@ -156,14 +156,15 @@ class EmbeddingStore:
         return vec
 
 
-def _checked_rows(table: np.ndarray, ids, what: str) -> np.ndarray:
-    # fancy indexing would wrap a negative id silently, so it is rejected here
+def checked_ids(ids, size: int, what: str) -> np.ndarray:
+    """`ids` as an index array, each in [0, size); the first one outside
+    is named.  Fancy indexing would wrap a negative id silently, so it is
+    rejected here."""
     ids = np.asarray(ids, dtype=np.intp)
-    bad = (ids < 0) | (ids >= table.shape[0])
+    bad = (ids < 0) | (ids >= size)
     if bad.any():
-        raise ValidationError(
-            f"{what} id {int(ids[bad][0])} out of range [0, {table.shape[0]})")
-    return table[ids]
+        raise ValidationError(f"{what} id {int(ids[bad][0])} out of range [0, {size})")
+    return ids
 
 
 def nearest_words(store: EmbeddingStore, entity: int, k: int,

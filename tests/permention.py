@@ -7,7 +7,8 @@ records (`record_unaries`, `record_rank_loss`) replaced.  The joint loss
 runs `beliefs_tape` on per-mention values through `tapeops.lbp_beliefs`.
 
 Inference: one f pass and one argmax loop per mention, over its context
-scores (`local_decision`) or over its beliefs from the full `run_lbp`
+scores from both scorer steps on its own rows (`mention_unary`,
+`local_decision`) or over its beliefs from the full `run_lbp`
 unroll (`instance_marginals`): the formulation the per-document f pass and
 the vectorised argmax replaced.  `argmax_entity` is the tie-break oracle.
 
@@ -24,7 +25,7 @@ import numpy as np
 from tapeops import lbp_beliefs
 
 from entlink import autodiff as ad
-from entlink.attention import FNet, combine_f, f_inputs, mention_unary
+from entlink.attention import FNet, attend, combine_f, context_blocks, f_inputs
 from entlink.crf import final_beliefs, phi_tensor, unroll
 from entlink.errors import ValidationError
 
@@ -92,6 +93,16 @@ def beliefs(state, instance):
     """Per-mention normalised beliefs after message passing."""
     return mention_rows(final_beliefs(state.psi, state.mix[-1], state.valid).T,
                         instance.valid)
+
+
+def mention_unary(a, b, r, cand_vecs, ctx_vecs):
+    """One mention's context scores, attention weights and support scores:
+    both scorer steps on its own (S, d) candidate and (K, d) context rows,
+    unpadded.  An empty context yields zero scores and no attention."""
+    if ctx_vecs.shape[0] == 0:
+        s = cand_vecs.shape[0]
+        return np.zeros(s), np.zeros(0), np.zeros((s, 0))
+    return attend(*context_blocks(cand_vecs * a, cand_vecs * b, ctx_vecs), r)
 
 
 def local_decision(params, inst):

@@ -2,27 +2,30 @@
 
 import numpy as np
 import pytest
+from permention import mention_unary
 from tapeops import split_rows, weighted_sum
 
 from entlink import autodiff as ad
 from entlink.attention import (
     DocBlock,
+    DocMentions,
     FNet,
     LocalParams,
     MentionInstance,
-    _support,
-    attention_weights,
+    attend,
     combine_f,
-    context_score,
+    context_blocks,
     floored_log_prior,
     local_doc_loss_tape,
     local_loss_closure,
     make_param_vars,
-    mention_unary,
+    ordered_sum,
     predict_local,
     record_unaries,
-    top_r_mask,
+    score_document,
+    top_r,
 )
+from entlink.crf import GlobalParams, predict_global
 from entlink.docs import Corpus, Document, Mention, build_context_windows
 from entlink.errors import ValidationError
 from entlink.priors import Candidate
@@ -30,6 +33,33 @@ from entlink.vectors import EmbeddingStore
 from entlink.vocab import Vocab
 
 SIGMOID_1 = 1.0 / (1.0 + np.exp(-1.0))  # exp(3) / (exp(3) + exp(2))
+
+
+def _support(cand_vecs, ctx_vecs, a):
+    """Support per word and the candidate-word scores: step (a)'s a-block
+    and its max over candidates."""
+    scores, _ = context_blocks(cand_vecs * a, cand_vecs * a, ctx_vecs)
+    return scores.max(axis=-2), scores
+
+
+def attention_weights(u, r):
+    """The attention weights step (b) gives support scores u: those of one
+    candidate whose a-block row is u."""
+    return attend(u[..., None, :], np.zeros(u.shape[:-1] + (1,) + u.shape[-1:]), r)[1]
+
+
+def top_r_mask(u, r):
+    """Boolean keep-mask of `top_r`'s positions."""
+    mask = np.zeros(u.shape, dtype=bool)
+    np.put_along_axis(mask, top_r(u, r), True, axis=-1)
+    return mask
+
+
+def context_score(cand_vecs, ctx_vecs, beta, b):
+    """Context scores under given attention weights: step (a)'s b-block,
+    summed under beta as step (b) sums it."""
+    _, scores = context_blocks(cand_vecs * b, cand_vecs * b, ctx_vecs)
+    return ordered_sum(scores * beta)
 
 
 class TestSupportScores:
@@ -248,6 +278,126 @@ def straight_line_unary(a, b, r, cand_vecs, ctx_vecs):
     total = sum(weight.values())
     return np.array([sum(weight[w] / total * float(np.sum(cand_vecs[e] * b * ctx_vecs[w]))
                          for w in kept) for e in range(n_cands)])
+
+
+def straight_line_weights(a, r, cand_vecs, ctx_vecs):
+    """Loop-by-loop attention weights: support max, top-R by position, softmax."""
+    n_cands, n_words = cand_vecs.shape[0], ctx_vecs.shape[0]
+    u = [max(float(np.sum(cand_vecs[e] * a * ctx_vecs[w])) for e in range(n_cands))
+         for w in range(n_words)]
+    kept = sorted(range(n_words), key=lambda w: -u[w])[:r]
+    top = max(u[w] for w in kept)
+    weight = {w: np.exp(u[w] - top) for w in kept}
+    total = sum(weight.values())
+    return np.array([weight.get(w, 0.0) / total for w in range(n_words)])
+
+
+class TestDocumentScorer:
+    """Both scorer steps over a document's padded blocks against the
+    straight-line scorer, mention by mention."""
+
+    DIM = 6
+    N_WORDS = 30
+
+    def _store(self, rng):
+        # entity 1 repeats entity 0's row, so candidate sets hold duplicates
+        store = EmbeddingStore(self.DIM, word_vocab=Vocab())
+        words = rng.normal(size=(self.N_WORDS, self.DIM))
+        store.add_words([f"w{i}" for i in range(self.N_WORDS)],
+                        words / np.linalg.norm(words, axis=1, keepdims=True))
+        rows = rng.normal(size=(12, self.DIM))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows[1] = rows[0]
+        store.add_entities([f"E{i}" for i in range(12)], rows)
+        return store
+
+    def _doc(self, rng):
+        """One to six mentions of one to six candidates, the duplicated pair
+        in about half, and zero to fourteen context words, so the blocks
+        pad both axes and some contexts are empty."""
+        mentions = []
+        for i in range(int(rng.integers(1, 7))):
+            s = int(rng.integers(1, 7))
+            if s > 1 and rng.random() < 0.5:
+                entities = [0, 1] + [int(e) for e in rng.choice(np.arange(2, 12), s - 2,
+                                                                replace=False)]
+            else:
+                entities = [int(e) for e in rng.choice(12, s, replace=False)]
+            k = 0 if rng.random() < 0.2 else int(rng.integers(1, 15))
+            mentions.append(Mention(
+                start=i, end=i + 1, surface=f"m{i}",
+                candidates=[Candidate(e, 1.0 / s, "prior-top") for e in entities],
+                context=[int(w) for w in rng.integers(self.N_WORDS, size=k)]))
+        return Document(doc_id="d", tokens=[f"t{i}" for i in range(len(mentions))],
+                        mentions=mentions)
+
+    def test_blocks_match_straight_line_scorer(self):
+        rng = np.random.default_rng(12)
+        store = self._store(rng)
+        params = LocalParams.init(self.DIM, hidden=4)
+        checked = {"empty": 0, "r >= K": 0, "pruned": 0, "duplicates": 0}
+        for _ in range(80):
+            doc = self._doc(rng)
+            params.r = int(rng.integers(1, 16))
+            params.a = 1.0 + 0.3 * rng.normal(size=self.DIM)
+            params.b = 1.0 + 0.3 * rng.normal(size=self.DIM)
+            mentions, cands, psi, beta = score_document(doc, params, store)
+            assert not psi[~mentions.valid].any() and not cands[~mentions.valid].any()
+            for i, position in enumerate(mentions.positions):
+                mention = doc.mentions[position]
+                s, k = len(mention.candidates), len(mention.context)
+                cand_vecs = store.entity_rows([c.entity for c in mention.candidates])
+                ctx_vecs = store.word_rows(mention.context)
+                assert not beta[i, k:].any()
+                if k == 0:
+                    checked["empty"] += 1
+                    assert not psi[i].any()
+                    continue
+                want = straight_line_unary(params.a, params.b, params.r, cand_vecs, ctx_vecs)
+                scale = np.abs(want).max()
+                assert np.abs(psi[i, :s] - want).max() <= 1e-12 * scale
+                np.testing.assert_allclose(
+                    beta[i, :k], straight_line_weights(params.a, params.r, cand_vecs, ctx_vecs),
+                    rtol=1e-12, atol=0.0)
+                checked["r >= K" if params.r >= k else "pruned"] += 1
+                if [c.entity for c in mention.candidates[:2]] == [0, 1]:
+                    checked["duplicates"] += 1
+                    assert abs(psi[i, 0] - psi[i, 1]) <= 1e-15 * scale
+        assert min(checked.values()) >= 20, checked
+
+    def test_equal_b_block_rows_tie_exactly(self):
+        # step (b) sums each candidate's row alone and in one order, so equal
+        # rows give equal scores, padded or not and wherever they sit
+        rng = np.random.default_rng(13)
+        for k in (1, 5, 40, 100):
+            a_block = rng.normal(size=(3, 7, k))
+            b_block = rng.normal(size=(3, 7, k))
+            b_block[:, 4] = b_block[:, 0]
+            b_block[:, 6] = b_block[:, 0]
+            for r in (1, 10, 200):
+                psi, beta, _ = attend(a_block, b_block, r)
+                assert (psi[:, 4] == psi[:, 0]).all() and (psi[:, 6] == psi[:, 0]).all()
+                padded_a = np.concatenate([a_block, np.zeros((3, 7, 9))], axis=-1)
+                padded_b = np.concatenate([b_block, np.zeros((3, 7, 9))], axis=-1)
+                live = np.arange(k + 9) < k
+                got, got_beta, _ = attend(padded_a, padded_b, r, live)
+                np.testing.assert_array_equal(got, psi)
+                np.testing.assert_array_equal(got_beta[:, :k], beta)
+
+    @pytest.mark.parametrize("bad", [-1, N_WORDS])
+    def test_context_id_out_of_range_raises_from_both_models(self, bad):
+        rng = np.random.default_rng(14)
+        store = self._store(rng)
+        joint = GlobalParams.init(self.DIM, hidden=4)
+        doc = self._doc(rng)
+        doc.mentions[-1].context = [0, bad, 1]
+        want = f"word id {bad} out of range [0, {self.N_WORDS})"
+        for predict in (lambda: predict_local(doc, joint.local, store),
+                        lambda: predict_global(doc, joint, store)):
+            with pytest.raises(ValidationError) as failure:
+                predict()
+            assert str(failure.value) == want
+        assert DocMentions.of(doc, require_gold=False).contexts[-1, 1] == bad
 
 
 class TestMentionUnaryConsistency:

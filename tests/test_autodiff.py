@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from permention import mention_unary
 from tapeops import lbp_beliefs, split_rows, stack_rows, weighted_sum
 
 from entlink import autodiff as ad
 from entlink.attention import (DocBlock, FNet, MentionInstance, make_param_vars,
-                               mention_unary, record_rank_loss, record_unaries)
+                               record_rank_loss, record_unaries)
 from entlink.errors import ValidationError
 
 

@@ -552,6 +552,25 @@ class TestExitCodes:
             assert message in proc.stderr
             assert "Traceback" not in proc.stderr
 
+    def test_count_too_large_for_float64_exits_1(self, bench, tmp_path):
+        # the 2**53 cap: counts add into float64 word frequencies, and a
+        # 400-digit count used to end in an uncaught OverflowError
+        _, data, _ = bench
+        env = dict(os.environ, PYTHONPATH=str(Path(entlink.__file__).parent.parent))
+        for count, code in ((2 ** 53, 0), (2 ** 53 + 1, 1), (10 ** 400, 1)):
+            counts = tmp_path / "counts.tsv"
+            counts.write_text((data / "counts.tsv").read_text() + f"E000\tt0w0\t{count}\n")
+            proc = subprocess.run(
+                [sys.executable, "-m", "entlink", "train-embeddings", "--word-vectors",
+                 str(data / "word_vectors.txt"), "--counts", str(counts), "--out",
+                 str(tmp_path / "e.txt"), "--set", "embed_iters=2", "--link-iterations", "0"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == code, (count, proc.stderr)
+            assert "Traceback" not in proc.stderr
+            if code:
+                line = len(counts.read_text().splitlines())
+                assert f"{counts}:{line}: count above 2**53" in proc.stderr
+
     def test_non_utf8_input_names_its_file(self, bench, tmp_path):
         # each text reader names the file, the line and the offset of the
         # first byte that is not UTF-8: a tab-separated table, the config

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from permention import mention_rows
 
-from entlink.attention import combine_block, padded_rows, predict_local, scored_instances
+from entlink.attention import combine_block, predict_local, score_document
 from entlink.crf import build_crf_instance, instance_marginals, predict_global
 from entlink.docs import Mention
 from entlink.experiment import ExperimentConfig, fit, prepare
@@ -35,11 +35,9 @@ def trained(tmp_path_factory):
 
 def _local_scores(doc, params, store):
     """Positions and combined scores of the local model's scored mentions."""
-    scored = list(scored_instances(doc, params, store))
-    scores, valid = padded_rows([psi for _, psi, _ in scored])
-    rho = combine_block(params.fnet, scores,
-                        padded_rows([inst.log_priors for inst, _, _ in scored])[0], valid)
-    return [inst.position for inst, _, _ in scored], mention_rows(rho, valid)
+    mentions, _, scores, _ = score_document(doc, params, store)
+    rho = combine_block(params.fnet, scores, mentions.log_priors, mentions.valid)
+    return mentions.positions, mention_rows(rho, mentions.valid)
 
 
 def _global_scores(doc, params, store):

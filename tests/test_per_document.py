@@ -12,15 +12,16 @@ full unroll bit for bit.
 
 import numpy as np
 import pytest
-from permention import argmax_entity, mention_rows, per_mention, run_lbp
+from permention import argmax_entity, mention_rows, mention_unary, per_mention, run_lbp
 from permention import instance_marginals as oracle_marginals
 from permention import local_decision as oracle_decision
 
+from entlink import autodiff as ad
 from entlink.attention import (FNet, LocalParams, combine_block, combine_f, doc_instances,
-                               local_decisions, padded_rows, predict_local,
-                               scored_instances)
-from entlink.crf import (CrfInstance, GlobalParams, build_crf_instance, final_beliefs,
-                         instance_marginals, layers, phi_tensor, predict_global)
+                               local_decisions, predict_local, score_document)
+from entlink.crf import (CrfInstance, GlobalParams, beliefs_tape, build_crf_instance,
+                         final_beliefs, instance_marginals, layers, phi_tensor,
+                         predict_global)
 from entlink.docs import Document, Mention
 from entlink.errors import ValidationError
 from entlink.priors import Candidate
@@ -123,19 +124,20 @@ def test_local_path_matches_per_mention_oracle(cases):
         want = [(inst, *oracle_decision(local, inst))
                 for inst in doc_instances(doc, store, require_gold=False)]
         got = local_decisions(doc, local, store)
-        assert [(i.position, e) for i, e, _ in got] == [(i.position, e) for i, e, _ in want]
+        assert [(p, e) for p, e, _ in got] == [(i.position, e) for i, e, _ in want]
         for (_, _, beta), (_, _, beta_want) in zip(got, want):
             np.testing.assert_array_equal(beta, beta_want)
         assert predict_local(doc, local, store) == [
             next((e for i, e, _ in want if i.position == k), None)
             for k in range(len(doc.mentions))]
-        scored = list(scored_instances(doc, local, store))
-        scores, valid = padded_rows([psi for _, psi, _ in scored])
-        rho = combine_block(local.fnet, scores,
-                            padded_rows([inst.log_priors for inst, _, _ in scored])[0], valid)
+        mentions, _, scores, _ = score_document(doc, local, store)
+        valid = mentions.valid
+        rho = combine_block(local.fnet, scores, mentions.log_priors, valid)
         assert np.isneginf(rho[~valid]).all()
-        _close(mention_rows(rho, valid), [combine_f(local.fnet, psi, inst.log_priors)
-                                          for inst, psi, _ in scored])
+        _close(mention_rows(rho, valid), [
+            combine_f(local.fnet, mention_unary(local.a, local.b, local.r, inst.cand_vecs,
+                                                inst.ctx_vecs)[0], inst.log_priors)
+            for inst, _, _ in want])
 
 
 def test_global_path_matches_per_mention_oracle(cases):
@@ -186,3 +188,29 @@ def test_message_sum_failure_raises_same_message_from_both_consumers():
         instance_marginals(instance, params)
     assert str(full.value) == str(lean.value)
     assert str(full.value).startswith("message 1->0 at layer 1 sums to ")
+
+
+def test_failure_first_seen_at_a_later_layer_is_named_by_every_consumer():
+    # zero unaries, C = 50 * 1 and delta = 1 drive message 3->1 to exactly
+    # 0 at layer 3, so it sums to NaN from layer 4 on; the text is the one
+    # the check after every layer raised, and each consumer still names
+    # that first bad layer
+    rng = np.random.default_rng(0)
+    vecs = rng.normal(size=(4, 3, 5))
+    vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
+    instance = CrfInstance(unaries=[np.zeros(3)] * 4, cand_vecs=list(vecs),
+                           entities=[[3 * i, 3 * i + 1, 3 * i + 2] for i in range(4)],
+                           log_priors=[np.zeros(3)] * 4, c=np.full(5, 50.0))
+    params = GlobalParams(local=LocalParams.init(5, hidden=4), c=instance.c,
+                          delta=1.0, t=10)
+    tape = ad.Tape()
+    consumers = [
+        lambda: run_lbp(instance, params.t, params.delta),
+        lambda: instance_marginals(instance, params),
+        lambda: beliefs_tape(tape, tape.var(instance.unaries), instance.cand_vecs,
+                             instance.valid, tape.var(instance.c), params.delta, params.t)]
+    for consumer in consumers:
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(ValidationError) as failure:
+            consumer()
+        assert str(failure.value) == "message 3->1 at layer 4 sums to np.float64(nan)"
