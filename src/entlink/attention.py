@@ -47,6 +47,9 @@ from .priors import Candidate
 from .vectors import EmbeddingStore, checked_ids
 
 LOG_PRIOR_FLOOR = 1e-12
+# the paper unrolls T=10 layers; a far larger count from a config or a
+# model header would run for hours per document rather than fail
+MAX_LAYERS = 1000
 
 
 def floored_log_prior(p):
@@ -97,16 +100,6 @@ class FNet:
         net.b3[0] = -box
         return net
 
-    @classmethod
-    def random(cls, hidden: int = 100, scale: float = 0.1,
-               rng: np.random.Generator | None = None) -> "FNet":
-        rng = rng if rng is not None else np.random.default_rng(0)
-        return cls(
-            w1=scale * rng.normal(size=(hidden, 2)), b1=np.zeros(hidden),
-            w2=scale * rng.normal(size=(hidden, hidden)), b2=np.zeros(hidden),
-            w3=scale * rng.normal(size=(1, hidden)), b3=np.zeros(1),
-        )
-
     def hidden_layers(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both relu layers' activations of (n, 2) inputs."""
         h1 = x @ self.w1.T
@@ -153,6 +146,8 @@ def check_header(dim: int, hidden: int, k: int, r: int, delta: float | None = No
         raise ValidationError(f"damping must be in (0, 1], got {delta}")
     if t is not None and t < 1:
         raise ValidationError(f"layer count must be >= 1, got {t}")
+    if t is not None and t > MAX_LAYERS:
+        raise ValidationError(f"layer count must be <= {MAX_LAYERS}, got {t}")
 
 
 @dataclass
@@ -570,26 +565,3 @@ def local_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet | No
             return tape.const(np.zeros(()))
         doc = DocBlock.of(doc)
     return record_rank_loss(tape, vars_, record_unaries(tape, vars_, doc, r), doc, gamma)
-
-
-def loss_closure(build):
-    """(params, need_grad) -> (loss, grads) of the loss `build(tape, vars_)`
-    records, for the gradient checker."""
-
-    def f(params: dict[str, np.ndarray], need_grad: bool):
-        tape = ad.Tape()
-        vars_ = make_param_vars(tape, params)
-        loss = build(tape, vars_)
-        if not need_grad:
-            return float(loss.value), None
-        tape.backward(loss)
-        grads = {name: (v.grad if v.grad is not None else np.zeros_like(v.value))
-                 for name, v in vars_.items()}
-        return float(loss.value), grads
-
-    return f
-
-
-def local_loss_closure(instances: list[MentionInstance], gamma: float, r: int):
-    return loss_closure(lambda tape, vars_: local_doc_loss_tape(
-        tape, vars_, None, instances, gamma, r))

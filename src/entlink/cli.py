@@ -3,11 +3,12 @@
 Subcommands cover the whole pipeline: synthetic data generation, entity
 vector training and evaluation, prior construction, candidate selection,
 model training, prediction, scoring, breakdowns, hyperparameter sweeps and
-embedding inspection.  Exit codes: 0 success, 1 validation failure, 2 I/O
-error.  A command that builds from `ExperimentConfig` reads it from
-`--config` and `--set` alone, its other flags name files (or the hyperlink
-phase of `train-embeddings`), and an input no flag names comes from its
-`data_dir`; other commands read `--data-dir`, else ENTLINK_DATA_DIR.
+embedding inspection.  Exit codes: 0 success, 1 validation failure or out
+of memory, 2 I/O error.  A command that builds from `ExperimentConfig`
+reads it from `--config` and `--set` alone, its other flags name files (or
+the hyperlink phase of `train-embeddings`), and an input no flag names
+comes from its `data_dir`; other commands read `--data-dir`, else
+ENTLINK_DATA_DIR.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .attention import predict_local
 from .crf import GlobalParams, predict_global
@@ -240,13 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--min-freq", type=int, default=0)
     p.set_defaults(func=cmd_inspect_neighbors)
-
-    # maintenance command used by CI; intentionally undocumented
-    p = sub.add_parser("grad-check")
-    p.add_argument("--instances", type=int, default=5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_grad_check)
 
     return parser
 
@@ -522,49 +514,6 @@ def cmd_inspect_neighbors(args) -> int:
     return 0
 
 
-def cmd_grad_check(args) -> int:
-    from . import autodiff as ad
-    from .attention import FNet, MentionInstance, floored_log_prior, local_loss_closure
-    from .crf import global_loss_closure
-
-    rng = np.random.default_rng(args.seed)
-
-    def make_instances(n, max_s, max_ctx):
-        # mixed candidate counts and context lengths, empty contexts
-        # included, so the padded block paths are checked too
-        out = []
-        for s, k in zip(rng.integers(1, max_s + 1, n), rng.integers(0, max_ctx + 1, n)):
-            vecs = rng.normal(size=(s, 8))
-            p = rng.dirichlet(np.ones(s))
-            out.append(MentionInstance(
-                cand_vecs=vecs / np.linalg.norm(vecs, axis=1, keepdims=True),
-                ctx_vecs=rng.normal(size=(k, 8)), gold_index=int(rng.integers(s)),
-                log_priors=floored_log_prior(p),
-                entities=list(range(s))))
-        return out
-
-    worst = 0.0
-    for _ in range(args.instances):
-        fnet = FNet.random(hidden=20, rng=rng)
-        params = {"A": 1.0 + 0.1 * rng.normal(size=8),
-                  "B": 1.0 + 0.1 * rng.normal(size=8),
-                  **fnet.param_dict()}
-        f = local_loss_closure(make_instances(3, 4, 10), gamma=0.05, r=5)
-        rep = ad.grad_check(f, params, coords_per_param=10, rng=rng)
-        worst = max(worst, rep.overall_max())
-        params["C"] = 1.0 + 0.1 * rng.normal(size=8)
-        g = global_loss_closure(make_instances(4, 4, 6), gamma=0.05, r=3,
-                                delta=0.5, t=3)
-        rep = ad.grad_check(g, params, coords_per_param=10, rng=rng)
-        worst = max(worst, rep.overall_max())
-    print(f"max relative error over {args.instances} instances: {worst:.3e}")
-    if worst >= args.tolerance:
-        print(f"FAIL: exceeds tolerance {args.tolerance:g}")
-        return 1
-    print(f"OK: within tolerance {args.tolerance:g}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -576,6 +525,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {args.command} ran out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -59,7 +59,6 @@ from .attention import (
     best_entities,
     check_header,
     combine_block,
-    loss_closure,
     padded_ids,
     padded_rows,
     record_rank_loss,
@@ -378,9 +377,3 @@ def global_doc_loss_tape(tape: ad.Tape, vars_: dict[str, ad.Var], fnet: FNet | N
     psi = record_unaries(tape, vars_, doc, r)
     mu = beliefs_tape(tape, psi, doc.cands, doc.valid, vars_["C"], delta, t)
     return record_rank_loss(tape, vars_, mu, doc, gamma)
-
-
-def global_loss_closure(instances: list[MentionInstance], gamma: float, r: int,
-                        delta: float, t: int):
-    return loss_closure(lambda tape, vars_: global_doc_loss_tape(
-        tape, vars_, None, instances, gamma, r, delta, t))

@@ -40,9 +40,6 @@ class Candidate:
     reason: str  # "prior-top" | "context-top"
 
 
-CandidateSet = list  # list[Candidate], at most S entries, no duplicates
-
-
 class PriorIndex:
     """Normalized mention -> [(entity, probability)], probabilities sum to 1."""
 

@@ -10,22 +10,11 @@ import time
 from dataclasses import replace
 
 import numpy as np
+from gradcheck import grad_check, global_loss_closure, local_loss_closure, random_fnet
 from permention import beliefs, crf_score, run_lbp
 
-from entlink import autodiff as ad
-from entlink.attention import (
-    FNet,
-    MentionInstance,
-    floored_log_prior,
-    local_loss_closure,
-    predict_local,
-)
-from entlink.crf import (
-    CrfInstance,
-    global_loss_closure,
-    instance_marginals,
-    predict_global,
-)
+from entlink.attention import MentionInstance, floored_log_prior, predict_local
+from entlink.crf import CrfInstance, instance_marginals, predict_global
 from entlink.experiment import (
     ExperimentConfig,
     _load_or_generate,
@@ -84,14 +73,14 @@ class TestCriterion1GradientFidelity:
         checked = 0
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
-            fnet = FNet.random(hidden=100, rng=rng)
+            fnet = random_fnet(hidden=100, rng=rng)
             params = {"A": 1.0 + 0.1 * rng.normal(size=dim),
                       "B": 1.0 + 0.1 * rng.normal(size=dim),
                       **fnet.param_dict()}
             local = local_loss_closure(
                 random_mention_instances(rng, n=2, s=3, ctx_len=10, dim=dim),
                 gamma=0.05, r=5)
-            rep = ad.grad_check(local, params, coords_per_param=12, rng=rng)
+            rep = grad_check(local, params, coords_per_param=12, rng=rng)
             worst_local = max(worst_local, rep.overall_max())
             checked += rep.checked
 
@@ -99,7 +88,7 @@ class TestCriterion1GradientFidelity:
             glob = global_loss_closure(
                 random_mention_instances(rng, n=3, s=3, ctx_len=6, dim=dim),
                 gamma=0.05, r=3, delta=0.5, t=3)
-            rep = ad.grad_check(glob, params, coords_per_param=12, rng=rng)
+            rep = grad_check(glob, params, coords_per_param=12, rng=rng)
             worst_global = max(worst_global, rep.overall_max())
             checked += rep.checked
         elapsed = time.monotonic() - started

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from gradcheck import grad_check, local_loss_closure, random_fnet
 from permention import mention_unary
 from tapeops import split_rows, weighted_sum
 
@@ -17,7 +18,6 @@ from entlink.attention import (
     context_blocks,
     floored_log_prior,
     local_doc_loss_tape,
-    local_loss_closure,
     make_param_vars,
     ordered_sum,
     predict_local,
@@ -179,7 +179,7 @@ class TestCombineF:
         # a document's rows go through f in one batch; equal rows must stay
         # exactly tied, so that the entity-id tie-break decides them
         rng = np.random.default_rng(9)
-        net = FNet.random(hidden=100, scale=0.3, rng=rng)
+        net = random_fnet(hidden=100, scale=0.3, rng=rng)
         net.b1 = 0.1 * rng.normal(size=100)
         for n in range(2, 64):
             x = np.repeat(rng.normal(size=(1, 2)), n, axis=0)
@@ -250,21 +250,28 @@ class TestRankLoss:
         assert float(loss.value) == 0.0
 
     def test_gradient_matches_finite_differences(self):
+        # two full mentions; then mixed sizes with a 1-candidate mention and
+        # an empty context (sizes [1, 4, 2], context lengths [4, 0, 5])
         store = toy_store(seed=11)
         rng = np.random.default_rng(5)
-        fnet = FNet.random(hidden=10, rng=rng)
-        instances = [
-            make_instance(store, [0, 1, 2], [0, 1, 2, 3, 4], [0.5, 0.3, 0.2], gold=1),
-            make_instance(store, [3, 4], [5, 6, 7], [0.6, 0.4], gold=0),
+        cases = [
+            [make_instance(store, [0, 1, 2], [0, 1, 2, 3, 4], [0.5, 0.3, 0.2], gold=1),
+             make_instance(store, [3, 4], [5, 6, 7], [0.6, 0.4], gold=0)],
+            [make_instance(store, [5], [8, 9, 10, 11], [1.0], gold=0),
+             make_instance(store, [0, 1, 2, 3], [], [0.4, 0.3, 0.2, 0.1], gold=2),
+             make_instance(store, [4, 5], [0, 2, 4, 6, 8], [0.7, 0.3], gold=1)],
         ]
-        params = {"A": 1.0 + 0.1 * rng.normal(size=store.dim),
-                  "B": 1.0 + 0.1 * rng.normal(size=store.dim),
-                  **fnet.param_dict()}
-        f = local_loss_closure(instances, gamma=0.05, r=3)
-        report = ad.grad_check(f, params, coords_per_param=20,
-                               rng=np.random.default_rng(0))
-        assert report.checked > 0
-        assert report.ok(1e-4), report.max_rel_err
+        for instances in cases:
+            fnet = random_fnet(hidden=10, rng=rng)
+            params = {"A": 1.0 + 0.1 * rng.normal(size=store.dim),
+                      "B": 1.0 + 0.1 * rng.normal(size=store.dim),
+                      **fnet.param_dict()}
+            f = local_loss_closure(instances, gamma=0.05, r=3)
+            report = grad_check(f, params, coords_per_param=20,
+                                rng=np.random.default_rng(0))
+            assert report.checked > 0
+            assert report.ok(1e-4), ([len(i.entities) for i in instances],
+                                     report.max_rel_err)
 
 
 def straight_line_unary(a, b, r, cand_vecs, ctx_vecs):

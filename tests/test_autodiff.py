@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from gradcheck import grad_check, random_fnet
 from permention import mention_unary
 from tapeops import lbp_beliefs, split_rows, stack_rows, weighted_sum
 
@@ -123,7 +124,7 @@ def test_linear_layer_grads_match_fd():
     # adjoints of f's layers and of every trainable mention's score;
     # an untrainable mention between them adds nothing and gets a zero adjoint
     rng = np.random.default_rng(5)
-    fnet = FNet.random(hidden=6, scale=0.8, rng=rng)
+    fnet = random_fnet(hidden=6, scale=0.8, rng=rng)
     sizes, golds = [4, 3, 2], [2, None, 0]
     instances = scored(sizes, golds, [np.log(rng.dirichlet(np.ones(s))) for s in sizes])
     params = {**fnet.param_dict(), **{f"s{i}": rng.normal(size=s) for i, s in enumerate(sizes)}}
@@ -140,7 +141,7 @@ def test_linear_layer_grads_match_fd():
         return float(loss.value), {k: v.grad if v.grad is not None else np.zeros_like(v.value)
                                    for k, v in vars_.items()}
 
-    report = ad.grad_check(f, params)
+    report = grad_check(f, params)
     assert report.checked > 30
     assert report.ok(1e-6), report.max_rel_err
 
@@ -288,7 +289,7 @@ def test_grad_check_quadratic():
         t.backward(y)
         return float(y.value), {"x": x.grad}
 
-    report = ad.grad_check(f, {"x": np.array([3.0])}, epsilon=1e-5)
+    report = grad_check(f, {"x": np.array([3.0])}, epsilon=1e-5)
     # analytic 6 vs central difference 6
     assert report.checked == 1
     assert report.ok(1e-6)
@@ -306,7 +307,7 @@ def test_grad_check_flags_a_wrong_gradient():
         return float((x * x).sum() + (y * y).sum()), {"x": 2.0 * x, "y": grad_y}
 
     rng = np.random.default_rng(5)
-    report = ad.grad_check(f, {"x": rng.normal(size=4), "y": rng.normal(size=(2, 3))})
+    report = grad_check(f, {"x": rng.normal(size=4), "y": rng.normal(size=(2, 3))})
     assert not report.ok(1e-4)
     assert report.max_rel_err["x"] < 1e-6
     assert report.max_rel_err["y"] == pytest.approx(0.5, abs=1e-6)
@@ -322,7 +323,7 @@ def test_grad_check_noise_floor(slope, flagged):
         x = params["x"]
         return float(slope * x.sum()), {"x": np.full(x.shape, 2.0 * slope)}
 
-    report = ad.grad_check(f, {"x": np.array([0.3, -1.2])})
+    report = grad_check(f, {"x": np.array([0.3, -1.2])})
     assert report.max_rel_err["x"] == (pytest.approx(0.5, abs=1e-6) if flagged else 0.0)
 
 
@@ -337,7 +338,7 @@ def test_grad_check_skips_kinks():
         t.backward(y)
         return float(y.value), {"x": x.grad}
 
-    report = ad.grad_check(f, {"x": np.array([0.0, 2.0])})
+    report = grad_check(f, {"x": np.array([0.0, 2.0])})
     assert ("x", (0,)) in report.skipped
     assert report.ok(1e-6)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from gradcheck import random_fnet
 from permention import global_loss, local_loss
 
 from entlink import autodiff as ad
@@ -35,7 +36,7 @@ def random_document(rng, n=None):
 
 
 def random_params(rng):
-    fnet = FNet.random(hidden=8, scale=0.6, rng=rng)
+    fnet = random_fnet(hidden=8, scale=0.6, rng=rng)
     return {"A": 1.0 + 0.3 * rng.normal(size=DIM), "B": 1.0 + 0.3 * rng.normal(size=DIM),
             "C": 1.0 + 0.3 * rng.normal(size=DIM), **fnet.param_dict()}
 

@@ -489,17 +489,19 @@ class TestExitCodes:
 
     def test_bad_inputs_exit_one_without_traceback(self, bench, tmp_path):
         # a model whose header sizes exceed the file, one with an attention
-        # budget of 0, one with a NaN in A, a model of the wrong dimension,
+        # budget of 0, one with a NaN in A, a model of the wrong dimension, a
+        # joint model whose layer count is 2**30 (hours per document),
         # a binary vector file whose token is not UTF-8, a predictions file
         # with a non-integer mention index, frequency tables with a
         # non-integer count or three columns, a count index with a NaN
         # count, unparsable list flags, and a JSON-lines line that is no object
         _, data, entities = bench
-        huge, r0, nan, narrow = (tmp_path / f"{n}.model"
-                                 for n in ("huge", "r0", "nan", "narrow"))
+        huge, r0, nan, narrow, deep = (tmp_path / f"{n}.model"
+                                       for n in ("huge", "r0", "nan", "narrow", "deep"))
         for path in (huge, r0, nan):
             save_model(str(path), LocalParams.init(12, hidden=4))
-        for path, offset, value in ((huge, 11, 2 ** 31), (r0, 19, 0)):
+        save_model(str(deep), GlobalParams.init(12, hidden=4))
+        for path, offset, value in ((huge, 11, 2 ** 31), (r0, 19, 0), (deep, 31, 2 ** 30)):
             raw = bytearray(path.read_bytes())
             struct.pack_into("<I", raw, offset, value)
             path.write_bytes(bytes(raw))
@@ -530,6 +532,7 @@ class TestExitCodes:
                  (predict + [str(r0)], "r must be at least 1"),
                  (predict + [str(nan)], "non-finite parameter"),
                  (predict + [str(narrow)], "model dimension 8 does not match"),
+                 (predict + [str(deep)], f"{deep}: layer count must be <= 1000, got {2 ** 30}"),
                  (["inspect-neighbors", "--entities", str(vectors), "--entity", "E0"],
                   "not UTF-8"),
                  (["--data-dir", str(data), "evaluate", "--predictions", str(bad_preds)],
@@ -551,6 +554,20 @@ class TestExitCodes:
             assert proc.returncode == 1, (argv, proc.stderr)
             assert message in proc.stderr
             assert "Traceback" not in proc.stderr
+
+    def test_out_of_memory_exits_1_naming_the_command(self, monkeypatch, capsys):
+        for exc, message in ((MemoryError("Unable to allocate 3.50 GiB"),
+                              "error: run-experiment ran out of memory: "
+                              "Unable to allocate 3.50 GiB\n"),
+                             (MemoryError(), "error: run-experiment ran out of memory\n")):
+            def exhausted(cfg, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(cli, "run_experiment", exhausted)
+            assert main(["run-experiment"]) == 1
+            err = capsys.readouterr().err
+            assert err == message
+            assert "Traceback" not in err
 
     def test_count_too_large_for_float64_exits_1(self, bench, tmp_path):
         # the 2**53 cap: counts add into float64 word frequencies, and a
@@ -687,11 +704,6 @@ class TestExitCodes:
         assert exit_.value.code == 2
         assert "unrecognized arguments: --entities" in capsys.readouterr().err
 
-    def test_grad_check_subcommand(self, capsys):
-        assert main(["grad-check", "--instances", "1", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "OK" in out
-
 
 class TestRunExperimentCli:
     def test_config_file_with_overrides(self, tmp_path, capsys):
@@ -750,8 +762,8 @@ class TestRunExperimentCli:
             assert "Traceback" not in proc.stderr
         assert not (tmp_path / "sweep").exists()
 
-    @pytest.mark.parametrize("setting", ["delta=0", "t=0", "s=0", "prior_top=-1",
-                                         "context_top=-1"])
+    @pytest.mark.parametrize("setting", ["delta=0", "t=0", "t=1000000000", "s=0",
+                                         "prior_top=-1", "context_top=-1"])
     def test_bad_experiment_config_fails_before_any_stage(self, tmp_path, capsys,
                                                           setting):
         out = tmp_path / "run"

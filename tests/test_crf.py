@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from gradcheck import grad_check, global_loss_closure, random_fnet
 from permention import argmax_entity, beliefs, crf_score, per_mention, phi, run_lbp
 from tapeops import lbp_beliefs, weighted_sum
 
@@ -22,7 +23,6 @@ from entlink.crf import (
     GlobalParams,
     build_crf_instance,
     global_doc_loss_tape,
-    global_loss_closure,
     pair_scale,
     phi_tensor,
     predict_global,
@@ -372,7 +372,7 @@ class TestTiedRouting:
         params = {"C": inst.c.copy(),
                   **{f"u{i}": u.copy() for i, u in enumerate(m.unaries)}}
         # coordinates on a tie are kinks, which grad_check skips
-        report = ad.grad_check(f, params)
+        report = grad_check(f, params)
         assert report.checked >= 10
         assert report.ok(1e-4), report.max_rel_err
 
@@ -503,7 +503,7 @@ class TestGlobalLoss:
 
     def test_gamma_monotonicity(self):
         rng = np.random.default_rng(13)
-        fnet = FNet.random(hidden=8, rng=rng)
+        fnet = random_fnet(hidden=8, rng=rng)
         instances = self._make_instances(rng)
         params = {"A": np.ones(5), "B": np.ones(5), "C": np.ones(5),
                   **fnet.param_dict()}
@@ -526,15 +526,15 @@ class TestGlobalLoss:
                  dict(sizes=[3], ctx_lens=[5]),
                  dict(sizes=[3, 2], ctx_lens=[4, 3])]
         for case in cases:
-            fnet = FNet.random(hidden=10, rng=rng)
+            fnet = random_fnet(hidden=10, rng=rng)
             instances = self._make_instances(rng, **case)
             params = {"A": 1.0 + 0.1 * rng.normal(size=5),
                       "B": 1.0 + 0.1 * rng.normal(size=5),
                       "C": 1.0 + 0.1 * rng.normal(size=5),
                       **fnet.param_dict()}
             f = global_loss_closure(instances, gamma=0.05, r=3, delta=0.5, t=3)
-            report = ad.grad_check(f, params, coords_per_param=15,
-                                   rng=np.random.default_rng(1))
+            report = grad_check(f, params, coords_per_param=15,
+                                rng=np.random.default_rng(1))
             assert report.checked > 0
             assert report.ok(1e-4), (case, report.max_rel_err)
 

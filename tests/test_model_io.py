@@ -99,7 +99,8 @@ def test_joint_header_range_checked_with_path(tmp_path):
             (23, "<d", np.nan, "damping must be in (0, 1], got nan"),
             (23, "<d", 0.0, "damping must be in (0, 1], got 0.0"),
             (23, "<d", 1.5, "damping must be in (0, 1], got 1.5"),
-            (31, "<I", 0, "layer count must be >= 1, got 0")):
+            (31, "<I", 0, "layer count must be >= 1, got 0"),
+            (31, "<I", 1001, "layer count must be <= 1000, got 1001")):
         save_model(path, GlobalParams.init(6, hidden=8))
         _patched(path, offset, fmt, value)
         open(path, "r+b").truncate(35)

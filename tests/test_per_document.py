@@ -12,12 +12,13 @@ full unroll bit for bit.
 
 import numpy as np
 import pytest
+from gradcheck import random_fnet
 from permention import argmax_entity, mention_rows, mention_unary, per_mention, run_lbp
 from permention import instance_marginals as oracle_marginals
 from permention import local_decision as oracle_decision
 
 from entlink import autodiff as ad
-from entlink.attention import (FNet, LocalParams, combine_block, combine_f, doc_instances,
+from entlink.attention import (LocalParams, combine_block, combine_f, doc_instances,
                                local_decisions, predict_local, score_document)
 from entlink.crf import (CrfInstance, GlobalParams, beliefs_tape, build_crf_instance,
                          final_beliefs, instance_marginals, layers, phi_tensor,
@@ -83,7 +84,7 @@ def _params(rng, dim):
     local = params.local
     local.a = 1.0 + 0.3 * rng.normal(size=dim)
     local.b = 1.0 + 0.3 * rng.normal(size=dim)
-    local.fnet = FNet.random(hidden, scale=0.3, rng=rng)
+    local.fnet = random_fnet(hidden, scale=0.3, rng=rng)
     local.fnet.b1 = 0.1 * rng.normal(size=hidden)
     params.c = 1.0 + 0.5 * rng.normal(size=dim)
     return params

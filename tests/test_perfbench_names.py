@@ -82,8 +82,10 @@ def _is_cfg(node) -> bool:
 
 @pytest.mark.parametrize("module", ["paperdata", "probes", "workloads"])
 def test_called_entlink_names_and_keywords_exist(module):
-    # every entlink attribute the harness reaches through an imported name,
-    # and every keyword it passes to an entlink callable, still exist
+    # every entlink attribute the harness reaches through an imported name
+    # still exists, and every call of an entlink callable without `*`/`**`
+    # arguments binds to its signature: an unknown keyword or a dropped
+    # positional parameter shows here
     tree = ast.parse((PERFBENCH / f"{module}.py").read_text(encoding="utf-8"))
     bound = _entlink_bindings(tree)
     assert bound
@@ -97,11 +99,14 @@ def test_called_entlink_names_and_keywords_exist(module):
         if target is None:
             continue
         calls += 1
-        params = inspect.signature(target[0]).parameters
-        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+        if any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(kw.arg is None for kw in node.keywords):
             continue
-        for kw in node.keywords:
-            assert kw.arg is None or kw.arg in params, f"{target[1]}({kw.arg}=...)"
+        try:
+            inspect.signature(target[0]).bind(
+                *node.args, **{kw.arg: kw.value for kw in node.keywords})
+        except TypeError as exc:
+            pytest.fail(f"{target[1]} at line {node.lineno}: {exc}")
     assert calls
 
 
