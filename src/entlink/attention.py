@@ -224,14 +224,16 @@ def attend(a_block: np.ndarray, b_block: np.ndarray, r: int,
     if live is not None:
         a_block = np.where(live, a_block, -np.inf)
     u = a_block.max(axis=-2)
-    top = top_r(u, r)
-    kept = np.take_along_axis(u, top, axis=-1)
+    top = top_r(u, r)[..., None, :]
+    # a sparse index grid over the leading and the candidate axes; with
+    # `top` it indexes the kept words of u, of the b-block and of beta
+    *lead, slots = np.indices(b_block.shape[:-1] + (1,), sparse=True)[:-1]
+    kept = u[(*lead, top)]
     weights = np.exp(kept - kept[..., :1])
     weights /= ordered_sum(weights)[..., None]
-    kept_b = np.take_along_axis(b_block, top[..., None, :], axis=-1)
-    psi = ordered_sum(kept_b * weights[..., None, :])
+    psi = ordered_sum(b_block[(*lead, slots, top)] * weights)
     beta = np.zeros(u.shape)
-    np.put_along_axis(beta, top, weights, axis=-1)
+    beta[(*lead, top)] = weights
     return psi, beta, a_block
 
 
@@ -246,7 +248,9 @@ def scored_pairs(valid: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 def f_inputs(context_scores: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
     """The (n, 2) input rows of the combination network."""
-    x = np.column_stack([context_scores, log_priors])
+    x = np.empty((len(context_scores), 2))
+    x[:, 0] = context_scores
+    x[:, 1] = log_priors
     if not np.isfinite(x).all():
         raise ValidationError("non-finite input to the combination network")
     return x

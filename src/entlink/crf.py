@@ -24,23 +24,32 @@ sum over candidate slots runs over the outermost axis: entry [p, i, j] of
 the (S, n, n) messages is the message from mention i to j at j's slot p,
 in probability space.  Padding and the diagonal are neutral slots holding
 1 (log 0).  A layer keeps values only, the max over sender slots q of
-phi[q, p, i, j] + v[q, i, j], where phi holds -inf at padded slots; the
-max runs one sender slot at a time into an (S, n, n) running max, which
-is normalised in place.  Normalisation is checked once per unroll
-(`check_messages`): a NaN message stays NaN in every later layer, so the
-last layer's messages catch every failure, and only then are the layers
-searched for the first failing one, which training keeps and inference
-reruns.  `beliefs_tape` records the unroll as one tape op from the
-document's (n, S) unary block to its (n, S) beliefs; its hand-derived
-backward (Domke, TPAMI 2013) recomputes from phi and v each maximum's
-sender slot, the first maximal one.  Sums over mentions add in mention
-order, so results do not depend on the memory layout.  A training
-document's loss is three records: unaries, beliefs, ranking loss.
+phi[q, p, i, j] + v[q, i, j], where phi holds -inf at padded slots.  The
+max runs over blocks of sender slots into an (S, n, n) running max, each
+block's (q, S, n, n) sums and the running max within the byte budget
+`SENDER_BLOCK_BYTES`.  A document of up to 24 mentions of 7 candidates
+takes one block, one broadcast add and one max per layer; from 40
+mentions each slot is its own block, one add and one maximum, as a max
+over one slot would be a copy.  The running max is normalised in place.
+Normalisation is checked once per unroll (`check_messages`): a NaN
+message stays NaN in every later layer, so the last layer's messages
+catch every failure, and only then are the layers searched for the first
+failing one, which training keeps and inference reruns.  `beliefs_tape`
+records the unroll as one tape op from the document's (n, S) unary block
+to its (n, S) beliefs; its hand-derived backward (Domke, TPAMI 2013)
+recomputes from phi and v each maximum's sender slot, the first maximal
+one.  Sums over mentions add in mention order, so results do not depend
+on the memory layout.  A training document's loss is three records:
+unaries, beliefs, ranking loss.
 
 The (S, S, n, n) tensor phi (`phi_tensor`) is one GEMM of the document's
 padded (n*S, d) candidate rows V, V diag(C) V^T; C's adjoint is the
 diagonal of V^T G V for phi's adjoint G laid out like that product, again
 one GEMM.
+
+A document's joint arrays grow as n^2 S^2, so before phi is allocated the
+bytes it needs are computed from n, S and T (`joint_bytes`) and checked
+against `JOINT_BYTES` (`check_joint_budget`).
 """
 
 from __future__ import annotations
@@ -69,6 +78,14 @@ from .errors import ValidationError
 from .vectors import EmbeddingStore
 
 MESSAGE_NORM_TOL = 1e-6
+# a layer's sender-slot block and its running max stay within this many
+# bytes, so they stay in cache: at larger n a block's extra pass over
+# memory costs more than the numpy calls it saves
+SENDER_BLOCK_BYTES = 1 << 18
+# a document whose joint arrays need more than this exits 1 before they
+# are allocated: far above the 4 MB of a 60-mention, 7-candidate document
+# at paper scale, and below what one process may take on a shared machine
+JOINT_BYTES = 1 << 30
 
 
 def pair_scale(n: int) -> float:
@@ -191,9 +208,32 @@ def phi_tensor(vecs: np.ndarray, mask: np.ndarray, c: np.ndarray) -> np.ndarray:
     flat = vecs.reshape(n * s, d)
     pairs = ((flat * c) @ flat.T).reshape(n, s, n, s).transpose(3, 1, 2, 0)
     phi = np.multiply(pair_scale(n), pairs, order="C")
-    phi.transpose(2, 0, 1, 3)[~mask] = -np.inf
-    phi.transpose(3, 1, 0, 2)[~mask] = -np.inf
+    if not mask.all():
+        phi.transpose(2, 0, 1, 3)[~mask] = -np.inf
+        phi.transpose(3, 1, 0, 2)[~mask] = -np.inf
     return phi
+
+
+def joint_bytes(n: int, s: int, t: int, training: bool) -> int:
+    """Peak bytes of an n-mention document's joint arrays at S candidate
+    slots and T layers, as traced.  Arrays of phi's (S, S, n, n) size: 2 at
+    inference, phi and the product it is scaled from; 4 in training, adding
+    phi's adjoint and the backward's scores, which argmax copies.  Arrays of
+    a layer's (S, n, n) size: 6 at inference, around the latest layer; in
+    training, where every layer is kept, 4 per layer and 4 more."""
+    pairs, messages = 8 * s * s * n * n, 8 * s * n * n
+    if training:
+        return 4 * pairs + (4 * t + 4) * messages
+    return 2 * pairs + 6 * messages
+
+
+def check_joint_budget(doc_id: str, n: int, s: int, t: int, training: bool) -> None:
+    """Raise when the document's joint arrays (`joint_bytes`) exceed `JOINT_BYTES`."""
+    need = joint_bytes(n, s, t, training)
+    if need > JOINT_BYTES:
+        raise ValidationError(
+            f"doc {doc_id!r}: joint stage needs {need} bytes for n={n} mentions "
+            f"and S={s} candidate slots, over the budget of {JOINT_BYTES}")
 
 
 def message_masks(valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +247,8 @@ def message_sum_error(mix: np.ndarray, valid: np.ndarray) -> tuple[int, int, flo
     """(i, j, sum) of the first message i -> j of the (S, n, n) messages
     `mix` that does not sum to 1 over j's live slots, or None."""
     totals = np.where(valid[:, None, :], mix, 0.0).sum(axis=0)
-    bad = ~np.eye(totals.shape[0], dtype=bool) & ~(np.abs(totals - 1.0) <= MESSAGE_NORM_TOL)
+    bad = ~(np.abs(totals - 1.0) <= MESSAGE_NORM_TOL)
+    np.fill_diagonal(bad, False)
     if not bad.any():
         return None
     i, j = np.argwhere(bad)[0]
@@ -227,6 +268,17 @@ def check_messages(mixes: list[np.ndarray], valid: np.ndarray) -> None:
             raise ValidationError(f"message {i}->{j} at layer {layer} sums to {total!r}")
 
 
+def sender_max(phi: np.ndarray, v: np.ndarray, sums: np.ndarray,
+               out: np.ndarray | None) -> np.ndarray:
+    """The max over a block of sender slots q of phi[q] + v[q, None], given
+    the block's rows of phi and v: one broadcast add into the buffer `sums`
+    and one max, or for a lone slot the add alone, since a max over one
+    slot is a copy."""
+    if len(phi) == 1:
+        return np.add(phi[0], v[0], out=sums[0] if out is None else out)
+    return np.add(phi, v[:, None], out=sums[:len(phi)]).max(axis=0, out=out)
+
+
 def layers(psi: np.ndarray, phi: np.ndarray, valid: np.ndarray, t: int,
            delta: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """T synchronous damped max-product layers from uniform start messages,
@@ -235,22 +287,30 @@ def layers(psi: np.ndarray, phi: np.ndarray, valid: np.ndarray, t: int,
 
     Yields each layer's messages, normalised max-product values and sender
     values (mix, soft, v), every one a new array.  The max over sender
-    slots runs one slot at a time into an (S, n, n) running max, which is
-    then normalised in place.  The messages are not checked here: a
-    consumer checks them once per unroll (`check_messages`).
+    slots runs in blocks of as many slots as fit, with the (S, n, n)
+    running max, in `SENDER_BLOCK_BYTES` (`sender_max`): the first block's
+    max starts the running max, and each later one folds into it by one
+    maximum.  The running max is then normalised in place.  The messages
+    are not checked here: a consumer checks them once per unroll
+    (`check_messages`).
     """
     if t < 1:
         raise ValidationError(f"layer count must be >= 1, got {t}")
     keep, mix = message_masks(valid)
-    sender = np.empty(phi.shape[1:])
+    slots = phi.shape[0]
+    width = min(slots, max(1, SENDER_BLOCK_BYTES // phi[0].nbytes - 1))
+    z = np.empty(phi.shape[1:])
+    sums = np.empty((width,) + phi.shape[1:])
     for _ in range(t):
         log_m = np.log(mix)
         # pre[q, i] = psi_i(q) + sum_k log m[k -> i](q); v removes j's backflow
         pre = psi + log_m.sum(axis=1)
         v = np.subtract(pre[:, :, None], log_m.transpose(0, 2, 1), order="C")
-        z = phi[0] + v[0]
-        for q in range(1, phi.shape[0]):
-            np.maximum(z, np.add(phi[q], v[q], out=sender), out=z)
+        for q in range(0, slots, width):
+            # the first block's max starts the running max z
+            top = sender_max(phi[q:q + width], v[q:q + width], sums, None if q else z)
+            if q:
+                np.maximum(z, top, out=z)
         # normalise over the receiver's candidates; padded ones hold -inf
         z -= z.max(axis=0)
         np.exp(z, out=z)
@@ -295,6 +355,7 @@ def build_crf_instance(doc, params: GlobalParams,
     if scored is None:
         return None, []
     mentions, cands, psi, _ = scored
+    check_joint_budget(doc.doc_id, *mentions.valid.shape, params.t, training=False)
     instance = CrfInstance.of_blocks(psi, mentions.valid, cands, mentions.entities,
                                      mentions.log_priors, params.c)
     return instance, mentions.positions

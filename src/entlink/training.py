@@ -32,7 +32,7 @@ from .attention import (
     local_doc_loss_tape,
     predict_local,
 )
-from .crf import GlobalParams, global_doc_loss_tape, predict_global
+from .crf import GlobalParams, check_joint_budget, global_doc_loss_tape, predict_global
 from .docs import Corpus
 from .errors import ValidationError
 from .metrics import evaluate
@@ -150,7 +150,11 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
     for doc in train:
         instances = list(doc_instances(doc, store, require_gold=require_gold))
         if any(inst.gold_index is not None for inst in instances):
-            blocks.append(DocBlock.of(instances))
+            block = DocBlock.of(instances)
+            if model_kind == "global":
+                check_joint_budget(doc.doc_id, *block.valid.shape, params_obj.t,
+                                   training=True)
+            blocks.append(block)
     if not blocks:
         raise ValidationError("no trainable mentions in the training corpus")
     rng = np.random.default_rng(cfg.seed)

@@ -17,6 +17,12 @@ The CRF oracles read a padded `crf.CrfInstance` mention by mention:
 products (`phi`), independent of `crf.phi_tensor` and `crf.layers`;
 `run_lbp` keeps every layer of the recurrence and `beliefs` cuts its final
 beliefs per mention.
+
+Two kernel oracles keep the formulations that per-document inference
+replaced: `slot_layers` takes the max over sender slots one slot at a time
+(`crf.layers` takes it in blocks), and `along_axis_attend` gathers and
+scatters with numpy's along-axis helpers (`attention.attend` uses one
+index grid).
 """
 
 from types import SimpleNamespace
@@ -25,8 +31,9 @@ import numpy as np
 from tapeops import lbp_beliefs
 
 from entlink import autodiff as ad
-from entlink.attention import FNet, attend, combine_f, context_blocks, f_inputs
-from entlink.crf import final_beliefs, phi_tensor, unroll
+from entlink.attention import (FNet, attend, combine_f, context_blocks, f_inputs,
+                               ordered_sum, top_r)
+from entlink.crf import final_beliefs, message_masks, phi_tensor, unroll
 from entlink.errors import ValidationError
 
 
@@ -93,6 +100,43 @@ def beliefs(state, instance):
     """Per-mention normalised beliefs after message passing."""
     return mention_rows(final_beliefs(state.psi, state.mix[-1], state.valid).T,
                         instance.valid)
+
+
+def slot_layers(psi, phi, valid, t, delta):
+    """`crf.layers` with the max over sender slots taken one slot at a
+    time into an (S, n, n) running max."""
+    keep, mix = message_masks(valid)
+    sender = np.empty(phi.shape[1:])
+    for _ in range(t):
+        log_m = np.log(mix)
+        pre = psi + log_m.sum(axis=1)
+        v = np.subtract(pre[:, :, None], log_m.transpose(0, 2, 1), order="C")
+        z = phi[0] + v[0]
+        for q in range(1, phi.shape[0]):
+            np.maximum(z, np.add(phi[q], v[q], out=sender), out=z)
+        z -= z.max(axis=0)
+        np.exp(z, out=z)
+        z /= z.sum(axis=0)
+        soft = np.where(keep, z, 1.0)
+        mix = mix + delta * (soft - mix)
+        yield mix, soft, v
+
+
+def along_axis_attend(a_block, b_block, r, live=None):
+    """`attention.attend` with the kept words gathered and scattered by
+    `np.take_along_axis` and `np.put_along_axis`."""
+    if live is not None:
+        a_block = np.where(live, a_block, -np.inf)
+    u = a_block.max(axis=-2)
+    top = top_r(u, r)
+    kept = np.take_along_axis(u, top, axis=-1)
+    weights = np.exp(kept - kept[..., :1])
+    weights /= ordered_sum(weights)[..., None]
+    kept_b = np.take_along_axis(b_block, top[..., None, :], axis=-1)
+    psi = ordered_sum(kept_b * weights[..., None, :])
+    beta = np.zeros(u.shape)
+    np.put_along_axis(beta, top, weights, axis=-1)
+    return psi, beta, a_block
 
 
 def mention_unary(a, b, r, cand_vecs, ctx_vecs):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import entlink
-from entlink import cli
+from entlink import cli, crf
 from entlink.attention import LocalParams, predict_local
 from entlink.cli import main
 from entlink.crf import GlobalParams
@@ -554,6 +554,21 @@ class TestExitCodes:
             assert proc.returncode == 1, (argv, proc.stderr)
             assert message in proc.stderr
             assert "Traceback" not in proc.stderr
+
+    def test_document_over_the_joint_budget_exits_1(self, bench, tmp_path, monkeypatch,
+                                                     capsys):
+        _, data, entities = bench
+        joint = tmp_path / "global.model"
+        save_model(str(joint), GlobalParams.init(12, hidden=4, k=30, r=8, t=2))
+        argv = ["--data-dir", str(data), "predict", "--model", str(joint),
+                "--entities", str(entities), "--out", str(tmp_path / "preds.tsv")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(crf, "JOINT_BYTES", 1000)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: doc '") and " joint stage needs " in err
+        assert err.endswith(", over the budget of 1000\n") and err.count("\n") == 1
 
     def test_out_of_memory_exits_1_naming_the_command(self, monkeypatch, capsys):
         for exc, message in ((MemoryError("Unable to allocate 3.50 GiB"),
