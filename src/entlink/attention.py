@@ -10,8 +10,10 @@ margin ranking loss over candidates.
 
 `DocMentions.of` is the single featurisation: which mentions count, their
 candidate ids, floored log priors, gold slots and context ids, as one
-document's padded arrays.  Every scorer reads documents through it;
-training gathers its rows mention by mention (`doc_instances`).
+document's padded arrays.  Every scorer reads documents through it and
+gathers its rows from those arrays (`masked_rows`); the per-mention forms
+(`MentionInstance`, `DocBlock.of`, `padded_rows`, `padded_ids`, the
+instance-list loss branches) stay only because the benchmark calls them.
 
 The scorer is two steps, and inference and training both run both.  Step
 (a) (`context_blocks`) is the one pass over the context rows: it fills both
@@ -25,18 +27,17 @@ time while that mention's context rows are in cache, then step (b) once
 over the document's (n, S, K) blocks.  Both models decide a document from
 its padded (n, S) blocks: f runs once over the live slots
 (`combine_block`), and one vectorised argmax picks each mention's entity
-(`best_entities`).  Training builds its blocks once per document
-(`DocBlock`), for the local and the joint model alike, and scores them in
-one record (`record_unaries`); f with the ranking loss is one more record
-per document (`record_rank_loss`), one f pass over every trainable
-candidate.  Each record has a hand-derived backward over the same numpy
-forward that inference runs.  f sums each row of its output layer alone
-(`FNet.layers`), so that equal rows stay tied in a batch.
+(`best_entities`).  Training builds its blocks once per document from its
+`DocMentions` (`DocBlock.gather`), for the local and the joint model alike,
+and scores them in one record (`record_unaries`); f with the ranking loss
+is one more record per document (`record_rank_loss`), one f pass over
+every trainable candidate.  Each record has a hand-derived backward over
+the same numpy forward that inference runs.  f sums each row of its output
+layer alone (`FNet.layers`), so that equal rows stay tied in a batch.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ValidationError
 from .priors import Candidate
-from .vectors import EmbeddingStore, checked_ids
+from .vectors import EmbeddingStore, checked_ids, masked_rows
 
 LOG_PRIOR_FLOOR = 1e-12
 # the paper unrolls T=10 layers; a far larger count from a config or a
@@ -271,7 +272,7 @@ def filled(sizes: list[int]) -> np.ndarray:
 @dataclass
 class DocMentions:
     """A document's candidate-bearing mentions as padded arrays: the one
-    featurisation every scorer reads (`DocMentions.of`).
+    featurisation every scorer and `DocBlock.gather` read (`DocMentions.of`).
 
     Row i is the mention at `positions[i]` of the document.  `entities`
     (n, S) holds its candidate ids, -1 at padding, `valid` marks them, and
@@ -340,27 +341,6 @@ class MentionInstance:
     position: int | None = None
 
 
-def doc_instances(doc, store: EmbeddingStore,
-                  require_gold: bool = True) -> Iterator[MentionInstance]:
-    """The rows of the document's `DocMentions` one mention at a time, in
-    order, with their candidate and context rows gathered: the form the
-    training blocks are built from (`DocBlock.of`)."""
-    mentions = DocMentions.of(doc, require_gold)
-    sizes = mentions.valid.sum(axis=1).tolist()
-    lengths = mentions.words.sum(axis=1).tolist()
-    for i, position in enumerate(mentions.positions):
-        entities = mentions.entities[i, :sizes[i]]
-        gold = int(mentions.gold[i])
-        yield MentionInstance(
-            cand_vecs=store.entity_rows(entities),
-            ctx_vecs=store.word_rows(mentions.contexts[i, :lengths[i]]),
-            log_priors=mentions.log_priors[i, :sizes[i]],
-            gold_index=None if gold < 0 else gold,
-            entities=entities.tolist(),
-            position=position,
-        )
-
-
 def score_document(doc, params: LocalParams, store: EmbeddingStore
                    ) -> tuple[DocMentions, np.ndarray, np.ndarray, np.ndarray] | None:
     """The document's candidate-bearing mentions with their zero-padded
@@ -377,10 +357,8 @@ def score_document(doc, params: LocalParams, store: EmbeddingStore
     if not mentions.positions:
         return None
     valid, words = mentions.valid, mentions.words
-    checked_ids(mentions.entities[valid], store.n_entities, "entity")
+    cands = masked_rows(store.entity_matrix(), mentions.entities, valid, "entity")
     checked_ids(mentions.contexts[words], store.n_words, "word")
-    cands = store.entity_matrix()[np.where(valid, mentions.entities, 0)]
-    cands[~valid] = 0.0
     cand_a, cand_b = cands * params.a, cands * params.b
     a_block = np.zeros(valid.shape + words.shape[1:])
     b_block = np.zeros_like(a_block)
@@ -463,7 +441,7 @@ def make_param_vars(tape: ad.Tape, params: dict[str, np.ndarray]) -> dict[str, a
 @dataclass
 class DocBlock:
     """A document's mentions as the zero-padded blocks the training records
-    of both models read, built once per document (`DocBlock.of`).
+    of both models read, built once per document (`DocBlock.gather`).
 
     `cands` (m, S, d) and `ctx` (m, K, d) hold the candidate and context
     rows, `valid` (m, S) and `words` (m, K) mark their own entries.
@@ -477,6 +455,16 @@ class DocBlock:
     words: np.ndarray
     log_priors: np.ndarray
     gold: np.ndarray
+
+    @classmethod
+    def gather(cls, mentions: DocMentions, store: EmbeddingStore) -> "DocBlock":
+        """The block of `mentions`; candidate ids are checked before context ids."""
+        valid, words = mentions.valid, mentions.words
+        cands = masked_rows(store.entity_matrix(), mentions.entities, valid, "entity")
+        return cls(cands=cands, valid=valid,
+                   ctx=masked_rows(store.word_matrix(), mentions.contexts, words, "word"),
+                   words=words, log_priors=mentions.log_priors,
+                   gold=np.arange(valid.shape[1]) == mentions.gold[:, None])
 
     @classmethod
     def of(cls, instances: list[MentionInstance]) -> "DocBlock":

@@ -9,7 +9,7 @@ best-scoring snapshot is kept.
 
 Everything fixed for the run is built once, before the first epoch.  Each
 training document becomes its padded blocks (`attention.DocBlock`, the
-same for both models), which replace its per-mention rows.  The
+same for both models), gathered straight from its `DocMentions`.  The
 parameters are named views into one flat vector (`autodiff.ParamVector`),
 and the model object is bound to those views at the start, so there is
 one copy of the parameters: the optimizer step, the finiteness check and
@@ -27,8 +27,8 @@ import numpy as np
 from . import autodiff as ad
 from .attention import (
     DocBlock,
+    DocMentions,
     LocalParams,
-    doc_instances,
     local_doc_loss_tape,
     predict_local,
 )
@@ -148,9 +148,9 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
     require_gold = model_kind == "local"
     blocks = []
     for doc in train:
-        instances = list(doc_instances(doc, store, require_gold=require_gold))
-        if any(inst.gold_index is not None for inst in instances):
-            block = DocBlock.of(instances)
+        mentions = DocMentions.of(doc, require_gold)
+        if (mentions.gold >= 0).any():
+            block = DocBlock.gather(mentions, store)
             if model_kind == "global":
                 check_joint_budget(doc.doc_id, *block.valid.shape, params_obj.t,
                                    training=True)

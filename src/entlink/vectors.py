@@ -167,6 +167,16 @@ def checked_ids(ids, size: int, what: str) -> np.ndarray:
     return ids
 
 
+def masked_rows(table: np.ndarray, ids: np.ndarray, mask: np.ndarray,
+                what: str) -> np.ndarray:
+    """`table`'s rows at the `ids` that `mask` marks, checked, zero rows elsewhere."""
+    checked_ids(ids[mask], table.shape[0], what)
+    # row 0 at the unmarked ids, zeroed after: faster than a masked assignment
+    rows = table[np.where(mask, ids, 0)]
+    rows[~mask] = 0.0
+    return rows
+
+
 def nearest_words(store: EmbeddingStore, entity: int, k: int,
                   min_freq: int = 0) -> list[tuple[int, float]]:
     """Top-k words by cosine to an entity vector, ties broken by word id.

@@ -11,6 +11,9 @@ scores from both scorer steps on its own rows (`mention_unary`,
 `local_decision`) or over its beliefs from the full `run_lbp`
 unroll (`instance_marginals`): the formulation the per-document f pass and
 the vectorised argmax replaced.  `argmax_entity` is the tie-break oracle.
+The oracles read a document mention by mention through `doc_instances`,
+each mention's candidate and context rows gathered on their own: the form
+training's `attention.DocBlock.gather` replaced.
 
 The CRF oracles read a padded `crf.CrfInstance` mention by mention:
 `crf_score` enumerates the joint score of one assignment from per-pair dot
@@ -31,8 +34,8 @@ import numpy as np
 from tapeops import lbp_beliefs
 
 from entlink import autodiff as ad
-from entlink.attention import (FNet, attend, combine_f, context_blocks, f_inputs,
-                               ordered_sum, top_r)
+from entlink.attention import (DocMentions, FNet, MentionInstance, attend, combine_f,
+                               context_blocks, f_inputs, ordered_sum, top_r)
 from entlink.crf import final_beliefs, message_masks, phi_tensor, unroll
 from entlink.errors import ValidationError
 
@@ -137,6 +140,26 @@ def along_axis_attend(a_block, b_block, r, live=None):
     beta = np.zeros(u.shape)
     np.put_along_axis(beta, top, weights, axis=-1)
     return psi, beta, a_block
+
+
+def doc_instances(doc, store, require_gold=True):
+    """The rows of the document's `DocMentions` one mention at a time, in
+    order, with their candidate and context rows gathered: the per-mention
+    form of the block `attention.DocBlock.gather` builds."""
+    mentions = DocMentions.of(doc, require_gold)
+    sizes = mentions.valid.sum(axis=1).tolist()
+    lengths = mentions.words.sum(axis=1).tolist()
+    for i, position in enumerate(mentions.positions):
+        entities = mentions.entities[i, :sizes[i]]
+        gold = int(mentions.gold[i])
+        yield MentionInstance(
+            cand_vecs=store.entity_rows(entities),
+            ctx_vecs=store.word_rows(mentions.contexts[i, :lengths[i]]),
+            log_priors=mentions.log_priors[i, :sizes[i]],
+            gold_index=None if gold < 0 else gold,
+            entities=entities.tolist(),
+            position=position,
+        )
 
 
 def mention_unary(a, b, r, cand_vecs, ctx_vecs):

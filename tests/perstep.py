@@ -7,10 +7,11 @@ no adjoint.  Validation, snapshots and the learning-rate drop follow
 """
 
 import numpy as np
+from permention import doc_instances
 
 from entlink import autodiff as ad
 from entlink import training
-from entlink.attention import FNet, doc_instances, local_doc_loss_tape, make_param_vars
+from entlink.attention import FNet, local_doc_loss_tape, make_param_vars
 from entlink.crf import global_doc_loss_tape
 from entlink.training import accuracy
 

@@ -7,18 +7,22 @@ messages.  On seeded random documents (d 16 and 300, one to eleven
 candidates, lone mentions, empty contexts, duplicated candidate rows) the
 combined scores match the oracles' within 1e-12 of the document's largest
 score, the predictions are equal, and the final beliefs equal those of the
-full unroll bit for bit.
+full unroll bit for bit.  Training's block, gathered from `DocMentions`,
+equals the block padded from the per-mention instances bit for bit.
 """
+
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from gradcheck import random_fnet
-from permention import argmax_entity, mention_rows, mention_unary, per_mention, run_lbp
+from permention import (argmax_entity, doc_instances, mention_rows, mention_unary, per_mention,
+                         run_lbp)
 from permention import instance_marginals as oracle_marginals
 from permention import local_decision as oracle_decision
 
 from entlink import autodiff as ad
-from entlink.attention import (LocalParams, combine_block, combine_f, doc_instances,
+from entlink.attention import (DocBlock, DocMentions, LocalParams, combine_block, combine_f,
                                local_decisions, predict_local, score_document)
 from entlink.crf import (CrfInstance, GlobalParams, beliefs_tape, build_crf_instance,
                          final_beliefs, instance_marginals, layers, phi_tensor,
@@ -116,6 +120,27 @@ def test_cases_cover_the_edges(cases):
     assert any(not m.context for doc, _ in docs for m in doc.mentions)
     assert any(m.candidates[0].entity == 0 and len(m.candidates) > 1
                and m.candidates[1].entity == 1 for doc, _ in docs for m in doc.mentions)
+
+
+@pytest.mark.parametrize("require_gold", [True, False])
+def test_gathered_block_equals_the_padded_instances(cases, require_gold):
+    # every third mention also loses its gold, so that `require_gold`
+    # drops it or keeps it with no gold slot
+    store, docs = cases
+    for doc, _ in docs:
+        unlabelled = replace(doc, mentions=[replace(m, gold_id=None) if i % 3 == 1 else m
+                                            for i, m in enumerate(doc.mentions)])
+        for d in (doc, unlabelled):
+            instances = list(doc_instances(d, store, require_gold))
+            if not instances:
+                continue
+            got = DocBlock.gather(DocMentions.of(d, require_gold), store)
+            want = DocBlock.of(instances)
+            for field in fields(DocBlock):
+                g, w = getattr(got, field.name), getattr(want, field.name)
+                assert (g.shape, g.dtype) == (w.shape, w.dtype), field.name
+                np.testing.assert_array_equal(g, w)
+                assert g.tobytes() == w.tobytes(), field.name
 
 
 def test_local_path_matches_per_mention_oracle(cases):

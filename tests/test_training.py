@@ -158,6 +158,35 @@ class TestTrainGlobal:
         assert [row[0] for row in history.rows] == list(range(1, history.epochs_run + 1))
 
 
+@pytest.mark.parametrize("kind", ["word", "entity"])
+@pytest.mark.parametrize("past_end", [False, True])
+def test_bad_id_in_a_training_document_raises_before_any_step(kind, past_end, monkeypatch):
+    # a later document's bad id is named while the blocks are built, before
+    # the first document trains; an entity id is a third candidate, so the
+    # mention stays trainable
+    store, train, val = tiny_world()
+    size = store.n_words if kind == "word" else store.n_entities
+    bad = size if past_end else -1
+    mention = train.documents[5].mentions[1]
+    if kind == "word":
+        mention.context = [*mention.context[:2], bad, *mention.context[2:]]
+    else:
+        mention.candidates = [*mention.candidates, Candidate(bad, 0.0, "prior-top")]
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("an optimizer stepped")
+
+    monkeypatch.setattr(Sgd, "step", no_step)
+    monkeypatch.setattr(Adam, "step", no_step)
+    cfg = TrainConfig(epochs=2)
+    for trainer, params in ((train_local, LocalParams.init(store.dim, hidden=16, k=8, r=4)),
+                            (train_global, GlobalParams.init(store.dim, hidden=16, k=8,
+                                                             r=4, t=2))):
+        with pytest.raises(ValidationError) as failure:
+            trainer(params, train, val, store, cfg)
+        assert str(failure.value) == f"{kind} id {bad} out of range [0, {size})"
+
+
 def lone_mention(doc):
     """Leave only the document's first mention with candidates."""
     for mention in doc.mentions[1:]:
