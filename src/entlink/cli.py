@@ -23,6 +23,7 @@ from .attention import predict_local
 from .crf import GlobalParams, predict_global
 from .docs import Corpus, load_corpus
 from .embed_train import (
+    CooccurrenceCounts,
     EmbedTrainConfig,
     eval_relatedness,
     load_counts_file,
@@ -269,13 +270,12 @@ def cmd_train_embeddings(args) -> int:
     embed = replace(stage_objects(cfg, store.dim)["embeddings"],
                     hyperlink_iters=args.link_iterations,
                     eval_every=args.link_eval_every, patience=args.link_patience)
-    counts = load_counts_file(_data_path(args, "counts", base=cfg.data_dir),
-                              store.word_vocab, store.entity_vocab)
+    counts = CooccurrenceCounts(n_words=store.n_words)
+    load_counts_file(_data_path(args, "counts", base=cfg.data_dir),
+                     store.word_vocab, store.entity_vocab, counts, counts.description)
     if args.link_counts:
-        link = load_counts_file(args.link_counts, store.word_vocab,
-                                store.entity_vocab, source="hyperlink")
-        counts.hyperlink = link.hyperlink
-        counts.word_freq = counts.word_freq + link.word_freq
+        load_counts_file(args.link_counts, store.word_vocab, store.entity_vocab,
+                         counts, counts.hyperlink)
     store.sync_entities()
     names = store.entity_vocab.tokens()
     if args.out_format == "text":
@@ -406,19 +406,13 @@ def _read_predictions(path: str) -> dict[tuple[str, int], str]:
 
 def _aligned_eval_inputs(args, preds_by_key):
     corpus = load_corpus(_data_path(args, "corpus", "test"), split="test")
-    preds: list[int | None] = []
-    golds: list[int | None] = []
+    preds: list[str | None] = []
+    golds: list[str | None] = []
     names: list[tuple] = []
-    name_ids: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        return name_ids.setdefault(name, len(name_ids))
-
     for doc in corpus:
         for idx, mention in enumerate(doc.mentions):
-            raw = preds_by_key.get((doc.doc_id, idx), "")
-            preds.append(intern(raw) if raw else None)
-            golds.append(intern(mention.gold) if mention.gold is not None else None)
+            preds.append(preds_by_key.get((doc.doc_id, idx)) or None)
+            golds.append(mention.gold)
             names.append((doc.doc_id, idx, mention))
     return corpus, preds, golds, names
 

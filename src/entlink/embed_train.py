@@ -7,8 +7,10 @@ margin gamma.  Updates are adaptive-gradient steps followed by projection
 back onto the unit sphere.
 
 Counts come from two sources: the entity's description page and fixed-size
-token windows around hyperlink anchors.  Training runs the description
-phase first, then the hyperlink phase with early stopping on a relatedness
+token windows around hyperlink anchors.  A source is its table,
+`CooccurrenceCounts.description` or `.hyperlink`: the loader fills one and
+each training phase draws from one.  Training runs the description phase
+first, then the hyperlink phase with early stopping on a relatedness
 validation score.
 
 Training is lockstep: every entity of a phase advances one step per
@@ -116,27 +118,17 @@ class CooccurrenceCounts:
         table.setdefault(entity, Counter())[word] += count
         self.word_freq[word] += count
 
-    def counts_for(self, entity: int, source: str) -> Counter:
-        table = {"description": self.description, "hyperlink": self.hyperlink}[source]
-        return table.get(entity, Counter())
-
-    def total(self, entity: int, source: str) -> int:
-        return sum(self.counts_for(entity, source).values())
-
-    def trainable(self, entity: int) -> bool:
-        return self.total(entity, "description") + self.total(entity, "hyperlink") > 0
-
     def positive_sampler(self, entities: list[int],
-                         source: str) -> tuple[np.ndarray, AliasSampler]:
-        """Flat word ids and one alias law per entity over p(w|e) from the source.
+                         table: dict[int, Counter]) -> tuple[np.ndarray, AliasSampler]:
+        """Flat word ids and one alias law per entity over p(w|e) from `table`.
 
         `entities[i]` draws through law i, whose cells index its words.
         """
         words, weights = [], []
         for e in entities:
-            counts = self.counts_for(e, source)
+            counts = table.get(e)
             if not counts:
-                raise ValidationError(f"entity {e} has no counts from source {source!r}")
+                raise ValidationError(f"entity {e} has no counts in this table")
             ids = np.array(sorted(counts), dtype=np.int64)
             words.append(ids)
             weights.append(np.array([counts[w] for w in ids], dtype=np.float64))
@@ -192,16 +184,17 @@ def entity_rng(seed: int, entity: int) -> np.random.Generator:
 
 
 class _Phase:
-    """Lockstep hinge training of `entities` on one count source.
+    """Lockstep hinge training of `entities` on one count table.
 
     Keeps what lasts between validation rounds: the sample tables, one
     Adagrad accumulator row per entity and the number of steps run.
     """
 
     def __init__(self, counts: CooccurrenceCounts, cfg: EmbedTrainConfig,
-                 store: EmbeddingStore, entities: list[int], source: str, seed: int):
+                 store: EmbeddingStore, entities: list[int], table: dict[int, Counter],
+                 seed: int):
         self.cfg, self.store, self.entities, self.seed = cfg, store, entities, seed
-        self.pos_words, self.pos = counts.positive_sampler(entities, source)
+        self.pos_words, self.pos = counts.positive_sampler(entities, table)
         self.neg_words, self.neg = counts.negative_sampler(cfg.alpha)
         self.accum = np.zeros((len(entities), store.dim))
         self.width = POSITIVES * (1 + NEGATIVES_PER_POSITIVE)
@@ -287,23 +280,26 @@ def train_all_entities(
     `cfg.patience` times, keeping the best-scoring snapshot.
     """
     n = store.n_entities
-    skipped = [e for e in range(n) if not counts.trainable(e)]
-    trainable = [e for e in range(n) if counts.trainable(e)]
+
+    def counted(table: dict[int, Counter]) -> list[int]:
+        """Ids whose counts in `table` sum above 0, ascending."""
+        return [e for e in range(n) if sum(table.get(e, Counter()).values()) > 0]
+
+    described, linked = counted(counts.description), counted(counts.hyperlink)
+    skipped = sorted(set(range(n)) - set(described) - set(linked))
     if log:
         for e in skipped:
             log(f"warning: entity {store.entity_vocab.token(e)} untrainable, skipped")
 
-    described = [e for e in trainable if counts.total(e, "description") > 0]
-    for e in sorted(set(trainable) - set(described)):
+    for e in sorted(set(linked) - set(described)):
         store.set_entity_vec(e, init_entity_vector(entity_rng(cfg.seed, e), store.dim))
     if described:
-        _Phase(counts, cfg, store, described, "description", cfg.seed).run(
+        _Phase(counts, cfg, store, described, counts.description, cfg.seed).run(
             cfg.description_iters, init=True)
 
-    with_links = [e for e in trainable if counts.total(e, "hyperlink") > 0]
-    if not with_links or cfg.hyperlink_iters <= 0:
+    if not linked or cfg.hyperlink_iters <= 0:
         return skipped
-    phase = _Phase(counts, cfg, store, with_links, "hyperlink", cfg.seed + 1)
+    phase = _Phase(counts, cfg, store, linked, counts.hyperlink, cfg.seed + 1)
     best_score = -np.inf
     best_vecs = None
     bad_rounds = 0
@@ -437,10 +433,10 @@ MAX_COUNT = 2 ** 53
 
 
 def load_counts_file(path: str, vocab: Vocab, entities: Vocab,
-                     source: str = "description") -> CooccurrenceCounts:
-    """Read ``entity \\t word \\t count`` rows into the `source` table; rows
-    of words outside `vocab` are skipped, unknown entities join `entities`."""
-    counts = CooccurrenceCounts(n_words=len(vocab))
+                     counts: CooccurrenceCounts, table: dict[int, Counter]) -> None:
+    """Add ``entity \\t word \\t count`` rows to `table`, one of `counts`'
+    tables; rows of words outside `vocab` are skipped, unknown entities
+    join `entities`.  A bad row leaves `counts` and `entities` unchanged."""
     rows = []
     for where, (ent, word, raw) in read_rows(path, "entity<TAB>word<TAB>count"):
         c = parse_field(int, raw, f"{where}: bad count")
@@ -454,10 +450,7 @@ def load_counts_file(path: str, vocab: Vocab, entities: Vocab,
         widx = vocab.id(word)
         if widx is None:
             continue  # words outside the embedded vocabulary cannot be scored
-        eidx = entities.add(ent)
-        table = counts.description if source == "description" else counts.hyperlink
-        counts.add(table, eidx, widx, c)
-    return counts
+        counts.add(table, entities.add(ent), widx, c)
 
 
 def load_relatedness_queries(path: str, entities: Vocab) -> list[RelatednessQuery]:

@@ -31,6 +31,7 @@ from .attention import LocalParams, local_decisions, predict_local
 from .crf import GlobalParams, predict_global
 from .docs import Corpus, build_context_windows, load_corpus, resolve_gold
 from .embed_train import (
+    CooccurrenceCounts,
     EmbedTrainConfig,
     eval_relatedness,
     load_counts_file,
@@ -209,7 +210,9 @@ def _load_or_generate(cfg: ExperimentConfig) -> PreparedData:
     if cfg.data_dir:
         path = {key: str(Path(cfg.data_dir) / name) for key, name in DATA_FILES.items()}
         store = load_word_vectors(path["word_vectors"])
-        counts = load_counts_file(path["counts"], store.word_vocab, store.entity_vocab)
+        counts = CooccurrenceCounts(n_words=store.n_words)
+        load_counts_file(path["counts"], store.word_vocab, store.entity_vocab,
+                         counts, counts.description)
         prior = load_prior(path["prior"], store.entity_vocab)
         store.sync_entities()
         corpora = {split: load_corpus(path[split], split=split)

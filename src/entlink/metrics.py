@@ -43,8 +43,10 @@ class EvalResult:
         return self.recall
 
 
-def evaluate(predictions: list[int | None], golds: list[int | None]) -> EvalResult:
-    """Score aligned prediction/gold lists; None marks unannotated slots.
+def evaluate(predictions: list[int | str | None],
+             golds: list[int | str | None]) -> EvalResult:
+    """Score aligned prediction/gold lists of entity ids or names, compared
+    with ==; None marks unannotated slots.
 
     Mentions with a None gold are outside the evaluation universe and are
     skipped entirely.
@@ -92,8 +94,8 @@ def _prior_label(i: int) -> str:
 
 
 def breakdown_report(
-    predictions: list[int | None],
-    golds: list[int | None],
+    predictions: list[int | str | None],
+    golds: list[int | str | None],
     gold_priors: list[float],
     gold_freqs: list[int],
     gold_in_candidates: list[bool],

@@ -31,6 +31,7 @@ SIGNATURE_COUNT = 20     # co-occurrence count per signature word
 NOISE_POOL_MIN = 50
 PRIOR_RATIO = 0.55       # prior mass of rank k+1 relative to rank k
 PRIOR_SCALE = 1500       # skew masses are materialised as integer counts
+SPLITS = (0.5, 0.2, 0.3)  # train, validation and test shares of the documents
 
 # The data-directory layout: what each file holds -> its name.  The generator
 # writes it, and the CLI and `run_experiment` read corpora and resources from it.
@@ -63,7 +64,6 @@ class SyntheticSpec:
     dim: int = 16
     ctx_per_side: int = 8
     weak_context_rate: float = 0.25
-    splits: tuple[float, float, float] = (0.5, 0.2, 0.3)
 
     def __post_init__(self):
         for name in ("kb_size", "words_per_entity", "vocab_size", "n_docs",
@@ -81,8 +81,6 @@ class SyntheticSpec:
             raise ValidationError("ambiguity degree cannot exceed the KB size")
         if self.kb_size % self.ambiguity != 0:
             raise ValidationError("kb_size must be divisible by the ambiguity degree")
-        if abs(sum(self.splits) - 1.0) > 1e-9:
-            raise ValidationError("split fractions must sum to 1")
         needed = (self.n_topics * self.topic_pool_size
                   + self.kb_size * self.private_per_entity + NOISE_POOL_MIN)
         if needed > self.vocab_size:
@@ -183,10 +181,8 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
 
     entity_vocab = store.entity_vocab
     for e in range(spec.kb_size):
-        # placeholder unit vectors; real training replaces them
-        seed_vec = np.zeros(spec.dim)
-        seed_vec[e % spec.dim] = 1.0
-        store.add_entity(f"E{e:03d}", seed_vec)
+        entity_vocab.add(f"E{e:03d}")
+    store.sync_entities()  # placeholder unit rows; real training replaces them
 
     counts = CooccurrenceCounts(n_words=len(word_vocab))
     for e in range(spec.kb_size):
@@ -263,8 +259,8 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
         doc.validate()
         docs.append(doc)
 
-    n_train = int(round(spec.splits[0] * spec.n_docs))
-    n_val = int(round(spec.splits[1] * spec.n_docs))
+    n_train = int(round(SPLITS[0] * spec.n_docs))
+    n_val = int(round(SPLITS[1] * spec.n_docs))
     train = Corpus(docs[:n_train], split="train")
     validation = Corpus(docs[n_train:n_train + n_val], split="validation")
     test = Corpus(docs[n_train + n_val:], split="test")

@@ -150,11 +150,10 @@ def _train(model_kind: str, params_obj, train: Corpus, val: Corpus | None,
     for doc in train:
         mentions = DocMentions.of(doc, require_gold)
         if (mentions.gold >= 0).any():
-            block = DocBlock.gather(mentions, store)
-            if model_kind == "global":
-                check_joint_budget(doc.doc_id, *block.valid.shape, params_obj.t,
+            if model_kind == "global":  # before the gather allocates the rows
+                check_joint_budget(doc.doc_id, *mentions.valid.shape, params_obj.t,
                                    training=True)
-            blocks.append(block)
+            blocks.append(DocBlock.gather(mentions, store))
     if not blocks:
         raise ValidationError("no trainable mentions in the training corpus")
     rng = np.random.default_rng(cfg.seed)

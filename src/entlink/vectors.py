@@ -80,9 +80,7 @@ class EmbeddingStore:
         return self._entities.shape[0]
 
     def entity_vec(self, idx: int) -> np.ndarray:
-        if not 0 <= idx < self._entities.shape[0]:
-            raise ValidationError(
-                f"entity id {idx} out of range [0, {self._entities.shape[0]})")
+        checked_ids(idx, self.n_entities, "entity")
         return self._entities[idx]
 
     def entity_rows(self, ids) -> np.ndarray:
@@ -103,9 +101,7 @@ class EmbeddingStore:
 
     def set_entity_vec(self, idx: int, vec: np.ndarray) -> None:
         """Rewrite one entity row."""
-        if not 0 <= idx < self._entities.shape[0]:
-            raise ValidationError(
-                f"entity id {idx} out of range [0, {self._entities.shape[0]})")
+        checked_ids(idx, self.n_entities, "entity")
         self._entities[idx] = self._check_vec(vec, what=f"entity id {idx}", unit=True)
 
     def sync_entities(self) -> int:

@@ -19,11 +19,11 @@ def hinge_embed(z, x_pos, x_neg, gamma) -> float:
     return float(max(0.0, gamma - float(np.dot(z, x_pos - x_neg))))
 
 
-def empirical_objective(entity, z, counts, cfg, word_mat, n_pairs=2000, seed=12345,
-                        source="description") -> float:
-    """Average hinge over a fixed held-out sample of (positive, negative) pairs."""
+def empirical_objective(entity, z, counts, cfg, word_mat, n_pairs=2000, seed=12345) -> float:
+    """Average hinge over a fixed held-out sample of (positive, negative)
+    pairs, the positives drawn from the description counts."""
     rng = np.random.default_rng([seed, entity])
-    words, pos_alias = counts.positive_sampler([entity], source)
+    words, pos_alias = counts.positive_sampler([entity], counts.description)
     neg_words, neg_alias = counts.negative_sampler(cfg.alpha)
     pos = words[pos_alias.lookup(rng.random(n_pairs))]
     neg = neg_words[neg_alias.lookup(rng.random(n_pairs))]

@@ -171,6 +171,57 @@ class TestTrainPredictEvaluate:
         assert predictions(30) != predictions(100)
 
 
+class TestHandWrittenScores:
+    """`evaluate` and `breakdown` counts on a corpus small enough to count by hand."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        # d1: Paris x4 (gold E1, E2, E1, E2), Berlin (gold E3);
+        # d2: one mention without gold, which neither command counts
+        mentions = [{"start": i, "end": i + 1, "surface": surface, "gold": gold}
+                    for i, (surface, gold) in enumerate(
+                        [("Paris", "E1"), ("Paris", "E2"), ("Paris", "E1"),
+                         ("Berlin", "E3"), ("Paris", "E2")])]
+        docs = [{"id": "d1", "tokens": ["Paris"] * 3 + ["Berlin", "Paris"],
+                 "mentions": mentions},
+                {"id": "d2", "tokens": ["Paris"],
+                 "mentions": [{"start": 0, "end": 1, "surface": "Paris"}]}]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        # right, wrong, empty, an entity name in no other file, right; d2 predicted
+        preds = tmp_path / "preds.tsv"
+        preds.write_text("doc\tmention\tentity\nd1\t0\tE1\nd1\t1\tE1\nd1\t2\t\n"
+                         "d1\t3\tE9\nd1\t4\tE2\nd2\t0\tE1\n")
+        prior = tmp_path / "prior.tsv"
+        prior.write_text("Paris\tE1\t0.6\nParis\tE2\t0.4\nBerlin\tE1\t0.8\n"
+                         "Berlin\tE3\t0.2\n")
+        freq = tmp_path / "freq.tsv"
+        freq.write_text("E1\t5\nE2\t15\n")
+        return corpus, preds, prior, freq
+
+    def test_evaluate_counts(self, files, capsys, monkeypatch):
+        monkeypatch.delenv("ENTLINK_DATA_DIR", raising=False)
+        corpus, preds, _, _ = files
+        assert main(["evaluate", "--predictions", str(preds), "--corpus", str(corpus)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "gold_mentions=5 predicted=4 correct=2", "in_kb_accuracy=0.4000",
+            "precision=0.5000", "recall=0.4000", "micro_f1=0.4444"]
+
+    def test_breakdown_rows(self, files, capsys, monkeypatch):
+        monkeypatch.delenv("ENTLINK_DATA_DIR", raising=False)
+        corpus, preds, prior, freq = files
+        assert main(["breakdown", "--predictions", str(preds), "--corpus", str(corpus),
+                     "--prior", str(prior), "--freq", str(freq)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "axis\tbucket\tcount\taccuracy",
+            "frequency\t0\t1\t0.0000", "frequency\t1-10\t2\t0.5000",
+            "frequency\t11-20\t2\t0.5000", "frequency\t21-50\t0\t0.0000",
+            "frequency\t>50\t0\t0.0000",
+            "prior\t<=0.01\t0\t0.0000", "prior\t0.01-0.03\t0\t0.0000",
+            "prior\t0.03-0.1\t0\t0.0000", "prior\t0.1-0.3\t1\t0.0000",
+            "prior\t>0.3\t4\t0.5000"]
+
+
 STAGE_COMMANDS = {
     "generate-synthetic": [],
     "train-embeddings": [],

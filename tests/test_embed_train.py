@@ -382,7 +382,8 @@ class TestFileFormats:
         path.write_text("E0\tw0\t3\nE0\tw1\t1\nE1\tw2\t2\n")
         store = make_store(n_words=3)
         entities = Vocab()
-        counts = load_counts_file(str(path), store.word_vocab, entities)
+        counts = CooccurrenceCounts(n_words=store.n_words)
+        load_counts_file(str(path), store.word_vocab, entities, counts, counts.description)
         assert counts.description[entities.id("E0")][0] == 3
         assert counts.description[entities.id("E1")][2] == 2
 
@@ -390,7 +391,29 @@ class TestFileFormats:
         path = tmp_path / "counts.tsv"
         path.write_text("E0\tw0\n")
         with pytest.raises(ValidationError, match=":1"):
-            load_counts_file(str(path), Vocab(), Vocab())
+            load_counts_file(str(path), Vocab(), Vocab(), CooccurrenceCounts(n_words=0), {})
+
+    def test_link_counts_join_the_hyperlink_table_of_the_same_counts(self, tmp_path):
+        # a second file adds to the other table and to the one word frequency
+        # array; a bad row anywhere in it leaves counts and entities as they were
+        desc, links, bad = (tmp_path / name for name in ("desc.tsv", "links.tsv", "bad.tsv"))
+        desc.write_text("E0\tw0\t3\nE1\tw2\t2\n")
+        links.write_text("E2\tw0\t4\nE0\tw1\t1\nE0\tgone\t9\n")
+        bad.write_text("E3\tw0\t1\nE3\tw1\t-1\n")
+        store = make_store(n_words=3)
+        entities = Vocab()
+        counts = CooccurrenceCounts(n_words=store.n_words)
+        load_counts_file(str(desc), store.word_vocab, entities, counts, counts.description)
+        with pytest.raises(ValidationError, match=":2: negative count"):
+            load_counts_file(str(bad), store.word_vocab, entities, counts, counts.hyperlink)
+        assert entities.tokens() == ["E0", "E1"]
+        assert counts.hyperlink == {}
+        np.testing.assert_array_equal(counts.word_freq, [3.0, 0.0, 2.0])
+        load_counts_file(str(links), store.word_vocab, entities, counts, counts.hyperlink)
+        assert entities.tokens() == ["E0", "E1", "E2"]
+        assert counts.description == {0: {0: 3}, 1: {2: 2}}
+        assert counts.hyperlink == {2: {0: 4}, 0: {1: 1}}
+        np.testing.assert_array_equal(counts.word_freq, [7.0, 1.0, 2.0])
 
     def test_queries_round_trip(self, tmp_path):
         path = tmp_path / "queries.tsv"

@@ -5,8 +5,8 @@ import perstep
 import pytest
 
 from entlink import autodiff as ad
-from entlink import training
-from entlink.attention import LocalParams, predict_local
+from entlink import crf, training
+from entlink.attention import DocBlock, DocMentions, LocalParams, predict_local
 from entlink.crf import GlobalParams, predict_global
 from entlink.docs import Corpus, Document, Mention, build_context_windows
 from entlink.errors import ValidationError
@@ -185,6 +185,26 @@ def test_bad_id_in_a_training_document_raises_before_any_step(kind, past_end, mo
         with pytest.raises(ValidationError) as failure:
             trainer(params, train, val, store, cfg)
         assert str(failure.value) == f"{kind} id {bad} out of range [0, {size})"
+
+
+def test_over_budget_training_document_is_refused_before_its_rows_are_gathered(monkeypatch):
+    # the joint budget needs only the document's shape, so a refused
+    # document allocates none of its (n, S, d) candidate or (n, K, d) context rows
+    store, train, val = tiny_world()
+    params = GlobalParams.init(store.dim, hidden=16, k=8, r=4, t=2)
+    first = train.documents[0]
+    n, s = DocMentions.of(first, False).valid.shape
+    monkeypatch.setattr(crf, "JOINT_BYTES", crf.joint_bytes(n, s, params.t, training=True) - 1)
+
+    def gathered(*args):
+        raise AssertionError("rows gathered for a document over the budget")
+
+    monkeypatch.setattr(DocBlock, "gather", gathered)
+    with pytest.raises(ValidationError) as refused:
+        train_global(params, train, val, store, TrainConfig(epochs=1))
+    assert str(refused.value).startswith(
+        f"doc {first.doc_id!r}: joint stage needs {crf.JOINT_BYTES + 1} bytes "
+        f"for n={n} mentions and S={s} candidate slots")
 
 
 def lone_mention(doc):

@@ -239,6 +239,10 @@ class TestEntityInvariants:
             store.entity_vec(-1)
         with pytest.raises(ValidationError):
             store.word_rows([0])
+        for bad in (-1, 1):
+            with pytest.raises(ValidationError, match=rf"^entity id {bad} out of range \[0, 1\)$"):
+                store.set_entity_vec(bad, np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(store.entity_matrix(), [[1.0, 0.0]])
 
     def test_row_gathers_match_single_rows_and_check_ids(self):
         # numpy fancy indexing wraps -1 to the last row; the gathers refuse it
