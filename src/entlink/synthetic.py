@@ -25,7 +25,7 @@ from .embed_train import CooccurrenceCounts, RelatednessQuery
 from .errors import ValidationError
 from .priors import PriorIndex, PriorSource, build_prior, save_prior
 from .vectors import EmbeddingStore, save_vectors_text
-from .vocab import Vocab, write_rows
+from .vocab import write_rows
 
 SIGNATURE_COUNT = 20     # co-occurrence count per signature word
 NOISE_POOL_MIN = 50
@@ -139,15 +139,18 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     basis = np.linalg.qr(rng.normal(size=(spec.dim, spec.dim)))[0]
     centers = basis[: spec.n_topics]
 
-    word_vocab = Vocab()
-    store = EmbeddingStore(spec.dim, word_vocab=word_vocab)
+    # rows in id order, appended at once: each append copies the whole table
+    word_names: list[str] = []
+    word_rows: list[np.ndarray] = []
 
     def add_word(name: str, base: np.ndarray | None, spread: float = 0.6) -> int:
         if base is None:
             v = rng.normal(size=spec.dim)
         else:
             v = base + spread * rng.normal(size=spec.dim)
-        return store.add_word(name, v / np.linalg.norm(v))
+        word_names.append(name)
+        word_rows.append(v / np.linalg.norm(v))
+        return len(word_names) - 1
 
     topic_pools = []
     for topic in range(spec.n_topics):
@@ -169,7 +172,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     # Noise words are plausible but uninformative: most lean toward some
     # random topic (so they draw real attention mass and bias whichever
     # candidate shares that topic), the rest are unstructured.
-    n_noise = spec.vocab_size - len(word_vocab)
+    n_noise = spec.vocab_size - len(word_names)
     noise_words = set()
     for i in range(n_noise):
         if rng.random() < 0.75:
@@ -177,7 +180,10 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
             noise_words.add(add_word(f"n{i}", center, spread=1.1))
         else:
             noise_words.add(add_word(f"n{i}", None))
+    store = EmbeddingStore(spec.dim)
+    store.add_words(word_names, word_rows)
     store.freeze_words()
+    word_vocab = store.word_vocab
 
     entity_vocab = store.entity_vocab
     for e in range(spec.kb_size):

@@ -14,11 +14,22 @@ On-disk formats:
   (all little-endian), then per row a u16 token byte length, the UTF-8
   token, and <dim> little-endian float32 values.  Binary round-trips
   bit-exactly; text round-trips to within 1e-6 per component.
+
+Rows are checked once per table, not once per row.  The binary reader
+reads the file whole and walks its rows only for their structure, which
+stays checked row by row: a row cut short, a token that is not UTF-8, a
+duplicate token.  The rows' float32 values are joined into one array,
+checked for finiteness once and widened to float64 once; a fault of
+either kind names the earliest bad row.  An append to the store takes
+its rows as one block and checks their shape, finiteness and (for
+entities) unit norm over the block, naming the first bad row with the
+message that row would get on its own; the vocabulary takes the names
+in one pass.  The text reader still parses and checks each line, since
+its number syntax is Python's `float`.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 
 import numpy as np
@@ -123,20 +134,46 @@ class EmbeddingStore:
         """`table` with the checked rows appended, their names added to `vocab`.
 
         Every row and name is checked before anything changes: row i must
-        take id len(table) + i, so a name already present is a duplicate.
+        take id len(table) + i, so the vocabulary must hold one name per row
+        and a name already present or given twice is a duplicate.
         """
-        checked = [self._check_vec(vec, what=f"{what} {name!r}", unit=unit)
-                   for name, vec in zip(names, rows)]
-        fresh: dict[str, int] = {}
-        for i, name in enumerate(names):
-            idx = vocab.id(name)
-            if idx is None:
-                idx = fresh.setdefault(name, len(vocab) + len(fresh))
-            if idx != table.shape[0] + i:
-                raise ValidationError(f"duplicate {what}: {name!r}")
-        for name in names:
-            vocab.add(name)
-        return np.vstack([table, *checked])
+        block = self._checked_block(names, rows, what, unit)
+        if len(vocab) != table.shape[0]:
+            raise ValidationError(
+                f"{what} vocabulary holds {len(vocab)} names for {table.shape[0]} rows")
+        vocab.extend(names, what)
+        return np.concatenate([table, block])
+
+    def _checked_block(self, names: list[str], rows, what: str, unit: bool) -> np.ndarray:
+        """`rows` as one (len(names), d) float64 block, each row checked as
+        `_check_vec` checks it: the first bad row gets that row's message."""
+        if len(rows) != len(names):
+            raise ValidationError(f"{len(names)} {what} names for {len(rows)} rows")
+        if not len(names):
+            return np.empty((0, self.dim))
+        try:
+            block = np.asarray(rows, dtype=np.float64)
+        except ValueError:  # rows of unequal lengths
+            block = None
+        if block is None or block.shape != (len(names), self.dim):
+            # raises at the first row of the wrong shape, or an earlier bad row
+            for name, vec in zip(names, rows):
+                self._check_vec(vec, what=f"{what} {name!r}", unit=unit)
+        finite = np.isfinite(block).all(axis=1)
+        bad = ~finite
+        if unit:
+            with np.errstate(over="ignore", invalid="ignore"):
+                off = np.abs(np.sqrt(np.einsum("ij,ij->i", block, block)) - 1.0)
+            bad |= off > ENTITY_NORM_TOL
+            # These sums of squares may round differently from np.linalg.norm's,
+            # by about d * 1.1e-16 for a row near unit norm; a row this close
+            # to the tolerance is decided by np.linalg.norm, as on its own.
+            for i in np.flatnonzero(finite & (np.abs(off - ENTITY_NORM_TOL) < 1e-9)):
+                bad[i] = abs(np.linalg.norm(block[i]) - 1.0) > ENTITY_NORM_TOL
+        if bad.any():
+            i = int(bad.argmax())
+            self._check_vec(block[i], what=f"{what} {names[i]!r}", unit=unit)
+        return block
 
     def _check_vec(self, vec: np.ndarray, what: str, unit: bool = False) -> np.ndarray:
         vec = np.asarray(vec, dtype=np.float64)
@@ -253,44 +290,64 @@ def _parse_text_vectors(path: str) -> tuple[list[str], np.ndarray]:
 
 def _parse_binary_vectors(path: str) -> tuple[list[str], np.ndarray]:
     with open(path, "rb") as fh:
-        head = fh.read(len(_BINARY_MAGIC) + 2 + 4 + 4)
-        if len(head) < len(_BINARY_MAGIC) + 10:
-            raise ValidationError(f"{path}: truncated binary header")
-        version, count, dim = struct.unpack_from("<HII", head, 4)
-        if version != _BINARY_VERSION:
-            raise ValidationError(f"{path}: unsupported version {version}")
-        if count == 0 or dim == 0:
-            raise ValidationError(f"{path}: no vectors")
-        # a row holds at least its token length and values: checked before allocating
-        want, size = len(head) + count * (2 + 4 * dim), os.fstat(fh.fileno()).st_size
-        if size < want:
-            raise ValidationError(f"{path}: truncated binary file: {count} rows of {dim} "
-                                  f"values need at least {want} bytes, it has {size}")
-        tokens: list[str] = []
-        rows = np.empty((count, dim), dtype=np.float64)
-        seen: set[str] = set()
-        for row in range(count):
-            raw_len = fh.read(2)
-            if len(raw_len) != 2:
-                raise ValidationError(f"{path}: truncated at row {row + 1}")
-            (token_len,) = struct.unpack("<H", raw_len)
-            try:
-                token = fh.read(token_len).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValidationError(
-                    f"{path}: token at row {row + 1} is not UTF-8") from exc
-            payload = fh.read(4 * dim)
-            if len(payload) != 4 * dim:
-                raise ValidationError(f"{path}: truncated at row {row + 1}")
-            if token in seen:
-                raise ValidationError(f"{path}: duplicate word {token!r} at row {row + 1}")
-            seen.add(token)
-            vec = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-            if not np.all(np.isfinite(vec)):
-                raise ValidationError(f"{path}: non-finite value at row {row + 1}")
-            tokens.append(token)
-            rows[row] = vec
-    return tokens, rows
+        data = fh.read()
+    pos = len(_BINARY_MAGIC) + 2 + 4 + 4
+    if len(data) < pos:
+        raise ValidationError(f"{path}: truncated binary header")
+    version, count, dim = struct.unpack_from("<HII", data, len(_BINARY_MAGIC))
+    if version != _BINARY_VERSION:
+        raise ValidationError(f"{path}: unsupported version {version}")
+    if count == 0 or dim == 0:
+        raise ValidationError(f"{path}: no vectors")
+    # a row holds at least its token length and values: checked before allocating
+    want = pos + count * (2 + 4 * dim)
+    if len(data) < want:
+        raise ValidationError(f"{path}: truncated binary file: {count} rows of {dim} "
+                              f"values need at least {want} bytes, it has {len(data)}")
+    tokens: list[str] = []
+    payloads: list[memoryview] = []
+    seen: set[str] = set()
+    view, width = memoryview(data), 4 * dim
+    for row in range(count):
+        if pos + 2 > len(data):
+            raise _fault(path, payloads, dim, f"truncated at row {row + 1}")
+        (token_len,) = struct.unpack_from("<H", data, pos)
+        raw = data[pos + 2:pos + 2 + token_len]
+        pos += 2 + token_len
+        try:
+            token = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _fault(path, payloads, dim,
+                         f"token at row {row + 1} is not UTF-8") from exc
+        if pos + width > len(data):
+            raise _fault(path, payloads, dim, f"truncated at row {row + 1}")
+        if token in seen:
+            raise _fault(path, payloads, dim, f"duplicate word {token!r} at row {row + 1}")
+        seen.add(token)
+        tokens.append(token)
+        payloads.append(view[pos:pos + width])
+        pos += width
+    values = _float32_rows(payloads, dim)
+    _check_finite_rows(path, values)
+    return tokens, values.astype(np.float64)
+
+
+def _float32_rows(payloads: list[memoryview], dim: int) -> np.ndarray:
+    """The rows' little-endian float32 values, joined into one (rows, dim) array."""
+    return np.frombuffer(b"".join(payloads), dtype="<f4").reshape(len(payloads), dim)
+
+
+def _fault(path: str, payloads: list[memoryview], dim: int, message: str) -> ValidationError:
+    """The error for a fault in the structure of the row after `payloads`,
+    unless one of those rows holds a non-finite value: it is named instead."""
+    _check_finite_rows(path, _float32_rows(payloads, dim))
+    return ValidationError(f"{path}: {message}")
+
+
+def _check_finite_rows(path: str, rows: np.ndarray) -> None:
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise ValidationError(f"{path}: non-finite value at row {int(bad.argmax()) + 1}")
 
 
 def read_vectors(path: str) -> tuple[list[str], np.ndarray]:

@@ -48,6 +48,26 @@ class Vocab:
         self._counts[idx] += count
         return idx
 
+    def extend(self, tokens: list[str], what: str) -> None:
+        """Add `tokens` with ids len(self), len(self) + 1, ... in one pass.
+
+        A token already present or given twice raises a ValidationError
+        naming the first such token (``duplicate <what>: ...``) before
+        anything changes.
+        """
+        start = len(self._tokens)
+        index = dict(zip(tokens, range(start, start + len(tokens))))
+        if len(index) < len(tokens) or not self._index.keys().isdisjoint(index):
+            seen = set(self._index)
+            for token in tokens:
+                if token in seen:
+                    raise ValidationError(f"duplicate {what}: {token!r}")
+                seen.add(token)
+        self._index.update(index)
+        self._tokens.extend(tokens)
+        self._counts.extend([0] * len(tokens))
+        self._stop.extend([token in self._stop_words for token in tokens])
+
     def id(self, token: str) -> int | None:
         return self._index.get(token)
 

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from embedoracles import check_entity_norms
 
 from entlink.errors import ValidationError
 from entlink.vectors import (
+    ENTITY_NORM_TOL,
     EmbeddingStore,
     load_entity_vectors,
     load_word_vectors,
@@ -216,6 +218,232 @@ class TestFormatFromContent:
         with pytest.raises(ValidationError, match=re.escape(
                 f"{path}: truncated binary file: 4294967280 rows of 300 values need")):
             read_vectors(str(path))
+
+
+def write_binary(path, tokens: list[bytes], rows) -> bytes:
+    """A binary vector file of raw token bytes and float32 rows; returns its bytes."""
+    rows = np.asarray(rows, dtype="<f4")
+    raw = b"EVEC" + struct.pack("<HII", 1, len(tokens), rows.shape[1])
+    for token, row in zip(tokens, rows):
+        raw += struct.pack("<H", len(token)) + token + row.tobytes()
+    path.write_bytes(raw)
+    return raw
+
+
+class TestBinaryReaderFaults:
+    """Each fault of a binary vector file gets its message, naming its row.
+
+    Five rows of 2 values under 10-byte tokens; row k (from 1) starts at
+    byte 14 + 20 * (k - 1): two length bytes, the token, then 8 bytes of
+    values.  The file is read whole before any row is checked, so these
+    pin which row is named when a fault sits behind another one.
+    """
+
+    TOKENS = [f"token{i:05d}".encode() for i in range(5)]
+
+    def _file(self, tmp_path, tokens=None, nan_row=None):
+        rows = np.arange(10, dtype=np.float64).reshape(5, 2)
+        if nan_row is not None:
+            rows[nan_row - 1, 1] = np.nan
+        path = tmp_path / "v.bin"
+        return path, write_binary(path, tokens or list(self.TOKENS), rows)
+
+    @staticmethod
+    def _refused(path, message):
+        for read in (lambda: read_vectors(str(path)),
+                     lambda: load_word_vectors(str(path), fmt="binary"),
+                     lambda: load_entity_vectors(str(path), EmbeddingStore(2), fmt="binary")):
+            with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                read()
+
+    def test_truncated_header(self, tmp_path):
+        path, raw = self._file(tmp_path)
+        path.write_bytes(raw[:13])
+        self._refused(path, "truncated binary header")
+
+    @pytest.mark.parametrize("cut,row", [(64, 3), (66, 3), (75, 4), (80, 4), (90, 4)])
+    def test_truncated_row(self, tmp_path, cut, row):
+        # the file keeps the 64 bytes five rows of empty tokens would need,
+        # so the cut is found walking the rows: in a token (64, 80), in the
+        # values (66, 90) or in the length bytes (75)
+        path, raw = self._file(tmp_path)
+        path.write_bytes(raw[:cut])
+        self._refused(path, f"truncated at row {row}")
+
+    def test_non_utf8_token(self, tmp_path):
+        path, _ = self._file(tmp_path, tokens=[*self.TOKENS[:3], b"token\xff\xfe003",
+                                                self.TOKENS[4]])
+        self._refused(path, "token at row 4 is not UTF-8")
+
+    def test_duplicate_token(self, tmp_path):
+        path, _ = self._file(tmp_path, tokens=[*self.TOKENS[:4], self.TOKENS[1]])
+        self._refused(path, "duplicate word 'token00001' at row 5")
+
+    def test_non_finite_value(self, tmp_path):
+        path, _ = self._file(tmp_path, nan_row=4)
+        self._refused(path, "non-finite value at row 4")
+
+    def test_earlier_of_two_faults_is_named(self, tmp_path):
+        dup = [*self.TOKENS[:3], self.TOKENS[0], self.TOKENS[4]]
+        bad_utf8 = [self.TOKENS[0], b"token\xff\xfe001", *self.TOKENS[2:]]
+        self._file(tmp_path, tokens=dup, nan_row=2)
+        self._refused(tmp_path / "v.bin", "non-finite value at row 2")
+        self._file(tmp_path, tokens=dup, nan_row=5)
+        self._refused(tmp_path / "v.bin", "duplicate word 'token00000' at row 4")
+        self._file(tmp_path, tokens=bad_utf8, nan_row=3)
+        self._refused(tmp_path / "v.bin", "token at row 2 is not UTF-8")
+        path, raw = self._file(tmp_path, nan_row=2)
+        path.write_bytes(raw[:80])
+        self._refused(path, "non-finite value at row 2")
+        path, raw = self._file(tmp_path, nan_row=4)
+        path.write_bytes(raw[:80])
+        self._refused(path, "truncated at row 4")
+
+
+class TestBulkAppend:
+    """An append checks its rows as one block; the first bad row is named
+    with the message it would get on its own, and nothing changes."""
+
+    @staticmethod
+    def _store():
+        store = EmbeddingStore(3)
+        store.add_words(["w0"], [[1.0, 2.0, 3.0]])
+        store.add_entities(["E0"], [[1.0, 0.0, 0.0]])
+        return store
+
+    @staticmethod
+    def _refused(store, add, names, rows, message):
+        words, entities = store.word_matrix().copy(), store.entity_matrix().copy()
+        vocabs = store.word_vocab.tokens(), store.entity_vocab.tokens()
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            add(names, rows)
+        np.testing.assert_array_equal(store.word_matrix(), words)
+        np.testing.assert_array_equal(store.entity_matrix(), entities)
+        assert (store.word_vocab.tokens(), store.entity_vocab.tokens()) == vocabs
+
+    def test_wrong_length_row(self):
+        store = self._store()
+        unit = [0.0, 1.0, 0.0]
+        for add, what in ((store.add_words, "word"), (store.add_entities, "entity")):
+            self._refused(store, add, ["a", "b", "c"], [unit, unit[:2], unit + [0.0]],
+                          f"{what} 'b': expected 3 components, got shape (2,)")
+            self._refused(store, add, ["a", "b"], [unit, [unit]],
+                          f"{what} 'b': expected 3 components, got shape (1, 3)")
+
+    def test_non_finite_row(self):
+        store = self._store()
+        rows = np.eye(3)
+        for value in (np.nan, np.inf, -np.inf):
+            rows[2, 1] = value
+            for add, what in ((store.add_words, "word"), (store.add_entities, "entity")):
+                self._refused(store, add, ["a", "b", "c"], rows,
+                              f"{what} 'c': non-finite component")
+
+    def test_entity_off_unit_norm(self):
+        store = self._store()
+        rows = np.eye(3)
+        rows[1] *= 2.0
+        self._refused(store, store.add_entities, ["a", "b", "c"], rows,
+                      "entity 'b': norm 2.000000000 not within 1e-06 of 1")
+        rows[1] = 0.0
+        self._refused(store, store.add_entities, ["a", "b", "c"], rows,
+                      "entity 'b': norm 0.000000000 not within 1e-06 of 1")
+
+    def test_duplicate_name(self):
+        store = self._store()
+        for add, what, old in ((store.add_words, "word", "w0"),
+                               (store.add_entities, "entity", "E0")):
+            self._refused(store, add, ["a", "b", "a"], np.eye(3),
+                          f"duplicate {what}: 'a'")
+            self._refused(store, add, ["a", old, "b"], np.eye(3),
+                          f"duplicate {what}: {old!r}")
+
+    def test_first_bad_row_is_named_whatever_its_fault(self):
+        # row faults come before name faults, as when each row was checked alone
+        store = self._store()
+        rows = [[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, 1.0]]
+        self._refused(store, store.add_entities, ["a", "b", "c", "d"], rows,
+                      "entity 'a': norm 2.000000000 not within 1e-06 of 1")
+        self._refused(store, store.add_entities, ["b", "c", "d"], rows[1:],
+                      "entity 'c': non-finite component")
+        self._refused(store, store.add_words, ["a", "a", "c", "d"], rows[:3] + [[0.0] * 3],
+                      "word 'c': non-finite component")
+
+    def test_names_and_rows_must_pair_up_and_ids_follow_the_rows(self):
+        store = self._store()
+        self._refused(store, store.add_words, ["a", "b"], np.eye(3),
+                      "2 word names for 3 rows")
+        # a name the vocabulary took from a data file has no row yet
+        store.entity_vocab.add("E_from_counts")
+        self._refused(store, store.add_entities, ["E1"], np.eye(3)[:1],
+                      "entity vocabulary holds 2 names for 1 rows")
+        store.sync_entities()
+        store.add_entities(["E1"], np.eye(3)[:1])
+        assert store.entity_vocab.id("E1") == 2 and store.n_entities == 3
+
+    def test_unit_norm_decided_as_for_one_row(self):
+        # rows scaled to within a few ulps of 1 +- the tolerance: a bulk
+        # sum of squares may round differently from np.linalg.norm, and
+        # every row must still be decided as np.linalg.norm decides it
+        rng = np.random.default_rng(5)
+        for dim in (3, 16, 300):
+            base = rng.normal(size=(400, dim))
+            base /= np.linalg.norm(base, axis=1, keepdims=True)
+            sign = np.where(np.arange(400) % 2, 1.0, -1.0)
+            scale = 1.0 + sign * (ENTITY_NORM_TOL + rng.integers(-40, 40, 400) * 1e-16)
+            rows = base * scale[:, None]
+            want = [abs(np.linalg.norm(row) - 1.0) > ENTITY_NORM_TOL for row in rows]
+            assert 50 < sum(want) < 350
+            for i, row in enumerate(rows):
+                store = EmbeddingStore(dim)
+                if want[i]:
+                    with pytest.raises(ValidationError, match=f"^entity 'E{i}': norm "):
+                        store.add_entities([f"E{i}"], [row])
+                else:
+                    store.add_entities([f"E{i}"], [row])
+            # in one block the first refused row is named
+            first = want.index(True)
+            with pytest.raises(ValidationError, match=f"^entity 'E{first}': norm "):
+                EmbeddingStore(dim).add_entities([f"E{i}" for i in range(400)], rows)
+            kept = ~np.array(want)
+            store = EmbeddingStore(dim)
+            store.add_entities([f"E{i}" for i in np.flatnonzero(kept)], rows[kept])
+            np.testing.assert_array_equal(store.entity_matrix(), rows[kept])
+
+
+def test_binary_values_read_back_exactly(tmp_path):
+    # -0.0, the smallest float32 subnormal and the float32 extremes survive
+    # the float32 -> float64 widening bit for bit
+    f32 = np.finfo(np.float32)
+    words = np.array([[-0.0, f32.smallest_subnormal, f32.max, -f32.max],
+                      [f32.smallest_normal, -f32.smallest_subnormal, 1.0, -0.0]],
+                     dtype=np.float32)
+    entities = np.array([[-0.0, f32.smallest_subnormal, 1.0, 0.0],
+                         [0.0, -1.0, -f32.smallest_subnormal, -0.0]], dtype=np.float32)
+    write_binary(tmp_path / "w.bin", [b"a", b"b"], words)
+    write_binary(tmp_path / "e.bin", [b"E0", b"E1"], entities)
+    store = load_word_vectors(str(tmp_path / "w.bin"))
+    assert load_entity_vectors(str(tmp_path / "e.bin"), store, fmt="binary") == 2
+    for got, want in ((store.word_matrix(), words), (store.entity_matrix(), entities)):
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.astype(np.float64).tobytes()
+
+
+def test_binary_word_load_peaks_near_two_tables(tmp_path):
+    # the file's bytes, the read table and the store's table: a 5.3 MB
+    # float64 table may peak at 2.25 times its size, not at a copy per row
+    rows = np.random.default_rng(0).normal(size=(2200, 300))
+    path = tmp_path / "w.bin"
+    save_vectors_binary(str(path), [f"w{i}" for i in range(2200)], rows)
+    tracemalloc.start()
+    try:
+        store = load_word_vectors(str(path), fmt="binary")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = store.word_matrix().nbytes
+    assert table >= 5e6
+    assert peak <= 2.25 * table, peak / table
 
 
 class TestEntityInvariants:
