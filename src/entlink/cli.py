@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .attention import predict_local
 from .crf import GlobalParams, predict_global
-from .docs import Corpus, load_corpus
+from .docs import Corpus, load_corpus, resolve_gold
 from .embed_train import (
     CooccurrenceCounts,
     EmbedTrainConfig,
@@ -111,7 +111,7 @@ def _candidate_corpora(args, cfg: ExperimentConfig, store,
     is_person = (load_person_predicate(args.persons, store.entity_vocab)
                  if args.persons else None)
     store.sync_entities()
-    corpora = {split: load_corpus(_data_path(args, flag, key, cfg.data_dir), split=split)
+    corpora = {split: load_corpus(_data_path(args, flag, key, cfg.data_dir))
                for split, (flag, key) in files.items()}
     select_all_candidates(cfg, corpora.values(), store, prior, is_person)
     return corpora
@@ -210,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score predictions against gold")
     p.add_argument("--predictions", required=True)
     p.add_argument("--corpus", help="corpus file")
+    p.add_argument("--prior", help="prior index file, whose entities are the KB")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("breakdown", help="accuracy by gold frequency and prior")
@@ -404,22 +405,26 @@ def _read_predictions(path: str) -> dict[tuple[str, int], str]:
                 path, "doc<TAB>mention<TAB>entity", start=2)}
 
 
-def _aligned_eval_inputs(args, preds_by_key):
-    corpus = load_corpus(_data_path(args, "corpus", "test"), split="test")
-    preds: list[str | None] = []
-    golds: list[str | None] = []
-    names: list[tuple] = []
+def _aligned_eval_inputs(args):
+    """Each test mention with its prediction and its gold, in corpus order,
+    and the prior.  Golds are resolved against the prior's entities
+    (`docs.resolve_gold`), so a gold outside that knowledge base is None."""
+    preds_by_key = _read_predictions(args.predictions)
+    corpus = load_corpus(_data_path(args, "corpus", "test"))
+    entities = Vocab()
+    prior = load_prior(_data_path(args, "prior"), entities)
+    resolve_gold(corpus, entities)
+    mentions, preds, golds = [], [], []
     for doc in corpus:
         for idx, mention in enumerate(doc.mentions):
+            mentions.append(mention)
             preds.append(preds_by_key.get((doc.doc_id, idx)) or None)
-            golds.append(mention.gold)
-            names.append((doc.doc_id, idx, mention))
-    return corpus, preds, golds, names
+            golds.append(mention.gold if mention.gold_id is not None else None)
+    return mentions, preds, golds, prior
 
 
 def cmd_evaluate(args) -> int:
-    preds_by_key = _read_predictions(args.predictions)
-    _, preds, golds, _ = _aligned_eval_inputs(args, preds_by_key)
+    _, preds, golds, _ = _aligned_eval_inputs(args)
     res = evaluate(preds, golds)
     print(f"gold_mentions={res.gold} predicted={res.predicted} correct={res.correct}")
     print(f"in_kb_accuracy={res.in_kb_accuracy:.4f}")
@@ -430,22 +435,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
-    preds_by_key = _read_predictions(args.predictions)
-    _, preds, golds, rows = _aligned_eval_inputs(args, preds_by_key)
-    entities = Vocab()
-    prior = load_prior(_data_path(args, "prior"), entities)
+    mentions, preds, golds, prior = _aligned_eval_inputs(args)
     freq = (dict(read_counts(_data_path(args, "freq", "entity_freq")))
             if args.freq or _data_dir(args) else {})
-    gold_priors, gold_freqs, in_cands = [], [], []
-    for (_, _, mention) in rows:
-        p = prior.prior(mention.surface, entities.id(mention.gold)) \
-            if mention.gold is not None and entities.id(mention.gold) is not None \
-            else 0.0
-        gold_priors.append(p)
-        gold_freqs.append(freq.get(mention.gold or "", 0))
-        in_cands.append(p > 0.0)
-    freq_buckets, prior_buckets = breakdown_report(preds, golds, gold_priors,
-                                                   gold_freqs, in_cands)
+    gold_priors = [prior.prior(m.surface, m.gold_id) if m.gold_id is not None else 0.0
+                   for m in mentions]
+    gold_freqs = [freq.get(m.gold or "", 0) for m in mentions]
+    freq_buckets, prior_buckets = breakdown_report(preds, golds, gold_priors, gold_freqs,
+                                                   [p > 0.0 for p in gold_priors])
     print("axis\tbucket\tcount\taccuracy")
     for b in freq_buckets:
         print(f"frequency\t{b.label}\t{b.count}\t{b.accuracy:.4f}")

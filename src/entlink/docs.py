@@ -55,7 +55,6 @@ class Document:
 @dataclass
 class Corpus:
     documents: list[Document]
-    split: str = "train"
 
     def __iter__(self):
         return iter(self.documents)
@@ -71,13 +70,13 @@ class Corpus:
 _DOC_LINES = ("-DOCSTART-", "#doc")
 
 
-def load_corpus(path: str, split: str = "train") -> Corpus:
+def load_corpus(path: str) -> Corpus:
     with open_text(path) as fh:
         first = next((line for line in fh if line.strip()), "")
     docs = (_load_columns if first.startswith(_DOC_LINES) else _load_jsonl)(path)
     for doc in docs:
         doc.validate()
-    return Corpus(documents=docs, split=split)
+    return Corpus(documents=docs)
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", int: "an integer", str: "a string"}

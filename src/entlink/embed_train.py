@@ -220,8 +220,7 @@ class _Phase:
                     rng.bit_generator.advance(self.done * self.width)
             self._steps(z, self.accum[lo:lo + len(ids)], rngs,
                         np.arange(lo, lo + len(ids)), iters)
-            for e, row in zip(ids, z):
-                self.store.set_entity_vec(e, row)
+            self.store.set_entity_rows(ids, z)
         self.done += iters
 
     def _steps(self, z: np.ndarray, accum: np.ndarray, rngs: list,
@@ -291,8 +290,9 @@ def train_all_entities(
         for e in skipped:
             log(f"warning: entity {store.entity_vocab.token(e)} untrainable, skipped")
 
-    for e in sorted(set(linked) - set(described)):
-        store.set_entity_vec(e, init_entity_vector(entity_rng(cfg.seed, e), store.dim))
+    linked_only = sorted(set(linked) - set(described))
+    store.set_entity_rows(linked_only, [
+        init_entity_vector(entity_rng(cfg.seed, e), store.dim) for e in linked_only])
     if described:
         _Phase(counts, cfg, store, described, counts.description, cfg.seed).run(
             cfg.description_iters, init=True)
@@ -320,8 +320,7 @@ def train_all_entities(
         if bad_rounds >= cfg.patience:
             break
     if best_vecs is not None:
-        for e in range(n):
-            store.set_entity_vec(e, best_vecs[e])
+        store.set_entity_rows(np.arange(n), best_vecs)
     return skipped
 
 

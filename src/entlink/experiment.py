@@ -215,7 +215,7 @@ def _load_or_generate(cfg: ExperimentConfig) -> PreparedData:
                          counts, counts.description)
         prior = load_prior(path["prior"], store.entity_vocab)
         store.sync_entities()
-        corpora = {split: load_corpus(path[split], split=split)
+        corpora = {split: load_corpus(path[split])
                    for split in ("train", "validation", "test")}
         _check_disjoint_splits(corpora)
         queries = load_relatedness_queries(path["queries"], store.entity_vocab)

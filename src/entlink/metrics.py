@@ -37,11 +37,11 @@ class EvalResult:
 
     @property
     def in_kb_accuracy(self) -> float:
-        """Correct over gold mentions; this equals recall.  Where golds are
-        resolved against a KB (`run-experiment`), a gold outside it resolves
-        to None and is skipped, so every counted gold is in the KB.
-        `entlink evaluate` has no KB to resolve golds against, so there it
-        counts every gold, one outside any KB included."""
+        """Correct over gold mentions; this equals recall.  Both scoring
+        commands resolve golds against a KB first (`run-experiment` against
+        its entity vocabulary, `entlink evaluate` against its prior's
+        entities): a gold outside it resolves to None and is skipped, so
+        every counted gold is in the KB."""
         return self.recall
 
 

@@ -41,7 +41,11 @@ class Candidate:
 
 
 class PriorIndex:
-    """Normalized mention -> [(entity, probability)], probabilities sum to 1."""
+    """Normalized mention -> [(entity, probability)], probabilities sum to 1.
+
+    Every distribution, stored or merged by `lookup`, comes from
+    `_normalised`, so it is sorted by descending probability, then entity id.
+    """
 
     def __init__(self):
         self._table: dict[str, list[tuple[int, float]]] = {}
@@ -175,7 +179,7 @@ def select_candidates(
     dist = prior.lookup(surface)
     if not dist:
         return []
-    pool = sorted(dist, key=lambda t: (-t[1], t[0]))[:PRECUT]
+    pool = dist[:PRECUT]
     limit = min(s, len(pool))
     chosen: list[Candidate] = []
     taken: set[int] = set()

@@ -267,9 +267,9 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
 
     n_train = int(round(SPLITS[0] * spec.n_docs))
     n_val = int(round(SPLITS[1] * spec.n_docs))
-    train = Corpus(docs[:n_train], split="train")
-    validation = Corpus(docs[n_train:n_train + n_val], split="validation")
-    test = Corpus(docs[n_train + n_val:], split="test")
+    train = Corpus(docs[:n_train])
+    validation = Corpus(docs[n_train:n_train + n_val])
+    test = Corpus(docs[n_train + n_val:])
 
     # relatedness queries: same-topic pairs positive, cross-topic negative
     queries = []

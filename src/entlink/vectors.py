@@ -2,8 +2,8 @@
 
 An EmbeddingStore keeps one d-dimensional float64 vector per word and per
 entity in two separate id spaces.  Word vectors are frozen once loaded;
-entity vectors are unit-norm and may be rewritten row by row during
-training.
+entity vectors are unit-norm, and training rewrites them a block of rows
+at a time (`set_entity_rows`), each block checked as an append is.
 
 On-disk formats:
 
@@ -18,14 +18,17 @@ On-disk formats:
 Rows are checked once per table, not once per row.  The binary reader
 reads the file whole and walks its rows only for their structure, which
 stays checked row by row: a row cut short, a token that is not UTF-8, a
-duplicate token.  The rows' float32 values are joined into one array,
-checked for finiteness once and widened to float64 once; a fault of
-either kind names the earliest bad row.  An append to the store takes
-its rows as one block and checks their shape, finiteness and (for
-entities) unit norm over the block, naming the first bad row with the
-message that row would get on its own; the vocabulary takes the names
-in one pass.  The text reader still parses and checks each line, since
-its number syntax is Python's `float`.
+duplicate token.  The rows' float32 values are joined into one array and
+checked for finiteness once; a fault of either kind names the earliest
+bad row.  The reader returns them as float32, and the store widens them
+once: an append copies its rows into one fresh float64 block, checks
+their shape, finiteness and (for entities) unit norm over the block,
+naming the first bad row with the message that row would get on its own,
+and takes that block as the table when the table is empty.  So a binary
+load peaks near one float64 table plus its float32 rows, not two float64
+tables.  The vocabulary takes the names in one pass.  The text reader
+still parses and checks each line, since its number syntax is Python's
+`float`.
 """
 
 from __future__ import annotations
@@ -46,15 +49,14 @@ ENTITY_NORM_TOL = 1e-6
 class EmbeddingStore:
     """Word and entity vectors sharing one dimension d."""
 
-    def __init__(self, dim: int, word_vocab: Vocab | None = None,
-                 entity_vocab: Vocab | None = None):
+    def __init__(self, dim: int, word_vocab: Vocab | None = None):
         if dim <= 0:
             raise ValidationError(f"dimension must be positive, got {dim}")
         self.dim = int(dim)
         self.word_vocab = word_vocab if word_vocab is not None else Vocab()
-        self.entity_vocab = entity_vocab if entity_vocab is not None else Vocab()
+        self.entity_vocab = Vocab()
         self._words = np.zeros((len(self.word_vocab), dim), dtype=np.float64)
-        self._entities = np.zeros((len(self.entity_vocab), dim), dtype=np.float64)
+        self._entities = np.zeros((0, dim), dtype=np.float64)
         self.words_frozen = False
 
     # -- word table ---------------------------------------------------
@@ -69,10 +71,6 @@ class EmbeddingStore:
 
     def word_matrix(self) -> np.ndarray:
         return self._words
-
-    def add_word(self, token: str, vec: np.ndarray) -> int:
-        self.add_words([token], [vec])
-        return self.n_words - 1
 
     def add_words(self, tokens: list[str], rows) -> None:
         """Append one word per row, copying the table once."""
@@ -101,19 +99,15 @@ class EmbeddingStore:
     def entity_matrix(self) -> np.ndarray:
         return self._entities
 
-    def add_entity(self, name: str, vec: np.ndarray) -> int:
-        self.add_entities([name], [vec])
-        return self.n_entities - 1
-
     def add_entities(self, names: list[str], rows) -> None:
         """Append one unit-norm entity per row, copying the table once."""
         self._entities = self._appended(self.entity_vocab, self._entities, names, rows,
                                         "entity", unit=True)
 
-    def set_entity_vec(self, idx: int, vec: np.ndarray) -> None:
-        """Rewrite one entity row."""
-        checked_ids(idx, self.n_entities, "entity")
-        self._entities[idx] = self._check_vec(vec, what=f"entity id {idx}", unit=True)
+    def set_entity_rows(self, ids, rows) -> None:
+        """Rewrite the entity rows at `ids`, checked as appended rows are."""
+        ids = checked_ids(ids, self.n_entities, "entity")
+        self._entities[ids] = self._checked_block(ids.tolist(), rows, "entity id", unit=True)
 
     def sync_entities(self) -> int:
         """Grow the entity table with unit placeholders to cover the vocab.
@@ -142,17 +136,18 @@ class EmbeddingStore:
             raise ValidationError(
                 f"{what} vocabulary holds {len(vocab)} names for {table.shape[0]} rows")
         vocab.extend(names, what)
-        return np.concatenate([table, block])
+        return np.concatenate([table, block]) if table.shape[0] else block
 
-    def _checked_block(self, names: list[str], rows, what: str, unit: bool) -> np.ndarray:
-        """`rows` as one (len(names), d) float64 block, each row checked as
-        `_check_vec` checks it: the first bad row gets that row's message."""
+    def _checked_block(self, names: list, rows, what: str, unit: bool) -> np.ndarray:
+        """`rows` widened into one fresh (len(names), d) float64 block, each
+        row checked as `_check_vec` checks it: the first bad row gets that
+        row's message, `what` and its name."""
         if len(rows) != len(names):
             raise ValidationError(f"{len(names)} {what} names for {len(rows)} rows")
         if not len(names):
             return np.empty((0, self.dim))
         try:
-            block = np.asarray(rows, dtype=np.float64)
+            block = np.array(rows, dtype=np.float64)
         except ValueError:  # rows of unequal lengths
             block = None
         if block is None or block.shape != (len(names), self.dim):
@@ -175,7 +170,7 @@ class EmbeddingStore:
             self._check_vec(block[i], what=f"{what} {names[i]!r}", unit=unit)
         return block
 
-    def _check_vec(self, vec: np.ndarray, what: str, unit: bool = False) -> np.ndarray:
+    def _check_vec(self, vec: np.ndarray, what: str, unit: bool = False) -> None:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.dim,):
             raise ValidationError(
@@ -186,7 +181,6 @@ class EmbeddingStore:
             raise ValidationError(
                 f"{what}: norm {np.linalg.norm(vec):.9f} not within "
                 f"{ENTITY_NORM_TOL} of 1")
-        return vec
 
 
 def checked_ids(ids, size: int, what: str) -> np.ndarray:
@@ -329,7 +323,7 @@ def _parse_binary_vectors(path: str) -> tuple[list[str], np.ndarray]:
         pos += width
     values = _float32_rows(payloads, dim)
     _check_finite_rows(path, values)
-    return tokens, values.astype(np.float64)
+    return tokens, values
 
 
 def _float32_rows(payloads: list[memoryview], dim: int) -> np.ndarray:
@@ -350,13 +344,10 @@ def _check_finite_rows(path: str, rows: np.ndarray) -> None:
         raise ValidationError(f"{path}: non-finite value at row {int(bad.argmax()) + 1}")
 
 
-def read_vectors(path: str) -> tuple[list[str], np.ndarray]:
-    """The tokens and `(count, dim)` rows of a vector file of either format."""
-    return _read_as(path, None)
-
-
-def _read_as(path: str, fmt: str | None) -> tuple[list[str], np.ndarray]:
-    """`read_vectors`, refusing a file that is not in format `fmt` if given."""
+def read_vectors(path: str, fmt: str | None = None) -> tuple[list[str], np.ndarray]:
+    """The tokens and `(count, dim)` rows of a vector file of either format,
+    refusing one not in format `fmt` if given.  A binary file's rows come as
+    its float32 values, a text file's as float64."""
     with open(path, "rb") as fh:
         found = "binary" if fh.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC else "text"
     if fmt not in (None, found):
@@ -367,7 +358,7 @@ def _read_as(path: str, fmt: str | None) -> tuple[list[str], np.ndarray]:
 def load_word_vectors(path: str, fmt: str | None = None,
                       stop_words: frozenset[str] | None = None) -> EmbeddingStore:
     """Load word vectors (of format `fmt` if given) into a store with a frozen word table."""
-    tokens, rows = _read_as(path, fmt)
+    tokens, rows = read_vectors(path, fmt)
     store = EmbeddingStore(rows.shape[1], word_vocab=Vocab(stop_words=stop_words))
     store.add_words(tokens, rows)
     store.freeze_words()
@@ -376,7 +367,7 @@ def load_word_vectors(path: str, fmt: str | None = None,
 
 def load_entity_vectors(path: str, store: EmbeddingStore, fmt: str | None = None) -> int:
     """Load entity vectors (`fmt` as for words) into `store`; returns count."""
-    names, rows = _read_as(path, fmt)
+    names, rows = read_vectors(path, fmt)
     if rows.shape[1] != store.dim:
         raise ValidationError(
             f"{path}: dimension {rows.shape[1]} does not match store dimension {store.dim}")

@@ -246,9 +246,8 @@ class TestCriterion6EmbeddingQuality:
             sum(label for _, label in q.candidates) / len(q.candidates)
             for q in prepared.queries]))
         rng = np.random.default_rng(123)
-        for e in range(store.n_entities):
-            v = rng.normal(size=store.dim)
-            store.set_entity_vec(e, v / np.linalg.norm(v))
+        vs = [rng.normal(size=store.dim) for _ in range(store.n_entities)]
+        store.set_entity_rows(np.arange(store.n_entities), [v / np.linalg.norm(v) for v in vs])
         from entlink.embed_train import eval_relatedness
 
         random_map = eval_relatedness(prepared.queries, store).map
@@ -294,10 +293,10 @@ class TestCriterion7CandidateSelection:
         store = EmbeddingStore(6, word_vocab=Vocab())
         for i in range(12):
             v = rng.normal(size=6)
-            store.add_word(f"w{i}", v / np.linalg.norm(v))
+            store.add_words([f"w{i}"], [v / np.linalg.norm(v)])
         for i in range(80):
             v = rng.normal(size=6)
-            store.add_entity(f"E{i}", v / np.linalg.norm(v))
+            store.add_entities([f"E{i}"], [v / np.linalg.norm(v)])
         mismatches = 0
         size_ok = True
         for _ in range(1000):

@@ -198,10 +198,10 @@ def toy_store(n_words=12, n_entities=6, dim=5, seed=3):
     store = EmbeddingStore(dim, word_vocab=Vocab())
     for i in range(n_words):
         v = rng.normal(size=dim)
-        store.add_word(f"w{i}", v / np.linalg.norm(v))
+        store.add_words([f"w{i}"], [v / np.linalg.norm(v)])
     for i in range(n_entities):
         v = rng.normal(size=dim)
-        store.add_entity(f"E{i}", v / np.linalg.norm(v))
+        store.add_entities([f"E{i}"], [v / np.linalg.norm(v)])
     return store
 
 
@@ -464,8 +464,8 @@ class TestAttentionProperties:
         aligned = [e.copy() for _ in range(3)]
         orthogonal = [np.eye(dim)[i] for i in (1, 2, 3)]
         for i, v in enumerate(aligned + orthogonal):
-            store.add_word(f"w{i}", v)
-        store.add_entity("E", e)
+            store.add_words([f"w{i}"], [v])
+        store.add_entities(["E"], [e])
         cand_vecs = store.entity_matrix()
         ctx_vecs = store.word_matrix()
         u, _ = _support(cand_vecs, ctx_vecs, np.ones(dim))
@@ -514,9 +514,9 @@ class TestPredictLocal:
         gold_vec = np.eye(dim)[0]
         rival_vec = np.eye(dim)[1]
         for i in range(4):
-            store.add_word(f"w{i}", gold_vec)
-        store.add_entity("GOLD", gold_vec)
-        store.add_entity("RIVAL", rival_vec)
+            store.add_words([f"w{i}"], [gold_vec])
+        store.add_entities(["GOLD"], [gold_vec])
+        store.add_entities(["RIVAL"], [rival_vec])
         params = LocalParams.init(dim, hidden=8, r=4)
         inst = MentionInstance(
             cand_vecs=np.stack([gold_vec, rival_vec]),

@@ -201,11 +201,31 @@ class TestHandWrittenScores:
 
     def test_evaluate_counts(self, files, capsys, monkeypatch):
         monkeypatch.delenv("ENTLINK_DATA_DIR", raising=False)
-        corpus, preds, _, _ = files
-        assert main(["evaluate", "--predictions", str(preds), "--corpus", str(corpus)]) == 0
+        corpus, preds, prior, _ = files
+        assert main(["evaluate", "--predictions", str(preds), "--corpus", str(corpus),
+                     "--prior", str(prior)]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "gold_mentions=5 predicted=4 correct=2", "in_kb_accuracy=0.4000",
             "precision=0.5000", "recall=0.4000", "micro_f1=0.4444"]
+
+    def test_evaluate_skips_a_gold_outside_the_kb(self, tmp_path, capsys, monkeypatch):
+        # golds E1 (predicted E1) and NOT_IN_KB (no prediction): only E1 is
+        # in the prior's knowledge base, so only it counts as a gold mention
+        monkeypatch.delenv("ENTLINK_DATA_DIR", raising=False)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(
+            {"id": "d", "tokens": ["Paris", "Atlantis"],
+             "mentions": [{"start": 0, "end": 1, "surface": "Paris", "gold": "E1"},
+                          {"start": 1, "end": 2, "surface": "Atlantis",
+                           "gold": "NOT_IN_KB"}]}) + "\n")
+        preds = tmp_path / "preds.tsv"
+        preds.write_text("doc\tmention\tentity\nd\t0\tE1\nd\t1\t\n")
+        prior = tmp_path / "prior.tsv"
+        prior.write_text("Paris\tE1\t0.6\nParis\tE2\t0.4\n")
+        assert main(["evaluate", "--predictions", str(preds), "--corpus", str(corpus),
+                     "--prior", str(prior)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["gold_mentions=1 predicted=1 correct=1", "in_kb_accuracy=1.0000"]
 
     def test_breakdown_rows(self, files, capsys, monkeypatch):
         monkeypatch.delenv("ENTLINK_DATA_DIR", raising=False)
@@ -330,7 +350,7 @@ class TestStageConfig:
             load_entity_vectors(str(entities), store)
             prior = load_prior(str(data / "prior.tsv"), store.entity_vocab)
             store.sync_entities()
-            corpora = {split: load_corpus(str(tmp_path / f"{split}.jsonl"), split=split)
+            corpora = {split: load_corpus(str(tmp_path / f"{split}.jsonl"))
                        for split in ("train", "validation")}
             select_all_candidates(cfg, corpora.values(), store, prior)
             params, history = fit(cfg, stage, store, corpora)

@@ -649,10 +649,10 @@ class TestPredictGlobal:
         store = EmbeddingStore(dim, word_vocab=Vocab())
         for i in range(8):
             v = rng.normal(size=dim)
-            store.add_word(f"w{i}", v / np.linalg.norm(v))
+            store.add_words([f"w{i}"], [v / np.linalg.norm(v)])
         for i in range(6):
             v = rng.normal(size=dim)
-            store.add_entity(f"E{i}", v / np.linalg.norm(v))
+            store.add_entities([f"E{i}"], [v / np.linalg.norm(v)])
         return store
 
     def test_single_mention_reduces_to_unary_argmax_with_f(self):

@@ -130,9 +130,8 @@ class TestFormatFromContent:
             save_corpus(str(tmp_path / "json" / name), self.CORPUS)
             write_column_text(tmp_path / "columns" / name, self.CORPUS)
             for kind in ("json", "columns"):
-                loaded = load_corpus(str(tmp_path / kind / name), split="test")
+                loaded = load_corpus(str(tmp_path / kind / name))
                 assert loaded.documents == self.CORPUS.documents, (kind, name)
-                assert loaded.split == "test"
 
     @pytest.mark.parametrize("text, line, message", [
         ("#doc d\nfoo\tX\n", 2, "expected token[<TAB>B|I|O[<TAB>gold]]"),

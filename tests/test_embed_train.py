@@ -38,7 +38,7 @@ def make_store(n_words=30, dim=8, seed=0, stop=()):
     store = EmbeddingStore(dim, word_vocab=Vocab(stop_words=frozenset(stop)))
     for i in range(n_words):
         v = rng.normal(size=dim)
-        store.add_word(f"w{i}", v / np.linalg.norm(v))
+        store.add_words([f"w{i}"], [v / np.linalg.norm(v)])
     return store
 
 
@@ -74,7 +74,7 @@ def cluster_counts(store, entity_words):
 class TestTrainEntity:
     def test_unit_norm_after_every_update(self):
         store = make_store()
-        store.add_entity("E", np.eye(8)[0])
+        store.add_entities(["E"], [np.eye(8)[0]])
         counts = cluster_counts(store, {0: [0, 1, 2]})
         cfg = EmbedTrainConfig(description_iters=25, seed=3)
         z = train_entity(0, counts, cfg, store)
@@ -83,7 +83,7 @@ class TestTrainEntity:
 
     def test_zero_iterations_keeps_normalized_init(self):
         store = make_store()
-        store.add_entity("E", np.eye(8)[0])
+        store.add_entities(["E"], [np.eye(8)[0]])
         counts = cluster_counts(store, {0: [0, 1]})
         cfg = EmbedTrainConfig(description_iters=0, seed=3)
         z = train_entity(0, counts, cfg, store)
@@ -96,7 +96,7 @@ class TestTrainEntity:
         # positives drawn only from a word cluster: the entity lands nearer
         # that cluster's mean than the rest of the vocabulary's
         store = make_store(n_words=40, seed=5)
-        store.add_entity("E", np.eye(8)[0])
+        store.add_entities(["E"], [np.eye(8)[0]])
         cluster = [0, 1, 2, 3]
         counts = cluster_counts(store, {0: cluster})
         cfg = EmbedTrainConfig(description_iters=300, seed=8)
@@ -111,7 +111,7 @@ class TestTrainEntity:
     def test_untrainable_entity_rejected(self):
         # no counts at all: reported as skipped, its row left as it was
         store = make_store()
-        store.add_entity("E", np.eye(8)[0])
+        store.add_entities(["E"], [np.eye(8)[0]])
         counts = CooccurrenceCounts(n_words=store.n_words)
         assert train_all_entities(counts, EmbedTrainConfig(), store) == [0]
         np.testing.assert_array_equal(store.entity_vec(0), np.eye(8)[0])
@@ -121,7 +121,7 @@ class TestTrainEntity:
         def run(order):
             store = make_store(seed=2)
             for i in range(3):
-                store.add_entity(f"E{i}", np.eye(8)[i])
+                store.add_entities([f"E{i}"], [np.eye(8)[i]])
             counts = cluster_counts(store, {0: [0, 1], 1: [2, 3], 2: [4, 5]})
             cfg = EmbedTrainConfig(description_iters=50, seed=11)
             for e in order:
@@ -134,7 +134,7 @@ class TestTrainEntity:
         # the vector after 60·i steps: an entity's stream depends only on
         # (seed, entity, iteration), so each fit continues the previous one
         store = make_store(n_words=40, seed=6)
-        store.add_entity("E", np.eye(8)[0])
+        store.add_entities(["E"], [np.eye(8)[0]])
         counts = cluster_counts(store, {0: [0, 1, 2, 3]})
         cfg = EmbedTrainConfig(seed=4)
         checkpoints = [empirical_objective(0, train_entity(0, counts, cfg, store, iters=60 * i),
@@ -219,14 +219,14 @@ class TestRelatedness:
         store = make_store(n_words=4, dim=4, seed=1)
         vecs = np.eye(4)
         for i in range(4):
-            store.add_entity(f"E{i}", vecs[i])
+            store.add_entities([f"E{i}"], [vecs[i]])
         return store
 
     def test_perfect_ranking(self):
         store = make_store(n_words=2, dim=4)
-        store.add_entity("T", np.eye(4)[0])
-        store.add_entity("P", np.eye(4)[0])   # cosine 1 with target
-        store.add_entity("N", np.eye(4)[1])   # cosine 0
+        store.add_entities(["T"], [np.eye(4)[0]])
+        store.add_entities(["P"], [np.eye(4)[0]])   # cosine 1 with target
+        store.add_entities(["N"], [np.eye(4)[1]])   # cosine 0
         q = RelatednessQuery(target=0, candidates=[(1, 1), (2, 0)])
         res = eval_relatedness([q], store)
         assert res.ndcg1 == res.ndcg5 == res.ndcg10 == res.map == 1.0
@@ -235,9 +235,9 @@ class TestRelatedness:
     def test_single_relevant_at_rank_two(self):
         # one relevant at rank 2 of 2: MAP = 0.5, NDCG@1 = 0
         store = make_store(n_words=2, dim=4)
-        store.add_entity("T", np.eye(4)[0])
-        store.add_entity("N", np.eye(4)[0])   # irrelevant but ranked first
-        store.add_entity("P", np.eye(4)[1])   # relevant, ranked second
+        store.add_entities(["T"], [np.eye(4)[0]])
+        store.add_entities(["N"], [np.eye(4)[0]])   # irrelevant but ranked first
+        store.add_entities(["P"], [np.eye(4)[1]])   # relevant, ranked second
         q = RelatednessQuery(target=0, candidates=[(1, 0), (2, 1)])
         res = eval_relatedness([q], store)
         assert res.map == pytest.approx(0.5)
@@ -250,9 +250,9 @@ class TestRelatedness:
 
     def test_unembedded_entities_excluded(self):
         store = make_store(n_words=2, dim=4)
-        store.add_entity("T", np.eye(4)[0])
-        store.add_entity("P", np.eye(4)[0])
-        store.add_entity("N", np.eye(4)[1])
+        store.add_entities(["T"], [np.eye(4)[0]])
+        store.add_entities(["P"], [np.eye(4)[0]])
+        store.add_entities(["N"], [np.eye(4)[1]])
         good = RelatednessQuery(target=0, candidates=[(1, 1), (2, 0)])
         bad = RelatednessQuery(target=0, candidates=[(1, 1), (9, 0)])
         res = eval_relatedness([good, bad], store)
@@ -271,7 +271,7 @@ class TestTrainAll:
         # each other than entities trained on disjoint word sets
         store = make_store(n_words=20, dim=8, seed=13)
         for i in range(4):
-            store.add_entity(f"E{i}", np.eye(8)[i])
+            store.add_entities([f"E{i}"], [np.eye(8)[i]])
         counts = cluster_counts(store, {0: [0, 1, 2, 3], 1: [2, 3, 4, 5],
                                         2: [10, 11, 12, 13], 3: [12, 13, 14, 15]})
         cfg = EmbedTrainConfig(description_iters=300, seed=21)
@@ -284,8 +284,8 @@ class TestTrainAll:
 
     def test_skips_untrainable(self):
         store = make_store(n_words=6, dim=8)
-        store.add_entity("A", np.eye(8)[0])
-        store.add_entity("B", np.eye(8)[1])
+        store.add_entities(["A"], [np.eye(8)[0]])
+        store.add_entities(["B"], [np.eye(8)[1]])
         counts = cluster_counts(store, {0: [0, 1]})
         messages = []
         skipped = train_all_entities(counts, EmbedTrainConfig(description_iters=10),
@@ -297,7 +297,7 @@ class TestTrainAll:
         # a counts file may hold zero counts: that source has no law to draw
         # from, and the entity trains on its other source alone
         store = make_store(n_words=6, dim=8)
-        store.add_entity("A", np.eye(8)[0])
+        store.add_entities(["A"], [np.eye(8)[0]])
         counts = cluster_counts(store, {})
         counts.add(counts.description, 0, 1, 0)
         counts.add(counts.hyperlink, 0, 2, 3)
@@ -323,7 +323,7 @@ def fit_groups(groups, cfg=LINKED, validation=None, log=None):
     """Entity matrix after training each group of entities in turn."""
     store = make_store(seed=2)
     for i in range(3):
-        store.add_entity(f"E{i}", np.eye(8)[i])
+        store.add_entities([f"E{i}"], [np.eye(8)[i]])
     counts = linked_counts(store)
     for group in groups:
         train_all_entities(restricted(counts, group), cfg, store,

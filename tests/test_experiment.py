@@ -305,8 +305,8 @@ class TestConfig:
         from entlink.docs import Corpus, Document
 
         corpora = {
-            "train": Corpus([Document(doc_id="d1", tokens=["a"])], "train"),
-            "test": Corpus([Document(doc_id="d1", tokens=["b"])], "test"),
+            "train": Corpus([Document(doc_id="d1", tokens=["a"])]),
+            "test": Corpus([Document(doc_id="d1", tokens=["b"])]),
         }
         with pytest.raises(ValidationError, match="both"):
             _check_disjoint_splits(corpora)

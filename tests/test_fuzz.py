@@ -66,7 +66,7 @@ def _argv(d, name):
         "uniform_index.tsv": ["build-prior", "--uniform-index", p["uniform_index.tsv"],
                               "--out", str(d / "built.tsv")],
         "predictions.tsv": ["evaluate", "--predictions", p["predictions.tsv"],
-                            "--corpus", p["corpus.jsonl"]],
+                            "--corpus", p["corpus.jsonl"], "--prior", p["prior.tsv"]],
         "freq.tsv": ["breakdown", "--predictions", p["predictions.tsv"], "--corpus",
                      p["corpus.jsonl"], "--prior", p["prior.tsv"], "--freq",
                      p["freq.tsv"]],

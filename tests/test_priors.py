@@ -26,10 +26,10 @@ def entity_store(n_entities=40, dim=6, seed=0, n_words=10):
     store = EmbeddingStore(dim)
     for i in range(n_words):
         v = rng.normal(size=dim)
-        store.add_word(f"w{i}", v / np.linalg.norm(v))
+        store.add_words([f"w{i}"], [v / np.linalg.norm(v)])
     for i in range(n_entities):
         v = rng.normal(size=dim)
-        store.add_entity(f"E{i}", v / np.linalg.norm(v))
+        store.add_entities([f"E{i}"], [v / np.linalg.norm(v)])
     return store
 
 
@@ -131,7 +131,7 @@ class TestSelectCandidates:
         counts = [(i, float(30 - i)) for i in range(30)]
         prior = flat_prior(counts)
         ctx = store.entity_vec(10).copy()
-        store.add_word("ctx", ctx)
+        store.add_words(["ctx"], [ctx])
         wid = store.word_vocab.id("ctx")
         got = select_candidates("m", [wid], prior, store)
         assert len(got) == 7
@@ -151,7 +151,7 @@ class TestSelectCandidates:
         counts = [(i, float(30 - i)) for i in range(30)]
         prior = flat_prior(counts)
         ctx = store.entity_vec(2).copy()  # entity 2 is already prior-top
-        store.add_word("ctx2", ctx)
+        store.add_words(["ctx2"], [ctx])
         wid = store.word_vocab.id("ctx2")
         got = select_candidates("m", [wid], prior, store)
         assert len(got) == 7

@@ -36,11 +36,11 @@ def tiny_world(seed=0, n_docs=16, mentions=3):
         v = rng.normal(size=dim)
         v /= np.linalg.norm(v)
         entity_vecs.append(v)
-        store.add_entity(f"E{e}", v)
+        store.add_entities([f"E{e}"], [v])
     for e in range(n_entities):
         for i in range(3):
             w = entity_vecs[e] + 0.3 * rng.normal(size=dim)
-            store.add_word(f"sig{e}_{i}", w / np.linalg.norm(w))
+            store.add_words([f"sig{e}_{i}"], [w / np.linalg.norm(w)])
 
     def make_corpus(count, offset):
         docs = []
