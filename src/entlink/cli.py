@@ -56,7 +56,7 @@ from .priors import (
 from .synthetic import DATA_FILES, generate_synthetic, write_synthetic
 from .vectors import (
     EmbeddingStore,
-    check_text_tokens,
+    check_tokens,
     load_entity_vectors,
     load_word_vectors,
     nearest_words,
@@ -279,8 +279,7 @@ def cmd_train_embeddings(args) -> int:
                          counts, counts.hyperlink)
     store.sync_entities()
     names = store.entity_vocab.tokens()
-    if args.out_format == "text":
-        check_text_tokens(args.out, names)  # before training, not after it
+    check_tokens(args.out, names, args.out_format)  # before training, not after it
     queries = None
     if args.queries:
         queries = load_relatedness_queries(args.queries, store.entity_vocab)

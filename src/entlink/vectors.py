@@ -11,24 +11,35 @@ On-disk formats:
   space separated, so a token holding a space or a line break is refused.
 * binary: header ``EVEC`` magic (which no text header starts with, so the
   readers tell the formats apart by it), u16 version, u32 count, u32 dim
-  (all little-endian), then per row a u16 token byte length, the UTF-8
-  token, and <dim> little-endian float32 values.  Binary round-trips
-  bit-exactly; text round-trips to within 1e-6 per component.
+  (all little-endian).  Version 2, which the writer writes, follows it
+  with the rows as one contiguous little-endian float32 ``(count, dim)``
+  block, then the token section: count u16 token byte lengths, then the
+  UTF-8 tokens end to end.  Version 1, still read, follows it per row
+  with a u16 token byte length, the UTF-8 token and <dim> little-endian
+  float32 values.  Either way a token takes at most 65,535 bytes of
+  UTF-8; the binary writer refuses a longer one before it opens the file.
+  Binary round-trips bit-exactly; text round-trips to within 1e-6 per
+  component.
 
 Rows are checked once per table, not once per row.  The binary reader
-reads the file whole and walks its rows only for their structure, which
-stays checked row by row: a row cut short, a token that is not UTF-8, a
-duplicate token.  The rows' float32 values are joined into one array and
-checked for finiteness once; a fault of either kind names the earliest
-bad row.  The reader returns them as float32, and the store widens them
-once: an append copies its rows into one fresh float64 block, checks
-their shape, finiteness and (for entities) unit norm over the block,
-naming the first bad row with the message that row would get on its own,
-and takes that block as the table when the table is empty.  So a binary
-load peaks near one float64 table plus its float32 rows, not two float64
-tables.  The vocabulary takes the names in one pass.  The text reader
-still parses and checks each line, since its number syntax is Python's
-`float`.
+reads the file whole and first checks that it can hold the count and
+dimension its header gives.  A version-2 file is then taken in sections:
+its block as one float32 view of the file, its tokens decoded at the
+offsets the length table gives, with no walk over the rows for their
+structure; a token cut short, one that is not UTF-8, a duplicate token
+or bytes after the last token are refused.  A version-1
+file is walked row by row for its structure, with the same checks, and
+its rows' values are joined into one array.  The values are then checked
+for finiteness once; a fault of either kind names the earliest bad row,
+and at the same row a fault in the structure comes first.  The reader
+returns the rows as float32, and the store widens them once: an append
+copies its rows into one fresh float64 block, checks their shape,
+finiteness and (for entities) unit norm over the block, naming the first
+bad row with the message that row would get on its own, and takes that
+block as the table when the table is empty.  So a binary load peaks near
+one float64 table plus the file, not two float64 tables.  The vocabulary
+takes the names in one pass.  The text reader still parses and checks
+each line, since its number syntax is Python's `float`.
 """
 
 from __future__ import annotations
@@ -41,7 +52,10 @@ from .errors import ValidationError
 from .vocab import Vocab, open_text
 
 _BINARY_MAGIC = b"EVEC"
-_BINARY_VERSION = 1
+_HEADER = struct.Struct("<HII")  # version, count, dim; after the magic
+_HEADER_BYTES = len(_BINARY_MAGIC) + _HEADER.size
+_BINARY_VERSION = 2  # written; versions 1 and 2 are read
+_MAX_TOKEN_BYTES = 0xFFFF  # a binary token's UTF-8 length is a u16
 
 ENTITY_NORM_TOL = 1e-6
 
@@ -285,45 +299,51 @@ def _parse_text_vectors(path: str) -> tuple[list[str], np.ndarray]:
 def _parse_binary_vectors(path: str) -> tuple[list[str], np.ndarray]:
     with open(path, "rb") as fh:
         data = fh.read()
-    pos = len(_BINARY_MAGIC) + 2 + 4 + 4
-    if len(data) < pos:
+    if len(data) < _HEADER_BYTES:
         raise ValidationError(f"{path}: truncated binary header")
-    version, count, dim = struct.unpack_from("<HII", data, len(_BINARY_MAGIC))
-    if version != _BINARY_VERSION:
+    version, count, dim = _HEADER.unpack_from(data, len(_BINARY_MAGIC))
+    if version not in (1, 2):
         raise ValidationError(f"{path}: unsupported version {version}")
     if count == 0 or dim == 0:
         raise ValidationError(f"{path}: no vectors")
-    # a row holds at least its token length and values: checked before allocating
-    want = pos + count * (2 + 4 * dim)
+    # in either version a row holds at least its token length and values:
+    # checked before allocating
+    want = _HEADER_BYTES + count * (2 + 4 * dim)
     if len(data) < want:
         raise ValidationError(f"{path}: truncated binary file: {count} rows of {dim} "
                               f"values need at least {want} bytes, it has {len(data)}")
+    tokens, values = (_walk_rows if version == 1 else _split_sections)(path, data, count, dim)
+    _check_finite_rows(path, values)
+    return tokens, values
+
+
+def _walk_rows(path: str, data: bytes, count: int, dim: int) -> tuple[list[str], np.ndarray]:
+    """Version 1: each row's token and values, walked row by row."""
     tokens: list[str] = []
     payloads: list[memoryview] = []
     seen: set[str] = set()
-    view, width = memoryview(data), 4 * dim
+    view, width, pos = memoryview(data), 4 * dim, _HEADER_BYTES
     for row in range(count):
         if pos + 2 > len(data):
-            raise _fault(path, payloads, dim, f"truncated at row {row + 1}")
+            raise _fault(path, _float32_rows(payloads, dim), f"truncated at row {row + 1}")
         (token_len,) = struct.unpack_from("<H", data, pos)
         raw = data[pos + 2:pos + 2 + token_len]
         pos += 2 + token_len
         try:
             token = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise _fault(path, payloads, dim,
+            raise _fault(path, _float32_rows(payloads, dim),
                          f"token at row {row + 1} is not UTF-8") from exc
         if pos + width > len(data):
-            raise _fault(path, payloads, dim, f"truncated at row {row + 1}")
+            raise _fault(path, _float32_rows(payloads, dim), f"truncated at row {row + 1}")
         if token in seen:
-            raise _fault(path, payloads, dim, f"duplicate word {token!r} at row {row + 1}")
+            raise _fault(path, _float32_rows(payloads, dim),
+                         f"duplicate word {token!r} at row {row + 1}")
         seen.add(token)
         tokens.append(token)
         payloads.append(view[pos:pos + width])
         pos += width
-    values = _float32_rows(payloads, dim)
-    _check_finite_rows(path, values)
-    return tokens, values
+    return tokens, _float32_rows(payloads, dim)
 
 
 def _float32_rows(payloads: list[memoryview], dim: int) -> np.ndarray:
@@ -331,16 +351,57 @@ def _float32_rows(payloads: list[memoryview], dim: int) -> np.ndarray:
     return np.frombuffer(b"".join(payloads), dtype="<f4").reshape(len(payloads), dim)
 
 
-def _fault(path: str, payloads: list[memoryview], dim: int, message: str) -> ValidationError:
-    """The error for a fault in the structure of the row after `payloads`,
-    unless one of those rows holds a non-finite value: it is named instead."""
-    _check_finite_rows(path, _float32_rows(payloads, dim))
+def _split_sections(path: str, data: bytes, count: int,
+                    dim: int) -> tuple[list[str], np.ndarray]:
+    """Version 2: the value block as one view of `data`, then the tokens at
+    the offsets the length table gives."""
+    lengths_at = _HEADER_BYTES + 4 * count * dim
+    tokens_at = lengths_at + 2 * count
+    values = np.frombuffer(data, "<f4", count * dim, _HEADER_BYTES).reshape(count, dim)
+    lengths = np.frombuffer(data, "<u2", count, lengths_at)
+    ends = tokens_at + np.cumsum(lengths, dtype=np.int64)
+    whole = int(np.searchsorted(ends, len(data), side="right"))  # rows whose token fits
+    ends = ends[:whole]
+    end = int(ends[-1]) if whole else tokens_at
+    starts = ends - lengths[:whole]
+    try:
+        tokens = [data[a:b].decode("utf-8") for a, b in zip(starts.tolist(), ends.tolist())]
+    except UnicodeDecodeError:
+        tokens = None
+    if tokens is None or len(set(tokens)) < whole:
+        _raise_first_token_fault(path, data, starts, ends, values)
+    if whole < count:
+        raise _fault(path, values[:whole], f"truncated at row {whole + 1}")
+    if end < len(data):
+        raise _fault(path, values, f"bytes after the last token, from byte {end} "
+                                   f"of {len(data)}")
+    return tokens, values
+
+
+def _raise_first_token_fault(path: str, data: bytes, starts: np.ndarray, ends: np.ndarray,
+                             values: np.ndarray) -> None:
+    """Raise the fault of the first token that is not UTF-8 or repeats an earlier one."""
+    seen: set[str] = set()
+    for row, (a, b) in enumerate(zip(starts.tolist(), ends.tolist()), start=1):
+        try:
+            token = data[a:b].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _fault(path, values[:row - 1], f"token at row {row} is not UTF-8") from exc
+        if token in seen:
+            raise _fault(path, values[:row - 1], f"duplicate word {token!r} at row {row}")
+        seen.add(token)
+
+
+def _fault(path: str, rows: np.ndarray, message: str) -> ValidationError:
+    """The error for a fault in the file's structure after `rows`, unless
+    one of those rows holds a non-finite value: it is named instead."""
+    _check_finite_rows(path, rows)
     return ValidationError(f"{path}: {message}")
 
 
 def _check_finite_rows(path: str, rows: np.ndarray) -> None:
-    bad = ~np.isfinite(rows).all(axis=1)
-    if bad.any():
+    if not np.isfinite(rows).all():  # one reduction; the row only on a fault
+        bad = ~np.isfinite(rows).all(axis=1)
         raise ValidationError(f"{path}: non-finite value at row {int(bad.argmax()) + 1}")
 
 
@@ -377,18 +438,26 @@ def load_entity_vectors(path: str, store: EmbeddingStore, fmt: str | None = None
     return len(names)
 
 
-def check_text_tokens(path: str, names: list[str]) -> None:
-    """Refuse a token the text reader would split: it splits a row at
-    spaces and lines at line breaks."""
-    for name in names:
-        if " " in name or "\n" in name or "\r" in name:
+def check_tokens(path: str, names: list[str], fmt: str) -> None:
+    """Refuse, naming it, a token that vector format `fmt` cannot store: the
+    text reader splits a row at spaces and lines at line breaks, and the
+    binary format stores a token's UTF-8 length in two bytes."""
+    for row, name in enumerate(names, start=1):
+        if fmt == "text" and (" " in name or "\n" in name or "\r" in name):
             raise ValidationError(
                 f"{path}: token {name!r} holds a space or a line break, which the "
                 f"text format cannot store (use --out-format binary)")
+        # a character takes at most 4 bytes, so a short name needs no encoding
+        if fmt == "binary" and 4 * len(name) > _MAX_TOKEN_BYTES:
+            size = len(name.encode("utf-8"))
+            if size > _MAX_TOKEN_BYTES:
+                raise ValidationError(
+                    f"{path}: token at row {row} ({name[:20]!r}...) takes {size} bytes "
+                    f"of UTF-8; the binary format stores at most {_MAX_TOKEN_BYTES}")
 
 
 def save_vectors_text(path: str, names: list[str], matrix: np.ndarray) -> None:
-    check_text_tokens(path, names)
+    check_tokens(path, names, "text")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(names)} {matrix.shape[1]}\n")
         for name, row in zip(names, matrix):
@@ -396,11 +465,11 @@ def save_vectors_text(path: str, names: list[str], matrix: np.ndarray) -> None:
 
 
 def save_vectors_binary(path: str, names: list[str], matrix: np.ndarray) -> None:
+    """Write version 2: the header, the rows as one float32 block, then the
+    token section (the u16 byte lengths, then the UTF-8 tokens)."""
+    check_tokens(path, names, "binary")
+    raws = [name.encode("utf-8") for name in names]
     with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<HII", _BINARY_VERSION, len(names), matrix.shape[1]))
-        for name, row in zip(names, matrix):
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(row.astype("<f4").tobytes())
+        fh.write(_BINARY_MAGIC + _HEADER.pack(_BINARY_VERSION, len(names), matrix.shape[1]))
+        fh.write(np.ascontiguousarray(matrix, dtype="<f4"))
+        fh.write(np.array([len(raw) for raw in raws], dtype="<u2").tobytes() + b"".join(raws))

@@ -422,7 +422,7 @@ class TestBinaryEntityVectors:
                      "--counts", str(data / "counts.tsv"), "--out", str(entities),
                      "--out-format", "binary", "--set", "embed_iters=60",
                      "--link-iterations", "0"]) == 0
-        assert entities.read_bytes()[:4] == b"EVEC"
+        assert entities.read_bytes()[:6] == b"EVEC" + struct.pack("<H", 2)
         common = ["--entities", str(entities), "--set", "k=30", "--set", "local_epochs=3",
                   "--set", "global_epochs=3", "--set", "eval_every=1"]
         for argv in (["select-candidates", "--entities", str(entities),
@@ -764,21 +764,27 @@ class TestExitCodes:
 
     def test_unstorable_entity_name_refused_before_training(self, bench, tmp_path,
                                                              monkeypatch, capsys):
-        # the text format's name check runs on the loaded counts, so a name
-        # it cannot store costs no training time
+        # the output format's name check runs on the loaded counts, so a
+        # name it cannot store costs no training time and writes no file
         _, data, _ = bench
-        counts = tmp_path / "counts.tsv"
-        counts.write_text((data / "counts.tsv").read_text().replace("E000\t", "New York\t"))
         calls = []
         monkeypatch.setattr(cli, "train_all_entities", lambda *a, **k: calls.append(a))
-        text = tmp_path / "e.txt"
-        assert main(["train-embeddings", "--word-vectors", str(data / "word_vectors.txt"),
-                     "--counts", str(counts), "--out", str(text)]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {text}: token 'New York' holds a space" in err
-        assert "--out-format binary" in err
-        assert calls == []
-        assert not text.exists()
+        for name, out_format, message in (
+                ("New York", "text", "token 'New York' holds a space or a line break, "
+                                     "which the text format cannot store "
+                                     "(use --out-format binary)"),
+                ("E" * 70_000, "binary", "token at row 1 ('EEEEEEEEEEEEEEEEEEEE'...) takes "
+                                         "70000 bytes of UTF-8; the binary format stores "
+                                         "at most 65535")):
+            counts = tmp_path / "counts.tsv"
+            counts.write_text((data / "counts.tsv").read_text().replace("E000\t", f"{name}\t"))
+            out = tmp_path / f"e.{out_format}"
+            assert main(["train-embeddings", "--word-vectors", str(data / "word_vectors.txt"),
+                         "--counts", str(counts), "--out", str(out),
+                         "--out-format", out_format]) == 1
+            assert f"error: {out}: {message}" in capsys.readouterr().err
+            assert calls == []
+            assert not out.exists()
 
     def test_train_embeddings_rejects_entities_flag(self, bench, capsys):
         # it writes entity vectors and reads none, so it offers no --entities

@@ -6,7 +6,9 @@ the command that reads it, in process.  Whatever the mutation, `cli.main`
 returns 0, 1 or 2 and raises nothing.  Many mutations leave a valid file
 (a flipped digit in a count, say), so exit 0 is allowed.  Three classes
 must exit 1: a truncated binary vector file, a row of the wrong width and
-a non-finite number.
+a non-finite number.  Binary vectors are fuzzed in both versions: words
+and entities as `save_vectors_binary` writes them (version 2), and
+entities in a hand-written version-1 file.
 """
 
 import random
@@ -50,7 +52,7 @@ TEXT_FILES = {
 
 def _argv(d, name):
     """The command reading `name` from directory `d`, its other inputs valid."""
-    p = {n: str(d / n) for n in (*TEXT_FILES, "words.txt", "entities.txt", "entities.bin")}
+    p = {n: str(d / n) for n in (*TEXT_FILES, *VECTOR_FILES)}
     select = ["select-candidates", "--word-vectors", p["words.txt"], "--entities",
               p["entities.txt"], "--prior", p["prior.tsv"], "--persons",
               p["persons.tsv"], "--corpus", p["corpus.jsonl"], "--out", str(d / "out.tsv")]
@@ -71,8 +73,10 @@ def _argv(d, name):
                      p["corpus.jsonl"], "--prior", p["prior.tsv"], "--freq",
                      p["freq.tsv"]],
     }
-    commands["entities.bin"] = [a if a != p["entities.txt"] else p["entities.bin"]
-                                for a in commands["entities.txt"]]
+    for binary in ("entities.bin", "entities_v1.bin"):
+        commands[binary] = [a if a != p["entities.txt"] else p[binary]
+                            for a in commands["entities.txt"]]
+    commands["words.bin"] = [a if a != p["words.txt"] else p["words.bin"] for a in select]
     commands["queries.tsv"] = commands["entities.txt"]
     commands.update(dict.fromkeys(("prior.tsv", "persons.tsv", "corpus.jsonl"), select))
     commands["corpus.col"] = [a if a != p["corpus.jsonl"] else p["corpus.col"]
@@ -80,20 +84,36 @@ def _argv(d, name):
     return commands[name]
 
 
-FORMATS = ["words.txt", "entities.txt", "entities.bin", "counts.tsv", "queries.tsv",
-           "count_index.tsv", "uniform_index.tsv", "prior.tsv", "persons.tsv",
-           "corpus.jsonl", "corpus.col", "predictions.tsv", "freq.tsv"]
+VECTOR_FILES = ["words.txt", "entities.txt", "words.bin", "entities.bin", "entities_v1.bin"]
+BINARY_FILES = [n for n in VECTOR_FILES if n.endswith(".bin")]
+FORMATS = [*VECTOR_FILES, "counts.tsv", "queries.tsv", "count_index.tsv",
+           "uniform_index.tsv", "prior.tsv", "persons.tsv", "corpus.jsonl", "corpus.col",
+           "predictions.tsv", "freq.tsv"]
+
+
+def _version_1(names: list[str], rows) -> bytes:
+    """A version-1 binary vector file: per row a u16 token length, the
+    token and its float32 values."""
+    rows = np.asarray(rows, dtype="<f4")
+    raw = b"EVEC" + struct.pack("<HII", 1, len(names), rows.shape[1])
+    for name, row in zip(names, rows):
+        token = name.encode()
+        raw += struct.pack("<H", len(token)) + token + row.tobytes()
+    return raw
 
 
 @pytest.fixture
 def inputs(tmp_path):
     """A directory of valid files, one of each format, and their bytes."""
     rng = np.random.default_rng(0)
-    save_vectors_text(str(tmp_path / "words.txt"), WORDS, rng.normal(size=(len(WORDS), 3)))
+    words = rng.normal(size=(len(WORDS), 3))
+    save_vectors_text(str(tmp_path / "words.txt"), WORDS, words)
+    save_vectors_binary(str(tmp_path / "words.bin"), WORDS, words)
     units = rng.normal(size=(len(ENTITIES), 3))
     units /= np.linalg.norm(units, axis=1, keepdims=True)
     save_vectors_text(str(tmp_path / "entities.txt"), ENTITIES, units)
     save_vectors_binary(str(tmp_path / "entities.bin"), ENTITIES, units)
+    (tmp_path / "entities_v1.bin").write_bytes(_version_1(ENTITIES, units))
     for name, text in TEXT_FILES.items():
         (tmp_path / name).write_text(text)
     return tmp_path, {name: (tmp_path / name).read_bytes() for name in FORMATS}
@@ -148,9 +168,10 @@ def test_mutated_file_keeps_the_exit_code_contract(inputs, capsys, name):
 
 def test_truncated_binary_vectors_exit_1(inputs, capsys):
     d, files = inputs
-    data = files["entities.bin"]
-    for cut in range(len(data)):
-        assert _run(d, "entities.bin", data[:cut], f"truncated at {cut}", capsys) == 1, cut
+    for name in BINARY_FILES:
+        data = files[name]
+        for cut in range(len(data)):
+            assert _run(d, name, data[:cut], f"truncated at {cut}", capsys) == 1, (name, cut)
 
 
 def _last_line_widened(data: bytes, sep: bytes) -> bytes:
@@ -160,7 +181,7 @@ def _last_line_widened(data: bytes, sep: bytes) -> bytes:
     return b"\n".join([*lines[:-1], sep.join([lines[-1], b"B", b"E", b"1"])]) + b"\n"
 
 
-@pytest.mark.parametrize("name", [n for n in FORMATS if n not in ("entities.bin",
+@pytest.mark.parametrize("name", [n for n in FORMATS if n not in (*BINARY_FILES,
                                                                    "corpus.jsonl")])
 def test_wrong_row_width_exits_1(inputs, capsys, name):
     d, files = inputs
@@ -170,7 +191,11 @@ def test_wrong_row_width_exits_1(inputs, capsys, name):
 
 
 def _binary_value_offset(data: bytes) -> int:
-    """Offset of the first row's first value in a binary vector file."""
+    """Offset of the first row's first value in a binary vector file: right
+    after the header in version 2, after the first token in version 1."""
+    (version,) = struct.unpack_from("<H", data, 4)
+    if version == 2:
+        return 14
     (token_len,) = struct.unpack_from("<H", data, 14)
     return 14 + 2 + token_len
 
@@ -189,9 +214,10 @@ def test_non_finite_number_exits_1(inputs, capsys, value):
         fields = lines[1].split(b" ")
         lines[1] = b" ".join([fields[0], value.encode(), *fields[2:]])
         cases[name] = b"\n".join(lines)
-    raw = bytearray(files["entities.bin"])
-    struct.pack_into("<f", raw, _binary_value_offset(raw), float(value))
-    cases["entities.bin"] = bytes(raw)
+    for name in BINARY_FILES:
+        raw = bytearray(files[name])
+        struct.pack_into("<f", raw, _binary_value_offset(raw), float(value))
+        cases[name] = bytes(raw)
     for name, column in NUMBER_COLUMNS.items():
         lines = files[name].split(b"\n")
         row = 1 if name == "predictions.tsv" else 0

@@ -137,6 +137,20 @@ class TestRoundTrips:
                 save_vectors_text(str(path), names[:2] + [bad] + names[3:], mat)
         assert not path.exists()
 
+    def test_binary_refuses_a_token_over_65535_bytes(self, tmp_path):
+        # the limit is on UTF-8 bytes, not characters: "é" takes two
+        names, mat = self._store_matrix(np.random.default_rng(1))
+        path = tmp_path / "t.bin"
+        longest = "é" * 32767 + "a"
+        save_vectors_binary(str(path), names[:4] + [longest], mat)
+        assert read_vectors(str(path))[0] == names[:4] + [longest]
+        path.unlink()
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: token at row 3 ('éééééééééééééééééééé'...) takes 65536 bytes "
+                f"of UTF-8; the binary format stores at most 65535")):
+            save_vectors_binary(str(path), names[:2] + ["é" * 32768] + names[3:], mat)
+        assert not path.exists()
+
     def test_binary_round_trip_bit_exact(self, tmp_path):
         names, mat = self._store_matrix(np.random.default_rng(2))
         mat32 = mat.astype("<f4").astype(np.float64)
@@ -302,6 +316,132 @@ class TestBinaryReaderFaults:
         self._refused(path, "truncated at row 4")
 
 
+def write_binary_v2(path, tokens: list[bytes], rows, version: int = 2) -> bytes:
+    """A version-2 binary vector file of raw token bytes and float32 rows:
+    the header, the rows as one block, the u16 token lengths, the tokens."""
+    rows = np.asarray(rows, dtype="<f4")
+    raw = (b"EVEC" + struct.pack("<HII", version, len(tokens), rows.shape[1]) + rows.tobytes()
+           + struct.pack(f"<{len(tokens)}H", *map(len, tokens)) + b"".join(tokens))
+    path.write_bytes(raw)
+    return raw
+
+
+class TestBinaryV2ReaderFaults:
+    """Each fault of a version-2 file gets its message, naming its row.
+
+    Five rows of 2 values under 10-byte tokens: the 40-byte value block
+    starts at byte 14, the ten bytes of token lengths at 54, and token k
+    (from 1) at 64 + 10 * (k - 1).  All the values precede all the tokens,
+    so these pin that the earliest bad row is still the one named.
+    """
+
+    TOKENS = TestBinaryReaderFaults.TOKENS
+    _refused = staticmethod(TestBinaryReaderFaults._refused)
+
+    def _file(self, tmp_path, tokens=None, nan_row=None):
+        rows = np.arange(10, dtype=np.float64).reshape(5, 2)
+        if nan_row is not None:
+            rows[nan_row - 1, 1] = np.nan
+        path = tmp_path / "v.bin"
+        return path, write_binary_v2(path, tokens or list(self.TOKENS), rows)
+
+    def test_layout(self, tmp_path):
+        path, raw = self._file(tmp_path)
+        assert len(raw) == 114 and raw[64:74] == self.TOKENS[0]
+        assert read_vectors(str(path))[0] == [t.decode() for t in self.TOKENS]
+        # the writer writes this layout
+        save_vectors_binary(str(tmp_path / "w.bin"), [t.decode() for t in self.TOKENS],
+                            np.arange(10, dtype=np.float64).reshape(5, 2))
+        assert (tmp_path / "w.bin").read_bytes() == raw
+
+    def test_truncated_header(self, tmp_path):
+        path, raw = self._file(tmp_path)
+        path.write_bytes(raw[:13])
+        self._refused(path, "truncated binary header")
+
+    @pytest.mark.parametrize("cut", [14, 54, 63])
+    def test_block_or_length_table_cut_short(self, tmp_path, cut):
+        path, raw = self._file(tmp_path)
+        path.write_bytes(raw[:cut])
+        self._refused(path, "truncated binary file: 5 rows of 2 values need at least "
+                            f"64 bytes, it has {cut}")
+
+    @pytest.mark.parametrize("count,dim", [(0xFFFFFFF0, 2), (5, 0xFFFFFFFF)])
+    def test_header_sizes_checked_before_allocating(self, tmp_path, count, dim):
+        # a block that would run to 32 GiB or 80 GiB is refused before
+        # anything the size of a row is allocated
+        path, raw = self._file(tmp_path)
+        raw = bytearray(raw)
+        struct.pack_into("<II", raw, 6, count, dim)
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            self._refused(path, f"truncated binary file: {count} rows of {dim} values "
+                                f"need at least {14 + count * (2 + 4 * dim)} bytes, it has 114")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
+
+    @pytest.mark.parametrize("cut,row", [(64, 1), (73, 1), (74, 2), (80, 2), (113, 5)])
+    def test_truncated_token_section(self, tmp_path, cut, row):
+        path, raw = self._file(tmp_path)
+        path.write_bytes(raw[:cut])
+        self._refused(path, f"truncated at row {row}")
+
+    def test_bytes_after_the_last_token(self, tmp_path):
+        path, raw = self._file(tmp_path)
+        path.write_bytes(raw + b"\0")
+        self._refused(path, "bytes after the last token, from byte 114 of 115")
+
+    def test_non_utf8_token(self, tmp_path):
+        path, _ = self._file(tmp_path, tokens=[*self.TOKENS[:3], b"token\xff\xfe003",
+                                                self.TOKENS[4]])
+        self._refused(path, "token at row 4 is not UTF-8")
+
+    def test_character_split_between_two_tokens(self, tmp_path):
+        # the section decodes as a whole ("é" is c3 a9), but neither token
+        # does on its own
+        path, _ = self._file(tmp_path, tokens=[self.TOKENS[0], b"token0000\xc3",
+                                                b"\xa9oken00002", *self.TOKENS[3:]])
+        self._refused(path, "token at row 2 is not UTF-8")
+
+    def test_duplicate_token(self, tmp_path):
+        path, _ = self._file(tmp_path, tokens=[*self.TOKENS[:4], self.TOKENS[1]])
+        self._refused(path, "duplicate word 'token00001' at row 5")
+
+    def test_non_finite_value(self, tmp_path):
+        path, _ = self._file(tmp_path, nan_row=4)
+        self._refused(path, "non-finite value at row 4")
+
+    def test_unsupported_version(self, tmp_path):
+        path, _ = self._file(tmp_path)
+        write_binary_v2(path, list(self.TOKENS), np.eye(5, 2), version=3)
+        self._refused(path, "unsupported version 3")
+
+    def test_earlier_of_two_faults_is_named(self, tmp_path):
+        dup = [*self.TOKENS[:3], self.TOKENS[0], self.TOKENS[4]]
+        bad_utf8 = [self.TOKENS[0], b"token\xff\xfe001", *self.TOKENS[2:]]
+        path = tmp_path / "v.bin"
+        self._file(tmp_path, tokens=dup, nan_row=2)
+        self._refused(path, "non-finite value at row 2")
+        self._file(tmp_path, tokens=dup, nan_row=5)
+        self._refused(path, "duplicate word 'token00000' at row 4")
+        self._file(tmp_path, tokens=dup, nan_row=4)
+        self._refused(path, "duplicate word 'token00000' at row 4")
+        self._file(tmp_path, tokens=bad_utf8, nan_row=3)
+        self._refused(path, "token at row 2 is not UTF-8")
+        _, raw = self._file(tmp_path, nan_row=2)
+        path.write_bytes(raw[:100])
+        self._refused(path, "non-finite value at row 2")
+        _, raw = self._file(tmp_path, nan_row=4)
+        path.write_bytes(raw[:100])
+        self._refused(path, "truncated at row 4")
+        _, raw = self._file(tmp_path, nan_row=5)
+        path.write_bytes(raw + b"\0")
+        self._refused(path, "non-finite value at row 5")
+
+
 class TestBulkAppend:
     """An append checks its rows as one block; the first bad row is named
     with the message it would get on its own, and nothing changes."""
@@ -422,13 +562,35 @@ def test_binary_values_read_back_exactly(tmp_path):
                      dtype=np.float32)
     entities = np.array([[-0.0, f32.smallest_subnormal, 1.0, 0.0],
                          [0.0, -1.0, -f32.smallest_subnormal, -0.0]], dtype=np.float32)
-    write_binary(tmp_path / "w.bin", [b"a", b"b"], words)
-    write_binary(tmp_path / "e.bin", [b"E0", b"E1"], entities)
-    store = load_word_vectors(str(tmp_path / "w.bin"))
-    assert load_entity_vectors(str(tmp_path / "e.bin"), store, fmt="binary") == 2
-    for got, want in ((store.word_matrix(), words), (store.entity_matrix(), entities)):
-        assert got.dtype == np.float64
-        assert got.tobytes() == want.astype(np.float64).tobytes()
+    for write in (write_binary, write_binary_v2):
+        write(tmp_path / "w.bin", [b"a", b"b"], words)
+        write(tmp_path / "e.bin", [b"E0", b"E1"], entities)
+        store = load_word_vectors(str(tmp_path / "w.bin"))
+        assert load_entity_vectors(str(tmp_path / "e.bin"), store, fmt="binary") == 2
+        for got, want in ((store.word_matrix(), words), (store.entity_matrix(), entities)):
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.astype(np.float64).tobytes()
+
+
+def test_versions_1_and_2_load_the_same_tables(tmp_path):
+    # the same rows under multi-byte, empty and longest tokens load to
+    # byte-identical tables and vocabularies from either version
+    rng = np.random.default_rng(11)
+    words = ["Zürich", "", "東京", "😀x", "a" * 0xFFFF, "é" * 100, "plain"]
+    entities = ["New York", "São_Paulo", "E\u00e9\u0301", "Ω"]
+    word_rows = rng.normal(size=(len(words), 5))
+    entity_rows = rng.normal(size=(len(entities), 5))
+    entity_rows /= np.linalg.norm(entity_rows, axis=1, keepdims=True)
+    loaded = []
+    for write in (write_binary, write_binary_v2):
+        write(tmp_path / "w.bin", [w.encode() for w in words], word_rows)
+        write(tmp_path / "e.bin", [e.encode() for e in entities], entity_rows)
+        store = load_word_vectors(str(tmp_path / "w.bin"))
+        load_entity_vectors(str(tmp_path / "e.bin"), store)
+        loaded.append((store.word_vocab.tokens(), store.entity_vocab.tokens(),
+                       store.word_matrix().tobytes(), store.entity_matrix().tobytes()))
+    assert loaded[0] == loaded[1]
+    assert loaded[0][:2] == (words, entities)
 
 
 def _binary_word_load_peak(tmp_path) -> tuple[int, int]:
