@@ -59,6 +59,7 @@ from .vectors import (
     check_tokens,
     load_entity_vectors,
     load_word_vectors,
+    naming_file,
     nearest_words,
     read_vectors,
     save_vectors_binary,
@@ -301,7 +302,8 @@ def cmd_eval_relatedness(args) -> int:
     # entities only, in a word-less store of the file's dimension
     names, rows = read_vectors(args.entities)
     store = EmbeddingStore(rows.shape[1])
-    store.add_entities(names, rows)
+    with naming_file(args.entities):
+        store.add_entities(names, rows)
     queries = load_relatedness_queries(
         _data_path(args, "queries"), store.entity_vocab)
     store.sync_entities()
@@ -489,11 +491,8 @@ def cmd_run_experiment(args) -> int:
 
 
 def cmd_inspect_neighbors(args) -> int:
-    names, rows = read_vectors(args.entities)
     store = load_word_vectors(_data_path(args, "word_vectors"))
-    if rows.shape[1] != store.dim:
-        raise ValidationError("entity and word dimensions differ")
-    store.add_entities(names, rows)
+    load_entity_vectors(args.entities, store)
     if args.freq:
         load_word_frequencies(args.freq, store.word_vocab)
     idx = store.entity_vocab.id(args.entity)

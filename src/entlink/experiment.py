@@ -54,7 +54,7 @@ from .training import (
     train_local,
 )
 from .vectors import load_word_vectors
-from .vocab import open_text, read_counts, write_rows
+from .vocab import open_text, parse_field, read_counts, write_rows
 
 
 @dataclass
@@ -107,6 +107,8 @@ class ExperimentConfig:
     delta: float = 0.5
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         stage_objects(self, self.dim)
 
     @classmethod
@@ -117,10 +119,7 @@ class ExperimentConfig:
             name = key.replace("-", "_")
             if name not in casts:
                 raise ValidationError(f"unknown config key {key!r}")
-            try:
-                parsed[name] = casts[name](raw)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"bad value for {key!r}: {raw!r}") from exc
+            parsed[name] = parse_field(casts[name], raw, f"bad value for {key!r}")
         return cls(**parsed)
 
 

@@ -21,30 +21,32 @@ On-disk formats:
   Binary round-trips bit-exactly; text round-trips to within 1e-6 per
   component.
 
-Rows are checked once per table, not once per row.  The binary reader
-reads the file whole and first checks that it can hold the count and
-dimension its header gives.  A version-2 file is then taken in sections:
-its block as one float32 view of the file, its tokens decoded at the
-offsets the length table gives, with no walk over the rows for their
-structure; a token cut short, one that is not UTF-8, a duplicate token
-or bytes after the last token are refused.  A version-1
-file is walked row by row for its structure, with the same checks, and
-its rows' values are joined into one array.  The values are then checked
-for finiteness once; a fault of either kind names the earliest bad row,
-and at the same row a fault in the structure comes first.  The reader
-returns the rows as float32, and the store widens them once: an append
-copies its rows into one fresh float64 block, checks their shape,
-finiteness and (for entities) unit norm over the block, naming the first
-bad row with the message that row would get on its own, and takes that
-block as the table when the table is empty.  So a binary load peaks near
-one float64 table plus the file, not two float64 tables.  The vocabulary
-takes the names in one pass.  The text reader still parses and checks
-each line, since its number syntax is Python's `float`.
+Each fact about a file is checked once.  The readers check what only the
+file shows: the header, that the file can hold the count and dimension
+its header gives (before anything is allocated), truncation, a text row's
+field count and number syntax, that each token is UTF-8 and that no bytes
+follow the last token.  The store checks the rest as the loaders append
+the rows: their shape, finiteness and (for entities) unit norm over the
+whole block, naming the first bad row, then the names, in the
+vocabulary's one pass.  So a file with several faults is refused for its
+structure first, then for its first bad row, then for its first
+duplicate name, and the loaders put the file's path in front of the
+store's message.
+
+The binary reader reads the file whole.  A version-2 file is taken in
+sections: its block as one float32 view of the file, its tokens decoded
+at the offsets the length table gives, with no walk over the rows.  A
+version-1 file is walked row by row, and its rows' values are joined
+into one array.  The reader returns the rows as float32, and the store
+widens them once, into the fresh float64 block that becomes the table,
+so a binary load peaks near one float64 table plus the file, not two
+float64 tables.  The text reader parses each line with Python's `float`.
 """
 
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -255,7 +257,6 @@ def nearest_words(store: EmbeddingStore, entity: int, k: int,
 def _parse_text_vectors(path: str) -> tuple[list[str], np.ndarray]:
     tokens: list[str] = []
     rows: list[np.ndarray] = []
-    seen: dict[str, int] = {}
     with open_text(path) as fh:
         header = fh.readline()
         if not header.strip():
@@ -273,23 +274,14 @@ def _parse_text_vectors(path: str) -> tuple[list[str], np.ndarray]:
             if not line.strip():
                 continue
             fields = line.rstrip("\n").split(" ")
-            token = fields[0]
             if len(fields) - 1 != dim:
                 raise ValidationError(
                     f"{path}:{lineno}: row has {len(fields) - 1} values, expected {dim}")
-            if token in seen:
-                raise ValidationError(
-                    f"{path}:{lineno}: duplicate word {token!r} "
-                    f"(first at row {seen[token]})")
             try:
-                vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
+                rows.append(np.array([float(x) for x in fields[1:]], dtype=np.float64))
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: unparseable value") from exc
-            if not np.all(np.isfinite(vec)):
-                raise ValidationError(f"{path}:{lineno}: non-finite value")
-            seen[token] = lineno
-            tokens.append(token)
-            rows.append(vec)
+            tokens.append(fields[0])
     if len(tokens) != count:
         raise ValidationError(
             f"{path}: header declares {count} rows, found {len(tokens)}")
@@ -312,43 +304,29 @@ def _parse_binary_vectors(path: str) -> tuple[list[str], np.ndarray]:
     if len(data) < want:
         raise ValidationError(f"{path}: truncated binary file: {count} rows of {dim} "
                               f"values need at least {want} bytes, it has {len(data)}")
-    tokens, values = (_walk_rows if version == 1 else _split_sections)(path, data, count, dim)
-    _check_finite_rows(path, values)
-    return tokens, values
+    return (_walk_rows if version == 1 else _split_sections)(path, data, count, dim)
 
 
 def _walk_rows(path: str, data: bytes, count: int, dim: int) -> tuple[list[str], np.ndarray]:
     """Version 1: each row's token and values, walked row by row."""
     tokens: list[str] = []
     payloads: list[memoryview] = []
-    seen: set[str] = set()
     view, width, pos = memoryview(data), 4 * dim, _HEADER_BYTES
-    for row in range(count):
+    for row in range(1, count + 1):
         if pos + 2 > len(data):
-            raise _fault(path, _float32_rows(payloads, dim), f"truncated at row {row + 1}")
+            raise ValidationError(f"{path}: truncated at row {row}")
         (token_len,) = struct.unpack_from("<H", data, pos)
         raw = data[pos + 2:pos + 2 + token_len]
         pos += 2 + token_len
         try:
-            token = raw.decode("utf-8")
+            tokens.append(raw.decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise _fault(path, _float32_rows(payloads, dim),
-                         f"token at row {row + 1} is not UTF-8") from exc
+            raise ValidationError(f"{path}: token at row {row} is not UTF-8") from exc
         if pos + width > len(data):
-            raise _fault(path, _float32_rows(payloads, dim), f"truncated at row {row + 1}")
-        if token in seen:
-            raise _fault(path, _float32_rows(payloads, dim),
-                         f"duplicate word {token!r} at row {row + 1}")
-        seen.add(token)
-        tokens.append(token)
+            raise ValidationError(f"{path}: truncated at row {row}")
         payloads.append(view[pos:pos + width])
         pos += width
-    return tokens, _float32_rows(payloads, dim)
-
-
-def _float32_rows(payloads: list[memoryview], dim: int) -> np.ndarray:
-    """The rows' little-endian float32 values, joined into one (rows, dim) array."""
-    return np.frombuffer(b"".join(payloads), dtype="<f4").reshape(len(payloads), dim)
+    return tokens, np.frombuffer(b"".join(payloads), dtype="<f4").reshape(count, dim)
 
 
 def _split_sections(path: str, data: bytes, count: int,
@@ -361,54 +339,26 @@ def _split_sections(path: str, data: bytes, count: int,
     lengths = np.frombuffer(data, "<u2", count, lengths_at)
     ends = tokens_at + np.cumsum(lengths, dtype=np.int64)
     whole = int(np.searchsorted(ends, len(data), side="right"))  # rows whose token fits
-    ends = ends[:whole]
-    end = int(ends[-1]) if whole else tokens_at
-    starts = ends - lengths[:whole]
+    ends = ends[:whole].tolist()
+    tokens: list[str] = []
     try:
-        tokens = [data[a:b].decode("utf-8") for a, b in zip(starts.tolist(), ends.tolist())]
-    except UnicodeDecodeError:
-        tokens = None
-    if tokens is None or len(set(tokens)) < whole:
-        _raise_first_token_fault(path, data, starts, ends, values)
+        for a, b in zip([tokens_at, *ends], ends):
+            tokens.append(data[a:b].decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: token at row {len(tokens) + 1} is not UTF-8") from exc
     if whole < count:
-        raise _fault(path, values[:whole], f"truncated at row {whole + 1}")
-    if end < len(data):
-        raise _fault(path, values, f"bytes after the last token, from byte {end} "
-                                   f"of {len(data)}")
+        raise ValidationError(f"{path}: truncated at row {whole + 1}")
+    if ends[-1] < len(data):
+        raise ValidationError(f"{path}: bytes after the last token, from byte {ends[-1]} "
+                              f"of {len(data)}")
     return tokens, values
-
-
-def _raise_first_token_fault(path: str, data: bytes, starts: np.ndarray, ends: np.ndarray,
-                             values: np.ndarray) -> None:
-    """Raise the fault of the first token that is not UTF-8 or repeats an earlier one."""
-    seen: set[str] = set()
-    for row, (a, b) in enumerate(zip(starts.tolist(), ends.tolist()), start=1):
-        try:
-            token = data[a:b].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise _fault(path, values[:row - 1], f"token at row {row} is not UTF-8") from exc
-        if token in seen:
-            raise _fault(path, values[:row - 1], f"duplicate word {token!r} at row {row}")
-        seen.add(token)
-
-
-def _fault(path: str, rows: np.ndarray, message: str) -> ValidationError:
-    """The error for a fault in the file's structure after `rows`, unless
-    one of those rows holds a non-finite value: it is named instead."""
-    _check_finite_rows(path, rows)
-    return ValidationError(f"{path}: {message}")
-
-
-def _check_finite_rows(path: str, rows: np.ndarray) -> None:
-    if not np.isfinite(rows).all():  # one reduction; the row only on a fault
-        bad = ~np.isfinite(rows).all(axis=1)
-        raise ValidationError(f"{path}: non-finite value at row {int(bad.argmax()) + 1}")
 
 
 def read_vectors(path: str, fmt: str | None = None) -> tuple[list[str], np.ndarray]:
     """The tokens and `(count, dim)` rows of a vector file of either format,
     refusing one not in format `fmt` if given.  A binary file's rows come as
-    its float32 values, a text file's as float64."""
+    its float32 values, a text file's as float64.  The rows' values and the
+    tokens' uniqueness are left to the store the loaders append them to."""
     with open(path, "rb") as fh:
         found = "binary" if fh.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC else "text"
     if fmt not in (None, found):
@@ -416,12 +366,23 @@ def read_vectors(path: str, fmt: str | None = None) -> tuple[list[str], np.ndarr
     return (_parse_binary_vectors if found == "binary" else _parse_text_vectors)(path)
 
 
+@contextmanager
+def naming_file(path: str):
+    """A ValidationError inside, raised again with `path` in front of its
+    message: the store's refusal of rows read from the file `path`."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def load_word_vectors(path: str, fmt: str | None = None,
                       stop_words: frozenset[str] | None = None) -> EmbeddingStore:
     """Load word vectors (of format `fmt` if given) into a store with a frozen word table."""
     tokens, rows = read_vectors(path, fmt)
     store = EmbeddingStore(rows.shape[1], word_vocab=Vocab(stop_words=stop_words))
-    store.add_words(tokens, rows)
+    with naming_file(path):
+        store.add_words(tokens, rows)
     store.freeze_words()
     return store
 
@@ -429,12 +390,10 @@ def load_word_vectors(path: str, fmt: str | None = None,
 def load_entity_vectors(path: str, store: EmbeddingStore, fmt: str | None = None) -> int:
     """Load entity vectors (`fmt` as for words) into `store`; returns count."""
     names, rows = read_vectors(path, fmt)
-    if rows.shape[1] != store.dim:
-        raise ValidationError(
-            f"{path}: dimension {rows.shape[1]} does not match store dimension {store.dim}")
     # No renormalisation here: float32 storage keeps norms within the unit
     # tolerance, and rescaling would break bit-exact binary round-trips.
-    store.add_entities(names, rows)
+    with naming_file(path):
+        store.add_entities(names, rows)
     return len(names)
 
 

@@ -250,6 +250,9 @@ STAGE_COMMANDS = {
     "train-global": [],
     "predict": ["--model", "unused.model"],
 }
+# every command that builds an ExperimentConfig, with its required flags
+CONFIG_COMMANDS = {**STAGE_COMMANDS, "run-experiment": [],
+                   "sweep": ["--param", "t", "--values", "5"]}
 
 
 class TestStageConfig:
@@ -322,12 +325,18 @@ class TestStageConfig:
                          "embed_iters=20", "--out", str(trained[-1]), *argv]) == 0
         assert trained[0].read_bytes() == trained[1].read_bytes()
 
-    @pytest.mark.parametrize("command", list(STAGE_COMMANDS))
+    @pytest.mark.parametrize("command", list(CONFIG_COMMANDS))
     def test_bad_setting_exits_1(self, command, tmp_path, capsys):
-        # checked before any file is read, so no input is needed
-        argv = [command, *STAGE_COMMANDS[command], "--out", str(tmp_path / "out")]
+        # checked before any file is read, so no input is needed: a negative
+        # seed before numpy's seeding sees it, a non-finite float before a
+        # training step compares it
+        argv = [command, *CONFIG_COMMANDS[command], "--out", str(tmp_path / "out")]
         for setting, message in (("nope=1", "unknown config key 'nope'"),
-                                 ("k=many", "bad value for 'k': 'many'")):
+                                 ("k=many", "bad value for 'k': expected int, got 'many'"),
+                                 ("seed=-1", "seed must be non-negative, got -1"),
+                                 ("gamma=nan", "bad value for 'gamma': expected float, got 'nan'"),
+                                 ("local_lr=inf",
+                                  "bad value for 'local_lr': expected float, got 'inf'")):
             assert main([*argv, "--set", setting]) == 1, setting
             assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
@@ -604,8 +613,8 @@ class TestExitCodes:
                  (predict + [str(nan)], "non-finite parameter"),
                  (predict + [str(narrow)], "model dimension 8 does not match"),
                  (predict + [str(deep)], f"{deep}: layer count must be <= 1000, got {2 ** 30}"),
-                 (["inspect-neighbors", "--entities", str(vectors), "--entity", "E0"],
-                  "not UTF-8"),
+                 (["--data-dir", str(data), "inspect-neighbors", "--entities", str(vectors),
+                   "--entity", "E0"], "not UTF-8"),
                  (["--data-dir", str(data), "evaluate", "--predictions", str(bad_preds)],
                   f"{bad_preds}:2: expected int, got 'first'"),
                  (breakdown + [str(bad_count)], f"{bad_count}:2: bad count"),
@@ -696,8 +705,8 @@ class TestExitCodes:
                   f"{config}:2: not valid UTF-8 (byte 0xe9 at offset 14)"),
                  (select + ["--stopwords", str(stop)],
                   f"{stop}:2: not valid UTF-8 (byte 0xfe at offset 4)"),
-                 (["inspect-neighbors", "--entities", str(vectors), "--entity", "E0"],
-                  f"{vectors}:2: not valid UTF-8 (byte 0xc3 at offset 4)"),
+                 (["--data-dir", str(data), "inspect-neighbors", "--entities", str(vectors),
+                   "--entity", "E0"], f"{vectors}:2: not valid UTF-8 (byte 0xc3 at offset 4)"),
                  (evaluate + [str(header), "--corpus", str(corpus)],
                   f"{corpus}:1: not valid UTF-8 (byte 0xff at offset 24)")]
         env = dict(os.environ, PYTHONPATH=str(Path(entlink.__file__).parent.parent))

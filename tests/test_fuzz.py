@@ -6,9 +6,11 @@ the command that reads it, in process.  Whatever the mutation, `cli.main`
 returns 0, 1 or 2 and raises nothing.  Many mutations leave a valid file
 (a flipped digit in a count, say), so exit 0 is allowed.  Three classes
 must exit 1: a truncated binary vector file, a row of the wrong width and
-a non-finite number.  Binary vectors are fuzzed in both versions: words
-and entities as `save_vectors_binary` writes them (version 2), and
-entities in a hand-written version-1 file.
+a non-finite number.  A vector file must also exit 1 for a repeated name
+and, for entities, for rows of another width than the words', and each
+vector file's refusal names the file.  Binary vectors are fuzzed in both
+versions: words and entities as `save_vectors_binary` writes them
+(version 2), and entities in a hand-written version-1 file.
 """
 
 import random
@@ -119,21 +121,28 @@ def inputs(tmp_path):
     return tmp_path, {name: (tmp_path / name).read_bytes() for name in FORMATS}
 
 
-def _run(d, name, data, what, capsys):
-    """The exit code of `name`'s command with `data` as its file; fails the
-    test, naming the mutation, when an exception escapes or the code is
-    outside the contract."""
+def _run(d, name, data, what, capsys, argv=None):
+    """The exit code and stderr of `name`'s command (or `argv`) with `data`
+    as its file; fails the test, naming the mutation, when an exception
+    escapes or the code is outside the contract."""
     original = (d / name).read_bytes()
     (d / name).write_bytes(data)
     try:
-        code = main(_argv(d, name))
+        code = main(argv or _argv(d, name))
     except Exception as exc:  # noqa: BLE001 - any escape breaks the contract
         pytest.fail(f"{name}, {what}: {type(exc).__name__}: {exc}")
     finally:
         (d / name).write_bytes(original)
-        capsys.readouterr()
+        err = capsys.readouterr().err
     assert code in (0, 1, 2), (name, what, code)
-    return code
+    return code, err
+
+
+def _refused(d, name, data, what, capsys, argv=None):
+    """Asserts that `name`'s command exits 1 with `data` as its file, and
+    that its message names the file."""
+    code, err = _run(d, name, data, what, capsys, argv)
+    assert code == 1 and str(d / name) in err, (name, what, code, err)
 
 
 def _mutations(rng, data, others):
@@ -154,7 +163,7 @@ def _mutations(rng, data, others):
 def test_valid_inputs_exit_0(inputs, capsys):
     d, files = inputs
     for name in FORMATS:
-        assert _run(d, name, files[name], "unchanged", capsys) == 0, name
+        assert _run(d, name, files[name], "unchanged", capsys)[0] == 0, name
 
 
 @pytest.mark.parametrize("name", FORMATS)
@@ -171,7 +180,7 @@ def test_truncated_binary_vectors_exit_1(inputs, capsys):
     for name in BINARY_FILES:
         data = files[name]
         for cut in range(len(data)):
-            assert _run(d, name, data[:cut], f"truncated at {cut}", capsys) == 1, (name, cut)
+            _refused(d, name, data[:cut], f"truncated at {cut}", capsys)
 
 
 def _last_line_widened(data: bytes, sep: bytes) -> bytes:
@@ -187,7 +196,37 @@ def test_wrong_row_width_exits_1(inputs, capsys, name):
     d, files = inputs
     sep = b" " if name.endswith(".txt") else b"\t"
     widened = _last_line_widened(files[name], sep)
-    assert _run(d, name, widened, "last row widened", capsys) == 1
+    if name in VECTOR_FILES:
+        _refused(d, name, widened, "last row widened", capsys)
+    else:
+        assert _run(d, name, widened, "last row widened", capsys)[0] == 1
+
+
+@pytest.mark.parametrize("name", [n for n in VECTOR_FILES if n.startswith("entities")])
+def test_entity_rows_of_another_width_exit_1(inputs, capsys, name):
+    # select-candidates appends 4-value entity rows to 3-value words
+    d, _ = inputs
+    units = np.eye(4)[:len(ENTITIES)]
+    save = {"entities.txt": save_vectors_text, "entities.bin": save_vectors_binary}
+    wide = d / "wide"
+    if name in save:
+        save[name](str(wide), ENTITIES, units)
+    else:
+        wide.write_bytes(_version_1(ENTITIES, units))
+    argv = [str(d / name) if a == str(d / "entities.txt") else a
+            for a in _argv(d, "prior.tsv")]
+    _refused(d, name, wide.read_bytes(), "4 values a row", capsys, argv)
+
+
+@pytest.mark.parametrize("name", VECTOR_FILES)
+def test_repeated_name_exits_1(inputs, capsys, name):
+    # a name becomes a copy of another of its length, in its place
+    d, files = inputs
+    pair = ("states", "united") if name.startswith("words") else ("E_Texas", "E_Paris")
+    name_from, name_to = pair
+    assert files[name].count(name_from.encode()) == 1
+    data = files[name].replace(name_from.encode(), name_to.encode())
+    _refused(d, name, data, f"{name_from} renamed {name_to}", capsys)
 
 
 def _binary_value_offset(data: bytes) -> int:
@@ -229,4 +268,7 @@ def test_non_finite_number_exits_1(inputs, capsys, value):
     cases["corpus.jsonl"] = corpus.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
     for name, data in cases.items():
         assert data != files[name], name
-        assert _run(d, name, data, f"a {value}", capsys) == 1, name
+        if name in VECTOR_FILES:
+            _refused(d, name, data, f"a {value}", capsys)
+        else:
+            assert _run(d, name, data, f"a {value}", capsys)[0] == 1, name

@@ -246,19 +246,27 @@ def write_binary(path, tokens: list[bytes], rows) -> bytes:
     return raw
 
 
+def _unit_rows(unit: bool) -> np.ndarray:
+    """Five rows of 2 values, scaled to unit norm if `unit` (for entities)."""
+    rows = np.arange(10, dtype=np.float64).reshape(5, 2)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True) if unit else rows
+
+
 class TestBinaryReaderFaults:
     """Each fault of a binary vector file gets its message, naming its row.
 
     Five rows of 2 values under 10-byte tokens; row k (from 1) starts at
     byte 14 + 20 * (k - 1): two length bytes, the token, then 8 bytes of
-    values.  The file is read whole before any row is checked, so these
-    pin which row is named when a fault sits behind another one.
+    values.  The reader refuses a fault in the file's structure; a
+    non-finite value or a repeated token reads, and the store refuses it
+    when a loader appends the rows.  These pin that order: the structure,
+    then the first bad row, then the first repeated name.
     """
 
     TOKENS = [f"token{i:05d}".encode() for i in range(5)]
 
-    def _file(self, tmp_path, tokens=None, nan_row=None):
-        rows = np.arange(10, dtype=np.float64).reshape(5, 2)
+    def _file(self, tmp_path, tokens=None, nan_row=None, unit=False):
+        rows = _unit_rows(unit)
         if nan_row is not None:
             rows[nan_row - 1, 1] = np.nan
         path = tmp_path / "v.bin"
@@ -271,6 +279,19 @@ class TestBinaryReaderFaults:
                      lambda: load_entity_vectors(str(path), EmbeddingStore(2), fmt="binary")):
             with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
                 read()
+
+    @staticmethod
+    def _store_refuses(path, message):
+        """`read_vectors` returns the file's five rows, and both loaders
+        refuse them with the store's `message` (``{what}`` the table's
+        kind) after the file's path."""
+        assert len(read_vectors(str(path))[0]) == 5
+        for what, load in (("word", lambda: load_word_vectors(str(path), fmt="binary")),
+                           ("entity", lambda: load_entity_vectors(str(path), EmbeddingStore(2),
+                                                                  fmt="binary"))):
+            with pytest.raises(ValidationError,
+                               match=f"^{re.escape(f'{path}: ' + message.format(what=what))}$"):
+                load()
 
     def test_truncated_header(self, tmp_path):
         path, raw = self._file(tmp_path)
@@ -292,26 +313,24 @@ class TestBinaryReaderFaults:
         self._refused(path, "token at row 4 is not UTF-8")
 
     def test_duplicate_token(self, tmp_path):
-        path, _ = self._file(tmp_path, tokens=[*self.TOKENS[:4], self.TOKENS[1]])
-        self._refused(path, "duplicate word 'token00001' at row 5")
+        path, _ = self._file(tmp_path, tokens=[*self.TOKENS[:4], self.TOKENS[1]], unit=True)
+        self._store_refuses(path, "duplicate {what}: 'token00001'")
 
     def test_non_finite_value(self, tmp_path):
-        path, _ = self._file(tmp_path, nan_row=4)
-        self._refused(path, "non-finite value at row 4")
+        path, _ = self._file(tmp_path, nan_row=4, unit=True)
+        self._store_refuses(path, "{what} 'token00003': non-finite component")
 
-    def test_earlier_of_two_faults_is_named(self, tmp_path):
+    def test_structure_then_values_then_names(self, tmp_path):
         dup = [*self.TOKENS[:3], self.TOKENS[0], self.TOKENS[4]]
         bad_utf8 = [self.TOKENS[0], b"token\xff\xfe001", *self.TOKENS[2:]]
-        self._file(tmp_path, tokens=dup, nan_row=2)
-        self._refused(tmp_path / "v.bin", "non-finite value at row 2")
-        self._file(tmp_path, tokens=dup, nan_row=5)
-        self._refused(tmp_path / "v.bin", "duplicate word 'token00000' at row 4")
-        self._file(tmp_path, tokens=bad_utf8, nan_row=3)
-        self._refused(tmp_path / "v.bin", "token at row 2 is not UTF-8")
-        path, raw = self._file(tmp_path, nan_row=2)
-        path.write_bytes(raw[:80])
-        self._refused(path, "non-finite value at row 2")
-        path, raw = self._file(tmp_path, nan_row=4)
+        path = tmp_path / "v.bin"
+        # a bad row comes before a repeated name, though the name is earlier
+        self._file(tmp_path, tokens=dup, nan_row=5, unit=True)
+        self._store_refuses(path, "{what} 'token00004': non-finite component")
+        # a fault in the structure comes before both, though they are earlier
+        self._file(tmp_path, tokens=bad_utf8, nan_row=1)
+        self._refused(path, "token at row 2 is not UTF-8")
+        _, raw = self._file(tmp_path, tokens=dup, nan_row=2)
         path.write_bytes(raw[:80])
         self._refused(path, "truncated at row 4")
 
@@ -332,14 +351,15 @@ class TestBinaryV2ReaderFaults:
     Five rows of 2 values under 10-byte tokens: the 40-byte value block
     starts at byte 14, the ten bytes of token lengths at 54, and token k
     (from 1) at 64 + 10 * (k - 1).  All the values precede all the tokens,
-    so these pin that the earliest bad row is still the one named.
+    yet the faults come in version 1's order, wherever in the file each sits.
     """
 
     TOKENS = TestBinaryReaderFaults.TOKENS
     _refused = staticmethod(TestBinaryReaderFaults._refused)
+    _store_refuses = staticmethod(TestBinaryReaderFaults._store_refuses)
 
-    def _file(self, tmp_path, tokens=None, nan_row=None):
-        rows = np.arange(10, dtype=np.float64).reshape(5, 2)
+    def _file(self, tmp_path, tokens=None, nan_row=None, unit=False):
+        rows = _unit_rows(unit)
         if nan_row is not None:
             rows[nan_row - 1, 1] = np.nan
         path = tmp_path / "v.bin"
@@ -407,39 +427,36 @@ class TestBinaryV2ReaderFaults:
         self._refused(path, "token at row 2 is not UTF-8")
 
     def test_duplicate_token(self, tmp_path):
-        path, _ = self._file(tmp_path, tokens=[*self.TOKENS[:4], self.TOKENS[1]])
-        self._refused(path, "duplicate word 'token00001' at row 5")
+        path, _ = self._file(tmp_path, tokens=[*self.TOKENS[:4], self.TOKENS[1]], unit=True)
+        self._store_refuses(path, "duplicate {what}: 'token00001'")
 
     def test_non_finite_value(self, tmp_path):
-        path, _ = self._file(tmp_path, nan_row=4)
-        self._refused(path, "non-finite value at row 4")
+        path, _ = self._file(tmp_path, nan_row=4, unit=True)
+        self._store_refuses(path, "{what} 'token00003': non-finite component")
 
     def test_unsupported_version(self, tmp_path):
         path, _ = self._file(tmp_path)
         write_binary_v2(path, list(self.TOKENS), np.eye(5, 2), version=3)
         self._refused(path, "unsupported version 3")
 
-    def test_earlier_of_two_faults_is_named(self, tmp_path):
+    def test_structure_then_values_then_names(self, tmp_path):
         dup = [*self.TOKENS[:3], self.TOKENS[0], self.TOKENS[4]]
         bad_utf8 = [self.TOKENS[0], b"token\xff\xfe001", *self.TOKENS[2:]]
         path = tmp_path / "v.bin"
-        self._file(tmp_path, tokens=dup, nan_row=2)
-        self._refused(path, "non-finite value at row 2")
-        self._file(tmp_path, tokens=dup, nan_row=5)
-        self._refused(path, "duplicate word 'token00000' at row 4")
-        self._file(tmp_path, tokens=dup, nan_row=4)
-        self._refused(path, "duplicate word 'token00000' at row 4")
-        self._file(tmp_path, tokens=bad_utf8, nan_row=3)
+        # a bad row comes before a repeated name, though the name is earlier
+        self._file(tmp_path, tokens=dup, nan_row=5, unit=True)
+        self._store_refuses(path, "{what} 'token00004': non-finite component")
+        self._file(tmp_path, tokens=dup, nan_row=2, unit=True)
+        self._store_refuses(path, "{what} 'token00001': non-finite component")
+        # a fault in the structure comes before both, though they are earlier
+        self._file(tmp_path, tokens=bad_utf8, nan_row=1)
         self._refused(path, "token at row 2 is not UTF-8")
-        _, raw = self._file(tmp_path, nan_row=2)
-        path.write_bytes(raw[:100])
-        self._refused(path, "non-finite value at row 2")
-        _, raw = self._file(tmp_path, nan_row=4)
+        _, raw = self._file(tmp_path, tokens=dup, nan_row=2)
         path.write_bytes(raw[:100])
         self._refused(path, "truncated at row 4")
-        _, raw = self._file(tmp_path, nan_row=5)
+        _, raw = self._file(tmp_path, tokens=dup, nan_row=1)
         path.write_bytes(raw + b"\0")
-        self._refused(path, "non-finite value at row 5")
+        self._refused(path, "bytes after the last token, from byte 114 of 115")
 
 
 class TestBulkAppend:
@@ -593,15 +610,16 @@ def test_versions_1_and_2_load_the_same_tables(tmp_path):
     assert loaded[0][:2] == (words, entities)
 
 
-def _binary_word_load_peak(tmp_path) -> tuple[int, int]:
-    """The tracemalloc peak of loading a 2200x300 binary word file, and
-    the bytes of the float64 table it loads."""
+def _word_load_peak(tmp_path, fmt: str = "binary") -> tuple[int, int]:
+    """The tracemalloc peak of loading a 2200x300 word file of format
+    `fmt`, and the bytes of the float64 table it loads."""
     rows = np.random.default_rng(0).normal(size=(2200, 300))
-    path = tmp_path / "w.bin"
-    save_vectors_binary(str(path), [f"w{i}" for i in range(2200)], rows)
+    path = tmp_path / f"w.{fmt}"
+    save = save_vectors_binary if fmt == "binary" else save_vectors_text
+    save(str(path), [f"w{i}" for i in range(2200)], rows)
     tracemalloc.start()
     try:
-        store = load_word_vectors(str(path), fmt="binary")
+        store = load_word_vectors(str(path), fmt=fmt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -611,7 +629,15 @@ def _binary_word_load_peak(tmp_path) -> tuple[int, int]:
 def test_binary_word_load_peaks_near_two_tables(tmp_path):
     # the file's bytes, the read table and the store's table: a 5.3 MB
     # float64 table may peak at 2.25 times its size, not at a copy per row
-    peak, table = _binary_word_load_peak(tmp_path)
+    peak, table = _word_load_peak(tmp_path)
+    assert table >= 5e6
+    assert peak <= 2.25 * table, peak / table
+
+
+def test_text_word_load_peaks_near_two_tables(tmp_path):
+    # the parsed rows, their stacked table and the store's table, the
+    # first freed before the third is made: at most 2.25 times the table
+    peak, table = _word_load_peak(tmp_path, "text")
     assert table >= 5e6
     assert peak <= 2.25 * table, peak / table
 
@@ -620,7 +646,7 @@ def test_binary_word_load_widens_once(tmp_path):
     # the float32 rows are widened once, into the block that becomes the
     # table: the peak holds one float64 table and the float32 rows, not
     # two float64 tables
-    peak, table = _binary_word_load_peak(tmp_path)
+    peak, table = _word_load_peak(tmp_path)
     assert table >= 5e6
     assert peak <= 1.75 * table, peak / table
 
