@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ValidationError
+from .errors import FieldError, ValidationError
 from .priors import Candidate
 from .vectors import EmbeddingStore, checked_ids, masked_rows
 
@@ -142,13 +142,13 @@ def check_header(dim: int, hidden: int, k: int, r: int, delta: float | None = No
     damping and layer count: the fields a model file's header holds."""
     for name, value in (("dim", dim), ("hidden", hidden), ("k", k), ("r", r)):
         if value < 1:
-            raise ValidationError(f"{name} must be at least 1, got {value}")
+            raise FieldError(name, f"{name} must be at least 1, got {value}")
     if delta is not None and not 0.0 < delta <= 1.0:
-        raise ValidationError(f"damping must be in (0, 1], got {delta}")
+        raise FieldError("delta", f"damping must be in (0, 1], got {delta}")
     if t is not None and t < 1:
-        raise ValidationError(f"layer count must be >= 1, got {t}")
+        raise FieldError("t", f"layer count must be >= 1, got {t}")
     if t is not None and t > MAX_LAYERS:
-        raise ValidationError(f"layer count must be <= {MAX_LAYERS}, got {t}")
+        raise FieldError("t", f"layer count must be <= {MAX_LAYERS}, got {t}")
 
 
 @dataclass

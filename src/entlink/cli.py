@@ -272,18 +272,15 @@ def cmd_train_embeddings(args) -> int:
     embed = replace(stage_objects(cfg, store.dim)["embeddings"],
                     hyperlink_iters=args.link_iterations,
                     eval_every=args.link_eval_every, patience=args.link_patience)
-    counts = CooccurrenceCounts(n_words=store.n_words)
-    load_counts_file(_data_path(args, "counts", base=cfg.data_dir),
-                     store.word_vocab, store.entity_vocab, counts, counts.description)
-    if args.link_counts:
-        load_counts_file(args.link_counts, store.word_vocab, store.entity_vocab,
-                         counts, counts.hyperlink)
+    # the description table, then the hyperlink table if --link-counts names one
+    tables = [load_counts_file(path, store.word_vocab, store.entity_vocab) for path in
+              (_data_path(args, "counts", base=cfg.data_dir), args.link_counts) if path]
+    counts = CooccurrenceCounts(store.n_words, *tables)
     store.sync_entities()
     names = store.entity_vocab.tokens()
     check_tokens(args.out, names, args.out_format)  # before training, not after it
-    queries = None
-    if args.queries:
-        queries = load_relatedness_queries(args.queries, store.entity_vocab)
+    queries = (load_relatedness_queries(args.queries, store.entity_vocab)
+               if args.queries else None)
     skipped = train_all_entities(counts, embed, store, validation=queries,
                                  log=lambda m: print(m, file=sys.stderr))
     writer = save_vectors_text if args.out_format == "text" else save_vectors_binary
@@ -321,11 +318,8 @@ def cmd_build_prior(args) -> int:
     if not args.count_index and not args.uniform_index:
         raise ValidationError("need at least one --count-index or --uniform-index")
     entities = Vocab()
-    sources = []
-    for path in args.count_index:
-        sources.append(PriorSource(load_count_index(path, entities)))
-    for path in args.uniform_index:
-        sources.append(PriorSource(load_uniform_index(path, entities)))
+    sources = ([PriorSource(load_count_index(path, entities)) for path in args.count_index]
+               + [PriorSource(load_uniform_index(path, entities)) for path in args.uniform_index])
     if args.weights:
         weights = [parse_field(float, w, "--weights") for w in args.weights.split(",")]
         if len(weights) != len(sources):
@@ -445,10 +439,9 @@ def cmd_breakdown(args) -> int:
     freq_buckets, prior_buckets = breakdown_report(preds, golds, gold_priors, gold_freqs,
                                                    [p > 0.0 for p in gold_priors])
     print("axis\tbucket\tcount\taccuracy")
-    for b in freq_buckets:
-        print(f"frequency\t{b.label}\t{b.count}\t{b.accuracy:.4f}")
-    for b in prior_buckets:
-        print(f"prior\t{b.label}\t{b.count}\t{b.accuracy:.4f}")
+    for axis, buckets in (("frequency", freq_buckets), ("prior", prior_buckets)):
+        for b in buckets:
+            print(f"{axis}\t{b.label}\t{b.count}\t{b.accuracy:.4f}")
     return 0
 
 

@@ -7,8 +7,10 @@ margin gamma.  Updates are adaptive-gradient steps followed by projection
 back onto the unit sphere.
 
 Counts come from two sources: the entity's description page and fixed-size
-token windows around hyperlink anchors.  A source is its table,
-`CooccurrenceCounts.description` or `.hyperlink`: the loader fills one and
+token windows around hyperlink anchors.  A source is one `CountTable`,
+`CooccurrenceCounts.description` or `.hyperlink`: three aligned int64
+arrays (entity, word, count) sorted by pair, each pair once, built in one
+pass by `CountTable.of` and never changed.  The loader returns one, and
 each training phase draws from one.  Training runs the description phase
 first, then the hyperlink phase with early stopping on a relatedness
 validation score.
@@ -27,12 +29,12 @@ the block size or how the iterations are split into validation rounds.
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FieldError, ValidationError
 from .vectors import EmbeddingStore
 from .vocab import Vocab, parse_field, read_rows
 
@@ -95,44 +97,62 @@ def _walker(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return threshold, alias
 
 
+@dataclass(frozen=True)
+class CountTable:
+    """The co-occurrence counts of one source: row i counts `word[i]` near
+    `entity[i]` `count[i]` times.
+
+    Rows are sorted by (entity, word) and each pair appears once, its counts
+    summed; a pair counted 0 keeps its row, a weight-0 cell of its law.
+    """
+
+    entity: np.ndarray
+    word: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def of(cls, entities=(), words=(), counts=()) -> CountTable:
+        """The table of the rows `(entities[i], words[i], counts[i])`, in any order."""
+        e, w, c = (np.asarray(column, dtype=np.int64) for column in (entities, words, counts))
+        if np.any(c < 0):
+            raise ValidationError("counts must be nonnegative")
+        order = np.lexsort((w, e))
+        e, w, c = e[order], w[order], c[order]
+        # row i starts a pair unless it repeats row i - 1's pair; row 0 starts one
+        first = np.flatnonzero(np.diff(e, prepend=e[:1] - 1) | np.diff(w, prepend=w[:1]))
+        return cls(e[first], w[first], np.add.reduceat(c, first) if c.size else c)
+
+    def positive_sampler(self, entities: list[int]) -> tuple[np.ndarray, AliasSampler]:
+        """Flat word ids and one alias law per entity over p(w|e).
+
+        `entities[i]` draws through law i, whose cells index its words.
+        """
+        lo, hi = (np.searchsorted(self.entity, entities, side) for side in ("left", "right"))
+        if np.any(lo == hi):
+            e = entities[np.argmax(lo == hi)]
+            raise ValidationError(f"entity {e} has no counts in this table")
+        return (np.concatenate([self.word[a:b] for a, b in zip(lo, hi)]),
+                AliasSampler(*(self.count[a:b] for a, b in zip(lo, hi))))
+
+
 @dataclass
 class CooccurrenceCounts:
     """Word-entity counts split by source, plus the global word frequencies.
 
-    `description[e]` and `hyperlink[e]` map word id -> count; the word
-    frequencies p(w) give the negative law (`negative_sampler`).
+    The word frequencies p(w) give the negative law (`negative_sampler`);
+    unless given, they are the counts of both tables summed per word.
     """
 
     n_words: int
-    description: dict[int, Counter] = field(default_factory=dict)
-    hyperlink: dict[int, Counter] = field(default_factory=dict)
+    description: CountTable = field(default_factory=CountTable.of)
+    hyperlink: CountTable = field(default_factory=CountTable.of)
     word_freq: np.ndarray | None = None
 
     def __post_init__(self):
         if self.word_freq is None:
             self.word_freq = np.zeros(self.n_words, dtype=np.float64)
-
-    def add(self, table: dict[int, Counter], entity: int, word: int, count: int = 1) -> None:
-        if count < 0:
-            raise ValidationError("counts must be nonnegative")
-        table.setdefault(entity, Counter())[word] += count
-        self.word_freq[word] += count
-
-    def positive_sampler(self, entities: list[int],
-                         table: dict[int, Counter]) -> tuple[np.ndarray, AliasSampler]:
-        """Flat word ids and one alias law per entity over p(w|e) from `table`.
-
-        `entities[i]` draws through law i, whose cells index its words.
-        """
-        words, weights = [], []
-        for e in entities:
-            counts = table.get(e)
-            if not counts:
-                raise ValidationError(f"entity {e} has no counts in this table")
-            ids = np.array(sorted(counts), dtype=np.int64)
-            words.append(ids)
-            weights.append(np.array([counts[w] for w in ids], dtype=np.float64))
-        return np.concatenate(words), AliasSampler(*weights)
+            for table in (self.description, self.hyperlink):
+                self.word_freq += np.bincount(table.word, table.count, self.n_words)
 
     def negative_sampler(self, alpha: float) -> tuple[np.ndarray, AliasSampler]:
         """Word ids and an alias table over the smoothed unigram
@@ -160,12 +180,13 @@ class EmbedTrainConfig:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"smoothing exponent must be in (0,1), got {self.alpha}")
+            raise FieldError("alpha", f"smoothing exponent must be in (0,1), got {self.alpha}")
         for name in ("gamma", "learning_rate", "eval_every", "patience"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.description_iters < 0 or self.hyperlink_iters < 0:
-            raise ValidationError("iteration counts must be nonnegative")
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise FieldError(name, f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("description_iters", "hyperlink_iters"):
+            if getattr(self, name) < 0:
+                raise FieldError(name, f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 def init_entity_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -191,10 +212,9 @@ class _Phase:
     """
 
     def __init__(self, counts: CooccurrenceCounts, cfg: EmbedTrainConfig,
-                 store: EmbeddingStore, entities: list[int], table: dict[int, Counter],
-                 seed: int):
+                 store: EmbeddingStore, entities: list[int], table: CountTable, seed: int):
         self.cfg, self.store, self.entities, self.seed = cfg, store, entities, seed
-        self.pos_words, self.pos = counts.positive_sampler(entities, table)
+        self.pos_words, self.pos = table.positive_sampler(entities)
         self.neg_words, self.neg = counts.negative_sampler(cfg.alpha)
         self.accum = np.zeros((len(entities), store.dim))
         self.width = POSITIVES * (1 + NEGATIVES_PER_POSITIVE)
@@ -279,12 +299,9 @@ def train_all_entities(
     `cfg.patience` times, keeping the best-scoring snapshot.
     """
     n = store.n_entities
-
-    def counted(table: dict[int, Counter]) -> list[int]:
-        """Ids whose counts in `table` sum above 0, ascending."""
-        return [e for e in range(n) if sum(table.get(e, Counter()).values()) > 0]
-
-    described, linked = counted(counts.description), counted(counts.hyperlink)
+    # the ids of the store whose counts in a table sum above 0, ascending
+    described, linked = (np.flatnonzero(np.bincount(t.entity, t.count, n)[:n] > 0).tolist()
+                         for t in (counts.description, counts.hyperlink))
     skipped = sorted(set(range(n)) - set(described) - set(linked))
     if log:
         for e in skipped:
@@ -431,25 +448,30 @@ def eval_relatedness(queries: list[RelatednessQuery],
 MAX_COUNT = 2 ** 53
 
 
-def load_counts_file(path: str, vocab: Vocab, entities: Vocab,
-                     counts: CooccurrenceCounts, table: dict[int, Counter]) -> None:
-    """Add ``entity \\t word \\t count`` rows to `table`, one of `counts`'
-    tables; rows of words outside `vocab` are skipped, unknown entities
-    join `entities`.  A bad row leaves `counts` and `entities` unchanged."""
-    rows = []
+def load_counts_file(path: str, vocab: Vocab, entities: Vocab) -> CountTable:
+    """The table of a file of ``entity \\t word \\t count`` rows.
+
+    Rows of words outside `vocab` are skipped; unknown entities join
+    `entities` in file order.  A bad row leaves `entities` unchanged.
+    """
+    names: dict[str, int] = {}  # entity name -> its position among the file's names
+    ents, words, counts = array("q"), array("q"), array("q")
     for where, (ent, word, raw) in read_rows(path, "entity<TAB>word<TAB>count"):
         c = parse_field(int, raw, f"{where}: bad count")
         if c < 0:
             raise ValidationError(f"{where}: negative count")
         if c > MAX_COUNT:
             raise ValidationError(f"{where}: count above 2**53")
-        rows.append((ent, word, c))
+        w = vocab.id(word)
+        if w is not None:  # words outside the embedded vocabulary cannot be scored
+            ents.append(names.setdefault(ent, len(names)))
+            words.append(w)
+            counts.append(c)
+    if sum(counts) >= 2 ** 63:  # a pair's int64 sum could wrap
+        raise ValidationError(f"{path}: counts sum to 2**63 or more")
     # every row is checked before the vocabulary grows
-    for ent, word, c in rows:
-        widx = vocab.id(word)
-        if widx is None:
-            continue  # words outside the embedded vocabulary cannot be scored
-        counts.add(table, entities.add(ent), widx, c)
+    ids = np.array([entities.add(name) for name in names], dtype=np.int64)
+    return CountTable.of(ids[np.frombuffer(ents, dtype=np.int64)], words, counts)
 
 
 def load_relatedness_queries(path: str, entities: Vocab) -> list[RelatednessQuery]:

@@ -38,7 +38,7 @@ from .embed_train import (
     load_relatedness_queries,
     train_all_entities,
 )
-from .errors import ValidationError
+from .errors import FieldError, ValidationError
 from .metrics import breakdown_report, evaluate
 from .model_io import save_model
 from .priors import (candidate_settings, coref_person_merge, gold_recall, load_prior,
@@ -175,21 +175,30 @@ def stage_objects(cfg: ExperimentConfig, dim: int) -> dict:
 
     The constructors hold the range checks, so building these checks `cfg`.
     """
-    train = dict(gamma=cfg.gamma, eval_every=cfg.eval_every, patience=cfg.patience,
-                 seed=cfg.seed)
+    def built(make, *args, **keys):
+        """`make(*args, field=cfg.<key>, ...)` for the `field=key` pairs of
+        `keys`; a refused field is named by its config key."""
+        try:
+            return make(*args, **{field: getattr(cfg, key) for field, key in keys.items()})
+        except FieldError as exc:
+            key = keys.get(exc.field, exc.field)
+            raise ValidationError(f"bad value for {key!r}: {exc}") from None
+
+    train = dict(gamma="gamma", eval_every="eval_every", patience="patience", seed="seed")
     return {
         "generate": synthetic_spec_from(cfg),
-        "embeddings": EmbedTrainConfig(
-            alpha=cfg.alpha, gamma=cfg.embed_gamma, learning_rate=cfg.embed_lr,
-            description_iters=cfg.embed_iters, seed=cfg.seed),
-        "candidates": candidate_settings(cfg.s, cfg.prior_top, cfg.context_top),
-        "train-local": (LocalParams.init(dim, hidden=cfg.hidden, k=cfg.k, r=cfg.local_r),
-                        TrainConfig(learning_rate=cfg.local_lr, epochs=cfg.local_epochs,
-                                    **train)),
-        "train-global": (GlobalParams.init(dim, hidden=cfg.hidden, k=cfg.k,
-                                           r=cfg.global_r, delta=cfg.delta, t=cfg.t),
-                         TrainConfig(learning_rate=cfg.global_lr,
-                                     epochs=cfg.global_epochs, **train)),
+        "embeddings": built(EmbedTrainConfig, alpha="alpha", gamma="embed_gamma",
+                            learning_rate="embed_lr", description_iters="embed_iters",
+                            seed="seed"),
+        "candidates": built(candidate_settings, s="s", prior_top="prior_top",
+                            context_top="context_top"),
+        "train-local": (built(LocalParams.init, dim, hidden="hidden", k="k", r="local_r"),
+                        built(TrainConfig, learning_rate="local_lr", epochs="local_epochs",
+                              **train)),
+        "train-global": (built(GlobalParams.init, dim, hidden="hidden", k="k", r="global_r",
+                               delta="delta", t="t"),
+                         built(TrainConfig, learning_rate="global_lr",
+                               epochs="global_epochs", **train)),
     }
 
 
@@ -209,9 +218,8 @@ def _load_or_generate(cfg: ExperimentConfig) -> PreparedData:
     if cfg.data_dir:
         path = {key: str(Path(cfg.data_dir) / name) for key, name in DATA_FILES.items()}
         store = load_word_vectors(path["word_vectors"])
-        counts = CooccurrenceCounts(n_words=store.n_words)
-        load_counts_file(path["counts"], store.word_vocab, store.entity_vocab,
-                         counts, counts.description)
+        counts = CooccurrenceCounts(store.n_words, load_counts_file(
+            path["counts"], store.word_vocab, store.entity_vocab))
         prior = load_prior(path["prior"], store.entity_vocab)
         store.sync_entities()
         corpora = {split: load_corpus(path[split])
@@ -410,15 +418,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     gold_priors, gold_freqs, in_cands = [], [], []
     for doc in prepared.corpora["test"]:
         for mention in doc.mentions:
-            prior = 0.0
-            contained = False
-            for c in mention.candidates or []:
-                if c.entity == mention.gold_id:
-                    prior = c.prior
-                    contained = True
-            gold_priors.append(prior)
+            gold = next((c for c in mention.candidates or [] if c.entity == mention.gold_id),
+                        None)
+            gold_priors.append(gold.prior if gold is not None else 0.0)
             gold_freqs.append(prepared.entity_freq.get(mention.gold_id, 0))
-            in_cands.append(contained)
+            in_cands.append(gold is not None)
     freq_buckets, prior_buckets = breakdown_report(preds, golds, gold_priors,
                                                    gold_freqs, in_cands)
     write_rows(str(out / "breakdown.tsv"), ["axis", "bucket", "count", "accuracy"],

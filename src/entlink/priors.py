@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FieldError, ValidationError
 from .vectors import EmbeddingStore
 from .vocab import Vocab, parse_field, read_rows, write_rows
 
@@ -151,10 +151,10 @@ def average_context_vector(context_words: list[int],
 def candidate_settings(s: int, prior_top: int, context_top: int) -> dict[str, int]:
     """`select_candidates`' budget keywords, checked: s >= 1, shares >= 0."""
     if s <= 0:
-        raise ValidationError(f"candidate budget must be positive, got {s}")
+        raise FieldError("s", f"candidate budget must be positive, got {s}")
     for name, value in (("prior_top", prior_top), ("context_top", context_top)):
         if value < 0:
-            raise ValidationError(f"{name} must be non-negative, got {value}")
+            raise FieldError(name, f"{name} must be non-negative, got {value}")
     return dict(s=s, prior_top=prior_top, context_top=context_top)
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .docs import Corpus, Document, Mention, save_corpus
-from .embed_train import CooccurrenceCounts, RelatednessQuery
+from .embed_train import CooccurrenceCounts, CountTable, RelatednessQuery
 from .errors import ValidationError
 from .priors import PriorIndex, PriorSource, build_prior, save_prior
 from .vectors import EmbeddingStore, save_vectors_text
@@ -190,10 +190,9 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
         entity_vocab.add(f"E{e:03d}")
     store.sync_entities()  # placeholder unit rows; real training replaces them
 
-    counts = CooccurrenceCounts(n_words=len(word_vocab))
-    for e in range(spec.kb_size):
-        for w in sorted(signatures[e]):
-            counts.add(counts.description, e, w, SIGNATURE_COUNT)
+    ents, words = np.array([(e, w) for e in range(spec.kb_size) for w in signatures[e]]).T
+    counts = CooccurrenceCounts(len(word_vocab), CountTable.of(
+        ents, words, np.full(ents.size, SIGNATURE_COUNT)))
 
     # surfaces: consecutive entity blocks, candidates spanning topics,
     # prior rank order shuffled per surface
@@ -309,9 +308,9 @@ def write_synthetic(data: SyntheticData, out_dir: str) -> dict[str, str]:
     paths = {key: str(out / name) for key, name in DATA_FILES.items()}
     save_vectors_text(paths["word_vectors"], words, store.word_matrix())
     entities = store.entity_vocab
-    write_rows(paths["counts"], None,
-               ((entities.token(e), words[w], c) for e in range(store.n_entities)
-                for w, c in sorted(data.counts.description.get(e, {}).items())))
+    table = data.counts.description
+    write_rows(paths["counts"], None, ((entities.token(e), words[w], c) for e, w, c in
+               zip(table.entity.tolist(), table.word.tolist(), table.count.tolist())))
     write_rows(paths["word_freq"], None,
                ((w, int(data.counts.word_freq[i])) for i, w in enumerate(words)))
     write_rows(paths["entity_freq"], None,

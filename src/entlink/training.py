@@ -34,7 +34,7 @@ from .attention import (
 )
 from .crf import GlobalParams, check_joint_budget, global_doc_loss_tape, predict_global
 from .docs import Corpus
-from .errors import ValidationError
+from .errors import FieldError, ValidationError
 from .metrics import evaluate
 from .vectors import EmbeddingStore
 
@@ -57,10 +57,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.learning_rate <= 0:
-            raise ValidationError("gamma and learning rate must be positive")
-        if self.epochs < 0 or self.eval_every < 1 or self.patience < 1:
-            raise ValidationError("bad epoch/eval/patience configuration")
+        for name, rule, ok in (("gamma", "be positive", self.gamma > 0),  # NaN fails too
+                               ("learning_rate", "be positive", self.learning_rate > 0),
+                               ("epochs", "be nonnegative", self.epochs >= 0),
+                               ("eval_every", "be at least 1", self.eval_every >= 1),
+                               ("patience", "be at least 1", self.patience >= 1)):
+            if not ok:
+                raise FieldError(name, f"{name} must {rule}, got {getattr(self, name)}")
 
 
 class Sgd:

@@ -341,6 +341,28 @@ class TestStageConfig:
             assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("delta=0", "damping must be in (0, 1], got 0.0"),
+        ("t=0", "layer count must be >= 1, got 0"),
+        ("local_r=0", "r must be at least 1, got 0"),
+        ("global_r=0", "r must be at least 1, got 0"),
+        ("gamma=0", "gamma must be positive, got 0.0"),
+        ("local_lr=0", "learning_rate must be positive, got 0.0"),
+        ("global_lr=-1", "learning_rate must be positive, got -1.0"),
+        ("local_epochs=-1", "epochs must be nonnegative, got -1"),
+        ("patience=0", "patience must be at least 1, got 0"),
+        ("embed_gamma=0", "gamma must be positive, got 0.0"),
+        ("embed_lr=0", "learning_rate must be positive, got 0.0"),
+        ("embed_iters=-1", "description_iters must be nonnegative, got -1"),
+        ("alpha=1", "smoothing exponent must be in (0,1), got 1.0"),
+        ("s=0", "candidate budget must be positive, got 0")])
+    def test_range_refusal_names_the_config_key(self, setting, message, tmp_path, capsys):
+        # a stage constructor names its own field; the config names the key set
+        key = setting.split("=")[0]
+        assert main(["run-experiment", "--set", setting, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: bad value for {key!r}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_default_training_is_the_experiment_fit(self, bench, tmp_path):
         # with no --set, train-local and train-global write the models that
         # experiment.fit trains from ExperimentConfig() on the same inputs
@@ -682,6 +704,52 @@ class TestExitCodes:
             if code:
                 line = len(counts.read_text().splitlines())
                 assert f"{counts}:{line}: count above 2**53" in proc.stderr
+
+    def test_counts_summing_to_2_63_exit_1(self, bench, tmp_path):
+        # a pair's counts add up in int64: a file whose counts sum to 2**63
+        # or more is refused, naming it; one that stops just below loads
+        _, data, _ = bench
+        env = dict(os.environ, PYTHONPATH=str(Path(entlink.__file__).parent.parent))
+        counts, text = tmp_path / "counts.tsv", (data / "counts.tsv").read_text()
+        base = sum(int(line.split("\t")[2]) for line in text.splitlines())
+        assert base + 1023 * 2 ** 53 < 2 ** 63 <= 1024 * 2 ** 53
+        for repeats, code in ((1023, 0), (1024, 1)):
+            counts.write_text(text + f"E000\tt0w0\t{2 ** 53}\n" * repeats)
+            proc = subprocess.run(
+                [sys.executable, "-m", "entlink", "train-embeddings", "--word-vectors",
+                 str(data / "word_vectors.txt"), "--counts", str(counts), "--out",
+                 str(tmp_path / "e.txt"), "--set", "embed_iters=2", "--link-iterations", "0"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == code, (repeats, proc.stderr)
+            assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {counts}: counts sum to 2**63 or more\n"
+
+    def test_repeated_link_pairs_train_as_their_sums(self, bench, tmp_path, capsys):
+        # a link-counts file that splits each pair's count over three rows
+        # far apart, one of them 0, trains the vectors of the file with one
+        # summed row per pair, byte for byte
+        _, data, _ = bench
+        rows = [line.split("\t") for line in (data / "counts.tsv").read_text().splitlines()]
+        counts = [int(c) for _, _, c in rows]
+
+        def lines(column):
+            return "".join(f"{e}\t{w}\t{c}\n" for (e, w, _), c in zip(rows, column))
+
+        split, merged = tmp_path / "split.tsv", tmp_path / "merged.tsv"
+        split.write_text(lines([1] * len(rows)) + lines([0] * len(rows))
+                         + lines([c + 1 for c in counts]))
+        merged.write_text(lines([c + 2 for c in counts]))
+        runs = []
+        for links in (split, merged):
+            out = tmp_path / f"{links.stem}.txt"
+            assert main(["train-embeddings", "--word-vectors", str(data / "word_vectors.txt"),
+                         "--counts", str(data / "counts.tsv"), "--link-counts", str(links),
+                         "--queries", str(data / "queries.tsv"), "--out", str(out),
+                         "--set", "embed_iters=10", "--link-iterations", "20",
+                         "--eval-every", "10"]) == 0
+            captured = capsys.readouterr()
+            runs.append((out.read_bytes(), captured.out.replace(str(out), "OUT"), captured.err))
+        assert runs[0] == runs[1]
 
     def test_non_utf8_input_names_its_file(self, bench, tmp_path):
         # each text reader names the file, the line and the offset of the

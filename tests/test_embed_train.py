@@ -9,6 +9,9 @@ from embedoracles import (
     check_entity_norms,
     empirical_objective,
     hinge_embed,
+    reference_laws,
+    reference_rows,
+    reference_table,
     restricted,
     train_entity,
 )
@@ -18,6 +21,7 @@ from entlink import embed_train
 from entlink.embed_train import (
     AliasSampler,
     CooccurrenceCounts,
+    CountTable,
     EmbedTrainConfig,
     RelatednessQuery,
     average_precision,
@@ -60,14 +64,27 @@ class TestHinge:
         assert hinge_embed(z, pos, neg, 0.1) == pytest.approx(0.3)
 
 
-def cluster_counts(store, entity_words):
-    counts = CooccurrenceCounts(n_words=store.n_words)
+def table(rows):
+    """The count table of `(entity, word, count)` rows."""
+    return CountTable.of(*np.array(rows, dtype=np.int64).reshape(-1, 3).T)
+
+
+def as_dict(table):
+    """Entity -> (word -> count) of a count table."""
+    out = {}
+    for e, w, c in zip(table.entity.tolist(), table.word.tolist(), table.count.tolist()):
+        out.setdefault(e, {})[w] = c
+    return out
+
+
+def cluster_counts(store, entity_words, hyperlink=()):
+    """Count 5 of each entity's words in the description table, the
+    `hyperlink` rows in the other."""
+    rows = [(e, w, 5) for e, words in entity_words.items() for w in words]
+    counts = CooccurrenceCounts(store.n_words, table(rows), table(hyperlink))
     # broad background frequency: negatives must cover the whole vocabulary
     # rather than concentrating on each entity's own positives
     counts.word_freq += 20.0
-    for e, words in entity_words.items():
-        for w in words:
-            counts.add(counts.description, e, w, 5)
     return counts
 
 
@@ -144,6 +161,43 @@ class TestTrainEntity:
         slope = np.polyfit(xs, checkpoints, 1)[0]
         assert slope < 0
         assert checkpoints[-1] < checkpoints[0]
+
+
+class TestCountTable:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_counter_oracle(self, seed):
+        # repeated pairs, zero counts, rows in shuffled order and entities
+        # with no rows, over vocabularies from 1 word (neighbouring entities
+        # share their only word) up: the table is the oracle's rows, and
+        # every entity's law has the oracle's words, thresholds and aliases
+        rng = np.random.default_rng(seed)
+        n, n_words = int(rng.integers(1, 400)), 1 + seed * 3
+        rows = np.column_stack([rng.integers(0, 30, n), rng.integers(0, n_words, n),
+                                rng.integers(0, 4, n) * rng.integers(0, 2, n)])
+        rows = np.concatenate([rows, rows[rng.integers(0, n, n // 3)]])  # repeats
+        rows = rows[rng.permutation(len(rows))]
+        ref = reference_table(rows.tolist())
+        got = CountTable.of(rows[:, 0], rows[:, 1], rows[:, 2])
+        assert list(zip(got.entity.tolist(), got.word.tolist(), got.count.tolist())) \
+            == reference_rows(ref)
+        assert all(column.dtype == np.int64 for column in (got.entity, got.word, got.count))
+        drawn = [e for e in rng.permutation(30).tolist() if sum(ref.get(e, {}).values()) > 0]
+        words, sampler = got.positive_sampler(drawn)
+        ref_words, ref_weights = reference_laws(ref, drawn)
+        oracle = AliasSampler(*ref_weights)
+        np.testing.assert_array_equal(words, ref_words)
+        for name in ("size", "offset", "threshold", "alias"):
+            np.testing.assert_array_equal(getattr(sampler, name), getattr(oracle, name))
+        absent = next(e for e in range(31) if e not in ref)
+        with pytest.raises(ValidationError, match=f"entity {absent} has no counts"):
+            got.positive_sampler([*drawn, absent])
+
+    def test_empty_and_negative(self):
+        empty = CountTable.of()
+        assert empty.entity.size == empty.word.size == empty.count.size == 0
+        np.testing.assert_array_equal(CooccurrenceCounts(3).word_freq, [0.0, 0.0, 0.0])
+        with pytest.raises(ValidationError, match="counts must be nonnegative"):
+            CountTable.of([0, 1], [2, 3], [1, -1])
 
 
 class TestNegativeSampling:
@@ -298,9 +352,8 @@ class TestTrainAll:
         # from, and the entity trains on its other source alone
         store = make_store(n_words=6, dim=8)
         store.add_entities(["A"], [np.eye(8)[0]])
-        counts = cluster_counts(store, {})
-        counts.add(counts.description, 0, 1, 0)
-        counts.add(counts.hyperlink, 0, 2, 3)
+        counts = CooccurrenceCounts(store.n_words, table([(0, 1, 0)]), table([(0, 2, 3)]))
+        counts.word_freq += 20.0
         cfg = EmbedTrainConfig(description_iters=5, hyperlink_iters=5, seed=1)
         assert train_all_entities(counts, cfg, store) == []
         assert not np.array_equal(store.entity_vec(0), np.eye(8)[0])
@@ -309,11 +362,9 @@ class TestTrainAll:
 
 def linked_counts(store):
     """Description and hyperlink counts for three entities."""
-    counts = cluster_counts(store, {0: [0, 1, 2], 1: [3, 4, 5], 2: [6, 7, 8]})
-    for e, words in {0: [1, 9], 1: [4, 10, 11], 2: [7, 12]}.items():
-        for w in words:
-            counts.add(counts.hyperlink, e, w, 3)
-    return counts
+    links = [(e, w, 3) for e, words in {0: [1, 9], 1: [4, 10, 11], 2: [7, 12]}.items()
+             for w in words]
+    return cluster_counts(store, {0: [0, 1, 2], 1: [3, 4, 5], 2: [6, 7, 8]}, hyperlink=links)
 
 
 LINKED = EmbedTrainConfig(description_iters=40, hyperlink_iters=30, eval_every=7, seed=11)
@@ -382,37 +433,38 @@ class TestFileFormats:
         path.write_text("E0\tw0\t3\nE0\tw1\t1\nE1\tw2\t2\n")
         store = make_store(n_words=3)
         entities = Vocab()
-        counts = CooccurrenceCounts(n_words=store.n_words)
-        load_counts_file(str(path), store.word_vocab, entities, counts, counts.description)
-        assert counts.description[entities.id("E0")][0] == 3
-        assert counts.description[entities.id("E1")][2] == 2
+        counts = as_dict(load_counts_file(str(path), store.word_vocab, entities))
+        assert counts[entities.id("E0")][0] == 3
+        assert counts[entities.id("E1")][2] == 2
 
     def test_bad_counts_row(self, tmp_path):
         path = tmp_path / "counts.tsv"
         path.write_text("E0\tw0\n")
         with pytest.raises(ValidationError, match=":1"):
-            load_counts_file(str(path), Vocab(), Vocab(), CooccurrenceCounts(n_words=0), {})
+            load_counts_file(str(path), Vocab(), Vocab())
 
     def test_link_counts_join_the_hyperlink_table_of_the_same_counts(self, tmp_path):
-        # a second file adds to the other table and to the one word frequency
-        # array; a bad row anywhere in it leaves counts and entities as they were
+        # a second file is the hyperlink table of the same counts, and both
+        # tables add to the one word frequency array; a bad row anywhere in
+        # it leaves the entities as they were
         desc, links, bad = (tmp_path / name for name in ("desc.tsv", "links.tsv", "bad.tsv"))
         desc.write_text("E0\tw0\t3\nE1\tw2\t2\n")
         links.write_text("E2\tw0\t4\nE0\tw1\t1\nE0\tgone\t9\n")
         bad.write_text("E3\tw0\t1\nE3\tw1\t-1\n")
         store = make_store(n_words=3)
         entities = Vocab()
-        counts = CooccurrenceCounts(n_words=store.n_words)
-        load_counts_file(str(desc), store.word_vocab, entities, counts, counts.description)
+        description = load_counts_file(str(desc), store.word_vocab, entities)
         with pytest.raises(ValidationError, match=":2: negative count"):
-            load_counts_file(str(bad), store.word_vocab, entities, counts, counts.hyperlink)
+            load_counts_file(str(bad), store.word_vocab, entities)
         assert entities.tokens() == ["E0", "E1"]
-        assert counts.hyperlink == {}
+        counts = CooccurrenceCounts(store.n_words, description)
+        assert as_dict(counts.hyperlink) == {}
         np.testing.assert_array_equal(counts.word_freq, [3.0, 0.0, 2.0])
-        load_counts_file(str(links), store.word_vocab, entities, counts, counts.hyperlink)
+        counts = CooccurrenceCounts(store.n_words, description,
+                                    load_counts_file(str(links), store.word_vocab, entities))
         assert entities.tokens() == ["E0", "E1", "E2"]
-        assert counts.description == {0: {0: 3}, 1: {2: 2}}
-        assert counts.hyperlink == {2: {0: 4}, 0: {1: 1}}
+        assert as_dict(counts.description) == {0: {0: 3}, 1: {2: 2}}
+        assert as_dict(counts.hyperlink) == {2: {0: 4}, 0: {1: 1}}
         np.testing.assert_array_equal(counts.word_freq, [7.0, 1.0, 2.0])
 
     def test_queries_round_trip(self, tmp_path):

@@ -300,6 +300,15 @@ class TestConfig:
         with pytest.raises(ValidationError, match="smoothing exponent"):
             ExperimentConfig(alpha=1.0)
 
+    @pytest.mark.parametrize("key", ["gamma", "local_lr", "global_lr", "embed_lr",
+                                     "embed_gamma"])
+    def test_nan_is_refused_in_a_config_built_in_python(self, key):
+        # from_dict refuses a non-finite float as it parses it; a config
+        # built from Python values reaches the stage constructors' checks
+        with pytest.raises(ValidationError,
+                           match=rf"^bad value for '{key}': \w+ must be positive, got nan$"):
+            ExperimentConfig(**{key: float("nan")})
+
     def test_overlapping_split_ids_rejected(self, tmp_path):
         from entlink.experiment import _check_disjoint_splits
         from entlink.docs import Corpus, Document
