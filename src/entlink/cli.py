@@ -30,7 +30,7 @@ from .embed_train import (
     load_relatedness_queries,
     train_all_entities,
 )
-from .errors import ValidationError
+from .errors import FieldError, ValidationError
 from .experiment import (
     ExperimentConfig,
     fit,
@@ -68,7 +68,6 @@ from .vectors import (
 from .vocab import (
     Vocab,
     load_stop_words,
-    load_word_frequencies,
     open_text,
     parse_field,
     read_counts,
@@ -97,8 +96,7 @@ def _data_path(args, flag: str, key: str | None = None, base: str | None = None)
 
 
 def _load_store(args, base: str | None = None) -> EmbeddingStore:
-    stop = load_stop_words(args.stopwords) if args.stopwords else None
-    store = load_word_vectors(_data_path(args, "word_vectors", base=base), stop_words=stop)
+    store = load_word_vectors(_data_path(args, "word_vectors", base=base))
     if getattr(args, "entities", None):
         load_entity_vectors(args.entities, store)
     return store
@@ -107,14 +105,16 @@ def _load_store(args, base: str | None = None) -> EmbeddingStore:
 def _candidate_corpora(args, cfg: ExperimentConfig, store,
                        files: dict[str, tuple[str, str]]) -> dict[str, Corpus]:
     """The corpus of each split, whose path `_data_path` resolves from the
-    split's (flag, key), through the experiment's candidate stage."""
+    split's (flag, key), through the experiment's candidate stage, whose
+    context windows skip the `--stopwords` list's words."""
+    stop_words = load_stop_words(args.stopwords) if args.stopwords else frozenset()
     prior = load_prior(_data_path(args, "prior", base=cfg.data_dir), store.entity_vocab)
     is_person = (load_person_predicate(args.persons, store.entity_vocab)
                  if args.persons else None)
     store.sync_entities()
     corpora = {split: load_corpus(_data_path(args, flag, key, cfg.data_dir))
                for split, (flag, key) in files.items()}
-    select_all_candidates(cfg, corpora.values(), store, prior, is_person)
+    select_all_candidates(cfg, corpora.values(), store, prior, is_person, stop_words)
     return corpora
 
 
@@ -122,7 +122,6 @@ def _add_vector_flags(p, entities: bool = True):
     p.add_argument("--word-vectors", help="word vector file")
     if entities:
         p.add_argument("--entities", help="entity vector file")
-    p.add_argument("--stopwords", help="stop-word list, one token per line")
 
 
 def _add_config_flags(p):
@@ -136,6 +135,8 @@ def _add_candidate_flags(p):
     _add_config_flags(p)
     p.add_argument("--prior", help="prior index file")
     p.add_argument("--persons", help="entity<TAB>is_person file for coref merging")
+    p.add_argument("--stopwords", help="stop-word list, one token per line, "
+                                       "left out of context windows")
 
 
 def _add_train_flags(p):
@@ -269,9 +270,14 @@ def cmd_generate(args) -> int:
 def cmd_train_embeddings(args) -> int:
     cfg = _experiment_config(args)
     store = _load_store(args, cfg.data_dir)
-    embed = replace(stage_objects(cfg, store.dim)["embeddings"],
-                    hyperlink_iters=args.link_iterations,
-                    eval_every=args.link_eval_every, patience=args.link_patience)
+    embed = stage_objects(cfg, store.dim)["embeddings"]
+    try:
+        embed = replace(embed, hyperlink_iters=args.link_iterations,
+                        eval_every=args.link_eval_every, patience=args.link_patience)
+    except FieldError as exc:
+        flag = {"hyperlink_iters": "--link-iterations", "eval_every": "--eval-every",
+                "patience": "--patience"}[exc.field]
+        raise ValidationError(f"bad value for {flag}: {exc}") from None
     # the description table, then the hyperlink table if --link-counts names one
     tables = [load_counts_file(path, store.word_vocab, store.entity_vocab) for path in
               (_data_path(args, "counts", base=cfg.data_dir), args.link_counts) if path]
@@ -486,12 +492,13 @@ def cmd_run_experiment(args) -> int:
 def cmd_inspect_neighbors(args) -> int:
     store = load_word_vectors(_data_path(args, "word_vectors"))
     load_entity_vectors(args.entities, store)
-    if args.freq:
-        load_word_frequencies(args.freq, store.word_vocab)
+    # a word the table leaves out counts 0; a word's last row wins
+    freq = dict(read_counts(args.freq)) if args.freq else {}
     idx = store.entity_vocab.id(args.entity)
     if idx is None:
         raise ValidationError(f"unknown entity {args.entity!r}")
-    for word, sim in nearest_words(store, idx, k=args.k, min_freq=args.min_freq):
+    allowed = [freq.get(word, 0) >= args.min_freq for word in store.word_vocab.tokens()]
+    for word, sim in nearest_words(store, idx, k=args.k, allowed=allowed):
         print(f"{store.word_vocab.token(word)}\t{sim:.4f}")
     return 0
 

@@ -8,6 +8,10 @@ opened by ``-DOCSTART-`` or ``#doc <id>`` lines, then token lines with
 optional ``<TAB>B<TAB>gold`` / ``<TAB>I`` / ``<TAB>O`` tags.  A file whose
 first nonblank line opens a document is column text, any other JSON lines:
 a damaged first line then fails to parse instead of reading as the other.
+
+`build_context_windows` gives each mention the word ids around it, less
+the stop words its caller passes: a stop word keeps its id and its
+vector, and only the windows skip it.
 """
 
 from __future__ import annotations
@@ -208,12 +212,13 @@ def resolve_gold(corpus: Corpus, entities: Vocab) -> int:
     return missing
 
 
-def build_context_windows(corpus: Corpus, vocab: Vocab, k: int) -> None:
+def build_context_windows(corpus: Corpus, vocab: Vocab, k: int,
+                          stop_words: frozenset[str] = frozenset()) -> None:
     """Attach up to k context word ids per mention, split evenly per side.
 
     Takes floor(k/2) raw tokens to the left and right of the mention span
-    (truncated at the document bounds), then drops stop words and tokens
-    missing from the vocabulary, so |context| <= k.
+    (truncated at the document bounds), then drops the tokens in
+    `stop_words` and those missing from the vocabulary, so |context| <= k.
     """
     if k <= 0:
         raise ValidationError(f"context size must be positive, got {k}")
@@ -226,6 +231,6 @@ def build_context_windows(corpus: Corpus, vocab: Vocab, k: int) -> None:
             context = []
             for token in raw:
                 idx = vocab.id(token)
-                if idx is not None and not vocab.is_stop(idx):
+                if idx is not None and token not in stop_words:
                     context.append(idx)
             mention.context = context

@@ -244,13 +244,14 @@ def _train_embeddings(cfg: ExperimentConfig, prepared: PreparedData):
 
 
 def select_all_candidates(cfg: ExperimentConfig, corpora, store, prior,
-                          is_person=None) -> None:
-    """The candidate stage, in place: gold ids, `cfg.k`-word context windows,
-    candidate sets, then the person coreference merge if `is_person` is given."""
+                          is_person=None, stop_words: frozenset[str] = frozenset()) -> None:
+    """The candidate stage, in place: gold ids, `cfg.k`-word context windows
+    without `stop_words`, candidate sets, then the person coreference merge
+    if `is_person` is given."""
     settings = stage_objects(cfg, store.dim)["candidates"]
     for corpus in corpora:
         resolve_gold(corpus, store.entity_vocab)
-        build_context_windows(corpus, store.word_vocab, k=cfg.k)
+        build_context_windows(corpus, store.word_vocab, k=cfg.k, stop_words=stop_words)
         for doc in corpus:
             for mention in doc.mentions:
                 mention.candidates = select_candidates(
@@ -278,8 +279,8 @@ def fit(cfg: ExperimentConfig, stage: str, store, corpora: dict[str, Corpus]):
 
 
 @_stage("evaluate")
-def _evaluate_models(cfg: ExperimentConfig, prepared: PreparedData,
-                     local: LocalParams, global_: GlobalParams) -> tuple[dict, tuple]:
+def _evaluate_models(prepared: PreparedData, local: LocalParams,
+                     global_: GlobalParams) -> tuple[dict, tuple]:
     """Every model's metrics on both held-out splits, and the global test predictions."""
     store = prepared.store
     out: dict[str, dict[str, float]] = {}
@@ -403,7 +404,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         global_, global_history = fit(cfg, "train-global", prepared.store, prepared.corpora)
     write_history_tsv(str(out / "history.tsv"),
                       {"local": local_history, "global": global_history})
-    metrics, test_global = _evaluate_models(cfg, prepared, local, global_)
+    metrics, test_global = _evaluate_models(prepared, local, global_)
 
     rows = attention_dump(prepared.corpora["test"], local, prepared.store)
     write_rows(str(out / "attention.tsv"),

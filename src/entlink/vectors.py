@@ -1,7 +1,8 @@
 """Embedding storage and vector-file I/O.
 
 An EmbeddingStore keeps one d-dimensional float64 vector per word and per
-entity in two separate id spaces.  Word vectors are frozen once loaded;
+entity in two separate id spaces, each named by a `Vocab` that maps names
+to ids and holds nothing else.  Word vectors are frozen once loaded;
 entity vectors are unit-norm, and training rewrites them a block of rows
 at a time (`set_entity_rows`), each block checked as an append is.
 
@@ -65,13 +66,13 @@ ENTITY_NORM_TOL = 1e-6
 class EmbeddingStore:
     """Word and entity vectors sharing one dimension d."""
 
-    def __init__(self, dim: int, word_vocab: Vocab | None = None):
+    def __init__(self, dim: int):
         if dim <= 0:
             raise ValidationError(f"dimension must be positive, got {dim}")
         self.dim = int(dim)
-        self.word_vocab = word_vocab if word_vocab is not None else Vocab()
+        self.word_vocab = Vocab()
         self.entity_vocab = Vocab()
-        self._words = np.zeros((len(self.word_vocab), dim), dtype=np.float64)
+        self._words = np.zeros((0, dim), dtype=np.float64)
         self._entities = np.zeros((0, dim), dtype=np.float64)
         self.words_frozen = False
 
@@ -221,11 +222,12 @@ def masked_rows(table: np.ndarray, ids: np.ndarray, mask: np.ndarray,
 
 
 def nearest_words(store: EmbeddingStore, entity: int, k: int,
-                  min_freq: int = 0) -> list[tuple[int, float]]:
+                  allowed: list[bool] | None = None) -> list[tuple[int, float]]:
     """Top-k words by cosine to an entity vector, ties broken by word id.
 
-    Words with vocabulary frequency below `min_freq` are excluded.  The
-    ordering is a deterministic total order given the store.
+    If `allowed` is given, word id i may be returned only when
+    `allowed[i]` is true.  The ordering is a deterministic total order
+    given the store.
     """
     target = store.entity_vec(entity)
     if k <= 0:
@@ -240,9 +242,8 @@ def nearest_words(store: EmbeddingStore, entity: int, k: int,
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = (words @ target) / (norms * tn)
     eligible = norms > 0.0
-    if min_freq > 0:
-        counts = np.array([store.word_vocab.count(i) for i in range(words.shape[0])])
-        eligible &= counts >= min_freq
+    if allowed is not None:
+        eligible &= allowed
     idxs = np.nonzero(eligible)[0]
     if idxs.size == 0:
         return []
@@ -376,11 +377,10 @@ def naming_file(path: str):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def load_word_vectors(path: str, fmt: str | None = None,
-                      stop_words: frozenset[str] | None = None) -> EmbeddingStore:
+def load_word_vectors(path: str, fmt: str | None = None) -> EmbeddingStore:
     """Load word vectors (of format `fmt` if given) into a store with a frozen word table."""
     tokens, rows = read_vectors(path, fmt)
-    store = EmbeddingStore(rows.shape[1], word_vocab=Vocab(stop_words=stop_words))
+    store = EmbeddingStore(rows.shape[1])
     with naming_file(path):
         store.add_words(tokens, rows)
     store.freeze_words()

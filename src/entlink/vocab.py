@@ -1,8 +1,11 @@
-"""Token vocabularies with stable integer ids, stop-word flags and counts,
-and the one reader and the one writer of tab-separated files.
+"""Token vocabularies with stable integer ids, and the one reader and the
+one writer of tab-separated files.
 
-Words and entities live in separate Vocab instances, so an entity whose
-name collides with a word is never ambiguous.  `read_rows` reads every
+A Vocab maps names to dense ids and back, and holds nothing else: stop
+words are a set handed to `docs.build_context_windows`, and word counts a
+`read_counts` table read by the one command that filters on them.  Words
+and entities live in separate Vocab instances, so an entity whose name
+collides with a word is never ambiguous.  `read_rows` reads every
 tab-separated input and `write_rows` writes every tab-separated output; a
 field `write_rows` could not write so that `read_rows` reads it back is
 refused before the file is opened.
@@ -17,18 +20,12 @@ from .errors import ValidationError
 
 
 class Vocab:
-    """Bidirectional string <-> dense-id map with stop flags and counts.
+    """Bidirectional string <-> dense-id map; string -> id -> string
+    round-trips exactly."""
 
-    Stop words are flagged, never deleted, so token offsets into external
-    data stay stable.  string -> id -> string round-trips exactly.
-    """
-
-    def __init__(self, stop_words: frozenset[str] | set[str] | None = None):
+    def __init__(self):
         self._tokens: list[str] = []
         self._index: dict[str, int] = {}
-        self._counts: list[int] = []
-        self._stop: list[bool] = []
-        self._stop_words = frozenset(stop_words) if stop_words is not None else frozenset()
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -36,16 +33,13 @@ class Vocab:
     def __contains__(self, token: str) -> bool:
         return token in self._index
 
-    def add(self, token: str, count: int = 0) -> int:
-        """Insert `token` if new and return its id; counts accumulate."""
+    def add(self, token: str) -> int:
+        """Insert `token` if new and return its id."""
         idx = self._index.get(token)
         if idx is None:
             idx = len(self._tokens)
             self._index[token] = idx
             self._tokens.append(token)
-            self._counts.append(0)
-            self._stop.append(token in self._stop_words)
-        self._counts[idx] += count
         return idx
 
     def extend(self, tokens: list[str], what: str) -> None:
@@ -65,25 +59,12 @@ class Vocab:
                 seen.add(token)
         self._index.update(index)
         self._tokens.extend(tokens)
-        self._counts.extend([0] * len(tokens))
-        self._stop.extend([token in self._stop_words for token in tokens])
 
     def id(self, token: str) -> int | None:
         return self._index.get(token)
 
     def token(self, idx: int) -> str:
         return self._tokens[self.require_index(idx)]
-
-    def is_stop(self, idx: int) -> bool:
-        return self._stop[self.require_index(idx)]
-
-    def count(self, idx: int) -> int:
-        return self._counts[self.require_index(idx)]
-
-    def set_count(self, idx: int, count: int) -> None:
-        if count < 0:
-            raise ValidationError("counts must be nonnegative")
-        self._counts[self.require_index(idx)] = count
 
     def require_index(self, idx: int) -> int:
         if not 0 <= idx < len(self._tokens):
@@ -170,24 +151,16 @@ def parse_field(kind: type, raw: str, where: str):
 
 
 def read_counts(path: str) -> list[tuple[str, int]]:
-    """The ``name \\t count`` rows of a file, in order; blank lines skipped."""
-    return [(name, parse_field(int, raw, f"{where}: bad count"))
-            for where, (name, raw) in read_rows(path, "name<TAB>count")]
-
-
-def load_word_frequencies(path: str, vocab: Vocab) -> int:
-    """Read ``word \\t count`` lines into `vocab`; returns rows applied.
-
-    Words absent from the vocabulary are ignored (frequency data often
-    covers a larger corpus than the embedded vocabulary).
-    """
-    applied = 0
-    for word, count in read_counts(path):
-        idx = vocab.id(word)
-        if idx is not None:
-            vocab.set_count(idx, count)
-            applied += 1
-    return applied
+    """The ``name \\t count`` rows of a file, in order; blank lines skipped.
+    A count that is not an integer, or is negative, raises a
+    ValidationError naming ``path:line``."""
+    rows = []
+    for where, (name, raw) in read_rows(path, "name<TAB>count"):
+        count = parse_field(int, raw, f"{where}: bad count")
+        if count < 0:
+            raise ValidationError(f"{where}: negative count")
+        rows.append((name, count))
+    return rows
 
 
 def load_stop_words(path: str) -> frozenset[str]:

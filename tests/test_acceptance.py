@@ -26,7 +26,6 @@ from entlink.experiment import (
 from entlink.priors import PriorSource, build_prior, select_candidates
 from entlink.training import accuracy, predict_prior_baseline
 from entlink.vectors import EmbeddingStore
-from entlink.vocab import Vocab
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -290,7 +289,7 @@ class TestCriterion7CandidateSelection:
             return keep
 
         rng = np.random.default_rng(7)
-        store = EmbeddingStore(6, word_vocab=Vocab())
+        store = EmbeddingStore(6)
         for i in range(12):
             v = rng.normal(size=6)
             store.add_words([f"w{i}"], [v / np.linalg.norm(v)])

@@ -30,7 +30,6 @@ from entlink.docs import Corpus, Document, Mention, build_context_windows
 from entlink.errors import ValidationError
 from entlink.priors import Candidate
 from entlink.vectors import EmbeddingStore
-from entlink.vocab import Vocab
 
 SIGMOID_1 = 1.0 / (1.0 + np.exp(-1.0))  # exp(3) / (exp(3) + exp(2))
 
@@ -195,7 +194,7 @@ class TestCombineF:
 
 def toy_store(n_words=12, n_entities=6, dim=5, seed=3):
     rng = np.random.default_rng(seed)
-    store = EmbeddingStore(dim, word_vocab=Vocab())
+    store = EmbeddingStore(dim)
     for i in range(n_words):
         v = rng.normal(size=dim)
         store.add_words([f"w{i}"], [v / np.linalg.norm(v)])
@@ -308,7 +307,7 @@ class TestDocumentScorer:
 
     def _store(self, rng):
         # entity 1 repeats entity 0's row, so candidate sets hold duplicates
-        store = EmbeddingStore(self.DIM, word_vocab=Vocab())
+        store = EmbeddingStore(self.DIM)
         words = rng.normal(size=(self.N_WORDS, self.DIM))
         store.add_words([f"w{i}" for i in range(self.N_WORDS)],
                         words / np.linalg.norm(words, axis=1, keepdims=True))
@@ -458,7 +457,7 @@ class TestAttentionProperties:
         # words orthogonal to every candidate get u = 0 while aligned words
         # get u > 0; with R = #aligned, the orthogonal ones carry beta = 0
         dim = 6
-        store = EmbeddingStore(dim, word_vocab=Vocab())
+        store = EmbeddingStore(dim)
         e = np.zeros(dim)
         e[0] = 1.0
         aligned = [e.copy() for _ in range(3)]
@@ -510,7 +509,7 @@ class TestPredictLocal:
         # context words equal the low-prior gold's vector; a few SGD steps
         # on B and f must flip the decision away from the prior
         dim = 6
-        store = EmbeddingStore(dim, word_vocab=Vocab())
+        store = EmbeddingStore(dim)
         gold_vec = np.eye(dim)[0]
         rival_vec = np.eye(dim)[1]
         for i in range(4):

@@ -547,6 +547,30 @@ class TestInspectNeighbors:
                      "--word-vectors", str(data / "word_vectors.txt"),
                      "--entity", "NOPE"]) == 1
 
+    def test_min_freq_keeps_the_words_the_freq_table_counts_often_enough(
+            self, bench, tmp_path, capsys):
+        # a word the table leaves out counts 0 and a word's last row wins;
+        # the words kept print the lines they print unfiltered, in order
+        tmp, data, entities = bench
+        argv = ["inspect-neighbors", "--entities", str(entities),
+                "--word-vectors", str(data / "word_vectors.txt"), "--entity", "E000",
+                "--k", "5"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        top = [line.split("\t")[0] for line in lines]
+        freq = tmp_path / "freq.tsv"
+        freq.write_text(f"{top[0]}\t9\n{top[1]}\t7\n{top[3]}\t3\n{top[0]}\t1\n"
+                        "not_a_word\t50\n")
+        assert main([*argv, "--freq", str(freq), "--min-freq", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [lines[1], lines[3]]
+        assert main([*argv, "--freq", str(freq)]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+        assert main([*argv, "--min-freq", "1"]) == 0
+        assert capsys.readouterr().out == ""
+        freq.write_text(f"{top[0]}\t9\n{top[1]}\t-7\n")
+        assert main([*argv, "--freq", str(freq), "--min-freq", "3"]) == 1
+        assert capsys.readouterr().err == f"error: {freq}:2: negative count\n"
+
 
 class TestDataDirEnv:
     def test_env_var_supplies_defaults(self, bench, monkeypatch, capsys):
@@ -872,6 +896,30 @@ class TestExitCodes:
                   "--out", str(data / "unused.txt")])
         assert exit_.value.code == 2
         assert "unrecognized arguments: --entities" in capsys.readouterr().err
+
+    def test_train_embeddings_rejects_stopwords_flag(self, bench, capsys):
+        # stop words leave context windows, which it builds none of
+        _, data, _ = bench
+        with pytest.raises(SystemExit) as exit_:
+            main(["train-embeddings", "--word-vectors", str(data / "word_vectors.txt"),
+                  "--counts", str(data / "counts.tsv"), "--stopwords", str(data / "x"),
+                  "--out", str(data / "unused.txt")])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --stopwords" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--link-iterations", "-1", "hyperlink_iters must be nonnegative, got -1"),
+        ("--eval-every", "0", "eval_every must be positive, got 0"),
+        ("--patience", "0", "patience must be positive, got 0")])
+    def test_train_embeddings_refusal_names_the_flag(self, bench, tmp_path, capsys,
+                                                     flag, value, message):
+        _, data, _ = bench
+        out = tmp_path / "e.txt"
+        assert main(["train-embeddings", "--word-vectors", str(data / "word_vectors.txt"),
+                     "--counts", str(data / "counts.tsv"), "--out", str(out),
+                     flag, value]) == 1
+        assert capsys.readouterr().err == f"error: bad value for {flag}: {message}\n"
+        assert not out.exists()
 
 
 class TestRunExperimentCli:

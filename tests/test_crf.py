@@ -31,7 +31,6 @@ from entlink.docs import Corpus, Document, Mention, build_context_windows
 from entlink.errors import ValidationError
 from entlink.priors import Candidate
 from entlink.vectors import EmbeddingStore
-from entlink.vocab import Vocab
 
 
 def random_instance(rng, n=None, sizes=None, dim=6, coupling=1.0, uniform_prior=False):
@@ -646,7 +645,7 @@ class TestGlobalLoss:
 class TestPredictGlobal:
     def _store_and_doc(self, dim=6, seed=16):
         rng = np.random.default_rng(seed)
-        store = EmbeddingStore(dim, word_vocab=Vocab())
+        store = EmbeddingStore(dim)
         for i in range(8):
             v = rng.normal(size=dim)
             store.add_words([f"w{i}"], [v / np.linalg.norm(v)])

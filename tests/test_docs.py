@@ -192,11 +192,11 @@ class TestContextWindows:
         assert got == ["b", "c"]
 
     def test_stop_and_unknown_words_removed(self):
-        vocab = Vocab(stop_words=frozenset({"the"}))
+        vocab = Vocab()
         for t in ["the", "cat"]:
             vocab.add(t)
         corpus, doc = self._corpus(["the", "cat", "m", "the", "dog"], 2, 3)
-        build_context_windows(corpus, vocab, k=4)
+        build_context_windows(corpus, vocab, k=4, stop_words=frozenset({"the"}))
         got = [vocab.token(i) for i in doc.mentions[0].context]
         assert got == ["cat"]  # "the" is a stop word, "dog" unknown
 

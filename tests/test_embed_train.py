@@ -37,9 +37,9 @@ from entlink.vectors import EmbeddingStore
 from entlink.vocab import Vocab
 
 
-def make_store(n_words=30, dim=8, seed=0, stop=()):
+def make_store(n_words=30, dim=8, seed=0):
     rng = np.random.default_rng(seed)
-    store = EmbeddingStore(dim, word_vocab=Vocab(stop_words=frozenset(stop)))
+    store = EmbeddingStore(dim)
     for i in range(n_words):
         v = rng.normal(size=dim)
         store.add_words([f"w{i}"], [v / np.linalg.norm(v)])

@@ -367,10 +367,9 @@ def test_attention_dump_skips_empty_context():
     from entlink.experiment import attention_dump
     from entlink.priors import Candidate
     from entlink.vectors import EmbeddingStore
-    from entlink.vocab import Vocab
 
     rng = np.random.default_rng(3)
-    store = EmbeddingStore(4, word_vocab=Vocab())
+    store = EmbeddingStore(4)
     store.add_words(["w0", "w1"], rng.normal(size=(2, 4)))
     vecs = rng.normal(size=(2, 4))
     store.add_entities(["E0", "E1"], vecs / np.linalg.norm(vecs, axis=1, keepdims=True))

@@ -229,6 +229,20 @@ def test_repeated_name_exits_1(inputs, capsys, name):
     _refused(d, name, data, f"{name_from} renamed {name_to}", capsys)
 
 
+@pytest.mark.parametrize("name", ["counts.tsv", "count_index.tsv", "prior.tsv",
+                                  "freq.tsv"])
+def test_negative_number_exits_1(inputs, capsys, name):
+    # the count and probability columns of NUMBER_COLUMNS; the refusal
+    # names the file and the line
+    d, files = inputs
+    lines = files[name].split(b"\n")
+    fields = lines[0].split(b"\t")
+    fields[NUMBER_COLUMNS[name]] = b"-" + fields[NUMBER_COLUMNS[name]]
+    lines[0] = b"\t".join(fields)
+    code, err = _run(d, name, b"\n".join(lines), "a negative number", capsys)
+    assert code == 1 and f"{d / name}:1: negative" in err, (name, code, err)
+
+
 def _binary_value_offset(data: bytes) -> int:
     """Offset of the first row's first value in a binary vector file: right
     after the header in version 2, after the first token in version 1."""

@@ -23,7 +23,6 @@ from entlink.errors import ValidationError
 from entlink.priors import Candidate
 from entlink.training import TrainConfig, train_global
 from entlink.vectors import EmbeddingStore
-from entlink.vocab import Vocab
 
 
 def _instance(rng, sizes, dim=8, nan_at=None):
@@ -166,7 +165,7 @@ def test_joint_bytes_of_paper_scale_documents_sit_far_below_the_budget():
 
 def _store_and_doc(dim=6):
     rng = np.random.default_rng(2)
-    store = EmbeddingStore(dim, word_vocab=Vocab())
+    store = EmbeddingStore(dim)
     store.add_words([f"w{i}" for i in range(5)], rng.normal(size=(5, dim)))
     rows = rng.normal(size=(6, dim))
     store.add_entities([f"E{i}" for i in range(6)],

@@ -7,6 +7,11 @@ constant that is exactly that identifier (the benchmark's tracer names the
 functions it patches by string).  Docstrings and comments do not count.
 Dunder methods and `__post_init__`, which Python calls by protocol, are
 exempt.
+
+Every parameter of those functions, `self` and `cls` aside, is read in
+its body: a parameter nothing reads goes, with what its callers pass.
+The one exception, `ALLOWED_UNUSED_PARAMETERS`, is the `fnet` of the two
+loss tapes, which the benchmark's probes pass to both by position.
 """
 
 import ast
@@ -19,6 +24,8 @@ SOURCES = sorted((ROOT / "src" / "entlink").glob("*.py"))
 SCANNED = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+ALLOWED_UNUSED_PARAMETERS = {("attention.py", "local_doc_loss_tape", "fnet"),
+                             ("crf.py", "global_doc_loss_tape", "fnet")}
 
 
 def _docstrings(tree) -> set[int]:
@@ -61,3 +68,20 @@ def test_every_function_is_named_outside_its_definition():
             if named[node.name] - _names(node, skips[path])[node.name] <= 0:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, unused
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {node.name}({param})" for param in params
+                       if param not in read and param not in ("self", "cls")
+                       and (path.name, node.name, param) not in ALLOWED_UNUSED_PARAMETERS]
+    assert not unread, unread

@@ -31,7 +31,6 @@ from entlink.docs import Document, Mention
 from entlink.errors import ValidationError
 from entlink.priors import Candidate
 from entlink.vectors import EmbeddingStore
-from entlink.vocab import Vocab
 
 DOCS_PER_DIM = 60
 N_WORDS = 40
@@ -46,7 +45,7 @@ def _unit(rng, rows, dim):
 def _store(rng, dim):
     """Random unit word and entity rows; entities 1, 3 and 5 repeat the
     rows of 0, 2 and 4, so candidate sets hold duplicated rows."""
-    store = EmbeddingStore(dim, word_vocab=Vocab())
+    store = EmbeddingStore(dim)
     store.add_words([f"w{i}" for i in range(N_WORDS)], _unit(rng, N_WORDS, dim))
     rows = _unit(rng, N_ENTITIES, dim)
     rows[1:6:2] = rows[0:6:2]

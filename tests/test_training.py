@@ -21,7 +21,6 @@ from entlink.training import (
     train_local,
 )
 from entlink.vectors import EmbeddingStore
-from entlink.vocab import Vocab
 
 
 def tiny_world(seed=0, n_docs=16, mentions=3):
@@ -29,7 +28,7 @@ def tiny_world(seed=0, n_docs=16, mentions=3):
     prior points elsewhere, so training must move the parameters."""
     rng = np.random.default_rng(seed)
     dim = 8
-    store = EmbeddingStore(dim, word_vocab=Vocab())
+    store = EmbeddingStore(dim)
     n_entities = 6
     entity_vecs = []
     for e in range(n_entities):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from embedoracles import check_entity_norms
 
+from entlink.docs import Corpus, Document, Mention, build_context_windows
 from entlink.errors import ValidationError
 from entlink.vectors import (
     ENTITY_NORM_TOL,
@@ -713,8 +714,7 @@ class TestEntityInvariants:
 
 def small_store():
     rng = np.random.default_rng(7)
-    vocab = Vocab()
-    store = EmbeddingStore(8, word_vocab=vocab)
+    store = EmbeddingStore(8)
     for i in range(20):
         store.add_words([f"w{i}"], [rng.normal(size=8)])
     return store
@@ -754,10 +754,10 @@ class TestNearestWords:
         store = small_store()
         v = store.word_matrix()[4]
         store.add_entities(["E"], [v / np.linalg.norm(v)])
-        store.word_vocab.set_count(4, 10)
-        top = nearest_words(store, 0, k=1, min_freq=5)
+        counts = [10 if i == 4 else 0 for i in range(store.n_words)]
+        top = nearest_words(store, 0, k=1, allowed=[c >= 5 for c in counts])
         assert top[0][0] == 4
-        top = nearest_words(store, 0, k=1, min_freq=50)
+        top = nearest_words(store, 0, k=1, allowed=[c >= 50 for c in counts])
         assert top == [] or top[0][0] != 4
 
     def test_unknown_entity(self):
@@ -783,20 +783,20 @@ class TestVocab:
             assert v.token(idx) == tok
             assert v.id(tok) == idx
 
-    def test_stop_words_flagged_not_deleted(self):
-        v = Vocab(stop_words=frozenset({"the"}))
-        i_the = v.add("the")
-        i_cat = v.add("cat")
-        assert v.is_stop(i_the)
-        assert not v.is_stop(i_cat)
-        assert len(v) == 2
-        assert v.token(i_the) == "the"
-
-    def test_counts_accumulate(self):
-        v = Vocab()
-        v.add("x", count=2)
-        i = v.add("x", count=3)
-        assert v.count(i) == 5
+    def test_stop_word_keeps_its_id_and_row_but_leaves_the_window(self):
+        # stop words are skipped by the context windows, never deleted, so
+        # word ids and the word table stay as the vector file gives them
+        store = EmbeddingStore(2)
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        store.add_words(["the", "cat", "sat"], rows)
+        doc = Document(doc_id="d", tokens=["the", "cat", "m", "the", "sat"],
+                       mentions=[Mention(start=2, end=3, surface="m")])
+        build_context_windows(Corpus([doc]), store.word_vocab, k=4,
+                              stop_words=frozenset({"the"}))
+        assert doc.mentions[0].context == [1, 2]
+        assert store.word_vocab.id("the") == 0 and store.word_vocab.token(0) == "the"
+        assert len(store.word_vocab) == store.n_words == 3
+        np.testing.assert_array_equal(store.word_rows([0]), rows[:1])
 
     def test_written_rows_read_back_field_for_field(self, tmp_path):
         # empty, non-ASCII (a U+2028 separator is no line break to the
