@@ -490,14 +490,19 @@ def cmd_run_experiment(args) -> int:
 
 
 def cmd_inspect_neighbors(args) -> int:
-    store = load_word_vectors(_data_path(args, "word_vectors"))
-    load_entity_vectors(args.entities, store)
+    if args.k < 1:
+        raise ValidationError(f"--k must be at least 1, got {args.k}")
+    if args.min_freq > 0 and not args.freq:
+        raise ValidationError(f"--min-freq {args.min_freq} needs --freq: without a "
+                              f"frequency table every word counts 0")
+    store = _load_store(args)
     # a word the table leaves out counts 0; a word's last row wins
-    freq = dict(read_counts(args.freq)) if args.freq else {}
+    freq = dict(read_counts(args.freq)) if args.freq else None
     idx = store.entity_vocab.id(args.entity)
     if idx is None:
         raise ValidationError(f"unknown entity {args.entity!r}")
-    allowed = [freq.get(word, 0) >= args.min_freq for word in store.word_vocab.tokens()]
+    allowed = None if freq is None else [freq.get(word, 0) >= args.min_freq
+                                         for word in store.word_vocab.tokens()]
     for word, sim in nearest_words(store, idx, k=args.k, allowed=allowed):
         print(f"{store.word_vocab.token(word)}\t{sim:.4f}")
     return 0

@@ -11,16 +11,13 @@ On-disk formats:
 * text: first line ``<count> <dim>``, then ``token v1 ... v<dim>`` per row,
   space separated, so a token holding a space or a line break is refused.
 * binary: header ``EVEC`` magic (which no text header starts with, so the
-  readers tell the formats apart by it), u16 version, u32 count, u32 dim
-  (all little-endian).  Version 2, which the writer writes, follows it
-  with the rows as one contiguous little-endian float32 ``(count, dim)``
-  block, then the token section: count u16 token byte lengths, then the
-  UTF-8 tokens end to end.  Version 1, still read, follows it per row
-  with a u16 token byte length, the UTF-8 token and <dim> little-endian
-  float32 values.  Either way a token takes at most 65,535 bytes of
-  UTF-8; the binary writer refuses a longer one before it opens the file.
-  Binary round-trips bit-exactly; text round-trips to within 1e-6 per
-  component.
+  readers tell the formats apart by it), u16 version (2), u32 count, u32
+  dim (all little-endian), then the rows as one contiguous little-endian
+  float32 ``(count, dim)`` block, then the token section: count u16 token
+  byte lengths, then the UTF-8 tokens end to end.  A token takes at most
+  65,535 bytes of UTF-8; the binary writer refuses a longer one before it
+  opens the file.  Binary round-trips bit-exactly; text round-trips to
+  within 1e-6 per component.
 
 Each fact about a file is checked once.  The readers check what only the
 file shows: the header, that the file can hold the count and dimension
@@ -34,14 +31,13 @@ structure first, then for its first bad row, then for its first
 duplicate name, and the loaders put the file's path in front of the
 store's message.
 
-The binary reader reads the file whole.  A version-2 file is taken in
-sections: its block as one float32 view of the file, its tokens decoded
-at the offsets the length table gives, with no walk over the rows.  A
-version-1 file is walked row by row, and its rows' values are joined
-into one array.  The reader returns the rows as float32, and the store
-widens them once, into the fresh float64 block that becomes the table,
-so a binary load peaks near one float64 table plus the file, not two
-float64 tables.  The text reader parses each line with Python's `float`.
+The binary reader reads the file whole and takes it in sections: its
+block as one float32 view of the file, its tokens decoded at the offsets
+the length table gives, with no walk over the rows.  The reader returns
+the rows as float32, and the store widens them once, into the fresh
+float64 block that becomes the table, so a binary load peaks near one
+float64 table plus the file, not two float64 tables.  The text reader
+parses each line with Python's `float`.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ from .vocab import Vocab, open_text
 _BINARY_MAGIC = b"EVEC"
 _HEADER = struct.Struct("<HII")  # version, count, dim; after the magic
 _HEADER_BYTES = len(_BINARY_MAGIC) + _HEADER.size
-_BINARY_VERSION = 2  # written; versions 1 and 2 are read
+_BINARY_VERSION = 2  # the one version written and read
 _MAX_TOKEN_BYTES = 0xFFFF  # a binary token's UTF-8 length is a u16
 
 ENTITY_NORM_TOL = 1e-6
@@ -244,12 +240,15 @@ def nearest_words(store: EmbeddingStore, entity: int, k: int,
     eligible = norms > 0.0
     if allowed is not None:
         eligible &= allowed
-    idxs = np.nonzero(eligible)[0]
-    if idxs.size == 0:
-        return []
-    # sort by similarity descending, word id ascending on ties
-    order = sorted(idxs.tolist(), key=lambda i: (-sims[i], i))
-    return [(i, float(sims[i])) for i in order[:k]]
+    idxs = np.flatnonzero(eligible)
+    sims = sims[idxs]
+    if k < idxs.size:
+        # the words at or above the k-th largest similarity: the top k and their ties
+        keep = sims >= np.partition(sims, idxs.size - k)[idxs.size - k]
+        idxs, sims = idxs[keep], sims[keep]
+    # similarity descending, word id ascending on ties
+    order = np.lexsort((idxs, -sims))[:k]
+    return [(int(i), float(s)) for i, s in zip(idxs[order], sims[order])]
 
 
 # -- file formats -----------------------------------------------------
@@ -290,52 +289,23 @@ def _parse_text_vectors(path: str) -> tuple[list[str], np.ndarray]:
 
 
 def _parse_binary_vectors(path: str) -> tuple[list[str], np.ndarray]:
+    """The value block as one view of the file, then the tokens at the
+    offsets the length table gives."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER_BYTES:
         raise ValidationError(f"{path}: truncated binary header")
     version, count, dim = _HEADER.unpack_from(data, len(_BINARY_MAGIC))
-    if version not in (1, 2):
+    if version != _BINARY_VERSION:
         raise ValidationError(f"{path}: unsupported version {version}")
     if count == 0 or dim == 0:
         raise ValidationError(f"{path}: no vectors")
-    # in either version a row holds at least its token length and values:
-    # checked before allocating
-    want = _HEADER_BYTES + count * (2 + 4 * dim)
-    if len(data) < want:
-        raise ValidationError(f"{path}: truncated binary file: {count} rows of {dim} "
-                              f"values need at least {want} bytes, it has {len(data)}")
-    return (_walk_rows if version == 1 else _split_sections)(path, data, count, dim)
-
-
-def _walk_rows(path: str, data: bytes, count: int, dim: int) -> tuple[list[str], np.ndarray]:
-    """Version 1: each row's token and values, walked row by row."""
-    tokens: list[str] = []
-    payloads: list[memoryview] = []
-    view, width, pos = memoryview(data), 4 * dim, _HEADER_BYTES
-    for row in range(1, count + 1):
-        if pos + 2 > len(data):
-            raise ValidationError(f"{path}: truncated at row {row}")
-        (token_len,) = struct.unpack_from("<H", data, pos)
-        raw = data[pos + 2:pos + 2 + token_len]
-        pos += 2 + token_len
-        try:
-            tokens.append(raw.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: token at row {row} is not UTF-8") from exc
-        if pos + width > len(data):
-            raise ValidationError(f"{path}: truncated at row {row}")
-        payloads.append(view[pos:pos + width])
-        pos += width
-    return tokens, np.frombuffer(b"".join(payloads), dtype="<f4").reshape(count, dim)
-
-
-def _split_sections(path: str, data: bytes, count: int,
-                    dim: int) -> tuple[list[str], np.ndarray]:
-    """Version 2: the value block as one view of `data`, then the tokens at
-    the offsets the length table gives."""
     lengths_at = _HEADER_BYTES + 4 * count * dim
     tokens_at = lengths_at + 2 * count
+    # the block and the length table must fit: checked before allocating
+    if len(data) < tokens_at:
+        raise ValidationError(f"{path}: truncated binary file: {count} rows of {dim} "
+                              f"values need at least {tokens_at} bytes, it has {len(data)}")
     values = np.frombuffer(data, "<f4", count * dim, _HEADER_BYTES).reshape(count, dim)
     lengths = np.frombuffer(data, "<u2", count, lengths_at)
     ends = tokens_at + np.cumsum(lengths, dtype=np.int64)

@@ -547,6 +547,14 @@ class TestInspectNeighbors:
                      "--word-vectors", str(data / "word_vectors.txt"),
                      "--entity", "NOPE"]) == 1
 
+    def test_k_below_one_exits_1(self, bench, capsys):
+        tmp, data, entities = bench
+        for k in ("0", "-3"):
+            assert main(["inspect-neighbors", "--entities", str(entities),
+                         "--word-vectors", str(data / "word_vectors.txt"),
+                         "--entity", "E000", "--k", k]) == 1
+            assert capsys.readouterr().err == f"error: --k must be at least 1, got {k}\n"
+
     def test_min_freq_keeps_the_words_the_freq_table_counts_often_enough(
             self, bench, tmp_path, capsys):
         # a word the table leaves out counts 0 and a word's last row wins;
@@ -565,8 +573,10 @@ class TestInspectNeighbors:
         assert capsys.readouterr().out.splitlines() == [lines[1], lines[3]]
         assert main([*argv, "--freq", str(freq)]) == 0
         assert capsys.readouterr().out.splitlines() == lines
-        assert main([*argv, "--min-freq", "1"]) == 0
-        assert capsys.readouterr().out == ""
+        # with no table every word counts 0, so a positive floor is refused
+        assert main([*argv, "--min-freq", "1"]) == 1
+        assert capsys.readouterr().err == ("error: --min-freq 1 needs --freq: without a "
+                                           "frequency table every word counts 0\n")
         freq.write_text(f"{top[0]}\t9\n{top[1]}\t-7\n")
         assert main([*argv, "--freq", str(freq), "--min-freq", "3"]) == 1
         assert capsys.readouterr().err == f"error: {freq}:2: negative count\n"
@@ -636,8 +646,7 @@ class TestExitCodes:
         nan.write_bytes(bytes(raw))
         save_model(str(narrow), LocalParams.init(8, hidden=4))
         vectors = tmp_path / "e.bin"
-        vectors.write_bytes(b"EVEC" + struct.pack("<HIIH", 1, 1, 2, 2) + b"\xff\xfe"
-                            + struct.pack("<2f", 1.0, 0.0))
+        vectors.write_bytes(b"EVEC" + struct.pack("<HII2fH", 2, 1, 2, 1.0, 0.0, 2) + b"\xff\xfe")
         predict = ["--data-dir", str(data), "predict", "--entities", str(entities),
                    "--out", str(tmp_path / "p.tsv"), "--model"]
         (bad_preds, no_preds, bad_count, three_cols, counts, nan_count,

@@ -8,9 +8,8 @@ returns 0, 1 or 2 and raises nothing.  Many mutations leave a valid file
 must exit 1: a truncated binary vector file, a row of the wrong width and
 a non-finite number.  A vector file must also exit 1 for a repeated name
 and, for entities, for rows of another width than the words', and each
-vector file's refusal names the file.  Binary vectors are fuzzed in both
-versions: words and entities as `save_vectors_binary` writes them
-(version 2), and entities in a hand-written version-1 file.
+vector file's refusal names the file.  Binary vectors, words and entities,
+are fuzzed as `save_vectors_binary` writes them, in the one binary layout.
 """
 
 import random
@@ -75,9 +74,8 @@ def _argv(d, name):
                      p["corpus.jsonl"], "--prior", p["prior.tsv"], "--freq",
                      p["freq.tsv"]],
     }
-    for binary in ("entities.bin", "entities_v1.bin"):
-        commands[binary] = [a if a != p["entities.txt"] else p[binary]
-                            for a in commands["entities.txt"]]
+    commands["entities.bin"] = [a if a != p["entities.txt"] else p["entities.bin"]
+                                for a in commands["entities.txt"]]
     commands["words.bin"] = [a if a != p["words.txt"] else p["words.bin"] for a in select]
     commands["queries.tsv"] = commands["entities.txt"]
     commands.update(dict.fromkeys(("prior.tsv", "persons.tsv", "corpus.jsonl"), select))
@@ -86,22 +84,11 @@ def _argv(d, name):
     return commands[name]
 
 
-VECTOR_FILES = ["words.txt", "entities.txt", "words.bin", "entities.bin", "entities_v1.bin"]
+VECTOR_FILES = ["words.txt", "entities.txt", "words.bin", "entities.bin"]
 BINARY_FILES = [n for n in VECTOR_FILES if n.endswith(".bin")]
 FORMATS = [*VECTOR_FILES, "counts.tsv", "queries.tsv", "count_index.tsv",
            "uniform_index.tsv", "prior.tsv", "persons.tsv", "corpus.jsonl", "corpus.col",
            "predictions.tsv", "freq.tsv"]
-
-
-def _version_1(names: list[str], rows) -> bytes:
-    """A version-1 binary vector file: per row a u16 token length, the
-    token and its float32 values."""
-    rows = np.asarray(rows, dtype="<f4")
-    raw = b"EVEC" + struct.pack("<HII", 1, len(names), rows.shape[1])
-    for name, row in zip(names, rows):
-        token = name.encode()
-        raw += struct.pack("<H", len(token)) + token + row.tobytes()
-    return raw
 
 
 @pytest.fixture
@@ -115,7 +102,6 @@ def inputs(tmp_path):
     units /= np.linalg.norm(units, axis=1, keepdims=True)
     save_vectors_text(str(tmp_path / "entities.txt"), ENTITIES, units)
     save_vectors_binary(str(tmp_path / "entities.bin"), ENTITIES, units)
-    (tmp_path / "entities_v1.bin").write_bytes(_version_1(ENTITIES, units))
     for name, text in TEXT_FILES.items():
         (tmp_path / name).write_text(text)
     return tmp_path, {name: (tmp_path / name).read_bytes() for name in FORMATS}
@@ -209,10 +195,7 @@ def test_entity_rows_of_another_width_exit_1(inputs, capsys, name):
     units = np.eye(4)[:len(ENTITIES)]
     save = {"entities.txt": save_vectors_text, "entities.bin": save_vectors_binary}
     wide = d / "wide"
-    if name in save:
-        save[name](str(wide), ENTITIES, units)
-    else:
-        wide.write_bytes(_version_1(ENTITIES, units))
+    save[name](str(wide), ENTITIES, units)
     argv = [str(d / name) if a == str(d / "entities.txt") else a
             for a in _argv(d, "prior.tsv")]
     _refused(d, name, wide.read_bytes(), "4 values a row", capsys, argv)
@@ -243,16 +226,6 @@ def test_negative_number_exits_1(inputs, capsys, name):
     assert code == 1 and f"{d / name}:1: negative" in err, (name, code, err)
 
 
-def _binary_value_offset(data: bytes) -> int:
-    """Offset of the first row's first value in a binary vector file: right
-    after the header in version 2, after the first token in version 1."""
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version == 2:
-        return 14
-    (token_len,) = struct.unpack_from("<H", data, 14)
-    return 14 + 2 + token_len
-
-
 NUMBER_COLUMNS = {"counts.tsv": 2, "count_index.tsv": 2, "prior.tsv": 2,
                   "queries.tsv": 2, "persons.tsv": 1, "freq.tsv": 1,
                   "predictions.tsv": 1}
@@ -269,7 +242,7 @@ def test_non_finite_number_exits_1(inputs, capsys, value):
         cases[name] = b"\n".join(lines)
     for name in BINARY_FILES:
         raw = bytearray(files[name])
-        struct.pack_into("<f", raw, _binary_value_offset(raw), float(value))
+        struct.pack_into("<f", raw, 14, float(value))  # the first value, after the header
         cases[name] = bytes(raw)
     for name, column in NUMBER_COLUMNS.items():
         lines = files[name].split(b"\n")

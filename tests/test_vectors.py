@@ -237,41 +237,36 @@ class TestFormatFromContent:
             read_vectors(str(path))
 
 
-def write_binary(path, tokens: list[bytes], rows) -> bytes:
-    """A binary vector file of raw token bytes and float32 rows; returns its bytes."""
-    rows = np.asarray(rows, dtype="<f4")
-    raw = b"EVEC" + struct.pack("<HII", 1, len(tokens), rows.shape[1])
-    for token, row in zip(tokens, rows):
-        raw += struct.pack("<H", len(token)) + token + row.tobytes()
-    path.write_bytes(raw)
-    return raw
-
-
 def _unit_rows(unit: bool) -> np.ndarray:
     """Five rows of 2 values, scaled to unit norm if `unit` (for entities)."""
     rows = np.arange(10, dtype=np.float64).reshape(5, 2)
     return rows / np.linalg.norm(rows, axis=1, keepdims=True) if unit else rows
 
 
-class TestBinaryReaderFaults:
+def write_binary_v2(path, tokens: list[bytes], rows, version: int = 2) -> bytes:
+    """A version-2 binary vector file of raw token bytes and float32 rows:
+    the header, the rows as one block, the u16 token lengths, the tokens."""
+    rows = np.asarray(rows, dtype="<f4")
+    raw = (b"EVEC" + struct.pack("<HII", version, len(tokens), rows.shape[1]) + rows.tobytes()
+           + struct.pack(f"<{len(tokens)}H", *map(len, tokens)) + b"".join(tokens))
+    path.write_bytes(raw)
+    return raw
+
+
+class TestBinaryV2ReaderFaults:
     """Each fault of a binary vector file gets its message, naming its row.
 
-    Five rows of 2 values under 10-byte tokens; row k (from 1) starts at
-    byte 14 + 20 * (k - 1): two length bytes, the token, then 8 bytes of
-    values.  The reader refuses a fault in the file's structure; a
-    non-finite value or a repeated token reads, and the store refuses it
-    when a loader appends the rows.  These pin that order: the structure,
-    then the first bad row, then the first repeated name.
+    Five rows of 2 values under 10-byte tokens: the 40-byte value block
+    starts at byte 14, the ten bytes of token lengths at 54, and token k
+    (from 1) at 64 + 10 * (k - 1).  The reader refuses a fault in the
+    file's structure; a non-finite value or a repeated token reads, and
+    the store refuses it when a loader appends the rows.  All the values
+    precede all the tokens, yet these pin one order wherever in the file
+    each fault sits: the structure, then the first bad row, then the
+    first repeated name.
     """
 
     TOKENS = [f"token{i:05d}".encode() for i in range(5)]
-
-    def _file(self, tmp_path, tokens=None, nan_row=None, unit=False):
-        rows = _unit_rows(unit)
-        if nan_row is not None:
-            rows[nan_row - 1, 1] = np.nan
-        path = tmp_path / "v.bin"
-        return path, write_binary(path, tokens or list(self.TOKENS), rows)
 
     @staticmethod
     def _refused(path, message):
@@ -293,71 +288,6 @@ class TestBinaryReaderFaults:
             with pytest.raises(ValidationError,
                                match=f"^{re.escape(f'{path}: ' + message.format(what=what))}$"):
                 load()
-
-    def test_truncated_header(self, tmp_path):
-        path, raw = self._file(tmp_path)
-        path.write_bytes(raw[:13])
-        self._refused(path, "truncated binary header")
-
-    @pytest.mark.parametrize("cut,row", [(64, 3), (66, 3), (75, 4), (80, 4), (90, 4)])
-    def test_truncated_row(self, tmp_path, cut, row):
-        # the file keeps the 64 bytes five rows of empty tokens would need,
-        # so the cut is found walking the rows: in a token (64, 80), in the
-        # values (66, 90) or in the length bytes (75)
-        path, raw = self._file(tmp_path)
-        path.write_bytes(raw[:cut])
-        self._refused(path, f"truncated at row {row}")
-
-    def test_non_utf8_token(self, tmp_path):
-        path, _ = self._file(tmp_path, tokens=[*self.TOKENS[:3], b"token\xff\xfe003",
-                                                self.TOKENS[4]])
-        self._refused(path, "token at row 4 is not UTF-8")
-
-    def test_duplicate_token(self, tmp_path):
-        path, _ = self._file(tmp_path, tokens=[*self.TOKENS[:4], self.TOKENS[1]], unit=True)
-        self._store_refuses(path, "duplicate {what}: 'token00001'")
-
-    def test_non_finite_value(self, tmp_path):
-        path, _ = self._file(tmp_path, nan_row=4, unit=True)
-        self._store_refuses(path, "{what} 'token00003': non-finite component")
-
-    def test_structure_then_values_then_names(self, tmp_path):
-        dup = [*self.TOKENS[:3], self.TOKENS[0], self.TOKENS[4]]
-        bad_utf8 = [self.TOKENS[0], b"token\xff\xfe001", *self.TOKENS[2:]]
-        path = tmp_path / "v.bin"
-        # a bad row comes before a repeated name, though the name is earlier
-        self._file(tmp_path, tokens=dup, nan_row=5, unit=True)
-        self._store_refuses(path, "{what} 'token00004': non-finite component")
-        # a fault in the structure comes before both, though they are earlier
-        self._file(tmp_path, tokens=bad_utf8, nan_row=1)
-        self._refused(path, "token at row 2 is not UTF-8")
-        _, raw = self._file(tmp_path, tokens=dup, nan_row=2)
-        path.write_bytes(raw[:80])
-        self._refused(path, "truncated at row 4")
-
-
-def write_binary_v2(path, tokens: list[bytes], rows, version: int = 2) -> bytes:
-    """A version-2 binary vector file of raw token bytes and float32 rows:
-    the header, the rows as one block, the u16 token lengths, the tokens."""
-    rows = np.asarray(rows, dtype="<f4")
-    raw = (b"EVEC" + struct.pack("<HII", version, len(tokens), rows.shape[1]) + rows.tobytes()
-           + struct.pack(f"<{len(tokens)}H", *map(len, tokens)) + b"".join(tokens))
-    path.write_bytes(raw)
-    return raw
-
-
-class TestBinaryV2ReaderFaults:
-    """Each fault of a version-2 file gets its message, naming its row.
-
-    Five rows of 2 values under 10-byte tokens: the 40-byte value block
-    starts at byte 14, the ten bytes of token lengths at 54, and token k
-    (from 1) at 64 + 10 * (k - 1).  All the values precede all the tokens,
-    yet the faults come in version 1's order, wherever in the file each sits.
-    """
-
-    TOKENS = TestBinaryReaderFaults.TOKENS
-    _refused = staticmethod(TestBinaryReaderFaults._refused)
-    _store_refuses = staticmethod(TestBinaryReaderFaults._store_refuses)
 
     def _file(self, tmp_path, tokens=None, nan_row=None, unit=False):
         rows = _unit_rows(unit)
@@ -437,8 +367,9 @@ class TestBinaryV2ReaderFaults:
 
     def test_unsupported_version(self, tmp_path):
         path, _ = self._file(tmp_path)
-        write_binary_v2(path, list(self.TOKENS), np.eye(5, 2), version=3)
-        self._refused(path, "unsupported version 3")
+        for version in (1, 3):
+            write_binary_v2(path, list(self.TOKENS), np.eye(5, 2), version=version)
+            self._refused(path, f"unsupported version {version}")
 
     def test_structure_then_values_then_names(self, tmp_path):
         dup = [*self.TOKENS[:3], self.TOKENS[0], self.TOKENS[4]]
@@ -580,35 +511,31 @@ def test_binary_values_read_back_exactly(tmp_path):
                      dtype=np.float32)
     entities = np.array([[-0.0, f32.smallest_subnormal, 1.0, 0.0],
                          [0.0, -1.0, -f32.smallest_subnormal, -0.0]], dtype=np.float32)
-    for write in (write_binary, write_binary_v2):
-        write(tmp_path / "w.bin", [b"a", b"b"], words)
-        write(tmp_path / "e.bin", [b"E0", b"E1"], entities)
-        store = load_word_vectors(str(tmp_path / "w.bin"))
-        assert load_entity_vectors(str(tmp_path / "e.bin"), store, fmt="binary") == 2
-        for got, want in ((store.word_matrix(), words), (store.entity_matrix(), entities)):
-            assert got.dtype == np.float64
-            assert got.tobytes() == want.astype(np.float64).tobytes()
+    write_binary_v2(tmp_path / "w.bin", [b"a", b"b"], words)
+    write_binary_v2(tmp_path / "e.bin", [b"E0", b"E1"], entities)
+    store = load_word_vectors(str(tmp_path / "w.bin"))
+    assert load_entity_vectors(str(tmp_path / "e.bin"), store, fmt="binary") == 2
+    for got, want in ((store.word_matrix(), words), (store.entity_matrix(), entities)):
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.astype(np.float64).tobytes()
 
 
-def test_versions_1_and_2_load_the_same_tables(tmp_path):
-    # the same rows under multi-byte, empty and longest tokens load to
-    # byte-identical tables and vocabularies from either version
+def test_multibyte_empty_and_longest_tokens_load_back(tmp_path):
+    # tokens of several UTF-8 widths, an empty one and one of the most
+    # bytes a token may take load back as written, beside their rows
     rng = np.random.default_rng(11)
     words = ["Zürich", "", "東京", "😀x", "a" * 0xFFFF, "é" * 100, "plain"]
     entities = ["New York", "São_Paulo", "E\u00e9\u0301", "Ω"]
-    word_rows = rng.normal(size=(len(words), 5))
+    word_rows = rng.normal(size=(len(words), 5)).astype("<f4")
     entity_rows = rng.normal(size=(len(entities), 5))
-    entity_rows /= np.linalg.norm(entity_rows, axis=1, keepdims=True)
-    loaded = []
-    for write in (write_binary, write_binary_v2):
-        write(tmp_path / "w.bin", [w.encode() for w in words], word_rows)
-        write(tmp_path / "e.bin", [e.encode() for e in entities], entity_rows)
-        store = load_word_vectors(str(tmp_path / "w.bin"))
-        load_entity_vectors(str(tmp_path / "e.bin"), store)
-        loaded.append((store.word_vocab.tokens(), store.entity_vocab.tokens(),
-                       store.word_matrix().tobytes(), store.entity_matrix().tobytes()))
-    assert loaded[0] == loaded[1]
-    assert loaded[0][:2] == (words, entities)
+    entity_rows = (entity_rows / np.linalg.norm(entity_rows, axis=1, keepdims=True)).astype("<f4")
+    write_binary_v2(tmp_path / "w.bin", [w.encode() for w in words], word_rows)
+    write_binary_v2(tmp_path / "e.bin", [e.encode() for e in entities], entity_rows)
+    store = load_word_vectors(str(tmp_path / "w.bin"))
+    load_entity_vectors(str(tmp_path / "e.bin"), store)
+    assert (store.word_vocab.tokens(), store.entity_vocab.tokens()) == (words, entities)
+    np.testing.assert_array_equal(store.word_matrix(), word_rows)
+    np.testing.assert_array_equal(store.entity_matrix(), entity_rows)
 
 
 def _word_load_peak(tmp_path, fmt: str = "binary") -> tuple[int, int]:
@@ -749,6 +676,27 @@ class TestNearestWords:
         want = sorted(sims, key=lambda t: (-t[1], t[0]))
         assert [i for i, _ in got] == [i for i, _ in want]
         np.testing.assert_allclose([s for _, s in got], [s for _, s in want], atol=1e-12)
+
+    def test_ties_at_the_kth_place_break_by_word_id(self):
+        # each of 6 rows four times over, the copies at scattered ids, so
+        # many a k cuts through a run of equal similarities
+        rng = np.random.default_rng(12)
+        rows = rng.normal(size=(6, 8))
+        store = EmbeddingStore(8)
+        order = rng.permutation(24)
+        store.add_words([f"w{i}" for i in range(24)], rows[order % 6])
+        z = rng.normal(size=8)
+        store.add_entities(["E"], [z / np.linalg.norm(z)])
+        sims = store.word_matrix() @ store.entity_vec(0) / np.linalg.norm(
+            store.word_matrix(), axis=1)
+        allowed = [i % 5 != 0 for i in range(24)]
+        # oracle: every eligible word sorted, then the first k
+        want = sorted((i for i in range(24) if allowed[i]), key=lambda i: (-sims[i], i))
+        straddled = [k for k in range(1, len(want)) if sims[want[k - 1]] == sims[want[k]]]
+        assert len(straddled) >= 5, straddled
+        for k in range(1, len(want) + 2):
+            got = nearest_words(store, 0, k=k, allowed=allowed)
+            assert [i for i, _ in got] == want[:k], k
 
     def test_min_freq_filters(self):
         store = small_store()
