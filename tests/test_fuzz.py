@@ -9,7 +9,9 @@ must exit 1: a truncated binary vector file, a row of the wrong width and
 a non-finite number.  A vector file must also exit 1 for a repeated name
 and, for entities, for rows of another width than the words', and each
 vector file's refusal names the file.  Binary vectors, words and entities,
-are fuzzed as `save_vectors_binary` writes them, in the one binary layout.
+are fuzzed as `save_vectors_binary` writes them, in the one binary layout
+read.  An entities file in the old version-1 layout is fuzzed too: it is
+refused whole, so a repeated name or a wider row in it exits 1 as well.
 """
 
 import random
@@ -53,7 +55,7 @@ TEXT_FILES = {
 
 def _argv(d, name):
     """The command reading `name` from directory `d`, its other inputs valid."""
-    p = {n: str(d / n) for n in (*TEXT_FILES, *VECTOR_FILES)}
+    p = {n: str(d / n) for n in (*TEXT_FILES, *VECTOR_FILES, OLD_LAYOUT)}
     select = ["select-candidates", "--word-vectors", p["words.txt"], "--entities",
               p["entities.txt"], "--prior", p["prior.tsv"], "--persons",
               p["persons.tsv"], "--corpus", p["corpus.jsonl"], "--out", str(d / "out.tsv")]
@@ -74,8 +76,9 @@ def _argv(d, name):
                      p["corpus.jsonl"], "--prior", p["prior.tsv"], "--freq",
                      p["freq.tsv"]],
     }
-    commands["entities.bin"] = [a if a != p["entities.txt"] else p["entities.bin"]
-                                for a in commands["entities.txt"]]
+    for binary in ("entities.bin", OLD_LAYOUT):
+        commands[binary] = [a if a != p["entities.txt"] else p[binary]
+                            for a in commands["entities.txt"]]
     commands["words.bin"] = [a if a != p["words.txt"] else p["words.bin"] for a in select]
     commands["queries.tsv"] = commands["entities.txt"]
     commands.update(dict.fromkeys(("prior.tsv", "persons.tsv", "corpus.jsonl"), select))
@@ -89,6 +92,18 @@ BINARY_FILES = [n for n in VECTOR_FILES if n.endswith(".bin")]
 FORMATS = [*VECTOR_FILES, "counts.tsv", "queries.tsv", "count_index.tsv",
            "uniform_index.tsv", "prior.tsv", "persons.tsv", "corpus.jsonl", "corpus.col",
            "predictions.tsv", "freq.tsv"]
+OLD_LAYOUT = "entities_v1.bin"   # entities in the version-1 layout, never read
+
+
+def _version_1(names: list[str], rows) -> bytes:
+    """A version-1 binary vector file: per row a u16 token length, the
+    token and its float32 values."""
+    rows = np.asarray(rows, dtype="<f4")
+    raw = b"EVEC" + struct.pack("<HII", 1, len(names), rows.shape[1])
+    for name, row in zip(names, rows):
+        token = name.encode()
+        raw += struct.pack("<H", len(token)) + token + row.tobytes()
+    return raw
 
 
 @pytest.fixture
@@ -102,9 +117,10 @@ def inputs(tmp_path):
     units /= np.linalg.norm(units, axis=1, keepdims=True)
     save_vectors_text(str(tmp_path / "entities.txt"), ENTITIES, units)
     save_vectors_binary(str(tmp_path / "entities.bin"), ENTITIES, units)
+    (tmp_path / OLD_LAYOUT).write_bytes(_version_1(ENTITIES, units))
     for name, text in TEXT_FILES.items():
         (tmp_path / name).write_text(text)
-    return tmp_path, {name: (tmp_path / name).read_bytes() for name in FORMATS}
+    return tmp_path, {name: (tmp_path / name).read_bytes() for name in (*FORMATS, OLD_LAYOUT)}
 
 
 def _run(d, name, data, what, capsys, argv=None):
@@ -152,7 +168,7 @@ def test_valid_inputs_exit_0(inputs, capsys):
         assert _run(d, name, files[name], "unchanged", capsys)[0] == 0, name
 
 
-@pytest.mark.parametrize("name", FORMATS)
+@pytest.mark.parametrize("name", [*FORMATS, OLD_LAYOUT])
 def test_mutated_file_keeps_the_exit_code_contract(inputs, capsys, name):
     d, files = inputs
     rng = random.Random(f"{name}-fuzz")
@@ -188,20 +204,24 @@ def test_wrong_row_width_exits_1(inputs, capsys, name):
         assert _run(d, name, widened, "last row widened", capsys)[0] == 1
 
 
-@pytest.mark.parametrize("name", [n for n in VECTOR_FILES if n.startswith("entities")])
+@pytest.mark.parametrize("name", [*(n for n in VECTOR_FILES if n.startswith("entities")),
+                                  OLD_LAYOUT])
 def test_entity_rows_of_another_width_exit_1(inputs, capsys, name):
     # select-candidates appends 4-value entity rows to 3-value words
     d, _ = inputs
     units = np.eye(4)[:len(ENTITIES)]
     save = {"entities.txt": save_vectors_text, "entities.bin": save_vectors_binary}
     wide = d / "wide"
-    save[name](str(wide), ENTITIES, units)
+    if name in save:
+        save[name](str(wide), ENTITIES, units)
+    else:
+        wide.write_bytes(_version_1(ENTITIES, units))
     argv = [str(d / name) if a == str(d / "entities.txt") else a
             for a in _argv(d, "prior.tsv")]
     _refused(d, name, wide.read_bytes(), "4 values a row", capsys, argv)
 
 
-@pytest.mark.parametrize("name", VECTOR_FILES)
+@pytest.mark.parametrize("name", [*VECTOR_FILES, OLD_LAYOUT])
 def test_repeated_name_exits_1(inputs, capsys, name):
     # a name becomes a copy of another of its length, in its place
     d, files = inputs

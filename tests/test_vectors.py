@@ -391,6 +391,68 @@ class TestBinaryV2ReaderFaults:
         self._refused(path, "bytes after the last token, from byte 114 of 115")
 
 
+def write_binary(path, tokens: list[bytes], rows) -> bytes:
+    """A file in the version-1 layout, which nothing reads any more: per row
+    a u16 token length, the token and its float32 values."""
+    rows = np.asarray(rows, dtype="<f4")
+    raw = b"EVEC" + struct.pack("<HII", 1, len(tokens), rows.shape[1])
+    for token, row in zip(tokens, rows):
+        raw += struct.pack("<H", len(token)) + token + row.tobytes()
+    path.write_bytes(raw)
+    return raw
+
+
+class TestBinaryReaderFaults:
+    """A version-1 file is refused as an unsupported version, whatever its
+    own fault: the version is read before any row, token or name, so no
+    fault of the old layout is reported as one of the current layout's.
+    Only a header too short to hold the version is refused as truncated.
+    """
+
+    TOKENS = TestBinaryV2ReaderFaults.TOKENS
+    _refused = staticmethod(TestBinaryV2ReaderFaults._refused)
+    UNSUPPORTED = "unsupported version 1"
+
+    def _file(self, tmp_path, tokens=None, nan_row=None, unit=False):
+        rows = _unit_rows(unit)
+        if nan_row is not None:
+            rows[nan_row - 1, 1] = np.nan
+        path = tmp_path / "v.bin"
+        return path, write_binary(path, tokens or list(self.TOKENS), rows)
+
+    def test_truncated_header(self, tmp_path):
+        path, raw = self._file(tmp_path)
+        path.write_bytes(raw[:13])
+        self._refused(path, "truncated binary header")
+
+    def test_non_utf8_token(self, tmp_path):
+        path, _ = self._file(tmp_path, tokens=[*self.TOKENS[:3], b"token\xff\xfe003",
+                                                self.TOKENS[4]])
+        self._refused(path, self.UNSUPPORTED)
+
+    def test_duplicate_token(self, tmp_path):
+        path, _ = self._file(tmp_path, tokens=[*self.TOKENS[:4], self.TOKENS[1]], unit=True)
+        self._refused(path, self.UNSUPPORTED)
+
+    def test_non_finite_value(self, tmp_path):
+        path, _ = self._file(tmp_path, nan_row=4, unit=True)
+        self._refused(path, self.UNSUPPORTED)
+
+    def test_structure_then_values_then_names(self, tmp_path):
+        dup = [*self.TOKENS[:3], self.TOKENS[0], self.TOKENS[4]]
+        bad_utf8 = [self.TOKENS[0], b"token\xff\xfe001", *self.TOKENS[2:]]
+        path = tmp_path / "v.bin"
+        # the version comes before a bad row and a repeated name
+        self._file(tmp_path, tokens=dup, nan_row=5, unit=True)
+        self._refused(path, self.UNSUPPORTED)
+        # and before a fault in the structure
+        self._file(tmp_path, tokens=bad_utf8, nan_row=1)
+        self._refused(path, self.UNSUPPORTED)
+        _, raw = self._file(tmp_path, tokens=dup, nan_row=2)
+        path.write_bytes(raw[:80])
+        self._refused(path, self.UNSUPPORTED)
+
+
 class TestBulkAppend:
     """An append checks its rows as one block; the first bad row is named
     with the message it would get on its own, and nothing changes."""
