@@ -95,27 +95,37 @@ def _data_path(args, flag: str, key: str | None = None, base: str | None = None)
     return str(Path(base) / DATA_FILES[key or flag])
 
 
-def _load_store(args, base: str | None = None) -> EmbeddingStore:
-    store = load_word_vectors(_data_path(args, "word_vectors", base=base))
+def _load_store(args, words: str, keep: set[str] | None = None) -> EmbeddingStore:
+    """The word vectors in file `words` (of the tokens in `keep` only, if
+    given) and the `--entities` vectors if that flag names a file."""
+    store = load_word_vectors(words, keep=keep)
     if getattr(args, "entities", None):
         load_entity_vectors(args.entities, store)
     return store
 
 
-def _candidate_corpora(args, cfg: ExperimentConfig, store,
-                       files: dict[str, tuple[str, str]]) -> dict[str, Corpus]:
+def _corpora_and_store(args, cfg: ExperimentConfig, files: dict[str, tuple[str, str]]
+                       ) -> tuple[dict[str, Corpus], EmbeddingStore]:
     """The corpus of each split, whose path `_data_path` resolves from the
-    split's (flag, key), through the experiment's candidate stage, whose
-    context windows skip the `--stopwords` list's words."""
+    split's (flag, key), and a store of only the words they hold.  A missing
+    word vector path is named before a missing corpus."""
+    words = _data_path(args, "word_vectors", base=cfg.data_dir)
+    corpora = {split: load_corpus(_data_path(args, flag, key, cfg.data_dir))
+               for split, (flag, key) in files.items()}
+    keep = {token for corpus in corpora.values() for doc in corpus for token in doc.tokens}
+    return corpora, _load_store(args, words, keep)
+
+
+def _select_candidates(args, cfg: ExperimentConfig, store,
+                       corpora: dict[str, Corpus]) -> None:
+    """The experiment's candidate stage over `corpora`, whose context windows
+    skip the `--stopwords` list's words."""
     stop_words = load_stop_words(args.stopwords) if args.stopwords else frozenset()
     prior = load_prior(_data_path(args, "prior", base=cfg.data_dir), store.entity_vocab)
     is_person = (load_person_predicate(args.persons, store.entity_vocab)
                  if args.persons else None)
     store.sync_entities()
-    corpora = {split: load_corpus(_data_path(args, flag, key, cfg.data_dir))
-               for split, (flag, key) in files.items()}
     select_all_candidates(cfg, corpora.values(), store, prior, is_person, stop_words)
-    return corpora
 
 
 def _add_vector_flags(p, entities: bool = True):
@@ -269,7 +279,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train_embeddings(args) -> int:
     cfg = _experiment_config(args)
-    store = _load_store(args, cfg.data_dir)
+    store = _load_store(args, _data_path(args, "word_vectors", base=cfg.data_dir))
     embed = stage_objects(cfg, store.dim)["embeddings"]
     try:
         embed = replace(embed, hyperlink_iters=args.link_iterations,
@@ -306,7 +316,7 @@ def cmd_eval_relatedness(args) -> int:
     names, rows = read_vectors(args.entities)
     store = EmbeddingStore(rows.shape[1])
     with naming_file(args.entities):
-        store.add_entities(names, rows)
+        store.add_entities(names, rows, copy=False)
     queries = load_relatedness_queries(
         _data_path(args, "queries"), store.entity_vocab)
     store.sync_entities()
@@ -340,8 +350,9 @@ def cmd_build_prior(args) -> int:
 
 def cmd_select_candidates(args) -> int:
     cfg = _experiment_config(args)
-    store = _load_store(args, cfg.data_dir)
-    corpus = _candidate_corpora(args, cfg, store, {"input": ("corpus", "test")})["input"]
+    corpora, store = _corpora_and_store(args, cfg, {"input": ("corpus", "test")})
+    _select_candidates(args, cfg, store, corpora)
+    corpus = corpora["input"]
     write_rows(args.out, ["doc", "mention", "entity", "prior", "reason"],
                ((doc.doc_id, idx, store.entity_vocab.token(cand.entity),
                  f"{cand.prior:.6f}", cand.reason)
@@ -356,9 +367,9 @@ def cmd_select_candidates(args) -> int:
 
 def _run_training(args, stage: str) -> int:
     cfg = _experiment_config(args)
-    store = _load_store(args, cfg.data_dir)
-    corpora = _candidate_corpora(args, cfg, store, {"train": ("train", "train"),
+    corpora, store = _corpora_and_store(args, cfg, {"train": ("train", "train"),
                                                     "validation": ("val", "validation")})
+    _select_candidates(args, cfg, store, corpora)
     params, history = fit(cfg, stage, store, corpora)
     save_model(args.out, params, extra={"gamma": cfg.gamma, "seed": cfg.seed,
                                         "epochs_run": history.epochs_run})
@@ -381,13 +392,13 @@ def cmd_predict(args) -> int:
     params = load_model(args.model)
     is_global = isinstance(params, GlobalParams)
     local = params.local if is_global else params
-    store = _load_store(args, cfg.data_dir)
+    corpora, store = _corpora_and_store(args, cfg, {"input": ("corpus", "test")})
     if local.dim != store.dim:
         raise ValidationError(f"{args.model}: model dimension {local.dim} does not match "
                               f"the word vectors' {store.dim}")
     # context windows of the model's own K
-    corpus = _candidate_corpora(args, replace(cfg, k=local.k), store,
-                                {"input": ("corpus", "test")})["input"]
+    _select_candidates(args, replace(cfg, k=local.k), store, corpora)
+    corpus = corpora["input"]
     predict = predict_global if is_global else predict_local
     write_rows(args.out, ["doc", "mention", "entity"],
                ((doc.doc_id, idx, store.entity_vocab.token(pred) if pred is not None else "")
@@ -495,7 +506,7 @@ def cmd_inspect_neighbors(args) -> int:
     if args.min_freq > 0 and not args.freq:
         raise ValidationError(f"--min-freq {args.min_freq} needs --freq: without a "
                               f"frequency table every word counts 0")
-    store = _load_store(args)
+    store = _load_store(args, _data_path(args, "word_vectors"))
     # a word the table leaves out counts 0; a word's last row wins
     freq = dict(read_counts(args.freq)) if args.freq else None
     idx = store.entity_vocab.id(args.entity)

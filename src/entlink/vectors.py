@@ -31,17 +31,28 @@ structure first, then for its first bad row, then for its first
 duplicate name, and the loaders put the file's path in front of the
 store's message.
 
-The binary reader reads the file whole and takes it in sections: its
-block as one float32 view of the file, its tokens decoded at the offsets
-the length table gives, with no walk over the rows.  The reader returns
-the rows as float32, and the store widens them once, into the fresh
-float64 block that becomes the table, so a binary load peaks near one
-float64 table plus the file, not two float64 tables.  The text reader
-parses each line with Python's `float`.
+The binary reader streams the file.  It reads the header and checks
+that the file can hold the sizes it gives, then the token lengths and the
+token section, decoding each token, and only then the rows it keeps: each
+run of adjacent rows after one seek, 256 KiB of float32 values at a time,
+widened into one float64 block allocated once.  The text reader parses
+each line with Python's `float` into one float64 block, sized by the
+header's count and the rows the file's size can hold.  Either block
+becomes the store's table uncopied, so a load peaks near one float64
+table.
+
+Given a set of tokens to keep, a reader returns only the rows whose token
+the set holds, in file order, so word ids still rise with file position.
+Every row's structure is still checked (its token's UTF-8, its line's
+syntax), but the store's checks reach only the kept rows: a non-finite
+value or a repeated name in rows not kept is not refused.  Refusing them
+would mean reading every row of the value block, which a keeping binary
+load skips, and holding every name in a set, not only the kept ones.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from contextlib import contextmanager
 
@@ -55,6 +66,7 @@ _HEADER = struct.Struct("<HII")  # version, count, dim; after the magic
 _HEADER_BYTES = len(_BINARY_MAGIC) + _HEADER.size
 _BINARY_VERSION = 2  # the one version written and read
 _MAX_TOKEN_BYTES = 0xFFFF  # a binary token's UTF-8 length is a u16
+_CHUNK_BYTES = 1 << 18  # float32 values read or written at a time: 256 KiB
 
 ENTITY_NORM_TOL = 1e-6
 
@@ -85,11 +97,14 @@ class EmbeddingStore:
     def word_matrix(self) -> np.ndarray:
         return self._words
 
-    def add_words(self, tokens: list[str], rows) -> None:
-        """Append one word per row, copying the table once."""
+    def add_words(self, tokens: list[str], rows, *, copy: bool = True) -> None:
+        """Append one word per row, copying the table once.  With `copy`
+        false, a float64 `rows` block that no one else holds may become the
+        table itself."""
         if self.words_frozen:
             raise ValidationError("word table is frozen")
-        self._words = self._appended(self.word_vocab, self._words, tokens, rows, "word")
+        self._words = self._appended(self.word_vocab, self._words, tokens, rows, "word",
+                                     copy=copy)
 
     def freeze_words(self) -> None:
         self.words_frozen = True
@@ -112,10 +127,11 @@ class EmbeddingStore:
     def entity_matrix(self) -> np.ndarray:
         return self._entities
 
-    def add_entities(self, names: list[str], rows) -> None:
-        """Append one unit-norm entity per row, copying the table once."""
+    def add_entities(self, names: list[str], rows, *, copy: bool = True) -> None:
+        """Append one unit-norm entity per row, copying the table once
+        (`copy` as for words)."""
         self._entities = self._appended(self.entity_vocab, self._entities, names, rows,
-                                        "entity", unit=True)
+                                        "entity", unit=True, copy=copy)
 
     def set_entity_rows(self, ids, rows) -> None:
         """Rewrite the entity rows at `ids`, checked as appended rows are."""
@@ -137,30 +153,32 @@ class EmbeddingStore:
         return int(ids.size)
 
     def _appended(self, vocab: Vocab, table: np.ndarray, names: list[str], rows,
-                  what: str, unit: bool = False) -> np.ndarray:
+                  what: str, unit: bool = False, copy: bool = True) -> np.ndarray:
         """`table` with the checked rows appended, their names added to `vocab`.
 
         Every row and name is checked before anything changes: row i must
         take id len(table) + i, so the vocabulary must hold one name per row
         and a name already present or given twice is a duplicate.
         """
-        block = self._checked_block(names, rows, what, unit)
+        block = self._checked_block(names, rows, what, unit, copy)
         if len(vocab) != table.shape[0]:
             raise ValidationError(
                 f"{what} vocabulary holds {len(vocab)} names for {table.shape[0]} rows")
         vocab.extend(names, what)
         return np.concatenate([table, block]) if table.shape[0] else block
 
-    def _checked_block(self, names: list, rows, what: str, unit: bool) -> np.ndarray:
-        """`rows` widened into one fresh (len(names), d) float64 block, each
-        row checked as `_check_vec` checks it: the first bad row gets that
-        row's message, `what` and its name."""
+    def _checked_block(self, names: list, rows, what: str, unit: bool,
+                       copy: bool = True) -> np.ndarray:
+        """`rows` widened into one (len(names), d) float64 block, fresh unless
+        `copy` is false and `rows` is one already, each row checked as
+        `_check_vec` checks it: the first bad row gets that row's message,
+        `what` and its name."""
         if len(rows) != len(names):
             raise ValidationError(f"{len(names)} {what} names for {len(rows)} rows")
         if not len(names):
             return np.empty((0, self.dim))
         try:
-            block = np.array(rows, dtype=np.float64)
+            block = (np.array if copy else np.asarray)(rows, dtype=np.float64)
         except ValueError:  # rows of unequal lengths
             block = None
         if block is None or block.shape != (len(names), self.dim):
@@ -254,9 +272,16 @@ def nearest_words(store: EmbeddingStore, entity: int, k: int,
 # -- file formats -----------------------------------------------------
 
 
-def _parse_text_vectors(path: str) -> tuple[list[str], np.ndarray]:
+def _chunk_rows(dim: int) -> int:
+    """Rows of `dim` float32 values in one read or write of the block."""
+    return max(1, _CHUNK_BYTES // (4 * dim))
+
+
+def _parse_text_vectors(path: str, keep: set[str] | None) -> tuple[list[str], np.ndarray]:
+    """The tokens of the rows (those in `keep`, if given) and their values,
+    parsed into one float64 block; every row's syntax is checked."""
     tokens: list[str] = []
-    rows: list[np.ndarray] = []
+    found = 0
     with open_text(path) as fh:
         header = fh.readline()
         if not header.strip():
@@ -270,6 +295,10 @@ def _parse_text_vectors(path: str) -> tuple[list[str], np.ndarray]:
             raise ValidationError(f"{path}:1: bad header {header!r}") from exc
         if count <= 0 or dim <= 0:
             raise ValidationError(f"{path}: no vectors")
+        # a row that parses takes at least 2 * dim + 1 bytes: a space and a
+        # character per value, then a line break (which the last may lack)
+        room = (os.fstat(fh.fileno()).st_size - len(header.encode()) + 1) // (2 * dim + 1)
+        block = np.empty((min(count, room, count if keep is None else len(keep)), dim))
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -278,63 +307,97 @@ def _parse_text_vectors(path: str) -> tuple[list[str], np.ndarray]:
                 raise ValidationError(
                     f"{path}:{lineno}: row has {len(fields) - 1} values, expected {dim}")
             try:
-                rows.append(np.array([float(x) for x in fields[1:]], dtype=np.float64))
+                values = [float(x) for x in fields[1:]]
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: unparseable value") from exc
-            tokens.append(fields[0])
-    if len(tokens) != count:
-        raise ValidationError(
-            f"{path}: header declares {count} rows, found {len(tokens)}")
-    return tokens, np.vstack(rows)
+            found += 1
+            # a row past the header's count is refused below, so not kept
+            if found <= count and (keep is None or fields[0] in keep):
+                if len(tokens) == len(block):  # a kept token repeated: the store refuses it
+                    block = np.concatenate([block, np.empty((len(block) + 1, dim))])
+                block[len(tokens)] = values
+                tokens.append(fields[0])
+    if found != count:
+        raise ValidationError(f"{path}: header declares {count} rows, found {found}")
+    return tokens, block if len(tokens) == len(block) else block[:len(tokens)].copy()
 
 
-def _parse_binary_vectors(path: str) -> tuple[list[str], np.ndarray]:
-    """The value block as one view of the file, then the tokens at the
-    offsets the length table gives."""
+def _parse_binary_vectors(path: str, keep: set[str] | None) -> tuple[list[str], np.ndarray]:
+    """The header, then the token section, then the rows of the tokens kept
+    (all, or those in `keep`) read from the value block a chunk at a time."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER_BYTES:
-        raise ValidationError(f"{path}: truncated binary header")
-    version, count, dim = _HEADER.unpack_from(data, len(_BINARY_MAGIC))
-    if version != _BINARY_VERSION:
-        raise ValidationError(f"{path}: unsupported version {version}")
-    if count == 0 or dim == 0:
-        raise ValidationError(f"{path}: no vectors")
-    lengths_at = _HEADER_BYTES + 4 * count * dim
-    tokens_at = lengths_at + 2 * count
-    # the block and the length table must fit: checked before allocating
-    if len(data) < tokens_at:
-        raise ValidationError(f"{path}: truncated binary file: {count} rows of {dim} "
-                              f"values need at least {tokens_at} bytes, it has {len(data)}")
-    values = np.frombuffer(data, "<f4", count * dim, _HEADER_BYTES).reshape(count, dim)
-    lengths = np.frombuffer(data, "<u2", count, lengths_at)
-    ends = tokens_at + np.cumsum(lengths, dtype=np.int64)
-    whole = int(np.searchsorted(ends, len(data), side="right"))  # rows whose token fits
-    ends = ends[:whole].tolist()
-    tokens: list[str] = []
-    try:
-        for a, b in zip([tokens_at, *ends], ends):
-            tokens.append(data[a:b].decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: token at row {len(tokens) + 1} is not UTF-8") from exc
-    if whole < count:
-        raise ValidationError(f"{path}: truncated at row {whole + 1}")
-    if ends[-1] < len(data):
-        raise ValidationError(f"{path}: bytes after the last token, from byte {ends[-1]} "
-                              f"of {len(data)}")
-    return tokens, values
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER_BYTES)
+        if len(head) < _HEADER_BYTES:
+            raise ValidationError(f"{path}: truncated binary header")
+        version, count, dim = _HEADER.unpack_from(head, len(_BINARY_MAGIC))
+        if version != _BINARY_VERSION:
+            raise ValidationError(f"{path}: unsupported version {version}")
+        if count == 0 or dim == 0:
+            raise ValidationError(f"{path}: no vectors")
+        lengths_at = _HEADER_BYTES + 4 * count * dim
+        tokens_at = lengths_at + 2 * count
+        # the block and the length table must fit: checked before allocating
+        if size < tokens_at:
+            raise ValidationError(f"{path}: truncated binary file: {count} rows of {dim} "
+                                  f"values need at least {tokens_at} bytes, it has {size}")
+        fh.seek(lengths_at)
+        ends = np.cumsum(np.frombuffer(fh.read(2 * count), "<u2"), dtype=np.int64)
+        section = fh.read(min(int(ends[-1]), size - tokens_at))
+        whole = int(np.searchsorted(ends, len(section), side="right"))  # rows whose token fits
+        ends = ends[:whole].tolist()
+        tokens: list[str] = []  # of the rows kept
+        rows: list[int] = []  # the rows kept, if `keep` is given
+        row = 0
+        try:
+            for row, (a, b) in enumerate(zip([0, *ends], ends)):
+                token = section[a:b].decode("utf-8")
+                if keep is None or token in keep:
+                    tokens.append(token)
+                    if keep is not None:
+                        rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: token at row {row + 1} is not UTF-8") from exc
+        if whole < count:
+            raise ValidationError(f"{path}: truncated at row {whole + 1}")
+        if tokens_at + ends[-1] < size:
+            raise ValidationError(f"{path}: bytes after the last token, from byte "
+                                  f"{tokens_at + ends[-1]} of {size}")
+        return tokens, _read_rows(fh, path, np.arange(count) if keep is None
+                                  else np.array(rows, dtype=np.int64), dim)
 
 
-def read_vectors(path: str, fmt: str | None = None) -> tuple[list[str], np.ndarray]:
-    """The tokens and `(count, dim)` rows of a vector file of either format,
-    refusing one not in format `fmt` if given.  A binary file's rows come as
-    its float32 values, a text file's as float64.  The rows' values and the
-    tokens' uniqueness are left to the store the loaders append them to."""
+def _read_rows(fh, path: str, rows: np.ndarray, dim: int) -> np.ndarray:
+    """The value block's float32 rows at the ascending indices `rows`, widened
+    into one fresh float64 block: each run of adjacent rows is read with one
+    seek, then in chunks through one float32 buffer."""
+    block = np.empty((len(rows), dim))
+    step = _chunk_rows(dim)
+    buf = np.empty(min(step, len(rows)) * dim, dtype="<f4")
+    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()  # where runs begin
+    for lo, hi in zip(starts, [*starts[1:], len(rows)]):
+        fh.seek(_HEADER_BYTES + 4 * dim * rows[lo])
+        for a in range(lo, hi, step):
+            n = min(step, hi - a)
+            chunk = buf[:n * dim]
+            if fh.readinto(chunk) != chunk.nbytes:  # the file shrank since its size was read
+                raise ValidationError(f"{path}: truncated at row {rows[a] + 1}")
+            block[a:a + n] = chunk.reshape(n, dim)
+    return block
+
+
+def read_vectors(path: str, fmt: str | None = None,
+                 keep: set[str] | None = None) -> tuple[list[str], np.ndarray]:
+    """The tokens and `(rows, dim)` float64 rows of a vector file of either
+    format, refusing one not in format `fmt` if given.  Given a set `keep`,
+    only the rows whose token it holds, in file order; a token it holds that
+    the file lacks is ignored.  The rows' values and the tokens' uniqueness
+    are left to the store the loaders append them to."""
     with open(path, "rb") as fh:
         found = "binary" if fh.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC else "text"
     if fmt not in (None, found):
         raise ValidationError(f"{path}: expected {fmt} vectors, found {found}")
-    return (_parse_binary_vectors if found == "binary" else _parse_text_vectors)(path)
+    return (_parse_binary_vectors if found == "binary" else _parse_text_vectors)(path, keep)
 
 
 @contextmanager
@@ -347,12 +410,14 @@ def naming_file(path: str):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def load_word_vectors(path: str, fmt: str | None = None) -> EmbeddingStore:
-    """Load word vectors (of format `fmt` if given) into a store with a frozen word table."""
-    tokens, rows = read_vectors(path, fmt)
+def load_word_vectors(path: str, fmt: str | None = None,
+                      keep: set[str] | None = None) -> EmbeddingStore:
+    """Load word vectors (of format `fmt` if given; of the tokens in the set
+    `keep` if given, in file order) into a store with a frozen word table."""
+    tokens, rows = read_vectors(path, fmt, keep)
     store = EmbeddingStore(rows.shape[1])
     with naming_file(path):
-        store.add_words(tokens, rows)
+        store.add_words(tokens, rows, copy=False)
     store.freeze_words()
     return store
 
@@ -363,7 +428,7 @@ def load_entity_vectors(path: str, store: EmbeddingStore, fmt: str | None = None
     # No renormalisation here: float32 storage keeps norms within the unit
     # tolerance, and rescaling would break bit-exact binary round-trips.
     with naming_file(path):
-        store.add_entities(names, rows)
+        store.add_entities(names, rows, copy=False)
     return len(names)
 
 
@@ -400,5 +465,7 @@ def save_vectors_binary(path: str, names: list[str], matrix: np.ndarray) -> None
     raws = [name.encode("utf-8") for name in names]
     with open(path, "wb") as fh:
         fh.write(_BINARY_MAGIC + _HEADER.pack(_BINARY_VERSION, len(names), matrix.shape[1]))
-        fh.write(np.ascontiguousarray(matrix, dtype="<f4"))
+        step = _chunk_rows(matrix.shape[1])
+        for a in range(0, len(matrix), step):
+            fh.write(np.ascontiguousarray(matrix[a:a + step], dtype="<f4"))
         fh.write(np.array([len(raw) for raw in raws], dtype="<u2").tobytes() + b"".join(raws))

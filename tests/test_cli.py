@@ -9,13 +9,14 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entlink
 from entlink import cli, crf
 from entlink.attention import LocalParams, predict_local
 from entlink.cli import main
-from entlink.crf import GlobalParams
+from entlink.crf import GlobalParams, predict_global
 from entlink.docs import build_context_windows, load_corpus, resolve_gold
 from entlink.experiment import ExperimentConfig, fit, select_all_candidates
 from entlink.model_io import load_model, save_model
@@ -169,6 +170,30 @@ class TestTrainPredictEvaluate:
 
         assert preds.read_text().splitlines() == predictions(30)
         assert predictions(30) != predictions(100)
+
+    def test_store_of_the_corpus_words_predicts_as_the_full_store(self, bench, model):
+        # predict loads only its corpus's words, so their ids differ from a
+        # full load's; the rows and so every local and joint prediction do not
+        _, data, entities = bench
+        local = load_model(str(model))
+        joint = GlobalParams(local=local, c=np.linspace(0.5, 1.5, local.dim), t=4)
+        corpus_path = str(data / "corpus_test.jsonl")
+        tokens = {token for doc in load_corpus(corpus_path) for token in doc.tokens}
+        runs = []
+        for keep in (None, tokens):
+            store = load_word_vectors(str(data / "word_vectors.txt"), keep=keep)
+            load_entity_vectors(str(entities), store)
+            prior = load_prior(str(data / "prior.tsv"), store.entity_vocab)
+            store.sync_entities()
+            corpus = load_corpus(corpus_path)
+            select_all_candidates(ExperimentConfig(k=local.k), [corpus], store, prior)
+            runs.append((store.n_words, [(predict_local(doc, local, store),
+                                          predict_global(doc, joint, store))
+                                         for doc in corpus]))
+        (full_words, full), (kept_words, kept) = runs
+        assert kept_words < full_words
+        assert any(p is not None for pair in full for preds in pair for p in preds)
+        assert kept == full
 
 
 class TestHandWrittenScores:

@@ -12,6 +12,8 @@ vector file's refusal names the file.  Binary vectors, words and entities,
 are fuzzed as `save_vectors_binary` writes them, in the one binary layout
 read.  An entities file in the old version-1 layout is fuzzed too: it is
 refused whole, so a repeated name or a wider row in it exits 1 as well.
+The stage commands load only the words their corpora hold, so the word
+files are also fuzzed through `predict` among words no corpus holds.
 """
 
 import random
@@ -20,7 +22,9 @@ import struct
 import numpy as np
 import pytest
 
+from entlink.attention import LocalParams
 from entlink.cli import main
+from entlink.model_io import save_model
 from entlink.vectors import save_vectors_binary, save_vectors_text
 
 ROUNDS = 40   # mutations of each kind per format
@@ -183,6 +187,26 @@ def test_truncated_binary_vectors_exit_1(inputs, capsys):
         data = files[name]
         for cut in range(len(data)):
             _refused(d, name, data[:cut], f"truncated at {cut}", capsys)
+
+
+@pytest.mark.parametrize("save", [save_vectors_text, save_vectors_binary])
+def test_predict_reads_mutated_words_it_keeps(inputs, capsys, save):
+    # predict loads only the rows of its corpus's words, here 6 of 10: a
+    # mutation in a row it does not keep may go unread, yet the command
+    # keeps the exit-code contract
+    d, files = inputs
+    name = "kept_words" + (".txt" if save is save_vectors_text else ".bin")
+    words = [*WORDS[:3], "alpha", "beta", *WORDS[3:], "gamma", "delta"]
+    save(str(d / name), words, np.random.default_rng(1).normal(size=(len(words), 3)))
+    save_model(str(d / "local.model"), LocalParams.init(3, hidden=4, k=4, r=2))
+    argv = ["predict", "--model", str(d / "local.model"), "--word-vectors", str(d / name),
+            "--entities", str(d / "entities.txt"), "--prior", str(d / "prior.tsv"),
+            "--corpus", str(d / "corpus.jsonl"), "--out", str(d / "predicted.tsv")]
+    data = (d / name).read_bytes()
+    assert _run(d, name, data, "unchanged", capsys, argv)[0] == 0
+    rng = random.Random(f"{name}-predict")
+    for what, mutated in _mutations(rng, data, list(files.values())):
+        _run(d, name, mutated, what, capsys, argv)
 
 
 def _last_line_widened(data: bytes, sep: bytes) -> bytes:

@@ -267,11 +267,15 @@ class TestBinaryV2ReaderFaults:
     """
 
     TOKENS = [f"token{i:05d}".encode() for i in range(5)]
+    KEEP_ALL = {t.decode() for t in TOKENS} | {"absent"}  # every row, and a token of none
 
     @staticmethod
     def _refused(path, message):
+        # a keep-set load refuses a fault of the structure as a full load does
         for read in (lambda: read_vectors(str(path)),
                      lambda: load_word_vectors(str(path), fmt="binary"),
+                     lambda: load_word_vectors(str(path), fmt="binary",
+                                               keep={"token00001", "absent"}),
                      lambda: load_entity_vectors(str(path), EmbeddingStore(2), fmt="binary")):
             with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
                 read()
@@ -282,7 +286,10 @@ class TestBinaryV2ReaderFaults:
         refuse them with the store's `message` (``{what}`` the table's
         kind) after the file's path."""
         assert len(read_vectors(str(path))[0]) == 5
+        keep = TestBinaryV2ReaderFaults.KEEP_ALL
         for what, load in (("word", lambda: load_word_vectors(str(path), fmt="binary")),
+                           ("word", lambda: load_word_vectors(str(path), fmt="binary",
+                                                              keep=keep)),
                            ("entity", lambda: load_entity_vectors(str(path), EmbeddingStore(2),
                                                                   fmt="binary"))):
             with pytest.raises(ValidationError,
@@ -364,6 +371,19 @@ class TestBinaryV2ReaderFaults:
     def test_non_finite_value(self, tmp_path):
         path, _ = self._file(tmp_path, nan_row=4, unit=True)
         self._store_refuses(path, "{what} 'token00003': non-finite component")
+
+    def test_store_faults_in_rows_not_kept_are_not_refused(self, tmp_path):
+        # a non-finite value (row 4) and a repeated name (rows 2 and 5) are
+        # refused only in rows the keep-set keeps: the binary reader never
+        # reads a row it does not keep, and no vocabulary holds its name
+        path, _ = self._file(tmp_path, tokens=[*self.TOKENS[:4], self.TOKENS[1]], nan_row=4)
+        store = load_word_vectors(str(path), fmt="binary", keep={"token00000", "token00002"})
+        assert store.word_vocab.tokens() == ["token00000", "token00002"]
+        np.testing.assert_array_equal(store.word_matrix(), _unit_rows(False)[[0, 2]])
+        for keep, message in (({"token00003"}, "word 'token00003': non-finite component"),
+                              ({"token00001"}, "duplicate word: 'token00001'")):
+            with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                load_word_vectors(str(path), fmt="binary", keep=keep)
 
     def test_unsupported_version(self, tmp_path):
         path, _ = self._file(tmp_path)
@@ -600,6 +620,59 @@ def test_multibyte_empty_and_longest_tokens_load_back(tmp_path):
     np.testing.assert_array_equal(store.entity_matrix(), entity_rows)
 
 
+class TestKeepSet:
+    """A load given a set of tokens to keep reads only their rows."""
+
+    N, D = 1500, 100  # 655 rows of 100 float32 values fill a 256 KiB chunk
+
+    @pytest.mark.parametrize("save", [save_vectors_binary, save_vectors_text])
+    def test_kept_rows_in_file_order_equal_the_full_loads(self, tmp_path, save):
+        # runs of kept rows that start, end and cross chunk borders, single
+        # rows, the first and the last; tokens the file lacks are ignored
+        rng = np.random.default_rng(12)
+        names = [f"w{i}" for i in range(self.N)]
+        path = tmp_path / "w"
+        save(str(path), names, rng.normal(size=(self.N, self.D)))
+        full = load_word_vectors(str(path))
+        picked = sorted({*rng.choice(self.N, 300, replace=False).tolist(),
+                         *range(640, 700), 0, self.N - 1})
+        store = load_word_vectors(str(path), keep={"absent", f"w{self.N}",
+                                                   *(names[i] for i in picked)})
+        assert store.word_vocab.tokens() == [names[i] for i in picked]
+        assert store.word_matrix().tobytes() == full.word_matrix()[picked].tobytes()
+        assert store.words_frozen
+        for keep in (set(), {"absent"}):
+            assert load_word_vectors(str(path), keep=keep).word_matrix().shape == (0, self.D)
+
+    def test_chunked_writer_writes_the_one_block_layout(self, tmp_path):
+        names = [f"w{i}" for i in range(self.N)]
+        rows = np.random.default_rng(13).normal(size=(self.N, self.D))
+        save_vectors_binary(str(tmp_path / "w.bin"), names, rows)
+        assert (tmp_path / "w.bin").read_bytes() == write_binary_v2(
+            tmp_path / "one.bin", [n.encode() for n in names], rows)
+
+    def test_text_rows_not_kept_are_parsed_not_stored(self, tmp_path):
+        # every row's syntax and the row count are checked; a non-finite
+        # value or a repeated name is refused only in a kept row
+        path = tmp_path / "w.txt"
+        path.write_text("4 2\na 1 2\nb nan 0\na 3 4\nc 5 6\n")
+        store = load_word_vectors(str(path), keep={"c", "absent"})
+        assert store.word_vocab.tokens() == ["c"]
+        np.testing.assert_array_equal(store.word_matrix(), [[5.0, 6.0]])
+        for keep, message in (({"b"}, "word 'b': non-finite component"),
+                              ({"a", "c"}, "duplicate word: 'a'")):
+            with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                load_word_vectors(str(path), keep=keep)
+        for text, message in (("4 2\na 1 2\nb x 0\na 3 4\nc 5 6\n", ":3: unparseable value"),
+                              ("4 2\na 1 2\nb 1\na 3 4\nc 5 6\n",
+                               ":3: row has 1 values, expected 2"),
+                              ("3 2\na 1 2\nb 1 0\na 3 4\nc 5 6\n",
+                               ": header declares 3 rows, found 4")):
+            path.write_text(text)
+            with pytest.raises(ValidationError, match=re.escape(f"{path}{message}")):
+                load_word_vectors(str(path), keep={"c"})
+
+
 def _word_load_peak(tmp_path, fmt: str = "binary") -> tuple[int, int]:
     """The tracemalloc peak of loading a 2200x300 word file of format
     `fmt`, and the bytes of the float64 table it loads."""
@@ -630,6 +703,21 @@ def test_text_word_load_peaks_near_two_tables(tmp_path):
     peak, table = _word_load_peak(tmp_path, "text")
     assert table >= 5e6
     assert peak <= 2.25 * table, peak / table
+
+
+def test_binary_word_load_peaks_near_one_table(tmp_path):
+    # the rows stream a 256 KiB chunk at a time into the one float64 block
+    # that becomes the table: the file's bytes are never held whole
+    peak, table = _word_load_peak(tmp_path)
+    assert table >= 5e6
+    assert peak <= 1.25 * table, peak / table
+
+
+def test_text_word_load_peaks_near_one_table(tmp_path):
+    # each row is parsed into one preallocated block that becomes the table
+    peak, table = _word_load_peak(tmp_path, "text")
+    assert table >= 5e6
+    assert peak <= 1.5 * table, peak / table
 
 
 def test_binary_word_load_widens_once(tmp_path):
